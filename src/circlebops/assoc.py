@@ -71,15 +71,22 @@ class AssocSystem:
             self._psistar[n] = _psistar_coeffs(self.sys, self.table, n)
         return self._psistar[n]
 
+    def evaluate(self, n: int, z, side: str | None = None):
+        """(phi_n, phi*_n, eps_n, eps*_n) over an array z of any shape (a
+        scalar is a 0-d array): one Horner pass over the four polynomials
+        phi_n, phi*_n, psi_n, psi*_n and one evaluation of F."""
+        zs = np.asarray(z, dtype=complex)
+        lev = self.sys.level(n)
+        coeffs = np.stack([lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n)], axis=1)
+        phi, phistar, psi, psistar = polyval(coeffs, zs)
+        f = self.F(zs, side=side)
+        return phi, phistar, psi + f * phi, psistar - f * phistar
+
     def eps(self, n: int, z, side: str | None = None):
-        return polyval(self.psi(n), z) + self.F(z, side=side) * eval_poly(
-            self.sys, n, z, "phi"
-        )
+        return self.evaluate(n, z, side)[2]
 
     def epsstar(self, n: int, z, side: str | None = None):
-        return polyval(self.psistar(n), z) - self.F(z, side=side) * eval_poly(
-            self.sys, n, z, "phistar"
-        )
+        return self.evaluate(n, z, side)[3]
 
     def level(self, n: int) -> AssocLevel:
         return AssocLevel(
@@ -185,8 +192,8 @@ def verify_assoc_identities(
 
     for n in ns:
         ln, lp = sys.level(n), sys.level(n + 1)
-        eps_n, eps_p = asys.eps(n, zs), asys.eps(n + 1, zs)
-        star_n, star_p = asys.epsstar(n, zs), asys.epsstar(n + 1, zs)
+        phi_n, ps_n, eps_n, star_n = asys.evaluate(n, zs)
+        phi_p, ps_p, eps_p, star_p = asys.evaluate(n + 1, zs)
         lhs = ln.kappa * eps_p
         rhs = lp.kappa * zs * eps_n - lp.phi0 * star_n
         rep.add(
@@ -207,8 +214,6 @@ def verify_assoc_identities(
         )
 
         # Casoratians, eps form and psi form
-        phi_n, phi_p = eval_poly(sys, n, zs), eval_poly(sys, n + 1, zs)
-        ps_n, ps_p = eval_poly(sys, n, zs, "phistar"), eval_poly(sys, n + 1, zs, "phistar")
         psi_n, psi_p = polyval(asys.psi(n), zs), polyval(asys.psi(n + 1), zs)
         psis_n, psis_p = polyval(asys.psistar(n), zs), polyval(asys.psistar(n + 1), zs)
 

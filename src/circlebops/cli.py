@@ -201,9 +201,8 @@ def cmd_assoc(cfg: RunConfig, weight, table, out: Path):
     _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"], rows)
     rows = []
     for n in range(cfg.n + 1):
-        for z in samples:
-            e = complex(bundle.asys.eps(n, z))
-            es = complex(bundle.asys.epsstar(n, z))
+        _, _, eps, epsstar = bundle.asys.evaluate(n, samples)
+        for z, e, es in zip(samples, eps, epsstar):
             rows.append([n, z.real, z.imag, e.real, e.imag, es.real, es.imag])
     _write_csv(
         out / "eps_samples.csv",

@@ -644,14 +644,8 @@ def verify_bilinear(
                 continue
             qn = quads[n]
             ln, lp = sys.level(n), sys.level(n + 1)
-            phi_n = complex(eval_poly(sys, n, zj))
-            star_n = complex(eval_poly(sys, n, zj, "phistar"))
-            eps_n = complex(asys.eps(n, zj))
-            es_n = complex(asys.epsstar(n, zj))
-            phi_p = complex(eval_poly(sys, n + 1, zj))
-            star_p = complex(eval_poly(sys, n + 1, zj, "phistar"))
-            eps_p = complex(asys.eps(n + 1, zj))
-            es_p = complex(asys.epsstar(n + 1, zj))
+            phi_n, star_n, eps_n, es_n = asys.evaluate(n, zj)
+            phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zj)
             th_n, ths_n = qn.th(zj), qn.ths(zj)
             om_n, oms_n = qn.om(zj), qn.oms(zj)
             base = 2.0 * lp.phi0 / ln.kappa * zj**n
@@ -807,16 +801,12 @@ def spectral_derivative_check(
         if n + 1 > sys.nmax:
             continue
         quad = quads[n]
-        phi_n = eval_poly(sys, n, zs)
-        phi_p = eval_poly(sys, n + 1, zs)
-        star_n = eval_poly(sys, n, zs, "phistar")
-        star_p = eval_poly(sys, n + 1, zs, "phistar")
+        phi_n, star_n, eps_n, es_n = asys.evaluate(n, zs)
+        phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zs)
         dphi = polyval(polyder(sys.level(n).c), zs)
         dstar = polyval(polyder(sys.level(n).cbar[::-1]), zs)
-        eps_n, eps_p = asys.eps(n, zs), asys.eps(n + 1, zs)
-        es_n, es_p = asys.epsstar(n, zs), asys.epsstar(n + 1, zs)
-        deps = np.array([central_diff(lambda x: asys.eps(n, x), z, step) for z in zs])
-        des = np.array([central_diff(lambda x: asys.epsstar(n, x), z, step) for z in zs])
+        deps = central_diff(lambda x: asys.eps(n, x), zs, step)
+        des = central_diff(lambda x: asys.epsstar(n, x), zs, step)
 
         lhs = w_z * dphi - quad.th(zs) * phi_p + (quad.om(zs) + v_z) * phi_n
         rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, quad.th(zs) * phi_p), tol, n=n)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .assoc import AssocSystem
-from .bops import BopsSystem, eval_poly
+from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
 from .errors import GeometryError, SingularResidueError, WeightValidationError
@@ -249,10 +249,7 @@ def deformation_rates(
             raise SingularResidueError(f"V({zj}) = 0 in a deformation-rate sum")
         ratio = zdot / zj
         sum_rho_zdot += rho * ratio
-        phi = complex(eval_poly(sys, n, zj))
-        star = complex(eval_poly(sys, n, zj, "phistar"))
-        eps = complex(asys.eps(n, zj))
-        eps_s = complex(asys.epsstar(n, zj))
+        phi, star, eps, eps_s = asys.evaluate(n, zj)
         route_a += 0.5 * rho * ratio * zj ** (-n) * eps * star
         route_b += -0.5 * rho * ratio * zj ** (-n) * eps_s * phi
         if qm is not None:

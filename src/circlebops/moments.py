@@ -214,34 +214,36 @@ class CaratheodoryEvaluator:
         self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
         self._outside = np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))
 
-    def side_of(self, z: complex) -> str:
-        r = abs(z)
-        if abs(r - 1.0) < self.near_circle:
+    def _inside_mask(self, zs: np.ndarray) -> np.ndarray:
+        """Mask of the points inside the circle; raises for the first point
+        within the near-circle band."""
+        r = np.abs(zs)
+        near = np.abs(r - 1.0) < self.near_circle
+        if near.any():
             raise NearCircleError(
-                f"|z| = {r} is within {self.near_circle} of the unit circle; "
-                "force side='inside' or side='outside'"
+                f"|z| = {float(r[near].flat[0])} is within {self.near_circle} of "
+                "the unit circle; force side='inside' or side='outside'"
             )
-        return "inside" if r < 1.0 else "outside"
+        return r < 1.0
+
+    def side_of(self, z: complex) -> str:
+        return "inside" if self._inside_mask(np.asarray(z, dtype=complex)) else "outside"
 
     def __call__(self, z, side: str | None = None):
+        """F over an array z (a scalar is a 0-d array); without a side each
+        series is evaluated only on its own points."""
         zs = np.asarray(z, dtype=complex)
-        scalar = zs.ndim == 0
-        zs = np.atleast_1d(zs)
-        if side is None:
-            inside = np.array([self.side_of(complex(v)) == "inside" for v in zs.ravel()])
-            inside = inside.reshape(zs.shape)
-            out = np.where(
-                inside,
-                polyval(self._inside, zs),
-                polyval(self._outside, 1.0 / np.where(zs == 0, 1.0, zs)),
-            )
-        elif side == "inside":
-            out = polyval(self._inside, zs)
-        elif side == "outside":
-            out = polyval(self._outside, 1.0 / zs)
-        else:
+        if side == "inside":
+            return polyval(self._inside, zs)[()]
+        if side == "outside":
+            return polyval(self._outside, 1.0 / zs)[()]
+        if side is not None:
             raise ValueError("side must be 'inside' or 'outside'")
-        return complex(out[0]) if scalar else out
+        inside = self._inside_mask(zs)
+        out = np.empty(zs.shape, dtype=complex)
+        out[inside] = polyval(self._inside, zs[inside])
+        out[~inside] = polyval(self._outside, 1.0 / zs[~inside])
+        return out[()]
 
     def eval_record(self, z: complex, side: str | None = None) -> CaratheodoryEval:
         chosen = side or self.side_of(z)

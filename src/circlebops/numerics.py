@@ -1,6 +1,12 @@
 """Shared numerical helpers: polynomial arithmetic on ascending complex
 coefficient vectors, least-squares fits, central differences, FFT Laurent
-coefficient extraction and deterministic sample-point draws."""
+coefficient extraction and deterministic sample-point draws.
+
+Every callable handed to `central_diff`, `laurent_coefficients` or
+`slope_fit` must accept an array of points of any shape and return values of
+that shape (`slope_fit` also takes trailing axes, e.g. a 2x2 matrix per
+point): each helper evaluates whole arrays of points, never one point at a
+time."""
 
 from __future__ import annotations
 
@@ -66,8 +72,9 @@ def vandermonde_fit(points: np.ndarray, values: np.ndarray, degree: int):
     return as_poly(coeffs), float(misfit / scale)
 
 
-def central_diff(f: Callable, z: complex, step: float = 1e-6) -> complex:
-    """Central difference f'(z) with step h = step * (1 + |z|).
+def central_diff(f: Callable, z, step: float = 1e-6):
+    """Central difference f'(z) with step h = step * (1 + |z|), elementwise
+    over an array z; f is called on the whole array z + h, then on z - h.
 
     f must be analytic near z; the real-direction difference then approximates
     the complex derivative to O(h^2).
@@ -94,7 +101,7 @@ def laurent_coefficients(
         p *= 2
     theta = 2.0 * np.pi * np.arange(p) / p
     zs = radius * np.exp(1j * theta)
-    samples = np.asarray([f(z) for z in zs], dtype=complex)
+    samples = np.asarray(f(zs), dtype=complex)
     hat = np.fft.fft(samples) / p
     out: dict[int, complex] = {}
     for k in orders:
@@ -138,22 +145,19 @@ def rel_residual(mismatch, *terms) -> float:
     return float(np.max(np.abs(mismatch)) / scale)
 
 
-def slope_fit(f: Callable, r1: float, r2: float, angles: int = 32) -> float:
+def slope_fit(f: Callable, r1: float, r2: float, angles: int = 32):
     """Mean-log growth exponent between circles |z| = r1 and |z| = r2.
 
     Averaging log|f| over each circle removes the O(1/z) harmonic correction
-    of a leading-order monomial, giving the order to O((c/r)^2).
+    of a leading-order monomial, giving the order to O((c/r)^2).  f is called
+    once, on both circles; trailing axes of its values (e.g. a 2x2 matrix per
+    point) give one exponent per entry.  An entry that vanishes at a sample
+    point gets -inf.
     """
     theta = 2.0 * np.pi * (np.arange(angles) + 0.5) / angles
-
-    def mean_log(r: float) -> float:
-        vals = np.asarray([f(r * np.exp(1j * t)) for t in theta], dtype=complex)
-        mags = np.abs(vals)
-        if np.any(mags == 0.0):
-            return -np.inf
-        return float(np.mean(np.log(mags)))
-
-    m1, m2 = mean_log(r1), mean_log(r2)
-    if not np.isfinite(m1) or not np.isfinite(m2):
-        return -np.inf
-    return (m2 - m1) / np.log(r2 / r1)
+    zs = np.array([[r1], [r2]]) * np.exp(1j * theta)
+    mags = np.abs(np.asarray(f(zs), dtype=complex))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1, m2 = np.mean(np.log(mags), axis=1)
+        slope = (m2 - m1) / np.log(r2 / r1)
+    return np.where(np.isfinite(m1) & np.isfinite(m2), slope, -np.inf)[()]

@@ -24,7 +24,6 @@ Integer exponents are evaluated as exact powers with no cut.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -351,21 +350,6 @@ def build_vw(spec: SemiClassicalWeight) -> PolyPair:
 #                "strict": bool, "annulus": [d1, d2], "branch": {...}}
 # ---------------------------------------------------------------------------
 
-def weight_to_json(spec: SemiClassicalWeight) -> dict[str, Any]:
-    return {
-        "singularities": [
-            {
-                "z": [s.location.real, s.location.imag],
-                "rho": [s.exponent.real, s.exponent.imag],
-            }
-            for s in spec.singularities
-        ],
-        "strict": spec.strict,
-        "annulus": list(spec.annulus),
-        "branch": {"convention": spec.branch_convention},
-    }
-
-
 def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:
     sings = []
     for item in payload["singularities"]:
@@ -389,7 +373,3 @@ def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:
         )
     return spec
 
-
-def load_weight(path) -> SemiClassicalWeight:
-    with open(path, "r", encoding="utf-8") as fh:
-        return weight_from_json(json.load(fh))

@@ -31,6 +31,15 @@ def lebesgue_weight_relaxed() -> SemiClassicalWeight:
     )
 
 
+def close(batch, loop, rel=1e-13):
+    """Batched values equal a per-point loop to rel, relative to the largest
+    magnitude in the loop's values."""
+    batch, loop = np.asarray(batch), np.asarray(loop)
+    return batch.shape == loop.shape and np.max(np.abs(batch - loop)) <= rel * max(
+        1.0, float(np.max(np.abs(loop)))
+    )
+
+
 def laurent_callable(z):
     z = np.asarray(z, dtype=complex)
     return z**-1.0 * (1.0 + z) ** 2

@@ -10,12 +10,12 @@ from circlebops.assoc import (
     verify_assoc_identities,
     verify_expansions,
 )
-from circlebops.errors import WindowError
+from circlebops.errors import NearCircleError, WindowError
 from circlebops.moments import table_from_moments
-from circlebops.bops import build_system
-from circlebops.numerics import circle_samples
+from circlebops.bops import build_system, eval_poly
+from circlebops.numerics import circle_samples, polyval
 
-from conftest import laurent_callable
+from conftest import close, laurent_callable
 
 
 def sample_points(seed=5, count=10):
@@ -148,3 +148,53 @@ class TestConstruction:
         with pytest.raises(WindowError) as err:
             asys.psi(4)
         assert err.value.required == 5
+
+
+class TestBatchedEvaluator:
+    def test_matches_per_point_loop(self, strict):
+        asys, sys = strict["asys"], strict["sys"]
+        zs = sample_points(seed=9, count=6).reshape(2, 6)  # inside row, outside row
+        for n in range(5):
+            batch = asys.evaluate(n, zs)
+            loop = [
+                np.array([[asys.evaluate(n, complex(z))[k] for z in row] for row in zs])
+                for k in range(4)
+            ]
+            for got, want in zip(batch, loop):
+                assert close(got, want)
+
+    def test_matches_defining_sums(self, strict):
+        asys, sys = strict["asys"], strict["sys"]
+        zs = sample_points(seed=11, count=5)
+        for n in range(5):
+            phi, phistar, eps, epsstar = asys.evaluate(n, zs)
+            want = {"phi": [], "phistar": [], "eps": [], "epsstar": []}
+            for z in zs:
+                z = complex(z)
+                f = asys.F(z)
+                want["phi"].append(eval_poly(sys, n, z))
+                want["phistar"].append(eval_poly(sys, n, z, "phistar"))
+                want["eps"].append(polyval(asys.psi(n), z) + f * eval_poly(sys, n, z))
+                want["epsstar"].append(
+                    polyval(asys.psistar(n), z) - f * eval_poly(sys, n, z, "phistar")
+                )
+            for got, key in zip((phi, phistar, eps, epsstar), want):
+                assert close(got, want[key])
+
+    def test_forced_side_and_scalar(self, strict):
+        asys = strict["asys"]
+        zs = (1.0 + 1e-4) * np.exp(1j * np.linspace(0.1, 6.0, 7))
+        for side in ("inside", "outside"):
+            batch = asys.evaluate(2, zs, side)
+            for k in range(4):
+                loop = np.array([asys.evaluate(2, complex(z), side)[k] for z in zs])
+                assert close(batch[k], loop)
+        values = asys.evaluate(3, 0.3 + 0.2j)
+        assert all(np.ndim(v) == 0 for v in values)
+        assert asys.eps(3, 0.3 + 0.2j) == values[2]
+        assert asys.epsstar(3, 0.3 + 0.2j) == values[3]
+
+    def test_near_circle_band_names_first_point(self, strict):
+        zs = np.array([0.5, 1.0005, 0.9995, 2.0])
+        with pytest.raises(NearCircleError, match=r"\|z\| = 1\.0005 "):
+            strict["asys"].evaluate(1, zs)

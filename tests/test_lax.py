@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circlebops.errors import SingularResidueError
+from circlebops.numerics import laurent_coefficients, slope_fit
 from circlebops.lax import (
     assemble_residues,
     k_matrix,
@@ -12,7 +13,7 @@ from circlebops.lax import (
     y_matrix,
 )
 
-from conftest import laurent_callable
+from conftest import close, laurent_callable
 
 SAMPLES = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
 
@@ -165,3 +166,88 @@ class TestRHP:
     def test_zero_weight_point_rejected(self, laurent):
         with pytest.raises(SingularResidueError):
             y_matrix(laurent["sys"], laurent["asys"], laurent_callable, 1, -1.0 + 0j)
+
+
+def one_point(f, z):
+    """f at the single point z, called on a one-element array."""
+    return f(np.array([z]))[0]
+
+
+def slope_per_point(f, r1, r2, angles=32):
+    theta = 2.0 * np.pi * (np.arange(angles) + 0.5) / angles
+
+    def mean_log(r):
+        return np.mean([np.log(np.abs(one_point(f, r * np.exp(1j * t)))) for t in theta], axis=0)
+
+    return (mean_log(r2) - mean_log(r1)) / np.log(r2 / r1)
+
+
+class TestBatched:
+    def test_normalized_solution_stack(self, strict):
+        sys, asys = strict["sys"], strict["asys"]
+        zs = np.array([[0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j], [0.1j, 0.3 - 0.3j, -4.0]])
+        for n in (1, 2, 3):
+            stack = normalized_solution(sys, asys, n, zs)
+            assert stack.shape == (2, 3, 2, 2)
+            loop = np.array(
+                [[normalized_solution(sys, asys, n, complex(z)) for z in row] for row in zs]
+            )
+            assert close(stack, loop)
+            ring = (1.0 - 1e-4) * np.exp(1j * np.linspace(0.05, 6.2, 9))
+            for side in ("inside", "outside"):
+                stack = normalized_solution(sys, asys, n, ring, side)
+                loop = np.array([normalized_solution(sys, asys, n, z, side) for z in ring])
+                assert close(stack, loop)
+
+    def test_y_matrix_stack(self, strict):
+        zs = np.array([0.45 - 0.2j, 2.3 - 0.8j, -0.2 + 0.1j])
+        stack = y_matrix(strict["sys"], strict["asys"], strict["wfun"], 2, zs)
+        loop = np.array(
+            [y_matrix(strict["sys"], strict["asys"], strict["wfun"], 2, z) for z in zs]
+        )
+        assert stack.shape == (3, 2, 2)
+        assert close(stack, loop)
+
+    def test_slope_fit_array_callable(self, strict):
+        sys, asys = strict["sys"], strict["asys"]
+        for side, radii in (("outside", (20.0, 80.0)), ("inside", (0.025, 0.1))):
+            f = lambda z: normalized_solution(sys, asys, 2, z, side)
+            slopes = slope_fit(f, *radii)
+            assert slopes.shape == (2, 2)
+            assert close(slopes, slope_per_point(f, *radii))
+        cubic = lambda z: z**3 + 0.5 * z
+        scalar = slope_fit(cubic, 20.0, 80.0)
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - slope_per_point(cubic, 20.0, 80.0)) < 1e-13
+        assert slope_fit(lambda z: 0.0 * z, 1.0, 2.0) == -np.inf
+
+    def test_laurent_coefficients_array_callable(self, strict):
+        asys = strict["asys"]
+        f = lambda z: asys.eps(2, z, side="outside")
+        orders = range(-3, 1)
+        got = laurent_coefficients(f, 2.0, orders)
+        p = 64  # the sample count laurent_coefficients picks for these orders
+        zs = 2.0 * np.exp(2j * np.pi * np.arange(p) / p)
+        hat = np.fft.fft([one_point(f, z) for z in zs]) / p
+        for k in orders:
+            want = hat[k % p] * 2.0 ** (-k)
+            assert abs(got[k] - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_rhp_entries_per_level(self, strict):
+        thetas = np.linspace(0.05, 2.0 * np.pi, 24)
+        for n in (1, 2, 3):
+            rep = rhp_jump_check(
+                strict["sys"], strict["asys"], strict["wfun"], n, thetas,
+                weight=strict["weight"],
+            )
+            want = ["rhp_jump"] * 48 + ["rhp_determinant"] * 3 + [
+                f"rhp_order_{ij}_at_{where}"
+                for where in ("infinity", "zero")
+                for ij in (("11", "22", "12", "21") if where == "infinity" else ("11", "12", "21", "22"))
+            ]
+            assert [e.name for e in rep.entries] == want
+            assert {e.n for e in rep.entries} == {n}
+            wheres = [e.where for e in rep.entries[:48]]
+            assert wheres[0] == "theta=0.050, r=0.9999"
+            assert wheres[24] == "theta=0.050, r=1.0001"
+            assert rep.entries[48].where == "z=0.5+0.21j"
