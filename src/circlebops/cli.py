@@ -338,7 +338,7 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
     inv = flow_invariants(states)
     report.add("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"], 1e-8 * cfg.tol_scale, n=n)
     report.add("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"], 1e-7 * cfg.tol_scale, n=n)
-    conv = flow_convergence(initial, traj, (traj.t0, traj.t1), cfg.steps)
+    conv = flow_convergence(states, traj)
     report.add(
         "richardson_halving",
         "fixed-step integration with step-halving error estimate",

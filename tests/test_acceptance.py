@@ -243,6 +243,7 @@ def test_criterion_6_deformation_suite():
     worst_det = 0.0
     worst_c = 0.0
     ratios = []
+    above_roundoff = True
     for n in (1, 2, 3):
         initial, _ = moment_rebuild(traj, 0.0, n)
         states = integrate_flow(initial, traj, (0.0, 0.1), 64)
@@ -251,8 +252,13 @@ def test_criterion_6_deformation_suite():
         inv = flow_invariants(states)
         worst_trace = max(worst_trace, inv["trace_drift"])
         worst_det = max(worst_det, inv["det_max"])
-        conv = flow_convergence(initial, traj, (0.0, 0.1), 64)
+        # the order is measured on a 16-step flow: at 64 steps the fine
+        # error is round-off (1e-14 at n=1), and so would be the ratio
+        short = integrate_flow(initial, traj, (0.0, 0.1), 16)
+        conv = flow_convergence(short, traj)
         ratios.append(conv["ratio"])
+        roundoff = 2.0**-52 * float(np.max(np.abs(short[-1].pack())))
+        above_roundoff = above_roundoff and conv["fine"] >= 100.0 * roundoff
         for rec in isomonodromy_check(states, traj):
             if rec.asserted:
                 worst_c = max(worst_c, rec.drift)
@@ -262,11 +268,13 @@ def test_criterion_6_deformation_suite():
         "criterion 6: Schlesinger flow (endpoint <= 1e-5, order-4, monodromy <= 1e-5)",
         worst_gap <= 1e-5
         and ratio_ok
+        and above_roundoff
         and worst_trace <= 1e-8
         and worst_det <= 1e-7
         and worst_c <= 1e-5
         and elapsed < 60.0,
-        f"endpoint {worst_gap:.3e}, ratios {[f'{r:.1f}' for r in ratios]}, "
+        f"endpoint {worst_gap:.3e}, ratios {[f'{r:.1f}' for r in ratios]} "
+        f"(fine errors above round-off: {above_roundoff}), "
         f"trace {worst_trace:.3e}, det {worst_det:.3e}, C-drift {worst_c:.3e}, "
         f"runtime {elapsed:.2f}s",
     )

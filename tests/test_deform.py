@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circlebops.deform import (
+    DeformState,
     LinearTrajectory,
     deformation_rates,
     extract_connection_coefficient,
@@ -21,6 +22,8 @@ from circlebops.errors import SingularResidueError, WeightValidationError
 from circlebops.lax import assemble_residues
 from circlebops.weight import SemiClassicalWeight, Singularity
 
+from conftest import close
+
 
 @pytest.fixture(scope="module")
 def traj(strict_weight_module):
@@ -38,6 +41,51 @@ def strict_weight_module():
 def start(traj):
     state, bundle = moment_rebuild(traj, 0.0, 2)
     return state, bundle
+
+
+def comm(x, y):
+    return x @ y - y @ x
+
+
+class LineTraj:
+    """Duck-typed trajectory z_j(t) = z_j + t zdot_j."""
+
+    def __init__(self, weight0, vel, locs=None):
+        self.weight0 = weight0
+        self.vel = np.asarray(vel, dtype=complex)
+        self.base = weight0.locations if locs is None else np.asarray(locs, dtype=complex)
+
+    def locations(self, t):
+        return self.base + t * self.vel
+
+    def velocities(self, t):
+        return self.vel
+
+
+def reference_rhs(state, traj, t):
+    """The packed Schlesinger right-hand side and B_inf, as the literal
+    per-pair commutator sum on 2x2 numpy matrices."""
+    locs, vel, rhos = traj.locations(t), traj.velocities(t), traj.weight0.exponents
+    m = len(locs)
+    moving = [j for j in range(m) if vel[j] != 0]
+    ratio = {j: vel[j] / locs[j] for j in moving}
+    sum_rho_zdot = sum(rhos[j] * ratio[j] for j in moving)
+    s = sum(ratio[j] * state.a[j] for j in moving)
+    kdot = 0.25 * (-sum_rho_zdot - s[0, 0] + s[1, 1])
+    b_inf = np.array([[kdot, 0.0], [-s[1, 0], -kdot]])
+    da = []
+    for j in range(m):
+        acc = comm(b_inf, state.a[j])
+        for k in range(m):
+            if k != j:
+                acc = acc + (vel[j] - vel[k]) / (locs[j] - locs[k]) * comm(state.a[k], state.a[j])
+        da.append(acc)
+    scalars = [
+        state.kappa * kdot,
+        s[0, 1] - state.r * (2.0 * kdot + sum_rho_zdot),
+        -s[1, 0] - 2.0 * state.rbar * kdot,
+    ]
+    return np.concatenate([np.ravel(da), comm(b_inf, state.a_inf).ravel(), scalars]), b_inf
 
 
 class TestTrajectory:
@@ -115,24 +163,7 @@ class TestSchlesingerRhs:
         # commutator coefficient (zdot_j - zdot_k)/(z_j - z_k) vanishes,
         # leaving only the pairs with the pinned origin
         state, _ = start
-
-        class RigidPair:
-            weight0 = strict_weight_module
-
-            def locations(self, t):
-                locs = strict_weight_module.locations.copy()
-                locs[1] += t
-                locs[2] += t
-                return locs
-
-            def velocities(self, t):
-                return np.array([0.0, 1.0, 1.0], dtype=complex)
-
-        rhs = schlesinger_rhs(state, RigidPair(), 0.0)
-
-        def comm(x, y):
-            return x @ y - y @ x
-
+        rhs = schlesinger_rhs(state, LineTraj(strict_weight_module, [0.0, 1.0, 1.0]), 0.0)
         locs = strict_weight_module.locations
         manual = comm(rhs.b_inf, state.a[1]) + (1.0 / (locs[1] - locs[0])) * comm(
             state.a[0], state.a[1]
@@ -174,9 +205,42 @@ class TestFlow:
 
     def test_richardson_fourth_order(self, traj, start):
         state, _ = start
-        conv = flow_convergence(state, traj, (0.0, 0.1), 64)
+        # 16 steps keeps the fine error (1.8e-11) well above round-off; at
+        # 64 steps it is 6.6e-14 and the ratio measures round-off
+        states = integrate_flow(state, traj, (0.0, 0.1), 16)
+        conv = flow_convergence(states, traj)
         assert conv["fine"] < 1e-7
+        assert conv["fine"] >= 100.0 * 2.0**-52 * np.max(np.abs(states[-1].pack()))
         assert 12.0 <= conv["ratio"] <= 20.0
+
+    def test_richardson_zero_span(self, start):
+        state, _ = start
+        conv = flow_convergence(integrate_flow(state, None, (0.0, 0.0), 16), None)
+        assert conv == {"coarse": 0.0, "fine": 0.0, "ratio": float("inf")}
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            2.0 - 0.05j,
+            pytest.param(
+                2.0 + 0.05j,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="the rebuilt weight takes the principal value of (-z_2)^rho_2: "
+                    "-z_2 = -2 sits on the cut with arg pi, a move into the upper "
+                    "half-plane sends the arg to -pi, and the rebuilt weight's "
+                    "constant jumps by e^{-2 pi i rho_2}, which the flow does not see",
+                ),
+            ),
+        ],
+    )
+    def test_off_axis_move_matches_rebuild(self, strict_weight_module, target):
+        traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
+        initial, _ = moment_rebuild(traj, 0.0, 2)
+        states = integrate_flow(initial, traj, (0.0, 0.1), 16)
+        rebuilt, _ = moment_rebuild(traj, 0.1, 2)
+        assert state_gap(states[-1], rebuilt) < 1e-5
 
     def test_transfer_compatibility(self, traj):
         res = transfer_rate_check(traj, 2, 0.05, [0.4 + 0.2j, 2.6 + 1.0j])
@@ -184,18 +248,97 @@ class TestFlow:
 
     def test_moving_origin_rejected(self, strict_weight_module, start):
         state, _ = start
-
-        class BadTraj:
-            weight0 = strict_weight_module
-
-            def locations(self, t):
-                return strict_weight_module.locations
-
-            def velocities(self, t):
-                return np.array([1.0, 0.0, 0.0], dtype=complex)
-
         with pytest.raises(SingularResidueError):
-            schlesinger_rhs(state, BadTraj(), 0.0)
+            schlesinger_rhs(state, LineTraj(strict_weight_module, [1.0, 0.0, 0.0]), 0.0)
+
+
+class TestFlowKernel:
+    @pytest.fixture(scope="class")
+    def five(self):
+        weight = SemiClassicalWeight(
+            (
+                Singularity(0, -1),
+                Singularity(2, 0.5),
+                Singularity(3, 1.0 / 3.0),
+                Singularity(-2.5 + 0.5j, 0.25),
+                Singularity(0.3 - 0.4j, 0.75 + 0.1j),
+            ),
+            strict=False,
+        )
+        # two singularities moving at different velocities, so every pair
+        # coefficient (zdot_j - zdot_k)/(z_j - z_k) with j or k moving is
+        # nonzero and none cancels
+        traj = LineTraj(weight, [0, 1.0 + 0.5j, 0, -0.3 + 0.2j, 0])
+        rng = np.random.default_rng(7)
+        draw = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state = DeformState(0.0, 2, draw(5, 2, 2), draw(2, 2), *draw(3))
+        return traj, state
+
+    def test_rhs_matches_per_pair_sum(self, five):
+        traj, state = five
+        for t in (0.0, 0.07):
+            rhs = schlesinger_rhs(state, traj, t)
+            packed = np.concatenate(
+                [rhs.da.ravel(), rhs.da_inf.ravel(), [rhs.kappadot, rhs.rdot, rhs.rbardot]]
+            )
+            want, b_inf = reference_rhs(state, traj, t)
+            assert close(packed, want)
+            assert close(rhs.b_inf, b_inf)
+
+    def test_flow_matches_numpy_rk4(self, five):
+        traj, state = five
+        steps, h = 16, 0.1 / 16
+
+        def f(t, y):
+            return reference_rhs(DeformState.unpack(t, 2, 5, y, "ref"), traj, t)[0]
+
+        y = state.pack()
+        want = [y]
+        for step in range(steps):
+            t = step * h
+            k1 = f(t, y)
+            k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            want.append(y)
+        states = integrate_flow(state, traj, (0.0, 0.1), steps)
+        assert [st.t for st in states] == [step * h for step in range(steps)] + [0.1]
+        assert close(np.array([st.pack() for st in states]), np.array(want))
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("moving_origin", SingularResidueError, "a moving singularity sits at the origin"),
+            ("coincident", SingularResidueError, "coincident singularities"),
+            ("m_mismatch", ValueError, "disagree on the number of singularities"),
+            ("blow_up", SingularResidueError, r"flow blew up at t = 0\.00625 "),
+        ],
+    )
+    def test_error_paths(self, strict_weight_module, start, five, case, error, message):
+        state, _ = start
+        traj = LineTraj(strict_weight_module, [0, 1.0, 0])
+        if case == "moving_origin":
+            traj = LineTraj(strict_weight_module, [1.0, 0, 0])
+        elif case == "coincident":
+            traj = LineTraj(strict_weight_module, [0, 1.0, 0], locs=[0, 2.0, 2.0])
+        elif case == "m_mismatch":
+            traj = five[0]
+        else:
+            state = DeformState.unpack(0.0, 2, 3, 1e200 * state.pack(), "scaled")
+        with pytest.raises(error, match=message):
+            integrate_flow(state, traj, (0.0, 0.1), 16)
+
+    def test_invariants_match_per_state_loop(self, traj, start):
+        state, _ = start
+        states = integrate_flow(state, traj, (0.0, 0.1), 16)
+        tr0 = np.trace(states[0].a, axis1=1, axis2=2)
+        assert flow_invariants(states) == {
+            "trace_drift": max(
+                float(np.max(np.abs(np.trace(st.a, axis1=1, axis2=2) - tr0))) for st in states
+            ),
+            "det_max": max(float(np.max(np.abs(np.linalg.det(st.a)))) for st in states),
+        }
 
 
 class TestMonodromy:
