@@ -32,7 +32,6 @@ from .moments import (
     CaratheodoryEval,
     CaratheodoryEvaluator,
     MomentTable,
-    ToeplitzValue,
     caratheodory_eval,
     compute_moments,
     heine_oracle,
@@ -77,7 +76,6 @@ __all__ = [
     "SemiClassicalWeight",
     "Singularity",
     "Tolerances",
-    "ToeplitzValue",
     "WeightValidationError",
     "WindowError",
     "assemble_residues",

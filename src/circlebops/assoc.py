@@ -165,10 +165,10 @@ def eps_intrep(
         (kappa_n/2) eps*_n = (-z)^{n+1} I^0_{n+1}[w/(zeta-z)] / I^0_{n+1}[w].
     """
     mod = compute_moments(lambda zeta: wfun(zeta) / (zeta - z), n + 2, quad)
-    i0 = toeplitz_det(tbl, 0, n + 1).value
+    i0 = toeplitz_det(tbl, 0, n + 1)
     kappa = sys.kappa(n)
-    eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1).value / i0
-    epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1).value / i0
+    eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0
+    epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1) / i0
     return complex(eps), complex(epsstar)
 
 

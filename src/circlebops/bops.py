@@ -107,29 +107,44 @@ class BopsSystem:
         return self.level(n).phibar0
 
 
-def eval_poly(
-    sys: BopsSystem,
-    n: int,
-    z,
-    which: Literal["phi", "phistar", "phibar", "phibarstar"] = "phi",
-):
+Family = Literal["phi", "phistar", "phibar", "phibarstar"]
+
+# ascending coefficients of each family at one level; phibar*_n(z) = z^n phi_n(1/z)
+_FAMILY = {
+    "phi": lambda lev: lev.c,
+    "phibar": lambda lev: lev.cbar,
+    "phistar": lambda lev: lev.cbar[::-1],
+    "phibarstar": lambda lev: lev.c[::-1],
+}
+
+
+def _coeff_matrix(sys: BopsSystem, which: Family) -> np.ndarray:
+    """Row n holds the ascending coefficients of level n, zero-padded to N+1."""
+    mat = np.zeros((sys.nmax + 1, sys.nmax + 1), dtype=complex)
+    for n, lev in enumerate(sys.levels):
+        mat[n, : n + 1] = _FAMILY[which](lev)
+    return mat
+
+
+def eval_poly(sys: BopsSystem, n: int, z, which: Family = "phi"):
     """Horner evaluation of phi_n, phi*_n, phibar_n or the reversed-bar
     polynomial phibar*_n(z) = z^n phi_n(1/z)."""
-    lev = sys.level(n)
-    coeffs = {
-        "phi": lev.c,
-        "phibar": lev.cbar,
-        "phistar": lev.cbar[::-1],
-        "phibarstar": lev.c[::-1],
-    }[which]
-    return polyval(coeffs, z)
+    return polyval(_FAMILY[which](sys.level(n)), z)
+
+
+def eval_levels(sys: BopsSystem, z, which: Family = "phi") -> np.ndarray:
+    """Every level n = 0..N of one family at every point of z, shape
+    (N+1, *z.shape), in one Horner pass over the zero-padded coefficient
+    matrix.  Leading zeros leave Horner's steps unchanged, so row n equals
+    eval_poly(sys, n, z, which) bit for bit."""
+    return polyval(_coeff_matrix(sys, which).T, z)
 
 
 def _existence_check(tbl: MomentTable, nmax: int, tol: Tolerances):
     i0 = np.empty(nmax + 1, dtype=complex)
     log: list[int] = []
     for n in range(nmax + 1):
-        i0[n] = toeplitz_det(tbl, 0, n).value
+        i0[n] = toeplitz_det(tbl, 0, n)
         scale = hadamard_scale(tbl, n)
         if abs(i0[n]) < tol.existence_floor * scale:
             raise ExistenceError(n, i0[n], tol.existence_floor * scale)
@@ -191,8 +206,8 @@ def build_system(
     if tbl.window < nmax + 1:
         raise WindowError(nmax + 1, tbl.window, f"build_system(N={nmax})")
     i0, log = _existence_check(tbl, nmax + 1, tol)
-    i1 = np.array([toeplitz_det(tbl, 1, n).value for n in range(nmax + 1)])
-    im1 = np.array([toeplitz_det(tbl, -1, n).value for n in range(nmax + 1)])
+    i1 = np.array([toeplitz_det(tbl, 1, n) for n in range(nmax + 1)])
+    im1 = np.array([toeplitz_det(tbl, -1, n) for n in range(nmax + 1)])
 
     if method == "gram_lu":
         levels = _gram_levels(tbl, nmax)
@@ -235,18 +250,18 @@ def build_system(
 # callable is available)
 # ---------------------------------------------------------------------------
 
-def orthonormality_matrix(sys: BopsSystem) -> np.ndarray:
-    """G[m, n] = <phi_m, phibar_n> computed as an exact moment convolution."""
+def _moment_block(sys: BopsSystem) -> np.ndarray:
+    """W[k, j] = w_{j-k} for 0 <= j, k <= N: (C @ W)[n, j] = <p_n, zetabar^j>
+    for the polynomials p_n whose ascending coefficients are the rows of C."""
     nmax = sys.nmax
     sys.table.require(nmax, "orthonormality")
     j = np.arange(nmax + 1)
-    wmat = sys.table.values[(j[None, :] - j[:, None]) + sys.table.window]  # w_{k-j}
-    cmat = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    cbarmat = np.zeros_like(cmat)
-    for n, lev in enumerate(sys.levels):
-        cmat[n, : n + 1] = lev.c
-        cbarmat[n, : n + 1] = lev.cbar
-    return cmat @ wmat @ cbarmat.T
+    return sys.table.values[(j[None, :] - j[:, None]) + sys.table.window]
+
+
+def orthonormality_matrix(sys: BopsSystem) -> np.ndarray:
+    """G[m, n] = <phi_m, phibar_n> computed as an exact moment convolution."""
+    return _coeff_matrix(sys, "phi") @ _moment_block(sys) @ _coeff_matrix(sys, "phibar").T
 
 
 def orthonormality_quadrature(sys: BopsSystem, wfun, points: int = 4096) -> np.ndarray:
@@ -254,28 +269,27 @@ def orthonormality_quadrature(sys: BopsSystem, wfun, points: int = 4096) -> np.n
     theta = 2.0 * np.pi * np.arange(points) / points
     zeta = np.exp(1j * theta)
     wv = np.asarray(wfun(zeta), dtype=complex)
-    nmax = sys.nmax
-    phis = np.array([eval_poly(sys, n, zeta, "phi") for n in range(nmax + 1)])
-    phibars = np.array(
-        [eval_poly(sys, n, 1.0 / zeta, "phibar") for n in range(nmax + 1)]
-    )
+    phis = eval_levels(sys, zeta)
+    phibars = eval_levels(sys, 1.0 / zeta, "phibar")
     return (phis * wv[None, :]) @ phibars.T / points
+
+
+def _monomial_residuals(sys: BopsSystem) -> np.ndarray:
+    """Row n: max |<phi_n, zetabar^j>| over 0 <= j < n and
+    max |<phi*_n, zetabar^j>| over 1 <= j <= n (0 where the range is empty)."""
+    wmat = _moment_block(sys)
+    n, j = np.indices(wmat.shape)
+    phi = np.where(j < n, np.abs(_coeff_matrix(sys, "phi") @ wmat), 0.0)
+    star = np.where((j >= 1) & (j <= n), np.abs(_coeff_matrix(sys, "phistar") @ wmat), 0.0)
+    return np.stack([phi.max(axis=1), star.max(axis=1)], axis=1)
 
 
 def monomial_orthogonality(sys: BopsSystem, n: int) -> tuple[float, float]:
     """Max residuals of <phi_n, zetabar^j> = 0 (0 <= j < n) and
     <phi*_n, zetabar^j> = 0 (1 <= j <= n)."""
-    lev = sys.level(n)
-    res_phi = 0.0
-    for j in range(n):
-        val = sum(lev.c[k] * sys.table.moment(j - k) for k in range(n + 1))
-        res_phi = max(res_phi, abs(val))
-    res_star = 0.0
-    star = lev.cbar[::-1]  # ascending coefficients of phi*_n
-    for j in range(1, n + 1):
-        val = sum(star[k] * sys.table.moment(j - k) for k in range(n + 1))
-        res_star = max(res_star, abs(val))
-    return res_phi, res_star
+    sys.level(n)  # IndexError for a level that is not built
+    res_phi, res_star = _monomial_residuals(sys)[n]
+    return float(res_phi), float(res_star)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +309,12 @@ def verify_scalar_identities(
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)
     zetabars = np.array([zb for _, zb in samples], dtype=complex)
+    phi, star = eval_levels(sys, zs), eval_levels(sys, zs, "phistar")
 
     for n in range(nmax):
         ln, lnp = sys.level(n), sys.level(n + 1)
-        phi_n, phi_np = eval_poly(sys, n, zs), eval_poly(sys, n + 1, zs)
-        star_n, star_np = eval_poly(sys, n, zs, "phistar"), eval_poly(sys, n + 1, zs, "phistar")
-        lhs = ln.kappa * phi_np
-        rhs = lnp.kappa * zs * phi_n + lnp.phi0 * star_n
+        lhs = ln.kappa * phi[n + 1]
+        rhs = lnp.kappa * zs * phi[n] + lnp.phi0 * star[n]
         rep.add(
             "coupled_recurrence",
             "coupled linear recurrence relations",
@@ -309,8 +322,8 @@ def verify_scalar_identities(
             tol,
             n=n,
         )
-        lhs = ln.kappa * star_np
-        rhs = lnp.kappa * star_n + lnp.phibar0 * zs * phi_n
+        lhs = ln.kappa * star[n + 1]
+        rhs = lnp.kappa * star[n] + lnp.phibar0 * zs * phi[n]
         rep.add(
             "coupled_recurrence_star",
             "coupled linear recurrence relations",
@@ -321,13 +334,8 @@ def verify_scalar_identities(
 
     for n in range(1, nmax):
         lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
-        phi_m, phi_n, phi_p = (
-            eval_poly(sys, n - 1, zs),
-            eval_poly(sys, n, zs),
-            eval_poly(sys, n + 1, zs),
-        )
-        lhs = ln.kappa * ln.phi0 * phi_p + lm.kappa * lp.phi0 * zs * phi_m
-        rhs = (ln.kappa * lp.phi0 + lp.kappa * ln.phi0 * zs) * phi_n
+        lhs = ln.kappa * ln.phi0 * phi[n + 1] + lm.kappa * lp.phi0 * zs * phi[n - 1]
+        rhs = (ln.kappa * lp.phi0 + lp.kappa * ln.phi0 * zs) * phi[n]
         rep.add(
             "three_term_recurrence",
             "three-term recurrence relations",
@@ -335,13 +343,8 @@ def verify_scalar_identities(
             tol,
             n=n,
         )
-        star_m, star_n, star_p = (
-            eval_poly(sys, n - 1, zs, "phistar"),
-            eval_poly(sys, n, zs, "phistar"),
-            eval_poly(sys, n + 1, zs, "phistar"),
-        )
-        lhs = ln.kappa * ln.phibar0 * star_p + lm.kappa * lp.phibar0 * zs * star_m
-        rhs = (ln.kappa * lp.phibar0 * zs + lp.kappa * ln.phibar0) * star_n
+        lhs = ln.kappa * ln.phibar0 * star[n + 1] + lm.kappa * lp.phibar0 * zs * star[n - 1]
+        rhs = (ln.kappa * lp.phibar0 * zs + lp.kappa * ln.phibar0) * star[n]
         rep.add(
             "three_term_recurrence_star",
             "three-term recurrence relations",
@@ -350,34 +353,28 @@ def verify_scalar_identities(
             n=n,
         )
 
-    # Christoffel-Darboux: both closed forms against the direct sum
+    # Christoffel-Darboux: both closed forms against the direct sum, which
+    # cumsum accumulates level by level in the order of the displayed sum
     mask = np.abs(1.0 - zs * zetabars) > 1e-6
     zcd, zbcd = zs[mask], zetabars[mask]
+    p, pstar = phi[:, mask], star[:, mask]
+    q, qstar = eval_levels(sys, zbcd, "phibar"), eval_levels(sys, zbcd, "phibarstar")
+    sums = np.cumsum(p * q, axis=0)
+    denom = 1.0 - zcd * zbcd
     for n in range(nmax):
-        direct = np.zeros_like(zcd)
-        for j in range(n + 1):
-            direct = direct + eval_poly(sys, j, zcd) * eval_poly(sys, j, zbcd, "phibar")
-        denom = 1.0 - zcd * zbcd
-        form_n = (
-            eval_poly(sys, n, zcd, "phistar") * eval_poly(sys, n, zbcd, "phibarstar")
-            - zcd * zbcd * eval_poly(sys, n, zcd) * eval_poly(sys, n, zbcd, "phibar")
-        ) / denom
-        form_np = (
-            eval_poly(sys, n + 1, zcd, "phistar")
-            * eval_poly(sys, n + 1, zbcd, "phibarstar")
-            - eval_poly(sys, n + 1, zcd) * eval_poly(sys, n + 1, zbcd, "phibar")
-        ) / denom
+        form_n = (pstar[n] * qstar[n] - zcd * zbcd * p[n] * q[n]) / denom
+        form_np = (pstar[n + 1] * qstar[n + 1] - p[n + 1] * q[n + 1]) / denom
         rep.add(
             "christoffel_darboux_n_form",
             "analogue of the Christoffel-Darboux summation formula",
-            rel_residual(form_n - direct, direct, form_n),
+            rel_residual(form_n - sums[n], sums[n], form_n),
             tol,
             n=n,
         )
         rep.add(
             "christoffel_darboux_shifted_form",
             "analogue of the Christoffel-Darboux summation formula",
-            rel_residual(form_np - direct, direct, form_np),
+            rel_residual(form_np - sums[n], sums[n], form_np),
             tol,
             n=n,
         )
@@ -436,12 +433,11 @@ def verify_scalar_identities(
         float(np.max(np.abs(off))),
         tol,
     )
-    for n in range(nmax + 1):
-        res_phi, res_star = monomial_orthogonality(sys, n)
+    for n, res in enumerate(_monomial_residuals(sys)):
         rep.add(
             "monomial_orthogonality",
             "can be defined up to an overall factor",
-            max(res_phi, res_star),
+            float(res.max()),
             tol,
             n=n,
         )
@@ -478,8 +474,8 @@ def det_rep_oracle(tbl: MomentTable, n: int, z: complex) -> DetRepValues:
     Toeplitz determinants of the shifted weights w(zeta)(zeta - z) and
     w(zeta)(1 - z/zeta)."""
     z = complex(z)
-    i0n = toeplitz_det(tbl, 0, n).value
-    i0np = toeplitz_det(tbl, 0, n + 1).value
+    i0n = toeplitz_det(tbl, 0, n)
+    i0np = toeplitz_det(tbl, 0, n + 1)
     kappa = principal_sqrt(i0n / i0np)
 
     # bordered determinant for phi_n: rows 0..n-1 of moments, last row 1..z^n
@@ -510,6 +506,6 @@ def det_rep_oracle(tbl: MomentTable, n: int, z: complex) -> DetRepValues:
         np.array([tbl.moment(k) - z * tbl.moment(k + 1) for k in ks]),
         {"kind": "shifted (1 - z/zeta)"},
     )
-    phi_int = (-1) ** n * kappa * toeplitz_det(shifted, 0, n).value / i0n
-    phistar_int = kappa * toeplitz_det(hat, 0, n).value / i0n
+    phi_int = (-1) ** n * kappa * toeplitz_det(shifted, 0, n) / i0n
+    phistar_int = kappa * toeplitz_det(hat, 0, n) / i0n
     return DetRepValues(n, z, phi, phistar, phi_int, phistar_int)

@@ -150,13 +150,6 @@ def weight_from_table(tbl: MomentTable):
 # Toeplitz determinants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ToeplitzValue:
-    epsilon: int
-    n: int
-    value: complex
-
-
 def toeplitz_matrix(tbl: MomentTable, epsilon: int, n: int) -> np.ndarray:
     if n == 0:
         return np.ones((0, 0), dtype=complex)
@@ -167,16 +160,16 @@ def toeplitz_matrix(tbl: MomentTable, epsilon: int, n: int) -> np.ndarray:
     return tbl.values[(-epsilon + j[:, None] - j[None, :]) + tbl.window]
 
 
-def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> ToeplitzValue:
+def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> complex:
     """I^eps_n = det [w_{-eps+j-k}]_{0<=j,k<=n-1}; the empty determinant is 1."""
     if epsilon not in (-1, 0, 1):
         raise ValueError("epsilon must be one of -1, 0, 1")
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return ToeplitzValue(epsilon, 0, 1.0 + 0j)
+        return 1.0 + 0j
     mat = toeplitz_matrix(tbl, epsilon, n)
-    return ToeplitzValue(epsilon, n, complex(np.linalg.det(mat)))
+    return complex(np.linalg.det(mat))
 
 
 def hadamard_scale(tbl: MomentTable, n: int) -> float:

@@ -26,7 +26,9 @@ def as_poly(coeffs: ArrayLike) -> np.ndarray:
 
 
 def polyval(coeffs: ArrayLike, z):
-    """Evaluate an ascending-coefficient polynomial by Horner's scheme."""
+    """Evaluate an ascending-coefficient polynomial by Horner's scheme.  A 2-D
+    coeffs of shape (degree+1, k) holds k polynomials in its columns and gives
+    values of shape (k, *z.shape)."""
     return npoly.polyval(np.asarray(z, dtype=complex), as_poly(coeffs))
 
 

@@ -150,10 +150,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c["passed"] for c in self.conditions)
 
-    @property
-    def is_strict(self) -> bool:
-        return self.passed
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema": "v1",

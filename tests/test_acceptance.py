@@ -120,9 +120,9 @@ def test_criterion_2_laurent_oracle_suite():
     sys = build_system(table, 8, method="both")
     worst = 0.0
     for n in range(9):
-        worst = max(worst, abs(toeplitz_det(table, 0, n).value - (n + 1)))
-        worst = max(worst, abs(toeplitz_det(table, 1, n).value - 1.0))
-        worst = max(worst, abs(toeplitz_det(table, -1, n).value - 1.0))
+        worst = max(worst, abs(toeplitz_det(table, 0, n) - (n + 1)))
+        worst = max(worst, abs(toeplitz_det(table, 1, n) - 1.0))
+        worst = max(worst, abs(toeplitz_det(table, -1, n) - 1.0))
         lev = sys.level(n)
         worst = max(worst, abs(lev.r - (-1.0) ** n / (n + 1)))
         worst = max(worst, abs(lev.rbar - (-1.0) ** n / (n + 1)))
@@ -144,7 +144,7 @@ def test_criterion_3_heine_identity():
     for wfun, table in ((laurent_callable, table_l), (lambda z: weight(z), table_s)):
         for n in (2, 3):
             oracle = heine_oracle(wfun, n)
-            det = toeplitz_det(table, 0, n).value
+            det = toeplitz_det(table, 0, n)
             worst = max(worst, abs(oracle - det))
     elapsed = time.perf_counter() - start
     announce(

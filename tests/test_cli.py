@@ -147,6 +147,18 @@ class TestArtifacts:
         report = json.loads((tmp_path / "d" / "deform_report.json").read_text())
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("steps, resolved", [(32, True), (256, False)])
+    def test_deform_richardson_resolved(self, tmp_path, steps, resolved):
+        # at 256 steps both Richardson errors are round-off (about 3e-14)
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        traj = write(tmp_path, "t.json", TRAJ_SPEC)
+        argv = ["deform", "--weight", weight, "--trajectory", traj, "--n", "2"]
+        assert main(argv + ["--steps", str(steps), "--out", str(tmp_path / "d")]) == 0
+        report = json.loads((tmp_path / "d" / "deform_report.json").read_text())
+        conv = report["notes"]["richardson"]
+        assert conv["resolved"] is resolved
+        assert (12.0 <= conv["ratio"] <= 20.0) if resolved else conv["fine"] < 1e-12
+
 
 class TestDeterminism:
     def test_verify_all_reports_identical(self, tmp_path):
