@@ -5,7 +5,7 @@ matrices with their Riemann-Hilbert normalization, and isomonodromic
 Schlesinger deformation flows, each backed by independent verification
 oracles."""
 
-from .assoc import AssocLevel, AssocSystem, build_assoc
+from .assoc import AssocSystem
 from .bops import BopsLevel, BopsSystem, build_system, det_rep_oracle, eval_poly
 from .coeffs import CoeffQuad, compute_coeff_quad
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
@@ -29,10 +29,8 @@ from .errors import (
 )
 from .lax import ResidueSet, assemble_residues, rhp_jump_check, y_matrix
 from .moments import (
-    CaratheodoryEval,
     CaratheodoryEvaluator,
     MomentTable,
-    caratheodory_eval,
     compute_moments,
     heine_oracle,
     recover_u,
@@ -52,12 +50,10 @@ from .weight import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssocLevel",
     "AssocSystem",
     "BopsLevel",
     "BopsSystem",
     "Bundle",
-    "CaratheodoryEval",
     "CaratheodoryEvaluator",
     "CircleBopsError",
     "CoeffQuad",
@@ -79,11 +75,9 @@ __all__ = [
     "WeightValidationError",
     "WindowError",
     "assemble_residues",
-    "build_assoc",
     "build_bundle",
     "build_system",
     "build_vw",
-    "caratheodory_eval",
     "compute_moments",
     "compute_coeff_quad",
     "deformation_rates",

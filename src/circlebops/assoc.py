@@ -19,8 +19,7 @@ the annulus of the weight, which the Plemelj jump check exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,17 +32,8 @@ from .moments import (
     compute_moments,
     toeplitz_det,
 )
-from .numerics import laurent_coefficients, polyval, rel_residual
+from .numerics import laurent_coefficients, polyadd, polymul, polyval, rel_residual
 from .report import IdentityReport
-
-
-@dataclass(frozen=True)
-class AssocLevel:
-    n: int
-    psi: np.ndarray
-    psistar: np.ndarray
-    eps_eval: Callable
-    epsstar_eval: Callable
 
 
 class AssocSystem:
@@ -88,14 +78,17 @@ class AssocSystem:
     def epsstar(self, n: int, z, side: str | None = None):
         return self.evaluate(n, z, side)[3]
 
-    def level(self, n: int) -> AssocLevel:
-        return AssocLevel(
-            n=n,
-            psi=self.psi(n),
-            psistar=self.psistar(n),
-            eps_eval=lambda z, side=None, n=n: self.eps(n, z, side),
-            epsstar_eval=lambda z, side=None, n=n: self.epsstar(n, z, side),
-        )
+    def eps_taylor(self, n: int, count: int, reflected: bool = False) -> np.ndarray:
+        """Taylor coefficients at 0 of eps_n, orders 0..count-1, exact up to
+        the moment window.  ``reflected`` gives those of the reflected weight
+        w(1/u), whose eps_n is z^-n eps*_n in u = 1/z (its phi_n is phibar_n,
+        its psi_n is psi*_n reversed and its F is -F outside)."""
+        lev = self.sys.level(n)
+        if reflected:
+            psi, f, c = self.psistar(n)[::-1], -self.F.series(count, side="outside"), lev.cbar
+        else:
+            psi, f, c = self.psi(n), self.F.series(count), lev.c
+        return polyadd(np.zeros(count), psi, polymul(f, c))[:count]
 
 
 def _psi_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
@@ -124,11 +117,6 @@ def _psistar_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
             out[n - a - 1] += cbar[j] * tbl.moment(j - a - 1)
             out[n - a] += cbar[j] * tbl.moment(j - a)
     return out
-
-
-def build_assoc(sys: BopsSystem, tbl: MomentTable, n: int) -> AssocLevel:
-    """Single-level construction; AssocSystem amortizes F across levels."""
-    return AssocSystem(sys, tbl).level(n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,23 @@ For such weights the spectral derivatives of the bi-orthogonal system are
     W eps*'_n  = -Theta*_n eps*_{n+1} + (Omega*_n + V) eps*_n,
 
 with the four coefficient functions polynomials of degree m-2, m-2, m-1, m-1.
-They are computed here from their defining bilinear combinations, e.g.
+They are read off their defining bilinear combinations, e.g.
 
     2 (phi_{n+1}(0)/kappa_n) z^n Theta_n(z)
         = W (-phi_n eps'_n + eps_n phi'_n) + 2 V phi_n eps_n,
 
-sampled off the unit circle (eps' by central differences, phi' analytically)
-and fitted by least squares to the known degree.  The rest of the module
+as exact truncated power series: F's moment series makes the expansions of
+eps_n at z = 0 and of eps*_n at infinity exact up to the moment window, so
+each member is a band of coefficients and the orders around the band must
+vanish.  The rest of the module
 verifies the difference / functional / bilinear relation web these functions
 satisfy, including the discrete-Painleve ratio recurrence.
+
+Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
+`coeffs` suite passes through --n 15; at --n 16 bilinear_d at z_2 and z_3
+reads 1.8e-6 and 1.3e-6 against 1e-6.  `verify-all` stops at --n 5, set by
+the Riemann-Hilbert order check rhp_order_22_at_zero in lax at n = 6 (slope
+5.9875 against 6 +- 0.01), not by this module.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .assoc import AssocSystem
-from .bops import BopsSystem, eval_poly
+from .bops import BopsSystem
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     DegenerateLevelError,
@@ -37,13 +45,12 @@ from .errors import (
 )
 from .numerics import (
     central_diff,
-    circle_samples,
     polyadd,
     polyder,
     polymul,
     polyval,
     rel_residual,
-    vandermonde_fit,
+    series_band,
 )
 from .report import IdentityReport
 from .weight import PolyPair, SemiClassicalWeight, is_strict_semiclassical
@@ -57,8 +64,6 @@ class CoeffQuad:
     omega: np.ndarray
     omegastar: np.ndarray
     fit_residuals: dict = field(default_factory=dict)
-    degree_excess: float = 0.0
-    seed: int | None = None
 
     def th(self, z):
         return polyval(self.theta, z)
@@ -97,21 +102,23 @@ def compute_coeff_quad(
     vw: PolyPair,
     n: int,
     weight: SemiClassicalWeight | None = None,
-    seed: int = 11,
-    radius_inside: float = 0.5,
-    radius_outside: float = 2.5,
     tol: Tolerances = DEFAULT_TOL,
 ) -> CoeffQuad:
-    """Fit the quadruple at level n from the defining combinations sampled at
-    m+3 points per circle (excluding neighbourhoods of 0 and the
-    singularities).  Theta_n / Omega_n are sampled inside, where eps_n shares
-    the z^n smallness of its defining sum; Theta*_n / Omega*_n are sampled
-    outside, where eps*_n is O(1).  Sampling a starred combination inside
-    would subtract two O(1) quantities to produce an O(z^{n+1} rbar) result
-    and lose all accuracy to cancellation once the reflection coefficients
-    are small.  Raises DegenerateLevelError when a reflection-coefficient
-    prefactor vanishes and NotSemiClassicalError when a fit residual shows
-    the combination is not a polynomial of the stated degree."""
+    """Read the quadruple at level n off exact truncated series of its
+    defining combinations: Theta_n / Omega_n are the orders n..n+m-2 /
+    n..n+m-1 of the Taylor series at z = 0, Theta*_n / Omega*_n the orders
+    n+1..n+m-1 / n+1..n+m of the expansion at infinity, which is the Taylor
+    series of the reflected weight w(1/u).  Both are exact up to the moment
+    window.  The starred pair is read at infinity because that read holds up
+    at the outer singular points: on the flagship weight at n = 10 the
+    bilinear residue bilres_j at z_3 = 3 reads 3e-11 from it and 4e-7 from a
+    Taylor read at 0.  Every order of each series below its band and the two
+    above it must vanish; their size against the band is the out-of-band
+    ratio kept in ``fit_residuals``.  Raises
+    DegenerateLevelError when a reflection-coefficient prefactor vanishes,
+    NotSemiClassicalError when an out-of-band ratio exceeds
+    tol.fit_residual, and WindowError when the series needs moments beyond
+    the table."""
     _require_strict(vw, weight)
     m = vw.degree
     lev_n, lev_p = sys.level(n), sys.level(n + 1)
@@ -120,107 +127,54 @@ def compute_coeff_quad(
     if abs(lev_p.phibar0) < 1e-13 * max(1.0, abs(lev_p.kappa)):
         raise DegenerateLevelError(f"phibar_{n + 1}(0) ~ 0: starred prefactor vanishes")
 
-    rng = np.random.default_rng(seed)
-    avoid = [0.0 + 0j]
-    if weight is not None:
-        avoid.extend(weight.locations)
-    count = m + 3
-    zs_in = circle_samples(rng, count, radius_inside, avoid=avoid, min_distance=0.05)
-    zs_mid = circle_samples(rng, count, radius_outside, avoid=avoid, min_distance=0.05)
-    zs_far = circle_samples(rng, count, radius_outside * 1.6, avoid=avoid, min_distance=0.05)
-    step = tol.fd_step
+    size = n + m + 3  # orders 0..n+m+2: every band and the two orders above it
 
-    def plain_vals(zs, side):
-        w_z = vw.w_eval(zs)
-        v_z = vw.v_eval(zs)
-        phi_n = eval_poly(sys, n, zs)
-        phi_p = eval_poly(sys, n + 1, zs)
-        dphi_n = polyval(polyder(sys.level(n).c), zs)
-        eps_n = asys.eps(n, zs, side=side)
-        eps_p = asys.eps(n + 1, zs, side=side)
-        deps_n = np.array(
-            [central_diff(lambda x: asys.eps(n, x, side=side), z, step) for z in zs]
+    def mul(a, b):
+        return polyadd(np.zeros(size), polymul(a, b)[:size])
+
+    def combinations(pair, p, p1, e, e1):
+        # 2 (phi_{n+1}(0)/kappa_n) z^n (Theta_n, Omega_n) from the weight's
+        # (W, V) and phi_n, phi_{n+1}, eps_n, eps_{n+1}
+        dp, de = polyder(p), polyder(e)
+        return (
+            mul(pair.W, mul(e, dp) - mul(p, de)) + 2.0 * mul(pair.V, mul(p, e)),
+            mul(pair.W, mul(e1, dp) - mul(p1, de)) + mul(pair.V, mul(p, e1) + mul(e, p1)),
         )
-        pref = 2.0 * lev_p.phi0 / lev_n.kappa * zs**n
-        theta = (w_z * (-phi_n * deps_n + eps_n * dphi_n) + 2.0 * v_z * phi_n * eps_n) / pref
-        omega = (
-            w_z * (eps_p * dphi_n - phi_p * deps_n)
-            + v_z * (phi_n * eps_p + eps_n * phi_p)
-        ) / pref
-        return theta, omega
 
-    def star_vals(zs, side):
-        w_z = vw.w_eval(zs)
-        v_z = vw.v_eval(zs)
-        star_n = eval_poly(sys, n, zs, "phistar")
-        star_p = eval_poly(sys, n + 1, zs, "phistar")
-        dstar_n = polyval(polyder(sys.level(n).cbar[::-1]), zs)
-        es_n = asys.epsstar(n, zs, side=side)
-        es_p = asys.epsstar(n + 1, zs, side=side)
-        des_n = np.array(
-            [central_diff(lambda x: asys.epsstar(n, x, side=side), z, step) for z in zs]
-        )
-        pref_star = 2.0 * lev_p.phibar0 / lev_n.kappa * zs ** (n + 1)
-        thetastar = (
-            w_z * (star_n * des_n - es_n * dstar_n) - 2.0 * v_z * star_n * es_n
-        ) / pref_star
-        omegastar = (
-            w_z * (-es_p * dstar_n + star_p * des_n)
-            - v_z * (star_n * es_p + es_n * star_p)
-        ) / pref_star
-        return thetastar, omegastar
+    eps_n, eps_p = asys.eps_taylor(n, size + 1), asys.eps_taylor(n + 1, size + 1)
+    theta, omega = combinations(vw, lev_n.c, lev_p.c, eps_n, eps_p)
+    # at infinity, in u = 1/z: phi*_k = z^k phibar_k(u) and eps*_k = z^k e_k(u)
+    # with e_k the eps_k of the reflected weight, so the starred combinations
+    # are z^(2n+m) and z^(2n+m+1) times the plain ones of the reflected weight,
+    # Omega*'s plus n u W^ (phibar_{n+1} e_n - e_{n+1} phibar_n) from d/dz
+    # acting on z^n (W^ as in PolyPair.reflected); orders in u mirror orders
+    # in z about the band
+    ref = vw.reflected()
+    e_n, e_p = asys.eps_taylor(n, size + 1, reflected=True), asys.eps_taylor(n + 1, size + 1, reflected=True)
+    thetastar, omegastar = combinations(ref, lev_n.cbar, lev_p.cbar, e_n, e_p)
+    omegastar += n * mul(ref.W[1:], mul(lev_p.cbar, e_n) - mul(e_p, lev_n.cbar))
 
-    # theta/omega: inside circle plus one outside circle (eps_n keeps the z^n
-    # smallness of its defining sum on both, so no cancellation)
-    th_a, om_a = plain_vals(zs_in, "inside")
-    th_b, om_b = plain_vals(zs_mid, "outside")
-    zs_plain = np.concatenate([zs_in, zs_mid])
-    theta_vals = np.concatenate([th_a, th_b])
-    omega_vals = np.concatenate([om_a, om_b])
-
-    # starred pair: two outside circles (eps*_n is O(1) there)
-    ts_a, os_a = star_vals(zs_mid, "outside")
-    ts_b, os_b = star_vals(zs_far, "outside")
-    zs_star = np.concatenate([zs_mid, zs_far])
-    thetastar_vals = np.concatenate([ts_a, ts_b])
-    omegastar_vals = np.concatenate([os_a, os_b])
-
-    fits = {}
-    residuals = {}
+    # bands in z for the plain pair, in u (reversed) for the starred pair
+    pref = 2.0 * lev_p.phi0 / lev_n.kappa
+    pref_star = 2.0 * lev_p.phibar0 / lev_n.kappa
     plan = (
-        ("theta", zs_plain, theta_vals, m - 2),
-        ("thetastar", zs_star, thetastar_vals, m - 2),
-        ("omega", zs_plain, omega_vals, m - 1),
-        ("omegastar", zs_star, omegastar_vals, m - 1),
+        ("theta", theta, n, n + m - 2, pref, 1),
+        ("thetastar", thetastar, n + 1, n + m - 1, pref_star, -1),
+        ("omega", omega, n, n + m - 1, pref, 1),
+        ("omegastar", omegastar, n + 1, n + m, pref_star, -1),
     )
-    for name, pts, vals, degree in plan:
-        coeffs, res = vandermonde_fit(pts, vals, degree)
-        fits[name] = coeffs
-        residuals[name] = res
-        if res > tol.fit_residual:
+    members = {}
+    ratios = {}
+    for name, series, lo, hi, scale, direction in plan:
+        band, ratio = series_band(series, lo, hi)
+        if ratio > tol.fit_residual:
             raise NotSemiClassicalError(
-                f"{name}_{n} fit residual {res:.3e} exceeds {tol.fit_residual:.1e}; "
+                f"{name}_{n} out-of-band ratio {ratio:.3e} exceeds {tol.fit_residual:.1e}; "
                 "defining combination is not a polynomial of the stated degree"
             )
-
-    # degree certification: refit with two extra degrees of freedom and check
-    # the overflow coefficients stay negligible against the leading one
-    excess = 0.0
-    for name, pts, vals, degree in plan:
-        wide, _ = vandermonde_fit(pts, vals, degree + 2)
-        lead = max(abs(fits[name][-1]), 1e-30)
-        excess = max(excess, float(np.max(np.abs(wide[degree + 1 :]))) / lead)
-
-    return CoeffQuad(
-        n=n,
-        theta=fits["theta"],
-        thetastar=fits["thetastar"],
-        omega=fits["omega"],
-        omegastar=fits["omegastar"],
-        fit_residuals=residuals,
-        degree_excess=excess,
-        seed=seed,
-    )
+        members[name] = band[::direction] / scale
+        ratios[name] = ratio
+    return CoeffQuad(n=n, fit_residuals=ratios, **members)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +197,9 @@ def expansion_closed_forms(
     phi'_n(0) and the z^{n-1} coefficient of phi*_n, both of which contribute
     that factor), and the reflection-product term of the leading Theta_n
     block carries 1/kappa_{n+1}^2 (it arises from trading l_n for l_{n+1}
-    through the l-recursion).  All three are confirmed by the fitted
-    coefficients at every level.
+    through the l-recursion).  All three hold for the coefficients read by
+    compute_coeff_quad to 1e-9 through n = 12, on the flagship weight and on
+    an m = 4 weight with complex locations and exponents.
     """
     m = weight.m
     locs = weight.locations
@@ -397,7 +352,8 @@ def verify_expansion_forms(
     ns: Sequence[int],
     tol: float = 1e-6,
 ) -> IdentityReport:
-    """Fitted coefficients against every closed leading/trailing form."""
+    """Coefficients against every closed leading/trailing form, plus the
+    largest out-of-band ratio of each quadruple as its degree certificate."""
     rep = IdentityReport("coefficient-function expansion closed forms")
     for n in ns:
         quad = quads[n]
@@ -431,7 +387,7 @@ def verify_expansion_forms(
         rep.add(
             "degree_certification",
             "are polynomials in z of bounded degree",
-            quad.degree_excess,
+            max(quad.fit_residuals.values()),
             1e-7,
             n=n,
         )

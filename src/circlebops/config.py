@@ -18,7 +18,8 @@ class Tolerances:
     identity: float = 1e-9
     # Identity residuals limited by central-difference derivative accuracy.
     fd_identity: float = 1e-5
-    # Coefficient-function least-squares fit residual ceiling.
+    # Ceiling on the out-of-band ratio of an exact series read (coefficient
+    # functions, U): the orders around the band must vanish to this fraction.
     fit_residual: float = 1e-6
     # |I^0_n| below existence_floor * hadamard_scale is treated as zero.
     existence_floor: float = 1e-13

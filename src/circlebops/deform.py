@@ -152,7 +152,6 @@ def moment_rebuild(
     t: float,
     n: int,
     window: int | None = None,
-    seed: int = 11,
     quad: QuadratureConfig = DEFAULT_QUAD,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[DeformState, Bundle]:
@@ -164,7 +163,6 @@ def moment_rebuild(
         n + 2,
         quad_ns=(n - 1, n) if n >= 1 else (n,),
         window=window,
-        seed=seed,
         quad=quad,
         tol=tol,
     )
@@ -681,14 +679,14 @@ def isomonodromy_check(
 # ---------------------------------------------------------------------------
 
 def rates_fd_check(
-    traj, n: int, t: float, h: float = 1e-4, window: int | None = None, seed: int = 11
+    traj, n: int, t: float, h: float = 1e-4, window: int | None = None
 ) -> dict[str, float]:
     """Finite-difference oracle for the scalar rates: rebuild kappa_n, r_n,
     rbar_n from moments at t -+ h and compare the centered difference with
     the closed-form rates at t."""
-    state_m, _ = moment_rebuild(traj, t - h, n, window=window, seed=seed)
-    state_p, _ = moment_rebuild(traj, t + h, n, window=window, seed=seed)
-    state_0, bundle = moment_rebuild(traj, t, n, window=window, seed=seed)
+    state_m, _ = moment_rebuild(traj, t - h, n, window=window)
+    state_p, _ = moment_rebuild(traj, t + h, n, window=window)
+    state_0, bundle = moment_rebuild(traj, t, n, window=window)
     rates = deformation_rates(
         bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t
     )
@@ -709,15 +707,15 @@ def rates_fd_check(
 
 def transfer_rate_check(
     traj, n: int, t: float, zs: Sequence[complex], h: float = 1e-4,
-    window: int | None = None, seed: int = 11,
+    window: int | None = None,
 ) -> float:
     """Compatibility K-dot_n = B_{n+1} K_n - K_n B_n at sampled z, with
     K-dot by centered differences of rebuilt transfer matrices and B_n(z) =
     B_inf - sum_j zdot_j A_j / (z - z_j)."""
-    _, bundle_m = moment_rebuild(traj, t - h, n + 1, window=window, seed=seed)
-    _, bundle_p = moment_rebuild(traj, t + h, n + 1, window=window, seed=seed)
-    state_n, bundle = moment_rebuild(traj, t, n, window=window, seed=seed)
-    state_np, bundle_hi = moment_rebuild(traj, t, n + 1, window=window, seed=seed)
+    _, bundle_m = moment_rebuild(traj, t - h, n + 1, window=window)
+    _, bundle_p = moment_rebuild(traj, t + h, n + 1, window=window)
+    state_n, bundle = moment_rebuild(traj, t, n, window=window)
+    state_np, bundle_hi = moment_rebuild(traj, t, n + 1, window=window)
     rates_n = deformation_rates(bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t)
     rates_np = deformation_rates(
         bundle_hi.sys, bundle_hi.asys, bundle_hi.quads, bundle_hi.vw, traj, n + 1, t

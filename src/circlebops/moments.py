@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
 from .errors import NearCircleError, NotSemiClassicalError, QuadratureError, WindowError
-from .numerics import central_diff, circle_samples, polyval, vandermonde_fit
+from .numerics import polyadd, polyder, polymul, polyval, series_band
 from .weight import SemiClassicalWeight, build_vw, eval_weight
 
 
@@ -62,13 +62,6 @@ class MomentTable:
         if abs(k) > self.window:
             raise WindowError(abs(k), self.window, f"moment w_{k}")
         return complex(self.values[k + self.window])
-
-    def moments(self, ks) -> np.ndarray:
-        return np.asarray([self.moment(int(k)) for k in np.atleast_1d(ks)], dtype=complex)
-
-    @property
-    def w0(self) -> complex:
-        return self.moment(0)
 
     def require(self, k: int, what: str = "") -> None:
         if k > self.window:
@@ -185,13 +178,6 @@ def hadamard_scale(tbl: MomentTable, n: int) -> float:
 # Caratheodory function
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaratheodoryEval:
-    z: complex
-    value: complex
-    side: str
-
-
 class CaratheodoryEvaluator:
     """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) via the
     moment series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
@@ -219,8 +205,13 @@ class CaratheodoryEvaluator:
             )
         return r < 1.0
 
-    def side_of(self, z: complex) -> str:
-        return "inside" if self._inside_mask(np.asarray(z, dtype=complex)) else "outside"
+    def series(self, count: int, side: str = "inside") -> np.ndarray:
+        """The first ``count`` coefficients of F's expansion at z = 0 (inside,
+        in powers of z) or at infinity (outside, in powers of 1/z); exact up
+        to the moment window."""
+        if count > self.table.window + 1:
+            raise WindowError(count - 1, self.table.window, f"F series to order {count - 1}")
+        return (self._inside if side == "inside" else self._outside)[:count]
 
     def __call__(self, z, side: str | None = None):
         """F over an array z (a scalar is a 0-d array); without a side each
@@ -237,10 +228,6 @@ class CaratheodoryEvaluator:
         out[inside] = polyval(self._inside, zs[inside])
         out[~inside] = polyval(self._outside, 1.0 / zs[~inside])
         return out[()]
-
-    def eval_record(self, z: complex, side: str | None = None) -> CaratheodoryEval:
-        chosen = side or self.side_of(z)
-        return CaratheodoryEval(z, complex(self(z, side=chosen)), chosen)
 
 
 def caratheodory_quadrature(
@@ -264,16 +251,6 @@ def caratheodory_quadrature(
     raise QuadratureError(abs(total - prev), points // 2)
 
 
-def caratheodory_eval(source, z: complex, side: str | None = None) -> CaratheodoryEval:
-    """Evaluate F at a point from a moment table or a weight (which is first
-    converted to a table with a default window)."""
-    if isinstance(source, MomentTable):
-        tbl = source
-    else:
-        tbl = compute_moments(source, window=48)
-    return CaratheodoryEvaluator(tbl).eval_record(z, side=side)
-
-
 # ---------------------------------------------------------------------------
 # Inhomogeneity polynomial U:  W F' = 2 V F + U
 # ---------------------------------------------------------------------------
@@ -283,51 +260,36 @@ def recover_u(
     F: CaratheodoryEvaluator,
     vw=None,
     tol: Tolerances = DEFAULT_TOL,
-    seed: int = 20,
 ) -> tuple[np.ndarray, dict[str, Any]]:
-    """Fit U(z) = W(z) F'(z) - 2 V(z) F(z) to a polynomial of degree m-1.
-
-    F' uses central differences with step fd_step * (1 + |z|).  The fit is
-    done separately on an inside and an outside circle; both must be
-    polynomial to within tol.fit_residual and agree coefficientwise, which is
-    the operational content of the first-order ODE satisfied by F.
-    """
+    """U = W F' - 2 V F, read off the exact series of F at z = 0 (orders
+    0..m-1 of W F' - 2 V F) and, independently, at infinity (from the
+    negative moments, in powers of 1/z).  On each side the orders next to the
+    band must vanish to within tol.fit_residual of the band, which is the
+    operational content of the first-order ODE satisfied by F; the inside
+    read is returned and the outside one is reported as the agreement."""
     if vw is None:
         vw = build_vw(spec)
     m = spec.m
-    rng = np.random.default_rng(seed)
-    d1, d2 = spec.annulus
-    r_in = 0.5 if d1 < 0.45 else (1.0 + d1) / 2.0
-    r_out = 2.4 if (not np.isfinite(d2) or d2 > 2.6) else (1.0 + d2) / 2.0
-    avoid = list(spec.locations)
 
-    def u_samples(radius: float, side: str):
-        pts = circle_samples(rng, m + 4, radius, avoid=avoid, min_distance=0.15)
-        fp = np.asarray(
-            [central_diff(lambda x: F(x, side=side), z, tol.fd_step) for z in pts]
-        )
-        fv = F(pts, side=side)
-        u_vals = vw.w_eval(pts) * fp - 2.0 * vw.v_eval(pts) * fv
-        return pts, u_vals
+    def read(pair, f, lo, hi):
+        return series_band(polyadd(polymul(pair.W, polyder(f)), -2.0 * polymul(pair.V, f)), lo, hi)
 
-    pts_in, u_in = u_samples(r_in, "inside")
-    pts_out, u_out = u_samples(r_out, "outside")
-    coeff_in, res_in = vandermonde_fit(pts_in, u_in, m - 1)
-    coeff_out, res_out = vandermonde_fit(pts_out, u_out, m - 1)
+    coeffs, res_in = read(vw, F.series(m + 3), 0, m - 1)
+    # at infinity: the same read for the reflected weight w(1/u), whose F is
+    # -F outside; W F' - 2 V F is u^-m times its series, so U is reversed
+    coeff_out, res_out = read(vw.reflected(), -F.series(m + 3, side="outside"), 1, m)
     worst = max(res_in, res_out)
     if worst > tol.fit_residual:
         raise NotSemiClassicalError(
             f"U(z) = W F' - 2 V F is not a polynomial of degree {m - 1}: "
-            f"fit residual {worst:.3e} (weight outside class or quadrature failure)"
+            f"out-of-band ratio {worst:.3e} (weight outside class or quadrature failure)"
         )
-    scale = max(float(np.max(np.abs(coeff_in))), 1e-30)
-    agreement = float(np.max(np.abs(coeff_in - coeff_out))) / scale
-    coeffs = 0.5 * (coeff_in + coeff_out)
+    scale = max(float(np.max(np.abs(coeffs))), 1e-30)
+    agreement = float(np.max(np.abs(coeffs - coeff_out[::-1]))) / scale
     info = {
         "residual_inside": res_in,
         "residual_outside": res_out,
         "coefficient_agreement": agreement,
-        "radii": [r_in, r_out],
     }
     return coeffs, info
 

@@ -1,6 +1,6 @@
 """Shared numerical helpers: polynomial arithmetic on ascending complex
-coefficient vectors, least-squares fits, central differences, FFT Laurent
-coefficient extraction and deterministic sample-point draws.
+coefficient vectors, band reads of truncated series, central differences,
+FFT Laurent coefficient extraction and deterministic sample-point draws.
 
 Every callable handed to `central_diff`, `laurent_coefficients` or
 `slope_fit` must accept an array of points of any shape and return values of
@@ -63,15 +63,16 @@ def principal_sqrt(value: complex) -> complex:
     return root
 
 
-def vandermonde_fit(points: np.ndarray, values: np.ndarray, degree: int):
-    """Least-squares polynomial fit; returns (coeffs, relative residual)."""
-    pts = np.asarray(points, dtype=complex)
-    vals = np.asarray(values, dtype=complex)
-    vmat = np.vander(pts, degree + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(vmat, vals, rcond=None)
-    misfit = np.linalg.norm(vmat @ coeffs - vals)
-    scale = max(float(np.linalg.norm(vals)), 1e-300)
-    return as_poly(coeffs), float(misfit / scale)
+def series_band(series: ArrayLike, lo: int, hi: int):
+    """Orders lo..hi of a truncated power series and its out-of-band ratio:
+    the largest coefficient below lo or at orders hi+1, hi+2 over the largest
+    in the band (absolute when the band is zero), round-off for z^lo times a
+    polynomial of degree hi-lo.  Orders missing at the end are zero."""
+    s = polyadd(np.zeros(hi + 3), series)
+    band = s[lo : hi + 1]
+    stray = float(np.max(np.abs(np.concatenate([s[:lo], s[hi + 1 : hi + 3]]))))
+    top = float(np.max(np.abs(band)))
+    return band, stray / top if top > 0 else stray
 
 
 def central_diff(f: Callable, z, step: float = 1e-6):

@@ -47,7 +47,7 @@ class Bundle:
             return lambda z: w(z)
         return weight_from_table(self.table)
 
-    def require_quads(self, ns: Sequence[int], seed: int = 11) -> None:
+    def require_quads(self, ns: Sequence[int]) -> None:
         if self.weight is None or self.vw is None:
             raise NotSemiClassicalError(
                 "coefficient functions need a strict semi-classical weight, "
@@ -56,7 +56,7 @@ class Bundle:
         for n in sorted(set(int(n) for n in ns)):
             if n not in self.quads:
                 self.quads[n] = compute_coeff_quad(
-                    self.sys, self.asys, self.vw, n, weight=self.weight, seed=seed
+                    self.sys, self.asys, self.vw, n, weight=self.weight
                 )
 
 
@@ -66,7 +66,6 @@ def build_bundle(
     quad_ns: Sequence[int] = (),
     window: int | None = None,
     method: str = "gram_lu",
-    seed: int = 11,
     quad: QuadratureConfig = DEFAULT_QUAD,
     tol: Tolerances = DEFAULT_TOL,
     recover_u_poly: bool = False,
@@ -90,9 +89,7 @@ def build_bundle(
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
             if quad_ns:
-                bundle.require_quads(quad_ns, seed=seed)
+                bundle.require_quads(quad_ns)
             if recover_u_poly:
-                bundle.u_poly, bundle.u_info = recover_u(
-                    weight, asys.F, bundle.vw, tol=tol, seed=seed
-                )
+                bundle.u_poly, bundle.u_info = recover_u(weight, asys.F, bundle.vw, tol=tol)
     return bundle

@@ -79,6 +79,12 @@ class PolyPair:
     def w_deriv(self, z):
         return polyval(polyder(self.W), z)
 
+    def reflected(self) -> "PolyPair":
+        """The pair of the reflected weight w(1/u): u^2 W^(u) and -V^(u), with
+        W^, V^ the coefficients of W, V reversed at degree m (W is not monic)."""
+        v_hat = polyadd(np.zeros(self.degree + 1), self.V)[::-1]
+        return PolyPair(np.concatenate(([0.0, 0.0], self.W[::-1])), -v_hat)
+
 
 @dataclass(frozen=True)
 class SemiClassicalWeight:

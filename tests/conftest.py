@@ -40,6 +40,18 @@ def close(batch, loop, rel=1e-13):
     )
 
 
+def complex_m4_weight() -> SemiClassicalWeight:
+    """m = 4 with complex locations and exponents, all outside the disc."""
+    return SemiClassicalWeight(
+        (
+            Singularity(0, -1),
+            Singularity(1.8 + 0.9j, 0.4 + 0.3j),
+            Singularity(-2.2 + 1.1j, -0.3 + 0.2j),
+            Singularity(0.5 - 2.6j, 0.7 - 0.1j),
+        )
+    )
+
+
 def laurent_callable(z):
     z = np.asarray(z, dtype=complex)
     return z**-1.0 * (1.0 + z) ** 2

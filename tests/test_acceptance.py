@@ -157,7 +157,7 @@ def test_criterion_3_heine_identity():
 def test_criterion_4_strict_semiclassical_suite():
     start = time.perf_counter()
     weight = strict_weight()
-    bundle = build_bundle(weight, 7, quad_ns=range(6), recover_u_poly=True, seed=11)
+    bundle = build_bundle(weight, 7, quad_ns=range(6), recover_u_poly=True)
     rng = np.random.default_rng(9)
     samples = list(circle_samples(rng, 10, 0.45, avoid=list(weight.locations), min_distance=0.1))
 

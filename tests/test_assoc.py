@@ -3,7 +3,6 @@ import pytest
 
 from circlebops.assoc import (
     AssocSystem,
-    build_assoc,
     eps_intrep,
     eps_quadrature,
     plemelj_jump_residual,
@@ -13,7 +12,7 @@ from circlebops.assoc import (
 from circlebops.errors import NearCircleError, WindowError
 from circlebops.moments import table_from_moments
 from circlebops.bops import build_system, eval_poly
-from circlebops.numerics import circle_samples, polyval
+from circlebops.numerics import circle_samples, laurent_coefficients, polyval
 
 from conftest import close, laurent_callable
 
@@ -134,12 +133,20 @@ class TestExpansions:
 
 
 class TestConstruction:
-    def test_build_assoc_single_level(self, laurent):
-        level = build_assoc(laurent["sys"], laurent["table"], 3)
-        assert level.n == 3
-        assert len(level.psi) == 4
-        z = 0.3 + 0.3j
-        assert abs(level.eps_eval(z) - laurent["asys"].eps(3, z)) < 1e-13
+    def test_series_match_fft_coefficients(self, strict):
+        # eps_n = O(z^n) at 0 and eps*_n = (2/kappa_n)(1 + O(1/z)) at infinity
+        asys = strict["asys"]
+        for n in (0, 3, 5):
+            taylor = asys.eps_taylor(n, 12)
+            fft = laurent_coefficients(lambda z: asys.eps(n, z), 0.5, range(12))
+            at_inf = asys.eps_taylor(n, 12, reflected=True)
+            fft_inf = laurent_coefficients(lambda z: z**-n * asys.epsstar(n, z), 2.5, range(0, -12, -1))
+            for k in range(12):
+                assert abs(taylor[k] - fft[k]) < 1e-12 * 2.0**k
+                assert abs(at_inf[k] - fft_inf[-k]) < 1e-12 * 2.5**k
+            assert np.max(np.abs(taylor[:n]), initial=0.0) < 1e-13
+            assert np.max(np.abs(at_inf[:n]), initial=0.0) < 1e-13
+            assert abs(at_inf[n] - 2.0 / strict["sys"].kappa(n)) < 1e-13
 
     def test_window_error(self):
         tbl = table_from_moments([(0, 1.0)], window=4)

@@ -33,6 +33,16 @@ RAW_MOMENTS_SPEC = {
     + [[k, 0.0, 0.0] for k in range(2, 11)]
 }
 
+# an inside singularity with complex exponents (the inside sum is -1)
+INSIDE_COMPLEX_SPEC = {
+    "singularities": [
+        {"z": [0, 0], "rho": [-1.3, -0.2]},
+        {"z": [0.4, 0.1], "rho": [0.3, 0.2]},
+        {"z": [2, 0], "rho": [0.5, 0]},
+    ],
+    "strict": True,
+}
+
 TRAJ_SPEC = {"j": 2, "path": "linear", "from": [2, 0], "to": [2.1, 0], "t0": 0.0, "t1": 0.1}
 
 
@@ -40,6 +50,28 @@ def write(tmp_path: Path, name: str, payload) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+class TestCorpus:
+    @pytest.mark.parametrize(
+        "spec, command, n",
+        [
+            (INSIDE_COMPLEX_SPEC, "verify-all", 3),
+            (STRICT_SPEC, "coeffs", 10),
+            (STRICT_SPEC, "coeffs", 15),
+            (STRICT_SPEC, "verify-all", 5),
+        ],
+        ids=[
+            "inside-complex-verify-all-3",
+            "flagship-coeffs-10",
+            "flagship-coeffs-15",
+            "flagship-verify-all-5",
+        ],
+    )
+    def test_passes(self, tmp_path, capsys, spec, command, n):
+        weight = write(tmp_path, "w.json", spec)
+        code = main([command, "--weight", weight, "--n", str(n), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().out
 
 
 class TestParseWeightSpec:

@@ -17,9 +17,14 @@ from circlebops.errors import (
     DegenerateLevelError,
     NotSemiClassicalError,
     SingularResidueError,
+    WindowError,
 )
-from circlebops.numerics import circle_samples
+from circlebops.moments import compute_moments
+from circlebops.numerics import central_diff, circle_samples, polyder, polyval
+from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
+
+from conftest import complex_m4_weight
 
 
 def samples(seed=9, count=10):
@@ -41,8 +46,12 @@ class TestConstruction:
             assert max(q.fit_residuals.values()) < 1e-8
 
     def test_degree_certification(self, strict):
-        for q in strict["quads"].values():
-            assert q.degree_excess < 1e-7
+        rep = verify_expansion_forms(
+            strict["quads"], strict["sys"], strict["vw"], strict["weight"], [1, 2, 3]
+        )
+        for e in rep.entries:
+            if e.name == "degree_certification":
+                assert e.residual == max(strict["quads"][e.n].fit_residuals.values()) < 1e-7
 
     def test_m2_weight_degrees(self):
         # m = 2: Theta_n constant, Omega_n linear
@@ -74,11 +83,56 @@ class TestConstruction:
                 lebesgue["sys"], lebesgue["asys"], strict["vw"], 2, weight=None
             )
 
+    def test_matches_sampled_defining_combination(self, strict):
+        # the defining combinations evaluated pointwise, eps' by central
+        # differences, at points off the circle on both sides
+        sys, asys, vw = strict["sys"], strict["asys"], strict["vw"]
+        zs = np.array([0.6j, -0.5 + 0.3j, 2.5j, -2.2 - 1.4j, 4.0 * np.exp(2j)])
+        w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
+        for n in (0, 1, 3):
+            lev_n, lev_p = sys.level(n), sys.level(n + 1)
+            phi_n, star_n, eps_n, es_n = asys.evaluate(n, zs)
+            phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zs)
+            dphi_n = polyval(polyder(lev_n.c), zs)
+            dstar_n = polyval(polyder(lev_n.cbar[::-1]), zs)
+            deps_n = central_diff(lambda x: asys.eps(n, x), zs)
+            des_n = central_diff(lambda x: asys.epsstar(n, x), zs)
+            pref = 2.0 * lev_p.phi0 / lev_n.kappa * zs**n
+            pref_star = 2.0 * lev_p.phibar0 / lev_n.kappa * zs ** (n + 1)
+            want = {
+                "th": (w_z * (-phi_n * deps_n + eps_n * dphi_n) + 2.0 * v_z * phi_n * eps_n) / pref,
+                "om": (w_z * (eps_p * dphi_n - phi_p * deps_n) + v_z * (phi_n * eps_p + eps_n * phi_p))
+                / pref,
+                "ths": (w_z * (star_n * des_n - es_n * dstar_n) - 2.0 * v_z * star_n * es_n)
+                / pref_star,
+                "oms": (w_z * (-es_p * dstar_n + star_p * des_n) - v_z * (star_n * es_p + es_n * star_p))
+                / pref_star,
+            }
+            quad = strict["quads"][n]
+            for name, values in want.items():
+                got = getattr(quad, name)(zs)
+                assert np.max(np.abs(got - values) / np.maximum(1.0, np.abs(values))) < 1e-5, (n, name)
+
+    def test_inconsistent_vw_refused_out_of_band(self, strict):
+        # (V, W) of another weight than the moments: the defining
+        # combinations are not polynomials, so orders outside the band survive
+        other = SemiClassicalWeight(
+            (Singularity(0, -1), Singularity(2.5, 0.5), Singularity(3, 1.0 / 3.0))
+        )
+        with pytest.raises(NotSemiClassicalError, match="out-of-band ratio"):
+            compute_coeff_quad(strict["sys"], strict["asys"], build_vw(other), 2, weight=None)
+
+    def test_window_error(self, strict):
+        # orders up to n + m + 3 of F are needed: 5 + 3 + 3 > 8
+        table = compute_moments(strict["weight"], 8)
+        sys = build_system(table, 6)
+        with pytest.raises(WindowError):
+            compute_coeff_quad(sys, AssocSystem(sys, table), strict["vw"], 5, weight=strict["weight"])
+
     def test_seed_recorded_and_deterministic(self, strict):
         q_again = compute_coeff_quad(
             strict["sys"], strict["asys"], strict["vw"], 2, weight=strict["weight"]
         )
-        assert q_again.seed == strict["quads"][2].seed
         assert np.array_equal(q_again.theta, strict["quads"][2].theta)
 
 
@@ -110,6 +164,18 @@ class TestClosedForms:
         for n in range(5):
             want = vw.v_eval(0.0) - n * vw.w_deriv(0.0)
             assert abs(strict["quads"][n].om(0.0) - want) < 1e-8
+
+    def test_m4_complex_weight_all_levels(self):
+        # complex locations and exponents, m = 4, through n = 12
+        weight = complex_m4_weight()
+        bundle = build_bundle(weight, 14, quad_ns=range(13))
+        for n, quad in bundle.quads.items():
+            degrees = [len(getattr(quad, k)) - 1 for k in ("theta", "thetastar", "omega", "omegastar")]
+            assert degrees == [2, 2, 3, 3]
+            for name, order, want, block in expansion_closed_forms(bundle.sys, bundle.vw, weight, n):
+                coeffs = getattr(quad, name)
+                gap = abs(coeffs[order] - want) / max(1.0, float(np.max(np.abs(coeffs))))
+                assert gap < 1e-9, (n, name, order, block, gap)
 
     def test_overlapping_forms_consistent(self, strict):
         # at m = 3 the leading and trailing windows overlap; both closed

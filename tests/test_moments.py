@@ -4,7 +4,6 @@ import pytest
 from circlebops.errors import NearCircleError, NotSemiClassicalError, WindowError
 from circlebops.moments import (
     CaratheodoryEvaluator,
-    caratheodory_eval,
     caratheodory_quadrature,
     compute_moments,
     heine_oracle,
@@ -12,9 +11,10 @@ from circlebops.moments import (
     table_from_moments,
     toeplitz_det,
 )
+from circlebops.numerics import central_diff, polyval, series_band
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
-from conftest import laurent_callable, lebesgue_weight_relaxed
+from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
 
 
 def binomial_series_moments(window):
@@ -125,11 +125,26 @@ class TestCaratheodory:
             direct = caratheodory_quadrature(strict["weight"], z)
             assert abs(f(complex(z)) - direct) < 1e-9
 
-    def test_eval_record_side(self, laurent):
-        rec = caratheodory_eval(laurent["table"], 0.25)
-        assert rec.side == "inside"
-        rec = caratheodory_eval(laurent["table"], 4.0)
-        assert rec.side == "outside"
+    def test_series_is_the_moment_expansion(self, strict):
+        tbl = strict["table"]
+        f = CaratheodoryEvaluator(tbl)
+        w = {k: tbl.moment(k) for k in range(-tbl.window, tbl.window + 1)}
+        inside = [w[0]] + [2.0 * w[k] for k in range(1, tbl.window + 1)]
+        outside = [-w[0]] + [-2.0 * w[-k] for k in range(1, tbl.window + 1)]
+        assert np.array_equal(f.series(tbl.window + 1), inside)
+        assert np.array_equal(f.series(tbl.window + 1, side="outside"), outside)
+        with pytest.raises(WindowError):
+            f.series(tbl.window + 2)
+
+
+def test_series_band_reads_and_certifies():
+    # z^2 (1 + 2 z): band orders 2..3, orders 0, 1 and 4, 5 vanish
+    band, ratio = series_band([0, 0, 1, 2], 2, 3)
+    assert np.array_equal(band, [1, 2]) and ratio == 0.0
+    _, ratio = series_band([0, 1e-9, 1, 2, 0, 4e-9], 2, 3)
+    assert ratio == 2e-9
+    _, ratio = series_band([0, 0, 0, 0, 3e-9], 2, 3)
+    assert ratio == 3e-9  # absolute when the band is zero
 
 
 class TestRecoverU:
@@ -164,9 +179,23 @@ class TestRecoverU:
             res = vw.w_eval(z) * fp - 2 * vw.v_eval(z) * f(complex(z)) - polyval(u, z)
             assert abs(res) < 1e-6
 
+    def test_complex_m4_weight_both_sides(self):
+        # the Taylor read at 0 and the Laurent read at infinity use disjoint
+        # moments; U must satisfy the ODE pointwise on both sides
+        weight = complex_m4_weight()
+        vw = build_vw(weight)
+        f = CaratheodoryEvaluator(compute_moments(weight, 48))
+        u, info = recover_u(weight, f, vw)
+        assert len(u) == 4
+        assert max(info["residual_inside"], info["residual_outside"]) < 1e-12
+        assert info["coefficient_agreement"] < 1e-10
+        zs = np.array([0.4 + 0.2j, -0.3j, 4.0 + 1.0j, -5.0j])
+        res = vw.w_eval(zs) * central_diff(f, zs) - 2.0 * vw.v_eval(zs) * f(zs) - polyval(u, zs)
+        assert np.max(np.abs(res) / np.maximum(1.0, np.abs(polyval(u, zs)))) < 1e-6
+
     def test_non_semiclassical_rejection(self):
-        # a weight evaluator inconsistent with the declared (V, W) makes the
-        # fit residual blow up
+        # a weight evaluator inconsistent with the declared (V, W) leaves
+        # orders outside the band of W F' - 2 V F
         w = lebesgue_weight_relaxed()
         strict_like = SemiClassicalWeight(
             (Singularity(0, -1), Singularity(2, 0.5), Singularity(3, 1 / 3))
