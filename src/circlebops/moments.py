@@ -178,6 +178,11 @@ def hadamard_scale(tbl: MomentTable, n: int) -> float:
 # Caratheodory function
 # ---------------------------------------------------------------------------
 
+# Point sets whose F values one evaluator keeps.  The busiest evaluator of a
+# verify-all run meets 9 distinct point sets; the oldest entry goes first.
+MEMO_SIZE = 32
+
+
 class CaratheodoryEvaluator:
     """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) via the
     moment series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
@@ -192,6 +197,7 @@ class CaratheodoryEvaluator:
         vals = tbl.values
         self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
         self._outside = np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))
+        self._memo: dict[tuple, np.ndarray] = {}
 
     def _inside_mask(self, zs: np.ndarray) -> np.ndarray:
         """Mask of the points inside the circle; raises for the first point
@@ -214,20 +220,32 @@ class CaratheodoryEvaluator:
         return (self._inside if side == "inside" else self._outside)[:count]
 
     def __call__(self, z, side: str | None = None):
-        """F over an array z (a scalar is a 0-d array); without a side each
-        series is evaluated only on its own points."""
+        """F over an array z (a scalar is a 0-d array).  F does not depend on
+        the level, so the read-only values of each point set are kept for the
+        next call; a failed call is not kept and raises every time."""
         zs = np.asarray(z, dtype=complex)
+        key = (side, zs.shape, zs.tobytes())
+        if key not in self._memo:
+            out = np.asarray(self._series_values(zs, side))
+            out.flags.writeable = False
+            if len(self._memo) >= MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = out
+        return self._memo[key][()]
+
+    def _series_values(self, zs: np.ndarray, side: str | None):
+        """Without a side each series is evaluated only on its own points."""
         if side == "inside":
-            return polyval(self._inside, zs)[()]
+            return polyval(self._inside, zs)
         if side == "outside":
-            return polyval(self._outside, 1.0 / zs)[()]
+            return polyval(self._outside, 1.0 / zs)
         if side is not None:
             raise ValueError("side must be 'inside' or 'outside'")
         inside = self._inside_mask(zs)
         out = np.empty(zs.shape, dtype=complex)
         out[inside] = polyval(self._inside, zs[inside])
         out[~inside] = polyval(self._outside, 1.0 / zs[~inside])
-        return out[()]
+        return out
 
 
 def caratheodory_quadrature(

@@ -18,7 +18,7 @@ from .bops import BopsSystem, build_system
 from .coeffs import CoeffQuad, compute_coeff_quad
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
 from .errors import NotSemiClassicalError
-from .moments import CaratheodoryEvaluator, MomentTable, compute_moments, recover_u, weight_from_table
+from .moments import MomentTable, compute_moments, recover_u, weight_from_table
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
 
 
@@ -32,14 +32,6 @@ class Bundle:
     quads: dict[int, CoeffQuad] = field(default_factory=dict)
     u_poly: np.ndarray | None = None
     u_info: dict | None = None
-
-    @property
-    def f(self) -> CaratheodoryEvaluator:
-        return self.asys.F
-
-    @property
-    def strict(self) -> bool:
-        return self.weight is not None and is_strict_semiclassical(self.weight)
 
     def wfun(self):
         if self.weight is not None:

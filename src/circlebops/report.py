@@ -12,11 +12,6 @@ from typing import Any
 SCHEMA = "v1"
 
 
-def complex_pair(value: complex) -> list[float]:
-    value = complex(value)
-    return [value.real, value.imag]
-
-
 @dataclass
 class IdentityEntry:
     name: str
@@ -78,9 +73,6 @@ class IdentityReport:
     def failures(self) -> list[IdentityEntry]:
         return [e for e in self.entries if not e.passed]
 
-    def worst(self, count: int = 5) -> list[IdentityEntry]:
-        return sorted(self.entries, key=lambda e: -e.residual)[:count]
-
     def max_by_name(self) -> dict[str, float]:
         out: dict[str, float] = {}
         for e in self.entries:
@@ -97,11 +89,7 @@ class IdentityReport:
             "notes": self.notes,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def dump_json(payload: dict[str, Any], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

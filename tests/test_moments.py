@@ -1,6 +1,9 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
+from circlebops import moments
+from circlebops.assoc import AssocSystem
 from circlebops.errors import NearCircleError, NotSemiClassicalError, WindowError
 from circlebops.moments import (
     CaratheodoryEvaluator,
@@ -135,6 +138,77 @@ class TestCaratheodory:
         assert np.array_equal(f.series(tbl.window + 1, side="outside"), outside)
         with pytest.raises(WindowError):
             f.series(tbl.window + 2)
+
+    @staticmethod
+    def reference(f, z, side=None):
+        """The series route written out: Horner on each side's own points."""
+        zs = np.asarray(z, dtype=complex)
+        count = f.table.window + 1
+        inside = np.abs(zs) < 1.0 if side is None else np.full(zs.shape, side == "inside")
+        out = np.empty(zs.shape, dtype=complex)
+        out[inside] = npoly.polyval(zs[inside], f.series(count))
+        out[~inside] = npoly.polyval(1.0 / zs[~inside], f.series(count, side="outside"))
+        return out
+
+    def test_repeated_calls_match_reference_bitwise(self, strict):
+        f = CaratheodoryEvaluator(strict["table"])
+        grid = np.array([[0.3 + 0.2j, 2.0 - 0.5j, -0.6j], [1.5j, -0.1 + 0.0j, 4.0 + 4.0j]])
+        cases = [
+            (0.4 - 0.3j, None),
+            (2.5 + 1.0j, None),
+            (0.4 - 0.3j, "inside"),
+            (1.0005, "outside"),
+            (0.9995j, "inside"),
+            (grid, None),
+            (grid.ravel(), None),
+            (grid[0, :1], "inside"),
+            (grid[:, 1:], "outside"),
+        ]
+        for z, side in cases:
+            want = self.reference(f, z, side)
+            for _ in range(3):
+                got = np.asarray(f(z, side=side))
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert np.ndim(f(0.4 - 0.3j)) == 0 and isinstance(f(2.5 + 1.0j), complex)
+
+    def test_near_circle_raises_on_every_call(self, strict):
+        f = CaratheodoryEvaluator(strict["table"])
+        zs = np.array([0.5, 1.0 + 1e-4j, 3.0])
+        f(zs, side="outside")
+        for _ in range(3):
+            with pytest.raises(NearCircleError):
+                f(zs)
+            with pytest.raises(NearCircleError):
+                f(0.9999)
+
+    def test_returned_values_are_read_only(self, strict):
+        f = CaratheodoryEvaluator(strict["table"])
+        zs = np.array([0.2 + 0.1j, 3.0j])
+        first = f(zs)
+        kept = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        with pytest.raises(ValueError):
+            f(zs, side="outside")[:] = 1.0
+        assert np.array_equal(f(zs), kept)
+
+    def test_levels_share_one_series_pass_per_side(self, strict, monkeypatch):
+        asys = AssocSystem(strict["sys"], strict["table"])
+        count = strict["table"].window + 1
+        calls = {"inside": 0, "outside": 0}
+
+        def counting(coeffs, z):
+            if len(coeffs) == count:
+                inside = np.array_equal(coeffs, asys.F.series(count))
+                calls["inside" if inside else "outside"] += 1
+            return polyval(coeffs, z)
+
+        monkeypatch.setattr(moments, "polyval", counting)
+        zs = np.array([0.3 + 0.1j, -0.5j, 2.0 + 1.0j, -3.0])
+        for n in range(5):
+            asys.evaluate(n, zs)
+        assert calls == {"inside": 1, "outside": 1}
 
 
 def test_series_band_reads_and_certifies():
