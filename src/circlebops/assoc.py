@@ -14,7 +14,11 @@ quadratured, which keeps psi_n a certified polynomial.
 
 The eps evaluators use the two-sided moment series for F and refuse the
 near-circle band unless a side is forced; both analytic elements extend into
-the annulus of the weight, which the Plemelj jump check exploits.
+the annulus of the weight, which the Plemelj jump check exploits.  The same
+series give the exact derivatives (`AssocSystem.derivative`) and the exact
+expansions of eps_n and eps*_n at 0 and at infinity
+(`AssocSystem.eps_taylor`), from which `verify_expansions` reads its
+Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .moments import (
     compute_moments,
     toeplitz_det,
 )
-from .numerics import laurent_coefficients, polyadd, polymul, polyval, rel_residual
+from .numerics import polyadd, polyder, polymul, polyval, rel_residual
 from .report import IdentityReport
 
 
@@ -61,16 +65,35 @@ class AssocSystem:
             self._psistar[n] = _psistar_coeffs(self.sys, self.table, n)
         return self._psistar[n]
 
+    def _stacked(self, n: int) -> np.ndarray:
+        """Columns phi_n, phi*_n, psi_n, psi*_n, ascending."""
+        lev = self.sys.level(n)
+        return np.stack([lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n)], axis=1)
+
     def evaluate(self, n: int, z, side: str | None = None):
         """(phi_n, phi*_n, eps_n, eps*_n) over an array z of any shape (a
         scalar is a 0-d array): one Horner pass over the four polynomials
         phi_n, phi*_n, psi_n, psi*_n and one evaluation of F."""
         zs = np.asarray(z, dtype=complex)
-        lev = self.sys.level(n)
-        coeffs = np.stack([lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n)], axis=1)
-        phi, phistar, psi, psistar = polyval(coeffs, zs)
+        phi, phistar, psi, psistar = polyval(self._stacked(n), zs)
         f = self.F(zs, side=side)
         return phi, phistar, psi + f * phi, psistar - f * phistar
+
+    def derivative(self, n: int, z, side: str | None = None):
+        """(phi'_n, phi*'_n, eps'_n, eps*'_n) over an array z, exact:
+        eps'_n = psi'_n + F' phi_n + F phi'_n and eps*'_n = psi*'_n - F'
+        phi*_n - F phi*'_n, with F' from the same moment series as F."""
+        zs = np.asarray(z, dtype=complex)
+        coeffs = self._stacked(n)
+        phi, phistar = polyval(coeffs[:, :2], zs)
+        dphi, dphistar, dpsi, dpsistar = polyval(polyder(coeffs), zs)
+        f, df = self.F(zs, side=side), self.F(zs, side=side, derivative=True)
+        return (
+            dphi,
+            dphistar,
+            dpsi + df * phi + f * dphi,
+            dpsistar - df * phistar - f * dphistar,
+        )
 
     def eps(self, n: int, z, side: str | None = None):
         return self.evaluate(n, z, side)[2]
@@ -78,17 +101,24 @@ class AssocSystem:
     def epsstar(self, n: int, z, side: str | None = None):
         return self.evaluate(n, z, side)[3]
 
-    def eps_taylor(self, n: int, count: int, reflected: bool = False) -> np.ndarray:
-        """Taylor coefficients at 0 of eps_n, orders 0..count-1, exact up to
-        the moment window.  ``reflected`` gives those of the reflected weight
-        w(1/u), whose eps_n is z^-n eps*_n in u = 1/z (its phi_n is phibar_n,
-        its psi_n is psi*_n reversed and its F is -F outside)."""
+    def eps_taylor(
+        self, n: int, count: int, star: bool = False, at_infinity: bool = False
+    ) -> np.ndarray:
+        """Orders 0..count-1 of the expansion of eps_n (eps*_n with ``star``),
+        exact up to the moment window: its Taylor series at 0, or with
+        ``at_infinity`` the Taylor series of z^-n eps_n in u = 1/z, whose
+        order k is the coefficient of z^(n-k).  At infinity each polynomial
+        is reversed (z^-n p(z) is p reversed in u for degree n) and F is
+        its outside series."""
         lev = self.sys.level(n)
-        if reflected:
-            psi, f, c = self.psistar(n)[::-1], -self.F.series(count, side="outside"), lev.cbar
+        if star:
+            psi, phi, sign = self.psistar(n), lev.cbar[::-1], -1.0
         else:
-            psi, f, c = self.psi(n), self.F.series(count), lev.c
-        return polyadd(np.zeros(count), psi, polymul(f, c))[:count]
+            psi, phi, sign = self.psi(n), lev.c, 1.0
+        if at_infinity:
+            psi, phi = psi[::-1], phi[::-1]
+        f = self.F.series(count, side="outside" if at_infinity else "inside")
+        return polyadd(np.zeros(count), psi, sign * polymul(f, phi))[:count]
 
 
 def _psi_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
@@ -300,118 +330,64 @@ def plemelj_jump_residual(
 
 
 # ---------------------------------------------------------------------------
-# Two-sided expansions (FFT Laurent extraction vs closed forms)
+# Two-sided expansions (exact series coefficients vs closed forms)
 # ---------------------------------------------------------------------------
 
 def verify_expansions(
     asys: AssocSystem,
     n: int,
-    radii: tuple[float, float] = (0.5, 2.0),
     tol: float = 1e-8,
 ) -> IdentityReport:
     """Leading Laurent coefficients of (kappa_n/2) eps_n and
-    (kappa_n/2) eps*_n on circles inside and outside the unit circle against
-    their closed forms in the kappa / l / m / phi(0) data (levels n+1, n+2
-    must be built)."""
+    (kappa_n/2) eps*_n at 0 and at infinity, read off their exact truncated
+    series (`AssocSystem.eps_taylor`), against their closed forms in the
+    kappa / l / m / phi(0) data (levels n+1, n+2 must be built)."""
     sys = asys.sys
     if n + 2 > sys.nmax:
         raise IndexError(f"expansion check at n={n} needs levels up to {n + 2}")
     rep = IdentityReport(f"associated-function expansions at n={n}")
-    r_in, r_out = radii
     ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
     half_kappa = ln.kappa / 2.0
 
-    inner = laurent_coefficients(
-        lambda z: half_kappa * asys.eps(n, z, side="inside"), r_in, range(0, n + 3)
-    )
-    expected = {n: 1.0 + 0j, n + 1: -lp.lbar / lp.kappa}
-    for order, want in expected.items():
-        rep.add(
-            f"eps_inside_order_{order - n}",
-            "have the following expansions",
-            abs(inner[order] - want) / max(1.0, abs(want)),
-            tol,
-            n=n,
-            where=f"z^{order} inside",
-        )
-    low = max(abs(inner[k]) for k in range(0, n)) if n > 0 else 0.0
-    rep.add(
-        "eps_inside_low_orders_vanish",
-        "have the following expansions",
-        low,
-        tol,
-        n=n,
-    )
+    def coefficients(star: bool, at_infinity: bool) -> dict[int, complex]:
+        """Coefficients of z^k, k = 0..n+3 at 0 and k = -3..0 at infinity."""
+        series = half_kappa * asys.eps_taylor(n, n + 4, star, at_infinity)
+        if at_infinity:
+            return {n - j: complex(c) for j, c in enumerate(series) if j >= n}
+        return {k: complex(c) for k, c in enumerate(series)}
 
-    outer = laurent_coefficients(
-        lambda z: half_kappa * asys.eps(n, z, side="outside"), r_out, range(-3, 1)
-    )
-    want_m1 = lp.phi0 / lp.kappa
-    want_m2 = (
-        ln.kappa**2 / lp.kappa**2 * lpp.phi0 / lpp.kappa
-        - lp.phi0 / lp.kappa * lp.l / lp.kappa
-    )
-    for order, want in ((-1, want_m1), (-2, want_m2)):
-        rep.add(
-            f"eps_outside_order_{order}",
-            "have the following expansions",
-            abs(outer[order] - want) / max(1.0, abs(want)),
-            tol,
-            n=n,
-            where=f"z^{order} outside",
-        )
-    rep.add(
-        "eps_outside_order_0_vanishes",
-        "have the following expansions",
-        abs(outer[0]),
-        tol,
-        n=n,
-    )
+    def gap(got: complex, want: complex) -> float:
+        return abs(got - want) / max(1.0, abs(want))
 
-    inner_s = laurent_coefficients(
-        lambda z: half_kappa * asys.epsstar(n, z, side="inside"),
-        r_in,
-        range(0, n + 4),
-    )
-    want_p1 = lp.phibar0 / lp.kappa
-    want_p2 = (
-        ln.kappa**2 / lp.kappa**2 * lpp.phibar0 / lpp.kappa
-        - lp.phibar0 / lp.kappa * lp.lbar / lp.kappa
-    )
-    for order, want in ((n + 1, want_p1), (n + 2, want_p2)):
-        rep.add(
-            f"epsstar_inside_order_{order - n}",
-            "have the following expansions",
-            abs(inner_s[order] - want) / max(1.0, abs(want)),
-            tol,
-            n=n,
-            where=f"z^{order} inside",
-        )
-    low = max(abs(inner_s[k]) for k in range(0, n + 1))
-    rep.add(
-        "epsstar_inside_low_orders_vanish",
-        "have the following expansions",
-        low,
-        tol,
-        n=n,
-    )
-
-    outer_s = laurent_coefficients(
-        lambda z: half_kappa * asys.epsstar(n, z, side="outside"),
-        r_out,
-        range(-3, 1),
-    )
-    m_npp = lpp.m2 or 0.0
-    want_0 = 1.0 + 0j
-    want_m1 = -lp.l / lp.kappa
-    want_m2 = lpp.l * lp.l / (lpp.kappa * lp.kappa) - m_npp / lpp.kappa
-    for order, want in ((0, want_0), (-1, want_m1), (-2, want_m2)):
-        rep.add(
-            f"epsstar_outside_order_{order}",
-            "have the following expansions",
-            abs(outer_s[order] - want) / max(1.0, abs(want)),
-            tol,
-            n=n,
-            where=f"z^{order} outside",
-        )
+    inner, outer = coefficients(False, False), coefficients(False, True)
+    inner_s, outer_s = coefficients(True, False), coefficients(True, True)
+    scale = ln.kappa**2 / lp.kappa**2
+    entries = [
+        ("eps_inside_order_0", gap(inner[n], 1.0), f"z^{n} inside"),
+        ("eps_inside_order_1", gap(inner[n + 1], -lp.lbar / lp.kappa), f"z^{n + 1} inside"),
+        ("eps_inside_low_orders_vanish", max((abs(inner[k]) for k in range(n)), default=0.0), None),
+        ("eps_outside_order_-1", gap(outer[-1], lp.phi0 / lp.kappa), "z^-1 outside"),
+        (
+            "eps_outside_order_-2",
+            gap(outer[-2], scale * lpp.phi0 / lpp.kappa - lp.phi0 / lp.kappa * lp.l / lp.kappa),
+            "z^-2 outside",
+        ),
+        ("eps_outside_order_0_vanishes", abs(outer[0]), None),
+        ("epsstar_inside_order_1", gap(inner_s[n + 1], lp.phibar0 / lp.kappa), f"z^{n + 1} inside"),
+        (
+            "epsstar_inside_order_2",
+            gap(inner_s[n + 2], scale * lpp.phibar0 / lpp.kappa - lp.phibar0 / lp.kappa * lp.lbar / lp.kappa),
+            f"z^{n + 2} inside",
+        ),
+        ("epsstar_inside_low_orders_vanish", max(abs(inner_s[k]) for k in range(n + 1)), None),
+        ("epsstar_outside_order_0", gap(outer_s[0], 1.0), "z^0 outside"),
+        ("epsstar_outside_order_-1", gap(outer_s[-1], -lp.l / lp.kappa), "z^-1 outside"),
+        (
+            "epsstar_outside_order_-2",
+            gap(outer_s[-2], lpp.l * lp.l / (lpp.kappa * lp.kappa) - (lpp.m2 or 0.0) / lpp.kappa),
+            "z^-2 outside",
+        ),
+    ]
+    for name, residual, where in entries:
+        rep.add(name, "have the following expansions", residual, tol, n=n, where=where)
     return rep

@@ -248,7 +248,7 @@ def cmd_coeffs(cfg: RunConfig, weight, table, out: Path, bundle=None):
         ),
         spectral_derivative_check(
             {n: bundle.quads[n] for n in ns}, bundle.vw, bundle.sys, bundle.asys,
-            samples, weight=weight, tol=DEFAULT_TOL.fd_identity * tol,
+            samples, weight=weight, tol=DEFAULT_TOL.identity * tol,
         ),
     ]
     nonzero = [s.location for s in weight.singularities if s.location != 0]
@@ -429,7 +429,8 @@ def cmd_verify_all(cfg: RunConfig, weight, table, out: Path):
         for n in range(1, cfg.n + 1):
             matrix.extend(
                 verify_matrix_system(
-                    bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, n, samples
+                    bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, n, samples,
+                    tol=DEFAULT_TOL.scaled(cfg.tol_scale),
                 )
             )
         dump_json(matrix.to_dict(), out / "matrix_report.json")

@@ -178,14 +178,15 @@ def hadamard_scale(tbl: MomentTable, n: int) -> float:
 # Caratheodory function
 # ---------------------------------------------------------------------------
 
-# Point sets whose F values one evaluator keeps.  The busiest evaluator of a
-# verify-all run meets 9 distinct point sets; the oldest entry goes first.
+# Entries (F or F' on one point set) one evaluator keeps.  The busiest
+# evaluator of a verify-all run makes 9; the oldest entry goes first.
 MEMO_SIZE = 32
 
 
 class CaratheodoryEvaluator:
     """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) via the
     moment series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
+    outside.  F' is the derivative of the same series, -z^-2 (d/du series)(1/z)
     outside.  Points with | |z| - 1 | below the near-circle band are refused
     unless a side is forced (the two analytic elements both extend into the
     annulus of the weight, which is what the jump checks rely on)."""
@@ -197,6 +198,7 @@ class CaratheodoryEvaluator:
         vals = tbl.values
         self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
         self._outside = np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))
+        self._derivative = (polyder(self._inside), polyder(self._outside))
         self._memo: dict[tuple, np.ndarray] = {}
 
     def _inside_mask(self, zs: np.ndarray) -> np.ndarray:
@@ -219,32 +221,39 @@ class CaratheodoryEvaluator:
             raise WindowError(count - 1, self.table.window, f"F series to order {count - 1}")
         return (self._inside if side == "inside" else self._outside)[:count]
 
-    def __call__(self, z, side: str | None = None):
-        """F over an array z (a scalar is a 0-d array).  F does not depend on
-        the level, so the read-only values of each point set are kept for the
-        next call; a failed call is not kept and raises every time."""
+    def __call__(self, z, side: str | None = None, derivative: bool = False):
+        """F (F' with ``derivative``) over an array z (a scalar is a 0-d
+        array).  F does not depend on the level, so the read-only values of
+        each point set are kept for the next call; a failed call is not kept
+        and raises every time."""
         zs = np.asarray(z, dtype=complex)
-        key = (side, zs.shape, zs.tobytes())
+        key = (side, derivative, zs.shape, zs.tobytes())
         if key not in self._memo:
-            out = np.asarray(self._series_values(zs, side))
+            out = np.asarray(self._series_values(zs, side, derivative))
             out.flags.writeable = False
             if len(self._memo) >= MEMO_SIZE:
                 del self._memo[next(iter(self._memo))]
             self._memo[key] = out
         return self._memo[key][()]
 
-    def _series_values(self, zs: np.ndarray, side: str | None):
+    def _series_values(self, zs: np.ndarray, side: str | None, derivative: bool):
         """Without a side each series is evaluated only on its own points."""
+        inner, outer = self._derivative if derivative else (self._inside, self._outside)
+
+        def outside(z):
+            values = polyval(outer, 1.0 / z)
+            return -values / z**2 if derivative else values
+
         if side == "inside":
-            return polyval(self._inside, zs)
+            return polyval(inner, zs)
         if side == "outside":
-            return polyval(self._outside, 1.0 / zs)
+            return outside(zs)
         if side is not None:
             raise ValueError("side must be 'inside' or 'outside'")
         inside = self._inside_mask(zs)
         out = np.empty(zs.shape, dtype=complex)
-        out[inside] = polyval(self._inside, zs[inside])
-        out[~inside] = polyval(self._outside, 1.0 / zs[~inside])
+        out[inside] = polyval(inner, zs[inside])
+        out[~inside] = outside(zs[~inside])
         return out
 
 

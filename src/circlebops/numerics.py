@@ -1,12 +1,13 @@
 """Shared numerical helpers: polynomial arithmetic on ascending complex
-coefficient vectors, band reads of truncated series, central differences,
-FFT Laurent coefficient extraction and deterministic sample-point draws.
+coefficient vectors, band reads of truncated series, relative residuals,
+growth-exponent fits and deterministic sample-point draws.
 
-Every callable handed to `central_diff`, `laurent_coefficients` or
-`slope_fit` must accept an array of points of any shape and return values of
-that shape (`slope_fit` also takes trailing axes, e.g. a 2x2 matrix per
-point): each helper evaluates whole arrays of points, never one point at a
-time."""
+Derivatives and expansion coefficients are never sampled here: they come
+from the exact polynomials and moment series of the objects themselves
+(`AssocSystem.derivative`, `AssocSystem.eps_taylor`).  A callable handed to
+`slope_fit` must accept an array of points of any shape and return values
+of that shape, optionally with trailing axes (e.g. a 2x2 matrix per point):
+it is called once on whole arrays of points, never one point at a time."""
 
 from __future__ import annotations
 
@@ -73,43 +74,6 @@ def series_band(series: ArrayLike, lo: int, hi: int):
     stray = float(np.max(np.abs(np.concatenate([s[:lo], s[hi + 1 : hi + 3]]))))
     top = float(np.max(np.abs(band)))
     return band, stray / top if top > 0 else stray
-
-
-def central_diff(f: Callable, z, step: float = 1e-6):
-    """Central difference f'(z) with step h = step * (1 + |z|), elementwise
-    over an array z; f is called on the whole array z + h, then on z - h.
-
-    f must be analytic near z; the real-direction difference then approximates
-    the complex derivative to O(h^2).
-    """
-    h = step * (1.0 + abs(z))
-    return (f(z + h) - f(z - h)) / (2.0 * h)
-
-
-def laurent_coefficients(
-    f: Callable,
-    radius: float,
-    orders: Sequence[int],
-    oversample: int = 4,
-) -> dict[int, complex]:
-    """Laurent coefficients of f on the circle |z| = radius by FFT.
-
-    f is sampled at P uniformly spaced points with P >= oversample * (max
-    requested order magnitude + 1), rounded up to a power of two.  The
-    coefficient of z^k is FFT_k / (P * radius^k).
-    """
-    kmax = max(abs(int(k)) for k in orders) + 1
-    p = 1
-    while p < max(oversample * kmax, 64):
-        p *= 2
-    theta = 2.0 * np.pi * np.arange(p) / p
-    zs = radius * np.exp(1j * theta)
-    samples = np.asarray(f(zs), dtype=complex)
-    hat = np.fft.fft(samples) / p
-    out: dict[int, complex] = {}
-    for k in orders:
-        out[int(k)] = complex(hat[int(k) % p] * radius ** (-int(k)))
-    return out
 
 
 def circle_samples(

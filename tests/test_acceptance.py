@@ -4,8 +4,8 @@ them inline).  Tolerances and runtime budgets are asserted, not advisory.
 
 All acceptance is property- and oracle-based at desk scale: the reference
 values are exact rationals (Lebesgue and Laurent weights), independent
-quadrature oracles (Heine averages, binomial moment series, finite
-differences, moment rebuilds) and internal cross-route agreement.
+quadrature oracles (Heine averages, binomial moment series, moment
+rebuilds) and internal cross-route agreement.
 """
 
 from __future__ import annotations
@@ -45,22 +45,6 @@ from circlebops.moments import (
 from circlebops.numerics import circle_samples
 from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity
-
-# checks whose accuracy is limited by central-difference derivatives get the
-# relaxed budget of criterion 4
-FD_LIMITED = {
-    "spectral_d_phi",
-    "spectral_d_phistar",
-    "spectral_d_eps",
-    "spectral_d_epsstar",
-    "y_derivative_system",
-    "transfer_compatibility",
-    "x_derivative_system",
-    "xstar_derivative_system",
-    "z_derivative_system",
-    "zstar_derivative_system",
-}
-
 
 def announce(name: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -184,21 +168,16 @@ def test_criterion_4_strict_semiclassical_suite():
         reports.append(dpainleve_ratio_check(bundle.quads, bundle.vw, n, 2.0, 3.0))
 
     worst_exact = 0.0
-    worst_fd = 0.0
     count = 0
     for rep in reports:
         for entry in rep.entries:
             count += 1
-            if entry.name in FD_LIMITED:
-                worst_fd = max(worst_fd, entry.residual)
-            else:
-                worst_exact = max(worst_exact, entry.residual)
+            worst_exact = max(worst_exact, entry.residual)
     elapsed = time.perf_counter() - start
     announce(
-        "criterion 4: strict semi-classical identity web (exact <= 1e-6, FD <= 1e-5)",
-        worst_exact <= 1e-6 and worst_fd <= 1e-5 and elapsed < 20.0,
-        f"{count} identities, exact {worst_exact:.3e}, fd {worst_fd:.3e}, "
-        f"runtime {elapsed:.2f}s",
+        "criterion 4: strict semi-classical identity web (exact <= 1e-6)",
+        worst_exact <= 1e-6 and elapsed < 20.0,
+        f"{count} identities, exact {worst_exact:.3e}, runtime {elapsed:.2f}s",
     )
 
 

@@ -12,9 +12,12 @@ from circlebops.assoc import (
 from circlebops.errors import NearCircleError, WindowError
 from circlebops.moments import table_from_moments
 from circlebops.bops import build_system, eval_poly
-from circlebops.numerics import circle_samples, laurent_coefficients, polyval
+from circlebops.numerics import circle_samples, polyval
+from circlebops.pipeline import build_bundle
+from circlebops.weight import SemiClassicalWeight, Singularity
 
-from conftest import close, laurent_callable
+from conftest import close, complex_m4_weight, laurent_callable
+from oracles import central_diff, laurent_coefficients
 
 
 def sample_points(seed=5, count=10):
@@ -139,7 +142,7 @@ class TestConstruction:
         for n in (0, 3, 5):
             taylor = asys.eps_taylor(n, 12)
             fft = laurent_coefficients(lambda z: asys.eps(n, z), 0.5, range(12))
-            at_inf = asys.eps_taylor(n, 12, reflected=True)
+            at_inf = asys.eps_taylor(n, 12, star=True, at_infinity=True)
             fft_inf = laurent_coefficients(lambda z: z**-n * asys.epsstar(n, z), 2.5, range(0, -12, -1))
             for k in range(12):
                 assert abs(taylor[k] - fft[k]) < 1e-12 * 2.0**k
@@ -205,3 +208,56 @@ class TestBatchedEvaluator:
         zs = np.array([0.5, 1.0005, 0.9995, 2.0])
         with pytest.raises(NearCircleError, match=r"\|z\| = 1\.0005 "):
             strict["asys"].evaluate(1, zs)
+
+
+class TestExactDerivatives:
+    """`AssocSystem.derivative` and F' against a literal central difference
+    of `AssocSystem.evaluate` and F.  The difference loses about 1e-16 / h
+    of the terms each function is formed from (psi_n and F phi_n for eps_n,
+    which cancel at large |z|), so that size scales the tolerance."""
+
+    POINTS = np.array([0.3 + 0.4j, -0.6j, 0.05 - 0.02j, 1.6 + 0.3j, -2.5 + 1.0j, 6.0j])
+    BAND = np.exp(1j * np.linspace(0.2, 6.0, 5))
+
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            SemiClassicalWeight(
+                (Singularity(0, -1), Singularity(2, 0.5), Singularity(3, 1.0 / 3.0))
+            ),
+            complex_m4_weight(),
+        ],
+        ids=["flagship", "complex_m4"],
+    )
+    def test_against_central_difference(self, weight):
+        asys = build_bundle(weight, 8).asys
+        cases = [(self.POINTS, None)] + [
+            (radius * self.BAND, side)
+            for radius in (1.0 - 5e-4, 1.0 + 5e-4)
+            for side in ("inside", "outside")
+        ]
+        for zs, side in cases:
+            f = asys.F(zs, side=side)
+            want = central_diff(lambda x: asys.F(x, side=side), zs)
+            got = asys.F(zs, side=side, derivative=True)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(f))), side
+            for n in range(9):
+                phi, phistar, _, _ = asys.evaluate(n, zs, side)
+                terms = (
+                    np.abs(phi),
+                    np.abs(phistar),
+                    np.maximum(np.abs(polyval(asys.psi(n), zs)), np.abs(f * phi)),
+                    np.maximum(np.abs(polyval(asys.psistar(n), zs)), np.abs(f * phistar)),
+                )
+                exact = asys.derivative(n, zs, side)
+                for k in range(4):
+                    want = central_diff(lambda x: asys.evaluate(n, x, side)[k], zs)
+                    scale = np.maximum(1.0, np.maximum(terms[k], np.abs(want)))
+                    assert np.all(np.abs(exact[k] - want) <= 1e-9 * scale), (side, n, k)
+
+    def test_shapes(self, strict):
+        asys = strict["asys"]
+        values = asys.derivative(3, 0.3 + 0.2j)
+        assert all(np.ndim(v) == 0 for v in values)
+        zs = sample_points(seed=3, count=4).reshape(2, 4)
+        assert all(v.shape == (2, 4) for v in asys.derivative(3, zs))

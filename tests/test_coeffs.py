@@ -20,11 +20,12 @@ from circlebops.errors import (
     WindowError,
 )
 from circlebops.moments import compute_moments
-from circlebops.numerics import central_diff, circle_samples, polyder, polyval
+from circlebops.numerics import circle_samples, polyder, polyval
 from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from conftest import complex_m4_weight
+from oracles import central_diff
 
 
 def samples(seed=9, count=10):

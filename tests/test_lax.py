@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from circlebops.errors import SingularResidueError
-from circlebops.numerics import laurent_coefficients, slope_fit
+from circlebops.numerics import slope_fit
 from circlebops.lax import (
     assemble_residues,
     k_matrix,
@@ -14,6 +14,7 @@ from circlebops.lax import (
 )
 
 from conftest import close, laurent_callable
+from oracles import laurent_coefficients
 
 SAMPLES = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
 

@@ -14,10 +14,11 @@ from circlebops.moments import (
     table_from_moments,
     toeplitz_det,
 )
-from circlebops.numerics import central_diff, polyval, series_band
+from circlebops.numerics import polyval, series_band
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
+from oracles import central_diff
 
 
 def binomial_series_moments(window):
