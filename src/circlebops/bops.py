@@ -1,18 +1,27 @@
 """Bi-orthogonal polynomial systems {phi_n, phi*_n} on the unit circle.
 
-Construction routes:
+Construction has one route, the per-level Gram solve: solve the moment
+system sum_j x_j w_{m-j} = delta_{m,n} (and its transpose for the barred
+family), then kappa_n^2 = x_n and c_{n,j} = x_j / kappa_n, with kappa_n the
+principal square root of I0_n / I0_{n+1} (Re > 0, tie towards Im > 0).
 
-* ``gram_lu``: per level n, solve the moment linear system
-  sum_j x_j w_{m-j} = delta_{m,n} (and its transpose for the barred family);
-  then kappa_n^2 = x_n, c_{n,j} = x_j / kappa_n.
-* ``szego_recursion``: reflection coefficients from determinant ratios
-  r_n = (-1)^n I^1_n / I^0_n, rbar_n = (-1)^n I^-1_n / I^0_n, polynomials
-  bootstrapped through the coupled recurrences
-  kappa_n phi_{n+1} = kappa_{n+1} z phi_n + phi_{n+1}(0) phi*_n  (+ partner).
+Every build also runs the bi-orthogonal Szego recursion (Baxter) on the
+monic pair A_n = phi_n / kappa_n, B_n = phibar_n / kappa_n, in O(N^2):
 
-kappa_n is fixed to the principal square root of I^0_n / I^0_{n+1}
-(Re > 0, tie towards Im > 0); only this sign gauge distinguishes the two
-routes, so ``both`` cross-checks them coefficientwise.
+    r_{n+1} = -(A_n . w_{-1-j}) / e_n,    rbar_{n+1} = -(B_n . w_{1+j}) / e_n,
+    A_{n+1} = z A_n + r_{n+1} B*_n,       B_{n+1} = z B_n + rbar_{n+1} A*_n,
+    e_{n+1} = e_n (1 - r_{n+1} rbar_{n+1}),   e_0 = w_0 = I0_1,
+
+so that e_n = I0_{n+1} / I0_n = 1 / kappa_n^2.  The recursion decides
+existence without a scale (1 - r_n rbar_n = I0_{n+1} I0_{n-1} / I0_n^2) and
+is the coefficientwise oracle of the Gram levels.  It is not the production
+route: levels built from it fail the orthonormality gate on the flagship
+weight from N = 19 (1.9e-9 against 1.9e-10 from the Gram solves).
+
+Level ceiling: on the flagship weight the Gram levels pass the identity web
+through N = 21.  Above that, orthonormality and monomial orthogonality fail
+the 1e-9 gate because the double-precision coefficients grow (about 2.5e10
+at N = 32), whatever route computes them.
 """
 
 from __future__ import annotations
@@ -24,12 +33,9 @@ import numpy as np
 
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConsistencyError, ExistenceError, WindowError
-from .moments import MomentTable, hadamard_scale, toeplitz_det
+from .moments import MomentTable, toeplitz_det
 from .numerics import principal_sqrt, polyval, rel_residual
 from .report import IdentityReport
-
-Method = Literal["gram_lu", "szego_recursion", "both"]
-
 
 @dataclass(frozen=True)
 class BopsLevel:
@@ -80,13 +86,10 @@ class BopsLevel:
 class BopsSystem:
     table: MomentTable
     levels: list[BopsLevel]
-    i0: np.ndarray  # I^0_n for n = 0 .. N+1
-    i1: np.ndarray  # I^1_n for n = 0 .. N
-    im1: np.ndarray  # I^-1_n for n = 0 .. N
-    method: str
+    # levels n whose |1 - r_{n-1} rbar_{n-1}| is within 1e6 of the floor
     existence_log: list[int] = field(default_factory=list)
-    cross_check_deviation: float | None = None
-    kappa_sign_rule: str = "principal sqrt of I0_n/I0_{n+1}; Re>0, tie Im>0"
+    # coefficientwise gap between the Gram levels and the recursion
+    cross_check_deviation: float = 0.0
 
     @property
     def nmax(self) -> int:
@@ -140,19 +143,6 @@ def eval_levels(sys: BopsSystem, z, which: Family = "phi") -> np.ndarray:
     return polyval(_coeff_matrix(sys, which).T, z)
 
 
-def _existence_check(tbl: MomentTable, nmax: int, tol: Tolerances):
-    i0 = np.empty(nmax + 1, dtype=complex)
-    log: list[int] = []
-    for n in range(nmax + 1):
-        i0[n] = toeplitz_det(tbl, 0, n)
-        scale = hadamard_scale(tbl, n)
-        if abs(i0[n]) < tol.existence_floor * scale:
-            raise ExistenceError(n, i0[n], tol.existence_floor * scale)
-        if abs(i0[n]) < 1e6 * tol.existence_floor * scale:
-            log.append(n)
-    return i0, log
-
-
 def _gram_levels(tbl: MomentTable, nmax: int) -> list[BopsLevel]:
     levels = []
     for n in range(nmax + 1):
@@ -167,82 +157,66 @@ def _gram_levels(tbl: MomentTable, nmax: int) -> list[BopsLevel]:
     return levels
 
 
-def _szego_levels(
-    tbl: MomentTable, nmax: int, i0: np.ndarray, i1: np.ndarray, im1: np.ndarray
-) -> list[BopsLevel]:
-    kappas = np.array(
-        [principal_sqrt(i0[n] / i0[n + 1]) for n in range(nmax + 1)], dtype=complex
-    )
-    rs = np.array([(-1) ** n * i1[n] / i0[n] for n in range(nmax + 1)], dtype=complex)
-    rbars = np.array(
-        [(-1) ** n * im1[n] / i0[n] for n in range(nmax + 1)], dtype=complex
-    )
-    levels = [BopsLevel(n=0, kappa=kappas[0], c=np.array([kappas[0]]), cbar=np.array([kappas[0]]))]
+def _recursion_levels(
+    tbl: MomentTable, nmax: int, tol: Tolerances
+) -> tuple[list[BopsLevel], list[int]]:
+    """Levels 0..nmax by the monic bi-orthogonal Szego recursion (see the
+    module docstring) and the existence log; raises ExistenceError(n + 1)
+    when |1 - r_n rbar_n| < tol.existence_floor, and ExistenceError(1) when
+    w_0 = 0."""
+    w, k = tbl.values, tbl.window
+    e = w[k]
+    if e == 0:
+        raise ExistenceError(1, 0.0, tol.existence_floor)
+    a = b = np.ones(1, dtype=complex)
+    levels = [_scaled_level(0, a, b, e)]
+    log: list[int] = []
     for n in range(1, nmax + 1):
-        prev = levels[-1]
-        ratio = kappas[n] / kappas[n - 1]
-        z_phi = np.concatenate(([0.0 + 0j], prev.c))
-        phistar_prev = prev.cbar[::-1]
-        phi_asc = ratio * (z_phi + rs[n] * np.concatenate((phistar_prev, [0.0 + 0j])))
-        phistar_asc = ratio * (
-            np.concatenate((phistar_prev, [0.0 + 0j])) + rbars[n] * z_phi
+        j = np.arange(n)
+        r = -(a @ w[k - 1 - j]) / e
+        rbar = -(b @ w[k + 1 + j]) / e
+        ratio = 1.0 - r * rbar  # e_n / e_{n-1}
+        if abs(ratio) < tol.existence_floor:
+            raise ExistenceError(n + 1, abs(ratio), tol.existence_floor)
+        if abs(ratio) < 1e6 * tol.existence_floor:
+            log.append(n + 1)
+        a, b = (
+            np.concatenate(([0.0], a)) + r * np.concatenate((b[::-1], [0.0])),
+            np.concatenate(([0.0], b)) + rbar * np.concatenate((a[::-1], [0.0])),
         )
-        levels.append(
-            BopsLevel(n=n, kappa=kappas[n], c=phi_asc, cbar=phistar_asc[::-1])
-        )
-    return levels
+        e = e * ratio
+        levels.append(_scaled_level(n, a, b, e))
+    return levels, log
 
 
-def build_system(
-    tbl: MomentTable,
-    nmax: int,
-    method: Method = "gram_lu",
-    tol: Tolerances = DEFAULT_TOL,
-) -> BopsSystem:
-    """Build levels n = 0..nmax; requires window K >= nmax + 1 and
-    |I^0_n| bounded away from zero for n <= nmax + 1 (ExistenceError
-    otherwise: the system genuinely fails to exist at such a level, which is
-    an expected runtime signal under deformation, not a bug)."""
+def _scaled_level(n: int, a: np.ndarray, b: np.ndarray, e: complex) -> BopsLevel:
+    """The level of the monic pair (A_n, B_n) with e_n = 1 / kappa_n^2."""
+    kappa = principal_sqrt(1.0 / e)
+    return BopsLevel(n=n, kappa=kappa, c=kappa * a, cbar=kappa * b)
+
+
+def build_system(tbl: MomentTable, nmax: int, tol: Tolerances = DEFAULT_TOL) -> BopsSystem:
+    """Build levels n = 0..nmax by the Gram solves; requires window
+    K >= nmax + 1.  The reflection recursion runs first: ExistenceError when
+    I0_n vanishes for some n <= nmax + 1 (the system genuinely fails to exist
+    at that level, an expected runtime signal under deformation, not a bug),
+    ConsistencyError when its levels leave the Gram levels by more than 1e-8
+    (relative to the largest coefficient)."""
     if tbl.window < nmax + 1:
         raise WindowError(nmax + 1, tbl.window, f"build_system(N={nmax})")
-    i0, log = _existence_check(tbl, nmax + 1, tol)
-    i1 = np.array([toeplitz_det(tbl, 1, n) for n in range(nmax + 1)])
-    im1 = np.array([toeplitz_det(tbl, -1, n) for n in range(nmax + 1)])
-
-    if method == "gram_lu":
-        levels = _gram_levels(tbl, nmax)
-        deviation = None
-    elif method == "szego_recursion":
-        levels = _szego_levels(tbl, nmax, i0, i1, im1)
-        deviation = None
-    elif method == "both":
-        levels = _gram_levels(tbl, nmax)
-        alt = _szego_levels(tbl, nmax, i0, i1, im1)
-        deviation = 0.0
-        for a, b in zip(levels, alt):
-            scale = max(1.0, float(np.max(np.abs(a.c))), float(np.max(np.abs(a.cbar))))
-            deviation = max(
-                deviation,
-                float(np.max(np.abs(a.c - b.c))) / scale,
-                float(np.max(np.abs(a.cbar - b.cbar))) / scale,
-            )
-        if deviation > 1e-8:
-            raise ConsistencyError(
-                "gram_lu and szego_recursion disagree", deviation, 1e-8
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return BopsSystem(
-        table=tbl,
-        levels=levels,
-        i0=i0,
-        i1=i1,
-        im1=im1,
-        method=method,
-        existence_log=log,
-        cross_check_deviation=deviation,
-    )
+    oracle, log = _recursion_levels(tbl, nmax, tol)
+    levels = _gram_levels(tbl, nmax)
+    deviation = 0.0
+    for a, b in zip(levels, oracle):
+        scale = max(1.0, float(np.max(np.abs(a.c))), float(np.max(np.abs(a.cbar))))
+        deviation = max(
+            deviation,
+            float(np.max(np.abs(a.c - b.c))) / scale,
+            float(np.max(np.abs(a.cbar - b.cbar))) / scale,
+        )
+    if deviation > 1e-8:
+        raise ConsistencyError("Gram levels and reflection recursion disagree", deviation, 1e-8)
+    return BopsSystem(table=tbl, levels=levels, existence_log=log, cross_check_deviation=deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +388,10 @@ def verify_scalar_identities(
             n=n,
         )
 
+    # the LU determinants are the oracle here; construction never uses them
+    i0 = np.array([toeplitz_det(sys.table, 0, n) for n in range(nmax + 2)])
     for n in range(1, nmax + 1):
-        lhs = sys.i0[n + 1] * sys.i0[n - 1] / sys.i0[n] ** 2
+        lhs = i0[n + 1] * i0[n - 1] / i0[n] ** 2
         rhs = 1.0 - sys.level(n).r * sys.level(n).rbar
         rep.add(
             "toeplitz_ratio_recursion",

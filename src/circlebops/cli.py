@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .assoc import verify_assoc_identities, verify_expansions
-from .bops import verify_scalar_identities
+from .bops import build_system, verify_scalar_identities
 from .coeffs import (
     dpainleve_ratio_check,
     spectral_derivative_check,
@@ -43,9 +43,9 @@ from .deform import (
 )
 from .errors import CircleBopsError
 from .lax import rhp_jump_check, verify_matrix_system
-from .moments import heine_oracle, table_from_moments, toeplitz_det
+from .moments import heine_oracle, table_from_moments, toeplitz_det, weight_from_table
 from .numerics import circle_samples
-from .pipeline import build_bundle
+from .pipeline import build_bundle, moment_table
 from .report import SCHEMA, IdentityReport, dump_json
 from .weight import is_strict_semiclassical, validate_weight, weight_from_json
 
@@ -80,6 +80,9 @@ class RunConfig:
         from dataclasses import replace
 
         return replace(DEFAULT_QUAD, start_points=self.quad_points)
+
+    def tol(self):
+        return DEFAULT_TOL.scaled(self.tol_scale)
 
 
 def parse_weight_spec(path):
@@ -126,13 +129,27 @@ def _sample_points(cfg: RunConfig, weight, count: int = 12):
     return np.concatenate([inner, outer])
 
 
+def _bundle(cfg: RunConfig, weight, table, strict: bool = False):
+    """The one bundle of a run, built with the run's quadrature and
+    tolerances: levels 0..n+2, or for a strict weight levels 0..n+3 with the
+    quadruples 0..n+1 and U (what coeffs and the matrix suite read)."""
+    if not strict:
+        source = weight if weight is not None else table
+        return build_bundle(source, cfg.n + 2, quad=cfg.quad(), tol=cfg.tol())
+    if weight is None or not is_strict_semiclassical(weight):
+        raise CircleBopsError("this pipeline needs a strict regular semi-classical weight")
+    return build_bundle(
+        weight, cfg.n + 3, quad_ns=range(cfg.n + 2), quad=cfg.quad(), tol=cfg.tol(),
+        recover_u_poly=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations: each returns a list of IdentityReports
 # ---------------------------------------------------------------------------
 
 def cmd_moments(cfg: RunConfig, weight, table, out: Path):
-    bundle = build_bundle(weight if weight is not None else table, cfg.n + 1, quad=cfg.quad())
-    tbl = bundle.table
+    tbl = moment_table(weight if weight is not None else table, cfg.n + 1, cfg.quad())
     _write_csv(
         out / "moments.csv",
         ["k", "re", "im"],
@@ -151,22 +168,21 @@ def cmd_moments(cfg: RunConfig, weight, table, out: Path):
 
 
 def cmd_build(cfg: RunConfig, weight, table, out: Path):
-    bundle = build_bundle(
-        weight if weight is not None else table, cfg.n, method="both", quad=cfg.quad()
-    )
+    """Levels 0..n on ``table``, or on the weight's moments without one."""
+    if table is None:
+        table = moment_table(weight, cfg.n, cfg.quad())
+    system = build_system(table, cfg.n, tol=cfg.tol())
     if weight is not None:
         dump_json(
             validate_weight(weight, strict=False).to_dict(),
             out / "validation_report.json",
         )
-    report = verify_scalar_identities(
-        bundle.sys, _sample_pairs(cfg), tol=DEFAULT_TOL.identity * cfg.tol_scale
-    )
-    system = {
+    report = verify_scalar_identities(system, _sample_pairs(cfg), tol=cfg.tol().identity)
+    payload = {
         "schema": SCHEMA,
-        "method": bundle.sys.method,
-        "cross_check_deviation": bundle.sys.cross_check_deviation,
-        "existence_log": bundle.sys.existence_log,
+        "method": "both",
+        "cross_check_deviation": system.cross_check_deviation,
+        "existence_log": system.existence_log,
         "levels": [
             {
                 "n": lev.n,
@@ -176,21 +192,18 @@ def cmd_build(cfg: RunConfig, weight, table, out: Path):
                 "c": [[c.real, c.imag] for c in lev.c],
                 "cbar": [[c.real, c.imag] for c in lev.cbar],
             }
-            for lev in bundle.sys.levels
+            for lev in system.levels
         ],
     }
-    dump_json(system, out / "system.json")
+    dump_json(payload, out / "system.json")
     dump_json(report.to_dict(), out / "identity_report.json")
     return [report]
 
 
-def cmd_assoc(cfg: RunConfig, weight, table, out: Path):
-    bundle = build_bundle(weight if weight is not None else table, cfg.n + 2)
+def cmd_assoc(cfg: RunConfig, weight, bundle, out: Path):
     ns = range(min(cfg.n, bundle.sys.nmax - 1))
     samples = _sample_points(cfg, weight)
-    report = verify_assoc_identities(
-        bundle.asys, ns, samples, tol=DEFAULT_TOL.identity * cfg.tol_scale
-    )
+    report = verify_assoc_identities(bundle.asys, ns, samples, tol=cfg.tol().identity)
     exp = IdentityReport("associated-function expansions")
     for n in range(min(cfg.n, bundle.sys.nmax - 2) + 1):
         exp.extend(verify_expansions(bundle.asys, n, tol=1e-8 * cfg.tol_scale))
@@ -214,23 +227,7 @@ def cmd_assoc(cfg: RunConfig, weight, table, out: Path):
     return [report, exp]
 
 
-def _strict_bundle(cfg: RunConfig, weight, nmax: int | None = None):
-    if weight is None or not is_strict_semiclassical(weight):
-        raise CircleBopsError(
-            "this pipeline needs a strict regular semi-classical weight"
-        )
-    nmax = cfg.n + 3 if nmax is None else nmax
-    return build_bundle(
-        weight,
-        nmax,
-        quad_ns=range(cfg.n + 2),
-        recover_u_poly=True,
-    )
-
-
-def cmd_coeffs(cfg: RunConfig, weight, table, out: Path, bundle=None):
-    if bundle is None:
-        bundle = _strict_bundle(cfg, weight)
+def cmd_coeffs(cfg: RunConfig, weight, bundle, out: Path):
     tol = cfg.tol_scale
     samples = _sample_points(cfg, weight)
     ns = range(cfg.n + 1)
@@ -281,8 +278,7 @@ def cmd_coeffs(cfg: RunConfig, weight, table, out: Path, bundle=None):
     return [merged]
 
 
-def cmd_rhp(cfg: RunConfig, weight, table, out: Path):
-    bundle = build_bundle(weight if weight is not None else table, cfg.n + 2)
+def cmd_rhp(cfg: RunConfig, weight, bundle, out: Path):
     thetas = np.linspace(0.05, 2.0 * np.pi, 24)
     merged = IdentityReport("Riemann-Hilbert suite")
     for n in range(1, min(cfg.n, bundle.sys.nmax - 2) + 1):
@@ -323,9 +319,9 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
     n = cfg.n
     report = IdentityReport(f"Schlesinger flow at n={n}")
 
-    initial, bundle0 = moment_rebuild(traj, traj.t0, n)
+    initial, bundle0 = moment_rebuild(traj, traj.t0, n, cfg.quad(), cfg.tol())
     states = integrate_flow(initial, traj, (traj.t0, traj.t1), cfg.steps)
-    final_rebuild, _ = moment_rebuild(traj, traj.t1, n)
+    final_rebuild, _ = moment_rebuild(traj, traj.t1, n, cfg.quad(), cfg.tol())
     gap = state_gap(states[-1], final_rebuild)
     report.add(
         "flow_vs_moment_rebuild",
@@ -350,7 +346,7 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
     conv["resolved"] = conv["fine"] >= 100 * 2.0**-52 * float(np.max(np.abs(states[-1].pack())))
     report.notes["richardson"] = conv
 
-    mono = isomonodromy_check(states, traj)
+    mono = isomonodromy_check(states, traj, quad=cfg.quad())
     for rec in mono:
         if rec.asserted:
             report.add(
@@ -400,12 +396,12 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
 
 
 def cmd_heine(cfg: RunConfig, weight, table, out: Path):
-    bundle = build_bundle(weight if weight is not None else table, 4)
-    wfun = bundle.wfun()
+    tbl = moment_table(weight if weight is not None else table, 4, cfg.quad())
+    wfun = weight if weight is not None else weight_from_table(tbl)
     report = IdentityReport("Heine-identity oracle")
     for n in (1, 2, 3):
-        oracle = heine_oracle(wfun, n, DEFAULT_QUAD)
-        det = toeplitz_det(bundle.table, 0, n)
+        oracle = heine_oracle(wfun, n, cfg.quad())
+        det = toeplitz_det(tbl, 0, n)
         report.add(
             "heine_vs_toeplitz",
             "due to the well known identity",
@@ -418,24 +414,26 @@ def cmd_heine(cfg: RunConfig, weight, table, out: Path):
 
 
 def cmd_verify_all(cfg: RunConfig, weight, table, out: Path):
-    reports = []
-    reports += cmd_build(cfg, weight, table, out)
-    reports += cmd_assoc(cfg, weight, table, out)
-    if weight is not None and is_strict_semiclassical(weight):
-        bundle = _strict_bundle(cfg, weight)
-        reports += cmd_coeffs(cfg, weight, table, out, bundle=bundle)
+    """Every suite on one bundle; the build suite builds levels 0..n afresh
+    on its moment table, so each report equals its subcommand's own."""
+    strict = weight is not None and is_strict_semiclassical(weight)
+    bundle = _bundle(cfg, weight, table, strict)
+    reports = cmd_build(cfg, weight, bundle.table, out)
+    reports += cmd_assoc(cfg, weight, bundle, out)
+    if strict:
+        reports += cmd_coeffs(cfg, weight, bundle, out)
         samples = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
         matrix = IdentityReport("matrix systems")
         for n in range(1, cfg.n + 1):
             matrix.extend(
                 verify_matrix_system(
                     bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, n, samples,
-                    tol=DEFAULT_TOL.scaled(cfg.tol_scale),
+                    tol=cfg.tol(),
                 )
             )
         dump_json(matrix.to_dict(), out / "matrix_report.json")
         reports.append(matrix)
-    reports += cmd_rhp(cfg, weight, table, out)
+    reports += cmd_rhp(cfg, weight, bundle, out)
     summary = {
         "schema": SCHEMA,
         "passed": all(r.passed for r in reports),
@@ -456,10 +454,10 @@ def cmd_verify_all(cfg: RunConfig, weight, table, out: Path):
 HANDLERS = {
     "moments": cmd_moments,
     "build": cmd_build,
-    "assoc": cmd_assoc,
-    "coeffs": cmd_coeffs,
+    "assoc": lambda cfg, w, tbl, out: cmd_assoc(cfg, w, _bundle(cfg, w, tbl), out),
+    "coeffs": lambda cfg, w, tbl, out: cmd_coeffs(cfg, w, _bundle(cfg, w, tbl, strict=True), out),
     "verify-all": cmd_verify_all,
-    "rhp-check": cmd_rhp,
+    "rhp-check": lambda cfg, w, tbl, out: cmd_rhp(cfg, w, _bundle(cfg, w, tbl), out),
     "deform": cmd_deform,
     "heine-check": cmd_heine,
 }

@@ -151,7 +151,6 @@ def moment_rebuild(
     traj,
     t: float,
     n: int,
-    window: int | None = None,
     quad: QuadratureConfig = DEFAULT_QUAD,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[DeformState, Bundle]:
@@ -159,12 +158,7 @@ def moment_rebuild(
     (the independent oracle for flowed states)."""
     weight = traj.weight_at(t)
     bundle = build_bundle(
-        weight,
-        n + 2,
-        quad_ns=(n - 1, n) if n >= 1 else (n,),
-        window=window,
-        quad=quad,
-        tol=tol,
+        weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,), quad=quad, tol=tol
     )
     res = assemble_residues(bundle.quads[n], bundle.vw, bundle.sys, n, weight)
     lev = bundle.sys.level(n)
@@ -678,15 +672,13 @@ def isomonodromy_check(
 # Cross-checks tying rates, transfer matrices and the weight motion together
 # ---------------------------------------------------------------------------
 
-def rates_fd_check(
-    traj, n: int, t: float, h: float = 1e-4, window: int | None = None
-) -> dict[str, float]:
+def rates_fd_check(traj, n: int, t: float, h: float = 1e-4) -> dict[str, float]:
     """Finite-difference oracle for the scalar rates: rebuild kappa_n, r_n,
     rbar_n from moments at t -+ h and compare the centered difference with
     the closed-form rates at t."""
-    state_m, _ = moment_rebuild(traj, t - h, n, window=window)
-    state_p, _ = moment_rebuild(traj, t + h, n, window=window)
-    state_0, bundle = moment_rebuild(traj, t, n, window=window)
+    state_m, _ = moment_rebuild(traj, t - h, n)
+    state_p, _ = moment_rebuild(traj, t + h, n)
+    state_0, bundle = moment_rebuild(traj, t, n)
     rates = deformation_rates(
         bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t
     )
@@ -706,16 +698,15 @@ def rates_fd_check(
 
 
 def transfer_rate_check(
-    traj, n: int, t: float, zs: Sequence[complex], h: float = 1e-4,
-    window: int | None = None,
+    traj, n: int, t: float, zs: Sequence[complex], h: float = 1e-4
 ) -> float:
     """Compatibility K-dot_n = B_{n+1} K_n - K_n B_n at sampled z, with
     K-dot by centered differences of rebuilt transfer matrices and B_n(z) =
     B_inf - sum_j zdot_j A_j / (z - z_j)."""
-    _, bundle_m = moment_rebuild(traj, t - h, n + 1, window=window)
-    _, bundle_p = moment_rebuild(traj, t + h, n + 1, window=window)
-    state_n, bundle = moment_rebuild(traj, t, n, window=window)
-    state_np, bundle_hi = moment_rebuild(traj, t, n + 1, window=window)
+    _, bundle_m = moment_rebuild(traj, t - h, n + 1)
+    _, bundle_p = moment_rebuild(traj, t + h, n + 1)
+    state_n, bundle = moment_rebuild(traj, t, n)
+    state_np, bundle_hi = moment_rebuild(traj, t, n + 1)
     rates_n = deformation_rates(bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t)
     rates_np = deformation_rates(
         bundle_hi.sys, bundle_hi.asys, bundle_hi.quads, bundle_hi.vw, traj, n + 1, t

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-Structural failures (validation, missing moments, vanishing Toeplitz
-determinants) are kept distinct from identity failures: the CLI maps the
+Structural failures (validation, missing moments, a system that does not
+exist) are kept distinct from identity failures: the CLI maps the
 former to exit code 2 and the latter to exit code 1.
 """
 
@@ -52,21 +52,23 @@ class QuadratureError(CircleBopsError):
 
 
 class ExistenceError(CircleBopsError):
-    """A Toeplitz determinant I^0_n is numerically zero, so the bi-orthogonal
-    system fails to exist at that level."""
+    """The Toeplitz determinant I0_n vanishes, so the bi-orthogonal system
+    fails to exist at level n: the reflection recursion finds
+    |1 - r rbar| = |I0_n I0_{n-2} / I0_{n-1}^2| (r = r_{n-1}) below the
+    existence floor, or w_0 = I0_1 = 0 at level 1."""
 
-    def __init__(self, n: int, value: complex, floor: float):
+    def __init__(self, n: int, value: float, floor: float):
         self.n = n
         self.value = value
         self.floor = floor
         super().__init__(
             f"bi-orthogonal system does not exist at level {n}: "
-            f"|I0_{n}| = {abs(value):.3e} below existence floor {floor:.3e}"
+            f"|1 - r rbar| = {value:.3e} below existence floor {floor:.3e}"
         )
 
 
 class ConsistencyError(CircleBopsError):
-    """Two independent construction routes disagree beyond tolerance."""
+    """A construction and its independent oracle disagree beyond tolerance."""
 
     def __init__(self, what: str, deviation: float, tol: float):
         self.deviation = deviation

@@ -216,8 +216,14 @@ def verify_matrix_system(
     * the rank-one bilinear form of the residues against the
       coefficient-function form;
     * the four summation identities over the singular points.
+
+    The residue and summation checks run at 100x (the rank-one determinant
+    at 10x) tol.identity.
     """
     rep = IdentityReport(f"matrix system at n={n}")
+    # written as a ratio so that the default tolerances are exactly 1e-7, 1e-8
+    residue_tol = 1e-7 * (tol.identity / DEFAULT_TOL.identity)
+    rank_tol = 1e-8 * (tol.identity / DEFAULT_TOL.identity)
     if wfun is None:
         wfun = lambda z: weight(z)
     quad = quads[n]
@@ -359,7 +365,7 @@ def verify_matrix_system(
             "residue_bilinear_form",
             "an alternative expression for the residue matrices",
             gap,
-            1e-7,
+            residue_tol,
             n=n,
             where=f"z_{j + 1}",
         )
@@ -367,7 +373,7 @@ def verify_matrix_system(
             "residue_rank_one",
             "we find that det A_nj = 0",
             abs(np.linalg.det(res.a[j])) / max(1.0, float(np.max(np.abs(res.a[j]))) ** 2),
-            1e-8,
+            rank_tol,
             n=n,
             where=f"z_{j + 1}",
         )
@@ -377,7 +383,7 @@ def verify_matrix_system(
             "residue_trace",
             "using the identity we note the traces of the residue matrices",
             abs(np.trace(res.a[j]) + want) / max(1.0, abs(want)),
-            1e-7,
+            residue_tol,
             n=n,
             where=f"z_{j + 1}",
         )
@@ -385,7 +391,7 @@ def verify_matrix_system(
         "residue_at_infinity",
         "the regular singularity at infinity",
         res.consistency,
-        1e-7,
+        residue_tol,
         n=n,
     )
 
@@ -418,7 +424,7 @@ def verify_matrix_system(
             name,
             "imply the summation identities",
             rel_residual(got - want, got, want, n),
-            1e-7,
+            residue_tol,
             n=n,
         )
     return rep

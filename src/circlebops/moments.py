@@ -7,10 +7,11 @@ The moments are Fourier coefficients
 
 computed by the trapezoidal rule on a uniform grid (spectrally accurate for
 weights analytic in an annulus around the circle) with adaptive point
-doubling.  Toeplitz determinants I^eps_n = det[w_{-eps+j-k}] use dense LU;
-at the target sizes (n <= 32) conditioning, not speed, is the binding
-constraint, and the LU value doubles as the oracle for the polynomial
-construction routes.
+doubling.  Toeplitz determinants I^eps_n = det[w_{-eps+j-k}] use dense LU.
+They are an oracle only (the toeplitz_ratio_recursion check, the
+determinants CSV, the Heine check and the determinantal representations):
+the bi-orthogonal system is built from Gram solves, and its existence is
+decided by the reflection recursion in `bops`.
 """
 
 from __future__ import annotations
@@ -143,16 +144,6 @@ def weight_from_table(tbl: MomentTable):
 # Toeplitz determinants
 # ---------------------------------------------------------------------------
 
-def toeplitz_matrix(tbl: MomentTable, epsilon: int, n: int) -> np.ndarray:
-    if n == 0:
-        return np.ones((0, 0), dtype=complex)
-    needed = abs(-epsilon) + (n - 1)
-    if needed > tbl.window:
-        raise WindowError(max(n, needed), tbl.window, f"I^{epsilon}_{n}")
-    j = np.arange(n)
-    return tbl.values[(-epsilon + j[:, None] - j[None, :]) + tbl.window]
-
-
 def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> complex:
     """I^eps_n = det [w_{-eps+j-k}]_{0<=j,k<=n-1}; the empty determinant is 1."""
     if epsilon not in (-1, 0, 1):
@@ -161,17 +152,11 @@ def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> complex:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1.0 + 0j
-    mat = toeplitz_matrix(tbl, epsilon, n)
-    return complex(np.linalg.det(mat))
-
-
-def hadamard_scale(tbl: MomentTable, n: int) -> float:
-    """Product of row norms of the I^0_n matrix: natural determinant scale."""
-    if n == 0:
-        return 1.0
-    mat = toeplitz_matrix(tbl, 0, n)
-    norms = np.linalg.norm(mat, axis=1)
-    return float(np.prod(np.maximum(norms, 1e-300)))
+    needed = abs(epsilon) + n - 1
+    if needed > tbl.window:
+        raise WindowError(max(n, needed), tbl.window, f"I^{epsilon}_{n}")
+    j = np.arange(n)
+    return complex(np.linalg.det(tbl.values[(-epsilon + j[:, None] - j[None, :]) + tbl.window]))
 
 
 # ---------------------------------------------------------------------------

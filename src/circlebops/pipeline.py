@@ -32,6 +32,7 @@ class Bundle:
     quads: dict[int, CoeffQuad] = field(default_factory=dict)
     u_poly: np.ndarray | None = None
     u_info: dict | None = None
+    tol: Tolerances = DEFAULT_TOL
 
     def wfun(self):
         if self.weight is not None:
@@ -48,34 +49,35 @@ class Bundle:
         for n in sorted(set(int(n) for n in ns)):
             if n not in self.quads:
                 self.quads[n] = compute_coeff_quad(
-                    self.sys, self.asys, self.vw, n, weight=self.weight
+                    self.sys, self.asys, self.vw, n, weight=self.weight, tol=self.tol
                 )
+
+
+def moment_table(
+    source: SemiClassicalWeight | MomentTable, nmax: int, quad: QuadratureConfig = DEFAULT_QUAD
+) -> MomentTable:
+    """The moment table a bundle of levels 0..nmax is built on: a raw table
+    as given, or a weight's moments on the window max(nmax + 2, 48)."""
+    if isinstance(source, MomentTable):
+        return source
+    return compute_moments(source, max(nmax + 2, 48), quad)
 
 
 def build_bundle(
     source: SemiClassicalWeight | MomentTable,
     nmax: int,
     quad_ns: Sequence[int] = (),
-    window: int | None = None,
-    method: str = "gram_lu",
     quad: QuadratureConfig = DEFAULT_QUAD,
     tol: Tolerances = DEFAULT_TOL,
     recover_u_poly: bool = False,
 ) -> Bundle:
     """Build levels 0..nmax (plus the moment table when given a weight) and,
     for strict weights, the requested coefficient-function quadruples."""
-    if isinstance(source, MomentTable):
-        table = source
-        weight = None
-    else:
-        weight = source
-        if window is None:
-            window = max(nmax + 2, 48)
-        table = compute_moments(weight, window, quad)
-
-    sys = build_system(table, nmax, method=method, tol=tol)
+    table = moment_table(source, nmax, quad)
+    weight = None if isinstance(source, MomentTable) else source
+    sys = build_system(table, nmax, tol=tol)
     asys = AssocSystem(sys, table, tol)
-    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight)
+    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight, tol=tol)
 
     if weight is not None:
         bundle.vw = build_vw(weight)

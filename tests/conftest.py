@@ -60,7 +60,7 @@ def laurent_callable(z):
 @pytest.fixture(scope="session")
 def lebesgue():
     table = table_from_moments([(0, 1.0)], window=12)
-    sys = build_system(table, 8, method="both")
+    sys = build_system(table, 8)
     return {"table": table, "sys": sys, "asys": AssocSystem(sys)}
 
 
@@ -70,7 +70,7 @@ def laurent():
         (Singularity(0, -1), Singularity(-1, 2)), strict=False
     )
     table = closed_form_table({-1: 1.0, 0: 2.0, 1: 1.0}, window=12)
-    sys = build_system(table, 8, method="both")
+    sys = build_system(table, 8)
     return {
         "weight": weight,
         "table": table,
@@ -88,7 +88,7 @@ def strict():
     )
     vw = build_vw(weight)
     table = compute_moments(weight, 48)
-    sys = build_system(table, 7, method="both")
+    sys = build_system(table, 7)
     asys = AssocSystem(sys, table)
     quads = {n: compute_coeff_quad(sys, asys, vw, n, weight=weight) for n in range(6)}
     f_eval = CaratheodoryEvaluator(table)

@@ -66,7 +66,7 @@ def laurent_callable(z):
 def test_criterion_1_lebesgue_suite():
     start = time.perf_counter()
     table = table_from_moments([(0, 1.0)], window=12)
-    sys = build_system(table, 8, method="both")
+    sys = build_system(table, 8)
     asys = AssocSystem(sys, table)
 
     worst = 0.0
@@ -101,7 +101,7 @@ def test_criterion_1_lebesgue_suite():
 def test_criterion_2_laurent_oracle_suite():
     start = time.perf_counter()
     table = closed_form_table({-1: 1.0, 0: 2.0, 1: 1.0}, window=12)
-    sys = build_system(table, 8, method="both")
+    sys = build_system(table, 8)
     worst = 0.0
     for n in range(9):
         worst = max(worst, abs(toeplitz_det(table, 0, n) - (n + 1)))

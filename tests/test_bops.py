@@ -12,7 +12,7 @@ from circlebops.bops import (
     verify_scalar_identities,
 )
 from circlebops.errors import ExistenceError, WindowError
-from circlebops.moments import compute_moments, table_from_moments
+from circlebops.moments import compute_moments, table_from_moments, toeplitz_det
 from circlebops.numerics import circle_samples, rel_residual
 
 from conftest import laurent_callable
@@ -104,8 +104,9 @@ class TestStrictWeight:
 
     def test_kappa_squared_matches_determinant_ratio(self, strict):
         sys = strict["sys"]
+        i0 = [toeplitz_det(sys.table, 0, n) for n in range(9)]
         for n in range(8):
-            assert abs(sys.kappa(n) ** 2 - sys.i0[n] / sys.i0[n + 1]) < 1e-12
+            assert abs(sys.kappa(n) ** 2 - i0[n] / i0[n + 1]) < 1e-12
 
 
 class TestDetRepOracle:
@@ -136,6 +137,19 @@ class TestExistence:
             build_system(tbl, 4)
         assert err.value.n == 2
 
+    def test_zero_mean_fails_at_level_one(self):
+        tbl = table_from_moments([(-1, 1.0), (0, 0.0), (1, 1.0)], window=4)
+        with pytest.raises(ExistenceError) as err:
+            build_system(tbl, 2)
+        assert err.value.n == 1
+
+    def test_flagship_exists_through_level_64(self, strict):
+        # the recursion's |1 - r_n rbar_n| stays above 0.13 through N = 64
+        sys = build_system(compute_moments(strict["weight"], 66), 64)
+        assert sys.nmax == 64
+        assert sys.cross_check_deviation < 1e-8
+        assert sys.existence_log == []
+
     def test_window_too_small(self):
         tbl = table_from_moments([(0, 1.0)], window=3)
         with pytest.raises(WindowError):
@@ -158,7 +172,7 @@ def abs_square_plus_one_table(seed=7, degree=6, window=40):
 @pytest.fixture(scope="module", params=["flagship", "raw"])
 def level32(request, strict):
     table = compute_moments(strict["weight"], 48) if request.param == "flagship" else abs_square_plus_one_table()
-    return build_system(table, 32, method="both")
+    return build_system(table, 32)
 
 
 def reference_web(sys, samples):

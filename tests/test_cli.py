@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from circlebops import deform, pipeline
 from circlebops.bops import build_system
 from circlebops.cli import main, parse_weight_spec
+from circlebops.config import DEFAULT_TOL
 from circlebops.moments import closed_form_table
 
 
@@ -126,6 +128,23 @@ class TestExitCodes:
         weight = write(tmp_path, "degen.json", payload)
         assert main(["build", "--weight", weight, "--n", "4", "--out", str(tmp_path)]) == 2
 
+    def test_build_past_the_ceiling_exits_one(self, tmp_path):
+        # the system exists at N = 40; double-precision orthonormality fails
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        assert main(["build", "--weight", weight, "--n", "40", "--out", str(tmp_path / "b")]) == 1
+        report = json.loads((tmp_path / "b" / "identity_report.json").read_text())
+        assert "orthonormality" in {e["name"] for e in report["entries"] if not e["passed"]}
+
+    def test_moments_on_degenerate_table_exits_zero(self, tmp_path):
+        # the all-ones table has no system from level 2 on; moments builds none
+        payload = {"moments": [[k, 1.0, 0.0] for k in range(-8, 9)]}
+        weight = write(tmp_path, "degen.json", payload)
+        assert main(["moments", "--weight", weight, "--n", "4", "--out", str(tmp_path / "m")]) == 0
+        with open(tmp_path / "m" / "determinants.csv", newline="") as fh:
+            rows = {(r[0], r[1]): complex(float(r[2]), float(r[3])) for r in list(csv.reader(fh))[1:]}
+        assert rows[("0", "1")] == 1.0
+        assert abs(rows[("0", "2")]) < 1e-15
+
     def test_window_too_small_exits_two(self, tmp_path):
         payload = {"moments": [[-1, 1.0, 0.0], [0, 2.0, 0.0], [1, 1.0, 0.0]]}
         weight = write(tmp_path, "small.json", payload)
@@ -213,6 +232,68 @@ class TestDeterminism:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, name
+
+
+class TestOneBundle:
+    ARGS = ["--n", "3", "--seed", "5", "--quad-points", "512", "--tol", "2"]
+
+    @pytest.mark.parametrize(
+        "spec, commands",
+        [
+            (STRICT_SPEC, ("build", "assoc", "coeffs", "rhp-check")),
+            (LAURENT_SPEC, ("build", "assoc", "rhp-check")),
+        ],
+        ids=["flagship", "laurent"],
+    )
+    def test_verify_all_files_match_subcommands(self, tmp_path, spec, commands):
+        weight = write(tmp_path, "w.json", spec)
+        argv = ["--weight", weight] + self.ARGS
+        assert main(["verify-all"] + argv + ["--out", str(tmp_path / "all")]) == 0
+        for command in commands:
+            solo = tmp_path / command
+            assert main([command] + argv + ["--out", str(solo)]) == 0
+            for path in solo.iterdir():
+                assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes(), (
+                    command, path.name,
+                )
+
+    def test_verify_all_builds_one_bundle(self, tmp_path, monkeypatch):
+        calls = []
+        real = pipeline.compute_moments
+        monkeypatch.setattr(
+            pipeline, "compute_moments", lambda *a, **k: calls.append(a) or real(*a, **k)
+        )
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        assert main(["verify-all", "--weight", weight, "--n", "2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_quadrature_and_tolerances_reach_every_suite(self, tmp_path, monkeypatch):
+        quads, tols = [], []
+        for module in (pipeline, deform):
+            real = module.compute_moments
+
+            def moments(w, window, quad, real=real):
+                quads.append(quad)
+                return real(w, window, quad)
+
+            monkeypatch.setattr(module, "compute_moments", moments)
+        real_quad = pipeline.compute_coeff_quad
+
+        def coeff_quad(*args, tol, **kwargs):
+            tols.append(tol)
+            return real_quad(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_coeff_quad", coeff_quad)
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        traj = write(tmp_path, "t.json", TRAJ_SPEC)
+        argv = ["--weight", weight, "--n", "2", "--quad-points", "512", "--tol", "2"]
+        for command in ("moments", "build", "assoc", "coeffs", "verify-all",
+                        "rhp-check", "deform", "heine-check"):
+            quads.clear()
+            extra = ["--trajectory", traj, "--steps", "16"] if command == "deform" else []
+            assert main([command] + argv + extra + ["--out", str(tmp_path / command)]) in (0, 1)
+            assert quads and all(q.start_points == 512 for q in quads), command
+        assert tols and all(t == DEFAULT_TOL.scaled(2.0) for t in tols)
 
 
 class TestIdentityFailureExit:
