@@ -20,6 +20,11 @@ The monodromy of the system about each singularity is encoded in the
 coefficient C_j of the local decomposition F = f_j + C_j w of the
 Caratheodory transform (f_j the holomorphic ODE solution); C_j is extracted
 by ring least squares and must be constant along any flow.
+
+A flow is checked against itself by Richardson step halving.  The check's
+step count is halved downward from the flow's own until the endpoint change
+clears round-off, so its ratio reads as the order (16 for RK4) and the
+check integrates fewer RK4 steps than the flow it checks.
 """
 
 from __future__ import annotations
@@ -34,11 +39,9 @@ from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
 from .errors import GeometryError, SingularResidueError, WeightValidationError
-from .lax import ResidueSet, assemble_residues, k_matrix
+from .lax import assemble_residues
 from .moments import CaratheodoryEvaluator, compute_moments
-from .numerics import rel_residual
 from .pipeline import Bundle, build_bundle
-from .report import IdentityReport
 from .weight import PolyPair, SemiClassicalWeight, eval_weight
 
 
@@ -87,19 +90,6 @@ class LinearTrajectory:
                         f"trajectory collides singularities {i + 1} and {k + 1} at t={t}"
                     )
         return self.weight0.with_locations(locs)
-
-
-def weight_logderivative_rate(traj, t: float, z) -> np.ndarray:
-    """d/dt log w(z; t) = -sum_j rho_j zdot_j / (z - z_j(t))."""
-    zs = np.asarray(z, dtype=complex)
-    locs = traj.locations(t)
-    vel = traj.velocities(t)
-    rhos = traj.weight0.exponents
-    out = np.zeros_like(zs)
-    for zj, zdot, rho in zip(locs, vel, rhos):
-        if zdot != 0:
-            out = out - rho * zdot / (zs - zj)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,150 +349,20 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
     )
 
 
-def schlesinger_component_check(
-    sys: BopsSystem,
-    quads: dict[int, CoeffQuad],
-    vw: PolyPair,
-    traj,
-    n: int,
-    t: float,
-    rates: RatesRecord,
-    residues: ResidueSet,
-    tol: float = 1e-8,
-) -> IdentityReport:
-    """The component forms of the Schlesinger derivatives (written in
-    coefficient-function evaluations at the singular points) against the
-    matrix-form right-hand side, entry by entry."""
-    rep = IdentityReport(f"Schlesinger component forms at n={n}")
-    locs = traj.locations(t)
-    vel = traj.velocities(t)
-    rhos = traj.weight0.exponents
-    lev, lp = sys.level(n), sys.level(n + 1)
-    quad = quads[n]
-    kdot = rates.kdot_over_k
-    dkb = rates.d_kappa_phibar0
-    state = DeformState(
-        t=t, n=n, a=residues.a, a_inf=residues.a_inf,
-        kappa=lev.kappa, r=lev.r, rbar=lev.rbar,
-    )
-    rhs = schlesinger_rhs(state, traj, t)
-    anchor = "we find the following independent derivatives in component form"
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    # The component reductions below hold for the non-origin singularities
-    # (they use Omega* - Omega = -(kappa_{n+1}/kappa_n)(z Theta - Theta*) at
-    # a point with W = 0, z != 0); the origin's commutator term carries the
-    # extra n W'(0) of that identity and is added with its exact residue
-    # matrix instead.
-    for j in range(1, len(locs)):
-        zj = complex(locs[j])
-        vj = vw.v_eval(zj)
-        pref = rhos[j] / (2.0 * vj)
-        cross_a = 0j
-        cross_b = 0j
-        cross_c = 0j
-        origin = np.zeros((2, 2), dtype=complex)
-        for k in range(len(locs)):
-            if k == j:
-                continue
-            zk = complex(locs[k])
-            coeff = (vel[j] - vel[k]) / (zj - zk)
-            if coeff == 0:
-                continue
-            if k == 0:
-                origin = origin + coeff * comm(residues.a[0], residues.a[j])
-                continue
-            vk = vw.v_eval(zk)
-            pk = rhos[k] / (2.0 * vk)
-            cross_a += pk * coeff * (
-                zk * quad.ths(zk) * quad.th(zj) - zj * quad.th(zk) * quad.ths(zj)
-            )
-            cross_b += pk * coeff * (
-                quad.th(zk) * (quad.om(zj) - lp.kappa / lev.kappa * zj * quad.th(zj))
-                - quad.th(zj) * (quad.om(zk) - lp.kappa / lev.kappa * zk * quad.th(zk))
-            )
-            cross_c += pk * coeff * (
-                zk * quad.ths(zk) * (quad.oms(zj) - lp.kappa / lev.kappa * quad.ths(zj))
-                - zj * quad.ths(zj) * (quad.oms(zk) - lp.kappa / lev.kappa * quad.ths(zk))
-            )
-
-        # the B_inf term of the first component enters with + (it is
-        # -A_j[0,1] B_inf[1,0] of the commutator, and the displayed bracket
-        # is -A_j[0,0])
-        comp_a = (
-            pref * lp.phi0 / lev.kappa**3 * dkb * quad.th(zj)
-            - pref * lp.phi0 * lp.phibar0 / lev.kappa**2 * cross_a
-            - origin[0, 0]
-        )
-        rep.add(
-            "schlesinger_component_a",
-            anchor,
-            rel_residual(comp_a - (-rhs.da[j][0, 0]), comp_a, rhs.da[j][0, 0]),
-            tol,
-            n=n,
-            where=f"z_{j + 1}",
-        )
-        comp_b = (
-            rhos[j] / vj * lp.phi0 / lev.kappa * (kdot * quad.th(zj) + cross_b)
-            + origin[0, 1]
-        )
-        rep.add(
-            "schlesinger_component_b",
-            anchor,
-            rel_residual(comp_b - rhs.da[j][0, 1], comp_b, rhs.da[j][0, 1]),
-            tol,
-            n=n,
-            where=f"z_{j + 1}",
-        )
-        comp_c = (
-            rhos[j]
-            / vj
-            * lp.phibar0
-            / lev.kappa
-            * (
-                -kdot * zj * quad.ths(zj)
-                + dkb / (lev.kappa * lp.phibar0)
-                * (quad.oms(zj) - lp.kappa / lev.kappa * quad.ths(zj))
-                - cross_c
-            )
-            - origin[1, 0]
-        )
-        rep.add(
-            "schlesinger_component_c",
-            anchor,
-            rel_residual(comp_c - (-rhs.da[j][1, 0]), comp_c, rhs.da[j][1, 0]),
-            tol,
-            n=n,
-            where=f"z_{j + 1}",
-        )
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # Flow integration (classic fixed-step RK4 with Richardson monitoring)
 # ---------------------------------------------------------------------------
 
-def integrate_flow(
-    initial: DeformState,
-    traj,
-    t_span: tuple[float, float],
-    steps: int,
-) -> list[DeformState]:
+def _rk4_steps(initial: DeformState, traj, t_span: tuple[float, float], steps: int):
     """Fixed-step fourth-order Runge-Kutta on the packed Schlesinger state;
-    returns the state at every grid time (steps + 1 entries).  The
-    time-only coefficients are computed once per grid time and midpoint."""
+    yields (t, packed state) after every step.  The time-only coefficients
+    are computed once per grid time and midpoint."""
     t0, t1 = t_span
     if steps < 1:
         raise ValueError("steps must be positive")
-    if t1 == t0:
-        return [initial]
     m = len(initial.a)
-    n = initial.n
     h = (t1 - t0) / steps
     half = 0.5 * h
-    out = [DeformState.unpack(t0, n, m, initial.pack(), "schlesinger_flow")]
     y = initial.pack().tolist()
     coef = _flow_coefficients(traj, t0, m)
     for step in range(steps):
@@ -521,24 +381,74 @@ def integrate_flow(
         packed = np.array(y)
         if not np.isfinite(packed).all():
             raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
-        out.append(DeformState.unpack(t_next, n, m, packed, "schlesinger_flow"))
+        yield t_next, packed
+
+
+def integrate_flow(
+    initial: DeformState,
+    traj,
+    t_span: tuple[float, float],
+    steps: int,
+) -> list[DeformState]:
+    """Fixed-step RK4 on the packed Schlesinger state; returns the state at
+    every grid time (steps + 1 entries)."""
+    t0, t1 = t_span
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    if t1 == t0:
+        return [initial]
+    m, n = len(initial.a), initial.n
+    out = [DeformState.unpack(t0, n, m, initial.pack(), "schlesinger_flow")]
+    for t, packed in _rk4_steps(initial, traj, t_span, steps):
+        out.append(DeformState.unpack(t, n, m, packed, "schlesinger_flow"))
     return out
 
 
-def flow_convergence(states: Sequence[DeformState], traj) -> dict[str, float]:
-    """Richardson step-halving monitor on a flow returned by integrate_flow:
-    endpoint changes under halving from steps/2 -> steps and steps ->
-    2*steps, and their ratio (16 for a clean fourth-order integrator).  The
-    flow's own endpoint is the steps one; only the other two are integrated."""
-    initial, mid = states[0], states[-1]
-    t_span = (initial.t, mid.t)
+def flow_endpoint(
+    initial: DeformState, traj, t_span: tuple[float, float], steps: int
+) -> np.ndarray:
+    """The packed state integrate_flow reaches at t_span[1], bit for bit,
+    without keeping the states on the way."""
+    for _, packed in _rk4_steps(initial, traj, t_span, steps):
+        pass
+    return packed
+
+
+def flow_convergence(states: Sequence[DeformState], traj) -> dict:
+    """Richardson step-halving monitor on a flow returned by integrate_flow.
+
+    With the flow's own endpoint as y_2s (s = steps // 2), fine = |y_s - y_2s|
+    and coarse = |y_{s/2} - y_s|; their ratio is 16 for a clean fourth-order
+    integrator.  Below 100 ulps of the largest endpoint entry both are
+    round-off and the ratio says nothing, so s is halved until fine clears
+    that floor (``resolved``) or s = 1.  ``steps`` is the s used: fine
+    estimates the error of an s-step flow, no finer than the flow itself.
+    At s = 1 there is no coarser grid, so coarse and the ratio are 0; a
+    one-step flow is compared with a two-step one."""
+    initial, end = states[0], states[-1]
+    if len(states) == 1:
+        return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
+    t_span = (initial.t, end.t)
     steps = len(states) - 1
-    coarse = integrate_flow(initial, traj, t_span, max(1, steps // 2))[-1]
-    fine = integrate_flow(initial, traj, t_span, max(1, 2 * steps))[-1]
-    err_coarse = state_gap(coarse, mid)
-    err_fine = state_gap(mid, fine)
-    ratio = err_coarse / err_fine if err_fine > 0 else float("inf")
-    return {"coarse": err_coarse, "fine": err_fine, "ratio": ratio}
+    ends = {steps: end.pack()}
+
+    def at(k: int) -> np.ndarray:
+        if k not in ends:
+            ends[k] = flow_endpoint(initial, traj, t_span, k)
+        return ends[k]
+
+    def gap(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.max(np.abs(a - b)))
+
+    floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
+    s, hi = (steps // 2, steps) if steps > 1 else (1, 2)
+    fine = gap(at(s), at(hi))
+    while fine < floor and s >= 2:
+        s, hi = s // 2, s
+        fine = gap(at(s), at(hi))
+    coarse = gap(at(s // 2), at(s)) if s >= 2 else 0.0
+    ratio = coarse / fine if fine > 0 else float("inf")
+    return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
 
 
 def flow_invariants(states: Sequence[DeformState]) -> dict[str, float]:
@@ -666,80 +576,3 @@ def isomonodromy_check(
             )
         )
     return records
-
-
-# ---------------------------------------------------------------------------
-# Cross-checks tying rates, transfer matrices and the weight motion together
-# ---------------------------------------------------------------------------
-
-def rates_fd_check(traj, n: int, t: float, h: float = 1e-4) -> dict[str, float]:
-    """Finite-difference oracle for the scalar rates: rebuild kappa_n, r_n,
-    rbar_n from moments at t -+ h and compare the centered difference with
-    the closed-form rates at t."""
-    state_m, _ = moment_rebuild(traj, t - h, n)
-    state_p, _ = moment_rebuild(traj, t + h, n)
-    state_0, bundle = moment_rebuild(traj, t, n)
-    rates = deformation_rates(
-        bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t
-    )
-    fd = {
-        "kappa": (state_p.kappa - state_m.kappa) / (2.0 * h),
-        "r": (state_p.r - state_m.r) / (2.0 * h),
-        "rbar": (state_p.rbar - state_m.rbar) / (2.0 * h),
-    }
-    closed = {
-        "kappa": rates.kdot_over_k * state_0.kappa,
-        "r": rates.rdot,
-        "rbar": rates.rbardot,
-    }
-    return {
-        key: abs(fd[key] - closed[key]) / max(1.0, abs(closed[key])) for key in fd
-    }
-
-
-def transfer_rate_check(
-    traj, n: int, t: float, zs: Sequence[complex], h: float = 1e-4
-) -> float:
-    """Compatibility K-dot_n = B_{n+1} K_n - K_n B_n at sampled z, with
-    K-dot by centered differences of rebuilt transfer matrices and B_n(z) =
-    B_inf - sum_j zdot_j A_j / (z - z_j)."""
-    _, bundle_m = moment_rebuild(traj, t - h, n + 1)
-    _, bundle_p = moment_rebuild(traj, t + h, n + 1)
-    state_n, bundle = moment_rebuild(traj, t, n)
-    state_np, bundle_hi = moment_rebuild(traj, t, n + 1)
-    rates_n = deformation_rates(bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t)
-    rates_np = deformation_rates(
-        bundle_hi.sys, bundle_hi.asys, bundle_hi.quads, bundle_hi.vw, traj, n + 1, t
-    )
-    locs = traj.locations(t)
-    vel = traj.velocities(t)
-
-    def b_matrix(rates, state, z):
-        out = rates.b_inf.copy()
-        for zj, zdot, aj in zip(locs, vel, state.a):
-            if zdot != 0:
-                out = out - zdot / (z - zj) * aj
-        return out
-
-    worst = 0.0
-    for z in zs:
-        kd = (k_matrix(bundle_p.sys, n, z) - k_matrix(bundle_m.sys, n, z)) / (2.0 * h)
-        rhs = b_matrix(rates_np, state_np, z) @ k_matrix(bundle.sys, n, z) - k_matrix(
-            bundle.sys, n, z
-        ) @ b_matrix(rates_n, state_n, z)
-        worst = max(worst, rel_residual(kd - rhs, kd, rhs))
-    return worst
-
-
-def weight_rate_check(traj, t: float, zs: Sequence[complex], h: float = 1e-5) -> float:
-    """d/dt log w against -sum rho_j zdot_j/(z - z_j) by finite differences
-    of the weight along the trajectory."""
-    w_m = traj.weight_at(t - h)
-    w_p = traj.weight_at(t + h)
-    w_0 = traj.weight_at(t)
-    worst = 0.0
-    for z in zs:
-        fd = (eval_weight(w_p, z) - eval_weight(w_m, z)) / (2.0 * h * eval_weight(w_0, z))
-        want = complex(weight_logderivative_rate(traj, t, z))
-        worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
-    return worst

@@ -1,13 +1,33 @@
-"""Sampled oracles for the exact series routes of the package: a literal
+"""Test-only oracles.
+
+Sampled oracles for the exact series routes of the package: a literal
 central difference for derivatives and an FFT read of Laurent coefficients.
 Both evaluate the function under test on whole arrays of points, so any
-array-shaped evaluator can be checked against them."""
+array-shaped evaluator can be checked against them.
+
+Deformation oracles: the component forms of the Schlesinger derivatives,
+and finite differences of rebuilt states, transfer matrices and weights
+along a trajectory against the closed-form rates."""
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
+
+from circlebops.bops import BopsSystem
+from circlebops.coeffs import CoeffQuad
+from circlebops.deform import (
+    DeformState,
+    RatesRecord,
+    deformation_rates,
+    moment_rebuild,
+    schlesinger_rhs,
+)
+from circlebops.lax import ResidueSet, k_matrix
+from circlebops.numerics import rel_residual
+from circlebops.report import IdentityReport
+from circlebops.weight import PolyPair, eval_weight
 
 
 def central_diff(f: Callable, z, step: float = 1e-6):
@@ -42,3 +62,210 @@ def laurent_coefficients(
     samples = np.asarray(f(zs), dtype=complex)
     hat = np.fft.fft(samples) / p
     return {int(k): complex(hat[int(k) % p] * radius ** (-int(k))) for k in orders}
+
+
+def weight_logderivative_rate(traj, t: float, z) -> np.ndarray:
+    """d/dt log w(z; t) = -sum_j rho_j zdot_j / (z - z_j(t))."""
+    zs = np.asarray(z, dtype=complex)
+    locs = traj.locations(t)
+    vel = traj.velocities(t)
+    rhos = traj.weight0.exponents
+    out = np.zeros_like(zs)
+    for zj, zdot, rho in zip(locs, vel, rhos):
+        if zdot != 0:
+            out = out - rho * zdot / (zs - zj)
+    return out
+
+
+def schlesinger_component_check(
+    sys: BopsSystem,
+    quads: dict[int, CoeffQuad],
+    vw: PolyPair,
+    traj,
+    n: int,
+    t: float,
+    rates: RatesRecord,
+    residues: ResidueSet,
+    tol: float = 1e-8,
+) -> IdentityReport:
+    """The component forms of the Schlesinger derivatives (written in
+    coefficient-function evaluations at the singular points) against the
+    matrix-form right-hand side, entry by entry."""
+    rep = IdentityReport(f"Schlesinger component forms at n={n}")
+    locs = traj.locations(t)
+    vel = traj.velocities(t)
+    rhos = traj.weight0.exponents
+    lev, lp = sys.level(n), sys.level(n + 1)
+    quad = quads[n]
+    kdot = rates.kdot_over_k
+    dkb = rates.d_kappa_phibar0
+    state = DeformState(
+        t=t, n=n, a=residues.a, a_inf=residues.a_inf,
+        kappa=lev.kappa, r=lev.r, rbar=lev.rbar,
+    )
+    rhs = schlesinger_rhs(state, traj, t)
+    anchor = "we find the following independent derivatives in component form"
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    # The component reductions below hold for the non-origin singularities
+    # (they use Omega* - Omega = -(kappa_{n+1}/kappa_n)(z Theta - Theta*) at
+    # a point with W = 0, z != 0); the origin's commutator term carries the
+    # extra n W'(0) of that identity and is added with its exact residue
+    # matrix instead.
+    for j in range(1, len(locs)):
+        zj = complex(locs[j])
+        vj = vw.v_eval(zj)
+        pref = rhos[j] / (2.0 * vj)
+        cross_a = 0j
+        cross_b = 0j
+        cross_c = 0j
+        origin = np.zeros((2, 2), dtype=complex)
+        for k in range(len(locs)):
+            if k == j:
+                continue
+            zk = complex(locs[k])
+            coeff = (vel[j] - vel[k]) / (zj - zk)
+            if coeff == 0:
+                continue
+            if k == 0:
+                origin = origin + coeff * comm(residues.a[0], residues.a[j])
+                continue
+            vk = vw.v_eval(zk)
+            pk = rhos[k] / (2.0 * vk)
+            cross_a += pk * coeff * (
+                zk * quad.ths(zk) * quad.th(zj) - zj * quad.th(zk) * quad.ths(zj)
+            )
+            cross_b += pk * coeff * (
+                quad.th(zk) * (quad.om(zj) - lp.kappa / lev.kappa * zj * quad.th(zj))
+                - quad.th(zj) * (quad.om(zk) - lp.kappa / lev.kappa * zk * quad.th(zk))
+            )
+            cross_c += pk * coeff * (
+                zk * quad.ths(zk) * (quad.oms(zj) - lp.kappa / lev.kappa * quad.ths(zj))
+                - zj * quad.ths(zj) * (quad.oms(zk) - lp.kappa / lev.kappa * quad.ths(zk))
+            )
+
+        # the B_inf term of the first component enters with + (it is
+        # -A_j[0,1] B_inf[1,0] of the commutator, and the displayed bracket
+        # is -A_j[0,0])
+        comp_a = (
+            pref * lp.phi0 / lev.kappa**3 * dkb * quad.th(zj)
+            - pref * lp.phi0 * lp.phibar0 / lev.kappa**2 * cross_a
+            - origin[0, 0]
+        )
+        rep.add(
+            "schlesinger_component_a",
+            anchor,
+            rel_residual(comp_a - (-rhs.da[j][0, 0]), comp_a, rhs.da[j][0, 0]),
+            tol,
+            n=n,
+            where=f"z_{j + 1}",
+        )
+        comp_b = (
+            rhos[j] / vj * lp.phi0 / lev.kappa * (kdot * quad.th(zj) + cross_b)
+            + origin[0, 1]
+        )
+        rep.add(
+            "schlesinger_component_b",
+            anchor,
+            rel_residual(comp_b - rhs.da[j][0, 1], comp_b, rhs.da[j][0, 1]),
+            tol,
+            n=n,
+            where=f"z_{j + 1}",
+        )
+        comp_c = (
+            rhos[j]
+            / vj
+            * lp.phibar0
+            / lev.kappa
+            * (
+                -kdot * zj * quad.ths(zj)
+                + dkb / (lev.kappa * lp.phibar0)
+                * (quad.oms(zj) - lp.kappa / lev.kappa * quad.ths(zj))
+                - cross_c
+            )
+            - origin[1, 0]
+        )
+        rep.add(
+            "schlesinger_component_c",
+            anchor,
+            rel_residual(comp_c - (-rhs.da[j][1, 0]), comp_c, rhs.da[j][1, 0]),
+            tol,
+            n=n,
+            where=f"z_{j + 1}",
+        )
+    return rep
+
+
+def rates_fd_check(traj, n: int, t: float, h: float = 1e-4) -> dict[str, float]:
+    """Finite-difference oracle for the scalar rates: rebuild kappa_n, r_n,
+    rbar_n from moments at t -+ h and compare the centered difference with
+    the closed-form rates at t."""
+    state_m, _ = moment_rebuild(traj, t - h, n)
+    state_p, _ = moment_rebuild(traj, t + h, n)
+    state_0, bundle = moment_rebuild(traj, t, n)
+    rates = deformation_rates(
+        bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t
+    )
+    fd = {
+        "kappa": (state_p.kappa - state_m.kappa) / (2.0 * h),
+        "r": (state_p.r - state_m.r) / (2.0 * h),
+        "rbar": (state_p.rbar - state_m.rbar) / (2.0 * h),
+    }
+    closed = {
+        "kappa": rates.kdot_over_k * state_0.kappa,
+        "r": rates.rdot,
+        "rbar": rates.rbardot,
+    }
+    return {
+        key: abs(fd[key] - closed[key]) / max(1.0, abs(closed[key])) for key in fd
+    }
+
+
+def transfer_rate_check(
+    traj, n: int, t: float, zs: Sequence[complex], h: float = 1e-4
+) -> float:
+    """Compatibility K-dot_n = B_{n+1} K_n - K_n B_n at sampled z, with
+    K-dot by centered differences of rebuilt transfer matrices and B_n(z) =
+    B_inf - sum_j zdot_j A_j / (z - z_j)."""
+    _, bundle_m = moment_rebuild(traj, t - h, n + 1)
+    _, bundle_p = moment_rebuild(traj, t + h, n + 1)
+    state_n, bundle = moment_rebuild(traj, t, n)
+    state_np, bundle_hi = moment_rebuild(traj, t, n + 1)
+    rates_n = deformation_rates(bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t)
+    rates_np = deformation_rates(
+        bundle_hi.sys, bundle_hi.asys, bundle_hi.quads, bundle_hi.vw, traj, n + 1, t
+    )
+    locs = traj.locations(t)
+    vel = traj.velocities(t)
+
+    def b_matrix(rates, state, z):
+        out = rates.b_inf.copy()
+        for zj, zdot, aj in zip(locs, vel, state.a):
+            if zdot != 0:
+                out = out - zdot / (z - zj) * aj
+        return out
+
+    worst = 0.0
+    for z in zs:
+        kd = (k_matrix(bundle_p.sys, n, z) - k_matrix(bundle_m.sys, n, z)) / (2.0 * h)
+        rhs = b_matrix(rates_np, state_np, z) @ k_matrix(bundle.sys, n, z) - k_matrix(
+            bundle.sys, n, z
+        ) @ b_matrix(rates_n, state_n, z)
+        worst = max(worst, rel_residual(kd - rhs, kd, rhs))
+    return worst
+
+
+def weight_rate_check(traj, t: float, zs: Sequence[complex], h: float = 1e-5) -> float:
+    """d/dt log w against -sum rho_j zdot_j/(z - z_j) by finite differences
+    of the weight along the trajectory."""
+    w_m = traj.weight_at(t - h)
+    w_p = traj.weight_at(t + h)
+    w_0 = traj.weight_at(t)
+    worst = 0.0
+    for z in zs:
+        fd = (eval_weight(w_p, z) - eval_weight(w_m, z)) / (2.0 * h * eval_weight(w_0, z))
+        want = complex(weight_logderivative_rate(traj, t, z))
+        worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
+    return worst

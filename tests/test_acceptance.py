@@ -231,12 +231,11 @@ def test_criterion_6_deformation_suite():
         inv = flow_invariants(states)
         worst_trace = max(worst_trace, inv["trace_drift"])
         worst_det = max(worst_det, inv["det_max"])
-        # the order is measured on a 16-step flow: at 64 steps the fine
-        # error is round-off (1e-14 at n=1), and so would be the ratio
-        short = integrate_flow(initial, traj, (0.0, 0.1), 16)
-        conv = flow_convergence(short, traj)
+        # a 64-step flow's own error is round-off (1e-14 at n=1); the check
+        # measures the order on the coarser grid where its fine error is not
+        conv = flow_convergence(states, traj)
         ratios.append(conv["ratio"])
-        roundoff = 2.0**-52 * float(np.max(np.abs(short[-1].pack())))
+        roundoff = 2.0**-52 * float(np.max(np.abs(states[-1].pack())))
         above_roundoff = above_roundoff and conv["fine"] >= 100.0 * roundoff
         for rec in isomonodromy_check(states, traj):
             if rec.asserted:

@@ -7,22 +7,25 @@ from circlebops.deform import (
     deformation_rates,
     extract_connection_coefficient,
     flow_convergence,
+    flow_endpoint,
     flow_invariants,
     integrate_flow,
     isomonodromy_check,
     moment_rebuild,
-    rates_fd_check,
-    schlesinger_component_check,
     schlesinger_rhs,
     state_gap,
-    transfer_rate_check,
-    weight_rate_check,
 )
 from circlebops.errors import SingularResidueError, WeightValidationError
 from circlebops.lax import assemble_residues
 from circlebops.weight import SemiClassicalWeight, Singularity
 
 from conftest import close
+from oracles import (
+    rates_fd_check,
+    schlesinger_component_check,
+    transfer_rate_check,
+    weight_rate_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -204,19 +207,34 @@ class TestFlow:
         assert inv["det_max"] < 1e-7
 
     def test_richardson_fourth_order(self, traj, start):
+        # the check halves its step count below the flow's until the fine
+        # error clears round-off: the 64-step flow alone is round-off
+        # (6.6e-14 against 128 steps), so its check resolves on a coarser grid
         state, _ = start
-        # 16 steps keeps the fine error (1.8e-11) well above round-off; at
-        # 64 steps it is 6.6e-14 and the ratio measures round-off
-        states = integrate_flow(state, traj, (0.0, 0.1), 16)
-        conv = flow_convergence(states, traj)
-        assert conv["fine"] < 1e-7
-        assert conv["fine"] >= 100.0 * 2.0**-52 * np.max(np.abs(states[-1].pack()))
-        assert 12.0 <= conv["ratio"] <= 20.0
+        for steps in (16, 64):
+            states = integrate_flow(state, traj, (0.0, 0.1), steps)
+            conv = flow_convergence(states, traj)
+            assert conv["resolved"] is True
+            assert conv["steps"] < steps
+            assert conv["fine"] < 1e-7
+            assert conv["fine"] >= 100.0 * 2.0**-52 * np.max(np.abs(states[-1].pack()))
+            assert 12.0 <= conv["ratio"] <= 20.0
+
+    def test_richardson_one_step(self, traj, start):
+        # no coarser grid than one step: the one-step flow is compared with
+        # a two-step one, never with itself
+        state, _ = start
+        conv = flow_convergence(integrate_flow(state, traj, (0.0, 0.1), 1), traj)
+        assert conv["steps"] == 1
+        assert conv["fine"] > 0.0
+        assert conv["coarse"] == 0.0
 
     def test_richardson_zero_span(self, start):
         state, _ = start
         conv = flow_convergence(integrate_flow(state, None, (0.0, 0.0), 16), None)
-        assert conv == {"coarse": 0.0, "fine": 0.0, "ratio": float("inf")}
+        assert conv == {
+            "coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False
+        }
 
     @pytest.mark.parametrize(
         "target",
@@ -326,8 +344,15 @@ class TestFlowKernel:
             traj = five[0]
         else:
             state = DeformState.unpack(0.0, 2, 3, 1e200 * state.pack(), "scaled")
-        with pytest.raises(error, match=message):
-            integrate_flow(state, traj, (0.0, 0.1), 16)
+        for flow in (integrate_flow, flow_endpoint):
+            with pytest.raises(error, match=message):
+                flow(state, traj, (0.0, 0.1), 16)
+
+    @pytest.mark.parametrize("steps", [1, 2, 16, 64])
+    def test_endpoint_is_flow_endpoint(self, five, steps):
+        traj, state = five
+        end = flow_endpoint(state, traj, (0.0, 0.1), steps)
+        assert np.array_equal(end, integrate_flow(state, traj, (0.0, 0.1), steps)[-1].pack())
 
     def test_invariants_match_per_state_loop(self, traj, start):
         state, _ = start
