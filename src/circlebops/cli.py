@@ -16,7 +16,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,6 @@ class RunConfig:
         return np.random.default_rng(self.seed)
 
     def quad(self):
-        from dataclasses import replace
-
         return replace(DEFAULT_QUAD, start_points=self.quad_points)
 
     def tol(self):
@@ -459,7 +458,9 @@ HANDLERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="circlebops",
         description="Bi-orthogonal polynomials on the unit circle: "

@@ -21,14 +21,16 @@ coefficient C_j of the local decomposition F = f_j + C_j w of the
 Caratheodory transform (f_j the holomorphic ODE solution); C_j is extracted
 by ring least squares and must be constant along any flow.
 
-A flow is checked against itself by Richardson step halving.  The check's
-step count is halved downward from the flow's own until the endpoint change
-clears round-off, so its ratio reads as the order (16 for RK4) and the
-check integrates fewer RK4 steps than the flow it checks.
+A flow is checked against itself by Richardson step halving on a ladder of
+power-of-two step counts, each compared with twice its steps.  The ladder is
+climbed from one step until the endpoint change sinks into round-off, so the
+ratio reads as the order (16 for RK4) and the rungs that only show round-off
+are never integrated.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,17 +70,18 @@ class LinearTrajectory:
         if self.t1 == self.t0:
             raise ValueError("degenerate time interval")
 
-    def locations(self, t: float) -> np.ndarray:
-        locs = self.weight0.locations.copy()
-        frac = (t - self.t0) / (self.t1 - self.t0)
+    def locations(self, t) -> np.ndarray:
+        """z_j(t) for a time or an array of times, shape t.shape + (m,)."""
+        frac = (np.asarray(t, dtype=float) - self.t0) / (self.t1 - self.t0)
+        locs = np.broadcast_to(self.weight0.locations, frac.shape + (self.weight0.m,)).copy()
         start = self.weight0.singularities[self.moving].location
-        locs[self.moving] = start + frac * (complex(self.target) - start)
+        locs[..., self.moving] = start + frac * (complex(self.target) - start)
         return locs
 
-    def velocities(self, t: float) -> np.ndarray:
-        out = np.zeros(self.weight0.m, dtype=complex)
+    def velocities(self, t) -> np.ndarray:
+        out = np.zeros(np.shape(t) + (self.weight0.m,), dtype=complex)
         start = self.weight0.singularities[self.moving].location
-        out[self.moving] = (complex(self.target) - start) / (self.t1 - self.t0)
+        out[..., self.moving] = (complex(self.target) - start) / (self.t1 - self.t0)
         return out
 
     def weight_at(self, t: float) -> SemiClassicalWeight:
@@ -282,27 +285,30 @@ class SchlesingerRhs:
     b_inf: np.ndarray
 
 
-def _flow_coefficients(traj, t: float, m: int):
-    """The factors of the right-hand side that depend on t only: the moving
-    (4j, zdot_j/z_j), sum_j rho_j zdot_j/z_j, and for each packed block
-    (A_1..A_m, A_inf) its nonzero (4k, (zdot_j - zdot_k)/(z_j - z_k))."""
-    locs = np.asarray(traj.locations(t), dtype=complex).tolist()
-    vel = np.asarray(traj.velocities(t), dtype=complex).tolist()
-    rhos = np.asarray(traj.weight0.exponents, dtype=complex).tolist()
-    if len(locs) != m:
+def _flow_table(traj, times, m: int) -> list:
+    """The factors of the right-hand side that depend on t only, at each of
+    ``times`` from one trajectory call: the moving (4j, zdot_j/z_j), sum_j
+    rho_j zdot_j/z_j and, per block A_1..A_m, A_inf, the nonzero (4k, (zdot_j
+    - zdot_k)/(z_j - z_k)).  Python complex division: numpy's rounds apart."""
+    locs = np.asarray(traj.locations(times), dtype=complex)
+    vel = np.asarray(traj.velocities(times), dtype=complex)
+    if locs.shape[-1] != m:
         raise ValueError("state and trajectory disagree on the number of singularities")
-    moving = [j for j in range(m) if vel[j] != 0]
-    if any(locs[j] == 0 for j in moving):
+    locs, vel = locs.reshape(-1, m), vel.reshape(-1, m)
+    if np.any((locs == 0) & (vel != 0)):
         raise SingularResidueError("a moving singularity sits at the origin")
-    if len(set(locs)) < m:
+    if np.any((locs[:, :, None] == locs[:, None, :]) & ~np.eye(m, dtype=bool)):
         raise SingularResidueError("coincident singularities in the Schlesinger sum")
-    ratios = [(4 * j, vel[j] / locs[j]) for j in moving]
-    sum_rho_zdot = sum((rhos[b // 4] * ratio for b, ratio in ratios), 0j)
-    pairs = [
-        [(4 * k, (vel[j] - vel[k]) / (locs[j] - locs[k])) for k in range(m) if vel[k] != vel[j]]
-        for j in range(m)
-    ] + [[]]  # dA_inf/dt = [B_inf, A_inf]
-    return ratios, sum_rho_zdot, pairs
+    rhos = np.asarray(traj.weight0.exponents, dtype=complex).tolist()
+    table = []
+    for zs, vs in zip(locs.tolist(), vel.tolist()):
+        ratios = [(4 * j, vs[j] / zs[j]) for j in range(m) if vs[j] != 0]
+        pairs = [
+            [(4 * k, (vs[j] - vs[k]) / (zs[j] - zs[k])) for k in range(m) if vs[k] != vs[j]]
+            for j in range(m)
+        ] + [[]]  # dA_inf/dt = [B_inf, A_inf]
+        table.append((ratios, sum((rhos[b // 4] * r for b, r in ratios), 0j), pairs))
+    return table
 
 
 def _rhs(y: list, m: int, coef) -> tuple[list, complex, complex]:
@@ -341,7 +347,7 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
     matrices themselves: every bilinear residue sum entering them is, up to
     zdot_j/z_j weights, a sum of A_j entries."""
     m = len(state.a)
-    dy, kdot, b10 = _rhs(state.pack().tolist(), m, _flow_coefficients(traj, t, m))
+    dy, kdot, b10 = _rhs(state.pack().tolist(), m, _flow_table(traj, t, m)[0])
     b_inf = np.array([[kdot, 0.0], [b10, -kdot]], dtype=complex)
     blocks = np.array(dy[: 4 * m + 4])
     return SchlesingerRhs(
@@ -355,20 +361,20 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
 
 def _rk4_steps(initial: DeformState, traj, t_span: tuple[float, float], steps: int):
     """Fixed-step fourth-order Runge-Kutta on the packed Schlesinger state;
-    yields (t, packed state) after every step.  The time-only coefficients
-    are computed once per grid time and midpoint."""
+    yields (t, packed state as a list) after every step.  The time-only
+    coefficients of every grid time and midpoint come from one table."""
     t0, t1 = t_span
     if steps < 1:
         raise ValueError("steps must be positive")
     m = len(initial.a)
     h = (t1 - t0) / steps
     half = 0.5 * h
+    grid = [t0 + (step + 1) * h for step in range(steps - 1)] + [t1]
+    times = [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + half, t_next)]
+    table = _flow_table(traj, np.array(times), m)
     y = initial.pack().tolist()
-    coef = _flow_coefficients(traj, t0, m)
-    for step in range(steps):
-        t_next = t1 if step == steps - 1 else t0 + (step + 1) * h
-        coef_mid = _flow_coefficients(traj, t0 + step * h + half, m)
-        coef_next = _flow_coefficients(traj, t_next, m)
+    for step, t_next in enumerate(grid):
+        coef, coef_mid, coef_next = table[2 * step : 2 * step + 3]
         k1 = _rhs(y, m, coef)[0]
         k2 = _rhs([a + half * b for a, b in zip(y, k1)], m, coef_mid)[0]
         k3 = _rhs([a + half * b for a, b in zip(y, k2)], m, coef_mid)[0]
@@ -377,18 +383,13 @@ def _rk4_steps(initial: DeformState, traj, t_span: tuple[float, float], steps: i
             a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         ]
-        coef = coef_next
-        packed = np.array(y)
-        if not np.isfinite(packed).all():
+        if not all(map(cmath.isfinite, y)):
             raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
-        yield t_next, packed
+        yield t_next, y
 
 
 def integrate_flow(
-    initial: DeformState,
-    traj,
-    t_span: tuple[float, float],
-    steps: int,
+    initial: DeformState, traj, t_span: tuple[float, float], steps: int
 ) -> list[DeformState]:
     """Fixed-step RK4 on the packed Schlesinger state; returns the state at
     every grid time (steps + 1 entries)."""
@@ -399,8 +400,8 @@ def integrate_flow(
         return [initial]
     m, n = len(initial.a), initial.n
     out = [DeformState.unpack(t0, n, m, initial.pack(), "schlesinger_flow")]
-    for t, packed in _rk4_steps(initial, traj, t_span, steps):
-        out.append(DeformState.unpack(t, n, m, packed, "schlesinger_flow"))
+    for t, y in _rk4_steps(initial, traj, t_span, steps):
+        out.append(DeformState.unpack(t, n, m, np.array(y), "schlesinger_flow"))
     return out
 
 
@@ -409,22 +410,22 @@ def flow_endpoint(
 ) -> np.ndarray:
     """The packed state integrate_flow reaches at t_span[1], bit for bit,
     without keeping the states on the way."""
-    for _, packed in _rk4_steps(initial, traj, t_span, steps):
+    for _, y in _rk4_steps(initial, traj, t_span, steps):
         pass
-    return packed
+    return np.array(y)
 
 
 def flow_convergence(states: Sequence[DeformState], traj) -> dict:
     """Richardson step-halving monitor on a flow returned by integrate_flow.
 
-    With the flow's own endpoint as y_2s (s = steps // 2), fine = |y_s - y_2s|
-    and coarse = |y_{s/2} - y_s|; their ratio is 16 for a clean fourth-order
-    integrator.  Below 100 ulps of the largest endpoint entry both are
-    round-off and the ratio says nothing, so s is halved until fine clears
-    that floor (``resolved``) or s = 1.  ``steps`` is the s used: fine
-    estimates the error of an s-step flow, no finer than the flow itself.
-    At s = 1 there is no coarser grid, so coarse and the ratio are 0; a
-    one-step flow is compared with a two-step one."""
+    The rungs s are the powers of two with 2s <= steps (s = 1 for a one-step
+    flow); fine = |y_s - y_2s| and coarse = |y_{s/2} - y_s| read 16 for a
+    clean fourth-order integrator, but below 100 ulps of the largest endpoint
+    entry they are round-off.  The ladder is climbed from s = 1 and stops
+    below the first rung whose fine is under that floor, or at the top;
+    ``resolved`` says whether fine cleared it and ``steps`` is the s used.
+    The flow's own endpoint is y_2s when 2s = steps.  At s = 1 there is no
+    coarser grid, so coarse and the ratio are 0."""
     initial, end = states[0], states[-1]
     if len(states) == 1:
         return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
@@ -437,16 +438,14 @@ def flow_convergence(states: Sequence[DeformState], traj) -> dict:
             ends[k] = flow_endpoint(initial, traj, t_span, k)
         return ends[k]
 
-    def gap(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.max(np.abs(a - b)))
+    def fine_at(s: int) -> float:
+        return float(np.max(np.abs(at(s) - at(2 * s))))
 
     floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
-    s, hi = (steps // 2, steps) if steps > 1 else (1, 2)
-    fine = gap(at(s), at(hi))
-    while fine < floor and s >= 2:
-        s, hi = s // 2, s
-        fine = gap(at(s), at(hi))
-    coarse = gap(at(s // 2), at(s)) if s >= 2 else 0.0
+    top = 1 << max(steps.bit_length() - 2, 0)
+    s, coarse, fine = 1, 0.0, fine_at(1)
+    while fine >= floor and s < top and (finer := fine_at(2 * s)) >= floor:
+        s, coarse, fine = 2 * s, fine, finer
     ratio = coarse / fine if fine > 0 else float("inf")
     return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
 

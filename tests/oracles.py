@@ -6,8 +6,9 @@ Both evaluate the function under test on whole arrays of points, so any
 array-shaped evaluator can be checked against them.
 
 Deformation oracles: the component forms of the Schlesinger derivatives,
-and finite differences of rebuilt states, transfer matrices and weights
-along a trajectory against the closed-form rates."""
+finite differences of rebuilt states, transfer matrices and weights along a
+trajectory against the closed-form rates, and the top-down Richardson rule
+that the upward ladder of ``flow_convergence`` must reproduce."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from circlebops.deform import (
     DeformState,
     RatesRecord,
     deformation_rates,
+    flow_endpoint,
     moment_rebuild,
     schlesinger_rhs,
 )
@@ -269,3 +271,36 @@ def weight_rate_check(traj, t: float, zs: Sequence[complex], h: float = 1e-5) ->
         want = complex(weight_logderivative_rate(traj, t, z))
         worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
     return worst
+
+
+def richardson_top_down(states: Sequence[DeformState], traj) -> dict:
+    """The Richardson monitor walked down its rungs: s starts at steps // 2
+    (1 for a one-step flow, compared with two steps), y_2s is the flow's
+    own endpoint, and s is halved while fine = |y_s - y_2s| is below 100
+    ulps of the largest endpoint entry and s >= 2.  For power-of-two steps
+    and a fine error falling with s it stops on the rung the upward ladder
+    stops on, so both return the same dict."""
+    initial, end = states[0], states[-1]
+    if len(states) == 1:
+        return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
+    t_span = (initial.t, end.t)
+    steps = len(states) - 1
+    ends = {steps: end.pack()}
+
+    def at(k: int) -> np.ndarray:
+        if k not in ends:
+            ends[k] = flow_endpoint(initial, traj, t_span, k)
+        return ends[k]
+
+    def gap(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.max(np.abs(a - b)))
+
+    floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
+    s, hi = (steps // 2, steps) if steps > 1 else (1, 2)
+    fine = gap(at(s), at(hi))
+    while fine < floor and s >= 2:
+        s, hi = s // 2, s
+        fine = gap(at(s), at(hi))
+    coarse = gap(at(s // 2), at(s)) if s >= 2 else 0.0
+    ratio = coarse / fine if fine > 0 else float("inf")
+    return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}

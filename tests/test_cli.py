@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circlebops
 from circlebops import deform, pipeline
 from circlebops.bops import build_system
 from circlebops.cli import RunConfig, main, parse_trajectory, parse_weight_spec
@@ -163,6 +167,33 @@ class TestExitCodes:
         with open(tmp_path / "m" / "moments.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "re", "im"]
+
+
+class TestRepeatedRuns:
+    def test_runs_in_one_process_match_fresh_processes(self, tmp_path):
+        # the parser is built once per process and shared by every main call;
+        # after other subcommands, --help and bad argv, each run must still
+        # write what the same argv writes in a process of its own
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        traj = write(tmp_path, "t.json", TRAJ_SPEC)
+        runs = [
+            ["moments", "--weight", weight, "--n", "2", "--quad-points", "128"],
+            ["deform", "--weight", weight, "--trajectory", traj, "--n", "1", "--steps", "8"],
+            ["--cmd", "build", "--weight", weight, "--n", "3", "--seed", "5"],
+            ["moments", "--weight", weight, "--n", "3"],  # defaults after the options above
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(circlebops.__file__).parents[1])}
+        for i, argv in enumerate(runs):
+            assert main(["--help"]) == 0
+            assert main(["build", "--n", "x"]) == 2
+            assert main(argv + ["--out", str(tmp_path / f"same{i}")]) == 0
+            fresh = tmp_path / f"fresh{i}"
+            cmd = [sys.executable, "-m", "circlebops.cli", *argv, "--out", str(fresh)]
+            assert subprocess.run(cmd, env=env, capture_output=True).returncode == 0
+            names = sorted(p.name for p in fresh.iterdir())
+            assert names and names == sorted(p.name for p in (tmp_path / f"same{i}").iterdir())
+            for name in names:
+                assert (tmp_path / f"same{i}" / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestArtifacts:

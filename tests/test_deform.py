@@ -22,6 +22,7 @@ from circlebops.weight import SemiClassicalWeight, Singularity
 from conftest import close
 from oracles import (
     rates_fd_check,
+    richardson_top_down,
     schlesinger_component_check,
     transfer_rate_check,
     weight_rate_check,
@@ -51,7 +52,8 @@ def comm(x, y):
 
 
 class LineTraj:
-    """Duck-typed trajectory z_j(t) = z_j + t zdot_j."""
+    """Duck-typed trajectory z_j(t) = z_j + t zdot_j; t is a time or an
+    array of times, and each method returns shape t.shape + (m,)."""
 
     def __init__(self, weight0, vel, locs=None):
         self.weight0 = weight0
@@ -59,10 +61,10 @@ class LineTraj:
         self.base = weight0.locations if locs is None else np.asarray(locs, dtype=complex)
 
     def locations(self, t):
-        return self.base + t * self.vel
+        return self.base + np.asarray(t, dtype=float)[..., None] * self.vel
 
     def velocities(self, t):
-        return self.vel
+        return np.broadcast_to(self.vel, np.shape(t) + self.vel.shape)
 
 
 def reference_rhs(state, traj, t):
@@ -109,6 +111,22 @@ class TestTrajectory:
 
     def test_weight_rate_formula(self, traj):
         assert weight_rate_check(traj, 0.03, [0.5 + 0.2j, 1.8 + 0.9j]) < 1e-5
+
+    @pytest.mark.parametrize("kind", ["linear", "duck"])
+    def test_array_of_times_stacks_per_time(self, strict_weight_module, kind):
+        # the RK4 coefficient table evaluates the trajectory once on all its
+        # grid times and midpoints; each row must be that time's own value
+        if kind == "linear":
+            traj = LinearTrajectory(strict_weight_module, 2, 3.05 - 0.02j, t0=0.0, t1=0.1)
+        else:
+            traj = LineTraj(strict_weight_module, [0, 1.0 + 0.5j, -0.3 + 0.2j])
+        h = 0.1 / 7
+        ts = [0.0] + [t for s in range(7) for t in (s * h + 0.5 * h, (s + 1) * h)]
+        for method in (traj.locations, traj.velocities):
+            per_time = np.stack([method(t) for t in ts])
+            assert per_time.shape == (15, 3)
+            assert np.array_equal(method(np.array(ts)), per_time)
+            assert np.array_equal(method(np.array(ts).reshape(3, 5)), per_time.reshape(3, 5, 3))
 
 
 class TestRates:
@@ -228,6 +246,29 @@ class TestFlow:
         assert conv["steps"] == 1
         assert conv["fine"] > 0.0
         assert conv["coarse"] == 0.0
+
+    @pytest.mark.parametrize("target", [2.0 + 0.05j, 2.0 - 0.05j])
+    def test_ladder_matches_top_down_rule(self, strict_weight_module, target):
+        # climbing the rungs from one step stops on the rung the top-down
+        # walk stops on, and reads the same flows, so the dicts are equal
+        traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
+        initial, _ = moment_rebuild(traj, 0.0, 2)
+        for steps in (1, 2, 16, 64, 256):
+            states = integrate_flow(initial, traj, (0.0, 0.1), steps)
+            assert flow_convergence(states, traj) == richardson_top_down(states, traj)
+
+    @pytest.mark.parametrize("target", [2.1, 2.0 - 0.05j])
+    @pytest.mark.parametrize("steps", [96, 100, 120, 200])
+    def test_richardson_pairs_are_two_to_one(self, strict_weight_module, target, steps):
+        # halving 120 or 100 steps by floor division would compare 7 with 15
+        # or 12 with 25 steps and misread the order (21.4 and 18.8 here);
+        # every rung is a power of two, compared with twice its steps
+        traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
+        initial, _ = moment_rebuild(traj, 0.0, 2)
+        conv = flow_convergence(integrate_flow(initial, traj, (0.0, 0.1), steps), traj)
+        assert conv["resolved"] is True
+        assert conv["steps"] & (conv["steps"] - 1) == 0 and 2 * conv["steps"] <= steps
+        assert 12.0 <= conv["ratio"] <= 20.0
 
     def test_richardson_zero_span(self, start):
         state, _ = start
