@@ -6,16 +6,14 @@ Schlesinger deformation flows, each backed by independent verification
 oracles."""
 
 from .assoc import AssocSystem
-from .bops import BopsLevel, BopsSystem, build_system, det_rep_oracle, eval_poly
+from .bops import BopsLevel, BopsSystem, build_system, eval_poly
 from .coeffs import CoeffQuad, compute_coeff_quad
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
 from .deform import (
     DeformState,
     LinearTrajectory,
-    MonodromyRecord,
     deformation_rates,
     integrate_flow,
-    isomonodromy_check,
     moment_rebuild,
     schlesinger_rhs,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "ExistenceError",
     "LinearTrajectory",
     "MomentTable",
-    "MonodromyRecord",
     "NearCircleError",
     "NotSemiClassicalError",
     "PolyPair",
@@ -81,12 +78,10 @@ __all__ = [
     "compute_moments",
     "compute_coeff_quad",
     "deformation_rates",
-    "det_rep_oracle",
     "eval_poly",
     "eval_weight",
     "heine_oracle",
     "integrate_flow",
-    "isomonodromy_check",
     "moment_rebuild",
     "recover_u",
     "rhp_jump_check",

@@ -27,15 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .bops import BopsSystem, eval_poly
 from .errors import WindowError
-from .moments import (
-    CaratheodoryEvaluator,
-    MomentTable,
-    compute_moments,
-    toeplitz_det,
-)
+from .moments import CaratheodoryEvaluator, MomentTable
 from .numerics import polyadd, polyder, polymul, polyval, rel_residual
 from .report import IdentityReport
 
@@ -147,47 +142,6 @@ def _psistar_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
             out[n - a - 1] += cbar[j] * tbl.moment(j - a - 1)
             out[n - a] += cbar[j] * tbl.moment(j - a)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Independent integral routes (verification oracles)
-# ---------------------------------------------------------------------------
-
-def eps_quadrature(wfun, sys: BopsSystem, n: int, z: complex, points: int = 4096):
-    """Defining contour integral of eps_n (and the two displayed forms of
-    eps*_n) by trapezoidal quadrature; returns (eps, epsstar_a, epsstar_b)."""
-    theta = 2.0 * np.pi * np.arange(points) / points
-    zeta = np.exp(1j * theta)
-    wv = np.asarray(wfun(zeta), dtype=complex)
-    kernel = (zeta + z) / (zeta - z)
-    eps = np.mean(kernel * wv * eval_poly(sys, n, zeta, "phi"))
-    star_a = -(z**n) * np.mean(kernel * wv * eval_poly(sys, n, 1.0 / zeta, "phibar"))
-    star_b = 1.0 / sys.kappa(n) - np.mean(
-        kernel * wv * eval_poly(sys, n, zeta, "phistar")
-    )
-    return complex(eps), complex(star_a), complex(star_b)
-
-
-def eps_intrep(
-    wfun,
-    tbl: MomentTable,
-    sys: BopsSystem,
-    n: int,
-    z: complex,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> tuple[complex, complex]:
-    """(eps_n, eps*_n) via Toeplitz determinants of the Cauchy-modified
-    weight w(zeta)/(zeta - z):
-
-        (kappa_n/2) eps_n  =  z^n    I^1_{n+1}[w/(zeta-z)] / I^0_{n+1}[w],
-        (kappa_n/2) eps*_n = (-z)^{n+1} I^0_{n+1}[w/(zeta-z)] / I^0_{n+1}[w].
-    """
-    mod = compute_moments(lambda zeta: wfun(zeta) / (zeta - z), n + 2, quad)
-    i0 = toeplitz_det(tbl, 0, n + 1)
-    kappa = sys.kappa(n)
-    eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0
-    epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1) / i0
-    return complex(eps), complex(epsstar)
 
 
 # ---------------------------------------------------------------------------

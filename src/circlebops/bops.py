@@ -220,8 +220,7 @@ def build_system(tbl: MomentTable, nmax: int, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 # ---------------------------------------------------------------------------
-# Orthogonality checks (exact moment sums; quadrature variant when a weight
-# callable is available)
+# Orthogonality checks (exact moment sums)
 # ---------------------------------------------------------------------------
 
 def _moment_block(sys: BopsSystem) -> np.ndarray:
@@ -236,16 +235,6 @@ def _moment_block(sys: BopsSystem) -> np.ndarray:
 def orthonormality_matrix(sys: BopsSystem) -> np.ndarray:
     """G[m, n] = <phi_m, phibar_n> computed as an exact moment convolution."""
     return _coeff_matrix(sys, "phi") @ _moment_block(sys) @ _coeff_matrix(sys, "phibar").T
-
-
-def orthonormality_quadrature(sys: BopsSystem, wfun, points: int = 4096) -> np.ndarray:
-    """Same Gram matrix by direct trapezoidal quadrature against w."""
-    theta = 2.0 * np.pi * np.arange(points) / points
-    zeta = np.exp(1j * theta)
-    wv = np.asarray(wfun(zeta), dtype=complex)
-    phis = eval_levels(sys, zeta)
-    phibars = eval_levels(sys, 1.0 / zeta, "phibar")
-    return (phis * wv[None, :]) @ phibars.T / points
 
 
 def _monomial_residuals(sys: BopsSystem) -> np.ndarray:
@@ -418,70 +407,3 @@ def verify_scalar_identities(
             n=n,
         )
     return rep
-
-
-# ---------------------------------------------------------------------------
-# Determinantal / integral representations (independent evaluation oracle)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DetRepValues:
-    n: int
-    z: complex
-    phi: complex
-    phistar: complex
-    phi_integral: complex
-    phistar_integral: complex
-
-    @property
-    def max_mismatch(self) -> float:
-        scale = max(1.0, abs(self.phi), abs(self.phistar))
-        return (
-            max(
-                abs(self.phi - self.phi_integral),
-                abs(self.phistar - self.phistar_integral),
-            )
-            / scale
-        )
-
-
-def det_rep_oracle(tbl: MomentTable, n: int, z: complex) -> DetRepValues:
-    """phi_n(z) and phi*_n(z) by bordered determinants and, independently, by
-    Toeplitz determinants of the shifted weights w(zeta)(zeta - z) and
-    w(zeta)(1 - z/zeta)."""
-    z = complex(z)
-    i0n = toeplitz_det(tbl, 0, n)
-    i0np = toeplitz_det(tbl, 0, n + 1)
-    kappa = principal_sqrt(i0n / i0np)
-
-    # bordered determinant for phi_n: rows 0..n-1 of moments, last row 1..z^n
-    mat = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n):
-        for j in range(n + 1):
-            mat[i, j] = tbl.moment(i - j)
-    mat[n, :] = z ** np.arange(n + 1)
-    phi = kappa / i0n * complex(np.linalg.det(mat))
-
-    # bordered determinant for phi*_n: row i has moments w_{i-k} and z^{n-i}
-    mat = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        for k in range(n):
-            mat[i, k] = tbl.moment(i - k)
-        mat[i, n] = z ** (n - i)
-    phistar = kappa / i0n * complex(np.linalg.det(mat))
-
-    # integral representations via shifted moment tables
-    ks = np.arange(-(tbl.window - 1), tbl.window)
-    shifted = MomentTable(
-        tbl.window - 1,
-        np.array([tbl.moment(k - 1) - z * tbl.moment(k) for k in ks]),
-        {"kind": "shifted (zeta - z)"},
-    )
-    hat = MomentTable(
-        tbl.window - 1,
-        np.array([tbl.moment(k) - z * tbl.moment(k + 1) for k in ks]),
-        {"kind": "shifted (1 - z/zeta)"},
-    )
-    phi_int = (-1) ** n * kappa * toeplitz_det(shifted, 0, n) / i0n
-    phistar_int = kappa * toeplitz_det(hat, 0, n) / i0n
-    return DetRepValues(n, z, phi, phistar, phi_int, phistar_int)

@@ -38,7 +38,6 @@ from .deform import (
     flow_convergence,
     flow_invariants,
     integrate_flow,
-    isomonodromy_check,
     moment_rebuild,
     state_gap,
 )
@@ -329,9 +328,10 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
         1e-5 * cfg.tol_scale,
         n=n,
     )
-    inv = flow_invariants(states)
+    inv = flow_invariants(states, traj.weight0.exponents)
     report.add("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"], 1e-8 * cfg.tol_scale, n=n)
     report.add("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"], 1e-7 * cfg.tol_scale, n=n)
+    report.add("monodromy_constancy", "is constant with respect to the deformation variable", inv["monodromy_gap"], 1e-8 * cfg.tol_scale, n=n)
     conv = flow_convergence(states, traj)
     report.add(
         "richardson_halving",
@@ -341,20 +341,6 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
         n=n,
     )
     report.notes["richardson"] = conv
-
-    mono = isomonodromy_check(states, traj, quad=cfg.quad())
-    for rec in mono:
-        if rec.asserted:
-            report.add(
-                "monodromy_constancy",
-                "is constant with respect to the deformation variable",
-                rec.drift,
-                1e-5 * cfg.tol_scale,
-                n=n,
-                where=f"z_{rec.j + 1}",
-            )
-        else:
-            report.notes[f"c_drift_best_effort_z{rec.j + 1}"] = rec.drift
 
     rates0 = deformation_rates(
         bundle0.sys, bundle0.asys, bundle0.quads, bundle0.vw, traj, n, traj.t0
@@ -368,23 +354,15 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
     )
 
     rows = []
-    c_by_t = {
-        rec.j: dict(zip(rec.ts, rec.c_series)) for rec in mono
-    }
     for st in states:
         row = [st.t, st.kappa.real, st.kappa.imag, st.r.real, st.r.imag, st.rbar.real, st.rbar.imag]
         for entry in st.a.ravel().tolist():
             row += (entry.real, entry.imag)
-        for rec in mono:
-            c = c_by_t[rec.j].get(st.t)
-            row.extend(["" if c is None else c.real, "" if c is None else c.imag])
         rows.append(row)
     header = ["t", "kappa_re", "kappa_im", "r_re", "r_im", "rbar_re", "rbar_im"]
     for j in range(weight.m):
         for entry in ("11", "12", "21", "22"):
             header.extend([f"a{j + 1}_{entry}_re", f"a{j + 1}_{entry}_im"])
-    for rec in mono:
-        header.extend([f"c{rec.j + 1}_re", f"c{rec.j + 1}_im"])
     _write_csv(out / "flow.csv", header, rows)
     dump_json(report.to_dict(), out / "deform_report.json")
     return [report]

@@ -16,10 +16,12 @@ moments at any time provides the cross-validation oracle.  The flow kernel
 uses scalar complex arithmetic: numpy's per-call overhead on 2x2 blocks
 outweighs their arithmetic (stacked einsum/matmul measured 2.4x slower).
 
-The monodromy of the system about each singularity is encoded in the
-coefficient C_j of the local decomposition F = f_j + C_j w of the
-Caratheodory transform (f_j the holomorphic ODE solution); C_j is extracted
-by ring least squares and must be constant along any flow.
+The local monodromy about each singularity is fixed by its residue matrix,
+whose trace and determinant have a closed form: tr A_nj = -rho_j at every
+nonzero z_j, tr A_n0 = n - rho_0 at the origin, and det A_nj = 0.  So
+exp(2 pi i A_nj) has the eigenvalues 1 and e^{-2 pi i rho_j} whatever
+z_j(t), and `flow_invariants` reads the gap from that closed form off the
+flowed states, in the same pass as the trace and rank-one checks.
 
 A flow is checked against itself by Richardson step halving on a ladder of
 power-of-two step counts, each compared with twice its steps.  The ladder is
@@ -40,11 +42,10 @@ from .assoc import AssocSystem
 from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
-from .errors import GeometryError, SingularResidueError, WeightValidationError
+from .errors import SingularResidueError, WeightValidationError
 from .lax import assemble_residues
-from .moments import CaratheodoryEvaluator, compute_moments
 from .pipeline import Bundle, build_bundle
-from .weight import PolyPair, SemiClassicalWeight, eval_weight
+from .weight import PolyPair, SemiClassicalWeight
 
 
 # ---------------------------------------------------------------------------
@@ -450,128 +451,18 @@ def flow_convergence(states: Sequence[DeformState], traj) -> dict:
     return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
 
 
-def flow_invariants(states: Sequence[DeformState]) -> dict[str, float]:
-    """Trace conservation and rank-one persistence along a flow."""
+def flow_invariants(states: Sequence[DeformState], exponents) -> dict[str, float]:
+    """Trace conservation, rank-one persistence and the local monodromy along
+    a flow.  ``monodromy_gap`` is the largest departure, over every state and
+    block, of (tr A_nj, det A_nj) from (-rho_j, 0), with n - rho_0 in place
+    of -rho_0 for the origin block (the first one)."""
     a = np.stack([st.a for st in states])
     traces = np.trace(a, axis1=2, axis2=3)
+    dets = np.abs(np.linalg.det(a))
+    closed = -np.asarray(exponents, dtype=complex)
+    closed[0] += states[0].n
     return {
         "trace_drift": float(np.max(np.abs(traces - traces[0]))),
-        "det_max": float(np.max(np.abs(np.linalg.det(a)))),
+        "det_max": float(np.max(dets)),
+        "monodromy_gap": float(max(np.max(np.abs(traces - closed)), np.max(dets))),
     }
-
-
-# ---------------------------------------------------------------------------
-# Monodromy: ring extraction of the connection coefficient C_j
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonodromyRecord:
-    j: int
-    rho: complex
-    ts: tuple[float, ...]
-    c_series: tuple[complex, ...]
-    drift: float
-    refinement_drift: float
-    m_matrix: np.ndarray
-    asserted: bool  # Re rho > 0: constancy is a theorem, not best-effort
-
-    @property
-    def c0(self) -> complex:
-        return self.c_series[0]
-
-
-def _ring_radius(locs: np.ndarray, j: int) -> float:
-    zj = locs[j]
-    dist = min(abs(zj - locs[k]) for k in range(len(locs)) if k != j)
-    dist = min(dist, abs(abs(zj) - 1.0))
-    if dist <= 0:
-        raise GeometryError(f"singularity {j + 1} touches the unit circle or a neighbour")
-    return dist / 3.0
-
-
-def extract_connection_coefficient(
-    weight: SemiClassicalWeight,
-    f_eval: CaratheodoryEvaluator,
-    j: int,
-    radius: float | None = None,
-    points: int = 48,
-    basis_degree: int = 10,
-) -> complex:
-    """Least-squares fit F(z) ~ sum_l a_l (z - z_j)^l + C_j w(z) on a ring
-    around z_j; returns C_j.  The ring never touches the unit circle or
-    another singularity, and the ring angles avoid the branch cut of the
-    local weight factor."""
-    locs = weight.locations
-    zj = complex(locs[j])
-    if radius is None:
-        radius = _ring_radius(locs, j)
-    side = "outside" if abs(zj) > 1 else "inside"
-    angles = 2.0 * np.pi * (np.arange(points) + 0.5) / points
-    ring = zj + radius * np.exp(1j * angles)
-    cols = [(ring - zj) ** l for l in range(basis_degree + 1)]
-    cols.append(eval_weight(weight, ring))
-    amat = np.stack(cols, axis=1)
-    rhs = f_eval(ring, side=side)
-    coeffs, _res, rank, _sv = np.linalg.lstsq(amat, rhs, rcond=None)
-    if rank < amat.shape[1]:
-        raise GeometryError(
-            f"ill-conditioned monodromy fit around z_{j + 1}; "
-            f"try a smaller ring than {radius}"
-        )
-    return complex(coeffs[-1])
-
-
-def isomonodromy_check(
-    states: Sequence[DeformState],
-    traj,
-    window: int = 32,
-    subsample: int = 8,
-    points: int = 48,
-    basis_degree: int = 10,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> list[MonodromyRecord]:
-    """Extract C_j at a subsample of the flow grid and report its drift;
-    the monodromy matrix [[1, C_j (1 - e^{-2 pi i rho_j})], [0, e^{-2 pi i
-    rho_j}]] is then constant along the flow whenever C_j is.  Asserted only
-    for Re rho_j > 0 (elsewhere the extraction is best-effort)."""
-    ts = [st.t for st in states]
-    picks = sorted(set(list(range(0, len(ts), max(1, len(ts) // subsample))) + [len(ts) - 1]))
-    records = []
-    weights = {}
-    fs = {}
-    for idx in picks:
-        w_t = traj.weight_at(ts[idx])
-        weights[idx] = w_t
-        fs[idx] = CaratheodoryEvaluator(compute_moments(w_t, window, quad))
-    for j in range(1, traj.weight0.m):
-        rho = complex(traj.weight0.singularities[j].exponent)
-        series = []
-        for idx in picks:
-            series.append(
-                extract_connection_coefficient(
-                    weights[idx], fs[idx], j, points=points, basis_degree=basis_degree
-                )
-            )
-        # refinement validation at the initial time: halve the ring radius
-        base_radius = _ring_radius(weights[picks[0]].locations, j)
-        refined = extract_connection_coefficient(
-            weights[picks[0]], fs[picks[0]], j, radius=base_radius / 2.0,
-            points=points, basis_degree=basis_degree,
-        )
-        c0 = series[0]
-        drift = max(abs(c - c0) for c in series)
-        phase = np.exp(-2j * np.pi * rho)
-        m_matrix = np.array([[1.0, c0 * (1.0 - phase)], [0.0, phase]], dtype=complex)
-        records.append(
-            MonodromyRecord(
-                j=j,
-                rho=rho,
-                ts=tuple(ts[i] for i in picks),
-                c_series=tuple(series),
-                drift=float(drift),
-                refinement_drift=float(abs(refined - c0)),
-                m_matrix=m_matrix,
-                asserted=rho.real > 0,
-            )
-        )
-    return records

@@ -9,7 +9,8 @@ computed by the trapezoidal rule on a uniform grid (spectrally accurate for
 weights analytic in an annulus around the circle) with adaptive point
 doubling.  Toeplitz determinants I^eps_n = det[w_{-eps+j-k}] use dense LU.
 They are an oracle only (the toeplitz_ratio_recursion check, the
-determinants CSV, the Heine check and the determinantal representations):
+determinants CSV, the Heine check and the test suite's determinantal
+representations):
 the bi-orthogonal system is built from Gram solves, and its existence is
 decided by the reflection recursion in `bops`.
 """
@@ -240,27 +241,6 @@ class CaratheodoryEvaluator:
         out[inside] = polyval(inner, zs[inside])
         out[~inside] = outside(zs[~inside])
         return out
-
-
-def caratheodory_quadrature(
-    w,
-    z: complex,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> complex:
-    """Direct contour quadrature of F(z); cross-check for the series route."""
-    wfun = _as_callable(w)
-    points = quad.start_points
-    prev = None
-    while points <= quad.max_points:
-        theta = 2.0 * np.pi * np.arange(points) / points
-        zeta = np.exp(1j * theta)
-        vals = _grid_values(wfun, points)
-        total = complex(np.mean((zeta + z) / (zeta - z) * vals))
-        if prev is not None and abs(total - prev) < quad.tol * max(1.0, abs(total)):
-            return total
-        prev = total
-        points *= 2
-    raise QuadratureError(abs(total - prev), points // 2)
 
 
 # ---------------------------------------------------------------------------

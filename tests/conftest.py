@@ -52,6 +52,27 @@ def complex_m4_weight() -> SemiClassicalWeight:
     )
 
 
+# the strict weight and an inside singularity with complex exponents (the
+# inside sum is -1), as CLI weight specs
+STRICT_SPEC = {
+    "singularities": [
+        {"z": [0, 0], "rho": [-1, 0]},
+        {"z": [2, 0], "rho": [0.5, 0]},
+        {"z": [3, 0], "rho": [1.0 / 3.0, 0]},
+    ],
+    "strict": True,
+}
+
+INSIDE_COMPLEX_SPEC = {
+    "singularities": [
+        {"z": [0, 0], "rho": [-1.3, -0.2]},
+        {"z": [0.4, 0.1], "rho": [0.3, 0.2]},
+        {"z": [2, 0], "rho": [0.5, 0]},
+    ],
+    "strict": True,
+}
+
+
 def laurent_callable(z):
     z = np.asarray(z, dtype=complex)
     return z**-1.0 * (1.0 + z) ** 2

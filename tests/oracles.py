@@ -8,15 +8,21 @@ array-shaped evaluator can be checked against them.
 Deformation oracles: the component forms of the Schlesinger derivatives,
 finite differences of rebuilt states, transfer matrices and weights along a
 trajectory against the closed-form rates, and the top-down Richardson rule
-that the upward ladder of ``flow_convergence`` must reproduce."""
+that the upward ladder of ``flow_convergence`` must reproduce.
+
+Evaluation oracles: the defining contour integrals of F, of the Gram matrix
+and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
+representations of phi_n, phi*_n, eps_n and eps*_n from Toeplitz
+determinants of shifted or Cauchy-modified weights."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from circlebops.bops import BopsSystem
+from circlebops.bops import BopsSystem, eval_levels, eval_poly
 from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
@@ -26,8 +32,11 @@ from circlebops.deform import (
     moment_rebuild,
     schlesinger_rhs,
 )
+from circlebops.config import DEFAULT_QUAD, QuadratureConfig
+from circlebops.errors import QuadratureError
 from circlebops.lax import ResidueSet, k_matrix
-from circlebops.numerics import rel_residual
+from circlebops.moments import MomentTable, compute_moments, toeplitz_det
+from circlebops.numerics import principal_sqrt, rel_residual
 from circlebops.report import IdentityReport
 from circlebops.weight import PolyPair, eval_weight
 
@@ -304,3 +313,139 @@ def richardson_top_down(states: Sequence[DeformState], traj) -> dict:
     coarse = gap(at(s // 2), at(s)) if s >= 2 else 0.0
     ratio = coarse / fine if fine > 0 else float("inf")
     return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
+
+
+# ---------------------------------------------------------------------------
+# Evaluation oracles: contour quadratures and determinantal representations
+# ---------------------------------------------------------------------------
+
+def caratheodory_quadrature(
+    w,
+    z: complex,
+    quad: QuadratureConfig = DEFAULT_QUAD,
+) -> complex:
+    """Direct contour quadrature of F(z) for a weight callable on arrays;
+    cross-check for the series route."""
+    points = quad.start_points
+    prev = None
+    while points <= quad.max_points:
+        theta = 2.0 * np.pi * np.arange(points) / points
+        zeta = np.exp(1j * theta)
+        vals = np.asarray(w(zeta), dtype=complex)
+        total = complex(np.mean((zeta + z) / (zeta - z) * vals))
+        if prev is not None and abs(total - prev) < quad.tol * max(1.0, abs(total)):
+            return total
+        prev = total
+        points *= 2
+    raise QuadratureError(abs(total - prev), points // 2)
+
+
+def orthonormality_quadrature(sys: BopsSystem, wfun, points: int = 4096) -> np.ndarray:
+    """The Gram matrix <phi_m, phibar_n> by direct trapezoidal quadrature
+    against w."""
+    theta = 2.0 * np.pi * np.arange(points) / points
+    zeta = np.exp(1j * theta)
+    wv = np.asarray(wfun(zeta), dtype=complex)
+    phis = eval_levels(sys, zeta)
+    phibars = eval_levels(sys, 1.0 / zeta, "phibar")
+    return (phis * wv[None, :]) @ phibars.T / points
+
+
+@dataclass(frozen=True)
+class DetRepValues:
+    n: int
+    z: complex
+    phi: complex
+    phistar: complex
+    phi_integral: complex
+    phistar_integral: complex
+
+    @property
+    def max_mismatch(self) -> float:
+        scale = max(1.0, abs(self.phi), abs(self.phistar))
+        return (
+            max(
+                abs(self.phi - self.phi_integral),
+                abs(self.phistar - self.phistar_integral),
+            )
+            / scale
+        )
+
+
+def det_rep_oracle(tbl: MomentTable, n: int, z: complex) -> DetRepValues:
+    """phi_n(z) and phi*_n(z) by bordered determinants and, independently, by
+    Toeplitz determinants of the shifted weights w(zeta)(zeta - z) and
+    w(zeta)(1 - z/zeta)."""
+    z = complex(z)
+    i0n = toeplitz_det(tbl, 0, n)
+    i0np = toeplitz_det(tbl, 0, n + 1)
+    kappa = principal_sqrt(i0n / i0np)
+
+    # bordered determinant for phi_n: rows 0..n-1 of moments, last row 1..z^n
+    mat = np.zeros((n + 1, n + 1), dtype=complex)
+    for i in range(n):
+        for j in range(n + 1):
+            mat[i, j] = tbl.moment(i - j)
+    mat[n, :] = z ** np.arange(n + 1)
+    phi = kappa / i0n * complex(np.linalg.det(mat))
+
+    # bordered determinant for phi*_n: row i has moments w_{i-k} and z^{n-i}
+    mat = np.zeros((n + 1, n + 1), dtype=complex)
+    for i in range(n + 1):
+        for k in range(n):
+            mat[i, k] = tbl.moment(i - k)
+        mat[i, n] = z ** (n - i)
+    phistar = kappa / i0n * complex(np.linalg.det(mat))
+
+    # integral representations via shifted moment tables
+    ks = np.arange(-(tbl.window - 1), tbl.window)
+    shifted = MomentTable(
+        tbl.window - 1,
+        np.array([tbl.moment(k - 1) - z * tbl.moment(k) for k in ks]),
+        {"kind": "shifted (zeta - z)"},
+    )
+    hat = MomentTable(
+        tbl.window - 1,
+        np.array([tbl.moment(k) - z * tbl.moment(k + 1) for k in ks]),
+        {"kind": "shifted (1 - z/zeta)"},
+    )
+    phi_int = (-1) ** n * kappa * toeplitz_det(shifted, 0, n) / i0n
+    phistar_int = kappa * toeplitz_det(hat, 0, n) / i0n
+    return DetRepValues(n, z, phi, phistar, phi_int, phistar_int)
+
+
+def eps_quadrature(wfun, sys: BopsSystem, n: int, z: complex, points: int = 4096):
+    """Defining contour integral of eps_n (and the two displayed forms of
+    eps*_n) by trapezoidal quadrature; returns (eps, epsstar_a, epsstar_b)."""
+    theta = 2.0 * np.pi * np.arange(points) / points
+    zeta = np.exp(1j * theta)
+    wv = np.asarray(wfun(zeta), dtype=complex)
+    kernel = (zeta + z) / (zeta - z)
+    eps = np.mean(kernel * wv * eval_poly(sys, n, zeta, "phi"))
+    star_a = -(z**n) * np.mean(kernel * wv * eval_poly(sys, n, 1.0 / zeta, "phibar"))
+    star_b = 1.0 / sys.kappa(n) - np.mean(
+        kernel * wv * eval_poly(sys, n, zeta, "phistar")
+    )
+    return complex(eps), complex(star_a), complex(star_b)
+
+
+def eps_intrep(
+    wfun,
+    tbl: MomentTable,
+    sys: BopsSystem,
+    n: int,
+    z: complex,
+    quad: QuadratureConfig = DEFAULT_QUAD,
+) -> tuple[complex, complex]:
+    """(eps_n, eps*_n) via Toeplitz determinants of the Cauchy-modified
+    weight w(zeta)/(zeta - z):
+
+        (kappa_n/2) eps_n  =  z^n    I^1_{n+1}[w/(zeta-z)] / I^0_{n+1}[w],
+        (kappa_n/2) eps*_n = (-z)^{n+1} I^0_{n+1}[w/(zeta-z)] / I^0_{n+1}[w].
+    """
+    mod = compute_moments(lambda zeta: wfun(zeta) / (zeta - z), n + 2, quad)
+    i0 = toeplitz_det(tbl, 0, n + 1)
+    kappa = sys.kappa(n)
+    eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0
+    epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1) / i0
+    return complex(eps), complex(epsstar)

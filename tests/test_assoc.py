@@ -3,8 +3,6 @@ import pytest
 
 from circlebops.assoc import (
     AssocSystem,
-    eps_intrep,
-    eps_quadrature,
     plemelj_jump_residual,
     verify_assoc_identities,
     verify_expansions,
@@ -17,7 +15,7 @@ from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity
 
 from conftest import close, complex_m4_weight, laurent_callable
-from oracles import central_diff, laurent_coefficients
+from oracles import central_diff, eps_intrep, eps_quadrature, laurent_coefficients
 
 
 def sample_points(seed=5, count=10):

@@ -3,12 +3,10 @@ import pytest
 
 from circlebops.bops import (
     build_system,
-    det_rep_oracle,
     eval_levels,
     eval_poly,
     monomial_orthogonality,
     orthonormality_matrix,
-    orthonormality_quadrature,
     verify_scalar_identities,
 )
 from circlebops.errors import ExistenceError, WindowError
@@ -16,6 +14,7 @@ from circlebops.moments import compute_moments, table_from_moments, toeplitz_det
 from circlebops.numerics import circle_samples, rel_residual
 
 from conftest import laurent_callable
+from oracles import det_rep_oracle, orthonormality_quadrature
 
 
 def sample_pairs(seed=3, count=20):

@@ -15,15 +15,8 @@ from circlebops.cli import RunConfig, main, parse_trajectory, parse_weight_spec
 from circlebops.config import DEFAULT_TOL
 from circlebops.moments import closed_form_table
 
+from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
-STRICT_SPEC = {
-    "singularities": [
-        {"z": [0, 0], "rho": [-1, 0]},
-        {"z": [2, 0], "rho": [0.5, 0]},
-        {"z": [3, 0], "rho": [1.0 / 3.0, 0]},
-    ],
-    "strict": True,
-}
 
 LAURENT_SPEC = {
     "singularities": [
@@ -37,16 +30,6 @@ RAW_MOMENTS_SPEC = {
     "moments": [[k, 0.0, 0.0] for k in range(-10, -1)]
     + [[-1, 1.0, 0.0], [0, 2.0, 0.0], [1, 1.0, 0.0]]
     + [[k, 0.0, 0.0] for k in range(2, 11)]
-}
-
-# an inside singularity with complex exponents (the inside sum is -1)
-INSIDE_COMPLEX_SPEC = {
-    "singularities": [
-        {"z": [0, 0], "rho": [-1.3, -0.2]},
-        {"z": [0.4, 0.1], "rho": [0.3, 0.2]},
-        {"z": [2, 0], "rho": [0.5, 0]},
-    ],
-    "strict": True,
 }
 
 TRAJ_SPEC = {"j": 2, "path": "linear", "from": [2, 0], "to": [2.1, 0], "t0": 0.0, "t1": 0.1}
@@ -229,7 +212,8 @@ class TestArtifacts:
         report = json.loads((tmp_path / "d" / "deform_report.json").read_text())
         assert report["passed"] is True
         # every flowed value is written exactly: t, kappa, r, rbar, then the
-        # residue matrices entry by entry (the C_j columns follow)
+        # m = 3 residue matrices entry by entry, and nothing else
+        assert {len(row) for row in rows} == {7 + 8 * 3}
         cfg = RunConfig(weight, "deform", n=2, steps=32)
         path = parse_trajectory(traj, parse_weight_spec(weight)[0])
         initial, _ = deform.moment_rebuild(path, path.t0, 2, cfg.quad(), cfg.tol())
@@ -237,7 +221,7 @@ class TestArtifacts:
             want = [st.t]
             for value in [st.kappa, st.r, st.rbar, *st.a.ravel().tolist()]:
                 want += [value.real, value.imag]
-            assert [float(cell) for cell in row[: len(want)]] == want
+            assert [float(cell) for cell in row] == want
 
     @pytest.mark.parametrize("steps, resolved", [(32, True), (256, True)])
     def test_deform_richardson_resolved(self, tmp_path, steps, resolved):
@@ -311,15 +295,15 @@ class TestOneBundle:
         assert len(calls) == 1
 
     def test_quadrature_and_tolerances_reach_every_suite(self, tmp_path, monkeypatch):
+        # every moment table, deform's rebuilds included, comes from pipeline
         quads, tols = [], []
-        for module in (pipeline, deform):
-            real = module.compute_moments
+        real = pipeline.compute_moments
 
-            def moments(w, window, quad, real=real):
-                quads.append(quad)
-                return real(w, window, quad)
+        def moments(w, window, quad):
+            quads.append(quad)
+            return real(w, window, quad)
 
-            monkeypatch.setattr(module, "compute_moments", moments)
+        monkeypatch.setattr(pipeline, "compute_moments", moments)
         real_quad = pipeline.compute_coeff_quad
 
         def coeff_quad(*args, tol, **kwargs):

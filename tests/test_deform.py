@@ -1,25 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
+from circlebops import cli
 from circlebops.deform import (
     DeformState,
     LinearTrajectory,
     deformation_rates,
-    extract_connection_coefficient,
     flow_convergence,
     flow_endpoint,
     flow_invariants,
     integrate_flow,
-    isomonodromy_check,
     moment_rebuild,
     schlesinger_rhs,
     state_gap,
 )
 from circlebops.errors import SingularResidueError, WeightValidationError
 from circlebops.lax import assemble_residues
-from circlebops.weight import SemiClassicalWeight, Singularity
+from circlebops.weight import SemiClassicalWeight, Singularity, weight_from_json
 
-from conftest import close
+from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC, close, complex_m4_weight
 from oracles import (
     rates_fd_check,
     richardson_top_down,
@@ -220,9 +221,10 @@ class TestFlow:
     def test_invariants_along_flow(self, traj, start):
         state, _ = start
         states = integrate_flow(state, traj, (0.0, 0.1), 64)
-        inv = flow_invariants(states)
+        inv = flow_invariants(states, traj.weight0.exponents)
         assert inv["trace_drift"] < 1e-8
         assert inv["det_max"] < 1e-7
+        assert inv["monodromy_gap"] < 1e-8
 
     def test_richardson_fourth_order(self, traj, start):
         # the check halves its step count below the flow's until the fine
@@ -399,47 +401,66 @@ class TestFlowKernel:
         state, _ = start
         states = integrate_flow(state, traj, (0.0, 0.1), 16)
         tr0 = np.trace(states[0].a, axis1=1, axis2=2)
-        assert flow_invariants(states) == {
+        closed = [2 + 1.0, -0.5, -1.0 / 3.0]  # n - rho_0 at the origin, then -rho_j
+        assert flow_invariants(states, traj.weight0.exponents) == {
             "trace_drift": max(
                 float(np.max(np.abs(np.trace(st.a, axis1=1, axis2=2) - tr0))) for st in states
             ),
             "det_max": max(float(np.max(np.abs(np.linalg.det(st.a)))) for st in states),
+            "monodromy_gap": max(
+                max(abs(np.trace(blk) - want), abs(np.linalg.det(blk)))
+                for st in states
+                for blk, want in zip(st.a, closed)
+            ),
         }
 
 
+# one short move per corpus weight: (weight, moving index, target)
+MONODROMY_MOVES = {
+    "flagship": (lambda: weight_from_json(STRICT_SPEC), 1, 2.0 - 0.05j),
+    "complex_m4": (complex_m4_weight, 1, 1.85 + 0.9j),
+    "inside_complex": (lambda: weight_from_json(INSIDE_COMPLEX_SPEC), 2, 2.05),
+}
+
+
 class TestMonodromy:
-    def test_constancy_along_flow(self, traj, start):
-        state, _ = start
-        states = integrate_flow(state, traj, (0.0, 0.1), 64)
-        records = isomonodromy_check(states, traj)
-        assert len(records) == 2
-        for rec in records:
-            assert rec.asserted  # both moving-weight exponents have Re > 0
-            assert rec.drift < 1e-5
-            assert rec.refinement_drift < 1e-7
+    """The residue matrices keep tr A_nj = -rho_j (n - rho_0 at the origin)
+    and det A_nj = 0 along a flow, which fixes the local monodromy."""
 
-    def test_monodromy_matrix_entry(self, traj, start):
-        state, _ = start
-        records = isomonodromy_check([state], traj)
-        by_j = {rec.j: rec for rec in records}
-        # rho_3 = 1/3: the diagonal entry is e^{-2 pi i / 3}
-        want = np.exp(-2j * np.pi / 3.0)
-        assert abs(by_j[2].m_matrix[1, 1] - want) < 1e-14
-        assert by_j[2].m_matrix[0, 0] == 1.0
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("name", sorted(MONODROMY_MOVES))
+    def test_closed_form_along_flow(self, name, n):
+        make, moving, target = MONODROMY_MOVES[name]
+        weight = make()
+        traj = LinearTrajectory(weight, moving=moving, target=target, t0=0.0, t1=0.1)
+        initial, _ = moment_rebuild(traj, 0.0, n)
+        states = integrate_flow(initial, traj, (0.0, 0.1), 32)
+        rhos = [complex(s.exponent) for s in weight.singularities]
+        for st in states:
+            origin, *rest = st.a
+            assert abs(np.trace(origin) - (n - rhos[0])) <= 1e-8
+            for blk, rho in zip(rest, rhos[1:]):
+                assert abs(np.trace(blk) + rho) <= 1e-8
+            assert np.max(np.abs(np.linalg.det(st.a))) <= 1e-8
+        assert flow_invariants(states, weight.exponents)["monodromy_gap"] <= 1e-8
 
-    def test_level_independence(self, traj):
-        # C_j depends only on F and w, not on the polynomial level n
-        state2, _ = moment_rebuild(traj, 0.0, 2)
-        state4, _ = moment_rebuild(traj, 0.0, 4)
-        rec2 = isomonodromy_check([state2], traj)
-        rec4 = isomonodromy_check([state4], traj)
-        for a, b in zip(rec2, rec4):
-            assert a.c0 == b.c0
+    @pytest.mark.parametrize("entry", [(1, 0, 0), (1, 1, 0)], ids=["diagonal", "off_diagonal"])
+    def test_perturbed_flowed_state_fails(self, tmp_path, monkeypatch, entry):
+        # A_n2 at n = 3 has |a_12| about 52, so a 1e-6 change of a_21 moves
+        # its determinant by about 5e-5; a change of a_11 moves its trace
+        def perturbed(*args):
+            states = integrate_flow(*args)
+            states[len(states) // 2].a[entry] += 1e-6
+            return states
 
-    def test_direct_extraction_agrees_with_check(self, traj, strict):
-        c_direct = extract_connection_coefficient(
-            strict["weight"], strict["asys"].F, 1
-        )
-        state, _ = moment_rebuild(traj, 0.0, 2)
-        rec = isomonodromy_check([state], traj)[0]
-        assert abs(c_direct - rec.c0) < 1e-7
+        monkeypatch.setattr(cli, "integrate_flow", perturbed)
+        weight, path = tmp_path / "w.json", tmp_path / "t.json"
+        weight.write_text(json.dumps(STRICT_SPEC))
+        path.write_text(json.dumps({"j": 2, "to": [2, -0.05], "t0": 0.0, "t1": 0.1}))
+        argv = ["deform", "--weight", str(weight), "--trajectory", str(path), "--n", "3",
+                "--steps", "32", "--out", str(tmp_path / "d")]
+        assert cli.main(argv) == 1
+        report = json.loads((tmp_path / "d" / "deform_report.json").read_text())
+        [mono] = [e for e in report["entries"] if e["name"] == "monodromy_constancy"]
+        assert mono["tol"] == 1e-8
+        assert mono["passed"] is False and mono["residual"] > 1e-7

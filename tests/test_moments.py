@@ -7,7 +7,6 @@ from circlebops.assoc import AssocSystem
 from circlebops.errors import NearCircleError, NotSemiClassicalError, WindowError
 from circlebops.moments import (
     CaratheodoryEvaluator,
-    caratheodory_quadrature,
     compute_moments,
     heine_oracle,
     recover_u,
@@ -18,7 +17,7 @@ from circlebops.numerics import polyval, series_band
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
-from oracles import central_diff
+from oracles import caratheodory_quadrature, central_diff
 
 
 def binomial_series_moments(window):
