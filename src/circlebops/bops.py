@@ -34,7 +34,7 @@ import numpy as np
 from .config import DEFAULT_TOL, Tolerances
 from .errors import ConsistencyError, ExistenceError, WindowError
 from .moments import MomentTable, toeplitz_det
-from .numerics import principal_sqrt, polyval, rel_residual
+from .numerics import principal_sqrt, polyval, rel_residuals
 from .report import IdentityReport
 
 @dataclass(frozen=True)
@@ -266,55 +266,52 @@ def verify_scalar_identities(
 ) -> IdentityReport:
     """Residuals of the coupled recurrences, both three-term recurrences,
     both Christoffel-Darboux forms, and the kappa / l / m coefficient
-    recursions across all built levels."""
+    recursions across all built levels.
+
+    Each family is checked over all levels at once: lhs and rhs rows stacked
+    one level a row, and one rel_residuals call.  A level's scalar products
+    (kappa_n phi_n(0), ...) are formed in Python complex arithmetic, whose
+    rounding differs from numpy's complex multiply, so every residual is bit
+    for bit that of the level written out alone."""
     tol = DEFAULT_TOL.identity if tol is None else tol
     rep = IdentityReport("scalar identity web")
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)
     zetabars = np.array([zb for _, zb in samples], dtype=complex)
     phi, star = eval_levels(sys, zs), eval_levels(sys, zs, "phistar")
+    lev = sys.levels
+    k, p0, pb0 = ([getattr(a, key) for a in lev] for key in ("kappa", "phi0", "phibar0"))
 
-    for n in range(nmax):
-        ln, lnp = sys.level(n), sys.level(n + 1)
-        lhs = ln.kappa * phi[n + 1]
-        rhs = lnp.kappa * zs * phi[n] + lnp.phi0 * star[n]
-        rep.add(
-            "coupled_recurrence",
-            "coupled linear recurrence relations",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        lhs = ln.kappa * star[n + 1]
-        rhs = lnp.kappa * star[n] + lnp.phibar0 * zs * phi[n]
-        rep.add(
-            "coupled_recurrence_star",
-            "coupled linear recurrence relations",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    def add(anchor, ns, *families):
+        """Entries level by level, one per (name, lhs rows, rhs rows) family."""
+        res = [rel_residuals(np.subtract(lhs, rhs), lhs, rhs) for _, lhs, rhs in families]
+        for i, n in enumerate(ns):
+            for (name, _, _), r in zip(families, res):
+                rep.add(name, anchor, r[i], tol, n=n)
 
-    for n in range(1, nmax):
-        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
-        lhs = ln.kappa * ln.phi0 * phi[n + 1] + lm.kappa * lp.phi0 * zs * phi[n - 1]
-        rhs = (ln.kappa * lp.phi0 + lp.kappa * ln.phi0 * zs) * phi[n]
-        rep.add(
-            "three_term_recurrence",
-            "three-term recurrence relations",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        lhs = ln.kappa * ln.phibar0 * star[n + 1] + lm.kappa * lp.phibar0 * zs * star[n - 1]
-        rhs = (ln.kappa * lp.phibar0 * zs + lp.kappa * ln.phibar0) * star[n]
-        rep.add(
-            "three_term_recurrence_star",
-            "three-term recurrence relations",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    def col(f, ns):
+        return np.array([f(n) for n in ns], dtype=complex)[:, None]
+
+    kap, low = np.array(k)[:, None], range(nmax)
+    add(
+        "coupled linear recurrence relations", low,
+        ("coupled_recurrence", kap[:-1] * phi[1:],
+         kap[1:] * zs * phi[:-1] + np.array(p0)[1:, None] * star[:-1]),
+        ("coupled_recurrence_star", kap[:-1] * star[1:],
+         kap[1:] * star[:-1] + np.array(pb0)[1:, None] * zs * phi[:-1]),
+    )
+
+    # columns kappa_n c_n, kappa_{n-1} c_{n+1}, kappa_n c_{n+1}, kappa_{n+1} c_n
+    # for c = phi(0) and c = phibar(0)
+    mid, shifts = range(1, nmax), ((0, 0), (-1, 1), (0, 1), (1, 0))
+    t, tb = ([col(lambda n: k[n + a] * c[n + b], mid) for a, b in shifts] for c in (p0, pb0))
+    add(
+        "three-term recurrence relations", mid,
+        ("three_term_recurrence", t[0] * phi[2:] + t[1] * zs * phi[:-2],
+         (t[2] + t[3] * zs) * phi[1:-1]),
+        ("three_term_recurrence_star", tb[0] * star[2:] + tb[1] * zs * star[:-2],
+         (tb[2] * zs + tb[3]) * star[1:-1]),
+    )
 
     # Christoffel-Darboux: both closed forms against the direct sum, which
     # cumsum accumulates level by level in the order of the displayed sum
@@ -322,73 +319,38 @@ def verify_scalar_identities(
     zcd, zbcd = zs[mask], zetabars[mask]
     p, pstar = phi[:, mask], star[:, mask]
     q, qstar = eval_levels(sys, zbcd, "phibar"), eval_levels(sys, zbcd, "phibarstar")
-    sums = np.cumsum(p * q, axis=0)
+    sums = np.cumsum(p * q, axis=0)[:-1]
     denom = 1.0 - zcd * zbcd
-    for n in range(nmax):
-        form_n = (pstar[n] * qstar[n] - zcd * zbcd * p[n] * q[n]) / denom
-        form_np = (pstar[n + 1] * qstar[n + 1] - p[n + 1] * q[n + 1]) / denom
-        rep.add(
-            "christoffel_darboux_n_form",
-            "analogue of the Christoffel-Darboux summation formula",
-            rel_residual(form_n - sums[n], sums[n], form_n),
-            tol,
-            n=n,
-        )
-        rep.add(
-            "christoffel_darboux_shifted_form",
-            "analogue of the Christoffel-Darboux summation formula",
-            rel_residual(form_np - sums[n], sums[n], form_np),
-            tol,
-            n=n,
-        )
+    add(
+        "analogue of the Christoffel-Darboux summation formula", low,
+        ("christoffel_darboux_n_form",
+         (pstar[:-1] * qstar[:-1] - zcd * zbcd * p[:-1] * q[:-1]) / denom, sums),
+        ("christoffel_darboux_shifted_form", (pstar[1:] * qstar[1:] - p[1:] * q[1:]) / denom, sums),
+    )
 
-    for n in range(1, nmax + 1):
-        lm, ln = sys.level(n - 1), sys.level(n)
-        lhs = ln.kappa**2
-        rhs = lm.kappa**2 + ln.phi0 * ln.phibar0
-        rep.add(
-            "kappa_identity",
-            "relate the leading coefficients back to the reflection coefficients",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        lhs = ln.l / ln.kappa
-        rhs = lm.l / lm.kappa + ln.r * lm.rbar
-        rep.add(
-            "l_recursion",
-            "relate the leading coefficients back to the reflection coefficients",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-
-    for n in range(2, nmax + 1):
-        l2, l1, l0 = sys.level(n), sys.level(n - 1), sys.level(n - 2)
-        m_n = l2.m2 or 0.0
-        m_prev = (l1.m2 or 0.0) if n - 1 >= 2 else 0.0
-        lhs = m_n / l2.kappa
-        rhs = m_prev / l1.kappa + l2.r * (l0.rbar + l1.rbar * l0.l / l0.kappa)
-        rep.add(
-            "m_recursion",
-            "relate the leading coefficients back to the reflection coefficients",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    top = range(1, nmax + 1)
+    lead = "relate the leading coefficients back to the reflection coefficients"
+    add(
+        lead, top,
+        ("kappa_identity", [k[n] ** 2 for n in top], [k[n - 1] ** 2 + p0[n] * pb0[n] for n in top]),
+        ("l_recursion", [lev[n].l / k[n] for n in top],
+         [lev[n - 1].l / k[n - 1] + lev[n].r * lev[n - 1].rbar for n in top]),
+    )
+    m, up = [a.m2 or 0.0 for a in lev], range(2, nmax + 1)  # m_n = 0 below n = 2
+    add(
+        lead, up,
+        ("m_recursion", [m[n] / k[n] for n in up],
+         [m[n - 1] / k[n - 1]
+          + lev[n].r * (lev[n - 2].rbar + lev[n - 1].rbar * lev[n - 2].l / k[n - 2]) for n in up]),
+    )
 
     # the LU determinants are the oracle here; construction never uses them
     i0 = np.array([toeplitz_det(sys.table, 0, n) for n in range(nmax + 2)])
-    for n in range(1, nmax + 1):
-        lhs = i0[n + 1] * i0[n - 1] / i0[n] ** 2
-        rhs = 1.0 - sys.level(n).r * sys.level(n).rbar
-        rep.add(
-            "toeplitz_ratio_recursion",
-            "with the convention I0_0 = 1 the sequence satisfies",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    add(
+        "with the convention I0_0 = 1 the sequence satisfies", top,
+        ("toeplitz_ratio_recursion", [i0[n + 1] * i0[n - 1] / i0[n] ** 2 for n in top],
+         [1.0 - lev[n].r * lev[n].rbar for n in top]),
+    )
 
     gram = orthonormality_matrix(sys)
     off = gram - np.eye(len(gram))

@@ -112,6 +112,22 @@ def rel_residual(mismatch, *terms) -> float:
     return float(np.max(np.abs(mismatch)) / scale)
 
 
+def rel_residuals(mismatch, *terms) -> np.ndarray:
+    """rel_residual of every row at once: row k of each argument holds one
+    level, its points along the trailing axes (none for one scalar a row),
+    and the result's entry k equals rel_residual of those rows bit for bit.
+    A scalar row is sized by Python's abs, as rel_residual sizes a scalar;
+    numpy's complex abs rounds differently."""
+    def size(x):
+        return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
+
+    scale = np.ones(len(mismatch))
+    for t in terms:
+        t = np.asarray(t)
+        scale = np.fmax(scale, size(t) if t.ndim > 1 else [abs(v) for v in t.tolist()])
+    return size(mismatch) / scale
+
+
 def slope_fit(f: Callable, r1: float, r2: float, angles: int = 32):
     """Mean-log growth exponent between circles |z| = r1 and |z| = r2.
 

@@ -9,6 +9,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 SCHEMA = "v1"
 
 
@@ -68,16 +70,19 @@ class IdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max((e.residual for e in self.entries), default=0.0)
+        """Largest residual (0 with no entries), NaN when any residual is NaN."""
+        residuals = [e.residual for e in self.entries]
+        return float(np.max(residuals)) if residuals else 0.0
 
     def failures(self) -> list[IdentityEntry]:
         return [e for e in self.entries if not e.passed]
 
     def max_by_name(self) -> dict[str, float]:
-        out: dict[str, float] = {}
+        """Largest residual of each identity name, NaN propagating."""
+        groups: dict[str, list[float]] = {}
         for e in self.entries:
-            out[e.name] = max(out.get(e.name, 0.0), e.residual)
-        return out
+            groups.setdefault(e.name, []).append(e.residual)
+        return {name: float(np.max(res, initial=0.0)) for name, res in groups.items()}
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -91,5 +96,23 @@ class IdentityReport:
 
 
 def dump_json(payload: dict[str, Any], path) -> None:
+    """Sorted-key JSON, one member per line at the top two levels: each key
+    of the top object, then each element or key of a list or object under
+    it (``entries``, ``levels``, ``suites``, ``notes``), so every identity
+    entry is one line.  Each line is one call of json's C encoder, which
+    json gives up for the pure-Python one whenever ``indent`` is set."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+
+    def block(value, depth: int) -> str:
+        if depth == 2 or not isinstance(value, (dict, list, tuple)) or not value:
+            return encode(value)
+        pad = "\n" + "  " * (depth + 1)
+        if not isinstance(value, dict):
+            return "[" + ",".join(pad + block(v, depth + 1) for v in value) + pad[:-2] + "]"
+        # a key as json writes it: a number, bool or None key becomes a string
+        members = (encode({k: 0})[1:-4] + ": " + block(v, depth + 1)
+                   for k, v in sorted(value.items()))
+        return "{" + ",".join(pad + m for m in members) + pad[:-2] + "}"
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(block(payload, 0) + "\n")
