@@ -49,6 +49,7 @@ class AssocSystem:
         self.F = CaratheodoryEvaluator(self.table, tol)
         self._psi: dict[int, np.ndarray] = {}
         self._psistar: dict[int, np.ndarray] = {}
+        self._stack: dict[int, np.ndarray] = {}
 
     def psi(self, n: int) -> np.ndarray:
         if n not in self._psi:
@@ -61,9 +62,11 @@ class AssocSystem:
         return self._psistar[n]
 
     def _stacked(self, n: int) -> np.ndarray:
-        """Columns phi_n, phi*_n, psi_n, psi*_n, ascending."""
-        lev = self.sys.level(n)
-        return np.stack([lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n)], axis=1)
+        """Columns phi_n, phi*_n, psi_n, psi*_n, ascending; built once per level."""
+        if n not in self._stack:
+            lev = self.sys.level(n)
+            self._stack[n] = np.stack([lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n)], axis=1)
+        return self._stack[n]
 
     def evaluate(self, n: int, z, side: str | None = None):
         """(phi_n, phi*_n, eps_n, eps*_n) over an array z of any shape (a

@@ -135,12 +135,12 @@ def eval_poly(sys: BopsSystem, n: int, z, which: Family = "phi"):
     return polyval(_FAMILY[which](sys.level(n)), z)
 
 
-def eval_levels(sys: BopsSystem, z, which: Family = "phi") -> np.ndarray:
+def eval_levels(sys: BopsSystem, z, which: Family = "phi", mats=None) -> np.ndarray:
     """Every level n = 0..N of one family at every point of z, shape
     (N+1, *z.shape), in one Horner pass over the zero-padded coefficient
-    matrix.  Leading zeros leave Horner's steps unchanged, so row n equals
-    eval_poly(sys, n, z, which) bit for bit."""
-    return polyval(_coeff_matrix(sys, which).T, z)
+    matrix (from ``mats``, see _level_matrices, when given).  Leading zeros
+    leave Horner's steps unchanged: row n is eval_poly(sys, n, z, which)."""
+    return polyval((mats[which] if mats else _coeff_matrix(sys, which)).T, z)
 
 
 def _gram_levels(tbl: MomentTable, nmax: int) -> list[BopsLevel]:
@@ -232,18 +232,25 @@ def _moment_block(sys: BopsSystem) -> np.ndarray:
     return sys.table.values[(j[None, :] - j[:, None]) + sys.table.window]
 
 
-def orthonormality_matrix(sys: BopsSystem) -> np.ndarray:
+def _level_matrices(sys: BopsSystem, families: Sequence[Family]) -> dict[str, np.ndarray]:
+    """Each named family's coefficient matrix and the moment "block", built
+    once for a caller that reads them more than once."""
+    return {**{which: _coeff_matrix(sys, which) for which in families}, "block": _moment_block(sys)}
+
+
+def orthonormality_matrix(sys: BopsSystem, mats=None) -> np.ndarray:
     """G[m, n] = <phi_m, phibar_n> computed as an exact moment convolution."""
-    return _coeff_matrix(sys, "phi") @ _moment_block(sys) @ _coeff_matrix(sys, "phibar").T
+    mats = mats or _level_matrices(sys, ("phi", "phibar"))
+    return mats["phi"] @ mats["block"] @ mats["phibar"].T
 
 
-def _monomial_residuals(sys: BopsSystem) -> np.ndarray:
+def _monomial_residuals(sys: BopsSystem, mats=None) -> np.ndarray:
     """Row n: max |<phi_n, zetabar^j>| over 0 <= j < n and
     max |<phi*_n, zetabar^j>| over 1 <= j <= n (0 where the range is empty)."""
-    wmat = _moment_block(sys)
-    n, j = np.indices(wmat.shape)
-    phi = np.where(j < n, np.abs(_coeff_matrix(sys, "phi") @ wmat), 0.0)
-    star = np.where((j >= 1) & (j <= n), np.abs(_coeff_matrix(sys, "phistar") @ wmat), 0.0)
+    mats = mats or _level_matrices(sys, ("phi", "phistar"))
+    n, j = np.indices(mats["block"].shape)
+    phi = np.where(j < n, np.abs(mats["phi"] @ mats["block"]), 0.0)
+    star = np.where((j >= 1) & (j <= n), np.abs(mats["phistar"] @ mats["block"]), 0.0)
     return np.stack([phi.max(axis=1), star.max(axis=1)], axis=1)
 
 
@@ -278,7 +285,8 @@ def verify_scalar_identities(
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)
     zetabars = np.array([zb for _, zb in samples], dtype=complex)
-    phi, star = eval_levels(sys, zs), eval_levels(sys, zs, "phistar")
+    mats = _level_matrices(sys, ("phi", "phistar", "phibar", "phibarstar"))
+    phi, star = eval_levels(sys, zs, "phi", mats), eval_levels(sys, zs, "phistar", mats)
     lev = sys.levels
     k, p0, pb0 = ([getattr(a, key) for a in lev] for key in ("kappa", "phi0", "phibar0"))
 
@@ -318,7 +326,7 @@ def verify_scalar_identities(
     mask = np.abs(1.0 - zs * zetabars) > 1e-6
     zcd, zbcd = zs[mask], zetabars[mask]
     p, pstar = phi[:, mask], star[:, mask]
-    q, qstar = eval_levels(sys, zbcd, "phibar"), eval_levels(sys, zbcd, "phibarstar")
+    q, qstar = eval_levels(sys, zbcd, "phibar", mats), eval_levels(sys, zbcd, "phibarstar", mats)
     sums = np.cumsum(p * q, axis=0)[:-1]
     denom = 1.0 - zcd * zbcd
     add(
@@ -352,7 +360,7 @@ def verify_scalar_identities(
          [1.0 - lev[n].r * lev[n].rbar for n in top]),
     )
 
-    gram = orthonormality_matrix(sys)
+    gram = orthonormality_matrix(sys, mats)
     off = gram - np.eye(len(gram))
     rep.add(
         "orthonormality",
@@ -360,7 +368,7 @@ def verify_scalar_identities(
         float(np.max(np.abs(off))),
         tol,
     )
-    for n, res in enumerate(_monomial_residuals(sys)):
+    for n, res in enumerate(_monomial_residuals(sys, mats)):
         rep.add(
             "monomial_orthogonality",
             "can be defined up to an overall factor",

@@ -165,6 +165,11 @@ def cmd_moments(cfg: RunConfig, weight, table, out: Path):
     return []
 
 
+def _pairs(coeffs: np.ndarray) -> list:
+    """[[re, im], ...] of a complex array, for the JSON payloads."""
+    return np.column_stack((coeffs.real, coeffs.imag)).tolist()
+
+
 def cmd_build(cfg: RunConfig, weight, table, out: Path):
     """Levels 0..n on ``table``, or on the weight's moments without one."""
     if table is None:
@@ -187,8 +192,8 @@ def cmd_build(cfg: RunConfig, weight, table, out: Path):
                 "kappa": [lev.kappa.real, lev.kappa.imag],
                 "r": [lev.r.real, lev.r.imag],
                 "rbar": [lev.rbar.real, lev.rbar.imag],
-                "c": [[c.real, c.imag] for c in lev.c],
-                "cbar": [[c.real, c.imag] for c in lev.cbar],
+                "c": _pairs(lev.c),
+                "cbar": _pairs(lev.cbar),
             }
             for lev in system.levels
         ],
@@ -258,7 +263,7 @@ def cmd_coeffs(cfg: RunConfig, weight, bundle, out: Path):
         "schema": SCHEMA,
         "quads": {
             str(n): {
-                name: [[c.real, c.imag] for c in getattr(q, name)]
+                name: _pairs(getattr(q, name))
                 for name in ("theta", "thetastar", "omega", "omegastar")
             }
             for n, q in sorted(bundle.quads.items())

@@ -24,6 +24,9 @@ above.  Those take phi', phi*', eps' and eps*' exact from
 `AssocSystem.derivative` and hold to the identity tolerance; they stay
 independent of the band reads because they test each relation pointwise,
 at sample points inside and outside the circle, on both elements of F.
+Each suite evaluates a quadruple once per point set, in one Horner pass over
+its four members (`CoeffQuad.evaluate`), and indexes those values; `th`,
+`ths`, `om` and `oms` are the one-member readers.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 15, where the spectral derivative
@@ -39,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.polynomial.polyutils import trimseq
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
@@ -49,6 +53,7 @@ from .errors import (
     SingularResidueError,
 )
 from .numerics import (
+    as_poly,
     polyadd,
     polyder,
     polymul,
@@ -68,6 +73,15 @@ class CoeffQuad:
     omega: np.ndarray
     omegastar: np.ndarray
     fit_residuals: dict = field(default_factory=dict)
+
+    def evaluate(self, z):
+        """(Theta_n, Theta*_n, Omega_n, Omega*_n) over an array z of any shape
+        (a scalar is a 0-d array) in one Horner pass over the four members.
+        The Theta pair is zero-padded at the top to the length of Omega_n; a
+        leading zero leaves every Horner step unchanged, so each row equals
+        its one-member reader (th, ths, om, oms) bit for bit."""
+        padded = (np.append(self.theta, 0), np.append(self.thetastar, 0))
+        return polyval(np.stack([*padded, self.omega, self.omegastar], axis=1), z)
 
     def th(self, z):
         return polyval(self.theta, z)
@@ -98,6 +112,17 @@ def _require_strict(vw: PolyPair, weight: SemiClassicalWeight | None):
             raise NotSemiClassicalError(
                 f"residue {rho} at W-root {zj} is a non-negative integer"
             )
+
+
+def _product(a, b, size: int) -> np.ndarray:
+    """Orders 0..size-1 of a*b, bit for bit numpy.polynomial's polymul padded
+    with zeros: trailing zeros are trimmed first, as polymul does, because
+    np.convolve puts the longer operand first and that order sets the
+    rounding of every sum; += turns -0 into 0, as polyadd does."""
+    prod = np.convolve(*(trimseq(as_poly(x)) for x in (a, b)))[:size]
+    out = np.zeros(size, dtype=complex)
+    out[: len(prod)] += prod
+    return out
 
 
 def compute_coeff_quad(
@@ -134,7 +159,7 @@ def compute_coeff_quad(
     size = n + m + 3  # orders 0..n+m+2: every band and the two orders above it
 
     def mul(a, b):
-        return polyadd(np.zeros(size), polymul(a, b)[:size])
+        return _product(a, b, size)
 
     def combinations(pair, p, p1, e, e1):
         # 2 (phi_{n+1}(0)/kappa_n) z^n (Theta_n, Omega_n) from the weight's
@@ -380,11 +405,11 @@ def verify_expansion_forms(
                 n=n,
                 where=f"z^{order}",
             )
+        om0 = quad.om(0.0)
         rep.add(
             "omega_at_origin",
             "does not lead to any new independent relation",
-            abs(quad.om(0.0) - (vw.v_eval(0.0) - n * vw.w_deriv(0.0)))
-            / max(1.0, abs(quad.om(0.0))),
+            abs(om0 - (vw.v_eval(0.0) - n * vw.w_deriv(0.0))) / max(1.0, abs(om0)),
             tol,
             n=n,
         )
@@ -416,6 +441,7 @@ def verify_linear_relations(
     rep = IdentityReport("coefficient-function linear relations")
     zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
     w_z = polyval(vw.W, zs)
+    ev = {n: q.evaluate(zs) for n, q in quads.items()}  # each quadruple once
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
     anchor_cor = "some additional identities satisfied by the coefficient functions"
 
@@ -423,7 +449,8 @@ def verify_linear_relations(
     for n in sorted(quads):
         if not (n - 1 in quads and n + 1 in quads and levels_needed(n)):
             continue
-        qm, qn, qp = quads[n - 1], quads[n], quads[n + 1]
+        (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = ev[n - 1], ev[n]
+        th_p, ths_p, _, _ = ev[n + 1]
         lm, ln, lp, lpp = (
             sys.level(n - 1),
             sys.level(n),
@@ -433,108 +460,100 @@ def verify_linear_relations(
         ratio = lp.phi0 / ln.phi0 + lp.kappa / ln.kappa * zs
         ratio_s = lp.kappa / ln.kappa + lp.phibar0 / ln.phibar0 * zs
 
-        lhs = qn.om(zs) + qm.om(zs) - ratio * qn.th(zs) + (n - 1) * w_z / zs
-        rep.add("linear_a", anchor, rel_residual(lhs, qn.om(zs), ratio * qn.th(zs), w_z / zs), tol, n=n)
+        lhs = om_n + om_m - ratio * th_n + (n - 1) * w_z / zs
+        rep.add("linear_a", anchor, rel_residual(lhs, om_n, ratio * th_n, w_z / zs), tol, n=n)
 
         lhs = (
-            ratio * (qm.om(zs) - qn.om(zs))
-            + ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * qp.th(zs)
-            - lm.kappa * lp.phi0 / (ln.kappa * ln.phi0) * zs * qm.th(zs)
+            ratio * (om_m - om_n)
+            + ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p
+            - lm.kappa * lp.phi0 / (ln.kappa * ln.phi0) * zs * th_m
             - lp.phi0 / ln.phi0 * w_z / zs
         )
-        rep.add("linear_b", anchor, rel_residual(lhs, ratio * qm.om(zs), zs * qp.th(zs)), tol, n=n)
+        rep.add("linear_b", anchor, rel_residual(lhs, ratio * om_m, zs * th_p), tol, n=n)
 
-        lhs = qn.oms(zs) + qm.oms(zs) - ratio_s * qn.ths(zs) - n * w_z / zs
-        rep.add("linear_c", anchor, rel_residual(lhs, qn.oms(zs), ratio_s * qn.ths(zs), w_z / zs), tol, n=n)
+        lhs = oms_n + oms_m - ratio_s * ths_n - n * w_z / zs
+        rep.add("linear_c", anchor, rel_residual(lhs, oms_n, ratio_s * ths_n, w_z / zs), tol, n=n)
 
         lhs = (
-            ratio_s * (qm.oms(zs) - qn.oms(zs))
-            + ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * qp.ths(zs)
-            - lm.kappa * lp.phibar0 / (ln.kappa * ln.phibar0) * zs * qm.ths(zs)
+            ratio_s * (oms_m - oms_n)
+            + ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p
+            - lm.kappa * lp.phibar0 / (ln.kappa * ln.phibar0) * zs * ths_m
             + lp.kappa / ln.kappa * w_z / zs
         )
-        rep.add("linear_d", anchor, rel_residual(lhs, ratio_s * qm.oms(zs), zs * qp.ths(zs)), tol, n=n)
+        rep.add("linear_d", anchor, rel_residual(lhs, ratio_s * oms_m, zs * ths_p), tol, n=n)
 
     for n in sorted(quads):
         if not (n + 1 in quads and levels_needed(n)):
             continue
-        qn, qp = quads[n], quads[n + 1]
+        (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = ev[n], ev[n + 1]
         ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
         ratio_p = lpp.phi0 / lp.phi0 + lpp.kappa / lp.kappa * zs
         ratio_ps = lpp.kappa / lp.kappa + lpp.phibar0 / lp.phibar0 * zs
-        cross = lp.kappa / ln.kappa * (zs * qn.th(zs) - qn.ths(zs))
+        cross = lp.kappa / ln.kappa * (zs * th_n - ths_n)
 
-        lhs = qp.om(zs) + qn.oms(zs) - ratio_p * qp.th(zs) + cross
-        rep.add("linear_e", anchor, rel_residual(lhs, qp.om(zs), ratio_p * qp.th(zs), cross), tol, n=n)
+        lhs = om_p + oms_n - ratio_p * th_p + cross
+        rep.add("linear_e", anchor, rel_residual(lhs, om_p, ratio_p * th_p, cross), tol, n=n)
 
         lhs = (
-            qn.om(zs)
-            - qp.om(zs)
-            + lpp.kappa / lp.kappa * (zs + lp.phibar0 / lp.kappa * lpp.phi0 / lpp.kappa) * qp.th(zs)
-            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * qn.ths(zs)
-            - lp.kappa / ln.kappa * zs * qn.th(zs)
+            om_n
+            - om_p
+            + lpp.kappa / lp.kappa * (zs + lp.phibar0 / lp.kappa * lpp.phi0 / lpp.kappa) * th_p
+            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * ths_n
+            - lp.kappa / ln.kappa * zs * th_n
             - w_z / zs
         )
-        rep.add("linear_f", anchor, rel_residual(lhs, qn.om(zs), zs * qp.th(zs), w_z / zs), tol, n=n)
+        rep.add("linear_f", anchor, rel_residual(lhs, om_n, zs * th_p, w_z / zs), tol, n=n)
 
         lhs = (
-            qp.oms(zs)
-            + qn.om(zs)
-            - ratio_ps * qp.ths(zs)
+            oms_p
+            + om_n
+            - ratio_ps * ths_p
             - cross
             - w_z / zs
         )
-        rep.add("linear_g", anchor, rel_residual(lhs, qp.oms(zs), ratio_ps * qp.ths(zs), w_z / zs), tol, n=n)
+        rep.add("linear_g", anchor, rel_residual(lhs, oms_p, ratio_ps * ths_p, w_z / zs), tol, n=n)
 
         lhs = (
-            qn.oms(zs)
-            - qp.oms(zs)
-            + lpp.kappa / lp.kappa * (1.0 + lp.phi0 / lp.kappa * lpp.phibar0 / lpp.kappa * zs) * qp.ths(zs)
-            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * zs * qn.th(zs)
-            - lp.kappa / ln.kappa * qn.ths(zs)
+            oms_n
+            - oms_p
+            + lpp.kappa / lp.kappa * (1.0 + lp.phi0 / lp.kappa * lpp.phibar0 / lpp.kappa * zs) * ths_p
+            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * zs * th_n
+            - lp.kappa / ln.kappa * ths_n
         )
-        rep.add("linear_h", anchor, rel_residual(lhs, qn.oms(zs), qp.ths(zs), zs * qn.th(zs)), tol, n=n)
+        rep.add("linear_h", anchor, rel_residual(lhs, oms_n, ths_p, zs * th_n), tol, n=n)
 
         # corollary (j), (k) need only n and n+1
-        lhs = qn.oms(zs) - qn.om(zs) + lp.kappa / ln.kappa * (zs * qn.th(zs) - qn.ths(zs)) - n * w_z / zs
-        rep.add("linear_j", anchor_cor, rel_residual(lhs, qn.om(zs), qn.oms(zs), w_z / zs), tol, n=n)
+        lhs = oms_n - om_n + lp.kappa / ln.kappa * (zs * th_n - ths_n) - n * w_z / zs
+        rep.add("linear_j", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
 
         lhs = (
-            qn.oms(zs)
-            + qn.om(zs)
+            oms_n
+            + om_n
             - ln.kappa**2
             / lp.kappa**2
-            * (lpp.phi0 / lp.phi0 * qp.th(zs) + lp.kappa / ln.kappa * qn.ths(zs))
+            * (lpp.phi0 / lp.phi0 * th_p + lp.kappa / ln.kappa * ths_n)
             - w_z / zs
         )
-        rep.add("linear_k", anchor_cor, rel_residual(lhs, qn.om(zs), qn.oms(zs), w_z / zs), tol, n=n)
+        rep.add("linear_k", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
 
     for n in sorted(quads):
         if not (n - 1 in quads and n + 1 <= sys.nmax):
             continue
-        qm, qn = quads[n - 1], quads[n]
+        (th_m, ths_m, _, _), (th_n, ths_n, _, _) = ev[n - 1], ev[n]
         lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
         lhs = (
-            lp.phi0 / ln.phi0 * qn.th(zs)
-            - ln.kappa / lm.kappa * zs * qm.th(zs)
-            - lp.phibar0 / ln.phibar0 * zs * qn.ths(zs)
-            + ln.kappa / lm.kappa * qm.ths(zs)
+            lp.phi0 / ln.phi0 * th_n
+            - ln.kappa / lm.kappa * zs * th_m
+            - lp.phibar0 / ln.phibar0 * zs * ths_n
+            + ln.kappa / lm.kappa * ths_m
         )
-        rep.add("linear_i", anchor_cor, rel_residual(lhs, qn.th(zs), zs * qn.ths(zs)), tol, n=n)
+        rep.add("linear_i", anchor_cor, rel_residual(lhs, th_n, zs * ths_n), tol, n=n)
     return rep
 
 
 # ---------------------------------------------------------------------------
 # Bilinear identities, bilinear residues, initial members, telescoping
 # ---------------------------------------------------------------------------
-
-def _nonzero_singularities(weight: SemiClassicalWeight):
-    return [
-        (j, s.location, s.exponent)
-        for j, s in enumerate(weight.singularities)
-        if s.location != 0
-    ]
-
 
 def verify_bilinear(
     quads: Mapping[int, CoeffQuad],
@@ -553,13 +572,15 @@ def verify_bilinear(
     polynomial identities.  ``ns`` selects the levels asserted (default:
     every level whose successor quad is available)."""
     rep = IdentityReport("bilinear identities at the singular points")
-    sings = _nonzero_singularities(weight)
+    sings = [(j, s.location) for j, s in enumerate(weight.singularities) if s.location != 0]
     anchor_bil = "the coefficient functions satisfy the bilinear identities"
     anchor_res = "bilinear residues are related to the coefficient function residues"
     if ns is None:
         ns = [n for n in sorted(quads) if n + 1 in quads]
+    # each quadruple once at all the singular points: ev[n][member, k]
+    ev = {n: q.evaluate(np.array([zj for _, zj in sings], dtype=complex)) for n, q in quads.items()}
 
-    for j, zj, _rho in sings:
+    for k, (j, zj) in enumerate(sings):
         v_j = vw.v_eval(zj)
         if abs(v_j) < 1e-12:
             raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {zj}")
@@ -568,11 +589,9 @@ def verify_bilinear(
         for n in sorted(ns):
             if n + 1 not in quads or n + 2 > sys.nmax:
                 continue
-            qn, qp = quads[n], quads[n + 1]
             ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-            th_n, th_p = qn.th(zj), qp.th(zj)
-            ths_n, ths_p = qn.ths(zj), qp.ths(zj)
-            om_n, oms_n = qn.om(zj), qn.oms(zj)
+            th_n, ths_n, om_n, oms_n = ev[n][:, k]
+            th_p, ths_p = ev[n + 1][:2, k]
 
             lhs = om_n**2
             rhs = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * th_n * th_p + v2
@@ -602,12 +621,11 @@ def verify_bilinear(
         for n in sorted(ns):
             if n not in quads or n + 1 > sys.nmax:
                 continue
-            qn = quads[n]
             ln, lp = sys.level(n), sys.level(n + 1)
+            # per point: eps = psi + F phi is rounded differently over an array
             phi_n, star_n, eps_n, es_n = asys.evaluate(n, zj)
             phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zj)
-            th_n, ths_n = qn.th(zj), qn.ths(zj)
-            om_n, oms_n = qn.om(zj), qn.oms(zj)
+            th_n, ths_n, om_n, oms_n = ev[n][:, k]
             base = 2.0 * lp.phi0 / ln.kappa * zj**n
             base_s = 2.0 * lp.phibar0 / ln.kappa * zj ** (n + 1)
 
@@ -645,15 +663,15 @@ def verify_bilinear(
         # telescoped summation: Omega_n^2 - D_n is the constant V^2(z_j)
         ns_chain = sorted(nn for nn in ns if nn + 1 in quads and nn + 2 <= sys.nmax)
         for n in ns_chain:
-            qn, qp = quads[n], quads[n + 1]
             ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-            d_n = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * qn.th(zj) * qp.th(zj)
-            partial = qn.om(zj) ** 2 - d_n
+            th_n, _, om_n, _ = ev[n][:, k]
+            d_n = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * th_n * ev[n + 1][0, k]
+            partial = om_n**2 - d_n
             # the exact difference cancels the large terms; scale by them
             rep.add(
                 "telescoped_constant",
                 "upon summing this relation the summation constant is",
-                rel_residual(partial - v2, qn.om(zj) ** 2, d_n, v2),
+                rel_residual(partial - v2, om_n**2, d_n, v2),
                 tol,
                 n=n,
                 where=f"z_{j + 1}",
@@ -760,31 +778,31 @@ def spectral_derivative_check(
     for n in sorted(quads):
         if n + 1 > sys.nmax:
             continue
-        quad = quads[n]
+        th, ths, om, oms = quads[n].evaluate(zs)
         phi_n, star_n, eps_n, es_n = asys.evaluate(n, zs)
         phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zs)
         dphi, dstar, deps, des = asys.derivative(n, zs)
 
-        lhs = w_z * dphi - quad.th(zs) * phi_p + (quad.om(zs) + v_z) * phi_n
-        rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, quad.th(zs) * phi_p), tol, n=n)
+        lhs = w_z * dphi - th * phi_p + (om + v_z) * phi_n
+        rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, th * phi_p), tol, n=n)
 
-        lhs = w_z * dstar + quad.ths(zs) * star_p - (quad.oms(zs) - v_z) * star_n
-        rep.add("spectral_d_phistar", anchor, rel_residual(lhs, w_z * dstar, quad.ths(zs) * star_p), tol, n=n)
+        lhs = w_z * dstar + ths * star_p - (oms - v_z) * star_n
+        rep.add("spectral_d_phistar", anchor, rel_residual(lhs, w_z * dstar, ths * star_p), tol, n=n)
 
-        lhs = w_z * deps - quad.th(zs) * eps_p + (quad.om(zs) - v_z) * eps_n
-        rep.add("spectral_d_eps", anchor, rel_residual(lhs, w_z * deps, quad.th(zs) * eps_p), tol, n=n)
+        lhs = w_z * deps - th * eps_p + (om - v_z) * eps_n
+        rep.add("spectral_d_eps", anchor, rel_residual(lhs, w_z * deps, th * eps_p), tol, n=n)
 
-        lhs = w_z * des + quad.ths(zs) * es_p - (quad.oms(zs) + v_z) * es_n
-        rep.add("spectral_d_epsstar", anchor, rel_residual(lhs, w_z * des, quad.ths(zs) * es_p), tol, n=n)
+        lhs = w_z * des + ths * es_p - (oms + v_z) * es_n
+        rep.add("spectral_d_epsstar", anchor, rel_residual(lhs, w_z * des, ths * es_p), tol, n=n)
 
         # trace consistency: W Tr A_n reduces to n W / z - 2 V
         ln, lp = sys.level(n), sys.level(n + 1)
         trace_w = (
-            -(quad.om(zs) + v_z)
-            + lp.kappa / ln.kappa * zs * quad.th(zs)
-            + quad.oms(zs)
+            -(om + v_z)
+            + lp.kappa / ln.kappa * zs * th
+            + oms
             - v_z
-            - lp.kappa / ln.kappa * quad.ths(zs)
+            - lp.kappa / ln.kappa * ths
         )
         lhs = trace_w - (n * w_z / zs - 2.0 * v_z)
         rep.add(
@@ -815,16 +833,17 @@ def dpainleve_ratio_check(
         raise SingularResidueError("ratio check needs two distinct singularities")
     if z_a == 0 or z_b == 0:
         raise SingularResidueError("ratio check is defined away from the origin")
-    qn, qp = quads[n], quads[n + 1]
+    zs = np.array([z_a, z_b], dtype=complex)
+    ev_n, ev_p = quads[n].evaluate(zs), quads[n + 1].evaluate(zs)
 
-    def packed(zj):
+    def packed(k, zj):
         v = vw.v_eval(zj)
-        num = zj * qn.th(zj) * qp.th(zj)
-        den = (qn.om(zj) - v) * (qn.om(zj) + v)
+        num = zj * ev_n[0, k] * ev_p[0, k]
+        den = (ev_n[2, k] - v) * (ev_n[2, k] + v)
         return num, den
 
-    num_a, den_a = packed(z_a)
-    num_b, den_b = packed(z_b)
+    num_a, den_a = packed(0, z_a)
+    num_b, den_b = packed(1, z_b)
     if min(abs(num_b), abs(den_b), abs(den_a)) < 1e-14:
         raise SingularResidueError("vanishing denominator in the ratio recurrence")
     lhs = num_a / num_b

@@ -22,7 +22,9 @@ through W w' = 2 V w, and K'_n as the constant z-coefficient of K_n.  They
 stay independent of the coefficient-function construction, which reads each
 quadruple as a band of the Taylor series at 0 or at infinity: these checks
 test the whole matrix identity pointwise at the given sample points, each
-with the element of F on its own side of the circle.
+with the element of F on its own side of the circle.  Each quadruple is
+evaluated once per point set (`CoeffQuad.evaluate`), and each per-point
+check takes its residuals at all points in one `rel_residuals` call.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 matrix system passes at the identity tolerance 1e-9 through n = 7.
@@ -45,7 +47,7 @@ from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import DEFAULT_TOL, Tolerances
 from .errors import SingularResidueError
-from .numerics import rel_residual, slope_fit
+from .numerics import rel_residual, rel_residuals, slope_fit
 from .report import IdentityReport
 from .weight import PolyPair, SemiClassicalWeight
 
@@ -77,16 +79,21 @@ def k_matrix(sys: BopsSystem, n: int, z) -> np.ndarray:
 
 def a_matrix(quad: CoeffQuad, vw: PolyPair, sys: BopsSystem, n: int, z) -> np.ndarray:
     """A_n(z) = (W A)/W with the coefficient-function parameterisation."""
-    ln, lp = sys.level(n), sys.level(n + 1)
     zs = np.asarray(z, dtype=complex)
+    return _a_matrix(quad.evaluate(zs), vw, sys, n, zs)
+
+
+def _a_matrix(values, vw: PolyPair, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarray:
+    """a_matrix from the values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs."""
+    ln, lp = sys.level(n), sys.level(n + 1)
     v = vw.v_eval(zs)
-    th, ths = quad.th(zs), quad.ths(zs)
+    th, ths, om, oms = values
     ratio = lp.kappa / ln.kappa
     mat = _mat(
-        -(quad.om(zs) + v) + ratio * zs * th,
+        -(om + v) + ratio * zs * th,
         lp.phi0 / ln.kappa * th,
         -lp.phibar0 / ln.kappa * zs * ths,
-        quad.oms(zs) - v - ratio * ths,
+        oms - v - ratio * ths,
     )
     return mat / np.asarray(vw.w_eval(zs))[..., None, None]
 
@@ -100,12 +107,6 @@ class ResidueSet:
     a_inf: np.ndarray
     a_inf_closed: np.ndarray
     consistency: float  # entrywise gap between -sum A_j and the closed form
-
-    def matrix_at(self, locations: Sequence[complex], z: complex) -> np.ndarray:
-        out = np.zeros((2, 2), dtype=complex)
-        for aj, zj in zip(self.a, locations):
-            out += aj / (z - zj)
-        return out
 
 
 def assemble_residues(
@@ -122,6 +123,7 @@ def assemble_residues(
     sum rho]]; the two must agree entrywise."""
     ln, lp = sys.level(n), sys.level(n + 1)
     ratio = lp.kappa / ln.kappa
+    th, ths, om, oms = quad.evaluate(weight.locations)  # once at every z_j
     mats = []
     for j, s in enumerate(weight.singularities):
         zj, rho = s.location, s.exponent
@@ -140,20 +142,13 @@ def assemble_residues(
                 * np.array([[top, -top * ln.r], [0.0, 0.0]], dtype=complex)
             )
         else:
-            v = vj
             mats.append(
                 rho
-                / (2.0 * v)
+                / (2.0 * vj)
                 * np.array(
                     [
-                        [
-                            -(quad.om(zj) + v) + ratio * zj * quad.th(zj),
-                            lp.phi0 / ln.kappa * quad.th(zj),
-                        ],
-                        [
-                            -lp.phibar0 / ln.kappa * zj * quad.ths(zj),
-                            quad.oms(zj) - v - ratio * quad.ths(zj),
-                        ],
+                        [-(om[j] + vj) + ratio * zj * th[j], lp.phi0 / ln.kappa * th[j]],
+                        [-lp.phibar0 / ln.kappa * zj * ths[j], oms[j] - vj - ratio * ths[j]],
                     ],
                     dtype=complex,
                 )
@@ -255,17 +250,16 @@ def verify_matrix_system(
         return _mat(*(value for value, _ in entries)), _mat(*(d for _, d in entries))
 
     def add_per_point(checks):
-        """One entry per sample point and check (lhs = rhs), point by point."""
+        """One entry per sample point and check (lhs = rhs), in point order."""
+        res = [rel_residuals(lhs - rhs, lhs, rhs) for _, _, lhs, rhs in checks]
         for i, where in enumerate(wheres):
-            for name, anchor, lhs, rhs in checks:
-                rep.add(
-                    name, anchor, rel_residual(lhs[i] - rhs[i], lhs[i], rhs[i]), tol.identity,
-                    n=n, where=where,
-                )
+            for (name, anchor, _, _), r in zip(checks, res):
+                rep.add(name, anchor, r[i], tol.identity, n=n, where=where)
 
     phi, star, eps, es = level(n)
     y, yd = with_derivative(phi, eps, star, es)
-    a_n = a_matrix(quad, vw, sys, n, zs)
+    values = quad.evaluate(zs)  # Theta_n, Theta*_n, Omega_n, Omega*_n
+    a_n = _a_matrix(values, vw, sys, n, zs)
     add_per_point(
         [
             ("y_derivative_system", "equivalent to the matrix differential equation",
@@ -278,12 +272,12 @@ def verify_matrix_system(
     )
 
     if n + 1 in quads:
-        quad_p = quads[n + 1]
+        values_p = quads[n + 1].evaluate(zs)
         ln, lp = sys.level(n), sys.level(n + 1)
         k_n = k_matrix(sys, n, zs)
         # K_n is linear in z: K'_n is the constant z-coefficient
         kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
-        k_rhs = a_matrix(quad_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
+        k_rhs = _a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
         add_per_point(
             [("transfer_compatibility", "compatibility of the relations", kd, k_rhs)]
         )
@@ -300,8 +294,8 @@ def verify_matrix_system(
         lpp = sys.level(n + 2)
         phi_p, star_p, eps_p, es_p = level(n + 1)
         neg = lambda entry: (-entry[0], -entry[1])
-        th, ths, om, oms = quad.th(zs), quad.ths(zs), quad.om(zs), quad.oms(zs)
-        th_p, ths_p = quad_p.th(zs), quad_p.ths(zs)
+        th, ths, om, oms = values
+        th_p, ths_p, _, _ = values_p
         # the Z* (1,1) entry carries n W / z, as the trace must equal
         # W (log det Z*)' = n W / z - 2 V (det Z* = 2 kappa_{n+1} z^n /
         # (kappa_n w), from the mixed Casoratian)
@@ -485,11 +479,11 @@ def rhp_jump_check(
         w = np.asarray(wfun(zs), dtype=complex)
         lhs = normalized_solution(sys, asys, n, zs, side="inside")
         rhs = normalized_solution(sys, asys, n, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
-        for theta, left, right in zip(kept, lhs, rhs):
+        for theta, residual in zip(kept, rel_residuals(lhs - rhs, lhs, rhs)):
             rep.add(
                 "rhp_jump",
                 "consider the following Riemann-Hilbert problem",
-                rel_residual(left - right, left, right),
+                residual,
                 tol,
                 n=n,
                 where=f"theta={theta:.3f}, r={radius}",

@@ -164,6 +164,9 @@ class TestRepeatedRuns:
             ["deform", "--weight", weight, "--trajectory", traj, "--n", "1", "--steps", "8"],
             ["--cmd", "build", "--weight", weight, "--n", "3", "--seed", "5"],
             ["moments", "--weight", weight, "--n", "3"],  # defaults after the options above
+            # two seeds back to back: no state of one verify-all reaches the next
+            ["verify-all", "--weight", weight, "--n", "4", "--seed", "3"],
+            ["verify-all", "--weight", weight, "--n", "4", "--seed", "11"],
         ]
         env = {**os.environ, "PYTHONPATH": str(Path(circlebops.__file__).parents[1])}
         for i, argv in enumerate(runs):

@@ -4,6 +4,7 @@ import pytest
 from circlebops.bops import build_system
 from circlebops.assoc import AssocSystem
 from circlebops.coeffs import (
+    _product,
     compute_coeff_quad,
     dpainleve_ratio_check,
     expansion_closed_forms,
@@ -20,7 +21,7 @@ from circlebops.errors import (
     WindowError,
 )
 from circlebops.moments import compute_moments
-from circlebops.numerics import circle_samples, polyder, polyval
+from circlebops.numerics import circle_samples, polyadd, polyder, polymul, polyval
 from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
@@ -135,6 +136,53 @@ class TestConstruction:
             strict["sys"], strict["asys"], strict["vw"], 2, weight=strict["weight"]
         )
         assert np.array_equal(q_again.theta, strict["quads"][2].theta)
+
+
+@pytest.fixture(scope="module")
+def m4_quads():
+    return build_bundle(complex_m4_weight(), 8, quad_ns=range(7)).quads
+
+
+class TestBitExactKernels:
+    """The one-pass kernels of the suites equal the per-member routes bit for
+    bit, so the reports do not move by an ulp."""
+
+    @pytest.mark.parametrize("which", ["flagship", "complex_m4"])
+    def test_one_pass_quadruple_equals_each_member(self, which, strict, m4_quads):
+        quads = strict["quads"] if which == "flagship" else m4_quads
+        rng = np.random.default_rng(21)
+        points = [
+            0.3 - 0.7j,
+            np.complex128(-1.6 + 0.4j),
+            2.0 * (rng.normal(size=9) + 1j * rng.normal(size=9)),
+            2.0 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))),
+        ]
+        for quad in quads.values():
+            for z in points:
+                got = quad.evaluate(z)
+                assert got.shape == (4,) + np.shape(z)
+                for row, member in zip(got, (quad.th, quad.ths, quad.om, quad.oms)):
+                    want = np.asarray(member(z))
+                    assert np.array_equal(row, want)
+                    assert np.array_equal(np.signbit(row.real), np.signbit(want.real))
+                    assert np.array_equal(np.signbit(row.imag), np.signbit(want.imag))
+
+    def test_series_product_equals_polymul(self):
+        # trailing zeros flip which operand np.convolve takes first; the
+        # product trims them as polymul does, and without the trim the sums
+        # round differently on these inputs
+        rng = np.random.default_rng(22)
+        untrimmed_differs = False
+        for _ in range(50):
+            a = np.concatenate([rng.normal(size=5) + 1j * rng.normal(size=5), np.zeros(10)])
+            b = rng.normal(size=8) + 1j * rng.normal(size=8)
+            for x, y, size in ((a, b, 9), (b, a, 9), (a, b, 30), (a, np.zeros(4), 6)):
+                want = polyadd(np.zeros(size), polymul(x, y)[:size])
+                got = _product(x, y, size)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+            untrimmed_differs |= not np.array_equal(np.convolve(a, b)[:9], _product(a, b, 9))
+        assert untrimmed_differs
 
 
 class TestClosedForms:

@@ -39,10 +39,15 @@ class TestRelResiduals:
         assert np.array_equal(got, want)
 
     def test_scalar_rows_of_numpy_scalars(self):
+        # the rows of a per-point scalar check (a determinant or a trace at
+        # each sample point) are numpy complex scalars; sizing them through
+        # the array ufunc would move some residuals by an ulp
         rng = np.random.default_rng(14)
         lhs, rhs = complex_rows(rng, 200), complex_rows(rng, 200)
         want = [rel_residual(a - b, a, b) for a, b in zip(lhs, rhs)]
         assert np.array_equal(rel_residuals(lhs - rhs, lhs, rhs), want)
+        by_ufunc = np.abs(lhs - rhs) / np.fmax(1.0, np.fmax(np.abs(lhs), np.abs(rhs)))
+        assert not np.array_equal(by_ufunc, want)
 
     def test_floor_of_one(self):
         small = np.array([[1e-3, -2e-3j], [0.5, 0.25]])
