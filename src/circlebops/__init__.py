@@ -8,7 +8,6 @@ oracles."""
 from .assoc import AssocSystem
 from .bops import BopsLevel, BopsSystem, build_system, eval_poly
 from .coeffs import CoeffQuad, compute_coeff_quad
-from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
 from .deform import (
     DeformState,
     LinearTrajectory,
@@ -55,8 +54,6 @@ __all__ = [
     "CaratheodoryEvaluator",
     "CircleBopsError",
     "CoeffQuad",
-    "DEFAULT_QUAD",
-    "DEFAULT_TOL",
     "DeformState",
     "ExistenceError",
     "LinearTrajectory",
@@ -64,11 +61,9 @@ __all__ = [
     "NearCircleError",
     "NotSemiClassicalError",
     "PolyPair",
-    "QuadratureConfig",
     "ResidueSet",
     "SemiClassicalWeight",
     "Singularity",
-    "Tolerances",
     "WeightValidationError",
     "WindowError",
     "assemble_residues",

@@ -14,11 +14,11 @@ quadratured, which keeps psi_n a certified polynomial.
 
 The eps evaluators use the two-sided moment series for F and refuse the
 near-circle band unless a side is forced; both analytic elements extend into
-the annulus of the weight, which the Plemelj jump check exploits.  The same
-series give the exact derivatives (`AssocSystem.derivative`) and the exact
-expansions of eps_n and eps*_n at 0 and at infinity
-(`AssocSystem.eps_taylor`), from which `verify_expansions` reads its
-Laurent coefficients.
+the annulus of the weight, which the Riemann-Hilbert jump check in `lax`
+exploits.  The same series give the exact derivatives
+(`AssocSystem.derivative`) and the exact expansions of eps_n and eps*_n at 0
+and at infinity (`AssocSystem.eps_taylor`), from which `verify_expansions`
+reads its Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
-from .bops import BopsSystem, eval_poly
+from .bops import BopsSystem
+from .config import IDENTITY_TOL
 from .errors import WindowError
-from .moments import CaratheodoryEvaluator, MomentTable
+from .moments import CaratheodoryEvaluator
 from .numerics import polyadd, polyder, polymul, polyval, rel_residual
 from .report import IdentityReport
 
@@ -38,27 +38,21 @@ from .report import IdentityReport
 class AssocSystem:
     """Associated polynomials and function evaluators for every built level."""
 
-    def __init__(
-        self,
-        sys: BopsSystem,
-        tbl: MomentTable | None = None,
-        tol: Tolerances = DEFAULT_TOL,
-    ):
+    def __init__(self, sys: BopsSystem):
         self.sys = sys
-        self.table = tbl if tbl is not None else sys.table
-        self.F = CaratheodoryEvaluator(self.table, tol)
+        self.F = CaratheodoryEvaluator(sys.table)
         self._psi: dict[int, np.ndarray] = {}
         self._psistar: dict[int, np.ndarray] = {}
         self._stack: dict[int, np.ndarray] = {}
 
     def psi(self, n: int) -> np.ndarray:
         if n not in self._psi:
-            self._psi[n] = _psi_coeffs(self.sys, self.table, n)
+            self._psi[n] = _psi_coeffs(self.sys, n)
         return self._psi[n]
 
     def psistar(self, n: int) -> np.ndarray:
         if n not in self._psistar:
-            self._psistar[n] = _psistar_coeffs(self.sys, self.table, n)
+            self._psistar[n] = _psistar_coeffs(self.sys, n)
         return self._psistar[n]
 
     def _stacked(self, n: int) -> np.ndarray:
@@ -119,7 +113,8 @@ class AssocSystem:
         return polyadd(np.zeros(count), psi, sign * polymul(f, phi))[:count]
 
 
-def _psi_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
+def _psi_coeffs(sys: BopsSystem, n: int) -> np.ndarray:
+    tbl = sys.table
     if tbl.window < n + 1:
         raise WindowError(n + 1, tbl.window, f"psi_{n}")
     if n == 0:
@@ -133,7 +128,8 @@ def _psi_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
     return out
 
 
-def _psistar_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
+def _psistar_coeffs(sys: BopsSystem, n: int) -> np.ndarray:
+    tbl = sys.table
     if tbl.window < n + 1:
         raise WindowError(n + 1, tbl.window, f"psistar_{n}")
     if n == 0:
@@ -148,19 +144,18 @@ def _psistar_coeffs(sys: BopsSystem, tbl: MomentTable, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Identity web: recurrences, Casoratians, Plemelj jump
+# Identity web: recurrences, Casoratians
 # ---------------------------------------------------------------------------
 
 def verify_assoc_identities(
     asys: AssocSystem,
     ns: Sequence[int],
     samples: Sequence[complex],
-    tol: float | None = None,
+    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Residuals of the eps recurrences, the psi three-term recurrences and
     all three Casoratian identities (in both the psi and eps forms) at the
     sampled points (taken off the unit circle)."""
-    tol = DEFAULT_TOL.identity if tol is None else tol
     rep = IdentityReport("associated-function identity web")
     sys = asys.sys
     zs = np.asarray(samples, dtype=complex)
@@ -263,27 +258,6 @@ def verify_assoc_identities(
             n=n,
         )
     return rep
-
-
-def plemelj_jump_residual(
-    asys: AssocSystem,
-    wfun,
-    n: int,
-    thetas: Sequence[float],
-    offset: float = 1e-4,
-) -> float:
-    """max over theta of | eps_+ - eps_- - 2 w phi_n | using the inside and
-    outside analytic elements evaluated at the same points (1 -+ offset) e^{i
-    theta}; both elements extend across the circle into the annulus of the
-    weight, so the identity holds pointwise there."""
-    worst = 0.0
-    for radius in (1.0 - offset, 1.0 + offset):
-        zs = radius * np.exp(1j * np.asarray(thetas, dtype=float))
-        inside = asys.eps(n, zs, side="inside")
-        outside = asys.eps(n, zs, side="outside")
-        jump = 2.0 * np.asarray(wfun(zs), dtype=complex) * eval_poly(asys.sys, n, zs)
-        worst = max(worst, rel_residual(inside - outside - jump, jump, inside))
-    return worst
 
 
 # ---------------------------------------------------------------------------

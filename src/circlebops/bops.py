@@ -31,11 +31,16 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import IDENTITY_TOL
 from .errors import ConsistencyError, ExistenceError, WindowError
 from .moments import MomentTable, toeplitz_det
 from .numerics import principal_sqrt, polyval, rel_residuals
 from .report import IdentityReport
+
+# |1 - r_n rbar_n| = |I0_{n+1} I0_{n-1} / I0_n^2| below this is zero: the
+# system does not exist at level n + 1.  The ratio has no scale.
+EXISTENCE_FLOOR = 1e-13
+
 
 @dataclass(frozen=True)
 class BopsLevel:
@@ -77,10 +82,6 @@ class BopsLevel:
         """Second sub-leading coefficient m_n; undefined below n = 2."""
         return complex(self.c[self.n - 2]) if self.n >= 2 else None
 
-    @property
-    def m2bar(self) -> complex | None:
-        return complex(self.cbar[self.n - 2]) if self.n >= 2 else None
-
 
 @dataclass
 class BopsSystem:
@@ -102,12 +103,6 @@ class BopsSystem:
 
     def kappa(self, n: int) -> complex:
         return self.level(n).kappa
-
-    def phi0(self, n: int) -> complex:
-        return self.level(n).phi0
-
-    def phibar0(self, n: int) -> complex:
-        return self.level(n).phibar0
 
 
 Family = Literal["phi", "phistar", "phibar", "phibarstar"]
@@ -157,17 +152,15 @@ def _gram_levels(tbl: MomentTable, nmax: int) -> list[BopsLevel]:
     return levels
 
 
-def _recursion_levels(
-    tbl: MomentTable, nmax: int, tol: Tolerances
-) -> tuple[list[BopsLevel], list[int]]:
+def _recursion_levels(tbl: MomentTable, nmax: int) -> tuple[list[BopsLevel], list[int]]:
     """Levels 0..nmax by the monic bi-orthogonal Szego recursion (see the
     module docstring) and the existence log; raises ExistenceError(n + 1)
-    when |1 - r_n rbar_n| < tol.existence_floor, and ExistenceError(1) when
+    when |1 - r_n rbar_n| < EXISTENCE_FLOOR, and ExistenceError(1) when
     w_0 = 0."""
     w, k = tbl.values, tbl.window
     e = w[k]
     if e == 0:
-        raise ExistenceError(1, 0.0, tol.existence_floor)
+        raise ExistenceError(1, 0.0, EXISTENCE_FLOOR)
     a = b = np.ones(1, dtype=complex)
     levels = [_scaled_level(0, a, b, e)]
     log: list[int] = []
@@ -176,9 +169,9 @@ def _recursion_levels(
         r = -(a @ w[k - 1 - j]) / e
         rbar = -(b @ w[k + 1 + j]) / e
         ratio = 1.0 - r * rbar  # e_n / e_{n-1}
-        if abs(ratio) < tol.existence_floor:
-            raise ExistenceError(n + 1, abs(ratio), tol.existence_floor)
-        if abs(ratio) < 1e6 * tol.existence_floor:
+        if abs(ratio) < EXISTENCE_FLOOR:
+            raise ExistenceError(n + 1, abs(ratio), EXISTENCE_FLOOR)
+        if abs(ratio) < 1e6 * EXISTENCE_FLOOR:
             log.append(n + 1)
         a, b = (
             np.concatenate(([0.0], a)) + r * np.concatenate((b[::-1], [0.0])),
@@ -195,7 +188,7 @@ def _scaled_level(n: int, a: np.ndarray, b: np.ndarray, e: complex) -> BopsLevel
     return BopsLevel(n=n, kappa=kappa, c=kappa * a, cbar=kappa * b)
 
 
-def build_system(tbl: MomentTable, nmax: int, tol: Tolerances = DEFAULT_TOL) -> BopsSystem:
+def build_system(tbl: MomentTable, nmax: int) -> BopsSystem:
     """Build levels n = 0..nmax by the Gram solves; requires window
     K >= nmax + 1.  The reflection recursion runs first: ExistenceError when
     I0_n vanishes for some n <= nmax + 1 (the system genuinely fails to exist
@@ -204,7 +197,7 @@ def build_system(tbl: MomentTable, nmax: int, tol: Tolerances = DEFAULT_TOL) -> 
     (relative to the largest coefficient)."""
     if tbl.window < nmax + 1:
         raise WindowError(nmax + 1, tbl.window, f"build_system(N={nmax})")
-    oracle, log = _recursion_levels(tbl, nmax, tol)
+    oracle, log = _recursion_levels(tbl, nmax)
     levels = _gram_levels(tbl, nmax)
     deviation = 0.0
     for a, b in zip(levels, oracle):
@@ -269,7 +262,7 @@ def monomial_orthogonality(sys: BopsSystem, n: int) -> tuple[float, float]:
 def verify_scalar_identities(
     sys: BopsSystem,
     samples: Sequence[tuple[complex, complex]],
-    tol: float | None = None,
+    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Residuals of the coupled recurrences, both three-term recurrences,
     both Christoffel-Darboux forms, and the kappa / l / m coefficient
@@ -280,7 +273,6 @@ def verify_scalar_identities(
     (kappa_n phi_n(0), ...) are formed in Python complex arithmetic, whose
     rounding differs from numpy's complex multiply, so every residual is bit
     for bit that of the level written out alone."""
-    tol = DEFAULT_TOL.identity if tol is None else tol
     rep = IdentityReport("scalar identity web")
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .coeffs import (
     verify_expansion_forms,
     verify_linear_relations,
 )
-from .config import DEFAULT_QUAD, DEFAULT_TOL
+from .config import IDENTITY_TOL, QUAD_POINTS
 from .deform import (
     LinearTrajectory,
     deformation_rates,
@@ -59,28 +58,6 @@ COMMANDS = (
     "deform",
     "heine-check",
 )
-
-
-@dataclass
-class RunConfig:
-    weight_path: str
-    command: str
-    n: int = 4
-    seed: int = 7
-    tol_scale: float = 1.0
-    out_dir: str = "."
-    steps: int = 64
-    quad_points: int = 256
-    trajectory_path: str | None = None
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def quad(self):
-        return replace(DEFAULT_QUAD, start_points=self.quad_points)
-
-    def tol(self):
-        return DEFAULT_TOL.scaled(self.tol_scale)
 
 
 def parse_weight_spec(path):
@@ -112,33 +89,33 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _sample_pairs(cfg: RunConfig, count: int = 20):
-    rng = cfg.rng()
+def _sample_pairs(args: argparse.Namespace, count: int = 20):
+    rng = np.random.default_rng(args.seed)
     pts_in = circle_samples(rng, count, 0.45)
     pts_out = circle_samples(rng, count, 2.2)
     return list(zip(pts_in, pts_out))
 
 
-def _sample_points(cfg: RunConfig, weight, count: int = 12):
-    rng = cfg.rng()
+def _sample_points(args: argparse.Namespace, weight, count: int = 12):
+    rng = np.random.default_rng(args.seed)
     avoid = list(weight.locations) if weight is not None else []
     inner = circle_samples(rng, count // 2, 0.45, avoid=avoid, min_distance=0.1)
     outer = circle_samples(rng, count // 2, 2.2, avoid=avoid, min_distance=0.1)
     return np.concatenate([inner, outer])
 
 
-def _bundle(cfg: RunConfig, weight, table, strict: bool = False):
-    """The one bundle of a run, built with the run's quadrature and
-    tolerances: levels 0..n+2, or for a strict weight levels 0..n+3 with the
-    quadruples 0..n+1 and U (what coeffs and the matrix suite read)."""
+def _bundle(args: argparse.Namespace, weight, table, strict: bool = False):
+    """The one bundle of a run, built with the run's --quad-points and --tol:
+    levels 0..n+2, or for a strict weight levels 0..n+3 with the quadruples
+    0..n+1 and U (what coeffs and the matrix suite read)."""
     if not strict:
         source = weight if weight is not None else table
-        return build_bundle(source, cfg.n + 2, quad=cfg.quad(), tol=cfg.tol())
+        return build_bundle(source, args.n + 2, quad_points=args.quad_points, tol_scale=args.tol)
     if weight is None or not is_strict_semiclassical(weight):
         raise CircleBopsError("this pipeline needs a strict regular semi-classical weight")
     return build_bundle(
-        weight, cfg.n + 3, quad_ns=range(cfg.n + 2), quad=cfg.quad(), tol=cfg.tol(),
-        recover_u_poly=True,
+        weight, args.n + 3, quad_ns=range(args.n + 2), quad_points=args.quad_points,
+        tol_scale=args.tol, recover_u_poly=True,
     )
 
 
@@ -146,8 +123,8 @@ def _bundle(cfg: RunConfig, weight, table, strict: bool = False):
 # Subcommand implementations: each returns a list of IdentityReports
 # ---------------------------------------------------------------------------
 
-def cmd_moments(cfg: RunConfig, weight, table, out: Path):
-    tbl = moment_table(weight if weight is not None else table, cfg.n + 1, cfg.quad())
+def cmd_moments(args: argparse.Namespace, weight, table, out: Path):
+    tbl = moment_table(weight if weight is not None else table, args.n + 1, args.quad_points)
     _write_csv(
         out / "moments.csv",
         ["k", "re", "im"],
@@ -158,7 +135,7 @@ def cmd_moments(cfg: RunConfig, weight, table, out: Path):
     )
     rows = []
     for eps in (-1, 0, 1):
-        for n in range(cfg.n + 1):
+        for n in range(args.n + 1):
             value = toeplitz_det(tbl, eps, n)
             rows.append([eps, n, value.real, value.imag])
     _write_csv(out / "determinants.csv", ["epsilon", "n", "re", "im"], rows)
@@ -170,17 +147,17 @@ def _pairs(coeffs: np.ndarray) -> list:
     return np.column_stack((coeffs.real, coeffs.imag)).tolist()
 
 
-def cmd_build(cfg: RunConfig, weight, table, out: Path):
+def cmd_build(args: argparse.Namespace, weight, table, out: Path):
     """Levels 0..n on ``table``, or on the weight's moments without one."""
     if table is None:
-        table = moment_table(weight, cfg.n, cfg.quad())
-    system = build_system(table, cfg.n, tol=cfg.tol())
+        table = moment_table(weight, args.n, args.quad_points)
+    system = build_system(table, args.n)
     if weight is not None:
         dump_json(
             validate_weight(weight, strict=False).to_dict(),
             out / "validation_report.json",
         )
-    report = verify_scalar_identities(system, _sample_pairs(cfg), tol=cfg.tol().identity)
+    report = verify_scalar_identities(system, _sample_pairs(args), tol=IDENTITY_TOL * args.tol)
     payload = {
         "schema": SCHEMA,
         "method": "both",
@@ -203,20 +180,20 @@ def cmd_build(cfg: RunConfig, weight, table, out: Path):
     return [report]
 
 
-def cmd_assoc(cfg: RunConfig, weight, bundle, out: Path):
-    ns = range(min(cfg.n, bundle.sys.nmax - 1))
-    samples = _sample_points(cfg, weight)
-    report = verify_assoc_identities(bundle.asys, ns, samples, tol=cfg.tol().identity)
+def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
+    ns = range(min(args.n, bundle.sys.nmax - 1))
+    samples = _sample_points(args, weight)
+    report = verify_assoc_identities(bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol)
     exp = IdentityReport("associated-function expansions")
-    for n in range(min(cfg.n, bundle.sys.nmax - 2) + 1):
-        exp.extend(verify_expansions(bundle.asys, n, tol=1e-8 * cfg.tol_scale))
+    for n in range(min(args.n, bundle.sys.nmax - 2) + 1):
+        exp.extend(verify_expansions(bundle.asys, n, tol=1e-8 * args.tol))
     rows = []
-    for n in range(cfg.n + 1):
+    for n in range(args.n + 1):
         for k, c in enumerate(bundle.asys.psi(n)):
             rows.append([n, k, c.real, c.imag])
     _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"], rows)
     rows = []
-    for n in range(cfg.n + 1):
+    for n in range(args.n + 1):
         _, _, eps, epsstar = bundle.asys.evaluate(n, samples)
         for z, e, es in zip(samples, eps, epsstar):
             rows.append([n, z.real, z.imag, e.real, e.imag, es.real, es.imag])
@@ -230,10 +207,10 @@ def cmd_assoc(cfg: RunConfig, weight, bundle, out: Path):
     return [report, exp]
 
 
-def cmd_coeffs(cfg: RunConfig, weight, bundle, out: Path):
-    tol = cfg.tol_scale
-    samples = _sample_points(cfg, weight)
-    ns = range(cfg.n + 1)
+def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path):
+    tol = args.tol
+    samples = _sample_points(args, weight)
+    ns = range(args.n + 1)
     reports = [
         verify_expansion_forms(
             bundle.quads, bundle.sys, bundle.vw, weight, [n for n in ns if n >= 1], tol=1e-6 * tol
@@ -248,12 +225,12 @@ def cmd_coeffs(cfg: RunConfig, weight, bundle, out: Path):
         ),
         spectral_derivative_check(
             {n: bundle.quads[n] for n in ns}, bundle.vw, bundle.sys, bundle.asys,
-            samples, weight=weight, tol=DEFAULT_TOL.identity * tol,
+            samples, weight=weight, tol=IDENTITY_TOL * tol,
         ),
     ]
     nonzero = [s.location for s in weight.singularities if s.location != 0]
     if len(nonzero) >= 2:
-        for n in range(cfg.n):
+        for n in range(args.n):
             reports.append(
                 dpainleve_ratio_check(
                     bundle.quads, bundle.vw, n, nonzero[0], nonzero[1], tol=1e-7 * tol
@@ -271,7 +248,7 @@ def cmd_coeffs(cfg: RunConfig, weight, bundle, out: Path):
         "fit_residuals": {
             str(n): q.fit_residuals for n, q in sorted(bundle.quads.items())
         },
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     dump_json(coeff_payload, out / "coeff_functions.json")
     merged = IdentityReport("coefficient-function identity web")
@@ -281,14 +258,14 @@ def cmd_coeffs(cfg: RunConfig, weight, bundle, out: Path):
     return [merged]
 
 
-def cmd_rhp(cfg: RunConfig, weight, bundle, out: Path):
+def cmd_rhp(args: argparse.Namespace, weight, bundle, out: Path):
     thetas = np.linspace(0.05, 2.0 * np.pi, 24)
     merged = IdentityReport("Riemann-Hilbert suite")
-    for n in range(1, min(cfg.n, bundle.sys.nmax - 2) + 1):
+    for n in range(1, min(args.n, bundle.sys.nmax - 2) + 1):
         merged.extend(
             rhp_jump_check(
                 bundle.sys, bundle.asys, bundle.wfun(), n, thetas,
-                weight=weight, tol=1e-5 * cfg.tol_scale,
+                weight=weight, tol=1e-5 * args.tol,
             )
         )
     dump_json(merged.to_dict(), out / "rhp_report.json")
@@ -313,36 +290,36 @@ def parse_trajectory(path, weight) -> LinearTrajectory:
     return LinearTrajectory(weight, moving=j, target=target, t0=t0, t1=t1)
 
 
-def cmd_deform(cfg: RunConfig, weight, table, out: Path):
+def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
     if weight is None or not is_strict_semiclassical(weight):
         raise CircleBopsError("deformation flows need a strict semi-classical weight")
-    if cfg.trajectory_path is None:
+    if args.trajectory is None:
         raise CircleBopsError("deform needs --trajectory PATH")
-    traj = parse_trajectory(cfg.trajectory_path, weight)
-    n = cfg.n
+    traj = parse_trajectory(args.trajectory, weight)
+    n = args.n
     report = IdentityReport(f"Schlesinger flow at n={n}")
 
-    initial, bundle0 = moment_rebuild(traj, traj.t0, n, cfg.quad(), cfg.tol())
-    states = integrate_flow(initial, traj, (traj.t0, traj.t1), cfg.steps)
-    final_rebuild, _ = moment_rebuild(traj, traj.t1, n, cfg.quad(), cfg.tol())
+    initial, bundle0 = moment_rebuild(traj, traj.t0, n, args.quad_points, args.tol)
+    states = integrate_flow(initial, traj, (traj.t0, traj.t1), args.steps)
+    final_rebuild, _ = moment_rebuild(traj, traj.t1, n, args.quad_points, args.tol)
     gap = state_gap(states[-1], final_rebuild)
     report.add(
         "flow_vs_moment_rebuild",
         "the deformation derivatives are equivalent to the matrix equation",
         gap,
-        1e-5 * cfg.tol_scale,
+        1e-5 * args.tol,
         n=n,
     )
     inv = flow_invariants(states, traj.weight0.exponents)
-    report.add("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"], 1e-8 * cfg.tol_scale, n=n)
-    report.add("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"], 1e-7 * cfg.tol_scale, n=n)
-    report.add("monodromy_constancy", "is constant with respect to the deformation variable", inv["monodromy_gap"], 1e-8 * cfg.tol_scale, n=n)
+    report.add("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"], 1e-8 * args.tol, n=n)
+    report.add("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"], 1e-7 * args.tol, n=n)
+    report.add("monodromy_constancy", "is constant with respect to the deformation variable", inv["monodromy_gap"], 1e-8 * args.tol, n=n)
     conv = flow_convergence(states, traj)
     report.add(
         "richardson_halving",
         "fixed-step integration with step-halving error estimate",
         conv["fine"],
-        1e-7 * cfg.tol_scale,
+        1e-7 * args.tol,
         n=n,
     )
     report.notes["richardson"] = conv
@@ -354,7 +331,7 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
         "kappa_rate_route_agreement",
         "sums of the bilinear residues over the finite singular points",
         rates0.route_gap,
-        1e-7 * cfg.tol_scale,
+        1e-7 * args.tol,
         n=n,
     )
 
@@ -373,45 +350,45 @@ def cmd_deform(cfg: RunConfig, weight, table, out: Path):
     return [report]
 
 
-def cmd_heine(cfg: RunConfig, weight, table, out: Path):
-    tbl = moment_table(weight if weight is not None else table, 4, cfg.quad())
+def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
+    tbl = moment_table(weight if weight is not None else table, 4, args.quad_points)
     wfun = weight if weight is not None else weight_from_table(tbl)
     report = IdentityReport("Heine-identity oracle")
     for n in (1, 2, 3):
-        oracle = heine_oracle(wfun, n, cfg.quad())
+        oracle = heine_oracle(wfun, n)
         det = toeplitz_det(tbl, 0, n)
         report.add(
             "heine_vs_toeplitz",
             "due to the well known identity",
             abs(oracle - det) / max(1.0, abs(det)),
-            1e-6 * cfg.tol_scale,
+            1e-6 * args.tol,
             n=n,
         )
     dump_json(report.to_dict(), out / "heine_report.json")
     return [report]
 
 
-def cmd_verify_all(cfg: RunConfig, weight, table, out: Path):
+def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     """Every suite on one bundle; the build suite builds levels 0..n afresh
     on its moment table, so each report equals its subcommand's own."""
     strict = weight is not None and is_strict_semiclassical(weight)
-    bundle = _bundle(cfg, weight, table, strict)
-    reports = cmd_build(cfg, weight, bundle.table, out)
-    reports += cmd_assoc(cfg, weight, bundle, out)
+    bundle = _bundle(args, weight, table, strict)
+    reports = cmd_build(args, weight, bundle.table, out)
+    reports += cmd_assoc(args, weight, bundle, out)
     if strict:
-        reports += cmd_coeffs(cfg, weight, bundle, out)
+        reports += cmd_coeffs(args, weight, bundle, out)
         samples = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
         matrix = IdentityReport("matrix systems")
-        for n in range(1, cfg.n + 1):
+        for n in range(1, args.n + 1):
             matrix.extend(
                 verify_matrix_system(
                     bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, n, samples,
-                    tol=cfg.tol(),
+                    tol_scale=args.tol,
                 )
             )
         dump_json(matrix.to_dict(), out / "matrix_report.json")
         reports.append(matrix)
-    reports += cmd_rhp(cfg, weight, bundle, out)
+    reports += cmd_rhp(args, weight, bundle, out)
     summary = {
         "schema": SCHEMA,
         "passed": all(r.passed for r in reports),
@@ -432,10 +409,10 @@ def cmd_verify_all(cfg: RunConfig, weight, table, out: Path):
 HANDLERS = {
     "moments": cmd_moments,
     "build": cmd_build,
-    "assoc": lambda cfg, w, tbl, out: cmd_assoc(cfg, w, _bundle(cfg, w, tbl), out),
-    "coeffs": lambda cfg, w, tbl, out: cmd_coeffs(cfg, w, _bundle(cfg, w, tbl, strict=True), out),
+    "assoc": lambda args, w, tbl, out: cmd_assoc(args, w, _bundle(args, w, tbl), out),
+    "coeffs": lambda args, w, tbl, out: cmd_coeffs(args, w, _bundle(args, w, tbl, strict=True), out),
     "verify-all": cmd_verify_all,
-    "rhp-check": lambda cfg, w, tbl, out: cmd_rhp(cfg, w, _bundle(cfg, w, tbl), out),
+    "rhp-check": lambda args, w, tbl, out: cmd_rhp(args, w, _bundle(args, w, tbl), out),
     "deform": cmd_deform,
     "heine-check": cmd_heine,
 }
@@ -460,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--steps", type=int, default=64, help="flow integration steps")
-        p.add_argument("--quad-points", type=int, default=256, help="starting quadrature points")
+        p.add_argument(
+            "--quad-points", type=int, default=QUAD_POINTS, help="starting quadrature points"
+        )
         p.add_argument("--trajectory", "--traj", dest="trajectory", default=None)
     return parser
 
@@ -485,22 +464,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig(
-        weight_path=args.weight,
-        command=args.command,
-        n=args.n,
-        seed=args.seed,
-        tol_scale=args.tol,
-        out_dir=args.out,
-        steps=args.steps,
-        quad_points=args.quad_points,
-        trajectory_path=args.trajectory,
-    )
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        weight, table = parse_weight_spec(cfg.weight_path)
-        reports = HANDLERS[cfg.command](cfg, weight, table, out)
+        weight, table = parse_weight_spec(args.weight)
+        reports = HANDLERS[args.command](args, weight, table, out)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2

@@ -46,7 +46,7 @@ from numpy.polynomial.polyutils import trimseq
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
-from .config import DEFAULT_TOL, Tolerances
+from .config import FIT_TOL, IDENTITY_TOL
 from .errors import (
     DegenerateLevelError,
     NotSemiClassicalError,
@@ -131,7 +131,7 @@ def compute_coeff_quad(
     vw: PolyPair,
     n: int,
     weight: SemiClassicalWeight | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    tol_scale: float = 1.0,
 ) -> CoeffQuad:
     """Read the quadruple at level n off exact truncated series of its
     defining combinations: Theta_n / Omega_n are the orders n..n+m-2 /
@@ -146,7 +146,7 @@ def compute_coeff_quad(
     ratio kept in ``fit_residuals``.  Raises
     DegenerateLevelError when a reflection-coefficient prefactor vanishes,
     NotSemiClassicalError when an out-of-band ratio exceeds
-    tol.fit_residual, and WindowError when the series needs moments beyond
+    FIT_TOL * tol_scale, and WindowError when the series needs moments beyond
     the table."""
     _require_strict(vw, weight)
     m = vw.degree
@@ -192,13 +192,14 @@ def compute_coeff_quad(
         ("omega", omega, n, n + m - 1, pref, 1),
         ("omegastar", omegastar, n + 1, n + m, pref_star, -1),
     )
+    fit_tol = FIT_TOL * tol_scale
     members = {}
     ratios = {}
     for name, series, lo, hi, scale, direction in plan:
         band, ratio = series_band(series, lo, hi)
-        if ratio > tol.fit_residual:
+        if ratio > fit_tol:
             raise NotSemiClassicalError(
-                f"{name}_{n} out-of-band ratio {ratio:.3e} exceeds {tol.fit_residual:.1e}; "
+                f"{name}_{n} out-of-band ratio {ratio:.3e} exceeds {fit_tol:.1e}; "
                 "defining combination is not a polynomial of the stated degree"
             )
         members[name] = band[::direction] / scale
@@ -382,7 +383,8 @@ def verify_expansion_forms(
     tol: float = 1e-6,
 ) -> IdentityReport:
     """Coefficients against every closed leading/trailing form, plus the
-    largest out-of-band ratio of each quadruple as its degree certificate."""
+    largest out-of-band ratio of each quadruple as its degree certificate,
+    gated at a tenth of ``tol``."""
     rep = IdentityReport("coefficient-function expansion closed forms")
     for n in ns:
         quad = quads[n]
@@ -417,7 +419,7 @@ def verify_expansion_forms(
             "degree_certification",
             "are polynomials in z of bounded degree",
             max(quad.fit_residuals.values()),
-            1e-7,
+            1e-7 * (tol / 1e-6),
             n=n,
         )
     return rep
@@ -758,13 +760,12 @@ def spectral_derivative_check(
     asys: AssocSystem,
     samples: Sequence[complex],
     weight: SemiClassicalWeight | None = None,
-    tol: float | None = None,
+    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Residuals of the four derivative relations, with the exact
     derivatives of `AssocSystem.derivative` (polyder of phi, phi*, psi, psi*
     and the series of F'), so every relation holds to the identity
     tolerance."""
-    tol = DEFAULT_TOL.identity if tol is None else tol
     rep = IdentityReport("spectral derivative relations")
     anchor = "the derivatives of the bi-orthogonal polynomials and associated functions are expressible"
     avoid = list(weight.locations) if weight is not None else []

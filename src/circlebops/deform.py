@@ -41,7 +41,7 @@ import numpy as np
 from .assoc import AssocSystem
 from .bops import BopsSystem
 from .coeffs import CoeffQuad
-from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
+from .config import QUAD_POINTS
 from .errors import SingularResidueError, WeightValidationError
 from .lax import assemble_residues
 from .pipeline import Bundle, build_bundle
@@ -145,14 +145,15 @@ def moment_rebuild(
     traj,
     t: float,
     n: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    tol: Tolerances = DEFAULT_TOL,
+    quad_points: int = QUAD_POINTS,
+    tol_scale: float = 1.0,
 ) -> tuple[DeformState, Bundle]:
     """Full from-scratch construction of the deformation state at time t
     (the independent oracle for flowed states)."""
     weight = traj.weight_at(t)
     bundle = build_bundle(
-        weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,), quad=quad, tol=tol
+        weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,),
+        quad_points=quad_points, tol_scale=tol_scale,
     )
     res = assemble_residues(bundle.quads[n], bundle.vw, bundle.sys, n, weight)
     lev = bundle.sys.level(n)

@@ -45,7 +45,7 @@ import numpy as np
 from .assoc import AssocSystem
 from .bops import BopsSystem
 from .coeffs import CoeffQuad
-from .config import DEFAULT_TOL, Tolerances
+from .config import IDENTITY_TOL
 from .errors import SingularResidueError
 from .numerics import rel_residual, rel_residuals, slope_fit
 from .report import IdentityReport
@@ -77,14 +77,10 @@ def k_matrix(sys: BopsSystem, n: int, z) -> np.ndarray:
     return _mat(lp.kappa * zs, lp.phi0, lp.phibar0 * zs, lp.kappa) / ln.kappa
 
 
-def a_matrix(quad: CoeffQuad, vw: PolyPair, sys: BopsSystem, n: int, z) -> np.ndarray:
-    """A_n(z) = (W A)/W with the coefficient-function parameterisation."""
-    zs = np.asarray(z, dtype=complex)
-    return _a_matrix(quad.evaluate(zs), vw, sys, n, zs)
-
-
-def _a_matrix(values, vw: PolyPair, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarray:
-    """a_matrix from the values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs."""
+def a_matrix(values, vw: PolyPair, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarray:
+    """A_n(z) = (W A)/W with the coefficient-function parameterisation, from
+    the quadruple's values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs
+    (`CoeffQuad.evaluate`)."""
     ln, lp = sys.level(n), sys.level(n + 1)
     v = vw.v_eval(zs)
     th, ths, om, oms = values
@@ -200,7 +196,7 @@ def verify_matrix_system(
     n: int,
     samples: Sequence[complex],
     wfun: Callable | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    tol_scale: float = 1.0,
 ) -> IdentityReport:
     """Matrix-level identity web at level n:
 
@@ -212,13 +208,14 @@ def verify_matrix_system(
       coefficient-function form;
     * the four summation identities over the singular points.
 
-    The residue and summation checks run at 100x (the rank-one determinant
-    at 10x) tol.identity.
+    Each gate is its stated tolerance times ``tol_scale``: the identity
+    tolerance 1e-9, 1e-7 for the residue and summation checks and 1e-8 for
+    the rank-one determinant.
     """
     rep = IdentityReport(f"matrix system at n={n}")
-    # written as a ratio so that the default tolerances are exactly 1e-7, 1e-8
-    residue_tol = 1e-7 * (tol.identity / DEFAULT_TOL.identity)
-    rank_tol = 1e-8 * (tol.identity / DEFAULT_TOL.identity)
+    identity_tol = IDENTITY_TOL * tol_scale
+    residue_tol = 1e-7 * tol_scale
+    rank_tol = 1e-8 * tol_scale
     if wfun is None:
         wfun = lambda z: weight(z)
     quad = quads[n]
@@ -254,12 +251,12 @@ def verify_matrix_system(
         res = [rel_residuals(lhs - rhs, lhs, rhs) for _, _, lhs, rhs in checks]
         for i, where in enumerate(wheres):
             for (name, anchor, _, _), r in zip(checks, res):
-                rep.add(name, anchor, r[i], tol.identity, n=n, where=where)
+                rep.add(name, anchor, r[i], identity_tol, n=n, where=where)
 
     phi, star, eps, es = level(n)
     y, yd = with_derivative(phi, eps, star, es)
     values = quad.evaluate(zs)  # Theta_n, Theta*_n, Omega_n, Omega*_n
-    a_n = _a_matrix(values, vw, sys, n, zs)
+    a_n = a_matrix(values, vw, sys, n, zs)
     add_per_point(
         [
             ("y_derivative_system", "equivalent to the matrix differential equation",
@@ -277,7 +274,7 @@ def verify_matrix_system(
         k_n = k_matrix(sys, n, zs)
         # K_n is linear in z: K'_n is the constant z-coefficient
         kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
-        k_rhs = _a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
+        k_rhs = a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
         add_per_point(
             [("transfer_compatibility", "compatibility of the relations", kd, k_rhs)]
         )
@@ -286,7 +283,7 @@ def verify_matrix_system(
             "transfer_determinant",
             "the matrix K_n has the property det K_n = z",
             rel_residual(det_k_identity, lp.kappa**2, ln.kappa**2),
-            tol.identity,
+            identity_tol,
             n=n,
         )
 
@@ -456,8 +453,12 @@ def rhp_jump_check(
     problem.  The inside and outside analytic elements are evaluated at the
     same points just off the circle (both extend into the weight's annulus),
     so the jump Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series
-    truncation.  Each circle of points is evaluated in one call."""
+    truncation; its (1,2) entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.
+    Each circle of points is evaluated in one call.  The jump is gated at
+    ``tol``, the determinant at 1e-9 and the order slopes at 0.01, each
+    scaled by tol / 1e-5."""
     rep = IdentityReport(f"Riemann-Hilbert checks at n={n}")
+    scale = tol / 1e-5
     if n < 1:
         raise ValueError("the normalized problem is stated for n >= 1")
 
@@ -496,14 +497,14 @@ def rhp_jump_check(
             "rhp_determinant",
             "we also point out det Y(z) = -z^{n-1}",
             rel_residual(det - want, det, want),
-            1e-9,
+            1e-9 * scale,
             n=n,
             where=f"z={z:.3g}",
         )
 
     # asymptotic orders: two-radius mean-log slope fits, one stack of
     # matrices per circle shared by the four entries
-    slope_tol = 0.01
+    slope_tol = 0.01 * scale
     ring = np.exp(1j * np.linspace(0.1, 2 * np.pi, 8))
     orders = (
         ("outside", "as z tends to infinity", 20.0, (20.0, 80.0), (

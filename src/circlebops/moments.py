@@ -22,10 +22,22 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
+from .config import FIT_TOL, QUAD_POINTS
 from .errors import NearCircleError, NotSemiClassicalError, QuadratureError, WindowError
 from .numerics import polyadd, polyder, polymul, polyval, series_band
 from .weight import SemiClassicalWeight, build_vw, eval_weight
+
+# Moment quadrature: the point count doubles until every retained moment
+# moves by less than QUAD_TOL, and never beyond QUAD_MAX_POINTS.
+QUAD_MAX_POINTS = 2**20
+QUAD_TOL = 1e-12
+# Series evaluation refuses | |z|-1 | < NEAR_CIRCLE without a forced side.
+NEAR_CIRCLE = 1e-3
+# The Heine oracle's tensor-product rule doubles from HEINE_START points to
+# at most HEINE_MAX, until successive values agree to HEINE_TOL.
+HEINE_START = 32
+HEINE_MAX = 512
+HEINE_TOL = 1e-8
 
 
 def _as_callable(w) -> Callable:
@@ -83,16 +95,12 @@ def table_from_moments(pairs, window: int | None = None) -> MomentTable:
     return MomentTable(window, values, {"kind": "user_supplied"})
 
 
-def compute_moments(
-    w,
-    window: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> MomentTable:
+def compute_moments(w, window: int, quad_points: int = QUAD_POINTS) -> MomentTable:
     """Moments by adaptive FFT trapezoid: the point count doubles until every
-    retained w_k moves by less than quad.tol, starting from quad.start_points
+    retained w_k moves by less than QUAD_TOL, starting from ``quad_points``
     (never below 4*(window+1) to keep aliasing out of the retained band)."""
     wfun = _as_callable(w)
-    points = max(quad.start_points, 4 * (window + 1))
+    points = max(quad_points, 4 * (window + 1))
     # round up to a power of two for the FFT
     p = 1
     while p < points:
@@ -107,14 +115,14 @@ def compute_moments(
     vals = _grid_values(wfun, points)
     current = retained(vals)
     while True:
-        if points * 2 > quad.max_points:
+        if points * 2 > QUAD_MAX_POINTS:
             raise QuadratureError(float("nan"), points)
         points *= 2
         vals = _grid_values(wfun, points)
         nxt = retained(vals)
         change = float(np.max(np.abs(nxt - current)))
         current = nxt
-        if change < quad.tol:
+        if change < QUAD_TOL:
             break
 
     source = {"kind": "quadrature", "points": points, "residual": change}
@@ -177,9 +185,8 @@ class CaratheodoryEvaluator:
     unless a side is forced (the two analytic elements both extend into the
     annulus of the weight, which is what the jump checks rely on)."""
 
-    def __init__(self, tbl: MomentTable, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, tbl: MomentTable):
         self.table = tbl
-        self.near_circle = tol.near_circle
         k = tbl.window
         vals = tbl.values
         self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
@@ -191,10 +198,10 @@ class CaratheodoryEvaluator:
         """Mask of the points inside the circle; raises for the first point
         within the near-circle band."""
         r = np.abs(zs)
-        near = np.abs(r - 1.0) < self.near_circle
+        near = np.abs(r - 1.0) < NEAR_CIRCLE
         if near.any():
             raise NearCircleError(
-                f"|z| = {float(r[near].flat[0])} is within {self.near_circle} of "
+                f"|z| = {float(r[near].flat[0])} is within {NEAR_CIRCLE} of "
                 "the unit circle; force side='inside' or side='outside'"
             )
         return r < 1.0
@@ -251,12 +258,12 @@ def recover_u(
     spec: SemiClassicalWeight,
     F: CaratheodoryEvaluator,
     vw=None,
-    tol: Tolerances = DEFAULT_TOL,
+    tol_scale: float = 1.0,
 ) -> tuple[np.ndarray, dict[str, Any]]:
     """U = W F' - 2 V F, read off the exact series of F at z = 0 (orders
     0..m-1 of W F' - 2 V F) and, independently, at infinity (from the
     negative moments, in powers of 1/z).  On each side the orders next to the
-    band must vanish to within tol.fit_residual of the band, which is the
+    band must vanish to within FIT_TOL * tol_scale of the band, which is the
     operational content of the first-order ODE satisfied by F; the inside
     read is returned and the outside one is reported as the agreement."""
     if vw is None:
@@ -271,7 +278,7 @@ def recover_u(
     # -F outside; W F' - 2 V F is u^-m times its series, so U is reversed
     coeff_out, res_out = read(vw.reflected(), -F.series(m + 3, side="outside"), 1, m)
     worst = max(res_in, res_out)
-    if worst > tol.fit_residual:
+    if worst > FIT_TOL * tol_scale:
         raise NotSemiClassicalError(
             f"U(z) = W F' - 2 V F is not a polynomial of degree {m - 1}: "
             f"out-of-band ratio {worst:.3e} (weight outside class or quadrature failure)"
@@ -290,11 +297,7 @@ def recover_u(
 # Heine-identity oracle: multidimensional average over the unit circle
 # ---------------------------------------------------------------------------
 
-def heine_oracle(
-    w,
-    n: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> complex:
+def heine_oracle(w, n: int) -> complex:
     """I^0_n as the n-fold average
 
         (1/(2 pi)^n n!) \\int prod_l w(e^{i theta_l})
@@ -323,12 +326,12 @@ def heine_oracle(
         total = np.dot(wv, s)
         return complex(total / (6.0 * points**3))
 
-    points = quad.heine_start
+    points = HEINE_START
     prev = one(points)
-    while points * 2 <= quad.heine_max:
+    while points * 2 <= HEINE_MAX:
         points *= 2
         cur = one(points)
-        if abs(cur - prev) < quad.heine_tol * max(1.0, abs(cur)):
+        if abs(cur - prev) < HEINE_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     return prev

@@ -16,7 +16,7 @@ import numpy as np
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
 from .coeffs import CoeffQuad, compute_coeff_quad
-from .config import DEFAULT_QUAD, DEFAULT_TOL, QuadratureConfig, Tolerances
+from .config import QUAD_POINTS
 from .errors import NotSemiClassicalError
 from .moments import MomentTable, compute_moments, recover_u, weight_from_table
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
@@ -32,7 +32,7 @@ class Bundle:
     quads: dict[int, CoeffQuad] = field(default_factory=dict)
     u_poly: np.ndarray | None = None
     u_info: dict | None = None
-    tol: Tolerances = DEFAULT_TOL
+    tol_scale: float = 1.0
 
     def wfun(self):
         if self.weight is not None:
@@ -49,35 +49,36 @@ class Bundle:
         for n in sorted(set(int(n) for n in ns)):
             if n not in self.quads:
                 self.quads[n] = compute_coeff_quad(
-                    self.sys, self.asys, self.vw, n, weight=self.weight, tol=self.tol
+                    self.sys, self.asys, self.vw, n, weight=self.weight, tol_scale=self.tol_scale
                 )
 
 
 def moment_table(
-    source: SemiClassicalWeight | MomentTable, nmax: int, quad: QuadratureConfig = DEFAULT_QUAD
+    source: SemiClassicalWeight | MomentTable, nmax: int, quad_points: int = QUAD_POINTS
 ) -> MomentTable:
     """The moment table a bundle of levels 0..nmax is built on: a raw table
     as given, or a weight's moments on the window max(nmax + 2, 48)."""
     if isinstance(source, MomentTable):
         return source
-    return compute_moments(source, max(nmax + 2, 48), quad)
+    return compute_moments(source, max(nmax + 2, 48), quad_points)
 
 
 def build_bundle(
     source: SemiClassicalWeight | MomentTable,
     nmax: int,
     quad_ns: Sequence[int] = (),
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    tol: Tolerances = DEFAULT_TOL,
+    quad_points: int = QUAD_POINTS,
+    tol_scale: float = 1.0,
     recover_u_poly: bool = False,
 ) -> Bundle:
     """Build levels 0..nmax (plus the moment table when given a weight) and,
-    for strict weights, the requested coefficient-function quadruples."""
-    table = moment_table(source, nmax, quad)
+    for strict weights, the requested coefficient-function quadruples;
+    ``tol_scale`` scales the fit gates of the quadruples and of U."""
+    table = moment_table(source, nmax, quad_points)
     weight = None if isinstance(source, MomentTable) else source
-    sys = build_system(table, nmax, tol=tol)
-    asys = AssocSystem(sys, table, tol)
-    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight, tol=tol)
+    sys = build_system(table, nmax)
+    asys = AssocSystem(sys)
+    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight, tol_scale=tol_scale)
 
     if weight is not None:
         bundle.vw = build_vw(weight)
@@ -85,5 +86,5 @@ def build_bundle(
             if quad_ns:
                 bundle.require_quads(quad_ns)
             if recover_u_poly:
-                bundle.u_poly, bundle.u_info = recover_u(weight, asys.F, bundle.vw, tol=tol)
+                bundle.u_poly, bundle.u_info = recover_u(weight, asys.F, bundle.vw, tol_scale)
     return bundle

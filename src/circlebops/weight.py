@@ -29,7 +29,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
 from .errors import BranchCutError, PoleError, WeightValidationError
 from .numerics import as_poly, polyadd, polyder, polyfromroots, polyval
 
@@ -93,7 +92,6 @@ class SemiClassicalWeight:
     singularities: tuple[Singularity, ...]
     annulus: tuple[float, float] = (0.0, float("inf"))
     strict: bool = True
-    branch_convention: str = "radial"
 
     def __post_init__(self):
         object.__setattr__(self, "singularities", tuple(self.singularities))
@@ -126,7 +124,7 @@ class SemiClassicalWeight:
             Singularity(loc, s.exponent)
             for loc, s in zip(locations, self.singularities)
         )
-        return SemiClassicalWeight(sings, self.annulus, self.strict, self.branch_convention)
+        return SemiClassicalWeight(sings, self.annulus, self.strict)
 
     def default_annulus(self) -> tuple[float, float]:
         inner = max(
@@ -166,9 +164,7 @@ class ValidationReport:
         }
 
 
-def validate_weight(
-    spec: SemiClassicalWeight, strict: bool | None = None, tol: Tolerances = DEFAULT_TOL
-) -> ValidationReport:
+def validate_weight(spec: SemiClassicalWeight, strict: bool | None = None) -> ValidationReport:
     """Check the defining conditions of a regular semi-classical weight.
 
     Duplicate locations and a missing origin singularity are hard errors in
@@ -367,11 +363,8 @@ def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:
         tuple(sings),
         annulus=tuple(annulus) if annulus else (0.0, float("inf")),
         strict=bool(payload.get("strict", True)),
-        branch_convention=convention,
     )
     if annulus is None:
-        spec = SemiClassicalWeight(
-            spec.singularities, spec.default_annulus(), spec.strict, convention
-        )
+        spec = SemiClassicalWeight(spec.singularities, spec.default_annulus(), spec.strict)
     return spec
 

@@ -110,7 +110,7 @@ def strict():
     vw = build_vw(weight)
     table = compute_moments(weight, 48)
     sys = build_system(table, 7)
-    asys = AssocSystem(sys, table)
+    asys = AssocSystem(sys)
     quads = {n: compute_coeff_quad(sys, asys, vw, n, weight=weight) for n in range(6)}
     f_eval = CaratheodoryEvaluator(table)
     u_poly, u_info = recover_u(weight, f_eval, vw)

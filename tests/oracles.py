@@ -32,10 +32,16 @@ from circlebops.deform import (
     moment_rebuild,
     schlesinger_rhs,
 )
-from circlebops.config import DEFAULT_QUAD, QuadratureConfig
+from circlebops.config import QUAD_POINTS
 from circlebops.errors import QuadratureError
 from circlebops.lax import ResidueSet, k_matrix
-from circlebops.moments import MomentTable, compute_moments, toeplitz_det
+from circlebops.moments import (
+    QUAD_MAX_POINTS,
+    QUAD_TOL,
+    MomentTable,
+    compute_moments,
+    toeplitz_det,
+)
 from circlebops.numerics import principal_sqrt, rel_residual
 from circlebops.report import IdentityReport
 from circlebops.weight import PolyPair, eval_weight
@@ -319,21 +325,17 @@ def richardson_top_down(states: Sequence[DeformState], traj) -> dict:
 # Evaluation oracles: contour quadratures and determinantal representations
 # ---------------------------------------------------------------------------
 
-def caratheodory_quadrature(
-    w,
-    z: complex,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> complex:
+def caratheodory_quadrature(w, z: complex) -> complex:
     """Direct contour quadrature of F(z) for a weight callable on arrays;
     cross-check for the series route."""
-    points = quad.start_points
+    points = QUAD_POINTS
     prev = None
-    while points <= quad.max_points:
+    while points <= QUAD_MAX_POINTS:
         theta = 2.0 * np.pi * np.arange(points) / points
         zeta = np.exp(1j * theta)
         vals = np.asarray(w(zeta), dtype=complex)
         total = complex(np.mean((zeta + z) / (zeta - z) * vals))
-        if prev is not None and abs(total - prev) < quad.tol * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) < QUAD_TOL * max(1.0, abs(total)):
             return total
         prev = total
         points *= 2
@@ -435,7 +437,6 @@ def eps_intrep(
     sys: BopsSystem,
     n: int,
     z: complex,
-    quad: QuadratureConfig = DEFAULT_QUAD,
 ) -> tuple[complex, complex]:
     """(eps_n, eps*_n) via Toeplitz determinants of the Cauchy-modified
     weight w(zeta)/(zeta - z):
@@ -443,7 +444,7 @@ def eps_intrep(
         (kappa_n/2) eps_n  =  z^n    I^1_{n+1}[w/(zeta-z)] / I^0_{n+1}[w],
         (kappa_n/2) eps*_n = (-z)^{n+1} I^0_{n+1}[w/(zeta-z)] / I^0_{n+1}[w].
     """
-    mod = compute_moments(lambda zeta: wfun(zeta) / (zeta - z), n + 2, quad)
+    mod = compute_moments(lambda zeta: wfun(zeta) / (zeta - z), n + 2)
     i0 = toeplitz_det(tbl, 0, n + 1)
     kappa = sys.kappa(n)
     eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0

@@ -66,7 +66,7 @@ def test_criterion_1_lebesgue_suite():
     start = time.perf_counter()
     table = table_from_moments([(0, 1.0)], window=12)
     sys = build_system(table, 8)
-    asys = AssocSystem(sys, table)
+    asys = AssocSystem(sys)
 
     worst = 0.0
     for n in range(9):
@@ -187,7 +187,7 @@ def test_criterion_5_riemann_hilbert_suite():
 
     table_l = closed_form_table({-1: 1.0, 0: 2.0, 1: 1.0}, window=12)
     sys_l = build_system(table_l, 6)
-    asys_l = AssocSystem(sys_l, table_l)
+    asys_l = AssocSystem(sys_l)
     bundle_s = build_bundle(weight, 6)
 
     worst_value = 0.0

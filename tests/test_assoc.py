@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from circlebops.assoc import (
-    AssocSystem,
-    plemelj_jump_residual,
-    verify_assoc_identities,
-    verify_expansions,
-)
+from circlebops.assoc import AssocSystem, verify_assoc_identities, verify_expansions
 from circlebops.errors import NearCircleError, WindowError
+from circlebops.lax import rhp_jump_check
 from circlebops.moments import table_from_moments
 from circlebops.bops import build_system, eval_poly
 from circlebops.numerics import circle_samples, polyval
@@ -23,6 +19,13 @@ def sample_points(seed=5, count=10):
     return np.concatenate(
         [circle_samples(rng, count, 0.5), circle_samples(rng, count, 2.2)]
     )
+
+
+def plemelj_jump(asys, wfun, n, thetas):
+    """Largest rhp_jump residual of rhp_jump_check: the (1,2) entry of
+    Y_+ = Y_- J is the Plemelj jump eps_+ - eps_- = 2 w phi_n."""
+    rep = rhp_jump_check(asys.sys, asys, wfun, n, thetas)
+    return max(e.residual for e in rep.entries if e.name == "rhp_jump")
 
 
 class TestLebesgueValues:
@@ -42,10 +45,7 @@ class TestLebesgueValues:
 
     def test_jump_is_plemelj(self, lebesgue):
         wfun = lambda z: np.ones_like(np.asarray(z, dtype=complex))
-        res = plemelj_jump_residual(
-            lebesgue["asys"], wfun, 2, np.linspace(0.1, 6.2, 9)
-        )
-        assert res < 1e-12
+        assert plemelj_jump(lebesgue["asys"], wfun, 2, np.linspace(0.1, 6.2, 9)) < 1e-12
 
     def test_casoratian_c_lebesgue(self, lebesgue):
         # inside: phi_n eps*_n + eps_n phi*_n = 0 + 2 z^n * 1
@@ -83,8 +83,8 @@ class TestIdentityWeb:
 
     def test_plemelj_jump_both_weights(self, laurent, strict):
         thetas = np.linspace(0.1, 6.2, 17)
-        assert plemelj_jump_residual(laurent["asys"], laurent_callable, 2, thetas) < 1e-6
-        assert plemelj_jump_residual(strict["asys"], strict["wfun"], 3, thetas) < 1e-6
+        assert plemelj_jump(laurent["asys"], laurent_callable, 2, thetas) < 1e-6
+        assert plemelj_jump(strict["asys"], strict["wfun"], 3, thetas) < 1e-6
 
 
 class TestIntegralRoutes:
@@ -152,7 +152,7 @@ class TestConstruction:
     def test_window_error(self):
         tbl = table_from_moments([(0, 1.0)], window=4)
         sys = build_system(tbl, 3)
-        asys = AssocSystem(sys, tbl)
+        asys = AssocSystem(sys)
         with pytest.raises(WindowError) as err:
             asys.psi(4)
         assert err.value.required == 5

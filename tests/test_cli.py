@@ -11,8 +11,7 @@ import pytest
 import circlebops
 from circlebops import deform, pipeline
 from circlebops.bops import build_system
-from circlebops.cli import RunConfig, main, parse_trajectory, parse_weight_spec
-from circlebops.config import DEFAULT_TOL
+from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import closed_form_table
 
 from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC
@@ -137,6 +136,11 @@ class TestExitCodes:
         weight = write(tmp_path, "small.json", payload)
         assert main(["build", "--weight", weight, "--n", "4", "--out", str(tmp_path)]) == 2
 
+    def test_unknown_branch_convention_exits_two(self, tmp_path):
+        spec = {**STRICT_SPEC, "branch": {"convention": "principal"}}
+        weight = write(tmp_path, "w.json", spec)
+        assert main(["build", "--weight", weight, "--out", str(tmp_path)]) == 2
+
     def test_coeffs_on_relaxed_weight_exits_two(self, tmp_path):
         weight = write(tmp_path, "w.json", LAURENT_SPEC)
         assert main(["coeffs", "--weight", weight, "--out", str(tmp_path)]) == 2
@@ -217,9 +221,8 @@ class TestArtifacts:
         # every flowed value is written exactly: t, kappa, r, rbar, then the
         # m = 3 residue matrices entry by entry, and nothing else
         assert {len(row) for row in rows} == {7 + 8 * 3}
-        cfg = RunConfig(weight, "deform", n=2, steps=32)
         path = parse_trajectory(traj, parse_weight_spec(weight)[0])
-        initial, _ = deform.moment_rebuild(path, path.t0, 2, cfg.quad(), cfg.tol())
+        initial, _ = deform.moment_rebuild(path, path.t0, 2)
         for row, st in zip(rows[1:], deform.integrate_flow(initial, path, (path.t0, path.t1), 32)):
             want = [st.t]
             for value in [st.kappa, st.r, st.rbar, *st.a.ravel().tolist()]:
@@ -299,19 +302,19 @@ class TestOneBundle:
 
     def test_quadrature_and_tolerances_reach_every_suite(self, tmp_path, monkeypatch):
         # every moment table, deform's rebuilds included, comes from pipeline
-        quads, tols = [], []
+        points, scales = [], []
         real = pipeline.compute_moments
 
-        def moments(w, window, quad):
-            quads.append(quad)
-            return real(w, window, quad)
+        def moments(w, window, quad_points):
+            points.append(quad_points)
+            return real(w, window, quad_points)
 
         monkeypatch.setattr(pipeline, "compute_moments", moments)
         real_quad = pipeline.compute_coeff_quad
 
-        def coeff_quad(*args, tol, **kwargs):
-            tols.append(tol)
-            return real_quad(*args, tol=tol, **kwargs)
+        def coeff_quad(*args, tol_scale, **kwargs):
+            scales.append(tol_scale)
+            return real_quad(*args, tol_scale=tol_scale, **kwargs)
 
         monkeypatch.setattr(pipeline, "compute_coeff_quad", coeff_quad)
         weight = write(tmp_path, "w.json", STRICT_SPEC)
@@ -319,11 +322,35 @@ class TestOneBundle:
         argv = ["--weight", weight, "--n", "2", "--quad-points", "512", "--tol", "2"]
         for command in ("moments", "build", "assoc", "coeffs", "verify-all",
                         "rhp-check", "deform", "heine-check"):
-            quads.clear()
+            points.clear()
             extra = ["--trajectory", traj, "--steps", "16"] if command == "deform" else []
             assert main([command] + argv + extra + ["--out", str(tmp_path / command)]) in (0, 1)
-            assert quads and all(q.start_points == 512 for q in quads), command
-        assert tols and all(t == DEFAULT_TOL.scaled(2.0) for t in tols)
+            assert points and all(p == 512 for p in points), command
+        assert scales and all(s == 2.0 for s in scales)
+
+    def test_tol_scales_every_gate(self, tmp_path):
+        # doubling is exact in binary floating point, so every entry's tol
+        # must read exactly twice its value at --tol 1
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        traj = write(tmp_path, "t.json", TRAJ_SPEC)
+        for command in ("build", "assoc", "coeffs", "verify-all", "rhp-check",
+                        "deform", "heine-check"):
+            extra = ["--trajectory", traj, "--steps", "16"] if command == "deform" else []
+            tols = []
+            for scale in ("1", "2"):
+                out = tmp_path / command / scale
+                argv = [command, "--weight", weight, "--n", "4", "--seed", "3", "--tol", scale]
+                assert main(argv + extra + ["--out", str(out)]) in (0, 1), command
+                by_entry = {}
+                for path in sorted(out.glob("*.json")):
+                    for e in json.loads(path.read_text()).get("entries", []):
+                        key = (path.name, e["name"], e.get("n"), e.get("where"))
+                        by_entry.setdefault(key, []).append(e["tol"])
+                tols.append(by_entry)
+            once, twice = tols
+            assert once and once.keys() == twice.keys(), command
+            wrong = [k for k in once if twice[k] != [2.0 * t for t in once[k]]]
+            assert not wrong, (command, wrong[:5])
 
 
 class TestIdentityFailureExit:

@@ -62,7 +62,7 @@ class TestConstruction:
 
         table = compute_moments(weight, 24)
         sys = build_system(table, 4)
-        asys = AssocSystem(sys, table)
+        asys = AssocSystem(sys)
         quad = compute_coeff_quad(sys, asys, build_vw(weight), 1, weight=weight)
         assert len(quad.theta) == 1
         assert len(quad.omega) == 2
@@ -129,7 +129,7 @@ class TestConstruction:
         table = compute_moments(strict["weight"], 8)
         sys = build_system(table, 6)
         with pytest.raises(WindowError):
-            compute_coeff_quad(sys, AssocSystem(sys, table), strict["vw"], 5, weight=strict["weight"])
+            compute_coeff_quad(sys, AssocSystem(sys), strict["vw"], 5, weight=strict["weight"])
 
     def test_seed_recorded_and_deterministic(self, strict):
         q_again = compute_coeff_quad(

@@ -195,7 +195,7 @@ class TestCaratheodory:
         assert np.array_equal(f(zs), kept)
 
     def test_levels_share_one_series_pass_per_side(self, strict, monkeypatch):
-        asys = AssocSystem(strict["sys"], strict["table"])
+        asys = AssocSystem(strict["sys"])
         count = strict["table"].window + 1
         calls = {"inside": 0, "outside": 0}
 
