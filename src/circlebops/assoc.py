@@ -18,7 +18,10 @@ the annulus of the weight, which the Riemann-Hilbert jump check in `lax`
 exploits.  The same series give the exact derivatives
 (`AssocSystem.derivative`) and the exact expansions of eps_n and eps*_n at 0
 and at infinity (`AssocSystem.eps_taylor`), from which `verify_expansions`
-reads its Laurent coefficients.
+reads its Laurent coefficients.  `evaluate` and `derivative` compute over
+arrays even for a single point, so a point's values are the same bit for
+bit whether it comes alone or inside an array, and a suite may batch its
+points as it likes.
 """
 
 from __future__ import annotations
@@ -65,22 +68,27 @@ class AssocSystem:
     def evaluate(self, n: int, z, side: str | None = None):
         """(phi_n, phi*_n, eps_n, eps*_n) over an array z of any shape (a
         scalar is a 0-d array): one Horner pass over the four polynomials
-        phi_n, phi*_n, psi_n, psi*_n and one evaluation of F."""
+        phi_n, phi*_n, psi_n, psi*_n and one evaluation of F.  Each value
+        at a point is the same bit for bit whether the point comes alone or
+        inside an array."""
         zs = np.asarray(z, dtype=complex)
-        phi, phistar, psi, psistar = polyval(self._stacked(n), zs)
-        f = self.F(zs, side=side)
-        return phi, phistar, psi + f * phi, psistar - f * phistar
+        flat = zs.reshape(-1)
+        phi, phistar, psi, psistar = polyval(self._stacked(n), flat)
+        f = self.F(flat, side=side)
+        return _shaped(zs.shape, phi, phistar, psi + f * phi, psistar - f * phistar)
 
     def derivative(self, n: int, z, side: str | None = None):
         """(phi'_n, phi*'_n, eps'_n, eps*'_n) over an array z, exact:
         eps'_n = psi'_n + F' phi_n + F phi'_n and eps*'_n = psi*'_n - F'
         phi*_n - F phi*'_n, with F' from the same moment series as F."""
         zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
         coeffs = self._stacked(n)
-        phi, phistar = polyval(coeffs[:, :2], zs)
-        dphi, dphistar, dpsi, dpsistar = polyval(polyder(coeffs), zs)
-        f, df = self.F(zs, side=side), self.F(zs, side=side, derivative=True)
-        return (
+        phi, phistar = polyval(coeffs[:, :2], flat)
+        dphi, dphistar, dpsi, dpsistar = polyval(polyder(coeffs), flat)
+        f, df = self.F(flat, side=side), self.F(flat, side=side, derivative=True)
+        return _shaped(
+            zs.shape,
             dphi,
             dphistar,
             dpsi + df * phi + f * dphi,
@@ -111,6 +119,13 @@ class AssocSystem:
             psi, phi = psi[::-1], phi[::-1]
         f = self.F.series(count, side="outside" if at_infinity else "inside")
         return polyadd(np.zeros(count), psi, sign * polymul(f, phi))[:count]
+
+
+def _shaped(shape, *values):
+    """The values, computed over the flattened points, in the points' shape.
+    The arithmetic always runs over arrays: on numpy scalars (a 0-d point)
+    a complex product rounds differently from numpy's array loop."""
+    return tuple(v.reshape(shape)[()] for v in values)
 
 
 def _psi_coeffs(sys: BopsSystem, n: int) -> np.ndarray:

@@ -25,8 +25,10 @@ above.  Those take phi', phi*', eps' and eps*' exact from
 independent of the band reads because they test each relation pointwise,
 at sample points inside and outside the circle, on both elements of F.
 Each suite evaluates a quadruple once per point set, in one Horner pass over
-its four members (`CoeffQuad.evaluate`), and indexes those values; `th`,
-`ths`, `om` and `oms` are the one-member readers.
+its four members (`CoeffQuad.evaluate`, the only reader of its values), and
+indexes those values.  The bilinear suite evaluates each quadruple and each
+level's phi/eps once over all the non-zero singular points and takes each
+check's residuals at those points in one `rel_residuals` call.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 15, where the spectral derivative
@@ -59,6 +61,7 @@ from .numerics import (
     polymul,
     polyval,
     rel_residual,
+    rel_residuals,
     series_band,
 )
 from .report import IdentityReport
@@ -79,21 +82,9 @@ class CoeffQuad:
         (a scalar is a 0-d array) in one Horner pass over the four members.
         The Theta pair is zero-padded at the top to the length of Omega_n; a
         leading zero leaves every Horner step unchanged, so each row equals
-        its one-member reader (th, ths, om, oms) bit for bit."""
+        that member's own polyval bit for bit."""
         padded = (np.append(self.theta, 0), np.append(self.thetastar, 0))
         return polyval(np.stack([*padded, self.omega, self.omegastar], axis=1), z)
-
-    def th(self, z):
-        return polyval(self.theta, z)
-
-    def ths(self, z):
-        return polyval(self.thetastar, z)
-
-    def om(self, z):
-        return polyval(self.omega, z)
-
-    def oms(self, z):
-        return polyval(self.omegastar, z)
 
 
 def _require_strict(vw: PolyPair, weight: SemiClassicalWeight | None):
@@ -407,7 +398,7 @@ def verify_expansion_forms(
                 n=n,
                 where=f"z^{order}",
             )
-        om0 = quad.om(0.0)
+        om0 = quad.evaluate(0.0)[2]
         rep.add(
             "omega_at_origin",
             "does not lead to any new independent relation",
@@ -574,110 +565,83 @@ def verify_bilinear(
     polynomial identities.  ``ns`` selects the levels asserted (default:
     every level whose successor quad is available)."""
     rep = IdentityReport("bilinear identities at the singular points")
-    sings = [(j, s.location) for j, s in enumerate(weight.singularities) if s.location != 0]
     anchor_bil = "the coefficient functions satisfy the bilinear identities"
     anchor_res = "bilinear residues are related to the coefficient function residues"
     if ns is None:
         ns = [n for n in sorted(quads) if n + 1 in quads]
-    # each quadruple once at all the singular points: ev[n][member, k]
-    ev = {n: q.evaluate(np.array([zj for _, zj in sings], dtype=complex)) for n, q in quads.items()}
+    # every value once per level at all the non-zero singular points
+    # z_2..z_m: each quadruple, then phi/eps at the levels the residues read
+    zj = weight.locations[1:]
+    v_j = vw.v_eval(zj)
+    if np.any(abs(v_j) < 1e-12):
+        k = int(np.argmax(abs(v_j) < 1e-12))
+        raise SingularResidueError(f"V(z_{k + 2}) = 0 at z = {zj[k]}")
+    v2 = v_j**2
+    ev = {n: q.evaluate(zj) for n, q in quads.items()}
+    res_ns = [n for n in sorted(ns) if n in quads and n + 1 <= sys.nmax]
+    phis = {k: asys.evaluate(k, zj) for k in sorted({k for n in res_ns for k in (n, n + 1)})}
+    chain = [n for n in sorted(ns) if n + 1 in quads and n + 2 <= sys.nmax]
+    rows = []  # (name, anchor, n, residual at each point) per check
 
-    for k, (j, zj) in enumerate(sings):
-        v_j = vw.v_eval(zj)
-        if abs(v_j) < 1e-12:
-            raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {zj}")
-        v2 = v_j**2
-
-        for n in sorted(ns):
-            if n + 1 not in quads or n + 2 > sys.nmax:
-                continue
-            ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-            th_n, ths_n, om_n, oms_n = ev[n][:, k]
-            th_p, ths_p = ev[n + 1][:2, k]
-
-            lhs = om_n**2
-            rhs = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * th_n * th_p + v2
-            rep.add("bilinear_a", anchor_bil, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
-
-            lhs = oms_n**2
-            rhs = ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zj * ths_n * ths_p + v2
-            rep.add("bilinear_b", anchor_bil, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
-
+    for n in chain:
+        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
+        th_n, ths_n, om_n, oms_n = ev[n]
+        th_p, ths_p = ev[n + 1][:2]
+        lhs_ef = lp.phi0 * lp.phibar0 / ln.kappa**2 * zj * th_n * ths_n + v2
+        checks = [
+            ("bilinear_a", om_n**2,
+             ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * th_n * th_p + v2),
+            ("bilinear_b", oms_n**2,
+             ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zj * ths_n * ths_p + v2),
             # mirror of (d) under the bar swap: the scale factor carries
             # kappa_n / kappa_{n+1}^3 (verified numerically at every level)
-            lhs = (om_n - ln.kappa**2 / lp.kappa**2 * lpp.phi0 / lp.phi0 * th_p) ** 2
-            rhs = ln.kappa * lpp.phi0 * lp.phibar0 / lp.kappa**3 * th_p * ths_n + v2
-            rep.add("bilinear_c", anchor_bil, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
+            ("bilinear_c", (om_n - ln.kappa**2 / lp.kappa**2 * lpp.phi0 / lp.phi0 * th_p) ** 2,
+             ln.kappa * lpp.phi0 * lp.phibar0 / lp.kappa**3 * th_p * ths_n + v2),
+            ("bilinear_d",
+             (oms_n - ln.kappa**2 / lp.kappa**2 * lpp.phibar0 / lp.phibar0 * zj * ths_p) ** 2,
+             ln.kappa * lpp.phibar0 * lp.phi0 / lp.kappa**3 * zj**2 * ths_p * th_n + v2),
+            ("bilinear_e", lhs_ef, (om_n - lp.kappa / ln.kappa * zj * th_n) ** 2),
+            ("bilinear_f", lhs_ef, (oms_n - lp.kappa / ln.kappa * ths_n) ** 2),
+        ]
+        rows += [(name, anchor_bil, n, rel_residuals(lhs - rhs, lhs, rhs)) for name, lhs, rhs in checks]
 
-            lhs = (oms_n - ln.kappa**2 / lp.kappa**2 * lpp.phibar0 / lp.phibar0 * zj * ths_p) ** 2
-            rhs = ln.kappa * lpp.phibar0 * lp.phi0 / lp.kappa**3 * zj**2 * ths_p * th_n + v2
-            rep.add("bilinear_d", anchor_bil, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
+    # bilinear residue formulas (phi/eps products against the quadruple)
+    for n in res_ns:
+        ln, lp = sys.level(n), sys.level(n + 1)
+        phi_n, star_n, eps_n, es_n = phis[n]
+        phi_p, star_p, eps_p, es_p = phis[n + 1]
+        th_n, ths_n, om_n, oms_n = ev[n]
+        base = 2.0 * lp.phi0 / ln.kappa * zj**n
+        base_s = 2.0 * lp.phibar0 / ln.kappa * zj ** (n + 1)
+        ratio = lp.kappa / ln.kappa
+        checks = [
+            ("bilres_a", phi_n * eps_n, base * th_n / (2.0 * v_j)),
+            ("bilres_b", star_n * es_n, -base_s * ths_n / (2.0 * v_j)),
+            ("bilres_c", phi_p * eps_n, base * (om_n + v_j) / (2.0 * v_j)),
+            ("bilres_d", phi_n * eps_p, base * (om_n - v_j) / (2.0 * v_j)),
+            ("bilres_e", star_n * es_p, -base_s * (oms_n + v_j) / (2.0 * v_j)),
+            ("bilres_f", star_p * es_n, -base_s * (oms_n - v_j) / (2.0 * v_j)),
+            ("bilres_g", phi_n * es_n, -(zj**n) / v_j * (om_n - v_j - ratio * zj * th_n)),
+            ("bilres_h", phi_n * es_n, -(zj**n) / v_j * (oms_n - v_j - ratio * ths_n)),
+            ("bilres_i", star_n * eps_n, zj**n / v_j * (om_n + v_j - ratio * zj * th_n)),
+            ("bilres_j", star_n * eps_n, zj**n / v_j * (oms_n + v_j - ratio * ths_n)),
+        ]
+        rows += [(name, anchor_res, n, rel_residuals(lhs - rhs, lhs, rhs)) for name, lhs, rhs in checks]
 
-            lhs = lp.phi0 * lp.phibar0 / ln.kappa**2 * zj * th_n * ths_n + v2
-            rhs = (om_n - lp.kappa / ln.kappa * zj * th_n) ** 2
-            rep.add("bilinear_e", anchor_bil, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
-            rhs = (oms_n - lp.kappa / ln.kappa * ths_n) ** 2
-            rep.add("bilinear_f", anchor_bil, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
+    # telescoped summation: Omega_n^2 - D_n is the constant V^2(z_j); the
+    # exact difference cancels the large terms, so it is scaled by them
+    for n in chain:
+        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
+        om_n = ev[n][2]
+        d_n = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * ev[n][0] * ev[n + 1][0]
+        rows.append(
+            ("telescoped_constant", "upon summing this relation the summation constant is",
+             n, rel_residuals(om_n**2 - d_n - v2, om_n**2, d_n, v2))
+        )
 
-        # bilinear residue formulas (phi/eps products against the quadruple)
-        for n in sorted(ns):
-            if n not in quads or n + 1 > sys.nmax:
-                continue
-            ln, lp = sys.level(n), sys.level(n + 1)
-            # per point: eps = psi + F phi is rounded differently over an array
-            phi_n, star_n, eps_n, es_n = asys.evaluate(n, zj)
-            phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zj)
-            th_n, ths_n, om_n, oms_n = ev[n][:, k]
-            base = 2.0 * lp.phi0 / ln.kappa * zj**n
-            base_s = 2.0 * lp.phibar0 / ln.kappa * zj ** (n + 1)
-
-            checks = [
-                ("bilres_a", phi_n * eps_n, base * th_n / (2.0 * v_j)),
-                ("bilres_b", star_n * es_n, -base_s * ths_n / (2.0 * v_j)),
-                ("bilres_c", phi_p * eps_n, base * (om_n + v_j) / (2.0 * v_j)),
-                ("bilres_d", phi_n * eps_p, base * (om_n - v_j) / (2.0 * v_j)),
-                ("bilres_e", star_n * es_p, -base_s * (oms_n + v_j) / (2.0 * v_j)),
-                ("bilres_f", star_p * es_n, -base_s * (oms_n - v_j) / (2.0 * v_j)),
-                (
-                    "bilres_g",
-                    phi_n * es_n,
-                    -(zj**n) / v_j * (om_n - v_j - lp.kappa / ln.kappa * zj * th_n),
-                ),
-                (
-                    "bilres_h",
-                    phi_n * es_n,
-                    -(zj**n) / v_j * (oms_n - v_j - lp.kappa / ln.kappa * ths_n),
-                ),
-                (
-                    "bilres_i",
-                    star_n * eps_n,
-                    zj**n / v_j * (om_n + v_j - lp.kappa / ln.kappa * zj * th_n),
-                ),
-                (
-                    "bilres_j",
-                    star_n * eps_n,
-                    zj**n / v_j * (oms_n + v_j - lp.kappa / ln.kappa * ths_n),
-                ),
-            ]
-            for name, lhs, rhs in checks:
-                rep.add(name, anchor_res, rel_residual(lhs - rhs, lhs, rhs), tol, n=n, where=f"z_{j + 1}")
-
-        # telescoped summation: Omega_n^2 - D_n is the constant V^2(z_j)
-        ns_chain = sorted(nn for nn in ns if nn + 1 in quads and nn + 2 <= sys.nmax)
-        for n in ns_chain:
-            ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-            th_n, _, om_n, _ = ev[n][:, k]
-            d_n = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * th_n * ev[n + 1][0, k]
-            partial = om_n**2 - d_n
-            # the exact difference cancels the large terms; scale by them
-            rep.add(
-                "telescoped_constant",
-                "upon summing this relation the summation constant is",
-                rel_residual(partial - v2, om_n**2, d_n, v2),
-                tol,
-                n=n,
-                where=f"z_{j + 1}",
-            )
+    for k in range(len(zj)):
+        for name, anchor, n, residuals in rows:
+            rep.add(name, anchor, residuals[k], tol, n=n, where=f"z_{k + 2}")
 
     if u_poly is not None and 0 in quads and 1 in quads:
         rep.extend(verify_initial_members(quads, vw, sys, u_poly, tol=tol))

@@ -109,7 +109,6 @@ class DeformState:
     kappa: complex
     r: complex
     rbar: complex
-    provenance: str = "schlesinger_flow"
 
     @property
     def phibar0(self) -> complex:
@@ -121,11 +120,11 @@ class DeformState:
         )
 
     @classmethod
-    def unpack(cls, t: float, n: int, m: int, y: np.ndarray, provenance: str) -> "DeformState":
+    def unpack(cls, t: float, n: int, m: int, y: np.ndarray) -> "DeformState":
         a = y[: 4 * m].reshape(m, 2, 2)
         a_inf = y[4 * m : 4 * m + 4].reshape(2, 2)
         kappa, r, rbar = y[4 * m + 4 :]
-        return cls(t, n, a.copy(), a_inf.copy(), complex(kappa), complex(r), complex(rbar), provenance)
+        return cls(t, n, a.copy(), a_inf.copy(), complex(kappa), complex(r), complex(rbar))
 
 
 def state_gap(a: DeformState, b: DeformState) -> float:
@@ -165,7 +164,6 @@ def moment_rebuild(
         kappa=lev.kappa,
         r=lev.r,
         rbar=lev.rbar,
-        provenance="moment_rebuild",
     )
     return state, bundle
 
@@ -196,18 +194,6 @@ class RatesRecord:
         return abs(self.kdot_over_k_a - self.kdot_over_k_b)
 
 
-def _moving_terms(traj, t: float):
-    locs = traj.locations(t)
-    vel = traj.velocities(t)
-    rhos = traj.weight0.exponents
-    for zj, zdot, rho in zip(locs, vel, rhos):
-        if zdot == 0:
-            continue
-        if zj == 0:
-            raise SingularResidueError("a moving singularity sits at the origin")
-        yield complex(zj), complex(zdot), complex(rho)
-
-
 def deformation_rates(
     sys: BopsSystem,
     asys: AssocSystem,
@@ -218,34 +204,29 @@ def deformation_rates(
     t: float,
 ) -> RatesRecord:
     """Logarithmic t-rates of kappa_n, r_n, rbar_n, phi_n(0), phibar_n(0)
-    from the bilinear-residue sums over the moving singularities.  Both
-    displayed routes to kappa-dot are computed; their gap is an internal
-    consistency diagnostic.  r-dot / rbar-dot use the level n-1 coefficient
-    functions, so quads must hold levels n-1 and n."""
+    from the bilinear-residue sums over the moving singularities, each
+    evaluated once at all of them.  Both displayed routes to kappa-dot are
+    computed; their gap is an internal consistency diagnostic.  r-dot /
+    rbar-dot use the level n-1 coefficient functions, so quads must hold
+    levels n-1 and n."""
     lev = sys.level(n)
-    sum_rho_zdot = 0j
-    route_a = 0j
-    route_b = 0j
-    rdot_sum = 0j
-    rbardot_sum = 0j
-    dphi_sum = 0j
-    dphibar_sum = 0j
-    qm = quads[n - 1] if n >= 1 else None
-    qn = quads[n]
-    for zj, zdot, rho in _moving_terms(traj, t):
-        vj = vw.v_eval(zj)
-        if abs(vj) < 1e-12:
-            raise SingularResidueError(f"V({zj}) = 0 in a deformation-rate sum")
-        ratio = zdot / zj
-        sum_rho_zdot += rho * ratio
-        phi, star, eps, eps_s = asys.evaluate(n, zj)
-        route_a += 0.5 * rho * ratio * zj ** (-n) * eps * star
-        route_b += -0.5 * rho * ratio * zj ** (-n) * eps_s * phi
-        if qm is not None:
-            rdot_sum += 0.5 * rho * ratio * (qm.om(zj) - vj) / vj
-            rbardot_sum += 0.5 * rho * ratio * (qm.oms(zj) + vj) / vj
-        dphi_sum += rho / (2.0 * vj) * ratio * qn.th(zj)
-        dphibar_sum += rho / (2.0 * vj) * zdot * qn.ths(zj)
+    vel = np.asarray(traj.velocities(t), dtype=complex)
+    moving = vel != 0
+    zj, zdot = np.asarray(traj.locations(t), dtype=complex)[moving], vel[moving]
+    rho = np.asarray(traj.weight0.exponents, dtype=complex)[moving]
+    if np.any(zj == 0):
+        raise SingularResidueError("a moving singularity sits at the origin")
+    vj = vw.v_eval(zj)
+    if np.any(abs(vj) < 1e-12):
+        raise SingularResidueError(f"V({zj[abs(vj) < 1e-12][0]}) = 0 in a deformation-rate sum")
+    ratio = zdot / zj
+    phi, star, eps, eps_s = asys.evaluate(n, zj)
+    th, ths, _, _ = quads[n].evaluate(zj)
+    sum_rho_zdot = np.sum(rho * ratio)
+    route_a = np.sum(0.5 * rho * ratio * zj ** (-n) * eps * star)
+    route_b = np.sum(-0.5 * rho * ratio * zj ** (-n) * eps_s * phi)
+    dphi_sum = np.sum(rho / (2.0 * vj) * ratio * th)
+    dphibar_sum = np.sum(rho / (2.0 * vj) * zdot * ths)
 
     kdot_a = 0.5 * (-sum_rho_zdot + route_a)
     kdot_b = 0.5 * route_b
@@ -257,13 +238,18 @@ def deformation_rates(
     b_inf = np.array(
         [[kdot, 0.0], [d_kappa_phibar0 / lev.kappa**2, -kdot]], dtype=complex
     )
-    rdot = lev.r * rdot_sum if qm is not None else lev.r * (dlog_phi0 - kdot)
-    rbardot = lev.rbar * rbardot_sum if qm is not None else lev.rbar * (dlog_phibar0 - kdot)
+    if n >= 1:
+        _, _, om_m, oms_m = quads[n - 1].evaluate(zj)
+        rdot = lev.r * np.sum(0.5 * rho * ratio * (om_m - vj) / vj)
+        rbardot = lev.rbar * np.sum(0.5 * rho * ratio * (oms_m + vj) / vj)
+    else:
+        rdot = lev.r * (dlog_phi0 - kdot)
+        rbardot = lev.rbar * (dlog_phibar0 - kdot)
     return RatesRecord(
         n=n,
         t=t,
-        kdot_over_k_a=kdot_a,
-        kdot_over_k_b=kdot_b,
+        kdot_over_k_a=complex(kdot_a),
+        kdot_over_k_b=complex(kdot_b),
         rdot=complex(rdot),
         rbardot=complex(rbardot),
         dlog_phi0=complex(dlog_phi0),
@@ -401,9 +387,9 @@ def integrate_flow(
     if t1 == t0:
         return [initial]
     m, n = len(initial.a), initial.n
-    out = [DeformState.unpack(t0, n, m, initial.pack(), "schlesinger_flow")]
+    out = [DeformState.unpack(t0, n, m, initial.pack())]
     for t, y in _rk4_steps(initial, traj, t_span, steps):
-        out.append(DeformState.unpack(t, n, m, np.array(y), "schlesinger_flow"))
+        out.append(DeformState.unpack(t, n, m, np.array(y)))
     return out
 
 

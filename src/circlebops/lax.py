@@ -24,7 +24,10 @@ quadruple as a band of the Taylor series at 0 or at infinity: these checks
 test the whole matrix identity pointwise at the given sample points, each
 with the element of F on its own side of the circle.  Each quadruple is
 evaluated once per point set (`CoeffQuad.evaluate`), and each per-point
-check takes its residuals at all points in one `rel_residuals` call.
+check takes its residuals at all points in one `rel_residuals` call.  The
+rank-one bilinear form of the residues comes from one evaluation at all the
+non-origin singular points, and the four summation identities are read off
+its stack and the origin's residue matrix.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 matrix system passes at the identity tolerance 1e-9 through n = 7.
@@ -165,26 +168,15 @@ def assemble_residues(
 
 
 def residues_bilinear_form(
-    sys: BopsSystem, asys: AssocSystem, weight: SemiClassicalWeight, n: int
-) -> dict[int, np.ndarray]:
+    asys: AssocSystem, weight: SemiClassicalWeight, n: int
+) -> np.ndarray:
     """Alternative rank-one expression for the residues at the non-origin
-    singularities, built from phi/eps products."""
-    out = {}
-    for j, s in enumerate(weight.singularities):
-        if s.location == 0:
-            continue
-        zj, rho = s.location, s.exponent
-        phi, star, eps, eps_s = asys.evaluate(n, zj)
-        out[j] = (
-            -0.5
-            * rho
-            * zj ** (-n)
-            * np.array(
-                [[star * eps, -phi * eps], [-star * eps_s, phi * eps_s]],
-                dtype=complex,
-            )
-        )
-    return out
+    singularities z_2..z_m, built from phi/eps products: the stack of shape
+    (m-1, 2, 2), from one evaluation at all of them."""
+    zj = weight.locations[1:]
+    phi, star, eps, eps_s = asys.evaluate(n, zj)
+    scale = -0.5 * weight.exponents[1:] * zj ** (-n)
+    return scale[:, None, None] * _mat(star * eps, -phi * eps, -star * eps_s, phi * eps_s)
 
 
 def verify_matrix_system(
@@ -195,7 +187,6 @@ def verify_matrix_system(
     weight: SemiClassicalWeight,
     n: int,
     samples: Sequence[complex],
-    wfun: Callable | None = None,
     tol_scale: float = 1.0,
 ) -> IdentityReport:
     """Matrix-level identity web at level n:
@@ -216,8 +207,6 @@ def verify_matrix_system(
     identity_tol = IDENTITY_TOL * tol_scale
     residue_tol = 1e-7 * tol_scale
     rank_tol = 1e-8 * tol_scale
-    if wfun is None:
-        wfun = lambda z: weight(z)
     quad = quads[n]
     zs = np.asarray(
         [
@@ -228,7 +217,7 @@ def verify_matrix_system(
         dtype=complex,
     )
     wheres = [f"z={z:.3g}" for z in zs]
-    w = np.asarray(wfun(zs), dtype=complex)
+    w = weight(zs)
     w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
     log_w = 2.0 * v_z / w_z  # w'/w, as W w' = 2 V w
 
@@ -349,9 +338,9 @@ def verify_matrix_system(
 
     # residues: coefficient-function form vs rank-one bilinear form
     res = assemble_residues(quad, vw, sys, n, weight)
-    bil = residues_bilinear_form(sys, asys, weight, n)
-    for j, mat in bil.items():
-        gap = rel_residual(res.a[j] - mat, res.a[j], mat)
+    bil = residues_bilinear_form(asys, weight, n)
+    gaps = rel_residuals(res.a[1:] - bil, res.a[1:], bil)
+    for j, (a_j, gap) in enumerate(zip(res.a[1:], gaps), start=1):
         rep.add(
             "residue_bilinear_form",
             "an alternative expression for the residue matrices",
@@ -363,7 +352,7 @@ def verify_matrix_system(
         rep.add(
             "residue_rank_one",
             "we find that det A_nj = 0",
-            abs(np.linalg.det(res.a[j])) / max(1.0, float(np.max(np.abs(res.a[j]))) ** 2),
+            abs(np.linalg.det(a_j)) / max(1.0, float(np.max(np.abs(a_j))) ** 2),
             rank_tol,
             n=n,
             where=f"z_{j + 1}",
@@ -386,29 +375,16 @@ def verify_matrix_system(
         n=n,
     )
 
-    # four summation identities
+    # four summation identities, read off the residue matrices: the sums run
+    # over the bilinear residues of the non-zero singularities, and the
+    # origin enters through its (upper-triangular) residue matrix
     sum_rho = weight.exponent_sum
-    ln = sys.level(n)
-    sums = [0j, 0j, 0j, 0j]
-    for s in weight.singularities:
-        zj, rho = s.location, s.exponent
-        if zj == 0:
-            continue
-        phi, star, eps, eps_s = asys.evaluate(n, zj)
-        base = 0.5 * rho * zj ** (-n)
-        sums[0] += base * phi * eps
-        sums[1] += base * star * eps
-        sums[2] += base * phi * eps_s
-        sums[3] += base * star * eps_s
-    # the sums run over the non-zero singularities; the origin enters through
-    # its (upper-triangular) residue matrix, whose first row contributes to
-    # the first two identities
-    res0 = res.a[0]
+    total = bil.sum(axis=0) + res.a[0]
     targets = [
-        ("summation_phi_eps", sums[0] + res0[0, 1], 0.0),
-        ("summation_phistar_eps", sums[1] - res0[0, 0], -float(n)),
-        ("summation_phi_epsstar", sums[2], sum_rho),
-        ("summation_phistar_epsstar", sums[3], (n + sum_rho) * ln.rbar),
+        ("summation_phi_eps", total[0, 1], 0.0),
+        ("summation_phistar_eps", -total[0, 0], -float(n)),
+        ("summation_phi_epsstar", -total[1, 1], sum_rho),
+        ("summation_phistar_epsstar", total[1, 0], (n + sum_rho) * sys.level(n).rbar),
     ]
     for name, got, want in targets:
         rep.add(

@@ -25,7 +25,7 @@ import numpy as np
 from .config import FIT_TOL, QUAD_POINTS
 from .errors import NearCircleError, NotSemiClassicalError, QuadratureError, WindowError
 from .numerics import polyadd, polyder, polymul, polyval, series_band
-from .weight import SemiClassicalWeight, build_vw, eval_weight
+from .weight import SemiClassicalWeight, build_vw
 
 # Moment quadrature: the point count doubles until every retained moment
 # moves by less than QUAD_TOL, and never beyond QUAD_MAX_POINTS.
@@ -40,21 +40,16 @@ HEINE_MAX = 512
 HEINE_TOL = 1e-8
 
 
-def _as_callable(w) -> Callable:
-    if isinstance(w, SemiClassicalWeight):
-        return lambda z: eval_weight(w, z)
-    return w
-
-
-def _grid_values(wfun: Callable, points: int) -> np.ndarray:
+def _grid_values(w: Callable, points: int) -> np.ndarray:
+    """w at the ``points`` roots of unity, in one call on the whole grid."""
     theta = 2.0 * np.pi * np.arange(points) / points
     zs = np.exp(1j * theta)
-    try:
-        vals = np.asarray(wfun(zs), dtype=complex)
-        if vals.shape != zs.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.asarray([wfun(z) for z in zs], dtype=complex)
+    vals = np.asarray(w(zs), dtype=complex)
+    if vals.shape != zs.shape:
+        raise ValueError(
+            f"the weight must return an array of shape {zs.shape} on the grid, "
+            f"got shape {vals.shape}"
+        )
     return vals
 
 
@@ -99,7 +94,6 @@ def compute_moments(w, window: int, quad_points: int = QUAD_POINTS) -> MomentTab
     """Moments by adaptive FFT trapezoid: the point count doubles until every
     retained w_k moves by less than QUAD_TOL, starting from ``quad_points``
     (never below 4*(window+1) to keep aliasing out of the retained band)."""
-    wfun = _as_callable(w)
     points = max(quad_points, 4 * (window + 1))
     # round up to a power of two for the FFT
     p = 1
@@ -112,13 +106,13 @@ def compute_moments(w, window: int, quad_points: int = QUAD_POINTS) -> MomentTab
         ks = np.arange(-window, window + 1)
         return hat[ks % len(vals)]
 
-    vals = _grid_values(wfun, points)
+    vals = _grid_values(w, points)
     current = retained(vals)
     while True:
         if points * 2 > QUAD_MAX_POINTS:
             raise QuadratureError(float("nan"), points)
         points *= 2
-        vals = _grid_values(wfun, points)
+        vals = _grid_values(w, points)
         nxt = retained(vals)
         change = float(np.max(np.abs(nxt - current)))
         current = nxt
@@ -307,12 +301,11 @@ def heine_oracle(w, n: int) -> complex:
     determinant route; n is capped at 3 (cost grows as P^n)."""
     if n not in (1, 2, 3):
         raise ValueError("heine_oracle supports n in {1, 2, 3}")
-    wfun = _as_callable(w)
 
     def one(points: int) -> complex:
         theta = 2.0 * np.pi * np.arange(points) / points
         zs = np.exp(1j * theta)
-        wv = _grid_values(wfun, points)
+        wv = _grid_values(w, points)
         if n == 1:
             return complex(np.mean(wv))
         dist = np.abs(zs[:, None] - zs[None, :]) ** 2

@@ -36,8 +36,7 @@ class Bundle:
 
     def wfun(self):
         if self.weight is not None:
-            w = self.weight
-            return lambda z: w(z)
+            return self.weight
         return weight_from_table(self.table)
 
     def require_quads(self, ns: Sequence[int]) -> None:

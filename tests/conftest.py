@@ -63,6 +63,17 @@ STRICT_SPEC = {
     "strict": True,
 }
 
+# complex_m4_weight as a CLI weight spec
+COMPLEX_M4_SPEC = {
+    "singularities": [
+        {"z": [0, 0], "rho": [-1, 0]},
+        {"z": [1.8, 0.9], "rho": [0.4, 0.3]},
+        {"z": [-2.2, 1.1], "rho": [-0.3, 0.2]},
+        {"z": [0.5, -2.6], "rho": [0.7, -0.1]},
+    ],
+    "strict": True,
+}
+
 INSIDE_COMPLEX_SPEC = {
     "singularities": [
         {"z": [0, 0], "rho": [-1.3, -0.2]},

@@ -113,7 +113,7 @@ def schlesinger_component_check(
     vel = traj.velocities(t)
     rhos = traj.weight0.exponents
     lev, lp = sys.level(n), sys.level(n + 1)
-    quad = quads[n]
+    th, ths, om, oms = quads[n].evaluate(locs)  # the quadruple at every z_j
     kdot = rates.kdot_over_k
     dkb = rates.d_kappa_phibar0
     state = DeformState(
@@ -152,22 +152,22 @@ def schlesinger_component_check(
             vk = vw.v_eval(zk)
             pk = rhos[k] / (2.0 * vk)
             cross_a += pk * coeff * (
-                zk * quad.ths(zk) * quad.th(zj) - zj * quad.th(zk) * quad.ths(zj)
+                zk * ths[k] * th[j] - zj * th[k] * ths[j]
             )
             cross_b += pk * coeff * (
-                quad.th(zk) * (quad.om(zj) - lp.kappa / lev.kappa * zj * quad.th(zj))
-                - quad.th(zj) * (quad.om(zk) - lp.kappa / lev.kappa * zk * quad.th(zk))
+                th[k] * (om[j] - lp.kappa / lev.kappa * zj * th[j])
+                - th[j] * (om[k] - lp.kappa / lev.kappa * zk * th[k])
             )
             cross_c += pk * coeff * (
-                zk * quad.ths(zk) * (quad.oms(zj) - lp.kappa / lev.kappa * quad.ths(zj))
-                - zj * quad.ths(zj) * (quad.oms(zk) - lp.kappa / lev.kappa * quad.ths(zk))
+                zk * ths[k] * (oms[j] - lp.kappa / lev.kappa * ths[j])
+                - zj * ths[j] * (oms[k] - lp.kappa / lev.kappa * ths[k])
             )
 
         # the B_inf term of the first component enters with + (it is
         # -A_j[0,1] B_inf[1,0] of the commutator, and the displayed bracket
         # is -A_j[0,0])
         comp_a = (
-            pref * lp.phi0 / lev.kappa**3 * dkb * quad.th(zj)
+            pref * lp.phi0 / lev.kappa**3 * dkb * th[j]
             - pref * lp.phi0 * lp.phibar0 / lev.kappa**2 * cross_a
             - origin[0, 0]
         )
@@ -180,7 +180,7 @@ def schlesinger_component_check(
             where=f"z_{j + 1}",
         )
         comp_b = (
-            rhos[j] / vj * lp.phi0 / lev.kappa * (kdot * quad.th(zj) + cross_b)
+            rhos[j] / vj * lp.phi0 / lev.kappa * (kdot * th[j] + cross_b)
             + origin[0, 1]
         )
         rep.add(
@@ -197,9 +197,9 @@ def schlesinger_component_check(
             * lp.phibar0
             / lev.kappa
             * (
-                -kdot * zj * quad.ths(zj)
+                -kdot * zj * ths[j]
                 + dkb / (lev.kappa * lp.phibar0)
-                * (quad.oms(zj) - lp.kappa / lev.kappa * quad.ths(zj))
+                * (oms[j] - lp.kappa / lev.kappa * ths[j])
                 - cross_c
             )
             - origin[1, 0]

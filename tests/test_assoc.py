@@ -202,6 +202,25 @@ class TestBatchedEvaluator:
         assert asys.eps(3, 0.3 + 0.2j) == values[2]
         assert asys.epsstar(3, 0.3 + 0.2j) == values[3]
 
+    @pytest.mark.parametrize("which", ["flagship", "complex_m4"])
+    def test_point_alone_equals_point_in_array(self, which, strict):
+        # bit for bit at the singular points: a 0-d point runs through the
+        # same array arithmetic as the matching column of the stacked call
+        if which == "flagship":
+            asys, weight = strict["asys"], strict["weight"]
+        else:
+            weight = complex_m4_weight()
+            asys = build_bundle(weight, 7).asys
+        points = weight.locations[1:]
+        for n in range(8):
+            for route in (asys.evaluate, asys.derivative):
+                stacked = route(n, points)
+                for k, z in enumerate(points):
+                    alone = route(n, z)
+                    assert all(np.ndim(v) == 0 for v in alone)
+                    for one, column in zip(alone, stacked):
+                        assert one == column[k]
+
     def test_near_circle_band_names_first_point(self, strict):
         zs = np.array([0.5, 1.0005, 0.9995, 2.0])
         with pytest.raises(NearCircleError, match=r"\|z\| = 1\.0005 "):

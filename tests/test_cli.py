@@ -14,7 +14,7 @@ from circlebops.bops import build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import closed_form_table
 
-from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC
+from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
 
 LAURENT_SPEC = {
@@ -48,12 +48,14 @@ class TestCorpus:
             (STRICT_SPEC, "coeffs", 10),
             (STRICT_SPEC, "coeffs", 15),
             (STRICT_SPEC, "verify-all", 5),
+            (COMPLEX_M4_SPEC, "verify-all", 5),
         ],
         ids=[
             "inside-complex-verify-all-3",
             "flagship-coeffs-10",
             "flagship-coeffs-15",
             "flagship-verify-all-5",
+            "complex-m4-verify-all-5",
         ],
     )
     def test_passes(self, tmp_path, capsys, spec, command, n):

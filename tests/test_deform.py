@@ -351,7 +351,7 @@ class TestFlowKernel:
         steps, h = 16, 0.1 / 16
 
         def f(t, y):
-            return reference_rhs(DeformState.unpack(t, 2, 5, y, "ref"), traj, t)[0]
+            return reference_rhs(DeformState.unpack(t, 2, 5, y), traj, t)[0]
 
         y = state.pack()
         want = [y]
@@ -386,7 +386,7 @@ class TestFlowKernel:
         elif case == "m_mismatch":
             traj = five[0]
         else:
-            state = DeformState.unpack(0.0, 2, 3, 1e200 * state.pack(), "scaled")
+            state = DeformState.unpack(0.0, 2, 3, 1e200 * state.pack())
         for flow in (integrate_flow, flow_endpoint):
             with pytest.raises(error, match=message):
                 flow(state, traj, (0.0, 0.1), 16)

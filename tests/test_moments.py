@@ -69,6 +69,14 @@ class TestComputeMoments:
         assert strict["table"].source["kind"] == "quadrature"
         assert strict["table"].source["residual"] < 1e-12
 
+    def test_weight_of_the_wrong_shape_names_the_grid_shape(self):
+        # the weight is called once on the whole grid, never point by point
+        for wrong in (lambda z: 1.0, lambda z: np.ones((len(z), 2))):
+            with pytest.raises(ValueError, match=r"shape \(256,\)"):
+                compute_moments(wrong, 4)
+            with pytest.raises(ValueError, match=r"shape \(32,\)"):
+                heine_oracle(wrong, 1)
+
     def test_window_error_names_requirement(self):
         tbl = table_from_moments([(0, 1.0)], window=2)
         with pytest.raises(WindowError) as err:
