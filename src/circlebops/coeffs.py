@@ -33,9 +33,9 @@ check's residuals at those points in one `rel_residuals` call.
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 15, where the spectral derivative
 relations read at most 1.0e-10 against 1e-9; at --n 16 bilinear_d at z_2
-and z_3 reads 1.8e-6 and 1.3e-6 against 1e-6.  `verify-all` stops at
---n 5, set by the Riemann-Hilbert order check rhp_order_22_at_zero in lax at
-n = 6 (slope 5.9875 against 6 +- 0.01), not by this module.
+and z_3 reads 1.8e-6 and 1.3e-6 against 1e-6.  `verify-all` passes
+through --n 7; at --n 8 it is stopped by the matrix system in lax
+(transfer_compatibility 3.3e-9 against 1e-9), not by this module.
 """
 
 from __future__ import annotations

@@ -27,15 +27,19 @@ evaluated once per point set (`CoeffQuad.evaluate`), and each per-point
 check takes its residuals at all points in one `rel_residuals` call.  The
 rank-one bilinear form of the residues comes from one evaluation at all the
 non-origin singular points, and the four summation identities are read off
-its stack and the origin's residue matrix.
+its stack and the origin's residue matrix.  The Riemann-Hilbert orders of
+Y at 0 and at infinity are read off exact coefficients, never off points.
 
-Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
-matrix system passes at the identity tolerance 1e-9 through n = 7.
+Level ceiling: the matrix system sets `verify-all`'s.  On the flagship
+weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
+passes at the identity tolerance 1e-9 through n = 7.
 transfer_compatibility is scaled by its O(1) result, while A_{n+1} K_n and
-K_n A_n cancel from about 5.7e4 at n = 10; it reads 9.0e-12 at n = 5,
-5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail.  xstar_derivative_system
-grows the same way (3.5e-11 at n = 5, 7.9e-9 at n = 10).  `verify-all`
-meets the Riemann-Hilbert ceiling (rhp_order_22_at_zero, n = 6) first.
+K_n A_n cancel from about 5.7e4 at n = 10; on the flagship it reads
+9.0e-12 at n = 5, 5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail (6.0e-9 on
+the m = 4 weight).  xstar_derivative_system grows the same way (3.5e-11 at
+n = 5, 7.9e-9 at n = 10).  The Riemann-Hilbert suite passes the flagship
+through n = 19: its worst order entry reads 3.7e-12 at n = 14, and at
+n = 20 rhp_determinant reads 1.5e-9.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
-from .numerics import rel_residual, rel_residuals, slope_fit
+from .numerics import rel_residual, rel_residuals
 from .report import IdentityReport
 from .weight import PolyPair, SemiClassicalWeight
 
@@ -430,11 +434,15 @@ def rhp_jump_check(
     same points just off the circle (both extend into the weight's annulus),
     so the jump Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series
     truncation; its (1,2) entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.
-    Each circle of points is evaluated in one call.  The jump is gated at
-    ``tol``, the determinant at 1e-9 and the order slopes at 0.01, each
-    scaled by tol / 1e-5."""
+    Each circle of points is evaluated in one call.  The orders of Y at 0
+    and at infinity are read off exact coefficients, with no points: those
+    of phi_n and phi*_n, and the series of eps_n and eps*_n from
+    `AssocSystem.eps_taylor`.  Each order entry's residual is its largest
+    forbidden coefficient over max(1, its largest allowed one).  The jump is
+    gated at ``tol``, the determinant and the orders at the identity
+    tolerance 1e-9, both scaled by tol / 1e-5."""
     rep = IdentityReport(f"Riemann-Hilbert checks at n={n}")
-    scale = tol / 1e-5
+    identity_tol = IDENTITY_TOL * (tol / 1e-5)
     if n < 1:
         raise ValueError("the normalized problem is stated for n >= 1")
 
@@ -473,43 +481,42 @@ def rhp_jump_check(
             "rhp_determinant",
             "we also point out det Y(z) = -z^{n-1}",
             rel_residual(det - want, det, want),
-            1e-9 * scale,
+            identity_tol,
             n=n,
             where=f"z={z:.3g}",
         )
 
-    # asymptotic orders: two-radius mean-log slope fits, one stack of
-    # matrices per circle shared by the four entries
-    slope_tol = 0.01 * scale
-    ring = np.exp(1j * np.linspace(0.1, 2 * np.pi, 8))
+    # asymptotic orders, read off exact coefficients: each entry's expansion
+    # runs in powers of z up from `edge` at 0, or down from `edge` at
+    # infinity, and the stated order forbids the |order - edge| coefficients
+    # before it.  phi_n and phi*_n are polynomials of degree n; eps_n and
+    # eps*_n come from their exact series, where the 1/z of their entries
+    # moves each power down by one.
+    lev = sys.level(n)
+    kappa = lev.kappa
+
+    def eps_entry(star: bool, at_infinity: bool) -> np.ndarray:
+        factor = -kappa / 2.0 if star else 0.5 / kappa
+        return factor * asys.eps_taylor(n, n + 4, star, at_infinity)
+
     orders = (
-        ("outside", "as z tends to infinity", 20.0, (20.0, 80.0), (
-            ("rhp_order_11_at_infinity", (0, 0), n, "two-sided"),
-            ("rhp_order_22_at_infinity", (1, 1), -1, "two-sided"),
-            ("rhp_order_12_at_infinity", (0, 1), -2, "upper"),
-            ("rhp_order_21_at_infinity", (1, 0), n, "upper"),
+        ("as z tends to infinity", (
+            ("rhp_order_11_at_infinity", lev.c[::-1] / kappa, n, n),
+            ("rhp_order_22_at_infinity", eps_entry(True, True), n - 1, -1),
+            ("rhp_order_12_at_infinity", eps_entry(False, True), n - 1, -2),
+            ("rhp_order_21_at_infinity", kappa * lev.cbar, n, n),
         )),
-        ("inside", "as z tends to zero", 0.1, (0.025, 0.1), (
-            ("rhp_order_11_at_zero", (0, 0), 0, "lower"),
-            ("rhp_order_12_at_zero", (0, 1), n - 1, "lower"),
-            ("rhp_order_21_at_zero", (1, 0), 0, "lower"),
-            ("rhp_order_22_at_zero", (1, 1), n, "lower"),
+        ("as z tends to zero", (
+            ("rhp_order_11_at_zero", lev.c / kappa, 0, 0),
+            ("rhp_order_12_at_zero", eps_entry(False, False), -1, n - 1),
+            ("rhp_order_21_at_zero", kappa * lev.cbar[::-1], 0, 0),
+            ("rhp_order_22_at_zero", eps_entry(True, False), -1, n),
         )),
     )
-    for side, anchor, r_mag, radii, checks in orders:
-        stack = lambda z, side=side: normalized_solution(sys, asys, n, z, side)
-        magnitude = np.abs(stack(r_mag * ring)).max(axis=0)
-        slopes = slope_fit(stack, *radii)
-        for name, entry, order, kind in checks:
-            if magnitude[entry] < 1e-13:
-                rep.add(name, anchor, 0.0, slope_tol, n=n, where="vanishes")
-                continue
-            slope = float(slopes[entry])
-            if kind == "two-sided":
-                gap = abs(slope - order)
-            elif kind == "upper":
-                gap = max(0.0, slope - order)
-            else:
-                gap = max(0.0, order - slope)
-            rep.add(name, anchor, gap, slope_tol, n=n, where=f"slope={slope:.4f}")
+    for anchor, checks in orders:
+        for name, series, edge, order in checks:
+            size = np.abs(series)
+            cut = abs(order - edge)
+            residual = size[:cut].max(initial=0.0) / max(1.0, size[cut:].max())
+            rep.add(name, anchor, residual, identity_tol, n=n, where=f"z^{order}")
     return rep

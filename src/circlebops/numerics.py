@@ -1,17 +1,14 @@
 """Shared numerical helpers: polynomial arithmetic on ascending complex
-coefficient vectors, band reads of truncated series, relative residuals,
-growth-exponent fits and deterministic sample-point draws.
+coefficient vectors, band reads of truncated series, relative residuals and
+deterministic sample-point draws.
 
 Derivatives and expansion coefficients are never sampled here: they come
 from the exact polynomials and moment series of the objects themselves
-(`AssocSystem.derivative`, `AssocSystem.eps_taylor`).  A callable handed to
-`slope_fit` must accept an array of points of any shape and return values
-of that shape, optionally with trailing axes (e.g. a 2x2 matrix per point):
-it is called once on whole arrays of points, never one point at a time."""
+(`AssocSystem.derivative`, `AssocSystem.eps_taylor`)."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -127,20 +124,3 @@ def rel_residuals(mismatch, *terms) -> np.ndarray:
         scale = np.fmax(scale, size(t) if t.ndim > 1 else [abs(v) for v in t.tolist()])
     return size(mismatch) / scale
 
-
-def slope_fit(f: Callable, r1: float, r2: float, angles: int = 32):
-    """Mean-log growth exponent between circles |z| = r1 and |z| = r2.
-
-    Averaging log|f| over each circle removes the O(1/z) harmonic correction
-    of a leading-order monomial, giving the order to O((c/r)^2).  f is called
-    once, on both circles; trailing axes of its values (e.g. a 2x2 matrix per
-    point) give one exponent per entry.  An entry that vanishes at a sample
-    point gets -inf.
-    """
-    theta = 2.0 * np.pi * (np.arange(angles) + 0.5) / angles
-    zs = np.array([[r1], [r2]]) * np.exp(1j * theta)
-    mags = np.abs(np.asarray(f(zs), dtype=complex))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m1, m2 = np.mean(np.log(mags), axis=1)
-        slope = (m2 - m1) / np.log(r2 / r1)
-    return np.where(np.isfinite(m1) & np.isfinite(m2), slope, -np.inf)[()]

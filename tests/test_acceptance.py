@@ -205,9 +205,9 @@ def test_criterion_5_riemann_hilbert_suite():
                     worst_value = max(worst_value, entry.residual)
     elapsed = time.perf_counter() - start
     announce(
-        "criterion 5: Riemann-Hilbert suite (jump/det <= 1e-5, order fits +-0.01)",
-        worst_value <= 1e-5 and worst_order <= 0.01 and elapsed < 10.0,
-        f"jump/det {worst_value:.3e}, order gap {worst_order:.3e}, runtime {elapsed:.2f}s",
+        "criterion 5: Riemann-Hilbert suite (jump/det <= 1e-5, forbidden order coefficients <= 1e-9)",
+        worst_value <= 1e-5 and worst_order <= 1e-9 and elapsed < 10.0,
+        f"jump/det {worst_value:.3e}, order coefficients {worst_order:.3e}, runtime {elapsed:.2f}s",
     )
 
 

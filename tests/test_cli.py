@@ -49,6 +49,9 @@ class TestCorpus:
             (STRICT_SPEC, "coeffs", 15),
             (STRICT_SPEC, "verify-all", 5),
             (COMPLEX_M4_SPEC, "verify-all", 5),
+            (STRICT_SPEC, "verify-all", 7),
+            (COMPLEX_M4_SPEC, "verify-all", 7),
+            (STRICT_SPEC, "rhp-check", 14),
         ],
         ids=[
             "inside-complex-verify-all-3",
@@ -56,6 +59,9 @@ class TestCorpus:
             "flagship-coeffs-15",
             "flagship-verify-all-5",
             "complex-m4-verify-all-5",
+            "flagship-verify-all-7",
+            "complex-m4-verify-all-7",
+            "flagship-rhp-check-14",
         ],
     )
     def test_passes(self, tmp_path, capsys, spec, command, n):

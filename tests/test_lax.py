@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from circlebops.assoc import AssocSystem
 from circlebops.errors import SingularResidueError
-from circlebops.numerics import slope_fit
 from circlebops.lax import (
     assemble_residues,
     k_matrix,
@@ -150,13 +150,50 @@ class TestRHP:
             det = np.linalg.det(normalized_solution(strict["sys"], strict["asys"], n, 0.5))
             assert abs(det + 0.5 ** (n - 1)) < 1e-9
 
-    def test_order_fit_slope_close_to_n(self, strict):
+    def test_orders_read_exact_coefficients(self, strict):
+        # each order entry is its largest forbidden coefficient over
+        # max(1, its largest allowed one); here they are checked against
+        # the Laurent coefficients of the normalized solution sampled on
+        # circles inside and outside the unit circle
+        sys, asys = strict["sys"], strict["asys"]
         thetas = np.linspace(0.05, 2 * np.pi, 8)
+        for n in (1, 2, 3):
+            rep = rhp_jump_check(sys, asys, strict["wfun"], n, thetas, weight=strict["weight"])
+            by_name = {e.name: e for e in rep.entries}
+            for ij in ("11", "21"):  # polynomials of degree n
+                assert by_name[f"rhp_order_{ij}_at_zero"].residual == 0.0
+                assert by_name[f"rhp_order_{ij}_at_infinity"].residual == 0.0
+            for name, side, radius, entry, order, forbidden, allowed in (
+                ("rhp_order_12_at_zero", "inside", 0.5, (0, 1), n - 1, range(-1, n - 1), range(n - 1, n + 3)),
+                ("rhp_order_22_at_zero", "inside", 0.5, (1, 1), n, range(-1, n), range(n, n + 3)),
+                ("rhp_order_12_at_infinity", "outside", 8.0, (0, 1), -2, range(-1, n), range(-4, -1)),
+                ("rhp_order_22_at_infinity", "outside", 8.0, (1, 1), -1, range(0, n), range(-4, 0)),
+            ):
+                f = lambda z: normalized_solution(sys, asys, n, z, side)[(...,) + entry]
+                coeffs = laurent_coefficients(f, radius, [*forbidden, *allowed])
+                stray = max(abs(coeffs[k]) for k in forbidden)
+                top = max(1.0, max(abs(coeffs[k]) for k in allowed))
+                got = by_name[name]
+                assert got.where == f"z^{order}" and abs(coeffs[order]) > 1e-6, (name, n)
+                assert got.tol == 1e-9 and got.passed, (name, n)
+                assert abs(got.residual - stray / top) < 1e-12, (name, n, got.residual)
+
+    def test_perturbed_coefficient_fails_its_order(self, strict):
+        # a fresh AssocSystem keeps its own psi* cache; one low-order
+        # coefficient of psi*_n moves the z^0 coefficient of eps*_n, which
+        # Y_22 ~ z^n forbids at 0, and leaves every other entry's read alone
+        n = 3
+        asys = AssocSystem(strict["sys"])
+        asys.psistar(n)[0] += 1e-6
         rep = rhp_jump_check(
-            strict["sys"], strict["asys"], strict["wfun"], 2, thetas, weight=strict["weight"]
+            strict["sys"], asys, strict["wfun"], n, np.linspace(0.05, 2 * np.pi, 8),
+            weight=strict["weight"],
         )
-        entry = {e.name: e for e in rep.entries}["rhp_order_11_at_infinity"]
-        assert entry.residual < 0.01
+        failing = {e.name for e in rep.failures() if e.name.startswith("rhp_order")}
+        assert failing == {"rhp_order_22_at_zero"}
+        by_name = {e.name: e for e in rep.entries}
+        assert by_name["rhp_order_22_at_zero"].residual > 1e-7
+        assert by_name["rhp_order_11_at_infinity"].passed
 
     def test_rejects_n_zero(self, strict):
         with pytest.raises(ValueError):
@@ -170,15 +207,6 @@ class TestRHP:
 def one_point(f, z):
     """f at the single point z, called on a one-element array."""
     return f(np.array([z]))[0]
-
-
-def slope_per_point(f, r1, r2, angles=32):
-    theta = 2.0 * np.pi * (np.arange(angles) + 0.5) / angles
-
-    def mean_log(r):
-        return np.mean([np.log(np.abs(one_point(f, r * np.exp(1j * t)))) for t in theta], axis=0)
-
-    return (mean_log(r2) - mean_log(r1)) / np.log(r2 / r1)
 
 
 class TestBatched:
@@ -206,19 +234,6 @@ class TestBatched:
         )
         assert stack.shape == (3, 2, 2)
         assert close(stack, loop)
-
-    def test_slope_fit_array_callable(self, strict):
-        sys, asys = strict["sys"], strict["asys"]
-        for side, radii in (("outside", (20.0, 80.0)), ("inside", (0.025, 0.1))):
-            f = lambda z: normalized_solution(sys, asys, 2, z, side)
-            slopes = slope_fit(f, *radii)
-            assert slopes.shape == (2, 2)
-            assert close(slopes, slope_per_point(f, *radii))
-        cubic = lambda z: z**3 + 0.5 * z
-        scalar = slope_fit(cubic, 20.0, 80.0)
-        assert np.ndim(scalar) == 0
-        assert abs(scalar - slope_per_point(cubic, 20.0, 80.0)) < 1e-13
-        assert slope_fit(lambda z: 0.0 * z, 1.0, 2.0) == -np.inf
 
     def test_laurent_coefficients_array_callable(self, strict):
         asys = strict["asys"]
