@@ -18,14 +18,19 @@ the annulus of the weight, which the Riemann-Hilbert jump check in `lax`
 exploits.  The same series give the exact derivatives
 (`AssocSystem.derivative`) and the exact expansions of eps_n and eps*_n at 0
 and at infinity (`AssocSystem.eps_taylor`), from which `verify_expansions`
-reads its Laurent coefficients.  `evaluate` and `derivative` compute over
-arrays even for a single point, so a point's values are the same bit for
-bit whether it comes alone or inside an array, and a suite may batch its
-points as it likes.
+reads its Laurent coefficients.
+
+`evaluate` and `derivative` give every level at once, from one Horner pass
+over the zero-padded coefficients of all levels and one evaluation of F
+(and F'); each row is the level's own Horner value bit for bit.  A caller
+evaluates each point set once and indexes the levels: one `verify-all
+--n 4` makes 13 such calls and 15 of F or F'.  A point's values are the
+same bit for bit alone or inside an array.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +51,6 @@ class AssocSystem:
         self.F = CaratheodoryEvaluator(sys.table)
         self._psi: dict[int, np.ndarray] = {}
         self._psistar: dict[int, np.ndarray] = {}
-        self._stack: dict[int, np.ndarray] = {}
 
     def psi(self, n: int) -> np.ndarray:
         if n not in self._psi:
@@ -58,34 +62,42 @@ class AssocSystem:
             self._psistar[n] = _psistar_coeffs(self.sys, n)
         return self._psistar[n]
 
-    def _stacked(self, n: int) -> np.ndarray:
-        """Columns phi_n, phi*_n, psi_n, psi*_n, ascending; built once per level."""
-        if n not in self._stack:
-            lev = self.sys.level(n)
-            self._stack[n] = np.stack([lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n)], axis=1)
-        return self._stack[n]
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """Ascending coefficients of phi_n, phi*_n, psi_n, psi*_n of every
+        level n = 0..N, zero-padded to N+1: shape (N+1, 4, N+1), entry
+        [k, j, n] the coefficient of z^k of polynomial j at level n.  Each
+        column is filled by assignment: polyadd would turn -0 into +0."""
+        size = self.sys.nmax + 1
+        out = np.zeros((size, 4, size), dtype=complex)
+        for n, lev in enumerate(self.sys.levels):
+            for j, coeffs in enumerate((lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n))):
+                out[: n + 1, j, n] = coeffs
+        return out
 
-    def evaluate(self, n: int, z, side: str | None = None):
-        """(phi_n, phi*_n, eps_n, eps*_n) over an array z of any shape (a
-        scalar is a 0-d array): one Horner pass over the four polynomials
-        phi_n, phi*_n, psi_n, psi*_n and one evaluation of F.  Each value
-        at a point is the same bit for bit whether the point comes alone or
-        inside an array."""
+    def evaluate(self, z, side: str | None = None):
+        """(phi, phi*, eps, eps*) of every level n = 0..N over an array z of
+        any shape (a scalar is a 0-d array), each of shape (N+1, *z.shape)
+        with row n the level n: one Horner pass over the zero-padded stack
+        of phi_n, phi*_n, psi_n, psi*_n and one evaluation of F.  Leading
+        zeros leave Horner's steps unchanged, so row n is the level's own
+        Horner value bit for bit, and each value at a point is the same
+        whether the point comes alone or inside an array."""
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        phi, phistar, psi, psistar = polyval(self._stacked(n), flat)
+        phi, phistar, psi, psistar = polyval(self._stack, flat)
         f = self.F(flat, side=side)
         return _shaped(zs.shape, phi, phistar, psi + f * phi, psistar - f * phistar)
 
-    def derivative(self, n: int, z, side: str | None = None):
-        """(phi'_n, phi*'_n, eps'_n, eps*'_n) over an array z, exact:
-        eps'_n = psi'_n + F' phi_n + F phi'_n and eps*'_n = psi*'_n - F'
-        phi*_n - F phi*'_n, with F' from the same moment series as F."""
+    def derivative(self, z, side: str | None = None):
+        """(phi', phi*', eps', eps*') of every level over an array z, shaped
+        as `evaluate`, exact: eps'_n = psi'_n + F' phi_n + F phi'_n and
+        eps*'_n = psi*'_n - F' phi*_n - F phi*'_n, with F' from the same
+        moment series as F."""
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        coeffs = self._stacked(n)
-        phi, phistar = polyval(coeffs[:, :2], flat)
-        dphi, dphistar, dpsi, dpsistar = polyval(polyder(coeffs), flat)
+        phi, phistar = polyval(self._stack[:, :2], flat)
+        dphi, dphistar, dpsi, dpsistar = polyval(polyder(self._stack), flat)
         f, df = self.F(flat, side=side), self.F(flat, side=side, derivative=True)
         return _shaped(
             zs.shape,
@@ -94,12 +106,6 @@ class AssocSystem:
             dpsi + df * phi + f * dphi,
             dpsistar - df * phistar - f * dphistar,
         )
-
-    def eps(self, n: int, z, side: str | None = None):
-        return self.evaluate(n, z, side)[2]
-
-    def epsstar(self, n: int, z, side: str | None = None):
-        return self.evaluate(n, z, side)[3]
 
     def eps_taylor(
         self, n: int, count: int, star: bool = False, at_infinity: bool = False
@@ -122,10 +128,11 @@ class AssocSystem:
 
 
 def _shaped(shape, *values):
-    """The values, computed over the flattened points, in the points' shape.
-    The arithmetic always runs over arrays: on numpy scalars (a 0-d point)
-    a complex product rounds differently from numpy's array loop."""
-    return tuple(v.reshape(shape)[()] for v in values)
+    """The values, computed over the flattened points with one row a level,
+    in the shape (levels, *points' shape).  The arithmetic always runs over
+    arrays: on numpy scalars (a 0-d point) a complex product rounds
+    differently from numpy's array loop."""
+    return tuple(v.reshape(v.shape[:1] + shape) for v in values)
 
 
 def _psi_coeffs(sys: BopsSystem, n: int) -> np.ndarray:
@@ -174,11 +181,12 @@ def verify_assoc_identities(
     rep = IdentityReport("associated-function identity web")
     sys = asys.sys
     zs = np.asarray(samples, dtype=complex)
+    phi, phistar, eps, epsstar = asys.evaluate(zs)
 
     for n in ns:
         ln, lp = sys.level(n), sys.level(n + 1)
-        phi_n, ps_n, eps_n, star_n = asys.evaluate(n, zs)
-        phi_p, ps_p, eps_p, star_p = asys.evaluate(n + 1, zs)
+        phi_n, ps_n, eps_n, star_n = phi[n], phistar[n], eps[n], epsstar[n]
+        phi_p, ps_p, eps_p, star_p = phi[n + 1], phistar[n + 1], eps[n + 1], epsstar[n + 1]
         lhs = ln.kappa * eps_p
         rhs = lp.kappa * zs * eps_n - lp.phi0 * star_n
         rep.add(
@@ -281,59 +289,61 @@ def verify_assoc_identities(
 
 def verify_expansions(
     asys: AssocSystem,
-    n: int,
+    ns: Sequence[int],
     tol: float = 1e-8,
 ) -> IdentityReport:
     """Leading Laurent coefficients of (kappa_n/2) eps_n and
-    (kappa_n/2) eps*_n at 0 and at infinity, read off their exact truncated
-    series (`AssocSystem.eps_taylor`), against their closed forms in the
-    kappa / l / m / phi(0) data (levels n+1, n+2 must be built)."""
-    sys = asys.sys
-    if n + 2 > sys.nmax:
-        raise IndexError(f"expansion check at n={n} needs levels up to {n + 2}")
-    rep = IdentityReport(f"associated-function expansions at n={n}")
-    ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-    half_kappa = ln.kappa / 2.0
-
-    def coefficients(star: bool, at_infinity: bool) -> dict[int, complex]:
-        """Coefficients of z^k, k = 0..n+3 at 0 and k = -3..0 at infinity."""
-        series = half_kappa * asys.eps_taylor(n, n + 4, star, at_infinity)
-        if at_infinity:
-            return {n - j: complex(c) for j, c in enumerate(series) if j >= n}
-        return {k: complex(c) for k, c in enumerate(series)}
+    (kappa_n/2) eps*_n at 0 and at infinity for each level n of ``ns``,
+    read off their exact truncated series (`AssocSystem.eps_taylor`),
+    against their closed forms in the kappa / l / m / phi(0) data (levels
+    n+1, n+2 must be built)."""
+    rep = IdentityReport("associated-function expansions")
 
     def gap(got: complex, want: complex) -> float:
         return abs(got - want) / max(1.0, abs(want))
 
-    inner, outer = coefficients(False, False), coefficients(False, True)
-    inner_s, outer_s = coefficients(True, False), coefficients(True, True)
-    scale = ln.kappa**2 / lp.kappa**2
-    entries = [
-        ("eps_inside_order_0", gap(inner[n], 1.0), f"z^{n} inside"),
-        ("eps_inside_order_1", gap(inner[n + 1], -lp.lbar / lp.kappa), f"z^{n + 1} inside"),
-        ("eps_inside_low_orders_vanish", max((abs(inner[k]) for k in range(n)), default=0.0), None),
-        ("eps_outside_order_-1", gap(outer[-1], lp.phi0 / lp.kappa), "z^-1 outside"),
-        (
-            "eps_outside_order_-2",
-            gap(outer[-2], scale * lpp.phi0 / lpp.kappa - lp.phi0 / lp.kappa * lp.l / lp.kappa),
-            "z^-2 outside",
-        ),
-        ("eps_outside_order_0_vanishes", abs(outer[0]), None),
-        ("epsstar_inside_order_1", gap(inner_s[n + 1], lp.phibar0 / lp.kappa), f"z^{n + 1} inside"),
-        (
-            "epsstar_inside_order_2",
-            gap(inner_s[n + 2], scale * lpp.phibar0 / lpp.kappa - lp.phibar0 / lp.kappa * lp.lbar / lp.kappa),
-            f"z^{n + 2} inside",
-        ),
-        ("epsstar_inside_low_orders_vanish", max(abs(inner_s[k]) for k in range(n + 1)), None),
-        ("epsstar_outside_order_0", gap(outer_s[0], 1.0), "z^0 outside"),
-        ("epsstar_outside_order_-1", gap(outer_s[-1], -lp.l / lp.kappa), "z^-1 outside"),
-        (
-            "epsstar_outside_order_-2",
-            gap(outer_s[-2], lpp.l * lp.l / (lpp.kappa * lp.kappa) - (lpp.m2 or 0.0) / lpp.kappa),
-            "z^-2 outside",
-        ),
-    ]
-    for name, residual, where in entries:
-        rep.add(name, "have the following expansions", residual, tol, n=n, where=where)
+    for n in ns:
+        if n + 2 > asys.sys.nmax:
+            raise IndexError(f"expansion check at n={n} needs levels up to {n + 2}")
+        ln, lp, lpp = asys.sys.level(n), asys.sys.level(n + 1), asys.sys.level(n + 2)
+        half_kappa = ln.kappa / 2.0
+
+        def coefficients(star: bool, at_infinity: bool) -> dict[int, complex]:
+            """Coefficients of z^k, k = 0..n+3 at 0 and k = -3..0 at infinity."""
+            series = half_kappa * asys.eps_taylor(n, n + 4, star, at_infinity)
+            if at_infinity:
+                return {n - j: complex(c) for j, c in enumerate(series) if j >= n}
+            return {k: complex(c) for k, c in enumerate(series)}
+
+        inner, outer = coefficients(False, False), coefficients(False, True)
+        inner_s, outer_s = coefficients(True, False), coefficients(True, True)
+        scale = ln.kappa**2 / lp.kappa**2
+        entries = [
+            ("eps_inside_order_0", gap(inner[n], 1.0), f"z^{n} inside"),
+            ("eps_inside_order_1", gap(inner[n + 1], -lp.lbar / lp.kappa), f"z^{n + 1} inside"),
+            ("eps_inside_low_orders_vanish", max((abs(inner[k]) for k in range(n)), default=0.0), None),
+            ("eps_outside_order_-1", gap(outer[-1], lp.phi0 / lp.kappa), "z^-1 outside"),
+            (
+                "eps_outside_order_-2",
+                gap(outer[-2], scale * lpp.phi0 / lpp.kappa - lp.phi0 / lp.kappa * lp.l / lp.kappa),
+                "z^-2 outside",
+            ),
+            ("eps_outside_order_0_vanishes", abs(outer[0]), None),
+            ("epsstar_inside_order_1", gap(inner_s[n + 1], lp.phibar0 / lp.kappa), f"z^{n + 1} inside"),
+            (
+                "epsstar_inside_order_2",
+                gap(inner_s[n + 2], scale * lpp.phibar0 / lpp.kappa - lp.phibar0 / lp.kappa * lp.lbar / lp.kappa),
+                f"z^{n + 2} inside",
+            ),
+            ("epsstar_inside_low_orders_vanish", max(abs(inner_s[k]) for k in range(n + 1)), None),
+            ("epsstar_outside_order_0", gap(outer_s[0], 1.0), "z^0 outside"),
+            ("epsstar_outside_order_-1", gap(outer_s[-1], -lp.l / lp.kappa), "z^-1 outside"),
+            (
+                "epsstar_outside_order_-2",
+                gap(outer_s[-2], lpp.l * lp.l / (lpp.kappa * lp.kappa) - (lpp.m2 or 0.0) / lpp.kappa),
+                "z^-2 outside",
+            ),
+        ]
+        for name, residual, where in entries:
+            rep.add(name, "have the following expansions", residual, tol, n=n, where=where)
     return rep

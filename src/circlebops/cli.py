@@ -184,18 +184,18 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
     ns = range(min(args.n, bundle.sys.nmax - 1))
     samples = _sample_points(args, weight)
     report = verify_assoc_identities(bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol)
-    exp = IdentityReport("associated-function expansions")
-    for n in range(min(args.n, bundle.sys.nmax - 2) + 1):
-        exp.extend(verify_expansions(bundle.asys, n, tol=1e-8 * args.tol))
+    exp = verify_expansions(
+        bundle.asys, range(min(args.n, bundle.sys.nmax - 2) + 1), tol=1e-8 * args.tol
+    )
     rows = []
     for n in range(args.n + 1):
         for k, c in enumerate(bundle.asys.psi(n)):
             rows.append([n, k, c.real, c.imag])
     _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"], rows)
     rows = []
+    _, _, eps, epsstar = bundle.asys.evaluate(samples)
     for n in range(args.n + 1):
-        _, _, eps, epsstar = bundle.asys.evaluate(n, samples)
-        for z, e, es in zip(samples, eps, epsstar):
+        for z, e, es in zip(samples, eps[n], epsstar[n]):
             rows.append([n, z.real, z.imag, e.real, e.imag, es.real, es.imag])
     _write_csv(
         out / "eps_samples.csv",
@@ -230,12 +230,11 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path):
     ]
     nonzero = [s.location for s in weight.singularities if s.location != 0]
     if len(nonzero) >= 2:
-        for n in range(args.n):
-            reports.append(
-                dpainleve_ratio_check(
-                    bundle.quads, bundle.vw, n, nonzero[0], nonzero[1], tol=1e-7 * tol
-                )
+        reports.append(
+            dpainleve_ratio_check(
+                bundle.quads, bundle.vw, range(args.n), nonzero[0], nonzero[1], tol=1e-7 * tol
             )
+        )
     coeff_payload = {
         "schema": SCHEMA,
         "quads": {
@@ -259,17 +258,12 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path):
 
 
 def cmd_rhp(args: argparse.Namespace, weight, bundle, out: Path):
-    thetas = np.linspace(0.05, 2.0 * np.pi, 24)
-    merged = IdentityReport("Riemann-Hilbert suite")
-    for n in range(1, min(args.n, bundle.sys.nmax - 2) + 1):
-        merged.extend(
-            rhp_jump_check(
-                bundle.sys, bundle.asys, bundle.wfun(), n, thetas,
-                weight=weight, tol=1e-5 * args.tol,
-            )
-        )
-    dump_json(merged.to_dict(), out / "rhp_report.json")
-    return [merged]
+    report = rhp_jump_check(
+        bundle.sys, bundle.asys, bundle.wfun(), range(1, min(args.n, bundle.sys.nmax - 2) + 1),
+        np.linspace(0.05, 2.0 * np.pi, 24), weight=weight, tol=1e-5 * args.tol,
+    )
+    dump_json(report.to_dict(), out / "rhp_report.json")
+    return [report]
 
 
 def parse_trajectory(path, weight) -> LinearTrajectory:
@@ -377,15 +371,10 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     reports += cmd_assoc(args, weight, bundle, out)
     if strict:
         reports += cmd_coeffs(args, weight, bundle, out)
-        samples = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
-        matrix = IdentityReport("matrix systems")
-        for n in range(1, args.n + 1):
-            matrix.extend(
-                verify_matrix_system(
-                    bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, n, samples,
-                    tol_scale=args.tol,
-                )
-            )
+        matrix = verify_matrix_system(
+            bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, range(1, args.n + 1),
+            [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j], tol_scale=args.tol,
+        )
         dump_json(matrix.to_dict(), out / "matrix_report.json")
         reports.append(matrix)
     reports += cmd_rhp(args, weight, bundle, out)

@@ -87,24 +87,6 @@ class CoeffQuad:
         return polyval(np.stack([*padded, self.omega, self.omegastar], axis=1), z)
 
 
-def _require_strict(vw: PolyPair, weight: SemiClassicalWeight | None):
-    if weight is not None:
-        if not is_strict_semiclassical(weight):
-            raise NotSemiClassicalError(
-                "coefficient functions are defined for strict regular "
-                "semi-classical weights only"
-            )
-        return
-    # fall back to checking the residues of 2V/W at the roots of W
-    roots = np.polynomial.polynomial.polyroots(vw.W)
-    for zj in roots:
-        rho = 2.0 * vw.v_eval(zj) / vw.w_deriv(zj)
-        if abs(rho.imag) < 1e-9 and rho.real > -1e-9 and abs(rho.real - round(rho.real)) < 1e-9:
-            raise NotSemiClassicalError(
-                f"residue {rho} at W-root {zj} is a non-negative integer"
-            )
-
-
 def _product(a, b, size: int) -> np.ndarray:
     """Orders 0..size-1 of a*b, bit for bit numpy.polynomial's polymul padded
     with zeros: trailing zeros are trimmed first, as polymul does, because
@@ -121,7 +103,7 @@ def compute_coeff_quad(
     asys: AssocSystem,
     vw: PolyPair,
     n: int,
-    weight: SemiClassicalWeight | None = None,
+    weight: SemiClassicalWeight,
     tol_scale: float = 1.0,
 ) -> CoeffQuad:
     """Read the quadruple at level n off exact truncated series of its
@@ -134,12 +116,17 @@ def compute_coeff_quad(
     bilinear residue bilres_j at z_3 = 3 reads 3e-11 from it and 4e-7 from a
     Taylor read at 0.  Every order of each series below its band and the two
     above it must vanish; their size against the band is the out-of-band
-    ratio kept in ``fit_residuals``.  Raises
+    ratio kept in ``fit_residuals``.  Raises NotSemiClassicalError for a
+    weight outside the strict regular semi-classical class,
     DegenerateLevelError when a reflection-coefficient prefactor vanishes,
     NotSemiClassicalError when an out-of-band ratio exceeds
     FIT_TOL * tol_scale, and WindowError when the series needs moments beyond
     the table."""
-    _require_strict(vw, weight)
+    if not is_strict_semiclassical(weight):
+        raise NotSemiClassicalError(
+            "coefficient functions are defined for strict regular "
+            "semi-classical weights only"
+        )
     m = vw.degree
     lev_n, lev_p = sys.level(n), sys.level(n + 1)
     if abs(lev_p.phi0) < 1e-13 * max(1.0, abs(lev_p.kappa)):
@@ -569,8 +556,8 @@ def verify_bilinear(
     anchor_res = "bilinear residues are related to the coefficient function residues"
     if ns is None:
         ns = [n for n in sorted(quads) if n + 1 in quads]
-    # every value once per level at all the non-zero singular points
-    # z_2..z_m: each quadruple, then phi/eps at the levels the residues read
+    # every value once at all the non-zero singular points z_2..z_m: each
+    # quadruple, then phi/eps of every level in one call
     zj = weight.locations[1:]
     v_j = vw.v_eval(zj)
     if np.any(abs(v_j) < 1e-12):
@@ -579,7 +566,7 @@ def verify_bilinear(
     v2 = v_j**2
     ev = {n: q.evaluate(zj) for n, q in quads.items()}
     res_ns = [n for n in sorted(ns) if n in quads and n + 1 <= sys.nmax]
-    phis = {k: asys.evaluate(k, zj) for k in sorted({k for n in res_ns for k in (n, n + 1)})}
+    phi, star, eps, es = asys.evaluate(zj)
     chain = [n for n in sorted(ns) if n + 1 in quads and n + 2 <= sys.nmax]
     rows = []  # (name, anchor, n, residual at each point) per check
 
@@ -608,8 +595,8 @@ def verify_bilinear(
     # bilinear residue formulas (phi/eps products against the quadruple)
     for n in res_ns:
         ln, lp = sys.level(n), sys.level(n + 1)
-        phi_n, star_n, eps_n, es_n = phis[n]
-        phi_p, star_p, eps_p, es_p = phis[n + 1]
+        phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
+        phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
         th_n, ths_n, om_n, oms_n = ev[n]
         base = 2.0 * lp.phi0 / ln.kappa * zj**n
         base_s = 2.0 * lp.phibar0 / ln.kappa * zj ** (n + 1)
@@ -740,13 +727,16 @@ def spectral_derivative_check(
     w_z = polyval(vw.W, zs)
     v_z = polyval(vw.V, zs)
 
+    phi, star, eps, es = asys.evaluate(zs)
+    derivatives = asys.derivative(zs)
+
     for n in sorted(quads):
         if n + 1 > sys.nmax:
             continue
         th, ths, om, oms = quads[n].evaluate(zs)
-        phi_n, star_n, eps_n, es_n = asys.evaluate(n, zs)
-        phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zs)
-        dphi, dstar, deps, des = asys.derivative(n, zs)
+        phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
+        phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
+        dphi, dstar, deps, des = (d[n] for d in derivatives)
 
         lhs = w_z * dphi - th * phi_p + (om + v_z) * phi_n
         rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, th * phi_p), tol, n=n)
@@ -783,41 +773,44 @@ def spectral_derivative_check(
 def dpainleve_ratio_check(
     quads: Mapping[int, CoeffQuad],
     vw: PolyPair,
-    n: int,
+    ns: Sequence[int],
     z_a: complex,
     z_b: complex,
     tol: float = 1e-7,
 ) -> IdentityReport:
-    """Ratio recurrence between two distinct non-zero singularities:
+    """Ratio recurrence between two distinct non-zero singularities, at each
+    level n of ``ns``:
 
         z_a Theta_n Theta_{n+1}|_{z_a} / z_b Theta_n Theta_{n+1}|_{z_b}
             = (Omega_n - V)(Omega_n + V)|_{z_a} / (same at z_b).
-    """
+
+    Each quadruple is evaluated once at the two points."""
     rep = IdentityReport("discrete-Painleve ratio recurrence")
     if z_a == z_b:
         raise SingularResidueError("ratio check needs two distinct singularities")
     if z_a == 0 or z_b == 0:
         raise SingularResidueError("ratio check is defined away from the origin")
     zs = np.array([z_a, z_b], dtype=complex)
-    ev_n, ev_p = quads[n].evaluate(zs), quads[n + 1].evaluate(zs)
+    ev = {k: quads[k].evaluate(zs) for k in sorted({k for n in ns for k in (n, n + 1)})}
 
-    def packed(k, zj):
+    def packed(n, k, zj):
         v = vw.v_eval(zj)
-        num = zj * ev_n[0, k] * ev_p[0, k]
-        den = (ev_n[2, k] - v) * (ev_n[2, k] + v)
+        num = zj * ev[n][0, k] * ev[n + 1][0, k]
+        den = (ev[n][2, k] - v) * (ev[n][2, k] + v)
         return num, den
 
-    num_a, den_a = packed(0, z_a)
-    num_b, den_b = packed(1, z_b)
-    if min(abs(num_b), abs(den_b), abs(den_a)) < 1e-14:
-        raise SingularResidueError("vanishing denominator in the ratio recurrence")
-    lhs = num_a / num_b
-    rhs = den_a / den_b
-    rep.add(
-        "ratio_recurrence",
-        "this constitutes a recurrence relation",
-        rel_residual(lhs - rhs, lhs, rhs),
-        tol,
-        n=n,
-    )
+    for n in ns:
+        num_a, den_a = packed(n, 0, z_a)
+        num_b, den_b = packed(n, 1, z_b)
+        if min(abs(num_b), abs(den_b), abs(den_a)) < 1e-14:
+            raise SingularResidueError("vanishing denominator in the ratio recurrence")
+        lhs = num_a / num_b
+        rhs = den_a / den_b
+        rep.add(
+            "ratio_recurrence",
+            "this constitutes a recurrence relation",
+            rel_residual(lhs - rhs, lhs, rhs),
+            tol,
+            n=n,
+        )
     return rep

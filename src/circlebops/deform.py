@@ -110,10 +110,6 @@ class DeformState:
     r: complex
     rbar: complex
 
-    @property
-    def phibar0(self) -> complex:
-        return self.kappa * self.rbar
-
     def pack(self) -> np.ndarray:
         return np.concatenate(
             [self.a.ravel(), self.a_inf.ravel(), [self.kappa, self.r, self.rbar]]
@@ -220,7 +216,7 @@ def deformation_rates(
     if np.any(abs(vj) < 1e-12):
         raise SingularResidueError(f"V({zj[abs(vj) < 1e-12][0]}) = 0 in a deformation-rate sum")
     ratio = zdot / zj
-    phi, star, eps, eps_s = asys.evaluate(n, zj)
+    phi, star, eps, eps_s = (v[n] for v in asys.evaluate(zj))
     th, ths, _, _ = quads[n].evaluate(zj)
     sum_rho_zdot = np.sum(rho * ratio)
     route_a = np.sum(0.5 * rho * ratio * zj ** (-n) * eps * star)

@@ -14,21 +14,25 @@ Matrix conventions (ascending row-major):
                     Omega*_n - V - (kappa_{n+1}/kappa_n) Theta*_n]]
 
 Every matrix builder takes an array z of any shape (a scalar is a 0-d
-array) and returns the stack of matrices, of shape z.shape + (2, 2).  The
-derivative checks in `verify_matrix_system` differentiate the assembled
-matrices exactly: phi_n, phi*_n and eps_n, eps*_n through
-`AssocSystem.derivative` (polynomials and the moment series of F), eps/w
-through W w' = 2 V w, and K'_n as the constant z-coefficient of K_n.  They
-stay independent of the coefficient-function construction, which reads each
-quadruple as a band of the Taylor series at 0 or at infinity: these checks
-test the whole matrix identity pointwise at the given sample points, each
-with the element of F on its own side of the circle.  Each quadruple is
-evaluated once per point set (`CoeffQuad.evaluate`), and each per-point
-check takes its residuals at all points in one `rel_residuals` call.  The
-rank-one bilinear form of the residues comes from one evaluation at all the
-non-origin singular points, and the four summation identities are read off
-its stack and the origin's residue matrix.  The Riemann-Hilbert orders of
-Y at 0 and at infinity are read off exact coefficients, never off points.
+array) and returns the stack of matrices, of shape z.shape + (2, 2);
+`normalized_solution` also takes an array of levels and stacks them first.
+`verify_matrix_system` and `rhp_jump_check` take a range of levels, write
+their entries level by level, and evaluate each point set once for all
+levels (8 `AssocSystem` calls per `verify-all --n 4`).  The derivative
+checks in `verify_matrix_system` differentiate the assembled matrices
+exactly: phi_n, phi*_n and eps_n, eps*_n through `AssocSystem.derivative`
+(polynomials and the moment series of F), eps/w through W w' = 2 V w, and
+K'_n as the constant z-coefficient of K_n.  They stay independent of the
+coefficient-function construction, which reads each quadruple as a band of
+the Taylor series at 0 or at infinity: these checks test the whole matrix
+identity pointwise at the given sample points, each with the element of F
+on its own side of the circle.  Each quadruple is evaluated once per point
+set (`CoeffQuad.evaluate`), and each per-point check takes its residuals at
+all points in one `rel_residuals` call.  The rank-one bilinear form of the
+residues comes from one evaluation at all the non-origin singular points
+for all levels, and the four summation identities are read off its stack
+and the origin's residue matrix.  The Riemann-Hilbert orders of Y at 0 and
+at infinity are read off exact coefficients, never off points.
 
 Level ceiling: the matrix system sets `verify-all`'s.  On the flagship
 weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
@@ -74,7 +78,7 @@ def y_matrix(
     w = np.asarray(wfun(zs), dtype=complex)
     if np.any(w == 0):
         raise SingularResidueError(f"w(z) = 0 at z = {zs[w == 0].flat[0]}")
-    phi, phistar, eps, epsstar = asys.evaluate(n, zs, side)
+    phi, phistar, eps, epsstar = (v[n] for v in asys.evaluate(zs, side))
     return _mat(phi, eps / w, phistar, -epsstar / w)
 
 
@@ -172,15 +176,17 @@ def assemble_residues(
 
 
 def residues_bilinear_form(
-    asys: AssocSystem, weight: SemiClassicalWeight, n: int
+    asys: AssocSystem, weight: SemiClassicalWeight, ns: Sequence[int]
 ) -> np.ndarray:
     """Alternative rank-one expression for the residues at the non-origin
-    singularities z_2..z_m, built from phi/eps products: the stack of shape
-    (m-1, 2, 2), from one evaluation at all of them."""
+    singularities z_2..z_m, built from phi/eps products at each level of
+    ``ns``: the stack of shape (len(ns), m-1, 2, 2), from one evaluation at
+    all of them."""
     zj = weight.locations[1:]
-    phi, star, eps, eps_s = asys.evaluate(n, zj)
-    scale = -0.5 * weight.exponents[1:] * zj ** (-n)
-    return scale[:, None, None] * _mat(star * eps, -phi * eps, -star * eps_s, phi * eps_s)
+    levels = np.asarray(ns, dtype=int)
+    phi, star, eps, eps_s = (v[levels] for v in asys.evaluate(zj))
+    scale = -0.5 * weight.exponents[1:] * zj ** -levels[:, None]
+    return scale[..., None, None] * _mat(star * eps, -phi * eps, -star * eps_s, phi * eps_s)
 
 
 def verify_matrix_system(
@@ -189,11 +195,11 @@ def verify_matrix_system(
     quads: Mapping[int, CoeffQuad],
     vw: PolyPair,
     weight: SemiClassicalWeight,
-    n: int,
+    ns: Sequence[int],
     samples: Sequence[complex],
     tol_scale: float = 1.0,
 ) -> IdentityReport:
-    """Matrix-level identity web at level n:
+    """Matrix-level identity web at each level n of ``ns``, level by level:
 
     * Y'_n = A_n Y_n, with Y'_n exact from `AssocSystem.derivative`;
     * K'_n = A_{n+1} K_n - K_n A_n and det K_n = z via the kappa identity;
@@ -203,15 +209,15 @@ def verify_matrix_system(
       coefficient-function form;
     * the four summation identities over the singular points.
 
-    Each gate is its stated tolerance times ``tol_scale``: the identity
-    tolerance 1e-9, 1e-7 for the residue and summation checks and 1e-8 for
-    the rank-one determinant.
+    The sample points and the singular points are each evaluated once for
+    every level.  Each gate is its stated tolerance times ``tol_scale``:
+    the identity tolerance 1e-9, 1e-7 for the residue and summation checks
+    and 1e-8 for the rank-one determinant.
     """
-    rep = IdentityReport(f"matrix system at n={n}")
+    rep = IdentityReport("matrix systems")
     identity_tol = IDENTITY_TOL * tol_scale
     residue_tol = 1e-7 * tol_scale
     rank_tol = 1e-8 * tol_scale
-    quad = quads[n]
     zs = np.asarray(
         [
             z
@@ -224,6 +230,12 @@ def verify_matrix_system(
     w = weight(zs)
     w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
     log_w = 2.0 * v_z / w_z  # w'/w, as W w' = 2 V w
+    values_at, derivatives_at = asys.evaluate(zs), asys.derivative(zs)
+    quad_values = {
+        k: quads[k].evaluate(zs)  # Theta_k, Theta*_k, Omega_k, Omega*_k
+        for k in sorted({k for n in ns for k in (n, n + 1)} & quads.keys())
+    }
+    bilinear = residues_bilinear_form(asys, weight, ns)
 
     def over_w(e, de):
         """e/w and its derivative (e' - (w'/w) e)/w."""
@@ -231,173 +243,174 @@ def verify_matrix_system(
 
     def level(k):
         """(value, exact derivative) of phi_k, phi*_k, eps_k/w, -eps*_k/w."""
-        phi, star, eps, es = asys.evaluate(k, zs)
-        dphi, dstar, deps, des = asys.derivative(k, zs)
+        phi, star, eps, es = (v[k] for v in values_at)
+        dphi, dstar, deps, des = (d[k] for d in derivatives_at)
         return (phi, dphi), (star, dstar), over_w(eps, deps), over_w(-es, -des)
 
     def with_derivative(*entries):
         """The matrix of (value, derivative) entries and its derivative."""
         return _mat(*(value for value, _ in entries)), _mat(*(d for _, d in entries))
 
-    def add_per_point(checks):
+    def add_per_point(n, checks):
         """One entry per sample point and check (lhs = rhs), in point order."""
         res = [rel_residuals(lhs - rhs, lhs, rhs) for _, _, lhs, rhs in checks]
         for i, where in enumerate(wheres):
             for (name, anchor, _, _), r in zip(checks, res):
                 rep.add(name, anchor, r[i], identity_tol, n=n, where=where)
 
-    phi, star, eps, es = level(n)
-    y, yd = with_derivative(phi, eps, star, es)
-    values = quad.evaluate(zs)  # Theta_n, Theta*_n, Omega_n, Omega*_n
-    a_n = a_matrix(values, vw, sys, n, zs)
-    add_per_point(
-        [
-            ("y_derivative_system", "equivalent to the matrix differential equation",
-             yd, a_n @ y),
-            ("y_determinant", "note that det Y_n = -2 z^n / w(z)",
-             np.linalg.det(y), -2.0 * zs**n / w),
-            ("trace_of_a", "we note that Tr A_n = n/z - w'/w",
-             np.trace(a_n, axis1=-2, axis2=-1), n / zs - log_w),
-        ]
-    )
-
-    if n + 1 in quads:
-        values_p = quads[n + 1].evaluate(zs)
-        ln, lp = sys.level(n), sys.level(n + 1)
-        k_n = k_matrix(sys, n, zs)
-        # K_n is linear in z: K'_n is the constant z-coefficient
-        kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
-        k_rhs = a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
+    for n, bil in zip(ns, bilinear):
+        phi, star, eps, es = level(n)
+        y, yd = with_derivative(phi, eps, star, es)
+        values = quad_values[n]
+        a_n = a_matrix(values, vw, sys, n, zs)
         add_per_point(
-            [("transfer_compatibility", "compatibility of the relations", kd, k_rhs)]
-        )
-        det_k_identity = lp.kappa**2 - lp.phi0 * lp.phibar0 - ln.kappa**2
-        rep.add(
-            "transfer_determinant",
-            "the matrix K_n has the property det K_n = z",
-            rel_residual(det_k_identity, lp.kappa**2, ln.kappa**2),
-            identity_tol,
-            n=n,
+            n,
+            [
+                ("y_derivative_system", "equivalent to the matrix differential equation",
+                 yd, a_n @ y),
+                ("y_determinant", "note that det Y_n = -2 z^n / w(z)",
+                 np.linalg.det(y), -2.0 * zs**n / w),
+                ("trace_of_a", "we note that Tr A_n = n/z - w'/w",
+                 np.trace(a_n, axis1=-2, axis2=-1), n / zs - log_w),
+            ],
         )
 
-        # X / X* / Z / Z* variants: W M' = C M with the coefficient matrices C
-        lpp = sys.level(n + 2)
-        phi_p, star_p, eps_p, es_p = level(n + 1)
-        neg = lambda entry: (-entry[0], -entry[1])
-        th, ths, om, oms = values
-        th_p, ths_p, _, _ = values_p
-        # the Z* (1,1) entry carries n W / z, as the trace must equal
-        # W (log det Z*)' = n W / z - 2 V (det Z* = 2 kappa_{n+1} z^n /
-        # (kappa_n w), from the mixed Casoratian)
-        variants = (
-            (
-                "x_derivative_system",
-                (phi_p, eps_p, phi, eps),
-                (
-                    om - v_z + n * w_z / zs,
-                    -ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p,
-                    th,
-                    -om - v_z,
-                ),
-            ),
-            (
-                "xstar_derivative_system",
-                (star_p, neg(es_p), star, neg(es)),
-                (
-                    -oms - v_z + (n + 1) * w_z / zs,
-                    ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p,
-                    -ths,
-                    oms - v_z,
-                ),
-            ),
-            (
-                "z_derivative_system",
-                (phi_p, eps_p, star, es),
-                (
-                    -oms - v_z + ln.kappa / lp.kappa * ths + (n + 1) * w_z / zs,
-                    ln.kappa * lpp.phi0 / lp.kappa**2 * th_p,
-                    -lp.phibar0 / lp.kappa * ths,
-                    oms - v_z - ln.kappa / lp.kappa * ths,
-                ),
-            ),
-            (
-                "zstar_derivative_system",
-                (star_p, es_p, phi, eps),
-                (
-                    om - v_z - ln.kappa / lp.kappa * zs * th + n * w_z / zs,
-                    -ln.kappa * lpp.phibar0 / lp.kappa**2 * zs**2 * ths_p,
-                    lp.phi0 / lp.kappa * th,
-                    -om - v_z + ln.kappa / lp.kappa * zs * th,
-                ),
-            ),
-        )
-        checks = []
-        for name, entries, coeff in variants:
-            mat, der = with_derivative(*entries)
-            checks.append(
-                (name, "other forms of the matrix variables",
-                 w_z[:, None, None] * der, _mat(*coeff) @ mat)
+        if n + 1 in quads:
+            values_p = quad_values[n + 1]
+            ln, lp = sys.level(n), sys.level(n + 1)
+            k_n = k_matrix(sys, n, zs)
+            # K_n is linear in z: K'_n is the constant z-coefficient
+            kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
+            k_rhs = a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
+            add_per_point(
+                n, [("transfer_compatibility", "compatibility of the relations", kd, k_rhs)]
             )
-        add_per_point(checks)
+            det_k_identity = lp.kappa**2 - lp.phi0 * lp.phibar0 - ln.kappa**2
+            rep.add(
+                "transfer_determinant",
+                "the matrix K_n has the property det K_n = z",
+                rel_residual(det_k_identity, lp.kappa**2, ln.kappa**2),
+                identity_tol,
+                n=n,
+            )
 
-    # residues: coefficient-function form vs rank-one bilinear form
-    res = assemble_residues(quad, vw, sys, n, weight)
-    bil = residues_bilinear_form(asys, weight, n)
-    gaps = rel_residuals(res.a[1:] - bil, res.a[1:], bil)
-    for j, (a_j, gap) in enumerate(zip(res.a[1:], gaps), start=1):
-        rep.add(
-            "residue_bilinear_form",
-            "an alternative expression for the residue matrices",
-            gap,
-            residue_tol,
-            n=n,
-            where=f"z_{j + 1}",
-        )
-        rep.add(
-            "residue_rank_one",
-            "we find that det A_nj = 0",
-            abs(np.linalg.det(a_j)) / max(1.0, float(np.max(np.abs(a_j))) ** 2),
-            rank_tol,
-            n=n,
-            where=f"z_{j + 1}",
-        )
-    for j, s in enumerate(weight.singularities):
-        want = s.exponent if j > 0 else s.exponent - n
-        rep.add(
-            "residue_trace",
-            "using the identity we note the traces of the residue matrices",
-            abs(np.trace(res.a[j]) + want) / max(1.0, abs(want)),
-            residue_tol,
-            n=n,
-            where=f"z_{j + 1}",
-        )
-    rep.add(
-        "residue_at_infinity",
-        "the regular singularity at infinity",
-        res.consistency,
-        residue_tol,
-        n=n,
-    )
+            # X / X* / Z / Z* variants: W M' = C M with the coefficient matrices C
+            lpp = sys.level(n + 2)
+            phi_p, star_p, eps_p, es_p = level(n + 1)
+            neg = lambda entry: (-entry[0], -entry[1])
+            th, ths, om, oms = values
+            th_p, ths_p, _, _ = values_p
+            # the Z* (1,1) entry carries n W / z, as the trace must equal
+            # W (log det Z*)' = n W / z - 2 V (det Z* = 2 kappa_{n+1} z^n /
+            # (kappa_n w), from the mixed Casoratian)
+            variants = (
+                (
+                    "x_derivative_system",
+                    (phi_p, eps_p, phi, eps),
+                    (
+                        om - v_z + n * w_z / zs,
+                        -ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p,
+                        th,
+                        -om - v_z,
+                    ),
+                ),
+                (
+                    "xstar_derivative_system",
+                    (star_p, neg(es_p), star, neg(es)),
+                    (
+                        -oms - v_z + (n + 1) * w_z / zs,
+                        ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p,
+                        -ths,
+                        oms - v_z,
+                    ),
+                ),
+                (
+                    "z_derivative_system",
+                    (phi_p, eps_p, star, es),
+                    (
+                        -oms - v_z + ln.kappa / lp.kappa * ths + (n + 1) * w_z / zs,
+                        ln.kappa * lpp.phi0 / lp.kappa**2 * th_p,
+                        -lp.phibar0 / lp.kappa * ths,
+                        oms - v_z - ln.kappa / lp.kappa * ths,
+                    ),
+                ),
+                (
+                    "zstar_derivative_system",
+                    (star_p, es_p, phi, eps),
+                    (
+                        om - v_z - ln.kappa / lp.kappa * zs * th + n * w_z / zs,
+                        -ln.kappa * lpp.phibar0 / lp.kappa**2 * zs**2 * ths_p,
+                        lp.phi0 / lp.kappa * th,
+                        -om - v_z + ln.kappa / lp.kappa * zs * th,
+                    ),
+                ),
+            )
+            checks = []
+            for name, entries, coeff in variants:
+                mat, der = with_derivative(*entries)
+                checks.append(
+                    (name, "other forms of the matrix variables",
+                     w_z[:, None, None] * der, _mat(*coeff) @ mat)
+                )
+            add_per_point(n, checks)
 
-    # four summation identities, read off the residue matrices: the sums run
-    # over the bilinear residues of the non-zero singularities, and the
-    # origin enters through its (upper-triangular) residue matrix
-    sum_rho = weight.exponent_sum
-    total = bil.sum(axis=0) + res.a[0]
-    targets = [
-        ("summation_phi_eps", total[0, 1], 0.0),
-        ("summation_phistar_eps", -total[0, 0], -float(n)),
-        ("summation_phi_epsstar", -total[1, 1], sum_rho),
-        ("summation_phistar_epsstar", total[1, 0], (n + sum_rho) * sys.level(n).rbar),
-    ]
-    for name, got, want in targets:
+        # residues: coefficient-function form vs rank-one bilinear form
+        res = assemble_residues(quads[n], vw, sys, n, weight)
+        gaps = rel_residuals(res.a[1:] - bil, res.a[1:], bil)
+        for j, (a_j, gap) in enumerate(zip(res.a[1:], gaps), start=1):
+            rep.add(
+                "residue_bilinear_form",
+                "an alternative expression for the residue matrices",
+                gap,
+                residue_tol,
+                n=n,
+                where=f"z_{j + 1}",
+            )
+            rep.add(
+                "residue_rank_one",
+                "we find that det A_nj = 0",
+                abs(np.linalg.det(a_j)) / max(1.0, float(np.max(np.abs(a_j))) ** 2),
+                rank_tol,
+                n=n,
+                where=f"z_{j + 1}",
+            )
+        for j, s in enumerate(weight.singularities):
+            want = s.exponent if j > 0 else s.exponent - n
+            rep.add(
+                "residue_trace",
+                "using the identity we note the traces of the residue matrices",
+                abs(np.trace(res.a[j]) + want) / max(1.0, abs(want)),
+                residue_tol,
+                n=n,
+                where=f"z_{j + 1}",
+            )
         rep.add(
-            name,
-            "imply the summation identities",
-            rel_residual(got - want, got, want, n),
+            "residue_at_infinity",
+            "the regular singularity at infinity",
+            res.consistency,
             residue_tol,
             n=n,
         )
+
+        # four summation identities, read off the residue matrices: the sums
+        # run over the bilinear residues of the non-zero singularities, and
+        # the origin enters through its (upper-triangular) residue matrix
+        sum_rho = weight.exponent_sum
+        total = bil.sum(axis=0) + res.a[0]
+        targets = [
+            ("summation_phi_eps", total[0, 1], 0.0),
+            ("summation_phistar_eps", -total[0, 0], -float(n)),
+            ("summation_phi_epsstar", -total[1, 1], sum_rho),
+            ("summation_phistar_epsstar", total[1, 0], (n + sum_rho) * sys.level(n).rbar),
+        ]
+        for name, got, want in targets:
+            rep.add(
+                name,
+                "imply the summation identities",
+                rel_residual(got - want, got, want, n),
+                residue_tol,
+                n=n,
+            )
     return rep
 
 
@@ -406,14 +419,16 @@ def verify_matrix_system(
 # ---------------------------------------------------------------------------
 
 def normalized_solution(
-    sys: BopsSystem, asys: AssocSystem, n: int, z, side: str | None = None
+    sys: BopsSystem, asys: AssocSystem, n, z, side: str | None = None
 ) -> np.ndarray:
     """The RHP-normalized matrix [[phi_n/kappa_n, eps_n/(2 kappa_n z)],
     [kappa_n phi*_n, -kappa_n eps*_n/(2z)]] (no weight division), stacked
-    over the array z: shape z.shape + (2, 2)."""
+    over the array z, at the level n or at every level of an array n: shape
+    n.shape + z.shape + (2, 2)."""
     zs = np.asarray(z, dtype=complex)
-    kappa = sys.kappa(n)
-    phi, phistar, eps, epsstar = asys.evaluate(n, zs, side)
+    levels = np.asarray(n, dtype=int)
+    kappa = np.array([sys.kappa(k) for k in levels.flat]).reshape(levels.shape + (1,) * zs.ndim)
+    phi, phistar, eps, epsstar = (v[levels] for v in asys.evaluate(zs, side))
     return _mat(
         phi / kappa, eps / (2.0 * kappa * zs), kappa * phistar, -kappa * epsstar / (2.0 * zs)
     )
@@ -423,27 +438,28 @@ def rhp_jump_check(
     sys: BopsSystem,
     asys: AssocSystem,
     wfun: Callable,
-    n: int,
+    ns: Sequence[int],
     thetas: Sequence[float],
     weight: SemiClassicalWeight | None = None,
     offset: float = 1e-4,
     tol: float = 1e-5,
 ) -> IdentityReport:
     """Jump, determinant and asymptotic order conditions of the normalized
-    problem.  The inside and outside analytic elements are evaluated at the
-    same points just off the circle (both extend into the weight's annulus),
-    so the jump Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series
-    truncation; its (1,2) entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.
-    Each circle of points is evaluated in one call.  The orders of Y at 0
-    and at infinity are read off exact coefficients, with no points: those
-    of phi_n and phi*_n, and the series of eps_n and eps*_n from
+    problem at each level n of ``ns``, level by level.  The inside and
+    outside analytic elements are evaluated at the same points just off the
+    circle (both extend into the weight's annulus), so the jump
+    Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series truncation; its (1,2)
+    entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.  Each circle of
+    points is evaluated once for every level.  The orders of Y at 0 and at
+    infinity are read off exact coefficients, with no points: those of
+    phi_n and phi*_n, and the series of eps_n and eps*_n from
     `AssocSystem.eps_taylor`.  Each order entry's residual is its largest
     forbidden coefficient over max(1, its largest allowed one).  The jump is
     gated at ``tol``, the determinant and the orders at the identity
     tolerance 1e-9, both scaled by tol / 1e-5."""
-    rep = IdentityReport(f"Riemann-Hilbert checks at n={n}")
+    rep = IdentityReport("Riemann-Hilbert suite")
     identity_tol = IDENTITY_TOL * (tol / 1e-5)
-    if n < 1:
+    if any(n < 1 for n in ns):
         raise ValueError("the normalized problem is stated for n >= 1")
 
     def near_cut(theta: float) -> bool:
@@ -459,64 +475,69 @@ def rhp_jump_check(
         return False
 
     kept = np.asarray([float(t) for t in thetas if not near_cut(float(t))])
+    jumps = []  # (radius, residuals of shape (levels, points)) per circle
     for radius in (1.0 - offset, 1.0 + offset):
         zs = radius * np.exp(1j * kept)
         w = np.asarray(wfun(zs), dtype=complex)
-        lhs = normalized_solution(sys, asys, n, zs, side="inside")
-        rhs = normalized_solution(sys, asys, n, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
-        for theta, residual in zip(kept, rel_residuals(lhs - rhs, lhs, rhs)):
+        lhs = normalized_solution(sys, asys, ns, zs, side="inside")
+        rhs = normalized_solution(sys, asys, ns, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
+        jumps.append((radius, [rel_residuals(l - r, l, r) for l, r in zip(lhs, rhs)]))
+    zdet = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])
+    dets = np.linalg.det(normalized_solution(sys, asys, ns, zdet))
+
+    for i, n in enumerate(ns):
+        for radius, residuals in jumps:
+            for theta, residual in zip(kept, residuals[i]):
+                rep.add(
+                    "rhp_jump",
+                    "consider the following Riemann-Hilbert problem",
+                    residual,
+                    tol,
+                    n=n,
+                    where=f"theta={theta:.3f}, r={radius}",
+                )
+        for z, det in zip(zdet, dets[i]):
+            want = -(z ** (n - 1))
             rep.add(
-                "rhp_jump",
-                "consider the following Riemann-Hilbert problem",
-                residual,
-                tol,
+                "rhp_determinant",
+                "we also point out det Y(z) = -z^{n-1}",
+                rel_residual(det - want, det, want),
+                identity_tol,
                 n=n,
-                where=f"theta={theta:.3f}, r={radius}",
+                where=f"z={z:.3g}",
             )
 
-    zdet = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])
-    for z, det in zip(zdet, np.linalg.det(normalized_solution(sys, asys, n, zdet))):
-        want = -(z ** (n - 1))
-        rep.add(
-            "rhp_determinant",
-            "we also point out det Y(z) = -z^{n-1}",
-            rel_residual(det - want, det, want),
-            identity_tol,
-            n=n,
-            where=f"z={z:.3g}",
+        # asymptotic orders, read off exact coefficients: each entry's
+        # expansion runs in powers of z up from `edge` at 0, or down from
+        # `edge` at infinity, and the stated order forbids the |order - edge|
+        # coefficients before it.  phi_n and phi*_n are polynomials of degree
+        # n; eps_n and eps*_n come from their exact series, where the 1/z of
+        # their entries moves each power down by one.
+        lev = sys.level(n)
+        kappa = lev.kappa
+
+        def eps_entry(star: bool, at_infinity: bool) -> np.ndarray:
+            factor = -kappa / 2.0 if star else 0.5 / kappa
+            return factor * asys.eps_taylor(n, n + 4, star, at_infinity)
+
+        orders = (
+            ("as z tends to infinity", (
+                ("rhp_order_11_at_infinity", lev.c[::-1] / kappa, n, n),
+                ("rhp_order_22_at_infinity", eps_entry(True, True), n - 1, -1),
+                ("rhp_order_12_at_infinity", eps_entry(False, True), n - 1, -2),
+                ("rhp_order_21_at_infinity", kappa * lev.cbar, n, n),
+            )),
+            ("as z tends to zero", (
+                ("rhp_order_11_at_zero", lev.c / kappa, 0, 0),
+                ("rhp_order_12_at_zero", eps_entry(False, False), -1, n - 1),
+                ("rhp_order_21_at_zero", kappa * lev.cbar[::-1], 0, 0),
+                ("rhp_order_22_at_zero", eps_entry(True, False), -1, n),
+            )),
         )
-
-    # asymptotic orders, read off exact coefficients: each entry's expansion
-    # runs in powers of z up from `edge` at 0, or down from `edge` at
-    # infinity, and the stated order forbids the |order - edge| coefficients
-    # before it.  phi_n and phi*_n are polynomials of degree n; eps_n and
-    # eps*_n come from their exact series, where the 1/z of their entries
-    # moves each power down by one.
-    lev = sys.level(n)
-    kappa = lev.kappa
-
-    def eps_entry(star: bool, at_infinity: bool) -> np.ndarray:
-        factor = -kappa / 2.0 if star else 0.5 / kappa
-        return factor * asys.eps_taylor(n, n + 4, star, at_infinity)
-
-    orders = (
-        ("as z tends to infinity", (
-            ("rhp_order_11_at_infinity", lev.c[::-1] / kappa, n, n),
-            ("rhp_order_22_at_infinity", eps_entry(True, True), n - 1, -1),
-            ("rhp_order_12_at_infinity", eps_entry(False, True), n - 1, -2),
-            ("rhp_order_21_at_infinity", kappa * lev.cbar, n, n),
-        )),
-        ("as z tends to zero", (
-            ("rhp_order_11_at_zero", lev.c / kappa, 0, 0),
-            ("rhp_order_12_at_zero", eps_entry(False, False), -1, n - 1),
-            ("rhp_order_21_at_zero", kappa * lev.cbar[::-1], 0, 0),
-            ("rhp_order_22_at_zero", eps_entry(True, False), -1, n),
-        )),
-    )
-    for anchor, checks in orders:
-        for name, series, edge, order in checks:
-            size = np.abs(series)
-            cut = abs(order - edge)
-            residual = size[:cut].max(initial=0.0) / max(1.0, size[cut:].max())
-            rep.add(name, anchor, residual, identity_tol, n=n, where=f"z^{order}")
+        for anchor, checks in orders:
+            for name, series, edge, order in checks:
+                size = np.abs(series)
+                cut = abs(order - edge)
+                residual = size[:cut].max(initial=0.0) / max(1.0, size[cut:].max())
+                rep.add(name, anchor, residual, identity_tol, n=n, where=f"z^{order}")
     return rep

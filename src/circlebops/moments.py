@@ -123,14 +123,6 @@ def compute_moments(w, window: int, quad_points: int = QUAD_POINTS) -> MomentTab
     return MomentTable(window, current, source)
 
 
-def closed_form_table(coeffs: dict[int, complex], window: int) -> MomentTable:
-    """Table for a Laurent-polynomial weight with known expansion coefficients."""
-    values = np.zeros(2 * window + 1, dtype=complex)
-    for k, v in coeffs.items():
-        values[k + window] = v
-    return MomentTable(window, values, {"kind": "closed_form"})
-
-
 def weight_from_table(tbl: MomentTable):
     """Evaluator of w(z) = sum_k w_k z^k near the unit circle (raw-moment
     pipelines where no closed-form weight is available)."""
@@ -166,18 +158,16 @@ def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> complex:
 # Caratheodory function
 # ---------------------------------------------------------------------------
 
-# Entries (F or F' on one point set) one evaluator keeps.  The busiest
-# evaluator of a verify-all run makes 9; the oldest entry goes first.
-MEMO_SIZE = 32
-
-
 class CaratheodoryEvaluator:
     """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) via the
     moment series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
     outside.  F' is the derivative of the same series, -z^-2 (d/du series)(1/z)
     outside.  Points with | |z| - 1 | below the near-circle band are refused
     unless a side is forced (the two analytic elements both extend into the
-    annulus of the weight, which is what the jump checks rely on)."""
+    annulus of the weight, which is what the jump checks rely on).  Each
+    call sums the series on its points; `AssocSystem` evaluates every level
+    in one call, and one `verify-all --n 4` makes 15 calls of F or F' on 10
+    distinct point sets (with their side and order)."""
 
     def __init__(self, tbl: MomentTable):
         self.table = tbl
@@ -186,7 +176,6 @@ class CaratheodoryEvaluator:
         self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
         self._outside = np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))
         self._derivative = (polyder(self._inside), polyder(self._outside))
-        self._memo: dict[tuple, np.ndarray] = {}
 
     def _inside_mask(self, zs: np.ndarray) -> np.ndarray:
         """Mask of the points inside the circle; raises for the first point
@@ -210,21 +199,9 @@ class CaratheodoryEvaluator:
 
     def __call__(self, z, side: str | None = None, derivative: bool = False):
         """F (F' with ``derivative``) over an array z (a scalar is a 0-d
-        array).  F does not depend on the level, so the read-only values of
-        each point set are kept for the next call; a failed call is not kept
-        and raises every time."""
+        array).  Without a side each series is evaluated only on its own
+        points."""
         zs = np.asarray(z, dtype=complex)
-        key = (side, derivative, zs.shape, zs.tobytes())
-        if key not in self._memo:
-            out = np.asarray(self._series_values(zs, side, derivative))
-            out.flags.writeable = False
-            if len(self._memo) >= MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = out
-        return self._memo[key][()]
-
-    def _series_values(self, zs: np.ndarray, side: str | None, derivative: bool):
-        """Without a side each series is evaluated only on its own points."""
         inner, outer = self._derivative if derivative else (self._inside, self._outside)
 
         def outside(z):
@@ -232,16 +209,17 @@ class CaratheodoryEvaluator:
             return -values / z**2 if derivative else values
 
         if side == "inside":
-            return polyval(inner, zs)
-        if side == "outside":
-            return outside(zs)
-        if side is not None:
+            out = polyval(inner, zs)
+        elif side == "outside":
+            out = outside(zs)
+        elif side is not None:
             raise ValueError("side must be 'inside' or 'outside'")
-        inside = self._inside_mask(zs)
-        out = np.empty(zs.shape, dtype=complex)
-        out[inside] = polyval(inner, zs[inside])
-        out[~inside] = outside(zs[~inside])
-        return out
+        else:
+            inside = self._inside_mask(zs)
+            out = np.empty(zs.shape, dtype=complex)
+            out[inside] = polyval(inner, zs[inside])
+            out[~inside] = outside(zs[~inside])
+        return np.asarray(out)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from circlebops.bops import build_system
 from circlebops.coeffs import compute_coeff_quad
 from circlebops.moments import (
     CaratheodoryEvaluator,
-    closed_form_table,
     compute_moments,
     recover_u,
     table_from_moments,
@@ -101,7 +100,7 @@ def laurent():
     weight = SemiClassicalWeight(
         (Singularity(0, -1), Singularity(-1, 2)), strict=False
     )
-    table = closed_form_table({-1: 1.0, 0: 2.0, 1: 1.0}, window=12)
+    table = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys = build_system(table, 8)
     return {
         "weight": weight,

@@ -35,7 +35,6 @@ from circlebops.deform import (
 )
 from circlebops.lax import rhp_jump_check, verify_matrix_system
 from circlebops.moments import (
-    closed_form_table,
     compute_moments,
     heine_oracle,
     table_from_moments,
@@ -77,11 +76,13 @@ def test_criterion_1_lebesgue_suite():
         if n >= 1:
             worst = max(worst, abs(lev.r), abs(lev.rbar))
     z_in, z_out = 0.37 + 0.19j, 2.4 - 1.1j
+    _, _, eps_in, star_in = asys.evaluate(z_in)
+    _, _, eps_out, star_out = asys.evaluate(z_out)
     for n in range(6):
-        worst = max(worst, abs(asys.eps(n, z_in) - 2.0 * z_in**n))
-        worst = max(worst, abs(asys.eps(n, z_out)))
-        worst = max(worst, abs(asys.epsstar(n, z_in)))
-        worst = max(worst, abs(asys.epsstar(n, z_out) - 2.0))
+        worst = max(worst, abs(eps_in[n] - 2.0 * z_in**n))
+        worst = max(worst, abs(eps_out[n]))
+        worst = max(worst, abs(star_in[n]))
+        worst = max(worst, abs(star_out[n] - 2.0))
 
     rng = np.random.default_rng(17)
     pairs = list(zip(circle_samples(rng, 20, 0.4), circle_samples(rng, 20, 2.5)))
@@ -99,7 +100,7 @@ def test_criterion_1_lebesgue_suite():
 
 def test_criterion_2_laurent_oracle_suite():
     start = time.perf_counter()
-    table = closed_form_table({-1: 1.0, 0: 2.0, 1: 1.0}, window=12)
+    table = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys = build_system(table, 8)
     worst = 0.0
     for n in range(9):
@@ -156,15 +157,13 @@ def test_criterion_4_strict_semiclassical_suite():
             bundle.asys, samples, weight=weight,
         ),
     ]
-    for n in range(1, 5):
-        reports.append(
-            verify_matrix_system(
-                bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, n,
-                [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j],
-            )
+    reports.append(
+        verify_matrix_system(
+            bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, range(1, 5),
+            [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j],
         )
-    for n in range(4):
-        reports.append(dpainleve_ratio_check(bundle.quads, bundle.vw, n, 2.0, 3.0))
+    )
+    reports.append(dpainleve_ratio_check(bundle.quads, bundle.vw, range(4), 2.0, 3.0))
 
     worst_exact = 0.0
     count = 0
@@ -185,7 +184,7 @@ def test_criterion_5_riemann_hilbert_suite():
     weight = strict_weight()
     thetas = np.linspace(0.05, 2.0 * np.pi, 24)
 
-    table_l = closed_form_table({-1: 1.0, 0: 2.0, 1: 1.0}, window=12)
+    table_l = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys_l = build_system(table_l, 6)
     asys_l = AssocSystem(sys_l)
     bundle_s = build_bundle(weight, 6)
@@ -196,13 +195,12 @@ def test_criterion_5_riemann_hilbert_suite():
         (sys_l, asys_l, laurent_callable, None),
         (bundle_s.sys, bundle_s.asys, lambda z: weight(z), weight),
     ):
-        for n in (1, 2, 3):
-            rep = rhp_jump_check(sys, asys, wfun, n, thetas, weight=wt)
-            for entry in rep.entries:
-                if entry.name.startswith("rhp_order"):
-                    worst_order = max(worst_order, entry.residual)
-                else:
-                    worst_value = max(worst_value, entry.residual)
+        rep = rhp_jump_check(sys, asys, wfun, (1, 2, 3), thetas, weight=wt)
+        for entry in rep.entries:
+            if entry.name.startswith("rhp_order"):
+                worst_order = max(worst_order, entry.residual)
+            else:
+                worst_value = max(worst_value, entry.residual)
     elapsed = time.perf_counter() - start
     announce(
         "criterion 5: Riemann-Hilbert suite (jump/det <= 1e-5, forbidden order coefficients <= 1e-9)",

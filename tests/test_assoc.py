@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 
 from circlebops.assoc import AssocSystem, verify_assoc_identities, verify_expansions
@@ -24,7 +25,7 @@ def sample_points(seed=5, count=10):
 def plemelj_jump(asys, wfun, n, thetas):
     """Largest rhp_jump residual of rhp_jump_check: the (1,2) entry of
     Y_+ = Y_- J is the Plemelj jump eps_+ - eps_- = 2 w phi_n."""
-    rep = rhp_jump_check(asys.sys, asys, wfun, n, thetas)
+    rep = rhp_jump_check(asys.sys, asys, wfun, [n], thetas)
     return max(e.residual for e in rep.entries if e.name == "rhp_jump")
 
 
@@ -32,11 +33,13 @@ class TestLebesgueValues:
     def test_eps_inside_outside(self, lebesgue):
         asys = lebesgue["asys"]
         z_in, z_out = 0.37 + 0.21j, 3.0 + 1.0j
+        _, _, eps_in, star_in = asys.evaluate(z_in)
+        _, _, eps_out, star_out = asys.evaluate(z_out)
         for n in range(5):
-            assert abs(asys.eps(n, z_in) - 2.0 * z_in**n) < 1e-13
-            assert abs(asys.eps(n, z_out)) < 1e-13
-            assert abs(asys.epsstar(n, z_in)) < 1e-13
-            assert abs(asys.epsstar(n, z_out) - 2.0) < 1e-13
+            assert abs(eps_in[n] - 2.0 * z_in**n) < 1e-13
+            assert abs(eps_out[n]) < 1e-13
+            assert abs(star_in[n]) < 1e-13
+            assert abs(star_out[n] - 2.0) < 1e-13
 
     def test_psi0_normalization(self, lebesgue, laurent, strict):
         for fix in (lebesgue, laurent, strict):
@@ -51,12 +54,11 @@ class TestLebesgueValues:
         # inside: phi_n eps*_n + eps_n phi*_n = 0 + 2 z^n * 1
         asys = lebesgue["asys"]
         z = 0.3 + 0.2j
+        _, _, eps, epsstar = asys.evaluate(z)
         for n in range(4):
-            from circlebops.bops import eval_poly
-
-            lhs = eval_poly(lebesgue["sys"], n, z) * asys.epsstar(n, z) + asys.eps(
-                n, z
-            ) * eval_poly(lebesgue["sys"], n, z, "phistar")
+            lhs = eval_poly(lebesgue["sys"], n, z) * epsstar[n] + eps[n] * eval_poly(
+                lebesgue["sys"], n, z, "phistar"
+            )
             assert abs(lhs - 2.0 * z**n) < 1e-13
 
 
@@ -93,44 +95,47 @@ class TestIntegralRoutes:
             eps_q, star_a, star_b = eps_quadrature(
                 laurent_callable, laurent["sys"], 2, z
             )
-            assert abs(eps_q - laurent["asys"].eps(2, z)) < 1e-9
-            star = laurent["asys"].epsstar(2, z)
+            _, _, eps, epsstar = laurent["asys"].evaluate(z)
+            assert abs(eps_q - eps[2]) < 1e-9
+            star = epsstar[2]
             assert abs(star_a - star) < 1e-9  # first displayed integral form
             assert abs(star_b - star) < 1e-9  # second displayed integral form
 
     def test_eps_against_defining_quadrature_strict(self, strict):
         for z in (0.5 + 0.1j, 2.4 + 0.1j):
             eps_q, star_a, star_b = eps_quadrature(strict["wfun"], strict["sys"], 3, z)
-            assert abs(eps_q - strict["asys"].eps(3, z)) < 1e-9
-            assert abs(star_a - strict["asys"].epsstar(3, z)) < 1e-9
-            assert abs(star_b - strict["asys"].epsstar(3, z)) < 1e-9
+            _, _, eps, epsstar = strict["asys"].evaluate(z)
+            assert abs(eps_q - eps[3]) < 1e-9
+            assert abs(star_a - epsstar[3]) < 1e-9
+            assert abs(star_b - epsstar[3]) < 1e-9
 
     def test_determinant_ratio_representation(self, laurent):
         z = 0.4 + 0.3j
         eps_i, star_i = eps_intrep(
             laurent_callable, laurent["table"], laurent["sys"], 2, z
         )
-        assert abs(eps_i - laurent["asys"].eps(2, z)) < 1e-9
-        assert abs(star_i - laurent["asys"].epsstar(2, z)) < 1e-9
+        _, _, eps, epsstar = laurent["asys"].evaluate(z)
+        assert abs(eps_i - eps[2]) < 1e-9
+        assert abs(star_i - epsstar[2]) < 1e-9
 
 
 class TestExpansions:
     def test_lebesgue_outer_coefficient_vanishes(self, lebesgue):
-        rep = verify_expansions(lebesgue["asys"], 2)
+        rep = verify_expansions(lebesgue["asys"], [2])
         entry = {e.name: e for e in rep.entries}["eps_outside_order_-1"]
         assert entry.residual < 1e-12  # phi_{n+1}(0)/kappa_{n+1} = 0
 
     def test_laurent_n1_subleading(self, laurent):
-        rep = verify_expansions(laurent["asys"], 1, tol=1e-8)
+        rep = verify_expansions(laurent["asys"], [1], tol=1e-8)
         assert rep.passed, [(e.name, e.residual) for e in rep.failures()]
         # coefficient of z^{n+1} inside (kappa_n/2) eps_n is -lbar_2/kappa_2
         entry = {e.name: e for e in rep.entries}["eps_inside_order_1"]
         assert entry.residual < 1e-8
 
     def test_strict_all_orders(self, strict):
-        for n in (1, 2, 3):
-            rep = verify_expansions(strict["asys"], n, tol=1e-8)
-            assert rep.passed, [(e.name, e.residual) for e in rep.failures()]
+        rep = verify_expansions(strict["asys"], (1, 2, 3), tol=1e-8)
+        assert rep.passed, [(e.name, e.residual) for e in rep.failures()]
+        assert [e.n for e in rep.entries] == [n for n in (1, 2, 3) for _ in range(12)]
 
 
 class TestConstruction:
@@ -139,9 +144,11 @@ class TestConstruction:
         asys = strict["asys"]
         for n in (0, 3, 5):
             taylor = asys.eps_taylor(n, 12)
-            fft = laurent_coefficients(lambda z: asys.eps(n, z), 0.5, range(12))
+            fft = laurent_coefficients(lambda z: asys.evaluate(z)[2][n], 0.5, range(12))
             at_inf = asys.eps_taylor(n, 12, star=True, at_infinity=True)
-            fft_inf = laurent_coefficients(lambda z: z**-n * asys.epsstar(n, z), 2.5, range(0, -12, -1))
+            fft_inf = laurent_coefficients(
+                lambda z: z**-n * asys.evaluate(z)[3][n], 2.5, range(0, -12, -1)
+            )
             for k in range(12):
                 assert abs(taylor[k] - fft[k]) < 1e-12 * 2.0**k
                 assert abs(at_inf[k] - fft_inf[-k]) < 1e-12 * 2.5**k
@@ -158,24 +165,44 @@ class TestConstruction:
         assert err.value.required == 5
 
 
+def horner_levels(asys, z, side=None, derivative=False):
+    """(phi, phi*, eps, eps*) of every level, or their derivatives, written
+    out level by level: each polynomial by its own Horner pass over the
+    flattened points, F and F' by their own calls, stacked by level."""
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.reshape(-1)
+    f = asys.F(flat, side=side)
+    df = asys.F(flat, side=side, derivative=True)
+    rows = []
+    for n, lev in enumerate(asys.sys.levels):
+        coeffs = (lev.c, lev.cbar[::-1], asys.psi(n), asys.psistar(n))
+        phi, star, psi, psistar = (npoly.polyval(flat, c) for c in coeffs)
+        if not derivative:
+            rows.append((phi, star, psi + f * phi, psistar - f * star))
+            continue
+        dphi, dstar, dpsi, dpsistar = (npoly.polyval(flat, npoly.polyder(c)) for c in coeffs)
+        rows.append((dphi, dstar, dpsi + df * phi + f * dphi, dpsistar - df * star - f * dstar))
+    return tuple(np.array(col).reshape((len(rows),) + zs.shape) for col in zip(*rows))
+
+
+def flagship_and_m4(strict):
+    return [strict["asys"], build_bundle(complex_m4_weight(), 7).asys]
+
+
 class TestBatchedEvaluator:
     def test_matches_per_point_loop(self, strict):
-        asys, sys = strict["asys"], strict["sys"]
+        asys = strict["asys"]
         zs = sample_points(seed=9, count=6).reshape(2, 6)  # inside row, outside row
-        for n in range(5):
-            batch = asys.evaluate(n, zs)
-            loop = [
-                np.array([[asys.evaluate(n, complex(z))[k] for z in row] for row in zs])
-                for k in range(4)
-            ]
-            for got, want in zip(batch, loop):
-                assert close(got, want)
+        batch = asys.evaluate(zs)
+        for k in range(4):
+            loop = np.array([[asys.evaluate(complex(z))[k] for z in row] for row in zs])
+            assert close(batch[k], np.moveaxis(loop, -1, 0))
 
     def test_matches_defining_sums(self, strict):
         asys, sys = strict["asys"], strict["sys"]
         zs = sample_points(seed=11, count=5)
+        phi, phistar, eps, epsstar = asys.evaluate(zs)
         for n in range(5):
-            phi, phistar, eps, epsstar = asys.evaluate(n, zs)
             want = {"phi": [], "phistar": [], "eps": [], "epsstar": []}
             for z in zs:
                 z = complex(z)
@@ -186,21 +213,44 @@ class TestBatchedEvaluator:
                 want["epsstar"].append(
                     polyval(asys.psistar(n), z) - f * eval_poly(sys, n, z, "phistar")
                 )
-            for got, key in zip((phi, phistar, eps, epsstar), want):
+            for got, key in zip((phi[n], phistar[n], eps[n], epsstar[n]), want):
                 assert close(got, want[key])
 
     def test_forced_side_and_scalar(self, strict):
         asys = strict["asys"]
         zs = (1.0 + 1e-4) * np.exp(1j * np.linspace(0.1, 6.0, 7))
         for side in ("inside", "outside"):
-            batch = asys.evaluate(2, zs, side)
+            batch = asys.evaluate(zs, side)
             for k in range(4):
-                loop = np.array([asys.evaluate(2, complex(z), side)[k] for z in zs])
-                assert close(batch[k], loop)
-        values = asys.evaluate(3, 0.3 + 0.2j)
-        assert all(np.ndim(v) == 0 for v in values)
-        assert asys.eps(3, 0.3 + 0.2j) == values[2]
-        assert asys.epsstar(3, 0.3 + 0.2j) == values[3]
+                loop = np.array([asys.evaluate(complex(z), side)[k] for z in zs])
+                assert close(batch[k], loop.T)
+        values = asys.evaluate(0.3 + 0.2j)
+        assert all(v.shape == (strict["sys"].nmax + 1,) for v in values)
+
+    def test_rows_are_per_level_horner_bitwise(self, strict):
+        # row n of every level's stacked pass is level n's own Horner value,
+        # to the bit, for evaluate and derivative, on either side of the
+        # circle, with a forced side, and for 0-d, 1-D and 2-D points
+        grid = sample_points(seed=4, count=3).reshape(2, 3)
+        ring = (1.0 - 5e-4) * np.exp(1j * np.linspace(0.2, 6.0, 5))
+        cases = [
+            (complex(grid[0, 0]), None),
+            (complex(grid[1, 2]), None),
+            (grid.ravel(), None),
+            (grid, None),
+            (ring, "inside"),
+            (ring, "outside"),
+            (ring.reshape(5, 1), "outside"),
+            (0.9995j, "inside"),
+        ]
+        for asys in flagship_and_m4(strict):
+            for z, side in cases:
+                for route, derivative in ((asys.evaluate, False), (asys.derivative, True)):
+                    got = route(z, side)
+                    want = horner_levels(asys, z, side, derivative)
+                    for one, ref in zip(got, want):
+                        assert one.shape == (asys.sys.nmax + 1,) + np.shape(z)
+                        assert one.tobytes() == ref.tobytes(), (z, side, derivative)
 
     @pytest.mark.parametrize("which", ["flagship", "complex_m4"])
     def test_point_alone_equals_point_in_array(self, which, strict):
@@ -212,19 +262,18 @@ class TestBatchedEvaluator:
             weight = complex_m4_weight()
             asys = build_bundle(weight, 7).asys
         points = weight.locations[1:]
-        for n in range(8):
-            for route in (asys.evaluate, asys.derivative):
-                stacked = route(n, points)
-                for k, z in enumerate(points):
-                    alone = route(n, z)
-                    assert all(np.ndim(v) == 0 for v in alone)
-                    for one, column in zip(alone, stacked):
-                        assert one == column[k]
+        for route in (asys.evaluate, asys.derivative):
+            stacked = route(points)
+            for k, z in enumerate(points):
+                alone = route(z)
+                for one, column in zip(alone, stacked):
+                    assert one.shape == (asys.sys.nmax + 1,)
+                    assert one.tobytes() == column[:, k].tobytes()
 
     def test_near_circle_band_names_first_point(self, strict):
         zs = np.array([0.5, 1.0005, 0.9995, 2.0])
         with pytest.raises(NearCircleError, match=r"\|z\| = 1\.0005 "):
-            strict["asys"].evaluate(1, zs)
+            strict["asys"].evaluate(zs)
 
 
 class TestExactDerivatives:
@@ -258,23 +307,25 @@ class TestExactDerivatives:
             want = central_diff(lambda x: asys.F(x, side=side), zs)
             got = asys.F(zs, side=side, derivative=True)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(f))), side
+            values, exact = asys.evaluate(zs, side), asys.derivative(zs, side)
+            diffs = [central_diff(lambda x: asys.evaluate(x, side)[k], zs) for k in range(4)]
             for n in range(9):
-                phi, phistar, _, _ = asys.evaluate(n, zs, side)
+                phi, phistar = values[0][n], values[1][n]
                 terms = (
                     np.abs(phi),
                     np.abs(phistar),
                     np.maximum(np.abs(polyval(asys.psi(n), zs)), np.abs(f * phi)),
                     np.maximum(np.abs(polyval(asys.psistar(n), zs)), np.abs(f * phistar)),
                 )
-                exact = asys.derivative(n, zs, side)
                 for k in range(4):
-                    want = central_diff(lambda x: asys.evaluate(n, x, side)[k], zs)
+                    want = diffs[k][n]
                     scale = np.maximum(1.0, np.maximum(terms[k], np.abs(want)))
-                    assert np.all(np.abs(exact[k] - want) <= 1e-9 * scale), (side, n, k)
+                    assert np.all(np.abs(exact[k][n] - want) <= 1e-9 * scale), (side, n, k)
 
     def test_shapes(self, strict):
         asys = strict["asys"]
-        values = asys.derivative(3, 0.3 + 0.2j)
-        assert all(np.ndim(v) == 0 for v in values)
+        levels = strict["sys"].nmax + 1
+        values = asys.derivative(0.3 + 0.2j)
+        assert all(v.shape == (levels,) for v in values)
         zs = sample_points(seed=3, count=4).reshape(2, 4)
-        assert all(v.shape == (2, 4) for v in asys.derivative(3, zs))
+        assert all(v.shape == (levels, 2, 4) for v in asys.derivative(zs))

@@ -12,7 +12,7 @@ import circlebops
 from circlebops import deform, pipeline
 from circlebops.bops import build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
-from circlebops.moments import closed_form_table
+from circlebops.moments import table_from_moments
 
 from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
@@ -85,7 +85,7 @@ class TestParseWeightSpec:
     def test_raw_moments_reproduce_closed_form_system(self, tmp_path):
         _, table = parse_weight_spec(write(tmp_path, "m.json", RAW_MOMENTS_SPEC))
         via_raw = build_system(table, 6)
-        via_closed = build_system(closed_form_table({-1: 1, 0: 2, 1: 1}, 10), 6)
+        via_closed = build_system(table_from_moments([(-1, 1), (0, 2), (1, 1)], 10), 6)
         for a, b in zip(via_raw.levels, via_closed.levels):
             assert np.max(np.abs(a.c - b.c)) < 1e-12
             assert abs(a.kappa - b.kappa) < 1e-12

@@ -82,7 +82,7 @@ class TestConstruction:
         # semi-classical (V, W) exercises the prefactor guard
         with pytest.raises(DegenerateLevelError):
             compute_coeff_quad(
-                lebesgue["sys"], lebesgue["asys"], strict["vw"], 2, weight=None
+                lebesgue["sys"], lebesgue["asys"], strict["vw"], 2, weight=strict["weight"]
             )
 
     def test_matches_sampled_defining_combination(self, strict):
@@ -91,14 +91,16 @@ class TestConstruction:
         sys, asys, vw = strict["sys"], strict["asys"], strict["vw"]
         zs = np.array([0.6j, -0.5 + 0.3j, 2.5j, -2.2 - 1.4j, 4.0 * np.exp(2j)])
         w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
+        phi, star, eps, es = asys.evaluate(zs)
+        deps = central_diff(lambda x: asys.evaluate(x)[2], zs)
+        des = central_diff(lambda x: asys.evaluate(x)[3], zs)
         for n in (0, 1, 3):
             lev_n, lev_p = sys.level(n), sys.level(n + 1)
-            phi_n, star_n, eps_n, es_n = asys.evaluate(n, zs)
-            phi_p, star_p, eps_p, es_p = asys.evaluate(n + 1, zs)
+            phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
+            phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
             dphi_n = polyval(polyder(lev_n.c), zs)
             dstar_n = polyval(polyder(lev_n.cbar[::-1]), zs)
-            deps_n = central_diff(lambda x: asys.eps(n, x), zs)
-            des_n = central_diff(lambda x: asys.epsstar(n, x), zs)
+            deps_n, des_n = deps[n], des[n]
             pref = 2.0 * lev_p.phi0 / lev_n.kappa * zs**n
             pref_star = 2.0 * lev_p.phibar0 / lev_n.kappa * zs ** (n + 1)
             want = {
@@ -120,7 +122,9 @@ class TestConstruction:
             (Singularity(0, -1), Singularity(2.5, 0.5), Singularity(3, 1.0 / 3.0))
         )
         with pytest.raises(NotSemiClassicalError, match="out-of-band ratio"):
-            compute_coeff_quad(strict["sys"], strict["asys"], build_vw(other), 2, weight=None)
+            compute_coeff_quad(
+                strict["sys"], strict["asys"], build_vw(other), 2, weight=strict["weight"]
+            )
 
     def test_window_error(self, strict):
         # orders up to n + m + 3 of F are needed: 5 + 3 + 3 > 8
@@ -314,17 +318,17 @@ class TestSpectralDerivatives:
 
 class TestDPainleveRatio:
     def test_holds_across_levels(self, strict):
-        for n in range(5):
-            rep = dpainleve_ratio_check(strict["quads"], strict["vw"], n, 2.0, 3.0)
-            assert rep.passed
+        rep = dpainleve_ratio_check(strict["quads"], strict["vw"], range(5), 2.0, 3.0)
+        assert rep.passed
+        assert [e.n for e in rep.entries] == list(range(5))
 
     def test_rejects_equal_points(self, strict):
         with pytest.raises(SingularResidueError):
-            dpainleve_ratio_check(strict["quads"], strict["vw"], 1, 2.0, 2.0)
+            dpainleve_ratio_check(strict["quads"], strict["vw"], [1], 2.0, 2.0)
 
     def test_rejects_origin(self, strict):
         with pytest.raises(SingularResidueError):
-            dpainleve_ratio_check(strict["quads"], strict["vw"], 1, 0.0, 2.0)
+            dpainleve_ratio_check(strict["quads"], strict["vw"], [1], 0.0, 2.0)
 
     def test_m2_weight_not_applicable(self):
         # only one non-zero singularity: no second point to compare

@@ -90,9 +90,9 @@ class TestResidues:
         res = assemble_residues(
             strict["quads"][n], strict["vw"], strict["sys"], n, strict["weight"]
         )
-        bil = residues_bilinear_form(strict["asys"], strict["weight"], n)
-        assert bil.shape == (2, 2, 2)
-        assert np.max(np.abs(res.a[1:] - bil)) < 1e-8
+        bil = residues_bilinear_form(strict["asys"], strict["weight"], [n])
+        assert bil.shape == (1, 2, 2, 2)
+        assert np.max(np.abs(res.a[1:] - bil[0])) < 1e-8
 
 
 class TestMatrixSystems:
@@ -104,7 +104,7 @@ class TestMatrixSystems:
             strict["quads"],
             strict["vw"],
             strict["weight"],
-            n,
+            [n],
             SAMPLES,
         )
         assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
@@ -116,7 +116,7 @@ class TestMatrixSystems:
             strict["quads"],
             strict["vw"],
             strict["weight"],
-            2,
+            [2],
             SAMPLES[:1],
         )
         by_name = {e.name: e for e in rep.entries}
@@ -127,23 +127,21 @@ class TestMatrixSystems:
 class TestRHP:
     def test_lebesgue_jump_exact(self, lebesgue):
         thetas = np.linspace(0.05, 2 * np.pi, 24)
-        for n in (1, 2, 3):
-            rep = rhp_jump_check(lebesgue["sys"], lebesgue["asys"], lebesgue_wfun, n, thetas)
-            assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
-            jump = [e for e in rep.entries if e.name == "rhp_jump"]
-            assert max(e.residual for e in jump) < 1e-12
+        rep = rhp_jump_check(lebesgue["sys"], lebesgue["asys"], lebesgue_wfun, (1, 2, 3), thetas)
+        assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
+        jump = [e for e in rep.entries if e.name == "rhp_jump"]
+        assert max(e.residual for e in jump) < 1e-12
 
     def test_laurent_and_strict(self, laurent, strict):
         thetas = np.linspace(0.05, 2 * np.pi, 24)
         for fix, wf in ((laurent, laurent_callable), (strict, strict["wfun"])):
-            for n in (1, 2, 3):
-                rep = rhp_jump_check(
-                    fix["sys"], fix["asys"], wf, n, thetas,
-                    weight=fix.get("weight"),
-                )
-                assert rep.passed, [
-                    (e.name, e.where, e.residual) for e in rep.failures()
-                ]
+            rep = rhp_jump_check(
+                fix["sys"], fix["asys"], wf, (1, 2, 3), thetas,
+                weight=fix.get("weight"),
+            )
+            assert rep.passed, [
+                (e.name, e.where, e.residual) for e in rep.failures()
+            ]
 
     def test_normalized_determinant_value(self, strict):
         for n in (1, 2, 3):
@@ -158,7 +156,7 @@ class TestRHP:
         sys, asys = strict["sys"], strict["asys"]
         thetas = np.linspace(0.05, 2 * np.pi, 8)
         for n in (1, 2, 3):
-            rep = rhp_jump_check(sys, asys, strict["wfun"], n, thetas, weight=strict["weight"])
+            rep = rhp_jump_check(sys, asys, strict["wfun"], [n], thetas, weight=strict["weight"])
             by_name = {e.name: e for e in rep.entries}
             for ij in ("11", "21"):  # polynomials of degree n
                 assert by_name[f"rhp_order_{ij}_at_zero"].residual == 0.0
@@ -186,7 +184,7 @@ class TestRHP:
         asys = AssocSystem(strict["sys"])
         asys.psistar(n)[0] += 1e-6
         rep = rhp_jump_check(
-            strict["sys"], asys, strict["wfun"], n, np.linspace(0.05, 2 * np.pi, 8),
+            strict["sys"], asys, strict["wfun"], [n], np.linspace(0.05, 2 * np.pi, 8),
             weight=strict["weight"],
         )
         failing = {e.name for e in rep.failures() if e.name.startswith("rhp_order")}
@@ -197,7 +195,7 @@ class TestRHP:
 
     def test_rejects_n_zero(self, strict):
         with pytest.raises(ValueError):
-            rhp_jump_check(strict["sys"], strict["asys"], strict["wfun"], 0, [0.3])
+            rhp_jump_check(strict["sys"], strict["asys"], strict["wfun"], [1, 0], [0.3])
 
     def test_zero_weight_point_rejected(self, laurent):
         with pytest.raises(SingularResidueError):
@@ -237,7 +235,7 @@ class TestBatched:
 
     def test_laurent_coefficients_array_callable(self, strict):
         asys = strict["asys"]
-        f = lambda z: asys.eps(2, z, side="outside")
+        f = lambda z: asys.evaluate(z, side="outside")[2][2]
         orders = range(-3, 1)
         got = laurent_coefficients(f, 2.0, orders)
         p = 64  # the sample count laurent_coefficients picks for these orders
@@ -249,19 +247,43 @@ class TestBatched:
 
     def test_rhp_entries_per_level(self, strict):
         thetas = np.linspace(0.05, 2.0 * np.pi, 24)
-        for n in (1, 2, 3):
-            rep = rhp_jump_check(
-                strict["sys"], strict["asys"], strict["wfun"], n, thetas,
-                weight=strict["weight"],
-            )
-            want = ["rhp_jump"] * 48 + ["rhp_determinant"] * 3 + [
-                f"rhp_order_{ij}_at_{where}"
-                for where in ("infinity", "zero")
-                for ij in (("11", "22", "12", "21") if where == "infinity" else ("11", "12", "21", "22"))
-            ]
-            assert [e.name for e in rep.entries] == want
-            assert {e.n for e in rep.entries} == {n}
-            wheres = [e.where for e in rep.entries[:48]]
+        rep = rhp_jump_check(
+            strict["sys"], strict["asys"], strict["wfun"], (1, 2, 3), thetas,
+            weight=strict["weight"],
+        )
+        want = ["rhp_jump"] * 48 + ["rhp_determinant"] * 3 + [
+            f"rhp_order_{ij}_at_{where}"
+            for where in ("infinity", "zero")
+            for ij in (("11", "22", "12", "21") if where == "infinity" else ("11", "12", "21", "22"))
+        ]
+        assert [e.name for e in rep.entries] == want * 3
+        assert [e.n for e in rep.entries] == [n for n in (1, 2, 3) for _ in want]
+        for start in range(0, 3 * len(want), len(want)):
+            wheres = [e.where for e in rep.entries[start : start + 48]]
             assert wheres[0] == "theta=0.050, r=0.9999"
             assert wheres[24] == "theta=0.050, r=1.0001"
-            assert rep.entries[48].where == "z=0.5+0.21j"
+            assert rep.entries[start + 48].where == "z=0.5+0.21j"
+
+    def test_level_range_is_concatenation_of_single_levels(self, strict):
+        # a suite over range(1, 6) equals its one-level runs back to back,
+        # entry for entry, residuals to the bit
+        sys, asys, weight = strict["sys"], strict["asys"], strict["weight"]
+        thetas = np.linspace(0.05, 2.0 * np.pi, 24)
+        suites = (
+            lambda ns: verify_matrix_system(
+                sys, asys, strict["quads"], strict["vw"], weight, ns, SAMPLES
+            ),
+            lambda ns: rhp_jump_check(sys, asys, strict["wfun"], ns, thetas, weight=weight),
+        )
+        for suite in suites:
+            whole = [e.to_dict() for e in suite(range(1, 6)).entries]
+            parts = [e.to_dict() for n in range(1, 6) for e in suite(range(n, n + 1)).entries]
+            assert whole and whole == parts
+
+    def test_normalized_solution_level_stack(self, strict):
+        sys, asys = strict["sys"], strict["asys"]
+        zs = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])
+        stack = normalized_solution(sys, asys, [1, 2, 3], zs)
+        assert stack.shape == (3, 3, 2, 2)
+        for row, n in zip(stack, (1, 2, 3)):
+            assert row.tobytes() == normalized_solution(sys, asys, n, zs).tobytes()

@@ -191,17 +191,6 @@ class TestCaratheodory:
             with pytest.raises(NearCircleError):
                 f(0.9999)
 
-    def test_returned_values_are_read_only(self, strict):
-        f = CaratheodoryEvaluator(strict["table"])
-        zs = np.array([0.2 + 0.1j, 3.0j])
-        first = f(zs)
-        kept = first.copy()
-        with pytest.raises(ValueError):
-            first[0] = 0.0
-        with pytest.raises(ValueError):
-            f(zs, side="outside")[:] = 1.0
-        assert np.array_equal(f(zs), kept)
-
     def test_levels_share_one_series_pass_per_side(self, strict, monkeypatch):
         asys = AssocSystem(strict["sys"])
         count = strict["table"].window + 1
@@ -215,8 +204,8 @@ class TestCaratheodory:
 
         monkeypatch.setattr(moments, "polyval", counting)
         zs = np.array([0.3 + 0.1j, -0.5j, 2.0 + 1.0j, -3.0])
-        for n in range(5):
-            asys.evaluate(n, zs)
+        values = asys.evaluate(zs)
+        assert all(v.shape == (strict["sys"].nmax + 1, 4) for v in values)
         assert calls == {"inside": 1, "outside": 1}
 
 
