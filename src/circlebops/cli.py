@@ -13,7 +13,6 @@ fixed configuration produces byte-identical report files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from functools import cache
@@ -83,10 +82,11 @@ def parse_weight_spec(path):
 
 
 def _write_csv(path, header, rows):
+    """An excel-dialect CSV file of int and float rows: a field is the repr
+    of its number, as csv.writer writes it, and none needs quoting."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _sample_pairs(args: argparse.Namespace, count: int = 20):
@@ -183,19 +183,22 @@ def cmd_build(args: argparse.Namespace, weight, table, out: Path):
 def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
     ns = range(min(args.n, bundle.sys.nmax - 1))
     samples = _sample_points(args, weight)
-    report = verify_assoc_identities(bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol)
+    values = bundle.asys.evaluate(samples)
+    report = verify_assoc_identities(
+        bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol, values=values
+    )
     exp = verify_expansions(
         bundle.asys, range(min(args.n, bundle.sys.nmax - 2) + 1), tol=1e-8 * args.tol
     )
     rows = []
     for n in range(args.n + 1):
-        for k, c in enumerate(bundle.asys.psi(n)):
+        for k, c in enumerate(bundle.asys.psi(n).tolist()):
             rows.append([n, k, c.real, c.imag])
     _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"], rows)
     rows = []
-    _, _, eps, epsstar = bundle.asys.evaluate(samples)
+    _, _, eps, epsstar = values
     for n in range(args.n + 1):
-        for z, e, es in zip(samples, eps[n], epsstar[n]):
+        for z, e, es in zip(samples.tolist(), eps[n].tolist(), epsstar[n].tolist()):
             rows.append([n, z.real, z.imag, e.real, e.imag, es.real, es.imag])
     _write_csv(
         out / "eps_samples.csv",
@@ -294,9 +297,9 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
     report = IdentityReport(f"Schlesinger flow at n={n}")
 
     initial, bundle0 = moment_rebuild(traj, traj.t0, n, args.quad_points, args.tol)
-    states = integrate_flow(initial, traj, (traj.t0, traj.t1), args.steps)
+    times, flow = integrate_flow(initial.pack(), traj, (traj.t0, traj.t1), args.steps)
     final_rebuild, _ = moment_rebuild(traj, traj.t1, n, args.quad_points, args.tol)
-    gap = state_gap(states[-1], final_rebuild)
+    gap = state_gap(flow[-1], final_rebuild.pack())
     report.add(
         "flow_vs_moment_rebuild",
         "the deformation derivatives are equivalent to the matrix equation",
@@ -304,11 +307,11 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
         1e-5 * args.tol,
         n=n,
     )
-    inv = flow_invariants(states, traj.weight0.exponents)
+    inv = flow_invariants(flow, traj.weight0.exponents, n)
     report.add("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"], 1e-8 * args.tol, n=n)
     report.add("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"], 1e-7 * args.tol, n=n)
     report.add("monodromy_constancy", "is constant with respect to the deformation variable", inv["monodromy_gap"], 1e-8 * args.tol, n=n)
-    conv = flow_convergence(states, traj)
+    conv = flow_convergence(times, flow, traj)
     report.add(
         "richardson_halving",
         "fixed-step integration with step-halving error estimate",
@@ -329,14 +332,12 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
         n=n,
     )
 
-    rows = []
-    for st in states:
-        row = [st.t, st.kappa.real, st.kappa.imag, st.r.real, st.r.imag, st.rbar.real, st.rbar.imag]
-        for entry in st.a.ravel().tolist():
-            row += (entry.real, entry.imag)
-        rows.append(row)
+    # t, then kappa, r, rbar and the entries of A_1..A_m, each as (re, im)
+    m = weight.m
+    values = np.concatenate((flow[:, 4 * m + 4 :], flow[:, : 4 * m]), axis=1)
+    rows = np.column_stack((times, values.view(float))).tolist()
     header = ["t", "kappa_re", "kappa_im", "r_re", "r_im", "rbar_re", "rbar_im"]
-    for j in range(weight.m):
+    for j in range(m):
         for entry in ("11", "12", "21", "22"):
             header.extend([f"a{j + 1}_{entry}_re", f"a{j + 1}_{entry}_im"])
     _write_csv(out / "flow.csv", header, rows)

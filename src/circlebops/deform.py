@@ -12,9 +12,13 @@ singularities, and since every bilinear product appearing in them is an
 entry of a residue matrix, the right-hand side closes over the state
 (A_1..A_m, kappa_n, r_n, rbar_n).  A flow can therefore be integrated
 without ever rebuilding moments; independently rebuilding the state from
-moments at any time provides the cross-validation oracle.  The flow kernel
-uses scalar complex arithmetic: numpy's per-call overhead on 2x2 blocks
-outweighs their arithmetic (stacked einsum/matmul measured 2.4x slower).
+moments at any time provides the cross-validation oracle.  The state
+arithmetic is scalar: numpy's per-call overhead on 2x2 blocks outweighs
+their arithmetic (stacked einsum/matmul measured 2.4x slower).  The
+time-only coefficients of a flow are vectorised over all its times in one
+table, with CPython's complex division and product written out on real
+arrays, so each equals its scalar value bit for bit.  A flow is one packed
+array, one row of 4m+7 entries (A_1..A_m, A_inf, kappa, r, rbar) per time.
 
 The local monodromy about each singularity is fixed by its residue matrix,
 whose trace and determinant have a closed form: tr A_nj = -rho_j at every
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .assoc import AssocSystem
 from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import QUAD_POINTS
-from .errors import SingularResidueError, WeightValidationError
+from .errors import FlowPatternError, SingularResidueError, WeightValidationError
 from .lax import assemble_residues
 from .pipeline import Bundle, build_bundle
 from .weight import PolyPair, SemiClassicalWeight
@@ -114,26 +117,6 @@ class DeformState:
         return np.concatenate(
             [self.a.ravel(), self.a_inf.ravel(), [self.kappa, self.r, self.rbar]]
         )
-
-    @classmethod
-    def unpack(cls, t: float, n: int, m: int, y: np.ndarray) -> "DeformState":
-        a = y[: 4 * m].reshape(m, 2, 2)
-        a_inf = y[4 * m : 4 * m + 4].reshape(2, 2)
-        kappa, r, rbar = y[4 * m + 4 :]
-        return cls(t, n, a.copy(), a_inf.copy(), complex(kappa), complex(r), complex(rbar))
-
-
-def state_gap(a: DeformState, b: DeformState) -> float:
-    """Largest entrywise / scalar discrepancy between two states."""
-    return float(
-        max(
-            np.max(np.abs(a.a - b.a)),
-            np.max(np.abs(a.a_inf - b.a_inf)),
-            abs(a.kappa - b.kappa),
-            abs(a.r - b.r),
-            abs(a.rbar - b.rbar),
-        )
-    )
 
 
 def moment_rebuild(
@@ -269,11 +252,32 @@ class SchlesingerRhs:
     b_inf: np.ndarray
 
 
-def _flow_table(traj, times, m: int) -> list:
+def _c_quot(ar, ai, br, bi):
+    """CPython's complex division a / b on real arrays, elementwise: Smith's
+    method through the larger of |b.real|, |b.imag| (b.real on a tie), one
+    rounding per real operation, so each quotient equals Python's ``/`` bit
+    for bit.  numpy's complex division rounds apart.  b = 0 is not handled;
+    returns (real, imag)."""
+    by_real = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
+    p, q = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+    ratio = small / big
+    denom = big + small * ratio
+    return (p + q * ratio) / denom, np.where(by_real, q - p * ratio, p * ratio - q) / denom
+
+
+def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
     """The factors of the right-hand side that depend on t only, at each of
-    ``times`` from one trajectory call: the moving (4j, zdot_j/z_j), sum_j
-    rho_j zdot_j/z_j and, per block A_1..A_m, A_inf, the nonzero (4k, (zdot_j
-    - zdot_k)/(z_j - z_k)).  Python complex division: numpy's rounds apart."""
+    ``times``, in one numpy pass from one trajectory call: zdot_j/z_j of
+    each moving j, sum_j rho_j zdot_j/z_j, and (zdot_j - zdot_k)/(z_j - z_k)
+    for each pair with zdot_j != zdot_k.  Products, sums and quotients are
+    CPython's complex arithmetic written out on the real and imaginary
+    parts, so every entry equals its scalar Python value bit for bit.
+
+    Returns a plan and one row per time.  The plan holds (4j, column) per
+    moving j, the column of the sum, and per block A_1..A_m, A_inf the
+    (4k, column) of its pairs.  It is read off the first time; if the
+    moving set or the pair set changes along ``times``, FlowPatternError."""
     locs = np.asarray(traj.locations(times), dtype=complex)
     vel = np.asarray(traj.velocities(times), dtype=complex)
     if locs.shape[-1] != m:
@@ -283,35 +287,57 @@ def _flow_table(traj, times, m: int) -> list:
         raise SingularResidueError("a moving singularity sits at the origin")
     if np.any((locs[:, :, None] == locs[:, None, :]) & ~np.eye(m, dtype=bool)):
         raise SingularResidueError("coincident singularities in the Schlesinger sum")
-    rhos = np.asarray(traj.weight0.exponents, dtype=complex).tolist()
-    table = []
-    for zs, vs in zip(locs.tolist(), vel.tolist()):
-        ratios = [(4 * j, vs[j] / zs[j]) for j in range(m) if vs[j] != 0]
-        pairs = [
-            [(4 * k, (vs[j] - vs[k]) / (zs[j] - zs[k])) for k in range(m) if vs[k] != vs[j]]
-            for j in range(m)
-        ] + [[]]  # dA_inf/dt = [B_inf, A_inf]
-        table.append((ratios, sum((rhos[b // 4] * r for b, r in ratios), 0j), pairs))
-    return table
+    moving, apart = vel != 0, vel[:, :, None] != vel[:, None, :]
+    if np.any(moving != moving[0]) or np.any(apart != apart[0]):
+        raise FlowPatternError(
+            "the moving singularities or their velocity pairs change along the flow"
+        )
+    js = np.flatnonzero(moving[0])
+    pj, pk = np.nonzero(apart[0])  # j ascending, then k
+    zr, zi, vr, vi = locs.real, locs.imag, vel.real, vel.imag
+    rho = np.asarray(traj.weight0.exponents, dtype=complex)[js]
+    with np.errstate(all="ignore"):  # overflow gives inf silently, as in Python
+        ratio_re, ratio_im = _c_quot(vr[:, js], vi[:, js], zr[:, js], zi[:, js])
+        prod_re = rho.real * ratio_re - rho.imag * ratio_im
+        prod_im = rho.real * ratio_im + rho.imag * ratio_re
+        sum_re, sum_im = np.zeros(len(locs)), np.zeros(len(locs))
+        for c in range(len(js)):  # left to right from 0j, as Python's sum
+            sum_re, sum_im = sum_re + prod_re[:, c], sum_im + prod_im[:, c]
+        pair_re, pair_im = _c_quot(
+            vr[:, pj] - vr[:, pk], vi[:, pj] - vi[:, pk],
+            zr[:, pj] - zr[:, pk], zi[:, pj] - zi[:, pk],
+        )
+    table = np.empty((len(locs), len(js) + 1 + len(pj)), dtype=complex)
+    table.real = np.column_stack((ratio_re, sum_re, pair_re))
+    table.imag = np.column_stack((ratio_im, sum_im, pair_im))
+    blocks = [[] for _ in range(m + 1)]  # A_inf's stays empty: dA_inf/dt = [B_inf, A_inf]
+    for col, (j, k) in enumerate(zip(pj.tolist(), pk.tolist()), start=len(js) + 1):
+        blocks[j].append((4 * k, col))
+    plan = ([(4 * j, c) for c, j in enumerate(js.tolist())], len(js), blocks)
+    return plan, table.tolist()
 
 
-def _rhs(y: list, m: int, coef) -> tuple[list, complex, complex]:
+def _rhs(y: list, m: int, plan: tuple, row: list) -> tuple[list, complex, complex]:
     """d(state)/dt on the packed state (a list of 4m+7 Python complex), with
     the 2x2 products written out by entry through
-    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j].
-    Returns the packed derivative, kappa-dot/kappa and B_inf[1, 0]."""
-    ratios, sum_rho_zdot, pairs = coef
+    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j];
+    ``plan`` and ``row`` come from `_flow_table`.  Returns the packed
+    derivative, kappa-dot/kappa and B_inf[1, 0]."""
+    ratios, total, blocks = plan
+    sum_rho_zdot = row[total]
     s00 = s01 = s10 = s11 = 0j
-    for b, ratio in ratios:
+    for b, c in ratios:
+        ratio = row[c]
         s00 += ratio * y[b]
         s01 += ratio * y[b + 1]
         s10 += ratio * y[b + 2]
         s11 += ratio * y[b + 3]
     kdot = 0.5 * (0.5 * (-sum_rho_zdot - s00) + 0.5 * s11)
     out = []
-    for j, row in enumerate(pairs):
+    for j, blk in enumerate(blocks):
         p00, p01, p10, p11 = kdot, 0j, -s10, -kdot
-        for b, coeff in row:
+        for b, c in blk:
+            coeff = row[c]
             p00 += coeff * y[b]
             p01 += coeff * y[b + 1]
             p10 += coeff * y[b + 2]
@@ -331,7 +357,8 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
     matrices themselves: every bilinear residue sum entering them is, up to
     zdot_j/z_j weights, a sum of A_j entries."""
     m = len(state.a)
-    dy, kdot, b10 = _rhs(state.pack().tolist(), m, _flow_table(traj, t, m)[0])
+    plan, (row,) = _flow_table(traj, t, m)
+    dy, kdot, b10 = _rhs(state.pack().tolist(), m, plan, row)
     b_inf = np.array([[kdot, 0.0], [b10, -kdot]], dtype=complex)
     blocks = np.array(dy[: 4 * m + 4])
     return SchlesingerRhs(
@@ -343,28 +370,28 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
 # Flow integration (classic fixed-step RK4 with Richardson monitoring)
 # ---------------------------------------------------------------------------
 
-def _rk4_steps(initial: DeformState, traj, t_span: tuple[float, float], steps: int):
+def _rk4_steps(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int):
     """Fixed-step fourth-order Runge-Kutta on the packed Schlesinger state;
     yields (t, packed state as a list) after every step.  The time-only
     coefficients of every grid time and midpoint come from one table."""
     t0, t1 = t_span
     if steps < 1:
         raise ValueError("steps must be positive")
-    m = len(initial.a)
+    m = (len(y0) - 7) // 4
     h = (t1 - t0) / steps
-    half = 0.5 * h
+    half, sixth = 0.5 * h, h / 6.0
     grid = [t0 + (step + 1) * h for step in range(steps - 1)] + [t1]
     times = [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + half, t_next)]
-    table = _flow_table(traj, np.array(times), m)
-    y = initial.pack().tolist()
+    plan, table = _flow_table(traj, np.array(times), m)
+    y = np.asarray(y0, dtype=complex).tolist()
     for step, t_next in enumerate(grid):
-        coef, coef_mid, coef_next = table[2 * step : 2 * step + 3]
-        k1 = _rhs(y, m, coef)[0]
-        k2 = _rhs([a + half * b for a, b in zip(y, k1)], m, coef_mid)[0]
-        k3 = _rhs([a + half * b for a, b in zip(y, k2)], m, coef_mid)[0]
-        k4 = _rhs([a + h * b for a, b in zip(y, k3)], m, coef_next)[0]
+        row, row_mid, row_next = table[2 * step : 2 * step + 3]
+        k1 = _rhs(y, m, plan, row)[0]
+        k2 = _rhs([a + half * b for a, b in zip(y, k1)], m, plan, row_mid)[0]
+        k3 = _rhs([a + half * b for a, b in zip(y, k2)], m, plan, row_mid)[0]
+        k4 = _rhs([a + h * b for a, b in zip(y, k3)], m, plan, row_next)[0]
         y = [
-            a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
         ]
         if not all(map(cmath.isfinite, y)):
@@ -373,33 +400,41 @@ def _rk4_steps(initial: DeformState, traj, t_span: tuple[float, float], steps: i
 
 
 def integrate_flow(
-    initial: DeformState, traj, t_span: tuple[float, float], steps: int
-) -> list[DeformState]:
-    """Fixed-step RK4 on the packed Schlesinger state; returns the state at
-    every grid time (steps + 1 entries)."""
+    y0: np.ndarray, traj, t_span: tuple[float, float], steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 from the packed state ``y0`` (`DeformState.pack`);
+    returns the grid times, shape (steps + 1,), and the packed state at
+    each, shape (steps + 1, 4m + 7).  A zero span returns t0 and y0."""
     t0, t1 = t_span
     if steps < 1:
         raise ValueError("steps must be positive")
-    if t1 == t0:
-        return [initial]
-    m, n = len(initial.a), initial.n
-    out = [DeformState.unpack(t0, n, m, initial.pack())]
-    for t, y in _rk4_steps(initial, traj, t_span, steps):
-        out.append(DeformState.unpack(t, n, m, np.array(y)))
-    return out
+    times, rows = [t0], [y0]
+    if t1 != t0:
+        for t, y in _rk4_steps(y0, traj, t_span, steps):
+            times.append(t)
+            rows.append(y)
+    return np.array(times), np.array(rows, dtype=complex)
 
 
 def flow_endpoint(
-    initial: DeformState, traj, t_span: tuple[float, float], steps: int
+    y0: np.ndarray, traj, t_span: tuple[float, float], steps: int
 ) -> np.ndarray:
     """The packed state integrate_flow reaches at t_span[1], bit for bit,
     without keeping the states on the way."""
-    for _, y in _rk4_steps(initial, traj, t_span, steps):
+    for _, y in _rk4_steps(y0, traj, t_span, steps):
         pass
     return np.array(y)
 
 
-def flow_convergence(states: Sequence[DeformState], traj) -> dict:
+def state_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest entrywise discrepancy between two packed states.  The moduli
+    of the last three (kappa, r, rbar) are taken by hypot, as Python's abs
+    takes them; numpy's complex abs differs from it in the last bit."""
+    d = a - b
+    return float(max(np.max(np.abs(d[:-3])), np.max(np.hypot(d[-3:].real, d[-3:].imag))))
+
+
+def flow_convergence(times: np.ndarray, flow: np.ndarray, traj) -> dict:
     """Richardson step-halving monitor on a flow returned by integrate_flow.
 
     The rungs s are the powers of two with 2s <= steps (s = 1 for a one-step
@@ -410,16 +445,15 @@ def flow_convergence(states: Sequence[DeformState], traj) -> dict:
     ``resolved`` says whether fine cleared it and ``steps`` is the s used.
     The flow's own endpoint is y_2s when 2s = steps.  At s = 1 there is no
     coarser grid, so coarse and the ratio are 0."""
-    initial, end = states[0], states[-1]
-    if len(states) == 1:
+    if len(flow) == 1:
         return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
-    t_span = (initial.t, end.t)
-    steps = len(states) - 1
-    ends = {steps: end.pack()}
+    t_span = (float(times[0]), float(times[-1]))
+    steps = len(flow) - 1
+    ends = {steps: flow[-1]}
 
     def at(k: int) -> np.ndarray:
         if k not in ends:
-            ends[k] = flow_endpoint(initial, traj, t_span, k)
+            ends[k] = flow_endpoint(flow[0], traj, t_span, k)
         return ends[k]
 
     def fine_at(s: int) -> float:
@@ -434,16 +468,17 @@ def flow_convergence(states: Sequence[DeformState], traj) -> dict:
     return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
 
 
-def flow_invariants(states: Sequence[DeformState], exponents) -> dict[str, float]:
+def flow_invariants(flow: np.ndarray, exponents, n: int) -> dict[str, float]:
     """Trace conservation, rank-one persistence and the local monodromy along
-    a flow.  ``monodromy_gap`` is the largest departure, over every state and
-    block, of (tr A_nj, det A_nj) from (-rho_j, 0), with n - rho_0 in place
-    of -rho_0 for the origin block (the first one)."""
-    a = np.stack([st.a for st in states])
+    a packed flow at level n.  ``monodromy_gap`` is the largest departure,
+    over every state and block, of (tr A_nj, det A_nj) from (-rho_j, 0),
+    with n - rho_0 in place of -rho_0 for the origin block (the first one)."""
+    m = len(exponents)
+    a = flow[:, : 4 * m].reshape(len(flow), m, 2, 2)
     traces = np.trace(a, axis1=2, axis2=3)
     dets = np.abs(np.linalg.det(a))
     closed = -np.asarray(exponents, dtype=complex)
-    closed[0] += states[0].n
+    closed[0] += n
     return {
         "trace_drift": float(np.max(np.abs(traces - traces[0]))),
         "det_max": float(np.max(dets)),

@@ -87,5 +87,11 @@ class SingularResidueError(CircleBopsError):
     """V(z_j) = 0 (or z_j = 0 where forbidden) in a residue formula."""
 
 
+class FlowPatternError(CircleBopsError):
+    """The singularities that move, or the pairs of them with different
+    velocities, change along a flow, so the terms of the Schlesinger
+    right-hand side read at its first time do not hold at every time."""
+
+
 class GeometryError(CircleBopsError):
     """A sampling ring or circle intersects the unit circle or a singularity."""

@@ -39,6 +39,22 @@ def close(batch, loop, rel=1e-13):
     )
 
 
+class LineTraj:
+    """Duck-typed trajectory z_j(t) = z_j + t zdot_j; t is a time or an
+    array of times, and each method returns shape t.shape + (m,)."""
+
+    def __init__(self, weight0, vel, locs=None):
+        self.weight0 = weight0
+        self.vel = np.asarray(vel, dtype=complex)
+        self.base = weight0.locations if locs is None else np.asarray(locs, dtype=complex)
+
+    def locations(self, t):
+        return self.base + np.asarray(t, dtype=float)[..., None] * self.vel
+
+    def velocities(self, t):
+        return np.broadcast_to(self.vel, np.shape(t) + self.vel.shape)
+
+
 def complex_m4_weight() -> SemiClassicalWeight:
     """m = 4 with complex locations and exponents, all outside the disc."""
     return SemiClassicalWeight(

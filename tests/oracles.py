@@ -7,8 +7,10 @@ array-shaped evaluator can be checked against them.
 
 Deformation oracles: the component forms of the Schlesinger derivatives,
 finite differences of rebuilt states, transfer matrices and weights along a
-trajectory against the closed-form rates, and the top-down Richardson rule
-that the upward ladder of ``flow_convergence`` must reproduce.
+trajectory against the closed-form rates, the top-down Richardson rule
+that the upward ladder of ``flow_convergence`` must reproduce, and the
+per-time scalar table of a flow's time-only coefficients that the
+vectorised table must equal bit for bit.
 
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
@@ -33,7 +35,7 @@ from circlebops.deform import (
     schlesinger_rhs,
 )
 from circlebops.config import QUAD_POINTS
-from circlebops.errors import QuadratureError
+from circlebops.errors import QuadratureError, SingularResidueError
 from circlebops.lax import ResidueSet, k_matrix
 from circlebops.moments import (
     QUAD_MAX_POINTS,
@@ -288,23 +290,48 @@ def weight_rate_check(traj, t: float, zs: Sequence[complex], h: float = 1e-5) ->
     return worst
 
 
-def richardson_top_down(states: Sequence[DeformState], traj) -> dict:
+def flow_table_scalar(traj, times, m: int) -> list:
+    """The factors of the right-hand side that depend on t only, at each of
+    ``times``, in scalar Python complex arithmetic: the moving (4j,
+    zdot_j/z_j), sum_j rho_j zdot_j/z_j and, per block A_1..A_m, A_inf, the
+    nonzero (4k, (zdot_j - zdot_k)/(z_j - z_k))."""
+    locs = np.asarray(traj.locations(times), dtype=complex)
+    vel = np.asarray(traj.velocities(times), dtype=complex)
+    if locs.shape[-1] != m:
+        raise ValueError("state and trajectory disagree on the number of singularities")
+    locs, vel = locs.reshape(-1, m), vel.reshape(-1, m)
+    if np.any((locs == 0) & (vel != 0)):
+        raise SingularResidueError("a moving singularity sits at the origin")
+    if np.any((locs[:, :, None] == locs[:, None, :]) & ~np.eye(m, dtype=bool)):
+        raise SingularResidueError("coincident singularities in the Schlesinger sum")
+    rhos = np.asarray(traj.weight0.exponents, dtype=complex).tolist()
+    table = []
+    for zs, vs in zip(locs.tolist(), vel.tolist()):
+        ratios = [(4 * j, vs[j] / zs[j]) for j in range(m) if vs[j] != 0]
+        pairs = [
+            [(4 * k, (vs[j] - vs[k]) / (zs[j] - zs[k])) for k in range(m) if vs[k] != vs[j]]
+            for j in range(m)
+        ] + [[]]  # dA_inf/dt = [B_inf, A_inf]
+        table.append((ratios, sum((rhos[b // 4] * r for b, r in ratios), 0j), pairs))
+    return table
+
+
+def richardson_top_down(times: np.ndarray, flow: np.ndarray, traj) -> dict:
     """The Richardson monitor walked down its rungs: s starts at steps // 2
     (1 for a one-step flow, compared with two steps), y_2s is the flow's
     own endpoint, and s is halved while fine = |y_s - y_2s| is below 100
     ulps of the largest endpoint entry and s >= 2.  For power-of-two steps
     and a fine error falling with s it stops on the rung the upward ladder
     stops on, so both return the same dict."""
-    initial, end = states[0], states[-1]
-    if len(states) == 1:
+    if len(flow) == 1:
         return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
-    t_span = (initial.t, end.t)
-    steps = len(states) - 1
-    ends = {steps: end.pack()}
+    t_span = (float(times[0]), float(times[-1]))
+    steps = len(flow) - 1
+    ends = {steps: flow[-1]}
 
     def at(k: int) -> np.ndarray:
         if k not in ends:
-            ends[k] = flow_endpoint(initial, traj, t_span, k)
+            ends[k] = flow_endpoint(flow[0], traj, t_span, k)
         return ends[k]
 
     def gap(a: np.ndarray, b: np.ndarray) -> float:

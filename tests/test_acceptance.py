@@ -222,18 +222,18 @@ def test_criterion_6_deformation_suite():
     above_roundoff = True
     for n in (1, 2, 3):
         initial, _ = moment_rebuild(traj, 0.0, n)
-        states = integrate_flow(initial, traj, (0.0, 0.1), 64)
+        times, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 64)
         target, _ = moment_rebuild(traj, 0.1, n)
-        worst_gap = max(worst_gap, state_gap(states[-1], target))
-        inv = flow_invariants(states, weight.exponents)
+        worst_gap = max(worst_gap, state_gap(flow[-1], target.pack()))
+        inv = flow_invariants(flow, weight.exponents, n)
         worst_trace = max(worst_trace, inv["trace_drift"])
         worst_det = max(worst_det, inv["det_max"])
         worst_mono = max(worst_mono, inv["monodromy_gap"])
         # a 64-step flow's own error is round-off (1e-14 at n=1); the check
         # measures the order on the coarser grid where its fine error is not
-        conv = flow_convergence(states, traj)
+        conv = flow_convergence(times, flow, traj)
         ratios.append(conv["ratio"])
-        roundoff = 2.0**-52 * float(np.max(np.abs(states[-1].pack())))
+        roundoff = 2.0**-52 * float(np.max(np.abs(flow[-1])))
         above_roundoff = above_roundoff and conv["fine"] >= 100.0 * roundoff
     ratio_ok = all(12.0 <= r <= 20.0 for r in ratios)
     elapsed = time.perf_counter() - start

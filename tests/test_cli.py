@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import circlebops
-from circlebops import deform, pipeline
+from circlebops import cli, deform, pipeline
 from circlebops.bops import build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import table_from_moments
@@ -231,11 +232,43 @@ class TestArtifacts:
         assert {len(row) for row in rows} == {7 + 8 * 3}
         path = parse_trajectory(traj, parse_weight_spec(weight)[0])
         initial, _ = deform.moment_rebuild(path, path.t0, 2)
-        for row, st in zip(rows[1:], deform.integrate_flow(initial, path, (path.t0, path.t1), 32)):
-            want = [st.t]
-            for value in [st.kappa, st.r, st.rbar, *st.a.ravel().tolist()]:
+        times, flow = deform.integrate_flow(initial.pack(), path, (path.t0, path.t1), 32)
+        assert len(rows) == len(flow) + 1
+        for row, t, y in zip(rows[1:], times.tolist(), flow.tolist()):
+            want = [t]
+            for value in y[-3:] + y[:12]:  # kappa, r, rbar, then A_1..A_3
                 want += [value.real, value.imag]
             assert [float(cell) for cell in row] == want
+
+    def test_csv_files_are_csv_writer_bytes(self, tmp_path, monkeypatch):
+        # every CSV of verify-all, deform and moments runs, written again
+        # from the same rows through csv.writer, gives the same bytes
+        written = []
+        write_csv = cli._write_csv
+
+        def spy(path, header, rows):
+            written.append((path, header, rows))
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        traj = write(tmp_path, "t.json", TRAJ_SPEC)
+        for argv in (
+            ["verify-all", "--n", "4"],
+            ["deform", "--trajectory", traj, "--n", "2", "--steps", "8"],
+            ["moments", "--n", "3"],
+        ):
+            assert main(argv + ["--weight", weight, "--out", str(tmp_path / argv[0])]) == 0
+        assert sorted(Path(path).name for path, _, _ in written) == [
+            "determinants.csv", "eps_samples.csv", "flow.csv", "moments.csv", "psi_coefficients.csv"
+        ]
+        for path, header, rows in written:
+            assert {type(x) for row in rows for x in row} <= {int, float}
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert Path(path).read_bytes() == buf.getvalue().encode("utf-8")
 
     @pytest.mark.parametrize("steps, resolved", [(32, True), (256, True)])
     def test_deform_richardson_resolved(self, tmp_path, steps, resolved):

@@ -16,11 +16,11 @@ from circlebops.deform import (
     schlesinger_rhs,
     state_gap,
 )
-from circlebops.errors import SingularResidueError, WeightValidationError
+from circlebops.errors import FlowPatternError, SingularResidueError, WeightValidationError
 from circlebops.lax import assemble_residues
 from circlebops.weight import SemiClassicalWeight, Singularity, weight_from_json
 
-from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC, close, complex_m4_weight
+from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC, LineTraj, close, complex_m4_weight
 from oracles import (
     rates_fd_check,
     richardson_top_down,
@@ -52,20 +52,20 @@ def comm(x, y):
     return x @ y - y @ x
 
 
-class LineTraj:
-    """Duck-typed trajectory z_j(t) = z_j + t zdot_j; t is a time or an
-    array of times, and each method returns shape t.shape + (m,)."""
-
-    def __init__(self, weight0, vel, locs=None):
-        self.weight0 = weight0
-        self.vel = np.asarray(vel, dtype=complex)
-        self.base = weight0.locations if locs is None else np.asarray(locs, dtype=complex)
+class StartingTraj(LineTraj):
+    """z_j(t) = z_j + t^2/2 zdot_j: every velocity is zero at t = 0 only."""
 
     def locations(self, t):
-        return self.base + np.asarray(t, dtype=float)[..., None] * self.vel
+        return self.base + 0.5 * np.asarray(t, dtype=float)[..., None] ** 2 * self.vel
 
     def velocities(self, t):
-        return np.broadcast_to(self.vel, np.shape(t) + self.vel.shape)
+        return np.asarray(t, dtype=float)[..., None] * self.vel
+
+
+def unpacked(t, n, m, y) -> DeformState:
+    """The DeformState of a packed state y."""
+    a, a_inf = y[: 4 * m].reshape(m, 2, 2), y[4 * m : 4 * m + 4].reshape(2, 2)
+    return DeformState(t, n, a, a_inf, *y[4 * m + 4 :])
 
 
 def reference_rhs(state, traj, t):
@@ -209,19 +209,20 @@ class TestSchlesingerRhs:
 class TestFlow:
     def test_zero_length_span(self, start):
         state, _ = start
-        out = integrate_flow(state, None, (0.0, 0.0), 16)
-        assert out == [state]
+        times, flow = integrate_flow(state.pack(), None, (0.0, 0.0), 16)
+        assert times.tolist() == [0.0]
+        assert np.array_equal(flow, state.pack()[None])
 
     def test_endpoint_matches_rebuild(self, traj, start):
         state, _ = start
-        states = integrate_flow(state, traj, (0.0, 0.1), 64)
+        _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 64)
         target, _ = moment_rebuild(traj, 0.1, 2)
-        assert state_gap(states[-1], target) < 1e-5
+        assert state_gap(flow[-1], target.pack()) < 1e-5
 
     def test_invariants_along_flow(self, traj, start):
         state, _ = start
-        states = integrate_flow(state, traj, (0.0, 0.1), 64)
-        inv = flow_invariants(states, traj.weight0.exponents)
+        _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 64)
+        inv = flow_invariants(flow, traj.weight0.exponents, 2)
         assert inv["trace_drift"] < 1e-8
         assert inv["det_max"] < 1e-7
         assert inv["monodromy_gap"] < 1e-8
@@ -232,19 +233,19 @@ class TestFlow:
         # (6.6e-14 against 128 steps), so its check resolves on a coarser grid
         state, _ = start
         for steps in (16, 64):
-            states = integrate_flow(state, traj, (0.0, 0.1), steps)
-            conv = flow_convergence(states, traj)
+            times, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), steps)
+            conv = flow_convergence(times, flow, traj)
             assert conv["resolved"] is True
             assert conv["steps"] < steps
             assert conv["fine"] < 1e-7
-            assert conv["fine"] >= 100.0 * 2.0**-52 * np.max(np.abs(states[-1].pack()))
+            assert conv["fine"] >= 100.0 * 2.0**-52 * np.max(np.abs(flow[-1]))
             assert 12.0 <= conv["ratio"] <= 20.0
 
     def test_richardson_one_step(self, traj, start):
         # no coarser grid than one step: the one-step flow is compared with
         # a two-step one, never with itself
         state, _ = start
-        conv = flow_convergence(integrate_flow(state, traj, (0.0, 0.1), 1), traj)
+        conv = flow_convergence(*integrate_flow(state.pack(), traj, (0.0, 0.1), 1), traj)
         assert conv["steps"] == 1
         assert conv["fine"] > 0.0
         assert conv["coarse"] == 0.0
@@ -256,8 +257,8 @@ class TestFlow:
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
         initial, _ = moment_rebuild(traj, 0.0, 2)
         for steps in (1, 2, 16, 64, 256):
-            states = integrate_flow(initial, traj, (0.0, 0.1), steps)
-            assert flow_convergence(states, traj) == richardson_top_down(states, traj)
+            times, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), steps)
+            assert flow_convergence(times, flow, traj) == richardson_top_down(times, flow, traj)
 
     @pytest.mark.parametrize("target", [2.1, 2.0 - 0.05j])
     @pytest.mark.parametrize("steps", [96, 100, 120, 200])
@@ -267,14 +268,14 @@ class TestFlow:
         # every rung is a power of two, compared with twice its steps
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
         initial, _ = moment_rebuild(traj, 0.0, 2)
-        conv = flow_convergence(integrate_flow(initial, traj, (0.0, 0.1), steps), traj)
+        conv = flow_convergence(*integrate_flow(initial.pack(), traj, (0.0, 0.1), steps), traj)
         assert conv["resolved"] is True
         assert conv["steps"] & (conv["steps"] - 1) == 0 and 2 * conv["steps"] <= steps
         assert 12.0 <= conv["ratio"] <= 20.0
 
     def test_richardson_zero_span(self, start):
         state, _ = start
-        conv = flow_convergence(integrate_flow(state, None, (0.0, 0.0), 16), None)
+        conv = flow_convergence(*integrate_flow(state.pack(), None, (0.0, 0.0), 16), None)
         assert conv == {
             "coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False
         }
@@ -299,9 +300,9 @@ class TestFlow:
     def test_off_axis_move_matches_rebuild(self, strict_weight_module, target):
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
         initial, _ = moment_rebuild(traj, 0.0, 2)
-        states = integrate_flow(initial, traj, (0.0, 0.1), 16)
+        _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 16)
         rebuilt, _ = moment_rebuild(traj, 0.1, 2)
-        assert state_gap(states[-1], rebuilt) < 1e-5
+        assert state_gap(flow[-1], rebuilt.pack()) < 1e-5
 
     def test_transfer_compatibility(self, traj):
         res = transfer_rate_check(traj, 2, 0.05, [0.4 + 0.2j, 2.6 + 1.0j])
@@ -351,7 +352,7 @@ class TestFlowKernel:
         steps, h = 16, 0.1 / 16
 
         def f(t, y):
-            return reference_rhs(DeformState.unpack(t, 2, 5, y), traj, t)[0]
+            return reference_rhs(unpacked(t, 2, 5, y), traj, t)[0]
 
         y = state.pack()
         want = [y]
@@ -363,9 +364,9 @@ class TestFlowKernel:
             k4 = f(t + h, y + h * k3)
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             want.append(y)
-        states = integrate_flow(state, traj, (0.0, 0.1), steps)
-        assert [st.t for st in states] == [step * h for step in range(steps)] + [0.1]
-        assert close(np.array([st.pack() for st in states]), np.array(want))
+        times, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), steps)
+        assert times.tolist() == [step * h for step in range(steps)] + [0.1]
+        assert close(flow, np.array(want))
 
     @pytest.mark.parametrize(
         "case, error, message",
@@ -374,10 +375,12 @@ class TestFlowKernel:
             ("coincident", SingularResidueError, "coincident singularities"),
             ("m_mismatch", ValueError, "disagree on the number of singularities"),
             ("blow_up", SingularResidueError, r"flow blew up at t = 0\.00625 "),
+            ("pattern_change", FlowPatternError, "change along the flow"),
         ],
     )
     def test_error_paths(self, strict_weight_module, start, five, case, error, message):
         state, _ = start
+        y0 = state.pack()
         traj = LineTraj(strict_weight_module, [0, 1.0, 0])
         if case == "moving_origin":
             traj = LineTraj(strict_weight_module, [1.0, 0, 0])
@@ -385,32 +388,36 @@ class TestFlowKernel:
             traj = LineTraj(strict_weight_module, [0, 1.0, 0], locs=[0, 2.0, 2.0])
         elif case == "m_mismatch":
             traj = five[0]
+        elif case == "pattern_change":
+            # z_2 is at rest at t = 0 and moves after it
+            traj = StartingTraj(strict_weight_module, [0, 1.0, 0])
         else:
-            state = DeformState.unpack(0.0, 2, 3, 1e200 * state.pack())
+            y0 = 1e200 * y0
         for flow in (integrate_flow, flow_endpoint):
             with pytest.raises(error, match=message):
-                flow(state, traj, (0.0, 0.1), 16)
+                flow(y0, traj, (0.0, 0.1), 16)
 
     @pytest.mark.parametrize("steps", [1, 2, 16, 64])
     def test_endpoint_is_flow_endpoint(self, five, steps):
         traj, state = five
-        end = flow_endpoint(state, traj, (0.0, 0.1), steps)
-        assert np.array_equal(end, integrate_flow(state, traj, (0.0, 0.1), steps)[-1].pack())
+        end = flow_endpoint(state.pack(), traj, (0.0, 0.1), steps)
+        assert np.array_equal(end, integrate_flow(state.pack(), traj, (0.0, 0.1), steps)[1][-1])
 
     def test_invariants_match_per_state_loop(self, traj, start):
         state, _ = start
-        states = integrate_flow(state, traj, (0.0, 0.1), 16)
-        tr0 = np.trace(states[0].a, axis1=1, axis2=2)
+        _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 16)
+        states = [y[:12].reshape(3, 2, 2) for y in flow]
+        tr0 = np.trace(states[0], axis1=1, axis2=2)
         closed = [2 + 1.0, -0.5, -1.0 / 3.0]  # n - rho_0 at the origin, then -rho_j
-        assert flow_invariants(states, traj.weight0.exponents) == {
+        assert flow_invariants(flow, traj.weight0.exponents, 2) == {
             "trace_drift": max(
-                float(np.max(np.abs(np.trace(st.a, axis1=1, axis2=2) - tr0))) for st in states
+                float(np.max(np.abs(np.trace(a, axis1=1, axis2=2) - tr0))) for a in states
             ),
-            "det_max": max(float(np.max(np.abs(np.linalg.det(st.a)))) for st in states),
+            "det_max": max(float(np.max(np.abs(np.linalg.det(a)))) for a in states),
             "monodromy_gap": max(
                 max(abs(np.trace(blk) - want), abs(np.linalg.det(blk)))
-                for st in states
-                for blk, want in zip(st.a, closed)
+                for a in states
+                for blk, want in zip(a, closed)
             ),
         }
 
@@ -434,24 +441,26 @@ class TestMonodromy:
         weight = make()
         traj = LinearTrajectory(weight, moving=moving, target=target, t0=0.0, t1=0.1)
         initial, _ = moment_rebuild(traj, 0.0, n)
-        states = integrate_flow(initial, traj, (0.0, 0.1), 32)
+        _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 32)
         rhos = [complex(s.exponent) for s in weight.singularities]
-        for st in states:
-            origin, *rest = st.a
+        for a in flow[:, : 4 * weight.m].reshape(len(flow), weight.m, 2, 2):
+            origin, *rest = a
             assert abs(np.trace(origin) - (n - rhos[0])) <= 1e-8
             for blk, rho in zip(rest, rhos[1:]):
                 assert abs(np.trace(blk) + rho) <= 1e-8
-            assert np.max(np.abs(np.linalg.det(st.a))) <= 1e-8
-        assert flow_invariants(states, weight.exponents)["monodromy_gap"] <= 1e-8
+            assert np.max(np.abs(np.linalg.det(a))) <= 1e-8
+        assert flow_invariants(flow, weight.exponents, n)["monodromy_gap"] <= 1e-8
 
     @pytest.mark.parametrize("entry", [(1, 0, 0), (1, 1, 0)], ids=["diagonal", "off_diagonal"])
     def test_perturbed_flowed_state_fails(self, tmp_path, monkeypatch, entry):
         # A_n2 at n = 3 has |a_12| about 52, so a 1e-6 change of a_21 moves
-        # its determinant by about 5e-5; a change of a_11 moves its trace
+        # its determinant by about 5e-5; a change of a_11 moves its trace.
+        # The entry (j, row, col) of the packed flow is column 4j + 2row + col
         def perturbed(*args):
-            states = integrate_flow(*args)
-            states[len(states) // 2].a[entry] += 1e-6
-            return states
+            times, flow = integrate_flow(*args)
+            j, row, col = entry
+            flow[len(flow) // 2, 4 * j + 2 * row + col] += 1e-6
+            return times, flow
 
         monkeypatch.setattr(cli, "integrate_flow", perturbed)
         weight, path = tmp_path / "w.json", tmp_path / "t.json"
