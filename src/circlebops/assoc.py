@@ -174,16 +174,16 @@ def verify_assoc_identities(
     ns: Sequence[int],
     samples: Sequence[complex],
     tol: float = IDENTITY_TOL,
-    values: tuple[np.ndarray, ...] | None = None,
-) -> IdentityReport:
+) -> tuple[IdentityReport, tuple[np.ndarray, ...]]:
     """Residuals of the eps recurrences, the psi three-term recurrences and
     all three Casoratian identities (in both the psi and eps forms) at the
-    sampled points (taken off the unit circle).  ``values`` is
-    ``asys.evaluate(samples)`` when the caller has it already."""
+    sampled points (taken off the unit circle).  Returns the report and
+    the values it checked, ``asys.evaluate(samples)``."""
     rep = IdentityReport("associated-function identity web")
     sys = asys.sys
     zs = np.asarray(samples, dtype=complex)
-    phi, phistar, eps, epsstar = asys.evaluate(zs) if values is None else values
+    values = asys.evaluate(zs)
+    phi, phistar, eps, epsstar = values
 
     for n in ns:
         ln, lp = sys.level(n), sys.level(n + 1)
@@ -282,7 +282,7 @@ def verify_assoc_identities(
             tol,
             n=n,
         )
-    return rep
+    return rep, values
 
 
 # ---------------------------------------------------------------------------

@@ -183,9 +183,8 @@ def cmd_build(args: argparse.Namespace, weight, table, out: Path):
 def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
     ns = range(min(args.n, bundle.sys.nmax - 1))
     samples = _sample_points(args, weight)
-    values = bundle.asys.evaluate(samples)
-    report = verify_assoc_identities(
-        bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol, values=values
+    report, (_, _, eps, epsstar) = verify_assoc_identities(
+        bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol
     )
     exp = verify_expansions(
         bundle.asys, range(min(args.n, bundle.sys.nmax - 2) + 1), tol=1e-8 * args.tol
@@ -196,7 +195,6 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
             rows.append([n, k, c.real, c.imag])
     _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"], rows)
     rows = []
-    _, _, eps, epsstar = values
     for n in range(args.n + 1):
         for z, e, es in zip(samples.tolist(), eps[n].tolist(), epsstar[n].tolist()):
             rows.append([n, z.real, z.imag, e.real, e.imag, es.real, es.imag])

@@ -64,19 +64,19 @@ class TestLebesgueValues:
 
 class TestIdentityWeb:
     def test_laurent(self, laurent):
-        rep = verify_assoc_identities(
+        rep, _ = verify_assoc_identities(
             laurent["asys"], range(0, 7), sample_points(), tol=1e-9
         )
         assert rep.passed, [(e.name, e.n, e.residual) for e in rep.failures()]
 
     def test_strict(self, strict):
-        rep = verify_assoc_identities(
+        rep, _ = verify_assoc_identities(
             strict["asys"], range(0, 6), sample_points(), tol=1e-9
         )
         assert rep.passed
 
     def test_casoratians_at_spec_point(self, laurent):
-        rep = verify_assoc_identities(
+        rep, _ = verify_assoc_identities(
             laurent["asys"], [2], [0.4 + 0.1j], tol=1e-9
         )
         cas = [e for e in rep.entries if e.name.startswith("casoratian")]
