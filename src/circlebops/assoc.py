@@ -16,16 +16,16 @@ The eps evaluators use the two-sided moment series for F and refuse the
 near-circle band unless a side is forced; both analytic elements extend into
 the annulus of the weight, which the Riemann-Hilbert jump check in `lax`
 exploits.  The same series give the exact derivatives
-(`AssocSystem.derivative`) and the exact expansions of eps_n and eps*_n at 0
-and at infinity (`AssocSystem.eps_taylor`), from which `verify_expansions`
-reads its Laurent coefficients.
+(`AssocSystem.evaluate_with_derivative`) and the exact expansions of eps_n
+and eps*_n at 0 and at infinity (`AssocSystem.eps_taylor`), from which
+`verify_expansions` reads its Laurent coefficients.
 
-`evaluate` and `derivative` give every level at once, from one Horner pass
-over the zero-padded coefficients of all levels and one evaluation of F
-(and F'); each row is the level's own Horner value bit for bit.  A caller
-evaluates each point set once and indexes the levels: one `verify-all
---n 4` makes 13 such calls and 15 of F or F'.  A point's values are the
-same bit for bit alone or inside an array.
+`evaluate` and `evaluate_with_derivative` give every level at once, from
+one Horner pass over the zero-padded coefficients of all levels and one
+evaluation of F (and F'); each row is the level's own Horner value bit for
+bit.  A caller evaluates each point set once and indexes the levels: one
+`verify-all --n 4` makes 10 such calls and 12 of F or F'.  A point's
+values are the same bit for bit alone or inside an array.
 """
 
 from __future__ import annotations
@@ -89,17 +89,19 @@ class AssocSystem:
         f = self.F(flat, side=side)
         return _shaped(zs.shape, phi, phistar, psi + f * phi, psistar - f * phistar)
 
-    def derivative(self, z, side: str | None = None):
-        """(phi', phi*', eps', eps*') of every level over an array z, shaped
-        as `evaluate`, exact: eps'_n = psi'_n + F' phi_n + F phi'_n and
-        eps*'_n = psi*'_n - F' phi*_n - F phi*'_n, with F' from the same
-        moment series as F."""
+    def evaluate_with_derivative(self, z, side: str | None = None):
+        """`evaluate`'s (phi, phi*, eps, eps*), bit for bit, and their exact
+        derivatives (phi', phi*', eps', eps*'), shaped alike, from one Horner
+        pass each over the stack and its polyder and one evaluation each of F
+        and F': eps'_n = psi'_n + F' phi_n + F phi'_n and eps*'_n = psi*'_n -
+        F' phi*_n - F phi*'_n, with F' from the same moment series as F."""
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        phi, phistar = polyval(self._stack[:, :2], flat)
+        phi, phistar, psi, psistar = polyval(self._stack, flat)
         dphi, dphistar, dpsi, dpsistar = polyval(polyder(self._stack), flat)
         f, df = self.F(flat, side=side), self.F(flat, side=side, derivative=True)
-        return _shaped(
+        values = _shaped(zs.shape, phi, phistar, psi + f * phi, psistar - f * phistar)
+        return values, _shaped(
             zs.shape,
             dphi,
             dphistar,

@@ -21,9 +21,10 @@ vanish.  The rest of the module verifies the difference / functional /
 bilinear relation web these functions satisfy, including the
 discrete-Painleve ratio recurrence, and the four derivative relations
 above.  Those take phi', phi*', eps' and eps*' exact from
-`AssocSystem.derivative` and hold to the identity tolerance; they stay
-independent of the band reads because they test each relation pointwise,
-at sample points inside and outside the circle, on both elements of F.
+`AssocSystem.evaluate_with_derivative` and hold to the identity tolerance;
+they stay independent of the band reads because they test each relation
+pointwise, at sample points inside and outside the circle, on both elements
+of F.
 Each suite evaluates a quadruple once per point set, in one Horner pass over
 its four members (`CoeffQuad.evaluate`, the only reader of its values), and
 indexes those values.  The bilinear suite evaluates each quadruple and each
@@ -714,9 +715,9 @@ def spectral_derivative_check(
     tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Residuals of the four derivative relations, with the exact
-    derivatives of `AssocSystem.derivative` (polyder of phi, phi*, psi, psi*
-    and the series of F'), so every relation holds to the identity
-    tolerance."""
+    derivatives of `AssocSystem.evaluate_with_derivative` (polyder of phi,
+    phi*, psi, psi* and the series of F'), so every relation holds to the
+    identity tolerance."""
     rep = IdentityReport("spectral derivative relations")
     anchor = "the derivatives of the bi-orthogonal polynomials and associated functions are expressible"
     avoid = list(weight.locations) if weight is not None else []
@@ -727,8 +728,7 @@ def spectral_derivative_check(
     w_z = polyval(vw.W, zs)
     v_z = polyval(vw.V, zs)
 
-    phi, star, eps, es = asys.evaluate(zs)
-    derivatives = asys.derivative(zs)
+    (phi, star, eps, es), derivatives = asys.evaluate_with_derivative(zs)
 
     for n in sorted(quads):
         if n + 1 > sys.nmax:

@@ -19,6 +19,10 @@ time-only coefficients of a flow are vectorised over all its times in one
 table, with CPython's complex division and product written out on real
 arrays, so each equals its scalar value bit for bit.  A flow is one packed
 array, one row of 4m+7 entries (A_1..A_m, A_inf, kappa, r, rbar) per time.
+The table's plan (which state entries meet which columns) is fixed for a
+flow, so the right-hand side and the RK4 step are generated once per plan
+as straight-line Python and compiled on first use; the flow, every rung of
+its Richardson ladder and `schlesinger_rhs` run that code.
 
 The local monodromy about each singularity is fixed by its residue matrix,
 whose trace and determinant have a closed form: tr A_nj = -rho_j at every
@@ -313,43 +317,86 @@ def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
     blocks = [[] for _ in range(m + 1)]  # A_inf's stays empty: dA_inf/dt = [B_inf, A_inf]
     for col, (j, k) in enumerate(zip(pj.tolist(), pk.tolist()), start=len(js) + 1):
         blocks[j].append((4 * k, col))
-    plan = ([(4 * j, c) for c, j in enumerate(js.tolist())], len(js), blocks)
-    return plan, table.tolist()
+    ratios = tuple((4 * j, c) for c, j in enumerate(js.tolist()))
+    return (ratios, len(js), tuple(map(tuple, blocks))), table.tolist()
 
 
-def _rhs(y: list, m: int, plan: tuple, row: list) -> tuple[list, complex, complex]:
-    """d(state)/dt on the packed state (a list of 4m+7 Python complex), with
-    the 2x2 products written out by entry through
-    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j];
-    ``plan`` and ``row`` come from `_flow_table`.  Returns the packed
-    derivative, kappa-dot/kappa and B_inf[1, 0]."""
+_KERNELS: dict[tuple, tuple] = {}  # plan -> (rhs, step), compiled on the plan's first use
+
+
+def _rhs_lines(plan: tuple, y: list, col: str, k: str) -> list[str]:
+    """Source lines setting ``{k}_i`` to entry i of d(state)/dt at the state
+    named ``y`` (4m+7 names), ``{k}_kdot`` to kappa-dot/kappa and ``{k}_b10``
+    to B_inf[1, 0], with column c of the table row named ``{col}{c}``.  The
+    2x2 products are written out by entry through
+    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j],
+    each sum left to right from its start (0j for a zero start)."""
     ratios, total, blocks = plan
-    sum_rho_zdot = row[total]
-    s00 = s01 = s10 = s11 = 0j
-    for b, c in ratios:
-        ratio = row[c]
-        s00 += ratio * y[b]
-        s01 += ratio * y[b + 1]
-        s10 += ratio * y[b + 2]
-        s11 += ratio * y[b + 3]
-    kdot = 0.5 * (0.5 * (-sum_rho_zdot - s00) + 0.5 * s11)
-    out = []
+    kdot, b10, n = f"{k}_kdot", f"{k}_b10", 4 * len(blocks)
+
+    def acc(start: str, terms, e: int) -> str:
+        return " + ".join([start] + [f"{col}{c} * {y[b + e]}" for b, c in terms])
+
+    s00, s01, s10, s11 = (acc("0j", ratios, e) for e in range(4))
+    lines = [
+        f"{k}_s01, {b10} = {s01}, -({s10})",
+        f"{kdot} = 0.5 * (0.5 * (-{col}{total} - ({s00})) + 0.5 * ({s11}))",
+    ]
+    starts = (kdot, "0j", b10, f"-{kdot}")  # B_inf's entries
     for j, blk in enumerate(blocks):
-        p00, p01, p10, p11 = kdot, 0j, -s10, -kdot
-        for b, c in blk:
-            coeff = row[c]
-            p00 += coeff * y[b]
-            p01 += coeff * y[b + 1]
-            p10 += coeff * y[b + 2]
-            p11 += coeff * y[b + 3]
+        p00, p01, p10, p11 = (acc(start, blk, e) for e, start in enumerate(starts))
         a00, a01, a10, a11 = y[4 * j : 4 * j + 4]
-        dp = p00 - p11
-        da = a00 - a11
-        c00 = p01 * a10 - a01 * p10
-        out += (c00, a01 * dp - p01 * da, p10 * da - a10 * dp, -c00)
-    kappa, r, rbar = y[4 * m + 4 :]
-    out += (kappa * kdot, s01 - r * (2.0 * kdot + sum_rho_zdot), -s10 - 2.0 * rbar * kdot)
-    return out, kdot, -s10
+        lines += [
+            f"{k}_p01, {k}_p10 = {p01}, {p10}",
+            f"{k}_dp, {k}_da = {p00} - ({p11}), {a00} - {a11}",
+            f"{k}_{4 * j} = {k}_p01 * {a10} - {a01} * {k}_p10",
+            f"{k}_{4 * j + 1} = {a01} * {k}_dp - {k}_p01 * {k}_da",
+            f"{k}_{4 * j + 2} = {k}_p10 * {k}_da - {a10} * {k}_dp",
+            f"{k}_{4 * j + 3} = -{k}_{4 * j}",
+        ]
+    kappa, r, rbar = y[n:]
+    return lines + [
+        f"{k}_{n} = {kappa} * {kdot}",
+        f"{k}_{n + 1} = {k}_s01 - {r} * (2.0 * {kdot} + {col}{total})",
+        f"{k}_{n + 2} = {b10} - 2.0 * {rbar} * {kdot}",
+    ]
+
+
+def _kernel(plan: tuple) -> tuple:
+    """The right-hand side ``rhs(y, row)`` -> (derivative, kdot, B_inf[1, 0])
+    and the RK4 step ``step(y, row, mid, end, h, half, sixth)`` -> next state
+    of one plan, compiled from straight-line source with every state entry,
+    stage value and table column a local.  Both do the complex operations of
+    the loop over the plan in its order, so they equal it bit for bit.  The
+    source is made from the plan's integers alone."""
+    if plan not in _KERNELS:
+        _, total, blocks = plan
+        size, width = 4 * len(blocks) + 3, total + 1 + sum(map(len, blocks))
+        y, u, v, w = ([f"{x}{i}" for i in range(size)] for x in "yuvw")
+        unpack = [f"{', '.join(y)}, = y"] + [  # row, mid, end: columns r0.., m0.., e0..
+            f"{', '.join(f'{arg[0]}{i}' for i in range(width))}, = {arg}"
+            for arg in ("row", "mid", "end")
+        ]
+
+        def stage(state, col, k, into=(), scale=""):
+            """Stage k at ``state``, then the state ``into`` = y + scale * k."""
+            return _rhs_lines(plan, state, col, k) + [
+                f"{a} = {b} + {scale} * {k}_{i}" for i, (a, b) in enumerate(zip(into, y))
+            ]
+
+        rhs = ["def rhs(y, row):", *unpack[:2], *stage(y, "r", "k")]
+        rhs.append(f"return [{', '.join(f'k_{i}' for i in range(size))}], k_kdot, k_b10")
+        step = ["def step(y, row, mid, end, h, half, sixth):", *unpack]
+        step += stage(y, "r", "a", u, "half") + stage(u, "m", "b", v, "half")
+        step += stage(v, "m", "c", w, "h") + stage(w, "e", "d")
+        step.append("return [" + ", ".join(
+            f"{x} + sixth * (a_{i} + 2.0 * b_{i} + 2.0 * c_{i} + d_{i})" for i, x in enumerate(y)
+        ) + "]")
+        namespace: dict = {}
+        source = "\n ".join(rhs) + "\n" + "\n ".join(step)
+        exec(compile(source, "<schlesinger kernel>", "exec"), namespace)
+        _KERNELS[plan] = namespace["rhs"], namespace["step"]
+    return _KERNELS[plan]
 
 
 def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
@@ -358,7 +405,7 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
     zdot_j/z_j weights, a sum of A_j entries."""
     m = len(state.a)
     plan, (row,) = _flow_table(traj, t, m)
-    dy, kdot, b10 = _rhs(state.pack().tolist(), m, plan, row)
+    dy, kdot, b10 = _kernel(plan)[0](state.pack().tolist(), row)
     b_inf = np.array([[kdot, 0.0], [b10, -kdot]], dtype=complex)
     blocks = np.array(dy[: 4 * m + 4])
     return SchlesingerRhs(
@@ -373,27 +420,21 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
 def _rk4_steps(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int):
     """Fixed-step fourth-order Runge-Kutta on the packed Schlesinger state;
     yields (t, packed state as a list) after every step.  The time-only
-    coefficients of every grid time and midpoint come from one table."""
+    coefficients of every grid time and midpoint come from one table, and
+    each step is one call of the plan's compiled kernel."""
     t0, t1 = t_span
     if steps < 1:
         raise ValueError("steps must be positive")
     m = (len(y0) - 7) // 4
     h = (t1 - t0) / steps
     half, sixth = 0.5 * h, h / 6.0
-    grid = [t0 + (step + 1) * h for step in range(steps - 1)] + [t1]
+    grid = [t0 + (i + 1) * h for i in range(steps - 1)] + [t1]
     times = [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + half, t_next)]
     plan, table = _flow_table(traj, np.array(times), m)
+    step = _kernel(plan)[1]
     y = np.asarray(y0, dtype=complex).tolist()
-    for step, t_next in enumerate(grid):
-        row, row_mid, row_next = table[2 * step : 2 * step + 3]
-        k1 = _rhs(y, m, plan, row)[0]
-        k2 = _rhs([a + half * b for a, b in zip(y, k1)], m, plan, row_mid)[0]
-        k3 = _rhs([a + half * b for a, b in zip(y, k2)], m, plan, row_mid)[0]
-        k4 = _rhs([a + h * b for a, b in zip(y, k3)], m, plan, row_next)[0]
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
+    for s, t_next in enumerate(grid):
+        y = step(y, *table[2 * s : 2 * s + 3], h, half, sixth)
         if not all(map(cmath.isfinite, y)):
             raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
         yield t_next, y

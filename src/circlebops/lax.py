@@ -18,9 +18,9 @@ array) and returns the stack of matrices, of shape z.shape + (2, 2);
 `normalized_solution` also takes an array of levels and stacks them first.
 `verify_matrix_system` and `rhp_jump_check` take a range of levels, write
 their entries level by level, and evaluate each point set once for all
-levels (8 `AssocSystem` calls per `verify-all --n 4`).  The derivative
+levels (7 `AssocSystem` calls per `verify-all --n 4`).  The derivative
 checks in `verify_matrix_system` differentiate the assembled matrices
-exactly: phi_n, phi*_n and eps_n, eps*_n through `AssocSystem.derivative`
+exactly: phi_n, phi*_n and eps_n, eps*_n through `evaluate_with_derivative`
 (polynomials and the moment series of F), eps/w through W w' = 2 V w, and
 K'_n as the constant z-coefficient of K_n.  They stay independent of the
 coefficient-function construction, which reads each quadruple as a band of
@@ -201,7 +201,7 @@ def verify_matrix_system(
 ) -> IdentityReport:
     """Matrix-level identity web at each level n of ``ns``, level by level:
 
-    * Y'_n = A_n Y_n, with Y'_n exact from `AssocSystem.derivative`;
+    * Y'_n = A_n Y_n, with Y'_n exact from `evaluate_with_derivative`;
     * K'_n = A_{n+1} K_n - K_n A_n and det K_n = z via the kappa identity;
     * Tr A_n = n/z - w'/w;
     * the X / X* / Z / Z* variant derivative systems;
@@ -230,7 +230,7 @@ def verify_matrix_system(
     w = weight(zs)
     w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
     log_w = 2.0 * v_z / w_z  # w'/w, as W w' = 2 V w
-    values_at, derivatives_at = asys.evaluate(zs), asys.derivative(zs)
+    values_at, derivatives_at = asys.evaluate_with_derivative(zs)
     quad_values = {
         k: quads[k].evaluate(zs)  # Theta_k, Theta*_k, Omega_k, Omega*_k
         for k in sorted({k for n in ns for k in (n, n + 1)} & quads.keys())

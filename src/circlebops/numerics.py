@@ -4,7 +4,7 @@ deterministic sample-point draws.
 
 Derivatives and expansion coefficients are never sampled here: they come
 from the exact polynomials and moment series of the objects themselves
-(`AssocSystem.derivative`, `AssocSystem.eps_taylor`)."""
+(`AssocSystem.evaluate_with_derivative`, `AssocSystem.eps_taylor`)."""
 
 from __future__ import annotations
 

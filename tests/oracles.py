@@ -8,9 +8,11 @@ array-shaped evaluator can be checked against them.
 Deformation oracles: the component forms of the Schlesinger derivatives,
 finite differences of rebuilt states, transfer matrices and weights along a
 trajectory against the closed-form rates, the top-down Richardson rule
-that the upward ladder of ``flow_convergence`` must reproduce, and the
+that the upward ladder of ``flow_convergence`` must reproduce, the
 per-time scalar table of a flow's time-only coefficients that the
-vectorised table must equal bit for bit.
+vectorised table must equal bit for bit, and the loop right-hand side and
+list-comprehension RK4 that the compiled flow kernel must equal bit for
+bit.
 
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
@@ -19,6 +21,7 @@ determinants of shifted or Cauchy-modified weights."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,6 +32,7 @@ from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
     RatesRecord,
+    _flow_table,
     deformation_rates,
     flow_endpoint,
     moment_rebuild,
@@ -314,6 +318,68 @@ def flow_table_scalar(traj, times, m: int) -> list:
         ] + [[]]  # dA_inf/dt = [B_inf, A_inf]
         table.append((ratios, sum((rhos[b // 4] * r for b, r in ratios), 0j), pairs))
     return table
+
+
+def rhs_loop(y: list, m: int, plan: tuple, row: list) -> tuple[list, complex, complex]:
+    """d(state)/dt on the packed state (a list of 4m+7 Python complex) as a
+    loop over the plan of `_flow_table`, with the 2x2 products written out by
+    entry through [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk
+    A_k, A_j].  Returns the packed derivative, kappa-dot/kappa and B_inf[1, 0]."""
+    ratios, total, blocks = plan
+    sum_rho_zdot = row[total]
+    s00 = s01 = s10 = s11 = 0j
+    for b, c in ratios:
+        ratio = row[c]
+        s00 += ratio * y[b]
+        s01 += ratio * y[b + 1]
+        s10 += ratio * y[b + 2]
+        s11 += ratio * y[b + 3]
+    kdot = 0.5 * (0.5 * (-sum_rho_zdot - s00) + 0.5 * s11)
+    out = []
+    for j, blk in enumerate(blocks):
+        p00, p01, p10, p11 = kdot, 0j, -s10, -kdot
+        for b, c in blk:
+            coeff = row[c]
+            p00 += coeff * y[b]
+            p01 += coeff * y[b + 1]
+            p10 += coeff * y[b + 2]
+            p11 += coeff * y[b + 3]
+        a00, a01, a10, a11 = y[4 * j : 4 * j + 4]
+        dp = p00 - p11
+        da = a00 - a11
+        c00 = p01 * a10 - a01 * p10
+        out += (c00, a01 * dp - p01 * da, p10 * da - a10 * dp, -c00)
+    kappa, r, rbar = y[4 * m + 4 :]
+    out += (kappa * kdot, s01 - r * (2.0 * kdot + sum_rho_zdot), -s10 - 2.0 * rbar * kdot)
+    return out, kdot, -s10
+
+
+def rk4_loop(y0, traj, t_span: tuple[float, float], steps: int) -> list[list]:
+    """Fixed-step RK4 with `rhs_loop`, each stage state a list comprehension
+    over the packed state; returns the state after every step, raising on
+    the first non-finite one as the flow does."""
+    t0, t1 = t_span
+    m = (len(y0) - 7) // 4
+    h = (t1 - t0) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    grid = [t0 + (i + 1) * h for i in range(steps - 1)] + [t1]
+    times = [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + half, t_next)]
+    plan, table = _flow_table(traj, np.array(times), m)
+    y, states = np.asarray(y0, dtype=complex).tolist(), []
+    for step, t_next in enumerate(grid):
+        row, row_mid, row_next = table[2 * step : 2 * step + 3]
+        k1 = rhs_loop(y, m, plan, row)[0]
+        k2 = rhs_loop([a + half * b for a, b in zip(y, k1)], m, plan, row_mid)[0]
+        k3 = rhs_loop([a + half * b for a, b in zip(y, k2)], m, plan, row_mid)[0]
+        k4 = rhs_loop([a + h * b for a, b in zip(y, k3)], m, plan, row_next)[0]
+        y = [
+            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        if not all(map(cmath.isfinite, y)):
+            raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
+        states.append(y)
+    return states
 
 
 def richardson_top_down(times: np.ndarray, flow: np.ndarray, traj) -> dict:

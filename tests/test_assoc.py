@@ -245,8 +245,10 @@ class TestBatchedEvaluator:
         ]
         for asys in flagship_and_m4(strict):
             for z, side in cases:
-                for route, derivative in ((asys.evaluate, False), (asys.derivative, True)):
-                    got = route(z, side)
+                values, derivatives = asys.evaluate_with_derivative(z, side)
+                for got, derivative in (
+                    (asys.evaluate(z, side), False), (values, False), (derivatives, True)
+                ):
                     want = horner_levels(asys, z, side, derivative)
                     for one, ref in zip(got, want):
                         assert one.shape == (asys.sys.nmax + 1,) + np.shape(z)
@@ -262,7 +264,7 @@ class TestBatchedEvaluator:
             weight = complex_m4_weight()
             asys = build_bundle(weight, 7).asys
         points = weight.locations[1:]
-        for route in (asys.evaluate, asys.derivative):
+        for route in (asys.evaluate, lambda z: asys.evaluate_with_derivative(z)[1]):
             stacked = route(points)
             for k, z in enumerate(points):
                 alone = route(z)
@@ -277,10 +279,11 @@ class TestBatchedEvaluator:
 
 
 class TestExactDerivatives:
-    """`AssocSystem.derivative` and F' against a literal central difference
-    of `AssocSystem.evaluate` and F.  The difference loses about 1e-16 / h
-    of the terms each function is formed from (psi_n and F phi_n for eps_n,
-    which cancel at large |z|), so that size scales the tolerance."""
+    """`AssocSystem.evaluate_with_derivative` and F' against a literal
+    central difference of `AssocSystem.evaluate` and F.  The difference
+    loses about 1e-16 / h of the terms each function is formed from (psi_n
+    and F phi_n for eps_n, which cancel at large |z|), so that size scales
+    the tolerance."""
 
     POINTS = np.array([0.3 + 0.4j, -0.6j, 0.05 - 0.02j, 1.6 + 0.3j, -2.5 + 1.0j, 6.0j])
     BAND = np.exp(1j * np.linspace(0.2, 6.0, 5))
@@ -307,7 +310,7 @@ class TestExactDerivatives:
             want = central_diff(lambda x: asys.F(x, side=side), zs)
             got = asys.F(zs, side=side, derivative=True)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(f))), side
-            values, exact = asys.evaluate(zs, side), asys.derivative(zs, side)
+            values, exact = asys.evaluate_with_derivative(zs, side)
             diffs = [central_diff(lambda x: asys.evaluate(x, side)[k], zs) for k in range(4)]
             for n in range(9):
                 phi, phistar = values[0][n], values[1][n]
@@ -322,10 +325,23 @@ class TestExactDerivatives:
                     scale = np.maximum(1.0, np.maximum(terms[k], np.abs(want)))
                     assert np.all(np.abs(exact[k][n] - want) <= 1e-9 * scale), (side, n, k)
 
+    def test_one_sum_each_of_f_and_f_prime(self, strict, monkeypatch):
+        asys, calls = strict["asys"], []
+        f = asys.F
+
+        def counted(z, side=None, derivative=False):
+            calls.append(derivative)
+            return f(z, side=side, derivative=derivative)
+
+        monkeypatch.setattr(asys, "F", counted)
+        asys.evaluate_with_derivative(sample_points(seed=3, count=4))
+        assert calls == [False, True]
+
     def test_shapes(self, strict):
         asys = strict["asys"]
         levels = strict["sys"].nmax + 1
-        values = asys.derivative(0.3 + 0.2j)
-        assert all(v.shape == (levels,) for v in values)
+        values, derivatives = asys.evaluate_with_derivative(0.3 + 0.2j)
+        assert all(v.shape == (levels,) for v in values + derivatives)
         zs = sample_points(seed=3, count=4).reshape(2, 4)
-        assert all(v.shape == (levels, 2, 4) for v in asys.derivative(zs))
+        values, derivatives = asys.evaluate_with_derivative(zs)
+        assert all(v.shape == (levels, 2, 4) for v in values + derivatives)

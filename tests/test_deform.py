@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circlebops import cli
+from circlebops import cli, deform
 from circlebops.deform import (
     DeformState,
     LinearTrajectory,
@@ -396,6 +400,30 @@ class TestFlowKernel:
         for flow in (integrate_flow, flow_endpoint):
             with pytest.raises(error, match=message):
                 flow(y0, traj, (0.0, 0.1), 16)
+
+    def test_each_plan_compiles_once(self, strict_weight_module, start, monkeypatch):
+        # the flow, every rung of its Richardson ladder and the right-hand
+        # side share one kernel per plan; another moving z_j is another plan
+        monkeypatch.setattr(deform, "_KERNELS", {})
+        compiled = []
+        monkeypatch.setattr(
+            deform, "compile", lambda *a: compiled.append(a) or compile(*a), raising=False
+        )
+        state, _ = start
+        for j, target, kernels in ((1, 2.0 - 0.05j, 1), (2, 3.0 + 0.05j, 2)):
+            traj = LinearTrajectory(strict_weight_module, moving=j, target=target, t0=0.0, t1=0.1)
+            for _ in range(2):
+                flow_convergence(*integrate_flow(state.pack(), traj, (0.0, 0.1), 64), traj)
+                schlesinger_rhs(state, traj, 0.05)
+            assert len(deform._KERNELS) == len(compiled) == kernels
+
+    def test_import_compiles_nothing(self):
+        code = (
+            "import circlebops.cli, circlebops.deform as d; "
+            "assert d._KERNELS == {}, d._KERNELS"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(deform.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     @pytest.mark.parametrize("steps", [1, 2, 16, 64])
     def test_endpoint_is_flow_endpoint(self, five, steps):

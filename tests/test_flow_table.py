@@ -1,16 +1,25 @@
 """The vectorised coefficient table of a Schlesinger flow against the scalar
-Python arithmetic it replaces, bit for bit."""
+Python arithmetic it replaces, and the compiled flow kernel against the loop
+right-hand side and list-comprehension RK4 it replaces, bit for bit."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from circlebops.deform import _c_quot, _flow_table
+from circlebops.deform import (
+    DeformState,
+    _c_quot,
+    _flow_table,
+    flow_endpoint,
+    integrate_flow,
+    schlesinger_rhs,
+)
 from circlebops.errors import CircleBopsError
 
 from conftest import LineTraj
-from oracles import flow_table_scalar
+from oracles import flow_table_scalar, rhs_loop, rk4_loop
 
 EDGES = [
     0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.1, 3.7, -3.7,
@@ -45,21 +54,32 @@ st = hypothesis.strategies
 
 PART = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 COMPLEX = st.builds(complex, PART, PART)
+# parts with frequent signed zeros and units, where a sum started from 0j
+# differs from one started from its first term
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), PART)
+ENTRY = st.builds(complex, SIGNED, SIGNED)
+
+
+@st.composite
+def trajectories(draw, entry=COMPLEX):
+    """A LineTraj with 2 <= m <= 5 distinct locations, velocities drawn from
+    {0, v_1, v_2} (so several move and some share a velocity) and complex
+    exponents, each drawn from ``entry``; returns it and m."""
+    m = draw(st.integers(min_value=2, max_value=5))
+    locs = draw(st.lists(entry, min_size=m, max_size=m, unique=True))
+    pool = [0j, draw(entry), draw(entry)]
+    vel = [pool[i] for i in draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))]
+    rhos = draw(st.lists(entry, min_size=m, max_size=m))
+    weight0 = SimpleNamespace(exponents=tuple(rhos), locations=np.array(locs))
+    return LineTraj(weight0, vel), m
 
 
 @st.composite
 def flows(draw):
-    """A LineTraj with m <= 5 distinct locations, velocities drawn from
-    {0, v_1, v_2} (so several move and some share a velocity), complex
-    exponents, and a sorted array of times in [0, 1]."""
-    m = draw(st.integers(min_value=2, max_value=5))
-    locs = draw(st.lists(COMPLEX, min_size=m, max_size=m, unique=True))
-    pool = [0j, draw(COMPLEX), draw(COMPLEX)]
-    vel = [pool[i] for i in draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))]
-    rhos = draw(st.lists(COMPLEX, min_size=m, max_size=m))
+    """A trajectory, a sorted array of times in [0, 1], and m."""
+    traj, m = draw(trajectories())
     times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9)))
-    weight0 = SimpleNamespace(exponents=tuple(rhos), locations=np.array(locs))
-    return LineTraj(weight0, vel), np.array(times), m
+    return traj, np.array(times), m
 
 
 @hypothesis.seed(20261018)
@@ -81,3 +101,45 @@ def test_table_rows_are_scalar_arithmetic_bitwise(case):
         assert [[(b, bits(row[c])) for b, c in blk] for blk in blocks] == [
             [(b, bits(c)) for b, c in pairs] for pairs in w_pairs
         ]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A trajectory, a packed state of 4m+7 complex entries, a span [0, t1]
+    and a step count from {1, 2, 3, 17}; returns them with m."""
+    traj, m = draw(trajectories(ENTRY))
+    y0 = np.array(draw(st.lists(ENTRY, min_size=4 * m + 7, max_size=4 * m + 7)))
+    return traj, m, y0, draw(st.floats(0.01, 1.0)), draw(st.sampled_from([1, 2, 3, 17]))
+
+
+# no shrinking: each shrink step compiles a kernel for a new plan, so a
+# failing case shrank for minutes; the failing example is reported as drawn
+@hypothesis.seed(20261019)
+@hypothesis.settings(
+    max_examples=200, deadline=None, database=None, phases=[hypothesis.Phase.generate]
+)
+@hypothesis.given(kernel_cases())
+def test_compiled_kernel_is_the_loop_bitwise(case):
+    traj, m, y0, t1, steps = case
+    try:
+        want = rk4_loop(y0, traj, (0.0, t1), steps)
+    except CircleBopsError as exc:
+        for flow in (integrate_flow, flow_endpoint):
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                flow(y0, traj, (0.0, t1), steps)
+        return
+    _, flow = integrate_flow(y0, traj, (0.0, t1), steps)
+    assert [list(map(bits, y)) for y in flow[1:].tolist()] == [list(map(bits, y)) for y in want]
+    assert list(map(bits, flow_endpoint(y0, traj, (0.0, t1), steps).tolist())) == list(
+        map(bits, want[-1])
+    )
+    # the right-hand side at t1: derivative, kappa-dot/kappa and B_inf[1, 0]
+    plan, (row,) = _flow_table(traj, t1, m)
+    dy, kdot, b10 = rhs_loop(y0.tolist(), m, plan, row)
+    a, a_inf = y0[: 4 * m].reshape(m, 2, 2), y0[4 * m : 4 * m + 4].reshape(2, 2)
+    rhs = schlesinger_rhs(DeformState(t1, 0, a, a_inf, *y0[4 * m + 4 :]), traj, t1)
+    got = [*rhs.da.ravel().tolist(), *rhs.da_inf.ravel().tolist()]
+    got += [rhs.kappadot, rhs.rdot, rhs.rbardot]
+    assert list(map(bits, got)) == list(map(bits, dy))
+    assert bits(complex(rhs.b_inf[0, 0])) == bits(kdot)
+    assert bits(complex(rhs.b_inf[1, 0])) == bits(b10)
