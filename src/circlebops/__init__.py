@@ -24,7 +24,7 @@ from .errors import (
     WeightValidationError,
     WindowError,
 )
-from .lax import ResidueSet, assemble_residues, rhp_jump_check, y_matrix
+from .lax import ResidueSet, assemble_residues, rhp_jump_check
 from .moments import (
     CaratheodoryEvaluator,
     MomentTable,
@@ -84,5 +84,4 @@ __all__ = [
     "table_from_moments",
     "toeplitz_det",
     "validate_weight",
-    "y_matrix",
 ]

@@ -25,7 +25,9 @@ one Horner pass over the zero-padded coefficients of all levels and one
 evaluation of F (and F'); each row is the level's own Horner value bit for
 bit.  A caller evaluates each point set once and indexes the levels: one
 `verify-all --n 4` makes 10 such calls and 12 of F or F'.  A point's
-values are the same bit for bit alone or inside an array.
+values are the same bit for bit alone or inside an array.  The identity
+web checks in rows: each family over all its levels at once, one row a
+level (`IdentityReport.add_rows`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .bops import BopsSystem
 from .config import IDENTITY_TOL
 from .errors import WindowError
 from .moments import CaratheodoryEvaluator
-from .numerics import polyadd, polyder, polymul, polyval, rel_residual
-from .report import IdentityReport
+from .numerics import column, polyadd, polyder, polymul, polyval
+from .report import IdentityReport, equation
 
 
 class AssocSystem:
@@ -180,110 +182,77 @@ def verify_assoc_identities(
     """Residuals of the eps recurrences, the psi three-term recurrences and
     all three Casoratian identities (in both the psi and eps forms) at the
     sampled points (taken off the unit circle).  Returns the report and
-    the values it checked, ``asys.evaluate(samples)``."""
+    the values it checked, ``asys.evaluate(samples)``.
+
+    Each family is checked over the levels of ``ns`` at once, one row a
+    level (`IdentityReport.add_rows`): phi, phi*, eps and eps* of every level
+    come from one `evaluate`, psi and psi* from one Horner pass over the
+    stack's psi columns, and each level's scalar products are formed in
+    Python complex arithmetic, so every residual is bit for bit that of the
+    level written out alone."""
     rep = IdentityReport("associated-function identity web")
-    sys = asys.sys
+    lev = asys.sys.levels
+    k, p0, pb0 = ([getattr(a, key) for a in lev] for key in ("kappa", "phi0", "phibar0"))
     zs = np.asarray(samples, dtype=complex)
     values = asys.evaluate(zs)
     phi, phistar, eps, epsstar = values
+    psi, psistar = polyval(asys._stack[:, 2:], zs)
 
-    for n in ns:
-        ln, lp = sys.level(n), sys.level(n + 1)
-        phi_n, ps_n, eps_n, star_n = phi[n], phistar[n], eps[n], epsstar[n]
-        phi_p, ps_p, eps_p, star_p = phi[n + 1], phistar[n + 1], eps[n + 1], epsstar[n + 1]
-        lhs = ln.kappa * eps_p
-        rhs = lp.kappa * zs * eps_n - lp.phi0 * star_n
-        rep.add(
-            "eps_recurrence",
-            "satisfy a variant of the coupled recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        lhs = ln.kappa * star_p
-        rhs = lp.kappa * star_n - lp.phibar0 * zs * eps_n
-        rep.add(
-            "eps_recurrence_star",
-            "satisfy a variant of the coupled recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    def powers(levels):
+        """Row n is zs**n as the level alone computes it: numpy squares an
+        array (n = 2) with its own rounding, unlike an array of exponents."""
+        return np.array([zs**n for n in levels]).reshape(len(levels), zs.size)
 
-        # Casoratians, eps form and psi form
-        psi_n, psi_p = polyval(asys.psi(n), zs), polyval(asys.psi(n + 1), zs)
-        psis_n, psis_p = polyval(asys.psistar(n), zs), polyval(asys.psistar(n + 1), zs)
-
-        cas_a_rhs = 2.0 * lp.phi0 / ln.kappa * zs**n
-        for label, lhs in (
-            ("casoratian_a_eps", phi_p * eps_n - eps_p * phi_n),
-            ("casoratian_a_psi", phi_p * psi_n - psi_p * phi_n),
-        ):
-            rep.add(
-                label,
-                "the Casoratians of the polynomial solutions",
-                rel_residual(lhs - cas_a_rhs, lhs, cas_a_rhs, phi_p * eps_n),
-                tol,
-                n=n,
-            )
-        cas_b_rhs = 2.0 * lp.phibar0 / ln.kappa * zs ** (n + 1)
-        for label, lhs in (
-            ("casoratian_b_eps", ps_p * star_n - star_p * ps_n),
-            ("casoratian_b_psi", ps_p * psis_n - psis_p * ps_n),
-        ):
-            rep.add(
-                label,
-                "the Casoratians of the polynomial solutions",
-                rel_residual(lhs - cas_b_rhs, lhs, cas_b_rhs, ps_p * star_n),
-                tol,
-                n=n,
-            )
-        cas_c_rhs = 2.0 * zs**n
-        for label, lhs in (
-            ("casoratian_c_eps", phi_n * star_n + eps_n * ps_n),
-            ("casoratian_c_psi", phi_n * psis_n + psi_n * ps_n),
-        ):
-            rep.add(
-                label,
-                "the Casoratians of the polynomial solutions",
-                rel_residual(lhs - cas_c_rhs, lhs, cas_c_rhs, phi_n * star_n),
-                tol,
-                n=n,
-            )
+    ns = [int(n) for n in ns]
+    for n in ns:  # IndexError for a level that is not built
+        asys.sys.level(n), asys.sys.level(n + 1)
+    n0 = np.asarray(ns, dtype=int)
+    n1 = n0 + 1
+    kappa, kappa_p = column(k[n] for n in ns), column(k[n + 1] for n in ns)
+    recurrence = "satisfy a variant of the coupled recurrences"
+    casoratian = "the Casoratians of the polynomial solutions"
+    cas_a = column(2.0 * p0[n + 1] / k[n] for n in ns) * powers(ns)
+    cas_b = column(2.0 * pb0[n + 1] / k[n] for n in ns) * powers([n + 1 for n in ns])
+    cas_c = 2.0 * powers(ns)
+    a_eps = phi[n1] * eps[n0] - eps[n1] * phi[n0]
+    a_psi = phi[n1] * psi[n0] - psi[n1] * phi[n0]
+    b_eps = phistar[n1] * epsstar[n0] - epsstar[n1] * phistar[n0]
+    b_psi = phistar[n1] * psistar[n0] - psistar[n1] * phistar[n0]
+    c_eps = phi[n0] * epsstar[n0] + eps[n0] * phistar[n0]
+    c_psi = phi[n0] * psistar[n0] + psi[n0] * phistar[n0]
+    rep.add_rows([
+        equation("eps_recurrence", recurrence, kappa * eps[n1],
+                 kappa_p * zs * eps[n0] - column(p0[n + 1] for n in ns) * epsstar[n0]),
+        equation("eps_recurrence_star", recurrence, kappa * epsstar[n1],
+                 kappa_p * epsstar[n0] - column(pb0[n + 1] for n in ns) * zs * eps[n0]),
+        ("casoratian_a_eps", casoratian, a_eps - cas_a, a_eps, cas_a, phi[n1] * eps[n0]),
+        ("casoratian_a_psi", casoratian, a_psi - cas_a, a_psi, cas_a, phi[n1] * eps[n0]),
+        ("casoratian_b_eps", casoratian, b_eps - cas_b, b_eps, cas_b, phistar[n1] * epsstar[n0]),
+        ("casoratian_b_psi", casoratian, b_psi - cas_b, b_psi, cas_b, phistar[n1] * epsstar[n0]),
+        ("casoratian_c_eps", casoratian, c_eps - cas_c, c_eps, cas_c, phi[n0] * epsstar[n0]),
+        ("casoratian_c_psi", casoratian, c_psi - cas_c, c_psi, cas_c, phi[n0] * epsstar[n0]),
+    ], tol, ns)
 
     # psi three-term recurrences need three consecutive levels
-    for n in ns:
-        if n < 1 or n + 1 > sys.nmax:
-            continue
-        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
-        psi_m, psi_n, psi_p = (
-            polyval(asys.psi(n - 1), zs),
-            polyval(asys.psi(n), zs),
-            polyval(asys.psi(n + 1), zs),
-        )
-        lhs = ln.kappa * ln.phi0 * psi_p + lm.kappa * lp.phi0 * zs * psi_m
-        rhs = (ln.kappa * lp.phi0 + lp.kappa * ln.phi0 * zs) * psi_n
-        rep.add(
-            "psi_three_term",
-            "polynomials of the second kind satisfy the three-term recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        psis_m, psis_n, psis_p = (
-            polyval(asys.psistar(n - 1), zs),
-            polyval(asys.psistar(n), zs),
-            polyval(asys.psistar(n + 1), zs),
-        )
-        lhs = ln.kappa * ln.phibar0 * psis_p + lm.kappa * lp.phibar0 * zs * psis_m
-        rhs = (ln.kappa * lp.phibar0 * zs + lp.kappa * ln.phibar0) * psis_n
-        rep.add(
-            "psistar_three_term",
-            "polynomials of the second kind satisfy the three-term recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    ns = [n for n in ns if 1 <= n < asys.sys.nmax]
+    m = np.asarray(ns, dtype=int)
+    three_term = "polynomials of the second kind satisfy the three-term recurrences"
+    rep.add_rows([
+        equation(
+            "psi_three_term", three_term,
+            column(k[n] * p0[n] for n in ns) * psi[m + 1]
+            + column(k[n - 1] * p0[n + 1] for n in ns) * zs * psi[m - 1],
+            (column(k[n] * p0[n + 1] for n in ns)
+             + column(k[n + 1] * p0[n] for n in ns) * zs) * psi[m],
+        ),
+        equation(
+            "psistar_three_term", three_term,
+            column(k[n] * pb0[n] for n in ns) * psistar[m + 1]
+            + column(k[n - 1] * pb0[n + 1] for n in ns) * zs * psistar[m - 1],
+            (column(k[n] * pb0[n + 1] for n in ns) * zs
+             + column(k[n + 1] * pb0[n] for n in ns)) * psistar[m],
+        ),
+    ], tol, ns)
     return rep, values
 
 

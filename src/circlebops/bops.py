@@ -34,8 +34,8 @@ import numpy as np
 from .config import IDENTITY_TOL
 from .errors import ConsistencyError, ExistenceError, WindowError
 from .moments import MomentTable, toeplitz_det
-from .numerics import principal_sqrt, polyval, rel_residuals
-from .report import IdentityReport
+from .numerics import column, principal_sqrt, polyval
+from .report import IdentityReport, equation
 
 # |1 - r_n rbar_n| = |I0_{n+1} I0_{n-1} / I0_n^2| below this is zero: the
 # system does not exist at level n + 1.  The ratio has no scale.
@@ -247,14 +247,6 @@ def _monomial_residuals(sys: BopsSystem, mats=None) -> np.ndarray:
     return np.stack([phi.max(axis=1), star.max(axis=1)], axis=1)
 
 
-def monomial_orthogonality(sys: BopsSystem, n: int) -> tuple[float, float]:
-    """Max residuals of <phi_n, zetabar^j> = 0 (0 <= j < n) and
-    <phi*_n, zetabar^j> = 0 (1 <= j <= n)."""
-    sys.level(n)  # IndexError for a level that is not built
-    res_phi, res_star = _monomial_residuals(sys)[n]
-    return float(res_phi), float(res_star)
-
-
 # ---------------------------------------------------------------------------
 # Scalar identity web
 # ---------------------------------------------------------------------------
@@ -269,10 +261,10 @@ def verify_scalar_identities(
     recursions across all built levels.
 
     Each family is checked over all levels at once: lhs and rhs rows stacked
-    one level a row, and one rel_residuals call.  A level's scalar products
-    (kappa_n phi_n(0), ...) are formed in Python complex arithmetic, whose
-    rounding differs from numpy's complex multiply, so every residual is bit
-    for bit that of the level written out alone."""
+    one level a row, one `IdentityReport.add_rows` family each.  A level's
+    scalar products (kappa_n phi_n(0), ...) are formed in Python complex
+    arithmetic, whose rounding differs from numpy's complex multiply, so
+    every residual is bit for bit that of the level written out alone."""
     rep = IdentityReport("scalar identity web")
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)
@@ -282,36 +274,26 @@ def verify_scalar_identities(
     lev = sys.levels
     k, p0, pb0 = ([getattr(a, key) for a in lev] for key in ("kappa", "phi0", "phibar0"))
 
-    def add(anchor, ns, *families):
-        """Entries level by level, one per (name, lhs rows, rhs rows) family."""
-        res = [rel_residuals(np.subtract(lhs, rhs), lhs, rhs) for _, lhs, rhs in families]
-        for i, n in enumerate(ns):
-            for (name, _, _), r in zip(families, res):
-                rep.add(name, anchor, r[i], tol, n=n)
-
-    def col(f, ns):
-        return np.array([f(n) for n in ns], dtype=complex)[:, None]
-
     kap, low = np.array(k)[:, None], range(nmax)
-    add(
-        "coupled linear recurrence relations", low,
-        ("coupled_recurrence", kap[:-1] * phi[1:],
-         kap[1:] * zs * phi[:-1] + np.array(p0)[1:, None] * star[:-1]),
-        ("coupled_recurrence_star", kap[:-1] * star[1:],
-         kap[1:] * star[:-1] + np.array(pb0)[1:, None] * zs * phi[:-1]),
-    )
+    coupled = "coupled linear recurrence relations"
+    rep.add_rows([
+        equation("coupled_recurrence", coupled, kap[:-1] * phi[1:],
+                 kap[1:] * zs * phi[:-1] + np.array(p0)[1:, None] * star[:-1]),
+        equation("coupled_recurrence_star", coupled, kap[:-1] * star[1:],
+                 kap[1:] * star[:-1] + np.array(pb0)[1:, None] * zs * phi[:-1]),
+    ], tol, low)
 
     # columns kappa_n c_n, kappa_{n-1} c_{n+1}, kappa_n c_{n+1}, kappa_{n+1} c_n
     # for c = phi(0) and c = phibar(0)
     mid, shifts = range(1, nmax), ((0, 0), (-1, 1), (0, 1), (1, 0))
-    t, tb = ([col(lambda n: k[n + a] * c[n + b], mid) for a, b in shifts] for c in (p0, pb0))
-    add(
-        "three-term recurrence relations", mid,
-        ("three_term_recurrence", t[0] * phi[2:] + t[1] * zs * phi[:-2],
-         (t[2] + t[3] * zs) * phi[1:-1]),
-        ("three_term_recurrence_star", tb[0] * star[2:] + tb[1] * zs * star[:-2],
-         (tb[2] * zs + tb[3]) * star[1:-1]),
-    )
+    t, tb = ([column(k[n + a] * c[n + b] for n in mid) for a, b in shifts] for c in (p0, pb0))
+    three = "three-term recurrence relations"
+    rep.add_rows([
+        equation("three_term_recurrence", three, t[0] * phi[2:] + t[1] * zs * phi[:-2],
+                 (t[2] + t[3] * zs) * phi[1:-1]),
+        equation("three_term_recurrence_star", three, tb[0] * star[2:] + tb[1] * zs * star[:-2],
+                 (tb[2] * zs + tb[3]) * star[1:-1]),
+    ], tol, mid)
 
     # Christoffel-Darboux: both closed forms against the direct sum, which
     # cumsum accumulates level by level in the order of the displayed sum
@@ -321,36 +303,37 @@ def verify_scalar_identities(
     q, qstar = eval_levels(sys, zbcd, "phibar", mats), eval_levels(sys, zbcd, "phibarstar", mats)
     sums = np.cumsum(p * q, axis=0)[:-1]
     denom = 1.0 - zcd * zbcd
-    add(
-        "analogue of the Christoffel-Darboux summation formula", low,
-        ("christoffel_darboux_n_form",
-         (pstar[:-1] * qstar[:-1] - zcd * zbcd * p[:-1] * q[:-1]) / denom, sums),
-        ("christoffel_darboux_shifted_form", (pstar[1:] * qstar[1:] - p[1:] * q[1:]) / denom, sums),
-    )
+    cd = "analogue of the Christoffel-Darboux summation formula"
+    rep.add_rows([
+        equation("christoffel_darboux_n_form", cd,
+                 (pstar[:-1] * qstar[:-1] - zcd * zbcd * p[:-1] * q[:-1]) / denom, sums),
+        equation("christoffel_darboux_shifted_form", cd,
+                 (pstar[1:] * qstar[1:] - p[1:] * q[1:]) / denom, sums),
+    ], tol, low)
 
     top = range(1, nmax + 1)
     lead = "relate the leading coefficients back to the reflection coefficients"
-    add(
-        lead, top,
-        ("kappa_identity", [k[n] ** 2 for n in top], [k[n - 1] ** 2 + p0[n] * pb0[n] for n in top]),
-        ("l_recursion", [lev[n].l / k[n] for n in top],
-         [lev[n - 1].l / k[n - 1] + lev[n].r * lev[n - 1].rbar for n in top]),
-    )
+    rep.add_rows([
+        equation("kappa_identity", lead, [k[n] ** 2 for n in top],
+                 [k[n - 1] ** 2 + p0[n] * pb0[n] for n in top]),
+        equation("l_recursion", lead, [lev[n].l / k[n] for n in top],
+                 [lev[n - 1].l / k[n - 1] + lev[n].r * lev[n - 1].rbar for n in top]),
+    ], tol, top)
     m, up = [a.m2 or 0.0 for a in lev], range(2, nmax + 1)  # m_n = 0 below n = 2
-    add(
-        lead, up,
-        ("m_recursion", [m[n] / k[n] for n in up],
-         [m[n - 1] / k[n - 1]
-          + lev[n].r * (lev[n - 2].rbar + lev[n - 1].rbar * lev[n - 2].l / k[n - 2]) for n in up]),
-    )
+    rep.add_rows([
+        equation("m_recursion", lead, [m[n] / k[n] for n in up],
+                 [m[n - 1] / k[n - 1]
+                  + lev[n].r * (lev[n - 2].rbar + lev[n - 1].rbar * lev[n - 2].l / k[n - 2])
+                  for n in up]),
+    ], tol, up)
 
     # the LU determinants are the oracle here; construction never uses them
     i0 = np.array([toeplitz_det(sys.table, 0, n) for n in range(nmax + 2)])
-    add(
-        "with the convention I0_0 = 1 the sequence satisfies", top,
-        ("toeplitz_ratio_recursion", [i0[n + 1] * i0[n - 1] / i0[n] ** 2 for n in top],
-         [1.0 - lev[n].r * lev[n].rbar for n in top]),
-    )
+    rep.add_rows([
+        equation("toeplitz_ratio_recursion", "with the convention I0_0 = 1 the sequence satisfies",
+                 [i0[n + 1] * i0[n - 1] / i0[n] ** 2 for n in top],
+                 [1.0 - lev[n].r * lev[n].rbar for n in top]),
+    ], tol, top)
 
     gram = orthonormality_matrix(sys, mats)
     off = gram - np.eye(len(gram))

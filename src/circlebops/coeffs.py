@@ -27,9 +27,13 @@ pointwise, at sample points inside and outside the circle, on both elements
 of F.
 Each suite evaluates a quadruple once per point set, in one Horner pass over
 its four members (`CoeffQuad.evaluate`, the only reader of its values), and
-indexes those values.  The bilinear suite evaluates each quadruple and each
-level's phi/eps once over all the non-zero singular points and takes each
-check's residuals at those points in one `rel_residuals` call.
+indexes those values.  Every suite checks in rows: the linear relations,
+the spectral derivative relations and the ratio recurrence check each
+relation over all its levels at once, one row a level
+(`IdentityReport.add_rows`).  The bilinear suite evaluates each quadruple and
+each level's phi/eps once over all the non-zero singular points and takes
+each check's residuals at those points in one `rel_residuals` call; its
+entries run point by point across the levels, so it writes them itself.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 15, where the spectral derivative
@@ -57,15 +61,15 @@ from .errors import (
 )
 from .numerics import (
     as_poly,
+    column,
     polyadd,
     polyder,
     polymul,
     polyval,
-    rel_residual,
     rel_residuals,
     series_band,
 )
-from .report import IdentityReport
+from .report import IdentityReport, equation
 from .weight import PolyPair, SemiClassicalWeight, is_strict_semiclassical
 
 
@@ -409,6 +413,19 @@ def verify_expansion_forms(
 # identities (i)-(k)
 # ---------------------------------------------------------------------------
 
+def _quad_rows(quads: Mapping[int, CoeffQuad], zs: np.ndarray):
+    """Each quadruple evaluated once at zs (`CoeffQuad.evaluate`); the
+    returned rows(ns, shift) stacks (Theta, Theta*, Omega, Omega*) of level
+    n + shift, one n of ns a row."""
+    values = {n: q.evaluate(zs) for n, q in quads.items()}
+
+    def rows(ns: Sequence[int], shift: int = 0) -> tuple[np.ndarray, ...]:
+        stack = np.array([values[n + shift] for n in ns]).reshape(len(ns), 4, zs.size)
+        return tuple(stack.transpose(1, 0, 2))
+
+    return rows
+
+
 def verify_linear_relations(
     quads: Mapping[int, CoeffQuad],
     vw: PolyPair,
@@ -418,117 +435,100 @@ def verify_linear_relations(
 ) -> IdentityReport:
     """Residuals of all eight coupled recurrences among the coefficient
     functions plus the three additional corollary identities, at sampled
-    z != 0.  Each level n requires quads at n-1, n, n+1."""
+    z != 0.  Each level n requires quads at n-1, n, n+1.  Each relation is
+    checked over all its levels at once, one row a level, with each level's
+    scalars formed in Python complex arithmetic (`numerics.column`)."""
     rep = IdentityReport("coefficient-function linear relations")
     zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
     w_z = polyval(vw.W, zs)
-    ev = {n: q.evaluate(zs) for n, q in quads.items()}  # each quadruple once
+    quad_rows = _quad_rows(quads, zs)
+    k, p0, pb0 = ([getattr(a, key) for a in sys.levels] for key in ("kappa", "phi0", "phibar0"))
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
     anchor_cor = "some additional identities satisfied by the coefficient functions"
 
-    levels_needed = lambda n: n + 2 <= sys.nmax
-    for n in sorted(quads):
-        if not (n - 1 in quads and n + 1 in quads and levels_needed(n)):
-            continue
-        (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = ev[n - 1], ev[n]
-        th_p, ths_p, _, _ = ev[n + 1]
-        lm, ln, lp, lpp = (
-            sys.level(n - 1),
-            sys.level(n),
-            sys.level(n + 1),
-            sys.level(n + 2),
-        )
-        ratio = lp.phi0 / ln.phi0 + lp.kappa / ln.kappa * zs
-        ratio_s = lp.kappa / ln.kappa + lp.phibar0 / ln.phibar0 * zs
+    ns = [n for n in sorted(quads) if n - 1 in quads and n + 1 in quads and n + 2 <= sys.nmax]
+    (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = quad_rows(ns, -1), quad_rows(ns)
+    th_p, ths_p, _, _ = quad_rows(ns, 1)
+    ratio = column(p0[n + 1] / p0[n] for n in ns) + column(k[n + 1] / k[n] for n in ns) * zs
+    ratio_s = column(k[n + 1] / k[n] for n in ns) + column(pb0[n + 1] / pb0[n] for n in ns) * zs
+    lhs_a = om_n + om_m - ratio * th_n + column(n - 1 for n in ns) * w_z / zs
+    lhs_b = (
+        ratio * (om_m - om_n)
+        + column(k[n] * p0[n + 2] / (k[n + 1] * p0[n + 1]) for n in ns) * zs * th_p
+        - column(k[n - 1] * p0[n + 1] / (k[n] * p0[n]) for n in ns) * zs * th_m
+        - column(p0[n + 1] / p0[n] for n in ns) * w_z / zs
+    )
+    lhs_c = oms_n + oms_m - ratio_s * ths_n - column(ns) * w_z / zs
+    lhs_d = (
+        ratio_s * (oms_m - oms_n)
+        + column(k[n] * pb0[n + 2] / (k[n + 1] * pb0[n + 1]) for n in ns) * zs * ths_p
+        - column(k[n - 1] * pb0[n + 1] / (k[n] * pb0[n]) for n in ns) * zs * ths_m
+        + column(k[n + 1] / k[n] for n in ns) * w_z / zs
+    )
+    rep.add_rows([
+        ("linear_a", anchor, lhs_a, om_n, ratio * th_n, w_z / zs),
+        ("linear_b", anchor, lhs_b, ratio * om_m, zs * th_p),
+        ("linear_c", anchor, lhs_c, oms_n, ratio_s * ths_n, w_z / zs),
+        ("linear_d", anchor, lhs_d, ratio_s * oms_m, zs * ths_p),
+    ], tol, ns)
 
-        lhs = om_n + om_m - ratio * th_n + (n - 1) * w_z / zs
-        rep.add("linear_a", anchor, rel_residual(lhs, om_n, ratio * th_n, w_z / zs), tol, n=n)
+    ns = [n for n in sorted(quads) if n + 1 in quads and n + 2 <= sys.nmax]
+    (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = quad_rows(ns), quad_rows(ns, 1)
+    ratio_p = (
+        column(p0[n + 2] / p0[n + 1] for n in ns) + column(k[n + 2] / k[n + 1] for n in ns) * zs
+    )
+    ratio_ps = (
+        column(k[n + 2] / k[n + 1] for n in ns) + column(pb0[n + 2] / pb0[n + 1] for n in ns) * zs
+    )
+    step, step_p = column(k[n + 1] / k[n] for n in ns), column(k[n + 2] / k[n + 1] for n in ns)
+    mixed = column(p0[n + 1] * pb0[n + 1] / (k[n + 1] * k[n]) for n in ns)
+    cross = step * (zs * th_n - ths_n)
+    lhs_e = om_p + oms_n - ratio_p * th_p + cross
+    lhs_f = (
+        om_n
+        - om_p
+        + step_p * (zs + column(pb0[n + 1] / k[n + 1] * p0[n + 2] / k[n + 2] for n in ns)) * th_p
+        + mixed * ths_n
+        - step * zs * th_n
+        - w_z / zs
+    )
+    lhs_g = oms_p + om_n - ratio_ps * ths_p - cross - w_z / zs
+    lhs_h = (
+        oms_n
+        - oms_p
+        + step_p
+        * (1.0 + column(p0[n + 1] / k[n + 1] * pb0[n + 2] / k[n + 2] for n in ns) * zs)
+        * ths_p
+        + mixed * zs * th_n
+        - step * ths_n
+    )
+    # corollary (j), (k) need only n and n+1
+    lhs_j = oms_n - om_n + cross - column(ns) * w_z / zs
+    lhs_k = (
+        oms_n
+        + om_n
+        - column(k[n] ** 2 / k[n + 1] ** 2 for n in ns)
+        * (column(p0[n + 2] / p0[n + 1] for n in ns) * th_p + step * ths_n)
+        - w_z / zs
+    )
+    rep.add_rows([
+        ("linear_e", anchor, lhs_e, om_p, ratio_p * th_p, cross),
+        ("linear_f", anchor, lhs_f, om_n, zs * th_p, w_z / zs),
+        ("linear_g", anchor, lhs_g, oms_p, ratio_ps * ths_p, w_z / zs),
+        ("linear_h", anchor, lhs_h, oms_n, ths_p, zs * th_n),
+        ("linear_j", anchor_cor, lhs_j, om_n, oms_n, w_z / zs),
+        ("linear_k", anchor_cor, lhs_k, om_n, oms_n, w_z / zs),
+    ], tol, ns)
 
-        lhs = (
-            ratio * (om_m - om_n)
-            + ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p
-            - lm.kappa * lp.phi0 / (ln.kappa * ln.phi0) * zs * th_m
-            - lp.phi0 / ln.phi0 * w_z / zs
-        )
-        rep.add("linear_b", anchor, rel_residual(lhs, ratio * om_m, zs * th_p), tol, n=n)
-
-        lhs = oms_n + oms_m - ratio_s * ths_n - n * w_z / zs
-        rep.add("linear_c", anchor, rel_residual(lhs, oms_n, ratio_s * ths_n, w_z / zs), tol, n=n)
-
-        lhs = (
-            ratio_s * (oms_m - oms_n)
-            + ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p
-            - lm.kappa * lp.phibar0 / (ln.kappa * ln.phibar0) * zs * ths_m
-            + lp.kappa / ln.kappa * w_z / zs
-        )
-        rep.add("linear_d", anchor, rel_residual(lhs, ratio_s * oms_m, zs * ths_p), tol, n=n)
-
-    for n in sorted(quads):
-        if not (n + 1 in quads and levels_needed(n)):
-            continue
-        (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = ev[n], ev[n + 1]
-        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-        ratio_p = lpp.phi0 / lp.phi0 + lpp.kappa / lp.kappa * zs
-        ratio_ps = lpp.kappa / lp.kappa + lpp.phibar0 / lp.phibar0 * zs
-        cross = lp.kappa / ln.kappa * (zs * th_n - ths_n)
-
-        lhs = om_p + oms_n - ratio_p * th_p + cross
-        rep.add("linear_e", anchor, rel_residual(lhs, om_p, ratio_p * th_p, cross), tol, n=n)
-
-        lhs = (
-            om_n
-            - om_p
-            + lpp.kappa / lp.kappa * (zs + lp.phibar0 / lp.kappa * lpp.phi0 / lpp.kappa) * th_p
-            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * ths_n
-            - lp.kappa / ln.kappa * zs * th_n
-            - w_z / zs
-        )
-        rep.add("linear_f", anchor, rel_residual(lhs, om_n, zs * th_p, w_z / zs), tol, n=n)
-
-        lhs = (
-            oms_p
-            + om_n
-            - ratio_ps * ths_p
-            - cross
-            - w_z / zs
-        )
-        rep.add("linear_g", anchor, rel_residual(lhs, oms_p, ratio_ps * ths_p, w_z / zs), tol, n=n)
-
-        lhs = (
-            oms_n
-            - oms_p
-            + lpp.kappa / lp.kappa * (1.0 + lp.phi0 / lp.kappa * lpp.phibar0 / lpp.kappa * zs) * ths_p
-            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * zs * th_n
-            - lp.kappa / ln.kappa * ths_n
-        )
-        rep.add("linear_h", anchor, rel_residual(lhs, oms_n, ths_p, zs * th_n), tol, n=n)
-
-        # corollary (j), (k) need only n and n+1
-        lhs = oms_n - om_n + lp.kappa / ln.kappa * (zs * th_n - ths_n) - n * w_z / zs
-        rep.add("linear_j", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
-
-        lhs = (
-            oms_n
-            + om_n
-            - ln.kappa**2
-            / lp.kappa**2
-            * (lpp.phi0 / lp.phi0 * th_p + lp.kappa / ln.kappa * ths_n)
-            - w_z / zs
-        )
-        rep.add("linear_k", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
-
-    for n in sorted(quads):
-        if not (n - 1 in quads and n + 1 <= sys.nmax):
-            continue
-        (th_m, ths_m, _, _), (th_n, ths_n, _, _) = ev[n - 1], ev[n]
-        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
-        lhs = (
-            lp.phi0 / ln.phi0 * th_n
-            - ln.kappa / lm.kappa * zs * th_m
-            - lp.phibar0 / ln.phibar0 * zs * ths_n
-            + ln.kappa / lm.kappa * ths_m
-        )
-        rep.add("linear_i", anchor_cor, rel_residual(lhs, th_n, zs * ths_n), tol, n=n)
+    ns = [n for n in sorted(quads) if n - 1 in quads and n + 1 <= sys.nmax]
+    (th_m, ths_m, _, _), (th_n, ths_n, _, _) = quad_rows(ns, -1), quad_rows(ns)
+    lhs_i = (
+        column(p0[n + 1] / p0[n] for n in ns) * th_n
+        - column(k[n] / k[n - 1] for n in ns) * zs * th_m
+        - column(pb0[n + 1] / pb0[n] for n in ns) * zs * ths_n
+        + column(k[n] / k[n - 1] for n in ns) * ths_m
+    )
+    rep.add_rows([("linear_i", anchor_cor, lhs_i, th_n, zs * ths_n)], tol, ns)
     return rep
 
 
@@ -728,45 +728,28 @@ def spectral_derivative_check(
     w_z = polyval(vw.W, zs)
     v_z = polyval(vw.V, zs)
 
-    (phi, star, eps, es), derivatives = asys.evaluate_with_derivative(zs)
-
-    for n in sorted(quads):
-        if n + 1 > sys.nmax:
-            continue
-        th, ths, om, oms = quads[n].evaluate(zs)
-        phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
-        phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
-        dphi, dstar, deps, des = (d[n] for d in derivatives)
-
-        lhs = w_z * dphi - th * phi_p + (om + v_z) * phi_n
-        rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, th * phi_p), tol, n=n)
-
-        lhs = w_z * dstar + ths * star_p - (oms - v_z) * star_n
-        rep.add("spectral_d_phistar", anchor, rel_residual(lhs, w_z * dstar, ths * star_p), tol, n=n)
-
-        lhs = w_z * deps - th * eps_p + (om - v_z) * eps_n
-        rep.add("spectral_d_eps", anchor, rel_residual(lhs, w_z * deps, th * eps_p), tol, n=n)
-
-        lhs = w_z * des + ths * es_p - (oms + v_z) * es_n
-        rep.add("spectral_d_epsstar", anchor, rel_residual(lhs, w_z * des, ths * es_p), tol, n=n)
-
-        # trace consistency: W Tr A_n reduces to n W / z - 2 V
-        ln, lp = sys.level(n), sys.level(n + 1)
-        trace_w = (
-            -(om + v_z)
-            + lp.kappa / ln.kappa * zs * th
-            + oms
-            - v_z
-            - lp.kappa / ln.kappa * ths
-        )
-        lhs = trace_w - (n * w_z / zs - 2.0 * v_z)
-        rep.add(
-            "trace_reduction",
-            "we note that Tr A_n = n/z - w'/w",
-            rel_residual(lhs, trace_w, w_z / zs),
-            tol,
-            n=n,
-        )
+    values, derivatives = asys.evaluate_with_derivative(zs)
+    ns = [n for n in sorted(quads) if n + 1 <= sys.nmax]
+    th, ths, om, oms = _quad_rows(quads, zs)(ns)
+    levels = np.asarray(ns, dtype=int)
+    phi_n, star_n, eps_n, es_n = (v[levels] for v in values)
+    phi_p, star_p, eps_p, es_p = (v[levels + 1] for v in values)
+    dphi, dstar, deps, des = (d[levels] for d in derivatives)
+    # trace consistency: W Tr A_n reduces to n W / z - 2 V
+    step = column(sys.kappa(n + 1) / sys.kappa(n) for n in ns)
+    trace_w = -(om + v_z) + step * zs * th + oms - v_z - step * ths
+    rep.add_rows([
+        ("spectral_d_phi", anchor, w_z * dphi - th * phi_p + (om + v_z) * phi_n,
+         w_z * dphi, th * phi_p),
+        ("spectral_d_phistar", anchor, w_z * dstar + ths * star_p - (oms - v_z) * star_n,
+         w_z * dstar, ths * star_p),
+        ("spectral_d_eps", anchor, w_z * deps - th * eps_p + (om - v_z) * eps_n,
+         w_z * deps, th * eps_p),
+        ("spectral_d_epsstar", anchor, w_z * des + ths * es_p - (oms + v_z) * es_n,
+         w_z * des, ths * es_p),
+        ("trace_reduction", "we note that Tr A_n = n/z - w'/w",
+         trace_w - (column(ns) * w_z / zs - 2.0 * v_z), trace_w, w_z / zs),
+    ], tol, ns)
     return rep
 
 
@@ -790,27 +773,17 @@ def dpainleve_ratio_check(
         raise SingularResidueError("ratio check needs two distinct singularities")
     if z_a == 0 or z_b == 0:
         raise SingularResidueError("ratio check is defined away from the origin")
+    ns = list(ns)
     zs = np.array([z_a, z_b], dtype=complex)
     ev = {k: quads[k].evaluate(zs) for k in sorted({k for n in ns for k in (n, n + 1)})}
-
-    def packed(n, k, zj):
-        v = vw.v_eval(zj)
-        num = zj * ev[n][0, k] * ev[n + 1][0, k]
-        den = (ev[n][2, k] - v) * (ev[n][2, k] + v)
-        return num, den
-
-    for n in ns:
-        num_a, den_a = packed(n, 0, z_a)
-        num_b, den_b = packed(n, 1, z_b)
-        if min(abs(num_b), abs(den_b), abs(den_a)) < 1e-14:
-            raise SingularResidueError("vanishing denominator in the ratio recurrence")
-        lhs = num_a / num_b
-        rhs = den_a / den_b
-        rep.add(
-            "ratio_recurrence",
-            "this constitutes a recurrence relation",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
+    v = [vw.v_eval(zj) for zj in (z_a, z_b)]
+    # each level's products in scalar arithmetic, as the level alone forms them
+    num = [[zj * ev[n][0, k] * ev[n + 1][0, k] for k, zj in enumerate((z_a, z_b))] for n in ns]
+    den = [[(ev[n][2, k] - v[k]) * (ev[n][2, k] + v[k]) for k in range(2)] for n in ns]
+    if any(min(abs(nb), abs(db), abs(da)) < 1e-14 for (_, nb), (da, db) in zip(num, den)):
+        raise SingularResidueError("vanishing denominator in the ratio recurrence")
+    rep.add_rows([
+        equation("ratio_recurrence", "this constitutes a recurrence relation",
+                 [a / b for a, b in num], [a / b for a, b in den]),
+    ], tol, ns)
     return rep

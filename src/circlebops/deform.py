@@ -131,13 +131,16 @@ def moment_rebuild(
     tol_scale: float = 1.0,
 ) -> tuple[DeformState, Bundle]:
     """Full from-scratch construction of the deformation state at time t
-    (the independent oracle for flowed states)."""
+    (the independent oracle for flowed states).  ``tol_scale`` scales the
+    construction's gates: the quadruple and U reads and the residue sum."""
     weight = traj.weight_at(t)
     bundle = build_bundle(
         weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,),
         quad_points=quad_points, tol_scale=tol_scale,
     )
-    res = assemble_residues(bundle.quads[n], bundle.vw, bundle.sys, n, weight)
+    res = assemble_residues(
+        bundle.quads[n], bundle.vw, bundle.sys, n, weight, tol=1e-7 * tol_scale
+    )
     lev = bundle.sys.level(n)
     state = DeformState(
         t=t,

@@ -27,8 +27,11 @@ coefficient-function construction, which reads each quadruple as a band of
 the Taylor series at 0 or at infinity: these checks test the whole matrix
 identity pointwise at the given sample points, each with the element of F
 on its own side of the circle.  Each quadruple is evaluated once per point
-set (`CoeffQuad.evaluate`), and each per-point check takes its residuals at
-all points in one `rel_residuals` call.  The rank-one bilinear form of the
+set (`CoeffQuad.evaluate`).  Every check is a row family of
+`IdentityReport.add_rows`: a per-point check has one row a sample point,
+the residue checks one row a singular point, and the transfer determinant
+and the summation identities one row at their level, since each level's
+entries keep their order.  The rank-one bilinear form of the
 residues comes from one evaluation at all the non-origin singular points
 for all levels, and the four summation identities are read off its stack
 and the origin's residue matrix.  The Riemann-Hilbert orders of Y at 0 and
@@ -58,8 +61,7 @@ from .bops import BopsSystem
 from .coeffs import CoeffQuad
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
-from .numerics import rel_residual, rel_residuals
-from .report import IdentityReport
+from .report import IdentityReport, equation
 from .weight import PolyPair, SemiClassicalWeight
 
 
@@ -68,18 +70,6 @@ def _mat(a, b, c, d) -> np.ndarray:
     (..., 2, 2)."""
     a, b, c, d = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for e in (a, b, c, d)))
     return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2))
-
-
-def y_matrix(
-    sys: BopsSystem, asys: AssocSystem, wfun: Callable, n: int, z,
-    side: str | None = None,
-) -> np.ndarray:
-    zs = np.asarray(z, dtype=complex)
-    w = np.asarray(wfun(zs), dtype=complex)
-    if np.any(w == 0):
-        raise SingularResidueError(f"w(z) = 0 at z = {zs[w == 0].flat[0]}")
-    phi, phistar, eps, epsstar = (v[n] for v in asys.evaluate(zs, side))
-    return _mat(phi, eps / w, phistar, -epsstar / w)
 
 
 def k_matrix(sys: BopsSystem, n: int, z) -> np.ndarray:
@@ -251,29 +241,20 @@ def verify_matrix_system(
         """The matrix of (value, derivative) entries and its derivative."""
         return _mat(*(value for value, _ in entries)), _mat(*(d for _, d in entries))
 
-    def add_per_point(n, checks):
-        """One entry per sample point and check (lhs = rhs), in point order."""
-        res = [rel_residuals(lhs - rhs, lhs, rhs) for _, _, lhs, rhs in checks]
-        for i, where in enumerate(wheres):
-            for (name, anchor, _, _), r in zip(checks, res):
-                rep.add(name, anchor, r[i], identity_tol, n=n, where=where)
-
     for n, bil in zip(ns, bilinear):
         phi, star, eps, es = level(n)
         y, yd = with_derivative(phi, eps, star, es)
         values = quad_values[n]
         a_n = a_matrix(values, vw, sys, n, zs)
-        add_per_point(
-            n,
-            [
-                ("y_derivative_system", "equivalent to the matrix differential equation",
-                 yd, a_n @ y),
-                ("y_determinant", "note that det Y_n = -2 z^n / w(z)",
-                 np.linalg.det(y), -2.0 * zs**n / w),
-                ("trace_of_a", "we note that Tr A_n = n/z - w'/w",
-                 np.trace(a_n, axis1=-2, axis2=-1), n / zs - log_w),
-            ],
-        )
+        at_points = [n] * len(zs)
+        rep.add_rows([
+            equation("y_derivative_system", "equivalent to the matrix differential equation",
+                     yd, a_n @ y),
+            equation("y_determinant", "note that det Y_n = -2 z^n / w(z)",
+                     np.linalg.det(y), -2.0 * zs**n / w),
+            equation("trace_of_a", "we note that Tr A_n = n/z - w'/w",
+                     np.trace(a_n, axis1=-2, axis2=-1), n / zs - log_w),
+        ], identity_tol, at_points, wheres)
 
         if n + 1 in quads:
             values_p = quad_values[n + 1]
@@ -282,17 +263,14 @@ def verify_matrix_system(
             # K_n is linear in z: K'_n is the constant z-coefficient
             kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
             k_rhs = a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
-            add_per_point(
-                n, [("transfer_compatibility", "compatibility of the relations", kd, k_rhs)]
-            )
-            det_k_identity = lp.kappa**2 - lp.phi0 * lp.phibar0 - ln.kappa**2
-            rep.add(
-                "transfer_determinant",
-                "the matrix K_n has the property det K_n = z",
-                rel_residual(det_k_identity, lp.kappa**2, ln.kappa**2),
-                identity_tol,
-                n=n,
-            )
+            rep.add_rows([
+                equation("transfer_compatibility", "compatibility of the relations", kd, k_rhs),
+            ], identity_tol, at_points, wheres)
+            # one row: the level's entries keep their order around it
+            rep.add_rows([
+                ("transfer_determinant", "the matrix K_n has the property det K_n = z",
+                 [lp.kappa**2 - lp.phi0 * lp.phibar0 - ln.kappa**2], [lp.kappa**2], [ln.kappa**2]),
+            ], identity_tol, [n])
 
             # X / X* / Z / Z* variants: W M' = C M with the coefficient matrices C
             lpp = sys.level(n + 2)
@@ -349,41 +327,30 @@ def verify_matrix_system(
             for name, entries, coeff in variants:
                 mat, der = with_derivative(*entries)
                 checks.append(
-                    (name, "other forms of the matrix variables",
-                     w_z[:, None, None] * der, _mat(*coeff) @ mat)
+                    equation(name, "other forms of the matrix variables",
+                             w_z[:, None, None] * der, _mat(*coeff) @ mat)
                 )
-            add_per_point(n, checks)
+            rep.add_rows(checks, identity_tol, at_points, wheres)
 
-        # residues: coefficient-function form vs rank-one bilinear form
-        res = assemble_residues(quads[n], vw, sys, n, weight)
-        gaps = rel_residuals(res.a[1:] - bil, res.a[1:], bil)
-        for j, (a_j, gap) in enumerate(zip(res.a[1:], gaps), start=1):
-            rep.add(
-                "residue_bilinear_form",
-                "an alternative expression for the residue matrices",
-                gap,
-                residue_tol,
-                n=n,
-                where=f"z_{j + 1}",
-            )
-            rep.add(
-                "residue_rank_one",
-                "we find that det A_nj = 0",
-                abs(np.linalg.det(a_j)) / max(1.0, float(np.max(np.abs(a_j))) ** 2),
-                rank_tol,
-                n=n,
-                where=f"z_{j + 1}",
-            )
-        for j, s in enumerate(weight.singularities):
-            want = s.exponent if j > 0 else s.exponent - n
-            rep.add(
-                "residue_trace",
-                "using the identity we note the traces of the residue matrices",
-                abs(np.trace(res.a[j]) + want) / max(1.0, abs(want)),
-                residue_tol,
-                n=n,
-                where=f"z_{j + 1}",
-            )
+        # residues: coefficient-function form vs rank-one bilinear form.  The
+        # determinant and trace rows hold magnitudes taken by Python's abs,
+        # as a lone residue is sized (numpy's array abs rounds differently),
+        # over max|A_nj|^2 and the trace's target
+        res = assemble_residues(quads[n], vw, sys, n, weight, tol=residue_tol)
+        m = len(res.a)
+        rep.add_rows([
+            ("residue_bilinear_form", "an alternative expression for the residue matrices",
+             res.a[1:] - bil, res.a[1:], bil),
+            ("residue_rank_one", "we find that det A_nj = 0",
+             [abs(d) for d in np.linalg.det(res.a[1:])],
+             [float(np.max(np.abs(a_j))) ** 2 for a_j in res.a[1:]]),
+        ], [residue_tol, rank_tol], [n] * (m - 1), [f"z_{j + 1}" for j in range(1, m)])
+        wants = [s.exponent if j > 0 else s.exponent - n
+                 for j, s in enumerate(weight.singularities)]
+        rep.add_rows([
+            ("residue_trace", "using the identity we note the traces of the residue matrices",
+             [abs(np.trace(a_j) + want) for a_j, want in zip(res.a, wants)], wants),
+        ], residue_tol, [n] * m, [f"z_{j + 1}" for j in range(m)])
         rep.add(
             "residue_at_infinity",
             "the regular singularity at infinity",
@@ -403,14 +370,10 @@ def verify_matrix_system(
             ("summation_phi_epsstar", -total[1, 1], sum_rho),
             ("summation_phistar_epsstar", total[1, 0], (n + sum_rho) * sys.level(n).rbar),
         ]
-        for name, got, want in targets:
-            rep.add(
-                name,
-                "imply the summation identities",
-                rel_residual(got - want, got, want, n),
-                residue_tol,
-                n=n,
-            )
+        rep.add_rows([
+            (name, "imply the summation identities", [got - want], [got], [want], [n])
+            for name, got, want in targets
+        ], residue_tol, [n])
     return rep
 
 
@@ -475,37 +438,28 @@ def rhp_jump_check(
         return False
 
     kept = np.asarray([float(t) for t in thetas if not near_cut(float(t))])
-    jumps = []  # (radius, residuals of shape (levels, points)) per circle
+    jumps = []  # (wheres, inside and outside values of every level) per circle
     for radius in (1.0 - offset, 1.0 + offset):
         zs = radius * np.exp(1j * kept)
         w = np.asarray(wfun(zs), dtype=complex)
         lhs = normalized_solution(sys, asys, ns, zs, side="inside")
         rhs = normalized_solution(sys, asys, ns, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
-        jumps.append((radius, [rel_residuals(l - r, l, r) for l, r in zip(lhs, rhs)]))
+        jumps.append(([f"theta={theta:.3f}, r={radius}" for theta in kept], lhs, rhs))
     zdet = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])
     dets = np.linalg.det(normalized_solution(sys, asys, ns, zdet))
+    # an array of exponents raises each point as the scalar z ** (n - 1) does
+    wants = -(zdet ** (np.asarray(ns) - 1)[:, None])
+    zwheres = [f"z={z:.3g}" for z in zdet]
 
     for i, n in enumerate(ns):
-        for radius, residuals in jumps:
-            for theta, residual in zip(kept, residuals[i]):
-                rep.add(
-                    "rhp_jump",
-                    "consider the following Riemann-Hilbert problem",
-                    residual,
-                    tol,
-                    n=n,
-                    where=f"theta={theta:.3f}, r={radius}",
-                )
-        for z, det in zip(zdet, dets[i]):
-            want = -(z ** (n - 1))
-            rep.add(
-                "rhp_determinant",
-                "we also point out det Y(z) = -z^{n-1}",
-                rel_residual(det - want, det, want),
-                identity_tol,
-                n=n,
-                where=f"z={z:.3g}",
-            )
+        for wheres, lhs, rhs in jumps:
+            rep.add_rows([
+                equation("rhp_jump", "consider the following Riemann-Hilbert problem",
+                         lhs[i], rhs[i]),
+            ], tol, [n] * len(wheres), wheres)
+        rep.add_rows([
+            equation("rhp_determinant", "we also point out det Y(z) = -z^{n-1}", dets[i], wants[i]),
+        ], identity_tol, [n] * len(zdet), zwheres)
 
         # asymptotic orders, read off exact coefficients: each entry's
         # expansion runs in powers of z up from `edge` at 0, or down from

@@ -166,7 +166,7 @@ class CaratheodoryEvaluator:
     unless a side is forced (the two analytic elements both extend into the
     annulus of the weight, which is what the jump checks rely on).  Each
     call sums the series on its points; `AssocSystem` evaluates every level
-    in one call, and one `verify-all --n 4` makes 15 calls of F or F' on 10
+    in one call, and one `verify-all --n 4` makes 12 calls of F or F' on 10
     distinct point sets (with their side and order)."""
 
     def __init__(self, tbl: MomentTable):

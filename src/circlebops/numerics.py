@@ -97,30 +97,32 @@ def circle_samples(
     return np.asarray(out, dtype=complex)
 
 
-def rel_residual(mismatch, *terms) -> float:
-    """|mismatch| scaled by the largest constituent term (floor 1).
-
-    Identities are evaluated as displayed, so the natural scale is the size of
-    the terms being cancelled; the floor keeps 0 = 0 checks meaningful.
-    """
-    scale = 1.0
-    for t in terms:
-        scale = max(scale, float(np.max(np.abs(t))) if np.ndim(t) else abs(t))
-    return float(np.max(np.abs(mismatch)) / scale)
+def column(values) -> np.ndarray:
+    """One scalar a level as a column, one level a row.  Callers form each
+    level's scalar in Python complex arithmetic: numpy's complex multiply
+    rounds differently, and the rows must be the levels written out alone."""
+    return np.array(list(values), dtype=complex)[:, None]
 
 
 def rel_residuals(mismatch, *terms) -> np.ndarray:
-    """rel_residual of every row at once: row k of each argument holds one
-    level, its points along the trailing axes (none for one scalar a row),
-    and the result's entry k equals rel_residual of those rows bit for bit.
-    A scalar row is sized by Python's abs, as rel_residual sizes a scalar;
-    numpy's complex abs rounds differently."""
+    """Relative residual of every row: the largest |mismatch| of row k over
+    the largest |term| of that row, with a floor of 1.  Identities are
+    evaluated as displayed, so the natural scale is the size of the terms
+    being cancelled; the floor keeps 0 = 0 checks meaningful.  Row k of each
+    argument holds one level or point, its points along the trailing axes
+    (none for one scalar a row).  A term is broadcast against the mismatch,
+    so a term without the row axis is the same in every row.  A scalar row
+    is sized by Python's abs; numpy's complex abs rounds differently.  Each
+    row equals the one-row reference ``rel_residual`` of tests/oracles.py
+    bit for bit."""
     def size(x):
         return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
 
     scale = np.ones(len(mismatch))
     for t in terms:
         t = np.asarray(t)
+        if t.ndim < np.ndim(mismatch):
+            t = t[None]  # without the row axis: the same in every row
         scale = np.fmax(scale, size(t) if t.ndim > 1 else [abs(v) for v in t.tolist()])
     return size(mismatch) / scale
 

@@ -17,7 +17,6 @@ from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
 from .coeffs import CoeffQuad, compute_coeff_quad
 from .config import QUAD_POINTS
-from .errors import NotSemiClassicalError
 from .moments import MomentTable, compute_moments, recover_u, weight_from_table
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
 
@@ -31,25 +30,11 @@ class Bundle:
     vw: PolyPair | None = None
     quads: dict[int, CoeffQuad] = field(default_factory=dict)
     u_poly: np.ndarray | None = None
-    u_info: dict | None = None
-    tol_scale: float = 1.0
 
     def wfun(self):
         if self.weight is not None:
             return self.weight
         return weight_from_table(self.table)
-
-    def require_quads(self, ns: Sequence[int]) -> None:
-        if self.weight is None or self.vw is None:
-            raise NotSemiClassicalError(
-                "coefficient functions need a strict semi-classical weight, "
-                "not a raw moment table"
-            )
-        for n in sorted(set(int(n) for n in ns)):
-            if n not in self.quads:
-                self.quads[n] = compute_coeff_quad(
-                    self.sys, self.asys, self.vw, n, weight=self.weight, tol_scale=self.tol_scale
-                )
 
 
 def moment_table(
@@ -77,13 +62,15 @@ def build_bundle(
     weight = None if isinstance(source, MomentTable) else source
     sys = build_system(table, nmax)
     asys = AssocSystem(sys)
-    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight, tol_scale=tol_scale)
+    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight)
 
     if weight is not None:
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
-            if quad_ns:
-                bundle.require_quads(quad_ns)
+            for n in sorted(set(int(n) for n in quad_ns)):
+                bundle.quads[n] = compute_coeff_quad(
+                    sys, asys, bundle.vw, n, weight=weight, tol_scale=tol_scale
+                )
             if recover_u_poly:
-                bundle.u_poly, bundle.u_info = recover_u(weight, asys.F, bundle.vw, tol_scale)
+                bundle.u_poly = recover_u(weight, asys.F, bundle.vw, tol_scale)[0]
     return bundle

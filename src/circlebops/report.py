@@ -11,6 +11,8 @@ from typing import Any
 
 import numpy as np
 
+from .numerics import rel_residuals
+
 SCHEMA = "v1"
 
 
@@ -61,6 +63,20 @@ class IdentityReport:
         self.entries.append(entry)
         return entry
 
+    def add_rows(self, families, tol, ns, wheres=None) -> None:
+        """Entries of row families, row by row and in each row family by
+        family.  A family is (name, anchor, mismatch, *scale terms), one row
+        per level or per point along the first axis, and gives its residuals
+        in one rel_residuals call.  Row k is labelled n = ns[k] and
+        where = wheres[k] (no where without ``wheres``); ``tol`` is the gate
+        of every family or a sequence of one gate per family."""
+        res = [rel_residuals(mismatch, *terms) for _, _, mismatch, *terms in families]
+        tols = np.broadcast_to(tol, len(families)).tolist()
+        for k, n in enumerate(ns):
+            where = None if wheres is None else wheres[k]
+            for (name, anchor, *_), r, gate in zip(families, res, tols):
+                self.add(name, anchor, r[k], gate, n=n, where=where)
+
     def extend(self, other: "IdentityReport") -> None:
         self.entries.extend(other.entries)
 
@@ -93,6 +109,12 @@ class IdentityReport:
             "entries": [e.to_dict() for e in self.entries],
             "notes": self.notes,
         }
+
+
+def equation(name: str, anchor: str, lhs, rhs) -> tuple:
+    """The row family of lhs = rhs for IdentityReport.add_rows: mismatch
+    lhs - rhs, scaled by both sides."""
+    return (name, anchor, np.subtract(lhs, rhs), lhs, rhs)
 
 
 def dump_json(payload: dict[str, Any], path) -> None:

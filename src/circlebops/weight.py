@@ -316,15 +316,6 @@ def eval_weight(spec: SemiClassicalWeight, z):
     return complex(out[0]) if scalar else out
 
 
-def weight_log_derivative(spec: SemiClassicalWeight, z):
-    """w'(z)/w(z) = sum_j rho_j / (z - z_j), evaluated directly."""
-    zs = np.asarray(z, dtype=complex)
-    out = np.zeros_like(zs, dtype=complex)
-    for s in spec.singularities:
-        out = out + s.exponent / (zs - s.location)
-    return out
-
-
 def build_vw(spec: SemiClassicalWeight) -> PolyPair:
     """Construct W(z) = prod (z - z_j) and V from partial fractions
     2V/W = sum rho_j / (z - z_j); then 2 V(z_j) = rho_j W'(z_j) for every j."""

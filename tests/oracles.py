@@ -17,17 +17,24 @@ bit.
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
 representations of phi_n, phi*_n, eps_n and eps*_n from Toeplitz
-determinants of shifted or Cauchy-modified weights."""
+determinants of shifted or Cauchy-modified weights.
+
+Row oracles: the one-row relative residual ``rel_residual`` and the
+per-level loops of the associated-function, linear-relation and spectral
+derivative suites, which the row-wise suites must equal bit for bit.  Last,
+the evaluators only the tests use: the solution matrix Y_n, w'/w summed
+directly and the per-level monomial orthogonality."""
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from circlebops.bops import BopsSystem, eval_levels, eval_poly
+from circlebops.assoc import AssocSystem
+from circlebops.bops import BopsSystem, _monomial_residuals, eval_levels, eval_poly
 from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
@@ -38,9 +45,9 @@ from circlebops.deform import (
     moment_rebuild,
     schlesinger_rhs,
 )
-from circlebops.config import QUAD_POINTS
+from circlebops.config import IDENTITY_TOL, QUAD_POINTS
 from circlebops.errors import QuadratureError, SingularResidueError
-from circlebops.lax import ResidueSet, k_matrix
+from circlebops.lax import ResidueSet, _mat, k_matrix
 from circlebops.moments import (
     QUAD_MAX_POINTS,
     QUAD_TOL,
@@ -48,9 +55,9 @@ from circlebops.moments import (
     compute_moments,
     toeplitz_det,
 )
-from circlebops.numerics import principal_sqrt, rel_residual
+from circlebops.numerics import polyval, principal_sqrt
 from circlebops.report import IdentityReport
-from circlebops.weight import PolyPair, eval_weight
+from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
 
 
 def central_diff(f: Callable, z, step: float = 1e-6):
@@ -543,3 +550,362 @@ def eps_intrep(
     eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0
     epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1) / i0
     return complex(eps), complex(epsstar)
+
+
+# ---------------------------------------------------------------------------
+# One-row residuals and the per-level loops of the row-wise suites
+# ---------------------------------------------------------------------------
+
+def rel_residual(mismatch, *terms) -> float:
+    """|mismatch| scaled by the largest constituent term (floor 1): the
+    one-row reference of numerics.rel_residuals.
+
+    Identities are evaluated as displayed, so the natural scale is the size of
+    the terms being cancelled; the floor keeps 0 = 0 checks meaningful.
+    """
+    scale = 1.0
+    for t in terms:
+        scale = max(scale, float(np.max(np.abs(t))) if np.ndim(t) else abs(t))
+    return float(np.max(np.abs(mismatch)) / scale)
+
+
+def assoc_identities_loop(
+    asys: AssocSystem,
+    ns: Sequence[int],
+    samples: Sequence[complex],
+    tol: float = IDENTITY_TOL,
+) -> tuple[IdentityReport, tuple[np.ndarray, ...]]:
+    """The per-level loop of assoc.verify_assoc_identities, which its rows
+    must equal bit for bit.  Residuals of the eps recurrences, the psi three-term recurrences and
+    all three Casoratian identities (in both the psi and eps forms) at the
+    sampled points (taken off the unit circle).  Returns the report and
+    the values it checked, ``asys.evaluate(samples)``."""
+    rep = IdentityReport("associated-function identity web")
+    sys = asys.sys
+    zs = np.asarray(samples, dtype=complex)
+    values = asys.evaluate(zs)
+    phi, phistar, eps, epsstar = values
+
+    for n in ns:
+        ln, lp = sys.level(n), sys.level(n + 1)
+        phi_n, ps_n, eps_n, star_n = phi[n], phistar[n], eps[n], epsstar[n]
+        phi_p, ps_p, eps_p, star_p = phi[n + 1], phistar[n + 1], eps[n + 1], epsstar[n + 1]
+        lhs = ln.kappa * eps_p
+        rhs = lp.kappa * zs * eps_n - lp.phi0 * star_n
+        rep.add(
+            "eps_recurrence",
+            "satisfy a variant of the coupled recurrences",
+            rel_residual(lhs - rhs, lhs, rhs),
+            tol,
+            n=n,
+        )
+        lhs = ln.kappa * star_p
+        rhs = lp.kappa * star_n - lp.phibar0 * zs * eps_n
+        rep.add(
+            "eps_recurrence_star",
+            "satisfy a variant of the coupled recurrences",
+            rel_residual(lhs - rhs, lhs, rhs),
+            tol,
+            n=n,
+        )
+
+        # Casoratians, eps form and psi form
+        psi_n, psi_p = polyval(asys.psi(n), zs), polyval(asys.psi(n + 1), zs)
+        psis_n, psis_p = polyval(asys.psistar(n), zs), polyval(asys.psistar(n + 1), zs)
+
+        cas_a_rhs = 2.0 * lp.phi0 / ln.kappa * zs**n
+        for label, lhs in (
+            ("casoratian_a_eps", phi_p * eps_n - eps_p * phi_n),
+            ("casoratian_a_psi", phi_p * psi_n - psi_p * phi_n),
+        ):
+            rep.add(
+                label,
+                "the Casoratians of the polynomial solutions",
+                rel_residual(lhs - cas_a_rhs, lhs, cas_a_rhs, phi_p * eps_n),
+                tol,
+                n=n,
+            )
+        cas_b_rhs = 2.0 * lp.phibar0 / ln.kappa * zs ** (n + 1)
+        for label, lhs in (
+            ("casoratian_b_eps", ps_p * star_n - star_p * ps_n),
+            ("casoratian_b_psi", ps_p * psis_n - psis_p * ps_n),
+        ):
+            rep.add(
+                label,
+                "the Casoratians of the polynomial solutions",
+                rel_residual(lhs - cas_b_rhs, lhs, cas_b_rhs, ps_p * star_n),
+                tol,
+                n=n,
+            )
+        cas_c_rhs = 2.0 * zs**n
+        for label, lhs in (
+            ("casoratian_c_eps", phi_n * star_n + eps_n * ps_n),
+            ("casoratian_c_psi", phi_n * psis_n + psi_n * ps_n),
+        ):
+            rep.add(
+                label,
+                "the Casoratians of the polynomial solutions",
+                rel_residual(lhs - cas_c_rhs, lhs, cas_c_rhs, phi_n * star_n),
+                tol,
+                n=n,
+            )
+
+    # psi three-term recurrences need three consecutive levels
+    for n in ns:
+        if n < 1 or n + 1 > sys.nmax:
+            continue
+        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
+        psi_m, psi_n, psi_p = (
+            polyval(asys.psi(n - 1), zs),
+            polyval(asys.psi(n), zs),
+            polyval(asys.psi(n + 1), zs),
+        )
+        lhs = ln.kappa * ln.phi0 * psi_p + lm.kappa * lp.phi0 * zs * psi_m
+        rhs = (ln.kappa * lp.phi0 + lp.kappa * ln.phi0 * zs) * psi_n
+        rep.add(
+            "psi_three_term",
+            "polynomials of the second kind satisfy the three-term recurrences",
+            rel_residual(lhs - rhs, lhs, rhs),
+            tol,
+            n=n,
+        )
+        psis_m, psis_n, psis_p = (
+            polyval(asys.psistar(n - 1), zs),
+            polyval(asys.psistar(n), zs),
+            polyval(asys.psistar(n + 1), zs),
+        )
+        lhs = ln.kappa * ln.phibar0 * psis_p + lm.kappa * lp.phibar0 * zs * psis_m
+        rhs = (ln.kappa * lp.phibar0 * zs + lp.kappa * ln.phibar0) * psis_n
+        rep.add(
+            "psistar_three_term",
+            "polynomials of the second kind satisfy the three-term recurrences",
+            rel_residual(lhs - rhs, lhs, rhs),
+            tol,
+            n=n,
+        )
+    return rep, values
+
+
+def linear_relations_loop(
+    quads: Mapping[int, CoeffQuad],
+    vw: PolyPair,
+    sys: BopsSystem,
+    samples: Sequence[complex],
+    tol: float = 1e-7,
+) -> IdentityReport:
+    """The per-level loops of coeffs.verify_linear_relations, which its rows
+    must equal bit for bit.  Residuals of all eight coupled recurrences among the coefficient
+    functions plus the three additional corollary identities, at sampled
+    z != 0.  Each level n requires quads at n-1, n, n+1."""
+    rep = IdentityReport("coefficient-function linear relations")
+    zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
+    w_z = polyval(vw.W, zs)
+    ev = {n: q.evaluate(zs) for n, q in quads.items()}  # each quadruple once
+    anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
+    anchor_cor = "some additional identities satisfied by the coefficient functions"
+
+    levels_needed = lambda n: n + 2 <= sys.nmax
+    for n in sorted(quads):
+        if not (n - 1 in quads and n + 1 in quads and levels_needed(n)):
+            continue
+        (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = ev[n - 1], ev[n]
+        th_p, ths_p, _, _ = ev[n + 1]
+        lm, ln, lp, lpp = (
+            sys.level(n - 1),
+            sys.level(n),
+            sys.level(n + 1),
+            sys.level(n + 2),
+        )
+        ratio = lp.phi0 / ln.phi0 + lp.kappa / ln.kappa * zs
+        ratio_s = lp.kappa / ln.kappa + lp.phibar0 / ln.phibar0 * zs
+
+        lhs = om_n + om_m - ratio * th_n + (n - 1) * w_z / zs
+        rep.add("linear_a", anchor, rel_residual(lhs, om_n, ratio * th_n, w_z / zs), tol, n=n)
+
+        lhs = (
+            ratio * (om_m - om_n)
+            + ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p
+            - lm.kappa * lp.phi0 / (ln.kappa * ln.phi0) * zs * th_m
+            - lp.phi0 / ln.phi0 * w_z / zs
+        )
+        rep.add("linear_b", anchor, rel_residual(lhs, ratio * om_m, zs * th_p), tol, n=n)
+
+        lhs = oms_n + oms_m - ratio_s * ths_n - n * w_z / zs
+        rep.add("linear_c", anchor, rel_residual(lhs, oms_n, ratio_s * ths_n, w_z / zs), tol, n=n)
+
+        lhs = (
+            ratio_s * (oms_m - oms_n)
+            + ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p
+            - lm.kappa * lp.phibar0 / (ln.kappa * ln.phibar0) * zs * ths_m
+            + lp.kappa / ln.kappa * w_z / zs
+        )
+        rep.add("linear_d", anchor, rel_residual(lhs, ratio_s * oms_m, zs * ths_p), tol, n=n)
+
+    for n in sorted(quads):
+        if not (n + 1 in quads and levels_needed(n)):
+            continue
+        (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = ev[n], ev[n + 1]
+        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
+        ratio_p = lpp.phi0 / lp.phi0 + lpp.kappa / lp.kappa * zs
+        ratio_ps = lpp.kappa / lp.kappa + lpp.phibar0 / lp.phibar0 * zs
+        cross = lp.kappa / ln.kappa * (zs * th_n - ths_n)
+
+        lhs = om_p + oms_n - ratio_p * th_p + cross
+        rep.add("linear_e", anchor, rel_residual(lhs, om_p, ratio_p * th_p, cross), tol, n=n)
+
+        lhs = (
+            om_n
+            - om_p
+            + lpp.kappa / lp.kappa * (zs + lp.phibar0 / lp.kappa * lpp.phi0 / lpp.kappa) * th_p
+            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * ths_n
+            - lp.kappa / ln.kappa * zs * th_n
+            - w_z / zs
+        )
+        rep.add("linear_f", anchor, rel_residual(lhs, om_n, zs * th_p, w_z / zs), tol, n=n)
+
+        lhs = (
+            oms_p
+            + om_n
+            - ratio_ps * ths_p
+            - cross
+            - w_z / zs
+        )
+        rep.add("linear_g", anchor, rel_residual(lhs, oms_p, ratio_ps * ths_p, w_z / zs), tol, n=n)
+
+        lhs = (
+            oms_n
+            - oms_p
+            + lpp.kappa / lp.kappa * (1.0 + lp.phi0 / lp.kappa * lpp.phibar0 / lpp.kappa * zs) * ths_p
+            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * zs * th_n
+            - lp.kappa / ln.kappa * ths_n
+        )
+        rep.add("linear_h", anchor, rel_residual(lhs, oms_n, ths_p, zs * th_n), tol, n=n)
+
+        # corollary (j), (k) need only n and n+1
+        lhs = oms_n - om_n + lp.kappa / ln.kappa * (zs * th_n - ths_n) - n * w_z / zs
+        rep.add("linear_j", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
+
+        lhs = (
+            oms_n
+            + om_n
+            - ln.kappa**2
+            / lp.kappa**2
+            * (lpp.phi0 / lp.phi0 * th_p + lp.kappa / ln.kappa * ths_n)
+            - w_z / zs
+        )
+        rep.add("linear_k", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
+
+    for n in sorted(quads):
+        if not (n - 1 in quads and n + 1 <= sys.nmax):
+            continue
+        (th_m, ths_m, _, _), (th_n, ths_n, _, _) = ev[n - 1], ev[n]
+        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
+        lhs = (
+            lp.phi0 / ln.phi0 * th_n
+            - ln.kappa / lm.kappa * zs * th_m
+            - lp.phibar0 / ln.phibar0 * zs * ths_n
+            + ln.kappa / lm.kappa * ths_m
+        )
+        rep.add("linear_i", anchor_cor, rel_residual(lhs, th_n, zs * ths_n), tol, n=n)
+    return rep
+
+
+def spectral_derivative_loop(
+    quads: Mapping[int, CoeffQuad],
+    vw: PolyPair,
+    sys: BopsSystem,
+    asys: AssocSystem,
+    samples: Sequence[complex],
+    weight: SemiClassicalWeight | None = None,
+    tol: float = IDENTITY_TOL,
+) -> IdentityReport:
+    """The per-level loop of coeffs.spectral_derivative_check, which its rows
+    must equal bit for bit.  Residuals of the four derivative relations, with the exact
+    derivatives of `AssocSystem.evaluate_with_derivative` (polyder of phi,
+    phi*, psi, psi* and the series of F'), so every relation holds to the
+    identity tolerance."""
+    rep = IdentityReport("spectral derivative relations")
+    anchor = "the derivatives of the bi-orthogonal polynomials and associated functions are expressible"
+    avoid = list(weight.locations) if weight is not None else []
+    zs = np.asarray(
+        [z for z in samples if abs(z) > 1e-8 and all(abs(z - a) > 0.05 for a in avoid)],
+        dtype=complex,
+    )
+    w_z = polyval(vw.W, zs)
+    v_z = polyval(vw.V, zs)
+
+    (phi, star, eps, es), derivatives = asys.evaluate_with_derivative(zs)
+
+    for n in sorted(quads):
+        if n + 1 > sys.nmax:
+            continue
+        th, ths, om, oms = quads[n].evaluate(zs)
+        phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
+        phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
+        dphi, dstar, deps, des = (d[n] for d in derivatives)
+
+        lhs = w_z * dphi - th * phi_p + (om + v_z) * phi_n
+        rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, th * phi_p), tol, n=n)
+
+        lhs = w_z * dstar + ths * star_p - (oms - v_z) * star_n
+        rep.add("spectral_d_phistar", anchor, rel_residual(lhs, w_z * dstar, ths * star_p), tol, n=n)
+
+        lhs = w_z * deps - th * eps_p + (om - v_z) * eps_n
+        rep.add("spectral_d_eps", anchor, rel_residual(lhs, w_z * deps, th * eps_p), tol, n=n)
+
+        lhs = w_z * des + ths * es_p - (oms + v_z) * es_n
+        rep.add("spectral_d_epsstar", anchor, rel_residual(lhs, w_z * des, ths * es_p), tol, n=n)
+
+        # trace consistency: W Tr A_n reduces to n W / z - 2 V
+        ln, lp = sys.level(n), sys.level(n + 1)
+        trace_w = (
+            -(om + v_z)
+            + lp.kappa / ln.kappa * zs * th
+            + oms
+            - v_z
+            - lp.kappa / ln.kappa * ths
+        )
+        lhs = trace_w - (n * w_z / zs - 2.0 * v_z)
+        rep.add(
+            "trace_reduction",
+            "we note that Tr A_n = n/z - w'/w",
+            rel_residual(lhs, trace_w, w_z / zs),
+            tol,
+            n=n,
+        )
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# Test-only evaluators
+# ---------------------------------------------------------------------------
+
+def y_matrix(
+    sys: BopsSystem, asys: AssocSystem, wfun: Callable, n: int, z,
+    side: str | None = None,
+) -> np.ndarray:
+    """Y_n = [[phi_n, eps_n / w], [phi*_n, -eps*_n / w]] stacked over the array
+    z, shape z.shape + (2, 2)."""
+    zs = np.asarray(z, dtype=complex)
+    w = np.asarray(wfun(zs), dtype=complex)
+    if np.any(w == 0):
+        raise SingularResidueError(f"w(z) = 0 at z = {zs[w == 0].flat[0]}")
+    phi, phistar, eps, epsstar = (v[n] for v in asys.evaluate(zs, side))
+    return _mat(phi, eps / w, phistar, -epsstar / w)
+
+
+def weight_log_derivative(spec, z):
+    """w'(z)/w(z) = sum_j rho_j / (z - z_j), evaluated directly."""
+    zs = np.asarray(z, dtype=complex)
+    out = np.zeros_like(zs, dtype=complex)
+    for s in spec.singularities:
+        out = out + s.exponent / (zs - s.location)
+    return out
+
+
+def monomial_orthogonality(sys: BopsSystem, n: int) -> tuple[float, float]:
+    """Max residuals of <phi_n, zetabar^j> = 0 (0 <= j < n) and
+    <phi*_n, zetabar^j> = 0 (1 <= j <= n)."""
+    sys.level(n)  # IndexError for a level that is not built
+    res_phi, res_star = _monomial_residuals(sys)[n]
+    return float(res_phi), float(res_star)

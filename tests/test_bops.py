@@ -5,16 +5,15 @@ from circlebops.bops import (
     build_system,
     eval_levels,
     eval_poly,
-    monomial_orthogonality,
     orthonormality_matrix,
     verify_scalar_identities,
 )
 from circlebops.errors import ExistenceError, WindowError
 from circlebops.moments import compute_moments, table_from_moments, toeplitz_det
-from circlebops.numerics import circle_samples, rel_residual
+from circlebops.numerics import circle_samples
 
 from conftest import laurent_callable
-from oracles import det_rep_oracle, orthonormality_quadrature
+from oracles import det_rep_oracle, monomial_orthogonality, orthonormality_quadrature, rel_residual
 
 
 def sample_pairs(seed=3, count=20):

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from circlebops import pipeline
 from circlebops.assoc import AssocSystem
+from circlebops.deform import LinearTrajectory, moment_rebuild
 from circlebops.errors import SingularResidueError
 from circlebops.lax import (
     assemble_residues,
@@ -10,11 +14,10 @@ from circlebops.lax import (
     residues_bilinear_form,
     rhp_jump_check,
     verify_matrix_system,
-    y_matrix,
 )
 
 from conftest import close, laurent_callable
-from oracles import laurent_coefficients
+from oracles import laurent_coefficients, y_matrix
 
 SAMPLES = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
 
@@ -93,6 +96,53 @@ class TestResidues:
         bil = residues_bilinear_form(strict["asys"], strict["weight"], [n])
         assert bil.shape == (1, 2, 2, 2)
         assert np.max(np.abs(res.a[1:] - bil[0])) < 1e-8
+
+
+def omega_nudge(strict, n, gap=1.5e-7):
+    """The constant added to Omega_n that moves the level-n residue sum off
+    its closed form at infinity by ``gap``, and the nudged quadruple."""
+    quad = strict["quads"][n]
+    args = (strict["vw"], strict["sys"], n, strict["weight"])
+
+    def nudged(delta):
+        return dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)
+
+    delta = gap * 1e-6 / assemble_residues(nudged(1e-6), *args, tol=1.0).consistency
+    assert 1e-7 < assemble_residues(nudged(delta), *args, tol=1.0).consistency < 2e-7
+    return delta, nudged(delta)
+
+
+class TestResidueGateScale:
+    """The residue-sum gate of the construction is 1e-7 times --tol."""
+
+    def test_matrix_suite(self, strict):
+        n = 2
+        _, quad = omega_nudge(strict, n)
+        args = (strict["sys"], strict["asys"], {**strict["quads"], n: quad}, strict["vw"],
+                strict["weight"], [n], SAMPLES)
+        with pytest.raises(SingularResidueError, match="residue sum"):
+            verify_matrix_system(*args)
+        rep = verify_matrix_system(*args, tol_scale=2.0)
+        entry = next(e for e in rep.entries if e.name == "residue_at_infinity")
+        assert 1e-7 < entry.residual < 2e-7 and entry.passed
+
+    def test_moment_rebuild(self, strict, monkeypatch):
+        n = 2
+        delta, _ = omega_nudge(strict, n)
+        build = pipeline.compute_coeff_quad
+
+        def nudged_quad(*args, **kwargs):
+            quad = build(*args, **kwargs)
+            if quad.n != n:
+                return quad
+            return dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)
+
+        monkeypatch.setattr(pipeline, "compute_coeff_quad", nudged_quad)
+        traj = LinearTrajectory(strict["weight"], moving=1, target=2.1, t0=0.0, t1=0.1)
+        with pytest.raises(SingularResidueError, match="residue sum"):
+            moment_rebuild(traj, 0.0, n)
+        state, _ = moment_rebuild(traj, 0.0, n, tol_scale=2.0)
+        assert state.n == n
 
 
 class TestMatrixSystems:

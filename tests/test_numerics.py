@@ -1,9 +1,11 @@
 """rel_residuals, the row-wise relative residual: every row equals
-rel_residual of that row bit for bit."""
+the one-row reference rel_residual of that row bit for bit."""
 
 import numpy as np
 
-from circlebops.numerics import rel_residual, rel_residuals
+from circlebops.numerics import rel_residuals
+
+from oracles import rel_residual
 
 
 def complex_rows(rng, shape, spread=6.0):

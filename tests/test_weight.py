@@ -9,10 +9,10 @@ from circlebops.weight import (
     eval_weight,
     is_strict_semiclassical,
     validate_weight,
-    weight_log_derivative,
 )
 
 from conftest import lebesgue_weight_relaxed
+from oracles import weight_log_derivative
 
 
 def make(*pairs, strict=True):
