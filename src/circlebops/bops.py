@@ -198,18 +198,16 @@ def build_system(tbl: MomentTable, nmax: int) -> BopsSystem:
     if tbl.window < nmax + 1:
         raise WindowError(nmax + 1, tbl.window, f"build_system(N={nmax})")
     oracle, log = _recursion_levels(tbl, nmax)
-    levels = _gram_levels(tbl, nmax)
-    deviation = 0.0
-    for a, b in zip(levels, oracle):
-        scale = max(1.0, float(np.max(np.abs(a.c))), float(np.max(np.abs(a.cbar))))
-        deviation = max(
-            deviation,
-            float(np.max(np.abs(a.c - b.c))) / scale,
-            float(np.max(np.abs(a.cbar - b.cbar))) / scale,
-        )
+    system = BopsSystem(table=tbl, levels=_gram_levels(tbl, nmax), existence_log=log)
+    # (level, family, coefficient) of both routes, zero-padded
+    gram, rec = (np.stack([_coeff_matrix(s, "phi"), _coeff_matrix(s, "phibar")], axis=1)
+                 for s in (system, BopsSystem(table=tbl, levels=oracle)))
+    scale = np.fmax(1.0, np.abs(gram).max(axis=(1, 2)))
+    deviation = float(np.max(np.abs(gram - rec).max(axis=(1, 2)) / scale))
     if deviation > 1e-8:
         raise ConsistencyError("Gram levels and reflection recursion disagree", deviation, 1e-8)
-    return BopsSystem(table=tbl, levels=levels, existence_log=log, cross_check_deviation=deviation)
+    system.cross_check_deviation = deviation
+    return system
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def cmd_build(args: argparse.Namespace, weight, table, out: Path):
         ],
     }
     dump_json(payload, out / "system.json")
-    dump_json(report.to_dict(), out / "identity_report.json")
+    dump_json(report, out / "identity_report.json")
     return [report]
 
 
@@ -203,8 +203,8 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
         ["n", "z_re", "z_im", "eps_re", "eps_im", "epsstar_re", "epsstar_im"],
         rows,
     )
-    dump_json(report.to_dict(), out / "assoc_report.json")
-    dump_json(exp.to_dict(), out / "assoc_expansions.json")
+    dump_json(report, out / "assoc_report.json")
+    dump_json(exp, out / "assoc_expansions.json")
     return [report, exp]
 
 
@@ -254,7 +254,7 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path):
     merged = IdentityReport("coefficient-function identity web")
     for r in reports:
         merged.extend(r)
-    dump_json(merged.to_dict(), out / "coeffs_report.json")
+    dump_json(merged, out / "coeffs_report.json")
     return [merged]
 
 
@@ -263,7 +263,7 @@ def cmd_rhp(args: argparse.Namespace, weight, bundle, out: Path):
         bundle.sys, bundle.asys, bundle.wfun(), range(1, min(args.n, bundle.sys.nmax - 2) + 1),
         np.linspace(0.05, 2.0 * np.pi, 24), weight=weight, tol=1e-5 * args.tol,
     )
-    dump_json(report.to_dict(), out / "rhp_report.json")
+    dump_json(report, out / "rhp_report.json")
     return [report]
 
 
@@ -339,7 +339,7 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
         for entry in ("11", "12", "21", "22"):
             header.extend([f"a{j + 1}_{entry}_re", f"a{j + 1}_{entry}_im"])
     _write_csv(out / "flow.csv", header, rows)
-    dump_json(report.to_dict(), out / "deform_report.json")
+    dump_json(report, out / "deform_report.json")
     return [report]
 
 
@@ -357,7 +357,7 @@ def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
             1e-6 * args.tol,
             n=n,
         )
-    dump_json(report.to_dict(), out / "heine_report.json")
+    dump_json(report, out / "heine_report.json")
     return [report]
 
 
@@ -374,7 +374,7 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
             bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, range(1, args.n + 1),
             [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j], tol_scale=args.tol,
         )
-        dump_json(matrix.to_dict(), out / "matrix_report.json")
+        dump_json(matrix, out / "matrix_report.json")
         reports.append(matrix)
     reports += cmd_rhp(args, weight, bundle, out)
     summary = {

@@ -46,9 +46,14 @@ class IdentityEntry:
 
 @dataclass
 class IdentityReport:
+    """Entries stored as six columns, one per IdentityEntry field in its
+    order (name, anchor, residual, tol, n, where): row k is entry k."""
+
     title: str
-    entries: list[IdentityEntry] = field(default_factory=list)
     notes: dict[str, Any] = field(default_factory=dict)
+    _cols: tuple[list, ...] = field(
+        default_factory=lambda: ([], [], [], [], [], []), init=False, repr=False
+    )
 
     def add(
         self,
@@ -58,10 +63,9 @@ class IdentityReport:
         tol: float,
         n: int | None = None,
         where: str | None = None,
-    ) -> IdentityEntry:
-        entry = IdentityEntry(name, anchor, float(residual), float(tol), n, where)
-        self.entries.append(entry)
-        return entry
+    ) -> None:
+        for col, value in zip(self._cols, (name, anchor, float(residual), float(tol), n, where)):
+            col.append(value)
 
     def add_rows(self, families, tol, ns, wheres=None) -> None:
         """Entries of row families, row by row and in each row family by
@@ -70,45 +74,58 @@ class IdentityReport:
         in one rel_residuals call.  Row k is labelled n = ns[k] and
         where = wheres[k] (no where without ``wheres``); ``tol`` is the gate
         of every family or a sequence of one gate per family."""
-        res = [rel_residuals(mismatch, *terms) for _, _, mismatch, *terms in families]
-        tols = np.broadcast_to(tol, len(families)).tolist()
-        for k, n in enumerate(ns):
-            where = None if wheres is None else wheres[k]
-            for (name, anchor, *_), r, gate in zip(families, res, tols):
-                self.add(name, anchor, r[k], gate, n=n, where=where)
+        res = np.stack([rel_residuals(mismatch, *terms) for _, _, mismatch, *terms in families], 1)
+        rows, width = res.shape
+        row = [k for k in range(rows) for _ in range(width)]  # the row of each entry
+        wheres = [None] * rows if wheres is None else wheres
+        names, anchors, *_ = zip(*families)
+        block = (names * rows, anchors * rows, res.ravel().tolist(),
+                 np.full(width, tol, dtype=float).tolist() * rows,
+                 [ns[k] for k in row], [wheres[k] for k in row])
+        for col, more in zip(self._cols, block):
+            col.extend(more)
 
     def extend(self, other: "IdentityReport") -> None:
-        self.entries.extend(other.entries)
+        for col, more in zip(self._cols, other._cols):
+            col.extend(more)
+
+    @property
+    def entries(self) -> tuple[IdentityEntry, ...]:
+        """The entries as records, built on each read."""
+        return tuple(map(IdentityEntry, *self._cols))
+
+    def _ok(self) -> np.ndarray:
+        """Whether each row passes; a NaN residual fails."""
+        return np.less_equal(self._cols[2], self._cols[3])
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return bool(self._ok().all())
 
     @property
     def max_residual(self) -> float:
         """Largest residual (0 with no entries), NaN when any residual is NaN."""
-        residuals = [e.residual for e in self.entries]
+        residuals = self._cols[2]
         return float(np.max(residuals)) if residuals else 0.0
 
     def failures(self) -> list[IdentityEntry]:
-        return [e for e in self.entries if not e.passed]
+        return [IdentityEntry(*(col[k] for col in self._cols))
+                for k in np.flatnonzero(~self._ok()).tolist()]
 
     def max_by_name(self) -> dict[str, float]:
         """Largest residual of each identity name, NaN propagating."""
-        groups: dict[str, list[float]] = {}
-        for e in self.entries:
-            groups.setdefault(e.name, []).append(e.residual)
-        return {name: float(np.max(res, initial=0.0)) for name, res in groups.items()}
+        names, residuals = self._cols[0], self._cols[2]
+        index = {name: k for k, name in enumerate(dict.fromkeys(names))}
+        rows = np.equal.outer([index[name] for name in names], range(len(index)))
+        out = np.where(rows, np.array(residuals)[:, None], 0.0).max(axis=0, initial=0.0)
+        return dict(zip(index, out.tolist()))
+
+    def _members(self, entries) -> dict[str, Any]:
+        return {"schema": SCHEMA, "title": self.title, "passed": self.passed,
+                "max_residual": self.max_residual, "entries": entries, "notes": self.notes}
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "title": self.title,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "entries": [e.to_dict() for e in self.entries],
-            "notes": self.notes,
-        }
+        return self._members([e.to_dict() for e in self.entries])
 
 
 def equation(name: str, anchor: str, lhs, rhs) -> tuple:
@@ -117,15 +134,23 @@ def equation(name: str, anchor: str, lhs, rhs) -> tuple:
     return (name, anchor, np.subtract(lhs, rhs), lhs, rhs)
 
 
-def dump_json(payload: dict[str, Any], path) -> None:
+class _Text(str):
+    """A member already written as JSON."""
+
+
+def dump_json(payload: dict[str, Any] | IdentityReport, path) -> None:
     """Sorted-key JSON, one member per line at the top two levels: each key
     of the top object, then each element or key of a list or object under
     it (``entries``, ``levels``, ``suites``, ``notes``), so every identity
     entry is one line.  Each line is one call of json's C encoder, which
-    json gives up for the pure-Python one whenever ``indent`` is set."""
+    json gives up for the pure-Python one whenever ``indent`` is set; an
+    IdentityReport's entry lines are written from its columns in bulk, as
+    its to_dict() would be."""
     encode = json.JSONEncoder(sort_keys=True).encode
 
     def block(value, depth: int) -> str:
+        if isinstance(value, _Text):
+            return value
         if depth == 2 or not isinstance(value, (dict, list, tuple)) or not value:
             return encode(value)
         pad = "\n" + "  " * (depth + 1)
@@ -136,5 +161,22 @@ def dump_json(payload: dict[str, Any], path) -> None:
                    for k, v in sorted(value.items()))
         return "{" + ",".join(pad + m for m in members) + pad[:-2] + "}"
 
+    if isinstance(payload, IdentityReport):
+        # one encoder call per column of numbers, split on its ", " (NaN and
+        # Infinity as json writes them); the (anchor, n, name) head and the
+        # where tail of an entry's line are written once a value
+        names, anchors, residuals, tols, ns, wheres = payload._cols
+        quote = json.encoder.encode_basestring_ascii  # json's writer of a str
+        keys = list(zip(anchors, ns, names))
+        heads = {(anchor, n, name): '{"anchor": %s, %s"name": %s, "passed": ' % (
+                     quote(anchor), "" if n is None else '"n": %d, ' % n, quote(name))
+                 for anchor, n, name in set(keys)}
+        tails = {w: "}" if w is None else ', "where": %s}' % quote(w) for w in set(wheres)}
+        flags = [("false", "true")[ok] for ok in payload._ok().tolist()]
+        res, tol = (json.dumps(col)[1:-1].split(", ") for col in (residuals, tols))
+        lines = ['%s%s, "residual": %s, "tol": %s%s' % (heads[key], flag, r, t, tails[w])
+                 for key, flag, r, t, w in zip(keys, flags, res, tol, wheres)]
+        entries = "[\n    " + ",\n    ".join(lines) + "\n  ]"
+        payload = payload._members(_Text(entries) if lines else [])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(block(payload, 0) + "\n")

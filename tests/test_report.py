@@ -5,10 +5,14 @@ bytes that repeat."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from circlebops import cli
+from circlebops.numerics import rel_residuals
 from circlebops.report import SCHEMA, IdentityReport, dump_json
+
+from conftest import COMPLEX_M4_SPEC, STRICT_SPEC
 
 
 def nan_report() -> IdentityReport:
@@ -134,3 +138,106 @@ class TestWriter:
         notes = [line.strip() for line in lines if line.startswith('    "')]
         assert notes[:2] == ['"empty_dict": {},', '"empty_list": [],']
         assert '"levels": {"0": {"kappa": [1.0, -0.0], "log": []}, ' in notes[3]
+
+
+# mismatch rows of the two row families in rows_report
+FIRST = np.array([[1e-12, 0.0], [np.nan, 1.0], [3e-10, np.inf]])
+OTHER = np.array([[2e-7, 1e-9], [4e-2, 0.0], [1e-8, 3e-7]])
+
+
+def rows_report() -> IdentityReport:
+    """Two row families over three rows, each with a gate of its own (NaN and
+    infinite residuals in the first), merged after a one-entry report."""
+    rep = IdentityReport("one entry")
+    rep.add("lone", "a lone entry", 2.0, 1.0)
+    rows = IdentityReport("rows")
+    rows.add_rows(
+        [("x", "first family", FIRST, np.ones((3, 2))),
+         ("y", "κ family", OTHER, [2.0, 1e4, 3.0])],
+        [1e-9, 1e-6], [0, 1, 2], ["z_1", "z_2", "z_1"],
+    )
+    rows.add_rows([("x", "first family", FIRST[:2, 0])], 1e-9, [5, 6])
+    rep.extend(rows)
+    return rep
+
+
+def rows_report_by_add() -> IdentityReport:
+    """rows_report built one entry at a time with add: row by row, and in a
+    row family by family."""
+    rep = IdentityReport("one entry")
+    rep.add("lone", "a lone entry", 2.0, 1.0)
+    x = rel_residuals(FIRST, np.ones((3, 2)))
+    y = rel_residuals(OTHER, [2.0, 1e4, 3.0])
+    for k, where in enumerate(["z_1", "z_2", "z_1"]):
+        rep.add("x", "first family", x[k], 1e-9, n=k, where=where)
+        rep.add("y", "κ family", y[k], 1e-6, n=k, where=where)
+    for k, r in enumerate(rel_residuals(FIRST[:2, 0])):
+        rep.add("x", "first family", r, 1e-9, n=5 + k)
+    return rep
+
+
+def records(entries) -> list[tuple]:
+    return [(e.name, e.anchor, e.n, e.where, e.tol.hex(), e.residual.hex(), e.passed)
+            for e in entries]
+
+
+def same_bytes(rep: IdentityReport, tmp_path) -> bool:
+    """The report written from its columns and from its to_dict()."""
+    dump_json(rep, tmp_path / "columns.json")
+    dump_json(rep.to_dict(), tmp_path / "dict.json")
+    return (tmp_path / "columns.json").read_bytes() == (tmp_path / "dict.json").read_bytes()
+
+
+class TestColumns:
+    def test_rows_match_entries_added_one_by_one(self):
+        rep, ref = rows_report(), rows_report_by_add()
+        assert len(rep.entries) == 9
+        assert records(rep.entries) == records(ref.entries)
+        assert records(rep.failures()) == records(ref.failures())
+        assert [e.name for e in rep.failures()] == ["lone", "x", "y", "x", "x"]
+        assert same(rep.max_by_name(), ref.max_by_name())
+        assert list(rep.max_by_name()) == ["lone", "x", "y"]
+        assert math.isnan(rep.max_by_name()["x"]) and rep.max_by_name()["y"] == 4e-6
+        assert not rep.passed and math.isnan(rep.max_residual)
+
+    def test_entries_are_read_only_records(self):
+        rep = rows_report()
+        assert isinstance(rep.entries, tuple)
+        assert rep.entries[0].to_dict() == {
+            "name": "lone", "anchor": "a lone entry", "residual": 2.0, "tol": 1.0, "passed": False,
+        }
+
+    def test_empty_report(self):
+        rep = IdentityReport("empty")
+        assert rep.passed and rep.entries == () and rep.failures() == []
+
+
+class TestBulkWriter:
+    def test_synthetic_reports(self, tmp_path):
+        rep = rows_report()
+        rep.add("signs", "an anchor with \"quotes\"", -math.inf, math.inf, n=None, where=None)
+        rep.notes = {"levels": {"0": [1.0, math.nan]}, "text": "ünïcode"}
+        assert same_bytes(rep, tmp_path)
+        text = (tmp_path / "columns.json").read_text(encoding="utf-8")
+        assert "NaN" in text and "-Infinity" in text and "\\u03ba family" in text
+        assert same_bytes(IdentityReport("no entries"), tmp_path)
+        assert '"entries": [],' in (tmp_path / "columns.json").read_text(encoding="utf-8")
+        assert same_bytes(nan_report(), tmp_path)
+
+    @pytest.mark.parametrize("spec", [STRICT_SPEC, COMPLEX_M4_SPEC], ids=["flagship", "complex_m4"])
+    def test_every_verify_all_report(self, tmp_path, monkeypatch, spec):
+        reports = []
+
+        def keep(payload, path):
+            if isinstance(payload, IdentityReport):
+                reports.append(payload)
+            dump_json(payload, path)
+
+        weight = tmp_path / "w.json"
+        weight.write_text(json.dumps(spec), encoding="utf-8")
+        monkeypatch.setattr(cli, "dump_json", keep)
+        argv = ["verify-all", "--weight", str(weight), "--n", "4", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        assert len(reports) == 6
+        for rep in reports:
+            assert same_bytes(rep, tmp_path), rep.title
