@@ -1,33 +1,39 @@
 """Associated polynomials psi_n, psi*_n and associated functions
 eps_n = psi_n + F phi_n, eps*_n = psi*_n - F phi*_n.
 
-psi_n is obtained as an exact moment convolution: expanding
-(zeta + z)/(zeta - z) * [phi_n(zeta) - phi_n(z)] in powers of z with Laurent
-polynomial coefficients in zeta and integrating term by term against the
-weight gives
+psi_n is an exact moment convolution: integrating
+(zeta + z)/(zeta - z) [phi_n(zeta) - phi_n(z)] term by term against the
+weight gives order i of psi_n, and of psi*_n reversed (z^n psi*_n(1/z)), as
 
-    psi_n(z)  = sum_{j>=1} c_{n,j}    sum_{a=0}^{j-1} (w_{-a-1} z^{j-1-a} + w_{-a} z^{j-a}),
-    psi*_n(z) = sum_{j>=1} cbar_{n,j} sum_{a=0}^{j-1} (w_{j-a-1} z^{n-a-1} + w_{j-a} z^{n-a}),
+    sum_{j>i} c_{n,j} w_{i-j}     + [i >= 1] sum_{j>=i} c_{n,j} w_{i-j},
+    sum_{j>i} cbar_{n,j} w_{j-i}  + [i >= 1] sum_{j>=i} cbar_{n,j} w_{j-i},
 
-with psi_0 = psi*_0 = 1/kappa_0.  The singular kernel never has to be
+with psi_0 = psi*_0 = 1/kappa_0: one product of all levels' coefficients
+with the masked moment block each.  The singular kernel is never
 quadratured, which keeps psi_n a certified polynomial.
 
-The eps evaluators use the two-sided moment series for F and refuse the
-near-circle band unless a side is forced; both analytic elements extend into
-the annulus of the weight, which the Riemann-Hilbert jump check in `lax`
-exploits.  The same series give the exact derivatives
-(`AssocSystem.evaluate_with_derivative`) and the exact expansions of eps_n
-and eps*_n at 0 and at infinity (`AssocSystem.eps_taylor`), from which
-`verify_expansions` reads its Laurent coefficients.
+eps_n and eps*_n have one construction, their exact series: orders 0..K
+(K the moment window) at 0, and of z^-n eps_n, z^-n eps*_n in u = 1/z, from
+one product per side of F's series Toeplitz matrix with the phi columns
+(`eps_taylor` slices it).  A point's value is read off the band of its
+side's series that does not vanish identically, so psi_n and F phi_n,
+which cancel inside the circle, are never formed at a point:
 
-`evaluate` and `evaluate_with_derivative` give every level at once, from
-one Horner pass over the zero-padded coefficients of all levels and one
-evaluation of F (and F'); each row is the level's own Horner value bit for
-bit.  A caller evaluates each point set once and indexes the levels: one
-`verify-all --n 4` makes 10 such calls and 12 of F or F'.  A point's
-values are the same bit for bit alone or inside an array.  The identity
-web checks in rows: each family over all its levels at once, one row a
-level (`IdentityReport.add_rows`).
+    inside:  eps_n = z^n B(z),  eps*_n = z^(n+1) B*(z),
+    outside: eps_n = u B(u),    eps*_n = B*(u),
+
+with exact derivatives from polyder of the same bands.  Both series extend
+into the weight's annulus, which the jump check in `lax` uses with a forced
+side; without one, a point within NEAR_CIRCLE of the circle is refused.
+Every level comes at once, from one Horner pass per side over the
+zero-padded bands; each row is the level's own Horner value bit for bit,
+and a point's values are the same alone or inside an array.  The identity
+web checks in rows, one row a level (`IdentityReport.add_rows`).
+
+Level ceiling: none of its own.  Against a 50-digit solve from the same
+moments the values are within 1e-13 relative at n = 8, 14, 20 and 22 on the
+flagship weight.  The orders that vanish carry the round-off of psi_n's
+coefficients, which sets the Riemann-Hilbert ceiling in `lax`.
 """
 
 from __future__ import annotations
@@ -37,12 +43,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .bops import BopsSystem
+from .bops import BopsSystem, _level_matrices
 from .config import IDENTITY_TOL
-from .errors import WindowError
+from .errors import NearCircleError
 from .moments import CaratheodoryEvaluator
-from .numerics import column, polyadd, polyder, polymul, polyval
+from .numerics import column, polyder, polyval
 from .report import IdentityReport, equation
+
+# A point within NEAR_CIRCLE of |z| = 1 is refused unless a side is forced.
+NEAR_CIRCLE = 1e-3
 
 
 class AssocSystem:
@@ -51,65 +60,106 @@ class AssocSystem:
     def __init__(self, sys: BopsSystem):
         self.sys = sys
         self.F = CaratheodoryEvaluator(sys.table)
-        self._psi: dict[int, np.ndarray] = {}
-        self._psistar: dict[int, np.ndarray] = {}
 
     def psi(self, n: int) -> np.ndarray:
-        if n not in self._psi:
-            self._psi[n] = _psi_coeffs(self.sys, n)
-        return self._psi[n]
+        self.sys.table.require(n + 1, f"psi_{n}")
+        return self._stack[: n + 1, 2, n]
 
     def psistar(self, n: int) -> np.ndarray:
-        if n not in self._psistar:
-            self._psistar[n] = _psistar_coeffs(self.sys, n)
-        return self._psistar[n]
+        self.sys.table.require(n + 1, f"psistar_{n}")
+        return self._stack[: n + 1, 3, n]
 
     @cached_property
     def _stack(self) -> np.ndarray:
         """Ascending coefficients of phi_n, phi*_n, psi_n, psi*_n of every
         level n = 0..N, zero-padded to N+1: shape (N+1, 4, N+1), entry
-        [k, j, n] the coefficient of z^k of polynomial j at level n.  Each
-        column is filled by assignment: polyadd would turn -0 into +0."""
-        size = self.sys.nmax + 1
-        out = np.zeros((size, 4, size), dtype=complex)
-        for n, lev in enumerate(self.sys.levels):
-            for j, coeffs in enumerate((lev.c, lev.cbar[::-1], self.psi(n), self.psistar(n))):
-                out[: n + 1, j, n] = coeffs
-        return out
+        [k, j, n] the coefficient of z^k of polynomial j at level n.  psi and
+        psi* reversed are one product each (see the module docstring)."""
+        mats = _level_matrices(self.sys, ("phi", "phistar", "phibar"))
+        block = mats["block"]  # block[j, i] = w_{i-j}
+        j, i = np.indices(block.shape)  # coefficient j, order i
+        mask = (j > i) * 1 + (i >= 1) * (j >= i)  # an int: True + True is True
+        psi = mats["phi"] @ (block * mask)
+        psistar = mats["phibar"] @ (block.T * mask)
+        psi[0, 0] = psistar[0, 0] = 1.0 / self.sys.kappa(0)
+        stack = np.stack([mats["phi"], mats["phistar"], psi, psistar], axis=1).T
+        stack[:, 3:] = _reversed(stack[:, 3:])
+        return stack
+
+    @cached_property
+    def _series(self) -> np.ndarray:
+        """Orders 0..K of eps_n, eps*_n at 0 (side 0) and of z^-n eps_n,
+        z^-n eps*_n in u = 1/z (side 1) for every level: shape
+        (2, K+1, 2, N+1), entry [side, k, star, n].  At infinity each
+        polynomial is reversed (z^-n p(z) is p reversed in u for degree n) and
+        F is its outside series."""
+        window, size = self.sys.table.window, self.sys.nmax + 1
+        k, j = np.indices((window + 1, size))
+        sign = np.array([1.0, -1.0])[:, None]
+        sides = []
+        for side, stack in (("inside", self._stack), ("outside", _reversed(self._stack))):
+            f = self.F.series(window + 1, side)
+            lower = np.where(k >= j, f[k - j], 0.0)
+            series = sign * (lower @ stack[:, :2].reshape(size, -1)).reshape(-1, 2, size)
+            series[:size] += stack[:, 2:]
+            sides.append(series)
+        return np.stack(sides)
+
+    @cached_property
+    def _bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each level's band that does not vanish identically, zero-padded,
+        per side, shaped (K+1, 2, N+1) like a side of ``_series``: inside,
+        orders n.. of eps_n and n+1.. of eps*_n in z; outside, orders n+1..
+        of z^-n eps_n and n.. of z^-n eps*_n, moved down by n to the series
+        of eps_n and eps*_n in u."""
+        inside, outside = self._series
+        k, n = np.indices((len(inside), inside.shape[-1]))
+        top = len(inside) - 1
+        inside = np.where(np.stack([k >= n, k > n], axis=1), inside, 0.0)
+        shifted = np.take_along_axis(outside, np.minimum(k + n, top)[:, None], axis=0)
+        keep = np.stack([(k >= 1) & (k + n <= top), k + n <= top], axis=1)
+        return inside, np.where(keep, shifted, 0.0)
+
+    @cached_property
+    def _derivatives(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """polyder of the phi columns of ``_stack`` and of each side's band."""
+        return polyder(self._stack[:, :2]), tuple(polyder(band) for band in self._bands)
+
+    def _values(self, z: np.ndarray, inside: np.ndarray, derivative: bool = False):
+        """phi, phi*, eps and eps* of every level at the flat points z (their
+        d/dz with ``derivative``, d/dz = -u^2 d/du outside), each eps read off
+        its point's side; a side with no points is not summed."""
+        phis, bands = self._derivatives if derivative else (self._stack[:, :2], self._bands)
+        eps = np.empty((2, self.sys.nmax + 1, z.size), dtype=complex)
+        if inside.any():
+            eps[..., inside] = polyval(bands[0], z[inside])
+        if not inside.all():
+            outer = z[~inside]
+            values = polyval(bands[1], 1.0 / outer)
+            eps[..., ~inside] = -values / outer**2 if derivative else values
+        return (*polyval(phis, z), *eps)
 
     def evaluate(self, z, side: str | None = None):
         """(phi, phi*, eps, eps*) of every level n = 0..N over an array z of
         any shape (a scalar is a 0-d array), each of shape (N+1, *z.shape)
-        with row n the level n: one Horner pass over the zero-padded stack
-        of phi_n, phi*_n, psi_n, psi*_n and one evaluation of F.  Leading
-        zeros leave Horner's steps unchanged, so row n is the level's own
-        Horner value bit for bit, and each value at a point is the same
-        whether the point comes alone or inside an array."""
+        with row n the level n: one Horner pass over the zero-padded phi
+        columns and one per side over the bands.  Leading zeros leave
+        Horner's steps unchanged, so row n is the level's own Horner value
+        bit for bit, and each value at a point is the same whether the point
+        comes alone or inside an array."""
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        phi, phistar, psi, psistar = polyval(self._stack, flat)
-        f = self.F(flat, side=side)
-        return _shaped(zs.shape, phi, phistar, psi + f * phi, psistar - f * phistar)
+        return _shaped(zs.shape, *self._values(flat, _inside(flat, side)))
 
     def evaluate_with_derivative(self, z, side: str | None = None):
         """`evaluate`'s (phi, phi*, eps, eps*), bit for bit, and their exact
-        derivatives (phi', phi*', eps', eps*'), shaped alike, from one Horner
-        pass each over the stack and its polyder and one evaluation each of F
-        and F': eps'_n = psi'_n + F' phi_n + F phi'_n and eps*'_n = psi*'_n -
-        F' phi*_n - F phi*'_n, with F' from the same moment series as F."""
+        derivatives (phi', phi*', eps', eps*'), shaped alike, from the same
+        Horner passes over the polyder of each stack."""
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        phi, phistar, psi, psistar = polyval(self._stack, flat)
-        dphi, dphistar, dpsi, dpsistar = polyval(polyder(self._stack), flat)
-        f, df = self.F(flat, side=side), self.F(flat, side=side, derivative=True)
-        values = _shaped(zs.shape, phi, phistar, psi + f * phi, psistar - f * phistar)
-        return values, _shaped(
-            zs.shape,
-            dphi,
-            dphistar,
-            dpsi + df * phi + f * dphi,
-            dpsistar - df * phistar - f * dphistar,
-        )
+        inside = _inside(flat, side)
+        derivatives = self._values(flat, inside, derivative=True)
+        return _shaped(zs.shape, *self._values(flat, inside)), _shaped(zs.shape, *derivatives)
 
     def eps_taylor(
         self, n: int, count: int, star: bool = False, at_infinity: bool = False
@@ -117,18 +167,35 @@ class AssocSystem:
         """Orders 0..count-1 of the expansion of eps_n (eps*_n with ``star``),
         exact up to the moment window: its Taylor series at 0, or with
         ``at_infinity`` the Taylor series of z^-n eps_n in u = 1/z, whose
-        order k is the coefficient of z^(n-k).  At infinity each polynomial
-        is reversed (z^-n p(z) is p reversed in u for degree n) and F is
-        its outside series."""
-        lev = self.sys.level(n)
-        if star:
-            psi, phi, sign = self.psistar(n), lev.cbar[::-1], -1.0
-        else:
-            psi, phi, sign = self.psi(n), lev.c, 1.0
-        if at_infinity:
-            psi, phi = psi[::-1], phi[::-1]
-        f = self.F.series(count, side="outside" if at_infinity else "inside")
-        return polyadd(np.zeros(count), psi, sign * polymul(f, phi))[:count]
+        order k is the coefficient of z^(n-k)."""
+        self.sys.table.require(count - 1, f"F series to order {count - 1}")
+        return self._series[int(at_infinity), :count, int(star), n]
+
+
+def _inside(zs: np.ndarray, side: str | None) -> np.ndarray:
+    """Mask of the points read off the inside series: every point or none
+    with a forced side, else those inside the circle; raises for the first
+    point within the near-circle band."""
+    if side is not None:
+        if side not in ("inside", "outside"):
+            raise ValueError("side must be 'inside' or 'outside'")
+        return np.full(zs.shape, side == "inside")
+    r = np.abs(zs)
+    near = np.abs(r - 1.0) < NEAR_CIRCLE
+    if near.any():
+        raise NearCircleError(
+            f"|z| = {float(r[near].flat[0])} is within {NEAR_CIRCLE} of "
+            "the unit circle; force side='inside' or side='outside'"
+        )
+    return r < 1.0
+
+
+def _reversed(stack: np.ndarray) -> np.ndarray:
+    """Each level's polynomials reversed in its degree n, z^n p(1/z): order
+    k of level n takes order n - k, for a stack (orders, columns, levels)."""
+    k, n = np.indices((len(stack), stack.shape[-1]))
+    flipped = np.take_along_axis(stack, np.abs(n - k)[:, None], axis=0)
+    return np.where((k <= n)[:, None], flipped, 0.0)
 
 
 def _shaped(shape, *values):
@@ -137,36 +204,6 @@ def _shaped(shape, *values):
     arrays: on numpy scalars (a 0-d point) a complex product rounds
     differently from numpy's array loop."""
     return tuple(v.reshape(v.shape[:1] + shape) for v in values)
-
-
-def _psi_coeffs(sys: BopsSystem, n: int) -> np.ndarray:
-    tbl = sys.table
-    if tbl.window < n + 1:
-        raise WindowError(n + 1, tbl.window, f"psi_{n}")
-    if n == 0:
-        return np.array([1.0 / sys.kappa(0)], dtype=complex)
-    c = sys.level(n).c
-    out = np.zeros(n + 1, dtype=complex)
-    for j in range(1, n + 1):
-        for a in range(j):
-            out[j - 1 - a] += c[j] * tbl.moment(-a - 1)
-            out[j - a] += c[j] * tbl.moment(-a)
-    return out
-
-
-def _psistar_coeffs(sys: BopsSystem, n: int) -> np.ndarray:
-    tbl = sys.table
-    if tbl.window < n + 1:
-        raise WindowError(n + 1, tbl.window, f"psistar_{n}")
-    if n == 0:
-        return np.array([1.0 / sys.kappa(0)], dtype=complex)
-    cbar = sys.level(n).cbar
-    out = np.zeros(n + 1, dtype=complex)
-    for j in range(1, n + 1):
-        for a in range(j):
-            out[n - a - 1] += cbar[j] * tbl.moment(j - a - 1)
-            out[n - a] += cbar[j] * tbl.moment(j - a)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ bilinear relation web these functions satisfy, including the
 discrete-Painleve ratio recurrence, and the four derivative relations
 above.  Those take phi', phi*', eps' and eps*' exact from
 `AssocSystem.evaluate_with_derivative` and hold to the identity tolerance;
-they stay independent of the band reads because they test each relation
-pointwise, at sample points inside and outside the circle, on both elements
-of F.
+they stay independent of the quadruples' band reads because they test each
+relation pointwise, at sample points inside and outside the circle, on both
+sides' eps series.
 Each suite evaluates a quadruple once per point set, in one Horner pass over
 its four members (`CoeffQuad.evaluate`, the only reader of its values), and
 indexes those values.  Every suite checks in rows: the linear relations,
@@ -38,7 +38,9 @@ entries run point by point across the levels, so it writes them itself.
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 15, where the spectral derivative
 relations read at most 1.0e-10 against 1e-9; at --n 16 bilinear_d at z_2
-and z_3 reads 1.8e-6 and 1.3e-6 against 1e-6.  `verify-all` passes
+and z_3 reads 1.8e-6 and 1.3e-6 against 1e-6.  The inside-complex weight
+stops at the same entry (passes 15, 1.9e-6 at 16), the complex m = 4 weight
+at trace_reduction (passes 18, 1.3e-9 at 19).  `verify-all` passes
 through --n 7; at --n 8 it is stopped by the matrix system in lax
 (transfer_compatibility 3.3e-9 against 1e-9), not by this module.
 """

@@ -516,15 +516,17 @@ def flow_invariants(flow: np.ndarray, exponents, n: int) -> dict[str, float]:
     """Trace conservation, rank-one persistence and the local monodromy along
     a packed flow at level n.  ``monodromy_gap`` is the largest departure,
     over every state and block, of (tr A_nj, det A_nj) from (-rho_j, 0),
-    with n - rho_0 in place of -rho_0 for the origin block (the first one)."""
+    with n - rho_0 in place of -rho_0 for the origin block (the first one);
+    its moduli are taken by hypot, as Python's abs takes them."""
     m = len(exponents)
     a = flow[:, : 4 * m].reshape(len(flow), m, 2, 2)
     traces = np.trace(a, axis1=2, axis2=3)
-    dets = np.abs(np.linalg.det(a))
+    dets = np.linalg.det(a)
     closed = -np.asarray(exponents, dtype=complex)
     closed[0] += n
+    gaps = np.stack([traces - closed, dets])
     return {
         "trace_drift": float(np.max(np.abs(traces - traces[0]))),
-        "det_max": float(np.max(dets)),
-        "monodromy_gap": float(max(np.max(np.abs(traces - closed)), np.max(dets))),
+        "det_max": float(np.max(np.abs(dets))),
+        "monodromy_gap": float(np.max(np.hypot(gaps.real, gaps.imag))),
     }

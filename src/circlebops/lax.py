@@ -18,16 +18,15 @@ array) and returns the stack of matrices, of shape z.shape + (2, 2);
 `normalized_solution` also takes an array of levels and stacks them first.
 `verify_matrix_system` and `rhp_jump_check` take a range of levels, write
 their entries level by level, and evaluate each point set once for all
-levels (7 `AssocSystem` calls per `verify-all --n 4`).  The derivative
-checks in `verify_matrix_system` differentiate the assembled matrices
-exactly: phi_n, phi*_n and eps_n, eps*_n through `evaluate_with_derivative`
-(polynomials and the moment series of F), eps/w through W w' = 2 V w, and
-K'_n as the constant z-coefficient of K_n.  They stay independent of the
-coefficient-function construction, which reads each quadruple as a band of
-the Taylor series at 0 or at infinity: these checks test the whole matrix
-identity pointwise at the given sample points, each with the element of F
-on its own side of the circle.  Each quadruple is evaluated once per point
-set (`CoeffQuad.evaluate`).  Every check is a row family of
+levels.  The derivative checks in `verify_matrix_system` differentiate the
+assembled matrices exactly: phi_n, phi*_n and eps_n, eps*_n through
+`evaluate_with_derivative` (polynomials and the bands of the exact eps
+series), eps/w through W w' = 2 V w, and K'_n as the constant z-coefficient
+of K_n.  They stay independent of the coefficient-function construction,
+which reads each quadruple as a band of the Taylor series at 0 or at
+infinity: these checks test the whole matrix identity pointwise at the
+given sample points, each with the eps series of its own side of the
+circle.  Each quadruple is evaluated once per point set (`CoeffQuad.evaluate`).  Every check is a row family of
 `IdentityReport.add_rows`: a per-point check has one row a sample point,
 the residue checks one row a singular point, and the transfer determinant
 and the summation identities one row at their level, since each level's
@@ -42,11 +41,13 @@ weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
 passes at the identity tolerance 1e-9 through n = 7.
 transfer_compatibility is scaled by its O(1) result, while A_{n+1} K_n and
 K_n A_n cancel from about 5.7e4 at n = 10; on the flagship it reads
-9.0e-12 at n = 5, 5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail (6.0e-9 on
+9.0e-12 at n = 5, 5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail (5.9e-9 on
 the m = 4 weight).  xstar_derivative_system grows the same way (3.5e-11 at
 n = 5, 7.9e-9 at n = 10).  The Riemann-Hilbert suite passes the flagship
-through n = 19: its worst order entry reads 3.7e-12 at n = 14, and at
-n = 20 rhp_determinant reads 1.5e-9.
+through n = 22 (19 on the complex m = 4 weight): at n = 23
+rhp_order_12_at_zero reads 1.9e-9, since the orders of eps_n below
+z^(n-1) vanish only to the round-off of psi_n's coefficients, which double
+with each level (3.6e7 at n = 23).
 """
 
 from __future__ import annotations

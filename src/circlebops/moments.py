@@ -23,16 +23,14 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import FIT_TOL, QUAD_POINTS
-from .errors import NearCircleError, NotSemiClassicalError, QuadratureError, WindowError
-from .numerics import polyadd, polyder, polymul, polyval, series_band
+from .errors import NotSemiClassicalError, QuadratureError, WindowError
+from .numerics import polyadd, polyder, polymul, series_band
 from .weight import SemiClassicalWeight, build_vw
 
 # Moment quadrature: the point count doubles until every retained moment
 # moves by less than QUAD_TOL, and never beyond QUAD_MAX_POINTS.
 QUAD_MAX_POINTS = 2**20
 QUAD_TOL = 1e-12
-# Series evaluation refuses | |z|-1 | < NEAR_CIRCLE without a forced side.
-NEAR_CIRCLE = 1e-3
 # The Heine oracle's tensor-product rule doubles from HEINE_START points to
 # at most HEINE_MAX, until successive values agree to HEINE_TOL.
 HEINE_START = 32
@@ -159,15 +157,10 @@ def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> complex:
 # ---------------------------------------------------------------------------
 
 class CaratheodoryEvaluator:
-    """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) via the
-    moment series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
-    outside.  F' is the derivative of the same series, -z^-2 (d/du series)(1/z)
-    outside.  Points with | |z| - 1 | below the near-circle band are refused
-    unless a side is forced (the two analytic elements both extend into the
-    annulus of the weight, which is what the jump checks rely on).  Each
-    call sums the series on its points; `AssocSystem` evaluates every level
-    in one call, and one `verify-all --n 4` makes 12 calls of F or F' on 10
-    distinct point sets (with their side and order)."""
+    """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) as its moment
+    series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
+    outside.  F is never summed at points: the associated functions and U
+    are read off products of these series (`assoc`, `recover_u`)."""
 
     def __init__(self, tbl: MomentTable):
         self.table = tbl
@@ -175,19 +168,6 @@ class CaratheodoryEvaluator:
         vals = tbl.values
         self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
         self._outside = np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))
-        self._derivative = (polyder(self._inside), polyder(self._outside))
-
-    def _inside_mask(self, zs: np.ndarray) -> np.ndarray:
-        """Mask of the points inside the circle; raises for the first point
-        within the near-circle band."""
-        r = np.abs(zs)
-        near = np.abs(r - 1.0) < NEAR_CIRCLE
-        if near.any():
-            raise NearCircleError(
-                f"|z| = {float(r[near].flat[0])} is within {NEAR_CIRCLE} of "
-                "the unit circle; force side='inside' or side='outside'"
-            )
-        return r < 1.0
 
     def series(self, count: int, side: str = "inside") -> np.ndarray:
         """The first ``count`` coefficients of F's expansion at z = 0 (inside,
@@ -196,30 +176,6 @@ class CaratheodoryEvaluator:
         if count > self.table.window + 1:
             raise WindowError(count - 1, self.table.window, f"F series to order {count - 1}")
         return (self._inside if side == "inside" else self._outside)[:count]
-
-    def __call__(self, z, side: str | None = None, derivative: bool = False):
-        """F (F' with ``derivative``) over an array z (a scalar is a 0-d
-        array).  Without a side each series is evaluated only on its own
-        points."""
-        zs = np.asarray(z, dtype=complex)
-        inner, outer = self._derivative if derivative else (self._inside, self._outside)
-
-        def outside(z):
-            values = polyval(outer, 1.0 / z)
-            return -values / z**2 if derivative else values
-
-        if side == "inside":
-            out = polyval(inner, zs)
-        elif side == "outside":
-            out = outside(zs)
-        elif side is not None:
-            raise ValueError("side must be 'inside' or 'outside'")
-        else:
-            inside = self._inside_mask(zs)
-            out = np.empty(zs.shape, dtype=complex)
-            out[inside] = polyval(inner, zs[inside])
-            out[~inside] = outside(zs[~inside])
-        return np.asarray(out)[()]
 
 
 # ---------------------------------------------------------------------------

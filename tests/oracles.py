@@ -17,7 +17,12 @@ bit.
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
 representations of phi_n, phi*_n, eps_n and eps*_n from Toeplitz
-determinants of shifted or Cauchy-modified weights.
+determinants of shifted or Cauchy-modified weights.  F summed at points
+from its moment series, and eps_n = psi_n + F phi_n, eps*_n = psi*_n -
+F phi*_n formed at points from it: the point route the exact series replace,
+accurate where psi_n and F phi_n do not cancel (small n, |z| away from 0).
+The same route at 50 digits with mpmath, from the engine's own moments, is
+the reference that sees the cancellation.
 
 Row oracles: the one-row relative residual ``rel_residual`` and the
 per-level loops of the associated-function, linear-relation and spectral
@@ -31,7 +36,9 @@ import cmath
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import mpmath
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from circlebops.assoc import AssocSystem
 from circlebops.bops import BopsSystem, _monomial_residuals, eval_levels, eval_poly
@@ -51,6 +58,7 @@ from circlebops.lax import ResidueSet, _mat, k_matrix
 from circlebops.moments import (
     QUAD_MAX_POINTS,
     QUAD_TOL,
+    CaratheodoryEvaluator,
     MomentTable,
     compute_moments,
     toeplitz_det,
@@ -440,6 +448,85 @@ def caratheodory_quadrature(w, z: complex) -> complex:
         prev = total
         points *= 2
     raise QuadratureError(abs(total - prev), points // 2)
+
+
+def caratheodory(f: CaratheodoryEvaluator, z, side: str | None = None, derivative: bool = False):
+    """F (F' with ``derivative``) summed from its moment series over an array
+    z (a scalar gives a complex): the inside series on |z| < 1, the outside
+    one in 1/z elsewhere, or one side forced.  F' outside is
+    -z^-2 (d/du series)(1/z)."""
+    zs = np.asarray(z, dtype=complex)
+    count = f.table.window + 1
+    inner, outer = f.series(count), f.series(count, side="outside")
+    if derivative:
+        inner, outer = npoly.polyder(inner), npoly.polyder(outer)
+    inside = np.abs(zs) < 1.0 if side is None else np.full(zs.shape, side == "inside")
+    out = np.empty(zs.shape, dtype=complex)
+    out[inside] = npoly.polyval(zs[inside], inner)
+    values = npoly.polyval(1.0 / zs[~inside], outer)
+    out[~inside] = -values / zs[~inside] ** 2 if derivative else values
+    return out[()]
+
+
+def eps_point_route(asys: AssocSystem, z, side: str | None = None, derivative: bool = False):
+    """(phi, phi*, eps, eps*) of every level, or their derivatives, as
+    psi_n + F phi_n and psi*_n - F phi*_n at the points of z, level by level,
+    stacked with shape (N+1, *z.shape)."""
+    zs = np.asarray(z, dtype=complex)
+    f = caratheodory(asys.F, zs, side)
+    df = caratheodory(asys.F, zs, side, derivative=True)
+    rows = []
+    for n, lev in enumerate(asys.sys.levels):
+        coeffs = (lev.c, lev.cbar[::-1], asys.psi(n), asys.psistar(n))
+        phi, star, psi, psistar = (npoly.polyval(zs, c) for c in coeffs)
+        if not derivative:
+            rows.append((phi, star, psi + f * phi, psistar - f * star))
+            continue
+        dphi, dstar, dpsi, dpsistar = (npoly.polyval(zs, npoly.polyder(c)) for c in coeffs)
+        rows.append((dphi, dstar, dpsi + df * phi + f * dphi, dpsistar - df * star - f * dstar))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def eps_reference(
+    tbl: MomentTable, n: int, zs: Sequence[complex], dps: int = 50
+) -> list[tuple[complex, complex]]:
+    """(eps_n, eps*_n) at each point, with every step at ``dps`` digits from
+    the table's moments: the Gram solves for c_n and cbar_n, psi_n and psi*_n
+    by their moment sums, F by its series over the whole window, and
+    psi_n + F phi_n, psi*_n - F phi*_n."""
+    with mpmath.workdps(dps):
+        K = tbl.window
+        w = {k: mpmath.mpc(tbl.moment(k)) for k in range(-K, K + 1)}
+        e = mpmath.matrix(n + 1, 1)
+        e[n] = 1
+        x = mpmath.lu_solve(mpmath.matrix([[w[a - b] for b in range(n + 1)] for a in range(n + 1)]), e)
+        y = mpmath.lu_solve(mpmath.matrix([[w[b - a] for b in range(n + 1)] for a in range(n + 1)]), e)
+        kappa = mpmath.sqrt(x[n])
+        kappa = -kappa if kappa.real < 0 or (kappa.real == 0 and kappa.imag < 0) else kappa
+        c, cbar = [x[j] / kappa for j in range(n + 1)], [y[j] / kappa for j in range(n + 1)]
+
+        def second_kind(coeffs, sign):
+            """Orders of psi_n (psi*_n reversed with sign -1)."""
+            return [
+                sum(coeffs[j] * w[sign * (i - j)] for j in range(i + 1, n + 1))
+                + (sum(coeffs[j] * w[sign * (i - j)] for j in range(i, n + 1)) if i >= 1 else 0)
+                for i in range(n + 1)
+            ]
+
+        psi, psistar_rev = second_kind(c, 1), second_kind(cbar, -1)
+        out = []
+        for z in zs:
+            z = mpmath.mpc(z)
+            if abs(z) < 1:
+                f = w[0] + 2 * sum(w[k] * z**k for k in range(1, K + 1))
+            else:
+                f = -w[0] - 2 * sum(w[-k] * z**-k for k in range(1, K + 1))
+            phi = sum(c[j] * z**j for j in range(n + 1))
+            phistar = sum(cbar[j] * z ** (n - j) for j in range(n + 1))
+            eps = sum(psi[j] * z**j for j in range(n + 1)) + f * phi
+            epsstar = sum(psistar_rev[j] * z ** (n - j) for j in range(n + 1)) - f * phistar
+            out.append((complex(eps), complex(epsstar)))
+    return out
 
 
 def orthonormality_quadrature(sys: BopsSystem, wfun, points: int = 4096) -> np.ndarray:

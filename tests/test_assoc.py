@@ -12,7 +12,15 @@ from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity
 
 from conftest import close, complex_m4_weight, laurent_callable
-from oracles import central_diff, eps_intrep, eps_quadrature, laurent_coefficients
+from oracles import (
+    caratheodory,
+    central_diff,
+    eps_intrep,
+    eps_point_route,
+    eps_quadrature,
+    eps_reference,
+    laurent_coefficients,
+)
 
 
 def sample_points(seed=5, count=10):
@@ -165,23 +173,33 @@ class TestConstruction:
         assert err.value.required == 5
 
 
-def horner_levels(asys, z, side=None, derivative=False):
+def band_levels(asys, z, side=None, derivative=False):
     """(phi, phi*, eps, eps*) of every level, or their derivatives, written
     out level by level: each polynomial by its own Horner pass over the
-    flattened points, F and F' by their own calls, stacked by level."""
+    flattened points, eps_n and eps*_n by one over each side's points of the
+    level's band of its exact series (`eps_taylor`), stacked by level."""
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
-    f = asys.F(flat, side=side)
-    df = asys.F(flat, side=side, derivative=True)
+    inside = np.abs(flat) < 1.0 if side is None else np.full(flat.shape, side == "inside")
+    count = asys.sys.table.window + 1
+    der = npoly.polyder if derivative else (lambda c: c)
     rows = []
     for n, lev in enumerate(asys.sys.levels):
-        coeffs = (lev.c, lev.cbar[::-1], asys.psi(n), asys.psistar(n))
-        phi, star, psi, psistar = (npoly.polyval(flat, c) for c in coeffs)
-        if not derivative:
-            rows.append((phi, star, psi + f * phi, psistar - f * star))
-            continue
-        dphi, dstar, dpsi, dpsistar = (npoly.polyval(flat, npoly.polyder(c)) for c in coeffs)
-        rows.append((dphi, dstar, dpsi + df * phi + f * dphi, dpsistar - df * star - f * dstar))
+        row = [npoly.polyval(flat, der(c)) for c in (lev.c, lev.cbar[::-1])]
+        for star in (False, True):
+            # inside z^n B(z) (z^(n+1) for eps*); outside u B(u) (B(u) for eps*)
+            low = n + 1 if star else n
+            inner = np.concatenate([np.zeros(low), asys.eps_taylor(n, count, star)[low:]])
+            outer = asys.eps_taylor(n, count, star, at_infinity=True)[n:].copy()
+            if not star:
+                outer[0] = 0.0
+            values = np.empty(flat.shape, dtype=complex)
+            values[inside] = npoly.polyval(flat[inside], der(inner))
+            far = flat[~inside]
+            read = npoly.polyval(1.0 / far, der(outer))
+            values[~inside] = -read / far**2 if derivative else read
+            row.append(values)
+        rows.append(row)
     return tuple(np.array(col).reshape((len(rows),) + zs.shape) for col in zip(*rows))
 
 
@@ -199,22 +217,23 @@ class TestBatchedEvaluator:
             assert close(batch[k], np.moveaxis(loop, -1, 0))
 
     def test_matches_defining_sums(self, strict):
-        asys, sys = strict["asys"], strict["sys"]
-        zs = sample_points(seed=11, count=5)
-        phi, phistar, eps, epsstar = asys.evaluate(zs)
-        for n in range(5):
-            want = {"phi": [], "phistar": [], "eps": [], "epsstar": []}
-            for z in zs:
-                z = complex(z)
-                f = asys.F(z)
-                want["phi"].append(eval_poly(sys, n, z))
-                want["phistar"].append(eval_poly(sys, n, z, "phistar"))
-                want["eps"].append(polyval(asys.psi(n), z) + f * eval_poly(sys, n, z))
-                want["epsstar"].append(
-                    polyval(asys.psistar(n), z) - f * eval_poly(sys, n, z, "phistar")
-                )
-            for got, key in zip((phi[n], phistar[n], eps[n], epsstar[n]), want):
-                assert close(got, want[key])
+        # psi + F phi is accurate where it does not cancel: n <= 8, and
+        # |z| >= 0.3 inside or any point outside; values and derivatives,
+        # on either side of the circle with a forced side
+        ring = np.exp(1j * np.linspace(0.2, 6.0, 5))
+        cases = [
+            (sample_points(seed=11, count=5), None),
+            (np.array([0.3 + 0.1j, -0.35j, 0.7 - 0.5j, 1.6 + 0.3j, 6.0j]), None),
+            ((1.0 - 5e-4) * ring, "outside"),
+            ((1.0 + 5e-4) * ring, "inside"),
+        ]
+        for asys in flagship_and_m4(strict):
+            for zs, side in cases:
+                values, derivatives = asys.evaluate_with_derivative(zs, side)
+                for got, derivative in ((values, False), (derivatives, True)):
+                    want = eps_point_route(asys, zs, side, derivative)
+                    for k in range(4):
+                        assert close(got[k], want[k], rel=1e-12), (side, derivative, k)
 
     def test_forced_side_and_scalar(self, strict):
         asys = strict["asys"]
@@ -228,9 +247,10 @@ class TestBatchedEvaluator:
         assert all(v.shape == (strict["sys"].nmax + 1,) for v in values)
 
     def test_rows_are_per_level_horner_bitwise(self, strict):
-        # row n of every level's stacked pass is level n's own Horner value,
-        # to the bit, for evaluate and derivative, on either side of the
-        # circle, with a forced side, and for 0-d, 1-D and 2-D points
+        # row n of every level's stacked pass is level n's own Horner value
+        # of its polynomial or its band of the exact series, to the bit, for
+        # evaluate and derivative, on either side of the circle, with a
+        # forced side, and for 0-d, 1-D and 2-D points
         grid = sample_points(seed=4, count=3).reshape(2, 3)
         ring = (1.0 - 5e-4) * np.exp(1j * np.linspace(0.2, 6.0, 5))
         cases = [
@@ -249,7 +269,7 @@ class TestBatchedEvaluator:
                 for got, derivative in (
                     (asys.evaluate(z, side), False), (values, False), (derivatives, True)
                 ):
-                    want = horner_levels(asys, z, side, derivative)
+                    want = band_levels(asys, z, side, derivative)
                     for one, ref in zip(got, want):
                         assert one.shape == (asys.sys.nmax + 1,) + np.shape(z)
                         assert one.tobytes() == ref.tobytes(), (z, side, derivative)
@@ -279,11 +299,11 @@ class TestBatchedEvaluator:
 
 
 class TestExactDerivatives:
-    """`AssocSystem.evaluate_with_derivative` and F' against a literal
-    central difference of `AssocSystem.evaluate` and F.  The difference
-    loses about 1e-16 / h of the terms each function is formed from (psi_n
-    and F phi_n for eps_n, which cancel at large |z|), so that size scales
-    the tolerance."""
+    """`AssocSystem.evaluate_with_derivative` and the oracle's F' against a
+    literal central difference of `AssocSystem.evaluate` and F.  The
+    difference loses about 1e-16 / h of the terms each function is formed
+    from (psi_n and F phi_n for eps_n, which cancel at large |z|), so that
+    size scales the tolerance."""
 
     POINTS = np.array([0.3 + 0.4j, -0.6j, 0.05 - 0.02j, 1.6 + 0.3j, -2.5 + 1.0j, 6.0j])
     BAND = np.exp(1j * np.linspace(0.2, 6.0, 5))
@@ -306,9 +326,9 @@ class TestExactDerivatives:
             for side in ("inside", "outside")
         ]
         for zs, side in cases:
-            f = asys.F(zs, side=side)
-            want = central_diff(lambda x: asys.F(x, side=side), zs)
-            got = asys.F(zs, side=side, derivative=True)
+            f = caratheodory(asys.F, zs, side)
+            want = central_diff(lambda x: caratheodory(asys.F, x, side), zs)
+            got = caratheodory(asys.F, zs, side, derivative=True)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(f))), side
             values, exact = asys.evaluate_with_derivative(zs, side)
             diffs = [central_diff(lambda x: asys.evaluate(x, side)[k], zs) for k in range(4)]
@@ -325,18 +345,6 @@ class TestExactDerivatives:
                     scale = np.maximum(1.0, np.maximum(terms[k], np.abs(want)))
                     assert np.all(np.abs(exact[k][n] - want) <= 1e-9 * scale), (side, n, k)
 
-    def test_one_sum_each_of_f_and_f_prime(self, strict, monkeypatch):
-        asys, calls = strict["asys"], []
-        f = asys.F
-
-        def counted(z, side=None, derivative=False):
-            calls.append(derivative)
-            return f(z, side=side, derivative=derivative)
-
-        monkeypatch.setattr(asys, "F", counted)
-        asys.evaluate_with_derivative(sample_points(seed=3, count=4))
-        assert calls == [False, True]
-
     def test_shapes(self, strict):
         asys = strict["asys"]
         levels = strict["sys"].nmax + 1
@@ -345,3 +353,18 @@ class TestExactDerivatives:
         zs = sample_points(seed=3, count=4).reshape(2, 4)
         values, derivatives = asys.evaluate_with_derivative(zs)
         assert all(v.shape == (levels, 2, 4) for v in values + derivatives)
+
+
+class TestAccuracy:
+    """eps_n and eps*_n against a 50-digit solve from the engine's own
+    moments, at inside points where psi_n and F phi_n cancel: |psi_n|
+    reaches 5e6 there while |eps*_n| is near 1e-15."""
+
+    def test_flagship_eps_against_50_digits(self, strict):
+        asys = AssocSystem(build_system(strict["table"], 22))
+        zs = [0.5 + 0.21j, 0.3 - 0.2j]
+        _, _, eps, epsstar = asys.evaluate(np.array(zs))
+        for n in (20, 22):
+            for k, (want, want_star) in enumerate(eps_reference(strict["table"], n, zs)):
+                assert abs(eps[n, k] - want) <= 1e-12 * abs(want), (n, zs[k])
+                assert abs(epsstar[n, k] - want_star) <= 1e-12 * abs(want_star), (n, zs[k])

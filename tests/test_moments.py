@@ -2,8 +2,6 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from circlebops import moments
-from circlebops.assoc import AssocSystem
 from circlebops.errors import NearCircleError, NotSemiClassicalError, WindowError
 from circlebops.moments import (
     CaratheodoryEvaluator,
@@ -17,7 +15,7 @@ from circlebops.numerics import polyval, series_band
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
-from oracles import caratheodory_quadrature, central_diff
+from oracles import caratheodory, caratheodory_quadrature, central_diff
 
 
 def binomial_series_moments(window):
@@ -115,27 +113,31 @@ class TestToeplitz:
 
 
 class TestCaratheodory:
+    """F summed at points by the oracle's series route; the package reads F
+    only as series, and the near-circle rule belongs to the associated
+    functions' evaluator."""
+
     def test_lebesgue_values(self, lebesgue):
         f = CaratheodoryEvaluator(lebesgue["table"])
-        assert abs(f(0.3) - 1.0) < 1e-14
-        assert abs(f(2.0) + 1.0) < 1e-14
+        assert abs(caratheodory(f, 0.3) - 1.0) < 1e-14
+        assert abs(caratheodory(f, 2.0) + 1.0) < 1e-14
 
     def test_laurent_value(self, laurent):
         f = CaratheodoryEvaluator(laurent["table"])
-        assert abs(f(0.5) - 3.0) < 1e-13
+        assert abs(caratheodory(f, 0.5) - 3.0) < 1e-13
 
     def test_near_circle_refused_without_side(self, laurent):
-        f = CaratheodoryEvaluator(laurent["table"])
+        asys = laurent["asys"]
         with pytest.raises(NearCircleError):
-            f(1.0005)
+            asys.evaluate(1.0005)
         # explicit side works inside the band
-        assert np.isfinite(f(1.0005, side="outside"))
+        assert all(np.isfinite(v).all() for v in asys.evaluate(1.0005, side="outside"))
 
     def test_series_vs_contour_quadrature(self, strict):
         f = CaratheodoryEvaluator(strict["table"])
         for z in (0.5 + 0.1j, 2.0 + 0.4j):
             direct = caratheodory_quadrature(strict["weight"], z)
-            assert abs(f(complex(z)) - direct) < 1e-9
+            assert abs(caratheodory(f, complex(z)) - direct) < 1e-9
 
     def test_series_is_the_moment_expansion(self, strict):
         tbl = strict["table"]
@@ -176,37 +178,21 @@ class TestCaratheodory:
         for z, side in cases:
             want = self.reference(f, z, side)
             for _ in range(3):
-                got = np.asarray(f(z, side=side))
+                got = np.asarray(caratheodory(f, z, side))
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-        assert np.ndim(f(0.4 - 0.3j)) == 0 and isinstance(f(2.5 + 1.0j), complex)
+        assert np.ndim(caratheodory(f, 0.4 - 0.3j)) == 0
+        assert isinstance(caratheodory(f, 2.5 + 1.0j), complex)
 
     def test_near_circle_raises_on_every_call(self, strict):
-        f = CaratheodoryEvaluator(strict["table"])
+        asys = strict["asys"]
         zs = np.array([0.5, 1.0 + 1e-4j, 3.0])
-        f(zs, side="outside")
+        asys.evaluate(zs, side="outside")
         for _ in range(3):
             with pytest.raises(NearCircleError):
-                f(zs)
+                asys.evaluate(zs)
             with pytest.raises(NearCircleError):
-                f(0.9999)
-
-    def test_levels_share_one_series_pass_per_side(self, strict, monkeypatch):
-        asys = AssocSystem(strict["sys"])
-        count = strict["table"].window + 1
-        calls = {"inside": 0, "outside": 0}
-
-        def counting(coeffs, z):
-            if len(coeffs) == count:
-                inside = np.array_equal(coeffs, asys.F.series(count))
-                calls["inside" if inside else "outside"] += 1
-            return polyval(coeffs, z)
-
-        monkeypatch.setattr(moments, "polyval", counting)
-        zs = np.array([0.3 + 0.1j, -0.5j, 2.0 + 1.0j, -3.0])
-        values = asys.evaluate(zs)
-        assert all(v.shape == (strict["sys"].nmax + 1, 4) for v in values)
-        assert calls == {"inside": 1, "outside": 1}
+                asys.evaluate(0.9999)
 
 
 def test_series_band_reads_and_certifies():
@@ -247,8 +233,8 @@ class TestRecoverU:
 
         for z in (0.41 + 0.17j, 0.3 - 0.33j):
             h = 1e-6
-            fp = (f(z + h) - f(z - h)) / (2 * h)
-            res = vw.w_eval(z) * fp - 2 * vw.v_eval(z) * f(complex(z)) - polyval(u, z)
+            fp = (caratheodory(f, z + h) - caratheodory(f, z - h)) / (2 * h)
+            res = vw.w_eval(z) * fp - 2 * vw.v_eval(z) * caratheodory(f, complex(z)) - polyval(u, z)
             assert abs(res) < 1e-6
 
     def test_complex_m4_weight_both_sides(self):
@@ -262,7 +248,8 @@ class TestRecoverU:
         assert max(info["residual_inside"], info["residual_outside"]) < 1e-12
         assert info["coefficient_agreement"] < 1e-10
         zs = np.array([0.4 + 0.2j, -0.3j, 4.0 + 1.0j, -5.0j])
-        res = vw.w_eval(zs) * central_diff(f, zs) - 2.0 * vw.v_eval(zs) * f(zs) - polyval(u, zs)
+        values = lambda z: caratheodory(f, z)
+        res = vw.w_eval(zs) * central_diff(values, zs) - 2.0 * vw.v_eval(zs) * values(zs) - polyval(u, zs)
         assert np.max(np.abs(res) / np.maximum(1.0, np.abs(polyval(u, zs)))) < 1e-6
 
     def test_non_semiclassical_rejection(self):

@@ -1,7 +1,16 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and its level-ceiling
+table holds: every row passes at its level and fails one level up on the
+entry it names."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from circlebops.cli import main
+
+from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +24,41 @@ def test_library_sketch_runs():
     m = len(names["w"].singularities)
     assert names["times"].shape == (65,)
     assert names["flow"].shape == (65, 4 * m + 7)
+
+
+SPECS = {"flagship": STRICT_SPEC, "m = 4": COMPLEX_M4_SPEC, "inside-complex": INSIDE_COMPLEX_SPEC}
+ROW = re.compile(r"^\| (.+?) \| `(.+?)` \| (\d+) \| `(\w+)` \(.+?\) \|$", re.M)
+
+
+def ceiling_rows():
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^## Level ceilings\n(.*?)^## ", text, re.S | re.M).group(1)
+    return ROW.findall(table)
+
+
+def test_ceiling_table_covers_every_weight_and_command():
+    cells = {(weight, command) for weight, command, _, _ in ceiling_rows()}
+    commands = ("build", "coeffs", "rhp-check", "verify-all")
+    assert cells == {(weight, command) for weight in SPECS for command in commands}
+
+
+@pytest.mark.parametrize(
+    "weight, command, level, entry",
+    ceiling_rows(),
+    ids=[f"{weight.replace(' = ', '')}-{command}" for weight, command, _, _ in ceiling_rows()],
+)
+def test_ceiling_table_row(weight, command, level, entry, tmp_path):
+    # the command exits 0 at its ceiling, and 1 one level up with the named
+    # entry among the failures
+    spec = tmp_path / "weight.json"
+    spec.write_text(json.dumps(SPECS[weight]), encoding="utf-8")
+    run = [command, "--weight", str(spec), "--n"]
+    assert main(run + [level, "--out", str(tmp_path / "at")]) == 0
+    assert main(run + [str(int(level) + 1), "--out", str(tmp_path / "above")]) == 1
+    failed = {
+        e["name"]
+        for path in (tmp_path / "above").glob("*.json")
+        for e in json.loads(path.read_text()).get("entries", [])
+        if not e["passed"]
+    }
+    assert entry in failed, failed
