@@ -22,9 +22,9 @@ which cancel inside the circle, are never formed at a point:
     inside:  eps_n = z^n B(z),  eps*_n = z^(n+1) B*(z),
     outside: eps_n = u B(u),    eps*_n = B*(u),
 
-with exact derivatives from polyder of the same bands.  Both series extend
-into the weight's annulus, which the jump check in `lax` uses with a forced
-side; without one, a point within NEAR_CIRCLE of the circle is refused.
+with exact derivatives from polyder of the same bands, summed beside them.
+Both series extend into the weight's annulus (the jump check in `lax` forces
+a side there); unforced, a point within NEAR_CIRCLE of |z| = 1 is refused.
 Every level comes at once, from one Horner pass per side over the
 zero-padded bands; each row is the level's own Horner value bit for bit,
 and a point's values are the same alone or inside an array.  The identity
@@ -121,23 +121,37 @@ class AssocSystem:
         return inside, np.where(keep, shifted, 0.0)
 
     @cached_property
-    def _derivatives(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """polyder of the phi columns of ``_stack`` and of each side's band."""
-        return polyder(self._stack[:, :2]), tuple(polyder(band) for band in self._bands)
+    def _with_derivatives(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """The phi columns of ``_stack`` and each side's band, each beside its
+        polyder zero-padded at the top to the same orders."""
 
-    def _values(self, z: np.ndarray, inside: np.ndarray, derivative: bool = False):
-        """phi, phi*, eps and eps* of every level at the flat points z (their
-        d/dz with ``derivative``, d/dz = -u^2 d/du outside), each eps read off
-        its point's side; a side with no points is not summed."""
-        phis, bands = self._derivatives if derivative else (self._stack[:, :2], self._bands)
-        eps = np.empty((2, self.sys.nmax + 1, z.size), dtype=complex)
+        def beside(stack):
+            padded = np.concatenate([polyder(stack), np.zeros_like(stack[:1])])[: len(stack)]
+            return np.concatenate([stack, padded], axis=1)
+
+        return beside(self._stack[:, :2]), (beside(self._bands[0]), beside(self._bands[1]))
+
+    def _values(self, z, side: str | None, phis: np.ndarray, bands) -> tuple:
+        """Every level's phi, phi*, eps, eps*, then phi', phi*', eps', eps*'
+        if the stacks carry them (``_with_derivatives``), over the array z:
+        one Horner pass over ``phis`` and one per side of ``bands`` that has
+        points, d/dz = -u^2 d/du outside.  The passes run over the flattened
+        points, always arrays: on numpy scalars (a 0-d point) a complex
+        product rounds differently from numpy's array loop."""
+        zs = np.asarray(z, dtype=complex)
+        flat = zs.reshape(-1)
+        inside = _inside(flat, side)
+        eps = np.empty((bands[0].shape[1], self.sys.nmax + 1, flat.size), dtype=complex)
         if inside.any():
-            eps[..., inside] = polyval(bands[0], z[inside])
+            eps[..., inside] = polyval(bands[0], flat[inside])
         if not inside.all():
-            outer = z[~inside]
+            outer = flat[~inside]
             values = polyval(bands[1], 1.0 / outer)
-            eps[..., ~inside] = -values / outer**2 if derivative else values
-        return (*polyval(phis, z), *eps)
+            values[2:] = -values[2:] / outer**2
+            eps[..., ~inside] = values
+        phi = polyval(phis, flat)
+        rows = (*phi[:2], *eps[:2], *phi[2:], *eps[2:])
+        return tuple(row.reshape(row.shape[:1] + zs.shape) for row in rows)
 
     def evaluate(self, z, side: str | None = None):
         """(phi, phi*, eps, eps*) of every level n = 0..N over an array z of
@@ -147,19 +161,15 @@ class AssocSystem:
         Horner's steps unchanged, so row n is the level's own Horner value
         bit for bit, and each value at a point is the same whether the point
         comes alone or inside an array."""
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.reshape(-1)
-        return _shaped(zs.shape, *self._values(flat, _inside(flat, side)))
+        return self._values(z, side, self._stack[:, :2], self._bands)
 
     def evaluate_with_derivative(self, z, side: str | None = None):
         """`evaluate`'s (phi, phi*, eps, eps*), bit for bit, and their exact
-        derivatives (phi', phi*', eps', eps*'), shaped alike, from the same
-        Horner passes over the polyder of each stack."""
-        zs = np.asarray(z, dtype=complex)
-        flat = zs.reshape(-1)
-        inside = _inside(flat, side)
-        derivatives = self._values(flat, inside, derivative=True)
-        return _shaped(zs.shape, *self._values(flat, inside)), _shaped(zs.shape, *derivatives)
+        derivatives (phi', phi*', eps', eps*'), shaped alike, from one Horner
+        pass over the phi columns and one per side over the bands, each
+        beside its polyder."""
+        values = self._values(z, side, *self._with_derivatives)
+        return values[:4], values[4:]
 
     def eps_taylor(
         self, n: int, count: int, star: bool = False, at_infinity: bool = False
@@ -196,14 +206,6 @@ def _reversed(stack: np.ndarray) -> np.ndarray:
     k, n = np.indices((len(stack), stack.shape[-1]))
     flipped = np.take_along_axis(stack, np.abs(n - k)[:, None], axis=0)
     return np.where((k <= n)[:, None], flipped, 0.0)
-
-
-def _shaped(shape, *values):
-    """The values, computed over the flattened points with one row a level,
-    in the shape (levels, *points' shape).  The arithmetic always runs over
-    arrays: on numpy scalars (a 0-d point) a complex product rounds
-    differently from numpy's array loop."""
-    return tuple(v.reshape(v.shape[:1] + shape) for v in values)
 
 
 # ---------------------------------------------------------------------------

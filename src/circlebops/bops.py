@@ -89,12 +89,23 @@ class BopsSystem:
     levels: list[BopsLevel]
     # levels n whose |1 - r_{n-1} rbar_{n-1}| is within 1e6 of the floor
     existence_log: list[int] = field(default_factory=list)
-    # coefficientwise gap between the Gram levels and the recursion
-    cross_check_deviation: float = 0.0
+    # coefficientwise gap between the Gram levels and the recursion, by level
+    deviations: list[float] = field(default_factory=list)
 
     @property
     def nmax(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def cross_check_deviation(self) -> float:
+        return float(np.max(self.deviations, initial=0.0))
+
+    def prefix(self, n: int) -> "BopsSystem":
+        """Levels 0..n, bit for bit build_system(table, n): each Gram level is
+        its own solve, and the recursion's levels 0..n are a prefix."""
+        self.level(n)
+        log = [k for k in self.existence_log if k <= n + 1]
+        return BopsSystem(self.table, self.levels[: n + 1], log, self.deviations[: n + 1])
 
     def level(self, n: int) -> BopsLevel:
         if n < 0 or n > self.nmax:
@@ -203,10 +214,9 @@ def build_system(tbl: MomentTable, nmax: int) -> BopsSystem:
     gram, rec = (np.stack([_coeff_matrix(s, "phi"), _coeff_matrix(s, "phibar")], axis=1)
                  for s in (system, BopsSystem(table=tbl, levels=oracle)))
     scale = np.fmax(1.0, np.abs(gram).max(axis=(1, 2)))
-    deviation = float(np.max(np.abs(gram - rec).max(axis=(1, 2)) / scale))
-    if deviation > 1e-8:
+    system.deviations = (np.abs(gram - rec).max(axis=(1, 2)) / scale).tolist()
+    if (deviation := system.cross_check_deviation) > 1e-8:
         raise ConsistencyError("Gram levels and reflection recursion disagree", deviation, 1e-8)
-    system.cross_check_deviation = deviation
     return system
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .assoc import verify_assoc_identities, verify_expansions
-from .bops import build_system, verify_scalar_identities
+from .bops import BopsSystem, build_system, verify_scalar_identities
 from .coeffs import (
     dpainleve_ratio_check,
     spectral_derivative_check,
@@ -147,11 +147,14 @@ def _pairs(coeffs: np.ndarray) -> list:
     return np.column_stack((coeffs.real, coeffs.imag)).tolist()
 
 
-def cmd_build(args: argparse.Namespace, weight, table, out: Path):
-    """Levels 0..n on ``table``, or on the weight's moments without one."""
-    if table is None:
-        table = moment_table(weight, args.n, args.quad_points)
-    system = build_system(table, args.n)
+def _levels(args: argparse.Namespace, weight, table) -> BopsSystem:
+    """Levels 0..n of a run: on the raw table, or on the weight's moments."""
+    source = weight if table is None else table
+    return build_system(moment_table(source, args.n, args.quad_points), args.n)
+
+
+def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
+    """The build suite's files and report on the levels of ``system``."""
     if weight is not None:
         dump_json(
             validate_weight(weight, strict=False).to_dict(),
@@ -362,11 +365,14 @@ def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
 
 
 def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
-    """Every suite on one bundle; the build suite builds levels 0..n afresh
-    on its moment table, so each report equals its subcommand's own."""
+    """Every suite on one bundle.  The build suite reads the bundle's levels
+    0..n, bit for bit those `build` makes on the same moment table.  On a
+    strict weight `assoc` and `rhp-check` alone build one level fewer, and
+    psi_n near the top can round differently in the shorter product, so
+    their files can differ from these in the last digits."""
     strict = weight is not None and is_strict_semiclassical(weight)
     bundle = _bundle(args, weight, table, strict)
-    reports = cmd_build(args, weight, bundle.table, out)
+    reports = cmd_build(args, weight, bundle.sys.prefix(args.n), out)
     reports += cmd_assoc(args, weight, bundle, out)
     if strict:
         reports += cmd_coeffs(args, weight, bundle, out)
@@ -377,17 +383,18 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
         dump_json(matrix, out / "matrix_report.json")
         reports.append(matrix)
     reports += cmd_rhp(args, weight, bundle, out)
+    verdicts = [r.passed for r in reports]
     summary = {
         "schema": SCHEMA,
-        "passed": all(r.passed for r in reports),
+        "passed": all(verdicts),
         "suites": [
             {
                 "title": r.title,
-                "passed": r.passed,
+                "passed": passed,
                 "max_residual": r.max_residual,
                 "identities": r.max_by_name(),
             }
-            for r in reports
+            for r, passed in zip(reports, verdicts)
         ],
     }
     dump_json(summary, out / "verify_report.json")
@@ -396,7 +403,7 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
 
 HANDLERS = {
     "moments": cmd_moments,
-    "build": cmd_build,
+    "build": lambda args, w, tbl, out: cmd_build(args, w, _levels(args, w, tbl), out),
     "assoc": lambda args, w, tbl, out: cmd_assoc(args, w, _bundle(args, w, tbl), out),
     "coeffs": lambda args, w, tbl, out: cmd_coeffs(args, w, _bundle(args, w, tbl, strict=True), out),
     "verify-all": cmd_verify_all,
@@ -464,16 +471,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    failed = [r for r in reports if not r.passed]
-    for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
-        print(f"[{status}] {rep.title}: max residual {rep.max_residual:.3e}")
-        for entry in rep.failures()[:10]:
+    verdicts = [rep.passed for rep in reports]
+    for rep, passed in zip(reports, verdicts):
+        print(f"[{'pass' if passed else 'FAIL'}] {rep.title}: max residual {rep.max_residual:.3e}")
+        for entry in [] if passed else rep.failures()[:10]:
             print(
                 f"    {entry.name} (n={entry.n}, {entry.where}): "
                 f"{entry.residual:.3e} > {entry.tol:.1e}"
             )
-    return 1 if failed else 0
+    return 0 if all(verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ from .errors import (
     SingularResidueError,
 )
 from .numerics import (
-    as_poly,
     column,
     polyadd,
     polyder,
@@ -99,7 +98,7 @@ def _product(a, b, size: int) -> np.ndarray:
     with zeros: trailing zeros are trimmed first, as polymul does, because
     np.convolve puts the longer operand first and that order sets the
     rounding of every sum; += turns -0 into 0, as polyadd does."""
-    prod = np.convolve(*(trimseq(as_poly(x)) for x in (a, b)))[:size]
+    prod = np.convolve(trimseq(a), trimseq(b))[:size]
     out = np.zeros(size, dtype=complex)
     out[: len(prod)] += prod
     return out

@@ -79,12 +79,11 @@ def k_matrix(sys: BopsSystem, n: int, z) -> np.ndarray:
     return _mat(lp.kappa * zs, lp.phi0, lp.phibar0 * zs, lp.kappa) / ln.kappa
 
 
-def a_matrix(values, vw: PolyPair, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarray:
+def a_matrix(values, v, w, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarray:
     """A_n(z) = (W A)/W with the coefficient-function parameterisation, from
     the quadruple's values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs
-    (`CoeffQuad.evaluate`)."""
+    (`CoeffQuad.evaluate`) and those of V and W."""
     ln, lp = sys.level(n), sys.level(n + 1)
-    v = vw.v_eval(zs)
     th, ths, om, oms = values
     ratio = lp.kappa / ln.kappa
     mat = _mat(
@@ -93,7 +92,7 @@ def a_matrix(values, vw: PolyPair, sys: BopsSystem, n: int, zs: np.ndarray) -> n
         -lp.phibar0 / ln.kappa * zs * ths,
         oms - v - ratio * ths,
     )
-    return mat / np.asarray(vw.w_eval(zs))[..., None, None]
+    return mat / w[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,7 @@ def verify_matrix_system(
         phi, star, eps, es = level(n)
         y, yd = with_derivative(phi, eps, star, es)
         values = quad_values[n]
-        a_n = a_matrix(values, vw, sys, n, zs)
+        a_n = a_matrix(values, v_z, w_z, sys, n, zs)
         at_points = [n] * len(zs)
         rep.add_rows([
             equation("y_derivative_system", "equivalent to the matrix differential equation",
@@ -263,7 +262,7 @@ def verify_matrix_system(
             k_n = k_matrix(sys, n, zs)
             # K_n is linear in z: K'_n is the constant z-coefficient
             kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
-            k_rhs = a_matrix(values_p, vw, sys, n + 1, zs) @ k_n - k_n @ a_n
+            k_rhs = a_matrix(values_p, v_z, w_z, sys, n + 1, zs) @ k_n - k_n @ a_n
             rep.add_rows([
                 equation("transfer_compatibility", "compatibility of the relations", kd, k_rhs),
             ], identity_tol, at_points, wheres)
@@ -413,8 +412,9 @@ def rhp_jump_check(
     outside analytic elements are evaluated at the same points just off the
     circle (both extend into the weight's annulus), so the jump
     Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series truncation; its (1,2)
-    entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.  Each circle of
-    points is evaluated once for every level.  The orders of Y at 0 and at
+    entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.  The points of both
+    circles are evaluated together, once per side for every level, and the
+    entries are written circle by circle.  The orders of Y at 0 and at
     infinity are read off exact coefficients, with no points: those of
     phi_n and phi*_n, and the series of eps_n and eps*_n from
     `AssocSystem.eps_taylor`.  Each order entry's residual is its largest
@@ -439,13 +439,12 @@ def rhp_jump_check(
         return False
 
     kept = np.asarray([float(t) for t in thetas if not near_cut(float(t))])
-    jumps = []  # (wheres, inside and outside values of every level) per circle
-    for radius in (1.0 - offset, 1.0 + offset):
-        zs = radius * np.exp(1j * kept)
-        w = np.asarray(wfun(zs), dtype=complex)
-        lhs = normalized_solution(sys, asys, ns, zs, side="inside")
-        rhs = normalized_solution(sys, asys, ns, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
-        jumps.append(([f"theta={theta:.3f}, r={radius}" for theta in kept], lhs, rhs))
+    radii = (1.0 - offset, 1.0 + offset)
+    zs = np.multiply.outer(radii, np.exp(1j * kept))  # one circle a row
+    w = np.asarray(wfun(zs), dtype=complex)
+    lhs = normalized_solution(sys, asys, ns, zs, side="inside")
+    rhs = normalized_solution(sys, asys, ns, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
+    circles = [[f"theta={theta:.3f}, r={radius}" for theta in kept] for radius in radii]
     zdet = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])
     dets = np.linalg.det(normalized_solution(sys, asys, ns, zdet))
     # an array of exponents raises each point as the scalar z ** (n - 1) does
@@ -453,10 +452,10 @@ def rhp_jump_check(
     zwheres = [f"z={z:.3g}" for z in zdet]
 
     for i, n in enumerate(ns):
-        for wheres, lhs, rhs in jumps:
+        for c, wheres in enumerate(circles):
             rep.add_rows([
                 equation("rhp_jump", "consider the following Riemann-Hilbert problem",
-                         lhs[i], rhs[i]),
+                         lhs[i, c], rhs[i, c]),
             ], tol, [n] * len(wheres), wheres)
         rep.add_rows([
             equation("rhp_determinant", "we also point out det Y(z) = -z^{n-1}", dets[i], wants[i]),

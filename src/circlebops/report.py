@@ -120,12 +120,13 @@ class IdentityReport:
         out = np.where(rows, np.array(residuals)[:, None], 0.0).max(axis=0, initial=0.0)
         return dict(zip(index, out.tolist()))
 
-    def _members(self, entries) -> dict[str, Any]:
-        return {"schema": SCHEMA, "title": self.title, "passed": self.passed,
+    def _members(self, entries, ok: np.ndarray) -> dict[str, Any]:
+        """The report's members around ``entries``, passed read off ``ok``."""
+        return {"schema": SCHEMA, "title": self.title, "passed": bool(ok.all()),
                 "max_residual": self.max_residual, "entries": entries, "notes": self.notes}
 
     def to_dict(self) -> dict[str, Any]:
-        return self._members([e.to_dict() for e in self.entries])
+        return self._members([e.to_dict() for e in self.entries], self._ok())
 
 
 def equation(name: str, anchor: str, lhs, rhs) -> tuple:
@@ -163,20 +164,24 @@ def dump_json(payload: dict[str, Any] | IdentityReport, path) -> None:
 
     if isinstance(payload, IdentityReport):
         # one encoder call per column of numbers, split on its ", " (NaN and
-        # Infinity as json writes them); the (anchor, n, name) head and the
-        # where tail of an entry's line are written once a value
+        # Infinity as json writes them), one tol per distinct bit pattern
+        # (0.0 and -0.0 apart); each distinct string, (anchor, n, name) head
+        # and where tail of an entry's line is written once
         names, anchors, residuals, tols, ns, wheres = payload._cols
         quote = json.encoder.encode_basestring_ascii  # json's writer of a str
+        quoted = {text: quote(text) for text in {*anchors, *names}}
         keys = list(zip(anchors, ns, names))
         heads = {(anchor, n, name): '{"anchor": %s, %s"name": %s, "passed": ' % (
-                     quote(anchor), "" if n is None else '"n": %d, ' % n, quote(name))
+                     quoted[anchor], "" if n is None else '"n": %d, ' % n, quoted[name])
                  for anchor, n, name in set(keys)}
         tails = {w: "}" if w is None else ', "where": %s}' % quote(w) for w in set(wheres)}
-        flags = [("false", "true")[ok] for ok in payload._ok().tolist()]
-        res, tol = (json.dumps(col)[1:-1].split(", ") for col in (residuals, tols))
-        lines = ['%s%s, "residual": %s, "tol": %s%s' % (heads[key], flag, r, t, tails[w])
-                 for key, flag, r, t, w in zip(keys, flags, res, tol, wheres)]
+        ok = payload._ok()
+        flags = [("false", "true")[passed] for passed in ok.tolist()]
+        bits, which = np.unique(np.array(tols, dtype=float).view(np.int64), return_inverse=True)
+        res, tol = (json.dumps(col)[1:-1].split(", ") for col in (residuals, bits.view(float).tolist()))
+        lines = ['%s%s, "residual": %s, "tol": %s%s' % (heads[key], flag, r, tol[t], tails[w])
+                 for key, flag, r, t, w in zip(keys, flags, res, which.tolist(), wheres)]
         entries = "[\n    " + ",\n    ".join(lines) + "\n  ]"
-        payload = payload._members(_Text(entries) if lines else [])
+        payload = payload._members(_Text(entries) if lines else [], ok)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(block(payload, 0) + "\n")

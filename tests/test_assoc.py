@@ -248,9 +248,10 @@ class TestBatchedEvaluator:
 
     def test_rows_are_per_level_horner_bitwise(self, strict):
         # row n of every level's stacked pass is level n's own Horner value
-        # of its polynomial or its band of the exact series, to the bit, for
-        # evaluate and derivative, on either side of the circle, with a
-        # forced side, and for 0-d, 1-D and 2-D points
+        # of its polynomial or its band of the exact series (of their polyder
+        # for the derivatives), to the bit, on either side of the circle, with
+        # a forced side, and for 0-d, 1-D and 2-D points; the values summed
+        # beside the derivatives are evaluate's, sign bits included
         grid = sample_points(seed=4, count=3).reshape(2, 3)
         ring = (1.0 - 5e-4) * np.exp(1j * np.linspace(0.2, 6.0, 5))
         cases = [
@@ -262,12 +263,15 @@ class TestBatchedEvaluator:
             (ring, "outside"),
             (ring.reshape(5, 1), "outside"),
             (0.9995j, "inside"),
+            (complex(ring[2]), "outside"),
         ]
         for asys in flagship_and_m4(strict):
             for z, side in cases:
                 values, derivatives = asys.evaluate_with_derivative(z, side)
+                alone = asys.evaluate(z, side)
+                assert [v.tobytes() for v in values] == [v.tobytes() for v in alone], (z, side)
                 for got, derivative in (
-                    (asys.evaluate(z, side), False), (values, False), (derivatives, True)
+                    (alone, False), (values, False), (derivatives, True)
                 ):
                     want = band_levels(asys, z, side, derivative)
                     for one, ref in zip(got, want):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from circlebops.bops import (
+    BopsSystem,
     build_system,
     eval_levels,
     eval_poly,
@@ -270,3 +271,35 @@ class TestLevelStack:
                 want = max((abs(sum(t)) for t in terms), default=0.0)
                 scale = max((abs(x) for t in terms for x in t), default=1.0)
                 assert abs(res - want) <= 1e-13 * scale, (n, res, want)
+
+
+class TestPrefix:
+    """verify-all's build suite reads levels 0..n of a longer build: bit for
+    bit the levels, existence log and cross-check of a build to n."""
+
+    @staticmethod
+    def record(system: BopsSystem) -> tuple:
+        levels = [(lev.n, lev.kappa, lev.c.tobytes(), lev.cbar.tobytes()) for lev in system.levels]
+        return (id(system.table), levels, system.existence_log, system.deviations,
+                system.cross_check_deviation.hex())
+
+    def test_prefix_equals_a_shorter_build(self, strict, laurent):
+        rng = np.random.default_rng(17)
+        p = rng.normal(size=7) + 1j * rng.normal(size=7)
+        w = np.correlate(p, p, "full") / np.vdot(p, p)  # w_k for k = -6..6
+        w[6] += 1.0
+        raw = table_from_moments([(k, w[k + 6]) for k in range(-6, 7)], window=16)
+        for table in (strict["table"], laurent["table"], raw):
+            full = build_system(table, 11)
+            for n in range(10):
+                assert self.record(full.prefix(n)) == self.record(build_system(table, n)), n
+        with pytest.raises(IndexError):
+            full.prefix(12)
+
+    def test_prefix_keeps_the_log_of_its_levels(self, laurent):
+        # level n's reflection ratio logs n + 1, so levels 0..n log up to n + 1
+        full = laurent["sys"]
+        system = BopsSystem(full.table, full.levels, [2, 5, 6], [0.0, 1e-12, 3e-12] + [0.0] * 6)
+        assert system.prefix(4).existence_log == [2, 5]
+        assert system.prefix(1).cross_check_deviation == 1e-12
+        assert system.cross_check_deviation == 3e-12

@@ -1,9 +1,12 @@
-"""The README's library sketch runs as written, and its level-ceiling
-table holds: every row passes at its level and fails one level up on the
-entry it names."""
+"""The README's library sketch and CLI examples run as written, and its
+level-ceiling table holds: every row passes at its level and fails one
+level up on the entry it names."""
 
+import contextlib
+import io
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,27 @@ def test_library_sketch_runs():
     m = len(names["w"].singularities)
     assert names["times"].shape == (65,)
     assert names["flow"].shape == (65, 4 * m + 7)
+
+
+def test_cli_examples_run(tmp_path, monkeypatch):
+    # each circlebops line of the subcommand block, on the README's weight
+    # spec and trajectory written to w.json and t.json, with out/ in tmp_path
+    text = README.read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)^## ", text, re.S | re.M).group(1)
+    blocks = re.findall(r"^```(\w+)\n(.*?)^```", section, re.S | re.M)
+    specs = [json.loads(body) for lang, body in blocks if lang == "json"]
+    weight = next(spec for spec in specs if "singularities" in spec)
+    trajectory = next(spec for spec in specs if "path" in spec)
+    (tmp_path / "w.json").write_text(json.dumps(weight), encoding="utf-8")
+    (tmp_path / "t.json").write_text(json.dumps(trajectory), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [line for lang, body in blocks if lang == "sh" for line in body.splitlines()
+             if line.startswith("circlebops ")]
+    assert len(lines) == 8
+    for line in lines:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    assert (tmp_path / "out" / "verify_report.json").is_file()
 
 
 SPECS = {"flagship": STRICT_SPEC, "m = 4": COMPLEX_M4_SPEC, "inside-complex": INSIDE_COMPLEX_SPEC}

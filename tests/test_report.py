@@ -4,6 +4,8 @@ bytes that repeat."""
 
 import json
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -223,6 +225,16 @@ class TestBulkWriter:
         assert same_bytes(IdentityReport("no entries"), tmp_path)
         assert '"entries": [],' in (tmp_path / "columns.json").read_text(encoding="utf-8")
         assert same_bytes(nan_report(), tmp_path)
+        # repeated gates, 0.0 and -0.0 among them (equal as dict keys, not
+        # as text), around NaN and infinite residuals
+        gates = IdentityReport("repeated gates")
+        rows = [(0.0, 0.0), (math.nan, -0.0), (math.inf, 1e-09), (-0.0, 0.0),
+                (1e-10, 1e-09), (0.0, -0.0), (-math.inf, 1e-09), (math.nan, 0.0)]
+        for k, (residual, tol) in enumerate(rows):
+            gates.add("gate", "gates that repeat", residual, tol, n=k % 3)
+        assert same_bytes(gates, tmp_path)
+        text = (tmp_path / "columns.json").read_text(encoding="utf-8")
+        assert re.findall(r'"tol": ([^,}]+)', text) == [json.dumps(tol) for _, tol in rows]
 
     @pytest.mark.parametrize("spec", [STRICT_SPEC, COMPLEX_M4_SPEC], ids=["flagship", "complex_m4"])
     def test_every_verify_all_report(self, tmp_path, monkeypatch, spec):
@@ -241,3 +253,19 @@ class TestBulkWriter:
         assert len(reports) == 6
         for rep in reports:
             assert same_bytes(rep, tmp_path), rep.title
+
+
+class TestVerdicts:
+    def test_verify_all_computes_each_verdict_three_times(self, tmp_path, monkeypatch):
+        # a flagship verify-all --n 4 computes each report's verdict once for
+        # its file, once for the summary and once for the status line and
+        # the exit code: 18 calls for six reports
+        calls = []
+        ok = IdentityReport._ok
+        monkeypatch.setattr(IdentityReport, "_ok", lambda rep: calls.append(rep.title) or ok(rep))
+        weight = tmp_path / "w.json"
+        weight.write_text(json.dumps(STRICT_SPEC), encoding="utf-8")
+        argv = ["verify-all", "--weight", str(weight), "--n", "4", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 18
+        assert set(Counter(calls).values()) == {3} and len(set(calls)) == 6
