@@ -275,7 +275,12 @@ def parse_trajectory(path, weight) -> LinearTrajectory:
         payload = json.load(fh)
     if payload.get("path", "linear") != "linear":
         raise CircleBopsError(f"unsupported trajectory path {payload.get('path')!r}")
+    for key in ("j", "to"):
+        if key not in payload:
+            raise CircleBopsError(f"trajectory needs the member {key!r}")
     j = int(payload["j"]) - 1  # singularities are 1-indexed in the JSON
+    if not 0 <= j < weight.m:
+        raise CircleBopsError(f"trajectory 'j' = {j + 1} names no singularity of 1..{weight.m}")
     target = complex(*payload["to"])
     t0 = float(payload.get("t0", 0.0))
     t1 = float(payload.get("t1", 1.0))

@@ -13,16 +13,16 @@ entry of a residue matrix, the right-hand side closes over the state
 (A_1..A_m, kappa_n, r_n, rbar_n).  A flow can therefore be integrated
 without ever rebuilding moments; independently rebuilding the state from
 moments at any time provides the cross-validation oracle.  The state
-arithmetic is scalar: numpy's per-call overhead on 2x2 blocks outweighs
-their arithmetic (stacked einsum/matmul measured 2.4x slower).  The
-time-only coefficients of a flow are vectorised over all its times in one
-table, with CPython's complex division and product written out on real
-arrays, so each equals its scalar value bit for bit.  A flow is one packed
-array, one row of 4m+7 entries (A_1..A_m, A_inf, kappa, r, rbar) per time.
-The table's plan (which state entries meet which columns) is fixed for a
-flow, so the right-hand side and the RK4 step are generated once per plan
-as straight-line Python and compiled on first use; the flow, every rung of
-its Richardson ladder and `schlesinger_rhs` run that code.
+arithmetic is scalar: on 2x2 blocks numpy's per-call overhead outweighs the
+work.  A flow is one packed array, one row of 4m+7 entries (A_1..A_m,
+A_inf, kappa, r, rbar) per time.  Its time-only coefficients come from one
+table over all its times, with CPython's complex division and product
+written out on real arrays, so each equals its scalar value bit for bit.
+Which state entries meet which columns (the plan) is fixed for a flow, so
+the right-hand side and the whole RK4 loop are generated per plan as
+straight-line Python, the state held in locals, and compiled on first use;
+a flow is one call of that loop.  The loop neither divides nor compares,
+so an entry once inf or nan stays so: finiteness is checked once per flow.
 
 The local monodromy about each singularity is fixed by its residue matrix,
 whose trace and determinant have a closed form: tr A_nj = -rho_j at every
@@ -35,7 +35,7 @@ A flow is checked against itself by Richardson step halving on a ladder of
 power-of-two step counts, each compared with twice its steps.  The ladder is
 climbed from one step until the endpoint change sinks into round-off, so the
 ratio reads as the order (16 for RK4) and the rungs that only show round-off
-are never integrated.
+are never integrated.  Each rung is one flow; the rungs share one table.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
     return (ratios, len(js), tuple(map(tuple, blocks))), table.tolist()
 
 
-_KERNELS: dict[tuple, tuple] = {}  # plan -> (rhs, step), compiled on the plan's first use
+_KERNELS: dict[tuple, tuple] = {}  # plan -> (rhs, run), compiled on the plan's first use
 
 
 def _rhs_lines(plan: tuple, y: list, col: str, k: str) -> list[str]:
@@ -367,11 +367,12 @@ def _rhs_lines(plan: tuple, y: list, col: str, k: str) -> list[str]:
 
 def _kernel(plan: tuple) -> tuple:
     """The right-hand side ``rhs(y, row)`` -> (derivative, kdot, B_inf[1, 0])
-    and the RK4 step ``step(y, row, mid, end, h, half, sixth)`` -> next state
-    of one plan, compiled from straight-line source with every state entry,
-    stage value and table column a local.  Both do the complex operations of
-    the loop over the plan in its order, so they equal it bit for bit.  The
-    source is made from the plan's integers alone."""
+    and the RK4 loop ``run(y, rows, h, half, sixth, out)`` -> last state of
+    one plan, compiled from straight-line source with every state entry,
+    stage value and table column a local; ``run`` appends each state to a
+    list ``out``.  Both do the complex operations of the loop over the plan
+    in its order, so they equal it bit for bit.  The source is made from
+    the plan's integers alone."""
     if plan not in _KERNELS:
         _, total, blocks = plan
         size, width = 4 * len(blocks) + 3, total + 1 + sum(map(len, blocks))
@@ -389,16 +390,18 @@ def _kernel(plan: tuple) -> tuple:
 
         rhs = ["def rhs(y, row):", *unpack[:2], *stage(y, "r", "k")]
         rhs.append(f"return [{', '.join(f'k_{i}' for i in range(size))}], k_kdot, k_b10")
-        step = ["def step(y, row, mid, end, h, half, sixth):", *unpack]
-        step += stage(y, "r", "a", u, "half") + stage(u, "m", "b", v, "half")
-        step += stage(v, "m", "c", w, "h") + stage(w, "e", "d")
-        step.append("return [" + ", ".join(
-            f"{x} + sixth * (a_{i} + 2.0 * b_{i} + 2.0 * c_{i} + d_{i})" for i, x in enumerate(y)
-        ) + "]")
+        step = unpack[1:] + stage(y, "r", "a", u, "half") + stage(u, "m", "b", v, "half")
+        step += stage(v, "m", "c", w, "h") + stage(w, "e", "d") + [
+            f"{x} = {x} + sixth * (a_{i} + 2.0 * b_{i} + 2.0 * c_{i} + d_{i})"
+            for i, x in enumerate(y)
+        ] + ["if out is not None:", f" out.append([{', '.join(y)}])"]
+        run = ["def run(y, rows, h, half, sixth, out):", unpack[0]]
+        run += ["for row, mid, end in zip(rows[::2], rows[1::2], rows[2::2]):"]
+        run += [" " + line for line in step] + [f"return [{', '.join(y)}]"]
         namespace: dict = {}
-        source = "\n ".join(rhs) + "\n" + "\n ".join(step)
+        source = "\n ".join(rhs) + "\n" + "\n ".join(run)
         exec(compile(source, "<schlesinger kernel>", "exec"), namespace)
-        _KERNELS[plan] = namespace["rhs"], namespace["step"]
+        _KERNELS[plan] = namespace["rhs"], namespace["run"]
     return _KERNELS[plan]
 
 
@@ -420,27 +423,25 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
 # Flow integration (classic fixed-step RK4 with Richardson monitoring)
 # ---------------------------------------------------------------------------
 
-def _rk4_steps(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int):
-    """Fixed-step fourth-order Runge-Kutta on the packed Schlesinger state;
-    yields (t, packed state as a list) after every step.  The time-only
-    coefficients of every grid time and midpoint come from one table, and
-    each step is one call of the plan's compiled kernel."""
+def _rk4_times(t_span: tuple[float, float], steps: int) -> list[float]:
+    """t0, then the midpoint and end of each of ``steps`` RK4 steps over t_span."""
     t0, t1 = t_span
     if steps < 1:
         raise ValueError("steps must be positive")
-    m = (len(y0) - 7) // 4
     h = (t1 - t0) / steps
-    half, sixth = 0.5 * h, h / 6.0
     grid = [t0 + (i + 1) * h for i in range(steps - 1)] + [t1]
-    times = [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + half, t_next)]
-    plan, table = _flow_table(traj, np.array(times), m)
-    step = _kernel(plan)[1]
-    y = np.asarray(y0, dtype=complex).tolist()
-    for s, t_next in enumerate(grid):
-        y = step(y, *table[2 * s : 2 * s + 3], h, half, sixth)
-        if not all(map(cmath.isfinite, y)):
-            raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
-        yield t_next, y
+    return [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + 0.5 * h, t_next)]
+
+
+def _rk4(run, y0: list, rows: list, times: list[float], out: list | None) -> list:
+    """RK4's last state from ``y0`` over ``times`` (table ``rows``), in one
+    call of ``run``; a flow that blew up is rerun to find its first bad step."""
+    h = (times[-1] - times[0]) / (len(times) // 2)
+    if all(map(cmath.isfinite, y := run(y0, rows, h, 0.5 * h, h / 6.0, out))):
+        return y
+    run(y0, rows, h, 0.5 * h, h / 6.0, states := [])
+    bad = next(s for s, x in enumerate(states) if not all(map(cmath.isfinite, x)))
+    raise SingularResidueError(f"flow blew up at t = {times[2 * bad + 2]} (movable singularity?)")
 
 
 def integrate_flow(
@@ -449,24 +450,20 @@ def integrate_flow(
     """Fixed-step RK4 from the packed state ``y0`` (`DeformState.pack`);
     returns the grid times, shape (steps + 1,), and the packed state at
     each, shape (steps + 1, 4m + 7).  A zero span returns t0 and y0."""
-    t0, t1 = t_span
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    times, rows = [t0], [y0]
-    if t1 != t0:
-        for t, y in _rk4_steps(y0, traj, t_span, steps):
-            times.append(t)
-            rows.append(y)
-    return np.array(times), np.array(rows, dtype=complex)
+    times, states = _rk4_times(t_span, steps), [np.asarray(y0, dtype=complex).tolist()]
+    if times[-1] == times[0]:
+        return np.array(times[:1]), np.array(states)
+    plan, table = _flow_table(traj, np.array(times), (len(y0) - 7) // 4)
+    _rk4(_kernel(plan)[1], states[0], table, times, states)
+    return np.array(times[::2]), np.array(states)
 
 
-def flow_endpoint(
-    y0: np.ndarray, traj, t_span: tuple[float, float], steps: int
-) -> np.ndarray:
+def flow_endpoint(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int) -> np.ndarray:
     """The packed state integrate_flow reaches at t_span[1], bit for bit,
     without keeping the states on the way."""
-    for _, y in _rk4_steps(y0, traj, t_span, steps):
-        pass
+    times = _rk4_times(t_span, steps)
+    plan, table = _flow_table(traj, np.array(times), (len(y0) - 7) // 4)
+    y = _rk4(_kernel(plan)[1], np.asarray(y0, dtype=complex).tolist(), table, times, None)
     return np.array(y)
 
 
@@ -491,20 +488,23 @@ def flow_convergence(times: np.ndarray, flow: np.ndarray, traj) -> dict:
     coarser grid, so coarse and the ratio are 0."""
     if len(flow) == 1:
         return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
-    t_span = (float(times[0]), float(times[-1]))
-    steps = len(flow) - 1
-    ends = {steps: flow[-1]}
+    t_span, steps = (float(times[0]), float(times[-1])), len(flow) - 1
+    top = 1 << max(steps.bit_length() - 2, 0)
+    grids = {2**i: _rk4_times(t_span, 2**i) for i in range(top.bit_length() + 1) if 2**i != steps}
+    plan, table = _flow_table(traj, np.concatenate(list(grids.values())), (flow.shape[1] - 7) // 4)
+    bounds = np.cumsum([0] + list(map(len, grids.values()))).tolist()
+    rows = {k: table[a:b] for k, a, b in zip(grids, bounds, bounds[1:])}
+    run, y0, ends = _kernel(plan)[1], flow[0].tolist(), {steps: flow[-1]}
 
     def at(k: int) -> np.ndarray:
         if k not in ends:
-            ends[k] = flow_endpoint(flow[0], traj, t_span, k)
+            ends[k] = np.array(_rk4(run, y0, rows[k], grids[k], None))
         return ends[k]
 
     def fine_at(s: int) -> float:
         return float(np.max(np.abs(at(s) - at(2 * s))))
 
     floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
-    top = 1 << max(steps.bit_length() - 2, 0)
     s, coarse, fine = 1, 0.0, fine_at(1)
     while fine >= floor and s < top and (finer := fine_at(2 * s)) >= floor:
         s, coarse, fine = 2 * s, fine, finer

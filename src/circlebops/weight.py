@@ -341,7 +341,10 @@ def build_vw(spec: SemiClassicalWeight) -> PolyPair:
 
 def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:
     sings = []
-    for item in payload["singularities"]:
+    for i, item in enumerate(payload["singularities"], start=1):
+        for key in ("z", "rho"):
+            if key not in item:
+                raise WeightValidationError(f"singularity {i} needs the member {key!r}")
         z = item["z"]
         rho = item["rho"]
         sings.append(Singularity(complex(z[0], z[1]), complex(rho[0], rho[1])))

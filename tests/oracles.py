@@ -10,9 +10,10 @@ finite differences of rebuilt states, transfer matrices and weights along a
 trajectory against the closed-form rates, the top-down Richardson rule
 that the upward ladder of ``flow_convergence`` must reproduce, the
 per-time scalar table of a flow's time-only coefficients that the
-vectorised table must equal bit for bit, and the loop right-hand side and
+vectorised table must equal bit for bit, the loop right-hand side and
 list-comprehension RK4 that the compiled flow kernel must equal bit for
-bit.
+bit, and the ladder climbed with that RK4, one table per rung, that the
+one-table ladder must equal bit for bit.
 
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
@@ -395,6 +396,30 @@ def rk4_loop(y0, traj, t_span: tuple[float, float], steps: int) -> list[list]:
             raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
         states.append(y)
     return states
+
+
+def richardson_loop(y0, traj, t_span: tuple[float, float], steps: int) -> dict:
+    """The Richardson ladder of ``flow_convergence`` on the ``steps``-step
+    flow from ``y0``, with that flow and each rung by `rk4_loop`: the rungs
+    are climbed one at a time from s = 1, each with its own table, and a
+    rung that blows up raises as `rk4_loop` does."""
+    ends = {steps: np.array(rk4_loop(y0, traj, t_span, steps)[-1])}
+
+    def at(k: int) -> np.ndarray:
+        if k not in ends:
+            ends[k] = np.array(rk4_loop(y0, traj, t_span, k)[-1])
+        return ends[k]
+
+    def fine_at(s: int) -> float:
+        return float(np.max(np.abs(at(s) - at(2 * s))))
+
+    floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
+    top = 1 << max(steps.bit_length() - 2, 0)
+    s, coarse, fine = 1, 0.0, fine_at(1)
+    while fine >= floor and s < top and (finer := fine_at(2 * s)) >= floor:
+        s, coarse, fine = 2 * s, fine, finer
+    ratio = coarse / fine if fine > 0 else float("inf")
+    return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
 
 
 def richardson_top_down(times: np.ndarray, flow: np.ndarray, traj) -> dict:

@@ -150,6 +150,31 @@ class TestExitCodes:
         weight = write(tmp_path, "w.json", spec)
         assert main(["build", "--weight", weight, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "weight_spec, trajectory, message",
+        [
+            (STRICT_SPEC, {"to": [2, -0.05]}, "member 'j'"),
+            (STRICT_SPEC, {"j": 2, "from": [2, 0]}, "member 'to'"),
+            (STRICT_SPEC, {"j": 7, "from": [2, 0], "to": [2, -0.05]}, "'j' = 7 names no singularity"),
+            (
+                {"singularities": [{"z": [0, 0], "rho": [-1, 0]}, {"z": [2, 0]}], "strict": True},
+                None,
+                "singularity 2 needs the member 'rho'",
+            ),
+        ],
+        ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho"],
+    )
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, weight_spec, trajectory, message):
+        # a missing member or an index past the weight is a malformed input:
+        # exit 2 with the member named, not a KeyError or IndexError
+        weight = write(tmp_path, "w.json", weight_spec)
+        argv = ["build", "--weight", weight, "--n", "2"]
+        if trajectory is not None:
+            path = write(tmp_path, "t.json", trajectory)
+            argv = ["deform", "--weight", weight, "--trajectory", path, "--n", "2", "--steps", "4"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_coeffs_on_relaxed_weight_exits_two(self, tmp_path):
         weight = write(tmp_path, "w.json", LAURENT_SPEC)
         assert main(["coeffs", "--weight", weight, "--out", str(tmp_path)]) == 2

@@ -417,6 +417,30 @@ class TestFlowKernel:
                 schlesinger_rhs(state, traj, 0.05)
             assert len(deform._KERNELS) == len(compiled) == kernels
 
+    @pytest.mark.parametrize("steps", [1, 3, 96, 256])
+    def test_one_loop_call_per_flow_and_one_table_per_ladder(self, traj, start, monkeypatch, steps):
+        # the flow and each rung its ladder climbs are one call each of the
+        # plan's compiled loop, in rising step counts; the flow reads one
+        # table and the ladder one more, over every rung it may climb
+        tables, runs = [], []
+        table, kernel = deform._flow_table, deform._kernel
+
+        def counted(plan):
+            rhs, run = kernel(plan)
+            return rhs, lambda y, rows, *args: runs.append(len(rows) // 2) or run(y, rows, *args)
+
+        monkeypatch.setattr(deform, "_flow_table", lambda *a: tables.append(len(a[1])) or table(*a))
+        monkeypatch.setattr(deform, "_kernel", counted)
+        times, flow = integrate_flow(start[0].pack(), traj, (0.0, 0.1), steps)
+        assert (tables, runs) == ([2 * steps + 1], [steps])
+        conv = flow_convergence(times, flow, traj)
+        top = 1 << max(steps.bit_length() - 2, 0)
+        rungs = [k for k in (2**i for i in range(top.bit_length() + 1)) if k != steps]
+        assert tables[1:] == [sum(2 * k + 1 for k in rungs)]
+        # a resolved ladder below its top also integrated the rung past s
+        past = conv["resolved"] and conv["steps"] < top
+        assert runs[1:] == [k for k in rungs if k <= (4 if past else 2) * conv["steps"]]
+
     def test_import_compiles_nothing(self):
         code = (
             "import circlebops.cli, circlebops.deform as d; "

@@ -1,6 +1,8 @@
 """The vectorised coefficient table of a Schlesinger flow against the scalar
-Python arithmetic it replaces, and the compiled flow kernel against the loop
-right-hand side and list-comprehension RK4 it replaces, bit for bit."""
+Python arithmetic it replaces, the compiled flow kernel against the loop
+right-hand side and list-comprehension RK4 it replaces, and the one-table
+Richardson ladder against that RK4 climbed one rung and table at a time,
+bit for bit."""
 
 import re
 from types import SimpleNamespace
@@ -12,6 +14,7 @@ from circlebops.deform import (
     DeformState,
     _c_quot,
     _flow_table,
+    flow_convergence,
     flow_endpoint,
     integrate_flow,
     schlesinger_rhs,
@@ -19,7 +22,7 @@ from circlebops.deform import (
 from circlebops.errors import CircleBopsError
 
 from conftest import LineTraj
-from oracles import flow_table_scalar, rhs_loop, rk4_loop
+from oracles import flow_table_scalar, rhs_loop, richardson_loop, rk4_loop
 
 EDGES = [
     0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.1, 3.7, -3.7,
@@ -143,3 +146,52 @@ def test_compiled_kernel_is_the_loop_bitwise(case):
     assert list(map(bits, got)) == list(map(bits, dy))
     assert bits(complex(rhs.b_inf[0, 0])) == bits(kdot)
     assert bits(complex(rhs.b_inf[1, 0])) == bits(b10)
+
+
+@st.composite
+def ladder_cases(draw):
+    """A trajectory, a packed state of 4m+7 complex entries, up to three of
+    them scaled by 10^e for e up to 150 (so that some flows blow up, and some
+    rungs blow up where the flow does not), a span [0, t1] and a step count
+    from {1, 2, 3, 17, 96}."""
+    traj, m = draw(trajectories(ENTRY))
+    y0 = draw(st.lists(ENTRY, min_size=4 * m + 7, max_size=4 * m + 7))
+    for i in draw(st.sets(st.integers(0, 4 * m + 6), max_size=3)):
+        y0[i] *= 10.0 ** draw(st.integers(0, 150))
+    return traj, np.array(y0), draw(st.floats(0.01, 1.0)), draw(st.sampled_from([1, 2, 3, 17, 96]))
+
+
+def test_one_table_ladder_is_the_per_rung_loop_bitwise():
+    # the pinned examples reach all three ends: the ladder returns, a rung
+    # raises while the flow does not, or the flow itself raises; an error
+    # (a blow-up names its first non-finite step) matches by class and text
+    seen = set()
+
+    def outcome(climb):
+        try:
+            return climb()
+        except CircleBopsError as exc:
+            return type(exc), str(exc)
+
+    def hexed(conv):
+        if isinstance(conv, tuple):
+            return conv
+        return {k: float.hex(v) if isinstance(v, float) else v for k, v in conv.items()}
+
+    # no shrinking, as for the kernel test: each shrink step compiles a kernel
+    @hypothesis.seed(20261020)
+    @hypothesis.settings(
+        max_examples=100, deadline=None, database=None, phases=[hypothesis.Phase.generate]
+    )
+    @hypothesis.given(ladder_cases())
+    def check(case):
+        traj, y0, t1, steps = case
+        want = outcome(lambda: richardson_loop(y0, traj, (0.0, t1), steps))
+        flow = outcome(lambda: integrate_flow(y0, traj, (0.0, t1), steps))
+        got = flow if isinstance(flow[0], type) else outcome(lambda: flow_convergence(*flow, traj))
+        assert hexed(got) == hexed(want)
+        raised = isinstance(got, tuple)
+        seen.add("flow raised" if got is flow else "rung raised" if raised else "ladder returned")
+
+    check()
+    assert seen == {"ladder returned", "rung raised", "flow raised"}
