@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bops import BopsSystem, _level_matrices
+from .bops import BopsSystem, _moment_block, _reversed
 from .config import IDENTITY_TOL
 from .errors import NearCircleError
 from .moments import CaratheodoryEvaluator
@@ -75,14 +75,14 @@ class AssocSystem:
         level n = 0..N, zero-padded to N+1: shape (N+1, 4, N+1), entry
         [k, j, n] the coefficient of z^k of polynomial j at level n.  psi and
         psi* reversed are one product each (see the module docstring)."""
-        mats = _level_matrices(self.sys, ("phi", "phistar", "phibar"))
-        block = mats["block"]  # block[j, i] = w_{i-j}
+        fam = self.sys.families
+        block = _moment_block(self.sys)  # block[j, i] = w_{i-j}
         j, i = np.indices(block.shape)  # coefficient j, order i
         mask = (j > i) * 1 + (i >= 1) * (j >= i)  # an int: True + True is True
-        psi = mats["phi"] @ (block * mask)
-        psistar = mats["phibar"] @ (block.T * mask)
+        psi = fam["phi"] @ (block * mask)
+        psistar = fam["phibar"] @ (block.T * mask)
         psi[0, 0] = psistar[0, 0] = 1.0 / self.sys.kappa(0)
-        stack = np.stack([mats["phi"], mats["phistar"], psi, psistar], axis=1).T
+        stack = np.stack([fam["phi"], fam["phistar"], psi, psistar], axis=1).T
         stack[:, 3:] = _reversed(stack[:, 3:])
         return stack
 
@@ -198,14 +198,6 @@ def _inside(zs: np.ndarray, side: str | None) -> np.ndarray:
             "the unit circle; force side='inside' or side='outside'"
         )
     return r < 1.0
-
-
-def _reversed(stack: np.ndarray) -> np.ndarray:
-    """Each level's polynomials reversed in its degree n, z^n p(1/z): order
-    k of level n takes order n - k, for a stack (orders, columns, levels)."""
-    k, n = np.indices((len(stack), stack.shape[-1]))
-    flipped = np.take_along_axis(stack, np.abs(n - k)[:, None], axis=0)
-    return np.where((k <= n)[:, None], flipped, 0.0)
 
 
 # ---------------------------------------------------------------------------

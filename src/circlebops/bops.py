@@ -18,6 +18,14 @@ is the coefficientwise oracle of the Gram levels.  It is not the production
 route: levels built from it fail the orthonormality gate on the flagship
 weight from N = 19 (1.9e-9 against 1.9e-10 from the Gram solves).
 
+One coefficient store per system: ``kappas`` and the zero-padded (N+1, N+1)
+matrices ``phi`` and ``phibar``, row n the ascending coefficients of level
+n.  The Gram solves fill its rows, the recursion fills rows of its own for
+the cross-check, and every reader reads the store: the level records (views
+of its rows), the family matrices (phi*, phibar* its rows reversed in their
+degree, formed once), r_n and rbar_n, the identity web, system.json, and
+``prefix(n)``, a slice that is bit for bit a build to n.
+
 Level ceiling: on the flagship weight the Gram levels pass the identity web
 through N = 21.  Above that, orthonormality and monomial orthogonality fail
 the 1e-9 gate because the double-precision coefficients grow (about 2.5e10
@@ -26,7 +34,8 @@ at N = 32), whatever route computes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 import numpy as np
@@ -83,29 +92,58 @@ class BopsLevel:
         return complex(self.c[self.n - 2]) if self.n >= 2 else None
 
 
-@dataclass
+@dataclass(eq=False)
 class BopsSystem:
+    """Levels 0..N as one store (see the module docstring): kappa_n, and
+    c_{n,j}, cbar_{n,j} at [n, j] of ``phi``, ``phibar`` (zero past j = n)."""
+
     table: MomentTable
-    levels: list[BopsLevel]
+    kappas: np.ndarray
+    phi: np.ndarray
+    phibar: np.ndarray
     # levels n whose |1 - r_{n-1} rbar_{n-1}| is within 1e6 of the floor
-    existence_log: list[int] = field(default_factory=list)
+    existence_log: list[int]
     # coefficientwise gap between the Gram levels and the recursion, by level
-    deviations: list[float] = field(default_factory=list)
+    deviations: list[float]
 
     @property
     def nmax(self) -> int:
-        return len(self.levels) - 1
+        return len(self.kappas) - 1
 
     @property
     def cross_check_deviation(self) -> float:
         return float(np.max(self.deviations, initial=0.0))
 
+    @cached_property
+    def levels(self) -> list[BopsLevel]:
+        """One record a level, its coefficients views of the store's rows."""
+        return [BopsLevel(n, kappa, self.phi[n, : n + 1], self.phibar[n, : n + 1])
+                for n, kappa in enumerate(self.kappas.tolist())]
+
+    @cached_property
+    def families(self) -> dict[str, np.ndarray]:
+        """Each family's zero-padded coefficient matrix, row n its level n:
+        phi and phibar are the store, phi*_n(z) = z^n phibar_n(1/z) and
+        phibar*_n(z) = z^n phi_n(1/z) their rows reversed, formed once."""
+        stack = np.stack([self.phibar.T, self.phi.T], axis=1)  # (orders, family, levels)
+        star, barstar = _reversed(stack).transpose(1, 2, 0).copy()
+        return {"phi": self.phi, "phibar": self.phibar, "phistar": star, "phibarstar": barstar}
+
+    @cached_property
+    def reflections(self) -> tuple[list[complex], list[complex]]:
+        """r_n = phi_n(0) / kappa_n and rbar_n = phibar_n(0) / kappa_n of every
+        level, in Python complex arithmetic: BopsLevel.r's bits."""
+        k = self.kappas.tolist()
+        return tuple([c / kappa for c, kappa in zip(col.tolist(), k)]
+                     for col in (self.phi[:, 0], self.phibar[:, 0]))
     def prefix(self, n: int) -> "BopsSystem":
         """Levels 0..n, bit for bit build_system(table, n): each Gram level is
         its own solve, and the recursion's levels 0..n are a prefix."""
         self.level(n)
         log = [k for k in self.existence_log if k <= n + 1]
-        return BopsSystem(self.table, self.levels[: n + 1], log, self.deviations[: n + 1])
+        size = slice(n + 1)
+        return BopsSystem(self.table, self.kappas[size], self.phi[size, size],
+                          self.phibar[size, size], log, self.deviations[size])
 
     def level(self, n: int) -> BopsLevel:
         if n < 0 or n > self.nmax:
@@ -118,85 +156,75 @@ class BopsSystem:
 
 Family = Literal["phi", "phistar", "phibar", "phibarstar"]
 
-# ascending coefficients of each family at one level; phibar*_n(z) = z^n phi_n(1/z)
-_FAMILY = {
-    "phi": lambda lev: lev.c,
-    "phibar": lambda lev: lev.cbar,
-    "phistar": lambda lev: lev.cbar[::-1],
-    "phibarstar": lambda lev: lev.c[::-1],
-}
 
-
-def _coeff_matrix(sys: BopsSystem, which: Family) -> np.ndarray:
-    """Row n holds the ascending coefficients of level n, zero-padded to N+1."""
-    mat = np.zeros((sys.nmax + 1, sys.nmax + 1), dtype=complex)
-    for n, lev in enumerate(sys.levels):
-        mat[n, : n + 1] = _FAMILY[which](lev)
-    return mat
+def _reversed(stack: np.ndarray) -> np.ndarray:
+    """Each level's polynomials reversed in its degree n, z^n p(1/z): order
+    k of level n takes order n - k, for a stack (orders, columns, levels)."""
+    k, n = np.indices((len(stack), stack.shape[-1]))
+    flipped = np.take_along_axis(stack, np.abs(n - k)[:, None], axis=0)
+    return np.where((k <= n)[:, None], flipped, 0.0)
 
 
 def eval_poly(sys: BopsSystem, n: int, z, which: Family = "phi"):
     """Horner evaluation of phi_n, phi*_n, phibar_n or the reversed-bar
     polynomial phibar*_n(z) = z^n phi_n(1/z)."""
-    return polyval(_FAMILY[which](sys.level(n)), z)
+    sys.level(n)  # IndexError for a level that is not built
+    return polyval(sys.families[which][n, : n + 1], z)
 
 
-def eval_levels(sys: BopsSystem, z, which: Family = "phi", mats=None) -> np.ndarray:
+def eval_levels(sys: BopsSystem, z, which: Family = "phi") -> np.ndarray:
     """Every level n = 0..N of one family at every point of z, shape
-    (N+1, *z.shape), in one Horner pass over the zero-padded coefficient
-    matrix (from ``mats``, see _level_matrices, when given).  Leading zeros
-    leave Horner's steps unchanged: row n is eval_poly(sys, n, z, which)."""
-    return polyval((mats[which] if mats else _coeff_matrix(sys, which)).T, z)
+    (N+1, *z.shape), in one Horner pass over the family's zero-padded
+    coefficient matrix.  Leading zeros leave Horner's steps unchanged: row n
+    is eval_poly(sys, n, z, which)."""
+    return polyval(sys.families[which].T, z)
 
 
-def _gram_levels(tbl: MomentTable, nmax: int) -> list[BopsLevel]:
-    levels = []
+def _gram_levels(tbl: MomentTable, nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """kappa and the zero-padded phi, phibar rows of levels 0..nmax: level n
+    solves the leading (n+1)-block of one Toeplitz matrix and its transpose."""
+    j = np.arange(nmax + 1)
+    toeplitz = tbl.values[(j[:, None] - j[None, :]) + tbl.window]  # w_{m-j}
+    phi, phibar = np.zeros((2, nmax + 1, nmax + 1), dtype=complex)
+    unit, kappas = np.eye(nmax + 1, dtype=complex), []  # unit[n, : n + 1] = e_n
     for n in range(nmax + 1):
-        j = np.arange(n + 1)
-        mat = tbl.values[(j[:, None] - j[None, :]) + tbl.window]  # w_{m-j}
-        rhs = np.zeros(n + 1, dtype=complex)
-        rhs[n] = 1.0
-        x = np.linalg.solve(mat, rhs)
-        y = np.linalg.solve(mat.T, rhs)
-        kappa = principal_sqrt(x[n])
-        levels.append(BopsLevel(n=n, kappa=kappa, c=x / kappa, cbar=y / kappa))
-    return levels
+        mat, rhs = toeplitz[: n + 1, : n + 1], unit[n, : n + 1]
+        x, y = np.linalg.solve(mat, rhs), np.linalg.solve(mat.T, rhs)
+        kappas.append(kappa := principal_sqrt(x[n]))
+        phi[n, : n + 1], phibar[n, : n + 1] = x / kappa, y / kappa
+    return np.array(kappas, dtype=complex), phi, phibar
 
 
-def _recursion_levels(tbl: MomentTable, nmax: int) -> tuple[list[BopsLevel], list[int]]:
-    """Levels 0..nmax by the monic bi-orthogonal Szego recursion (see the
-    module docstring) and the existence log; raises ExistenceError(n + 1)
-    when |1 - r_n rbar_n| < EXISTENCE_FLOOR, and ExistenceError(1) when
-    w_0 = 0."""
+def _recursion_levels(tbl: MomentTable, nmax: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The zero-padded phi, phibar rows of levels 0..nmax by the monic
+    bi-orthogonal Szego recursion (see the module docstring), each monic row
+    filled from the one before and scaled by its kappa at the end, and the
+    existence log; raises ExistenceError(n + 1) when |1 - r_n rbar_n| <
+    EXISTENCE_FLOOR, and ExistenceError(1) when w_0 = 0."""
     w, k = tbl.values, tbl.window
     e = w[k]
     if e == 0:
         raise ExistenceError(1, 0.0, EXISTENCE_FLOOR)
-    a = b = np.ones(1, dtype=complex)
-    levels = [_scaled_level(0, a, b, e)]
-    log: list[int] = []
+    down = w[::-1].copy()  # down[k + j] = w_{-j}: w_{-1-j}, j = 0..n-1, is one slice
+    a, b = np.zeros((2, nmax + 1, nmax + 1), dtype=complex)  # monic A_n, B_n
+    a[:1, :1] = b[:1, :1] = 1.0
+    es, log = [e], []
     for n in range(1, nmax + 1):
-        j = np.arange(n)
-        r = -(a @ w[k - 1 - j]) / e
-        rbar = -(b @ w[k + 1 + j]) / e
+        r = -(a[n - 1, :n] @ down[k + 1 : k + 1 + n]) / e
+        rbar = -(b[n - 1, :n] @ w[k + 1 : k + 1 + n]) / e
         ratio = 1.0 - r * rbar  # e_n / e_{n-1}
         if abs(ratio) < EXISTENCE_FLOOR:
             raise ExistenceError(n + 1, abs(ratio), EXISTENCE_FLOOR)
         if abs(ratio) < 1e6 * EXISTENCE_FLOOR:
             log.append(n + 1)
-        a, b = (
-            np.concatenate(([0.0], a)) + r * np.concatenate((b[::-1], [0.0])),
-            np.concatenate(([0.0], b)) + rbar * np.concatenate((a[::-1], [0.0])),
-        )
+        # A_n = z A_{n-1} + r B*_{n-1}, B_n = z B_{n-1} + rbar A*_{n-1}
+        a[n, 1 : n + 1], b[n, 1 : n + 1] = a[n - 1, :n], b[n - 1, :n]
+        a[n, :n] += r * b[n - 1, n - 1 :: -1]
+        b[n, :n] += rbar * a[n - 1, n - 1 :: -1]
         e = e * ratio
-        levels.append(_scaled_level(n, a, b, e))
-    return levels, log
-
-
-def _scaled_level(n: int, a: np.ndarray, b: np.ndarray, e: complex) -> BopsLevel:
-    """The level of the monic pair (A_n, B_n) with e_n = 1 / kappa_n^2."""
-    kappa = principal_sqrt(1.0 / e)
-    return BopsLevel(n=n, kappa=kappa, c=kappa * a, cbar=kappa * b)
+        es.append(e)
+    kappas = np.array([principal_sqrt(1.0 / e) for e in es], dtype=complex)[:, None]
+    return kappas * a, kappas * b, log
 
 
 def build_system(tbl: MomentTable, nmax: int) -> BopsSystem:
@@ -208,13 +236,13 @@ def build_system(tbl: MomentTable, nmax: int) -> BopsSystem:
     (relative to the largest coefficient)."""
     if tbl.window < nmax + 1:
         raise WindowError(nmax + 1, tbl.window, f"build_system(N={nmax})")
-    oracle, log = _recursion_levels(tbl, nmax)
-    system = BopsSystem(table=tbl, levels=_gram_levels(tbl, nmax), existence_log=log)
+    *oracle, log = _recursion_levels(tbl, nmax)
+    kappas, phi, phibar = _gram_levels(tbl, nmax)
     # (level, family, coefficient) of both routes, zero-padded
-    gram, rec = (np.stack([_coeff_matrix(s, "phi"), _coeff_matrix(s, "phibar")], axis=1)
-                 for s in (system, BopsSystem(table=tbl, levels=oracle)))
+    gram, rec = np.stack([phi, phibar], axis=1), np.stack(oracle, axis=1)
     scale = np.fmax(1.0, np.abs(gram).max(axis=(1, 2)))
-    system.deviations = (np.abs(gram - rec).max(axis=(1, 2)) / scale).tolist()
+    deviations = (np.abs(gram - rec).max(axis=(1, 2)) / scale).tolist()
+    system = BopsSystem(tbl, kappas, phi, phibar, log, deviations)
     if (deviation := system.cross_check_deviation) > 1e-8:
         raise ConsistencyError("Gram levels and reflection recursion disagree", deviation, 1e-8)
     return system
@@ -233,25 +261,18 @@ def _moment_block(sys: BopsSystem) -> np.ndarray:
     return sys.table.values[(j[None, :] - j[:, None]) + sys.table.window]
 
 
-def _level_matrices(sys: BopsSystem, families: Sequence[Family]) -> dict[str, np.ndarray]:
-    """Each named family's coefficient matrix and the moment "block", built
-    once for a caller that reads them more than once."""
-    return {**{which: _coeff_matrix(sys, which) for which in families}, "block": _moment_block(sys)}
-
-
-def orthonormality_matrix(sys: BopsSystem, mats=None) -> np.ndarray:
+def orthonormality_matrix(sys: BopsSystem) -> np.ndarray:
     """G[m, n] = <phi_m, phibar_n> computed as an exact moment convolution."""
-    mats = mats or _level_matrices(sys, ("phi", "phibar"))
-    return mats["phi"] @ mats["block"] @ mats["phibar"].T
+    return sys.phi @ _moment_block(sys) @ sys.phibar.T
 
 
-def _monomial_residuals(sys: BopsSystem, mats=None) -> np.ndarray:
+def _monomial_residuals(sys: BopsSystem) -> np.ndarray:
     """Row n: max |<phi_n, zetabar^j>| over 0 <= j < n and
     max |<phi*_n, zetabar^j>| over 1 <= j <= n (0 where the range is empty)."""
-    mats = mats or _level_matrices(sys, ("phi", "phistar"))
-    n, j = np.indices(mats["block"].shape)
-    phi = np.where(j < n, np.abs(mats["phi"] @ mats["block"]), 0.0)
-    star = np.where((j >= 1) & (j <= n), np.abs(mats["phistar"] @ mats["block"]), 0.0)
+    block = _moment_block(sys)
+    n, j = np.indices(block.shape)
+    phi = np.where(j < n, np.abs(sys.phi @ block), 0.0)
+    star = np.where((j >= 1) & (j <= n), np.abs(sys.families["phistar"] @ block), 0.0)
     return np.stack([phi.max(axis=1), star.max(axis=1)], axis=1)
 
 
@@ -277,18 +298,22 @@ def verify_scalar_identities(
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)
     zetabars = np.array([zb for _, zb in samples], dtype=complex)
-    mats = _level_matrices(sys, ("phi", "phistar", "phibar", "phibarstar"))
-    phi, star = eval_levels(sys, zs, "phi", mats), eval_levels(sys, zs, "phistar", mats)
-    lev = sys.levels
-    k, p0, pb0 = ([getattr(a, key) for a in lev] for key in ("kappa", "phi0", "phibar0"))
+    fam = sys.families
+    phi, star = np.split(polyval(np.concatenate((sys.phi, fam["phistar"])).T, zs), 2)
+    # the level scalars as Python complex lists: kappa_n, phi_n(0), phibar_n(0),
+    # r_n, rbar_n, l_n = c_{n,n-1} (0 at n = 0) and m_n = c_{n,n-2} (0 below 2)
+    k, p0, pb0 = (col.tolist() for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
+    r, rbar = sys.reflections
+    l = [0j] + np.diagonal(sys.phi, -1).tolist()
+    m = [0.0, 0.0] + [c or 0.0 for c in np.diagonal(sys.phi, -2).tolist()]
 
-    kap, low = np.array(k)[:, None], range(nmax)
+    kap, low = sys.kappas[:, None], range(nmax)
     coupled = "coupled linear recurrence relations"
     rep.add_rows([
         equation("coupled_recurrence", coupled, kap[:-1] * phi[1:],
-                 kap[1:] * zs * phi[:-1] + np.array(p0)[1:, None] * star[:-1]),
+                 kap[1:] * zs * phi[:-1] + sys.phi[1:, :1] * star[:-1]),
         equation("coupled_recurrence_star", coupled, kap[:-1] * star[1:],
-                 kap[1:] * star[:-1] + np.array(pb0)[1:, None] * zs * phi[:-1]),
+                 kap[1:] * star[:-1] + sys.phibar[1:, :1] * zs * phi[:-1]),
     ], tol, low)
 
     # columns kappa_n c_n, kappa_{n-1} c_{n+1}, kappa_n c_{n+1}, kappa_{n+1} c_n
@@ -308,7 +333,7 @@ def verify_scalar_identities(
     mask = np.abs(1.0 - zs * zetabars) > 1e-6
     zcd, zbcd = zs[mask], zetabars[mask]
     p, pstar = phi[:, mask], star[:, mask]
-    q, qstar = eval_levels(sys, zbcd, "phibar", mats), eval_levels(sys, zbcd, "phibarstar", mats)
+    q, qstar = np.split(polyval(np.concatenate((sys.phibar, fam["phibarstar"])).T, zbcd), 2)
     sums = np.cumsum(p * q, axis=0)[:-1]
     denom = 1.0 - zcd * zbcd
     cd = "analogue of the Christoffel-Darboux summation formula"
@@ -324,14 +349,13 @@ def verify_scalar_identities(
     rep.add_rows([
         equation("kappa_identity", lead, [k[n] ** 2 for n in top],
                  [k[n - 1] ** 2 + p0[n] * pb0[n] for n in top]),
-        equation("l_recursion", lead, [lev[n].l / k[n] for n in top],
-                 [lev[n - 1].l / k[n - 1] + lev[n].r * lev[n - 1].rbar for n in top]),
+        equation("l_recursion", lead, [l[n] / k[n] for n in top],
+                 [l[n - 1] / k[n - 1] + r[n] * rbar[n - 1] for n in top]),
     ], tol, top)
-    m, up = [a.m2 or 0.0 for a in lev], range(2, nmax + 1)  # m_n = 0 below n = 2
+    up = range(2, nmax + 1)
     rep.add_rows([
         equation("m_recursion", lead, [m[n] / k[n] for n in up],
-                 [m[n - 1] / k[n - 1]
-                  + lev[n].r * (lev[n - 2].rbar + lev[n - 1].rbar * lev[n - 2].l / k[n - 2])
+                 [m[n - 1] / k[n - 1] + r[n] * (rbar[n - 2] + rbar[n - 1] * l[n - 2] / k[n - 2])
                   for n in up]),
     ], tol, up)
 
@@ -340,23 +364,11 @@ def verify_scalar_identities(
     rep.add_rows([
         equation("toeplitz_ratio_recursion", "with the convention I0_0 = 1 the sequence satisfies",
                  [i0[n + 1] * i0[n - 1] / i0[n] ** 2 for n in top],
-                 [1.0 - lev[n].r * lev[n].rbar for n in top]),
+                 [1.0 - r[n] * rbar[n] for n in top]),
     ], tol, top)
 
-    gram = orthonormality_matrix(sys, mats)
-    off = gram - np.eye(len(gram))
-    rep.add(
-        "orthonormality",
-        "this system is taken to be orthonormal",
-        float(np.max(np.abs(off))),
-        tol,
-    )
-    for n, res in enumerate(_monomial_residuals(sys, mats)):
-        rep.add(
-            "monomial_orthogonality",
-            "can be defined up to an overall factor",
-            float(res.max()),
-            tol,
-            n=n,
-        )
+    off = np.abs(orthonormality_matrix(sys) - np.eye(nmax + 1)).max()
+    rep.add("orthonormality", "this system is taken to be orthonormal", float(off), tol)
+    rep.add_rows([("monomial_orthogonality", "can be defined up to an overall factor",
+                   _monomial_residuals(sys))], tol, range(nmax + 1))
     return rep

@@ -44,8 +44,8 @@ from .lax import rhp_jump_check, verify_matrix_system
 from .moments import heine_oracle, table_from_moments, toeplitz_det, weight_from_table
 from .numerics import circle_samples
 from .pipeline import build_bundle, moment_table
-from .report import SCHEMA, IdentityReport, dump_json
-from .weight import is_strict_semiclassical, validate_weight, weight_from_json
+from .report import SCHEMA, IdentityReport, _Text, dump_json
+from .weight import is_strict_semiclassical, json_pair, validate_weight, weight_from_json
 
 COMMANDS = (
     "moments",
@@ -153,32 +153,33 @@ def _levels(args: argparse.Namespace, weight, table) -> BopsSystem:
     return build_system(moment_table(source, args.n, args.quad_points), args.n)
 
 
+def _dump_system(system: BopsSystem, path: Path) -> None:
+    """system.json from the store in bulk: every float of the levels from one
+    encoder call, each level's line assembled from their texts; the bytes
+    dump_json writes for the payload of one dict a level."""
+    size = system.nmax + 1
+    tri = np.tril_indices(size)  # row by row, the coefficients of each level
+    values = np.concatenate((system.phi[tri], system.phibar[tri], system.kappas,
+                             *system.reflections))
+    text = json.dumps(values.view(float).tolist())[1:-1].split(", ")
+    pairs = ["[%s, %s]" % pair for pair in zip(text[::2], text[1::2])]
+    half = len(tri[0])
+    c, cbar = ([", ".join(pairs[at + n * (n + 1) // 2 : at + (n + 1) * (n + 2) // 2])
+                for n in range(size)] for at in (0, half))
+    kappa, r, rbar = (pairs[2 * half + i * size : 2 * half + (i + 1) * size] for i in range(3))
+    lines = ['{"c": [%s], "cbar": [%s], "kappa": %s, "n": %d, "r": %s, "rbar": %s}' % row
+             for row in zip(c, cbar, kappa, range(size), r, rbar)]
+    levels = _Text("[\n    " + ",\n    ".join(lines) + "\n  ]")
+    dump_json({"schema": SCHEMA, "method": "both", "cross_check_deviation": system.cross_check_deviation,
+               "existence_log": system.existence_log, "levels": levels}, path)
+
+
 def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
     """The build suite's files and report on the levels of ``system``."""
     if weight is not None:
-        dump_json(
-            validate_weight(weight, strict=False).to_dict(),
-            out / "validation_report.json",
-        )
+        dump_json(validate_weight(weight, strict=False).to_dict(), out / "validation_report.json")
     report = verify_scalar_identities(system, _sample_pairs(args), tol=IDENTITY_TOL * args.tol)
-    payload = {
-        "schema": SCHEMA,
-        "method": "both",
-        "cross_check_deviation": system.cross_check_deviation,
-        "existence_log": system.existence_log,
-        "levels": [
-            {
-                "n": lev.n,
-                "kappa": [lev.kappa.real, lev.kappa.imag],
-                "r": [lev.r.real, lev.r.imag],
-                "rbar": [lev.rbar.real, lev.rbar.imag],
-                "c": _pairs(lev.c),
-                "cbar": _pairs(lev.cbar),
-            }
-            for lev in system.levels
-        ],
-    }
-    dump_json(payload, out / "system.json")
+    _dump_system(system, out / "system.json")
     dump_json(report, out / "identity_report.json")
     return [report]
 
@@ -273,19 +274,24 @@ def cmd_rhp(args: argparse.Namespace, weight, bundle, out: Path):
 def parse_trajectory(path, weight) -> LinearTrajectory:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CircleBopsError("trajectory spec must be a JSON object")
     if payload.get("path", "linear") != "linear":
         raise CircleBopsError(f"unsupported trajectory path {payload.get('path')!r}")
     for key in ("j", "to"):
         if key not in payload:
             raise CircleBopsError(f"trajectory needs the member {key!r}")
+    for key in ("j", "t0", "t1"):
+        if not isinstance(payload.get(key, 0.0), (int, float)):
+            raise CircleBopsError(f"trajectory {key!r} must be a number, got {payload[key]!r}")
     j = int(payload["j"]) - 1  # singularities are 1-indexed in the JSON
     if not 0 <= j < weight.m:
         raise CircleBopsError(f"trajectory 'j' = {j + 1} names no singularity of 1..{weight.m}")
-    target = complex(*payload["to"])
+    target = complex(*json_pair(payload["to"], "trajectory 'to'"))
     t0 = float(payload.get("t0", 0.0))
     t1 = float(payload.get("t1", 1.0))
     if "from" in payload:
-        start = complex(*payload["from"])
+        start = complex(*json_pair(payload["from"], "trajectory 'from'"))
         if start != weight.singularities[j].location:
             locs = list(weight.locations)
             locs[j] = start

@@ -339,26 +339,35 @@ def build_vw(spec: SemiClassicalWeight) -> PolyPair:
 #                "strict": bool, "annulus": [d1, d2], "branch": {...}}
 # ---------------------------------------------------------------------------
 
+def json_pair(value, member: str) -> tuple[float, float]:
+    """A JSON pair of numbers; WeightValidationError naming ``member`` otherwise."""
+    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
+        return value[0], value[1]
+    raise WeightValidationError(f"{member} must be a pair of numbers, got {value!r}")
+
+
 def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:
-    sings = []
-    for i, item in enumerate(payload["singularities"], start=1):
+    items, sings = payload["singularities"], []
+    if not (isinstance(items, list) and all(isinstance(item, dict) for item in items)):
+        raise WeightValidationError("'singularities' must be a list of objects")
+    for i, item in enumerate(items, start=1):
         for key in ("z", "rho"):
             if key not in item:
                 raise WeightValidationError(f"singularity {i} needs the member {key!r}")
-        z = item["z"]
-        rho = item["rho"]
-        sings.append(Singularity(complex(z[0], z[1]), complex(rho[0], rho[1])))
+        z, rho = (complex(*json_pair(item[key], f"singularity {i} {key!r}")) for key in ("z", "rho"))
+        sings.append(Singularity(z, rho))
     annulus = payload.get("annulus")
     branch = payload.get("branch", {}) or {}
+    if not isinstance(branch, dict):
+        raise WeightValidationError(f"'branch' must be an object, got {branch!r}")
     convention = branch.get("convention", "radial")
     if convention != "radial":
         raise WeightValidationError(f"unknown branch convention: {convention!r}")
     spec = SemiClassicalWeight(
         tuple(sings),
-        annulus=tuple(annulus) if annulus else (0.0, float("inf")),
+        annulus=json_pair(annulus, "'annulus'") if annulus else (0.0, float("inf")),
         strict=bool(payload.get("strict", True)),
     )
     if annulus is None:
         spec = SemiClassicalWeight(spec.singularities, spec.default_annulus(), spec.strict)
     return spec
-

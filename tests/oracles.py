@@ -27,8 +27,10 @@ the reference that sees the cancellation.
 
 Row oracles: the one-row relative residual ``rel_residual`` and the
 per-level loops of the associated-function, linear-relation and spectral
-derivative suites, which the row-wise suites must equal bit for bit.  Last,
-the evaluators only the tests use: the solution matrix Y_n, w'/w summed
+derivative suites, which the row-wise suites must equal bit for bit.  Build
+references: the list-of-levels Szego recursion and the per-level system.json
+payload, which the row-filled recursion and the bulk writer must equal bit
+for bit and byte for byte.  Last, the evaluators only the tests use: the solution matrix Y_n, w'/w summed
 directly and the per-level monomial orthogonality."""
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from circlebops.assoc import AssocSystem
-from circlebops.bops import BopsSystem, _monomial_residuals, eval_levels, eval_poly
+from circlebops.bops import (
+    EXISTENCE_FLOOR,
+    BopsLevel,
+    BopsSystem,
+    _monomial_residuals,
+    eval_levels,
+    eval_poly,
+)
 from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
@@ -54,7 +63,7 @@ from circlebops.deform import (
     schlesinger_rhs,
 )
 from circlebops.config import IDENTITY_TOL, QUAD_POINTS
-from circlebops.errors import QuadratureError, SingularResidueError
+from circlebops.errors import ExistenceError, QuadratureError, SingularResidueError
 from circlebops.lax import ResidueSet, _mat, k_matrix
 from circlebops.moments import (
     QUAD_MAX_POINTS,
@@ -65,7 +74,7 @@ from circlebops.moments import (
     toeplitz_det,
 )
 from circlebops.numerics import polyval, principal_sqrt
-from circlebops.report import IdentityReport
+from circlebops.report import SCHEMA, IdentityReport, dump_json
 from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
 
 
@@ -986,6 +995,70 @@ def spectral_derivative_loop(
             n=n,
         )
     return rep
+
+
+# ---------------------------------------------------------------------------
+# Build references: the per-level recursion and system.json payload
+# ---------------------------------------------------------------------------
+
+def recursion_levels_loop(tbl: MomentTable, nmax: int) -> tuple[list[BopsLevel], list[int]]:
+    """Levels 0..nmax by the monic Szego recursion, one BopsLevel a level,
+    each monic pair concatenated from the last; the row-filled recursion of
+    build_system must give these rows, log and errors bit for bit."""
+    w, k = tbl.values, tbl.window
+    e = w[k]
+    if e == 0:
+        raise ExistenceError(1, 0.0, EXISTENCE_FLOOR)
+
+    def scaled(n, a, b, e):
+        kappa = principal_sqrt(1.0 / e)
+        return BopsLevel(n=n, kappa=kappa, c=kappa * a, cbar=kappa * b)
+
+    a = b = np.ones(1, dtype=complex)
+    levels = [scaled(0, a, b, e)]
+    log: list[int] = []
+    for n in range(1, nmax + 1):
+        j = np.arange(n)
+        r = -(a @ w[k - 1 - j]) / e
+        rbar = -(b @ w[k + 1 + j]) / e
+        ratio = 1.0 - r * rbar
+        if abs(ratio) < EXISTENCE_FLOOR:
+            raise ExistenceError(n + 1, abs(ratio), EXISTENCE_FLOOR)
+        if abs(ratio) < 1e6 * EXISTENCE_FLOOR:
+            log.append(n + 1)
+        a, b = (
+            np.concatenate(([0.0], a)) + r * np.concatenate((b[::-1], [0.0])),
+            np.concatenate(([0.0], b)) + rbar * np.concatenate((a[::-1], [0.0])),
+        )
+        e = e * ratio
+        levels.append(scaled(n, a, b, e))
+    return levels, log
+
+
+def system_json_payload(system: BopsSystem, path) -> None:
+    """system.json by the per-level payload route: one dict a level, written
+    by dump_json; the byte reference of the bulk writer."""
+    def pairs(coeffs):
+        return np.column_stack((coeffs.real, coeffs.imag)).tolist()
+
+    payload = {
+        "schema": SCHEMA,
+        "method": "both",
+        "cross_check_deviation": system.cross_check_deviation,
+        "existence_log": system.existence_log,
+        "levels": [
+            {
+                "n": lev.n,
+                "kappa": [lev.kappa.real, lev.kappa.imag],
+                "r": [lev.r.real, lev.r.imag],
+                "rbar": [lev.rbar.real, lev.rbar.imag],
+                "c": pairs(lev.c),
+                "cbar": pairs(lev.cbar),
+            }
+            for lev in system.levels
+        ],
+    }
+    dump_json(payload, path)
 
 
 # ---------------------------------------------------------------------------

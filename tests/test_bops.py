@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -299,7 +301,7 @@ class TestPrefix:
     def test_prefix_keeps_the_log_of_its_levels(self, laurent):
         # level n's reflection ratio logs n + 1, so levels 0..n log up to n + 1
         full = laurent["sys"]
-        system = BopsSystem(full.table, full.levels, [2, 5, 6], [0.0, 1e-12, 3e-12] + [0.0] * 6)
+        system = replace(full, existence_log=[2, 5, 6], deviations=[0.0, 1e-12, 3e-12] + [0.0] * 6)
         assert system.prefix(4).existence_log == [2, 5]
         assert system.prefix(1).cross_check_deviation == 1e-12
         assert system.cross_check_deviation == 3e-12

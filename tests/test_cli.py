@@ -11,11 +11,12 @@ import pytest
 
 import circlebops
 from circlebops import cli, deform, pipeline
-from circlebops.bops import build_system
+from circlebops.bops import BopsSystem, build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
-from circlebops.moments import table_from_moments
+from circlebops.moments import compute_moments, table_from_moments
 
 from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
+from oracles import system_json_payload
 
 
 LAURENT_SPEC = {
@@ -161,12 +162,25 @@ class TestExitCodes:
                 None,
                 "singularity 2 needs the member 'rho'",
             ),
+            (STRICT_SPEC, {"j": 2, "to": 5}, "trajectory 'to' must be a pair of numbers"),
+            (STRICT_SPEC, [], "trajectory spec must be a JSON object"),
+            (
+                {"singularities": [{"z": [0, 0], "rho": [-1, 0]}, {"z": 5, "rho": [0.5, 0]}]},
+                None,
+                "singularity 2 'z' must be a pair of numbers",
+            ),
+            (STRICT_SPEC, {"j": [2], "to": [2, -0.05]}, "trajectory 'j' must be a number"),
+            ({**STRICT_SPEC, "branch": ["radial"]}, None, "'branch' must be an object"),
+            ({**STRICT_SPEC, "annulus": ["a", 2]}, None, "'annulus' must be a pair of numbers"),
         ],
-        ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho"],
+        ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho",
+             "trajectory-to-not-a-pair", "trajectory-not-an-object", "weight-z-not-a-pair",
+             "trajectory-j-not-a-number", "weight-branch-not-an-object", "weight-annulus-not-numbers"],
     )
     def test_malformed_spec_exits_two(self, tmp_path, capsys, weight_spec, trajectory, message):
-        # a missing member or an index past the weight is a malformed input:
-        # exit 2 with the member named, not a KeyError or IndexError
+        # a missing member, a member of the wrong type or shape, or an index
+        # past the weight is a malformed input: exit 2 with the member named,
+        # not a KeyError, IndexError, TypeError or AttributeError
         weight = write(tmp_path, "w.json", weight_spec)
         argv = ["build", "--weight", weight, "--n", "2"]
         if trajectory is not None:
@@ -440,3 +454,41 @@ class TestIdentityFailureExit:
         assert any(
             c["name"] == "exponents_not_nonnegative_integers" for c in report["conditions"]
         )
+
+
+class TestSystemWriter:
+    """system.json is written from the store in bulk, byte for byte the
+    per-level payload route of tests/oracles.py."""
+
+    @staticmethod
+    def same_bytes(system, tmp_path) -> bytes:
+        cli._dump_system(system, tmp_path / "bulk.json")
+        system_json_payload(system, tmp_path / "levels.json")
+        text = (tmp_path / "bulk.json").read_bytes()
+        assert text == (tmp_path / "levels.json").read_bytes()
+        return text
+
+    @pytest.mark.parametrize("nmax", [0, 1, 8, 32])
+    def test_flagship_raw_and_laurent(self, tmp_path, strict, nmax):
+        rng = np.random.default_rng(5)
+        p = rng.normal(size=7) + 1j * rng.normal(size=7)
+        w = np.correlate(p, p, "full") / np.vdot(p, p)  # w_k for k = -6..6
+        w[6] += 1.0
+        tables = [
+            compute_moments(strict["weight"], 48),
+            table_from_moments([(k, w[k + 6]) for k in range(-6, 7)], window=40),
+            table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=40),
+        ]
+        for table in tables:
+            self.same_bytes(build_system(table, nmax), tmp_path)
+
+    def test_synthetic_store(self, tmp_path, laurent):
+        # -0.0, a large, a small and a subnormal float in every slot, a NaN
+        # cross-check deviation and a logged level
+        base = np.array([-0.0 + 1e16j, 1e-05 - 0.0j, 5e-324 + 1.0j])
+        phi = np.tril(np.outer([1.0, -2.0, 0.5], np.ones(3))) * base
+        system = BopsSystem(laurent["table"], np.array([1e16 - 0.0j, 1e-05 + 5e-324j, -1.0 + 0j]),
+                            phi, -phi, [3], [0.0, np.nan, 1e-12])
+        text = self.same_bytes(system, tmp_path).decode()
+        for literal in ("-0.0", "1e+16", "1e-05", "5e-324", "NaN"):
+            assert literal in text, literal
