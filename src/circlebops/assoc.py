@@ -26,9 +26,9 @@ with exact derivatives from polyder of the same bands, summed beside them.
 Both series extend into the weight's annulus (the jump check in `lax` forces
 a side there); unforced, a point within NEAR_CIRCLE of |z| = 1 is refused.
 Every level comes at once, from one Horner pass per side over the
-zero-padded bands; each row is the level's own Horner value bit for bit,
-and a point's values are the same alone or inside an array.  The identity
-web checks in rows, one row a level (`IdentityReport.add_rows`).
+zero-padded bands.  The same inputs give the same bytes, and a point's
+values are the same alone or inside an array.  The identity web checks in
+rows, one row a level (`IdentityReport.add_rows`), with numpy arithmetic.
 
 Level ceiling: none of its own.  Against a 50-digit solve from the same
 moments the values are within 1e-13 relative at n = 8, 14, 20 and 22 on the
@@ -47,7 +47,7 @@ from .bops import BopsSystem, _moment_block, _reversed
 from .config import IDENTITY_TOL
 from .errors import NearCircleError
 from .moments import CaratheodoryEvaluator
-from .numerics import column, polyder, polyval
+from .numerics import polyder, polyval
 from .report import IdentityReport, equation
 
 # A point within NEAR_CIRCLE of |z| = 1 is refused unless a side is forced.
@@ -157,14 +157,12 @@ class AssocSystem:
         """(phi, phi*, eps, eps*) of every level n = 0..N over an array z of
         any shape (a scalar is a 0-d array), each of shape (N+1, *z.shape)
         with row n the level n: one Horner pass over the zero-padded phi
-        columns and one per side over the bands.  Leading zeros leave
-        Horner's steps unchanged, so row n is the level's own Horner value
-        bit for bit, and each value at a point is the same whether the point
-        comes alone or inside an array."""
+        columns and one per side over the bands.  Each value at a point is
+        the same whether the point comes alone or inside an array."""
         return self._values(z, side, self._stack[:, :2], self._bands)
 
     def evaluate_with_derivative(self, z, side: str | None = None):
-        """`evaluate`'s (phi, phi*, eps, eps*), bit for bit, and their exact
+        """`evaluate`'s (phi, phi*, eps, eps*) and their exact
         derivatives (phi', phi*', eps', eps*'), shaped alike, from one Horner
         pass over the phi columns and one per side over the bands, each
         beside its polyder."""
@@ -218,33 +216,25 @@ def verify_assoc_identities(
     Each family is checked over the levels of ``ns`` at once, one row a
     level (`IdentityReport.add_rows`): phi, phi*, eps and eps* of every level
     come from one `evaluate`, psi and psi* from one Horner pass over the
-    stack's psi columns, and each level's scalar products are formed in
-    Python complex arithmetic, so every residual is bit for bit that of the
-    level written out alone."""
+    stack's psi columns, and the level scalars are read off the store."""
     rep = IdentityReport("associated-function identity web")
-    lev = asys.sys.levels
-    k, p0, pb0 = ([getattr(a, key) for a in lev] for key in ("kappa", "phi0", "phibar0"))
+    sys = asys.sys
     zs = np.asarray(samples, dtype=complex)
     values = asys.evaluate(zs)
     phi, phistar, eps, epsstar = values
     psi, psistar = polyval(asys._stack[:, 2:], zs)
 
-    def powers(levels):
-        """Row n is zs**n as the level alone computes it: numpy squares an
-        array (n = 2) with its own rounding, unlike an array of exponents."""
-        return np.array([zs**n for n in levels]).reshape(len(levels), zs.size)
-
     ns = [int(n) for n in ns]
     for n in ns:  # IndexError for a level that is not built
-        asys.sys.level(n), asys.sys.level(n + 1)
+        sys.level(n), sys.level(n + 1)
     n0 = np.asarray(ns, dtype=int)
     n1 = n0 + 1
-    kappa, kappa_p = column(k[n] for n in ns), column(k[n + 1] for n in ns)
+    k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
     recurrence = "satisfy a variant of the coupled recurrences"
     casoratian = "the Casoratians of the polynomial solutions"
-    cas_a = column(2.0 * p0[n + 1] / k[n] for n in ns) * powers(ns)
-    cas_b = column(2.0 * pb0[n + 1] / k[n] for n in ns) * powers([n + 1 for n in ns])
-    cas_c = 2.0 * powers(ns)
+    cas_a = 2.0 * p0[n1] / k[n0] * zs ** n0[:, None]
+    cas_b = 2.0 * pb0[n1] / k[n0] * zs ** n1[:, None]
+    cas_c = 2.0 * zs ** n0[:, None]
     a_eps = phi[n1] * eps[n0] - eps[n1] * phi[n0]
     a_psi = phi[n1] * psi[n0] - psi[n1] * phi[n0]
     b_eps = phistar[n1] * epsstar[n0] - epsstar[n1] * phistar[n0]
@@ -252,10 +242,10 @@ def verify_assoc_identities(
     c_eps = phi[n0] * epsstar[n0] + eps[n0] * phistar[n0]
     c_psi = phi[n0] * psistar[n0] + psi[n0] * phistar[n0]
     rep.add_rows([
-        equation("eps_recurrence", recurrence, kappa * eps[n1],
-                 kappa_p * zs * eps[n0] - column(p0[n + 1] for n in ns) * epsstar[n0]),
-        equation("eps_recurrence_star", recurrence, kappa * epsstar[n1],
-                 kappa_p * epsstar[n0] - column(pb0[n + 1] for n in ns) * zs * eps[n0]),
+        equation("eps_recurrence", recurrence, k[n0] * eps[n1],
+                 k[n1] * zs * eps[n0] - p0[n1] * epsstar[n0]),
+        equation("eps_recurrence_star", recurrence, k[n0] * epsstar[n1],
+                 k[n1] * epsstar[n0] - pb0[n1] * zs * eps[n0]),
         ("casoratian_a_eps", casoratian, a_eps - cas_a, a_eps, cas_a, phi[n1] * eps[n0]),
         ("casoratian_a_psi", casoratian, a_psi - cas_a, a_psi, cas_a, phi[n1] * eps[n0]),
         ("casoratian_b_eps", casoratian, b_eps - cas_b, b_eps, cas_b, phistar[n1] * epsstar[n0]),
@@ -265,23 +255,19 @@ def verify_assoc_identities(
     ], tol, ns)
 
     # psi three-term recurrences need three consecutive levels
-    ns = [n for n in ns if 1 <= n < asys.sys.nmax]
+    ns = [n for n in ns if 1 <= n < sys.nmax]
     m = np.asarray(ns, dtype=int)
     three_term = "polynomials of the second kind satisfy the three-term recurrences"
     rep.add_rows([
         equation(
             "psi_three_term", three_term,
-            column(k[n] * p0[n] for n in ns) * psi[m + 1]
-            + column(k[n - 1] * p0[n + 1] for n in ns) * zs * psi[m - 1],
-            (column(k[n] * p0[n + 1] for n in ns)
-             + column(k[n + 1] * p0[n] for n in ns) * zs) * psi[m],
+            k[m] * p0[m] * psi[m + 1] + k[m - 1] * p0[m + 1] * zs * psi[m - 1],
+            (k[m] * p0[m + 1] + k[m + 1] * p0[m] * zs) * psi[m],
         ),
         equation(
             "psistar_three_term", three_term,
-            column(k[n] * pb0[n] for n in ns) * psistar[m + 1]
-            + column(k[n - 1] * pb0[n + 1] for n in ns) * zs * psistar[m - 1],
-            (column(k[n] * pb0[n + 1] for n in ns) * zs
-             + column(k[n + 1] * pb0[n] for n in ns)) * psistar[m],
+            k[m] * pb0[m] * psistar[m + 1] + k[m - 1] * pb0[m + 1] * zs * psistar[m - 1],
+            (k[m] * pb0[m + 1] * zs + k[m + 1] * pb0[m]) * psistar[m],
         ),
     ], tol, ns)
     return rep, values

@@ -24,7 +24,8 @@ n.  The Gram solves fill its rows, the recursion fills rows of its own for
 the cross-check, and every reader reads the store: the level records (views
 of its rows), the family matrices (phi*, phibar* its rows reversed in their
 degree, formed once), r_n and rbar_n, the identity web, system.json, and
-``prefix(n)``, a slice that is bit for bit a build to n.
+``prefix(n)``, a slice.  The same inputs give the same bytes: a run
+repeated, and ``prefix(n)`` against a build to n, bit for bit.
 
 Level ceiling: on the flagship weight the Gram levels pass the identity web
 through N = 21.  Above that, orthonormality and monomial orthogonality fail
@@ -43,7 +44,7 @@ import numpy as np
 from .config import IDENTITY_TOL
 from .errors import ConsistencyError, ExistenceError, WindowError
 from .moments import MomentTable, toeplitz_det
-from .numerics import column, principal_sqrt, polyval
+from .numerics import principal_sqrt, polyval
 from .report import IdentityReport, equation
 
 # |1 - r_n rbar_n| = |I0_{n+1} I0_{n-1} / I0_n^2| below this is zero: the
@@ -130,12 +131,11 @@ class BopsSystem:
         return {"phi": self.phi, "phibar": self.phibar, "phistar": star, "phibarstar": barstar}
 
     @cached_property
-    def reflections(self) -> tuple[list[complex], list[complex]]:
+    def reflections(self) -> tuple[np.ndarray, np.ndarray]:
         """r_n = phi_n(0) / kappa_n and rbar_n = phibar_n(0) / kappa_n of every
-        level, in Python complex arithmetic: BopsLevel.r's bits."""
-        k = self.kappas.tolist()
-        return tuple([c / kappa for c, kappa in zip(col.tolist(), k)]
-                     for col in (self.phi[:, 0], self.phibar[:, 0]))
+        level, read off the store's first column."""
+        return self.phi[:, 0] / self.kappas, self.phibar[:, 0] / self.kappas
+
     def prefix(self, n: int) -> "BopsSystem":
         """Levels 0..n, bit for bit build_system(table, n): each Gram level is
         its own solve, and the recursion's levels 0..n are a prefix."""
@@ -290,24 +290,23 @@ def verify_scalar_identities(
     recursions across all built levels.
 
     Each family is checked over all levels at once: lhs and rhs rows stacked
-    one level a row, one `IdentityReport.add_rows` family each.  A level's
-    scalar products (kappa_n phi_n(0), ...) are formed in Python complex
-    arithmetic, whose rounding differs from numpy's complex multiply, so
-    every residual is bit for bit that of the level written out alone."""
+    one level a row, one `IdentityReport.add_rows` family each, with the
+    level scalars (kappa_n, phi_n(0), l_n, ...) read off the store as arrays
+    indexed by level."""
     rep = IdentityReport("scalar identity web")
     nmax = sys.nmax
     zs = np.array([z for z, _ in samples], dtype=complex)
     zetabars = np.array([zb for _, zb in samples], dtype=complex)
     fam = sys.families
     phi, star = np.split(polyval(np.concatenate((sys.phi, fam["phistar"])).T, zs), 2)
-    # the level scalars as Python complex lists: kappa_n, phi_n(0), phibar_n(0),
-    # r_n, rbar_n, l_n = c_{n,n-1} (0 at n = 0) and m_n = c_{n,n-2} (0 below 2)
-    k, p0, pb0 = (col.tolist() for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
+    # the level scalars by level: kappa_n, phi_n(0), phibar_n(0), r_n, rbar_n,
+    # l_n = c_{n,n-1} (0 at n = 0) and m_n = c_{n,n-2} (0 below 2)
+    k, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
     r, rbar = sys.reflections
-    l = [0j] + np.diagonal(sys.phi, -1).tolist()
-    m = [0.0, 0.0] + [c or 0.0 for c in np.diagonal(sys.phi, -2).tolist()]
+    l = np.concatenate(([0j], np.diagonal(sys.phi, -1)))
+    m = np.concatenate(([0j, 0j], np.diagonal(sys.phi, -2)))
 
-    kap, low = sys.kappas[:, None], range(nmax)
+    kap, low = k[:, None], range(nmax)
     coupled = "coupled linear recurrence relations"
     rep.add_rows([
         equation("coupled_recurrence", coupled, kap[:-1] * phi[1:],
@@ -318,15 +317,15 @@ def verify_scalar_identities(
 
     # columns kappa_n c_n, kappa_{n-1} c_{n+1}, kappa_n c_{n+1}, kappa_{n+1} c_n
     # for c = phi(0) and c = phibar(0)
-    mid, shifts = range(1, nmax), ((0, 0), (-1, 1), (0, 1), (1, 0))
-    t, tb = ([column(k[n + a] * c[n + b] for n in mid) for a, b in shifts] for c in (p0, pb0))
+    mid, shifts = np.arange(1, nmax), ((0, 0), (-1, 1), (0, 1), (1, 0))
+    t, tb = ([(k[mid + a] * c[mid + b])[:, None] for a, b in shifts] for c in (p0, pb0))
     three = "three-term recurrence relations"
     rep.add_rows([
         equation("three_term_recurrence", three, t[0] * phi[2:] + t[1] * zs * phi[:-2],
                  (t[2] + t[3] * zs) * phi[1:-1]),
         equation("three_term_recurrence_star", three, tb[0] * star[2:] + tb[1] * zs * star[:-2],
                  (tb[2] * zs + tb[3]) * star[1:-1]),
-    ], tol, mid)
+    ], tol, range(1, nmax))
 
     # Christoffel-Darboux: both closed forms against the direct sum, which
     # cumsum accumulates level by level in the order of the displayed sum
@@ -344,27 +343,24 @@ def verify_scalar_identities(
                  (pstar[1:] * qstar[1:] - p[1:] * q[1:]) / denom, sums),
     ], tol, low)
 
-    top = range(1, nmax + 1)
+    n, top = np.arange(1, nmax + 1), range(1, nmax + 1)
     lead = "relate the leading coefficients back to the reflection coefficients"
     rep.add_rows([
-        equation("kappa_identity", lead, [k[n] ** 2 for n in top],
-                 [k[n - 1] ** 2 + p0[n] * pb0[n] for n in top]),
-        equation("l_recursion", lead, [l[n] / k[n] for n in top],
-                 [l[n - 1] / k[n - 1] + r[n] * rbar[n - 1] for n in top]),
+        equation("kappa_identity", lead, k[n] ** 2, k[n - 1] ** 2 + p0[n] * pb0[n]),
+        equation("l_recursion", lead, l[n] / k[n], l[n - 1] / k[n - 1] + r[n] * rbar[n - 1]),
     ], tol, top)
-    up = range(2, nmax + 1)
+    up = n[1:]
     rep.add_rows([
-        equation("m_recursion", lead, [m[n] / k[n] for n in up],
-                 [m[n - 1] / k[n - 1] + r[n] * (rbar[n - 2] + rbar[n - 1] * l[n - 2] / k[n - 2])
-                  for n in up]),
-    ], tol, up)
+        equation("m_recursion", lead, m[up] / k[up],
+                 m[up - 1] / k[up - 1]
+                 + r[up] * (rbar[up - 2] + rbar[up - 1] * l[up - 2] / k[up - 2])),
+    ], tol, top[1:])
 
     # the LU determinants are the oracle here; construction never uses them
-    i0 = np.array([toeplitz_det(sys.table, 0, n) for n in range(nmax + 2)])
+    i0 = np.array([toeplitz_det(sys.table, 0, j) for j in range(nmax + 2)])
     rep.add_rows([
         equation("toeplitz_ratio_recursion", "with the convention I0_0 = 1 the sequence satisfies",
-                 [i0[n + 1] * i0[n - 1] / i0[n] ** 2 for n in top],
-                 [1.0 - r[n] * rbar[n] for n in top]),
+                 i0[n + 1] * i0[n - 1] / i0[n] ** 2, 1.0 - r[n] * rbar[n]),
     ], tol, top)
 
     off = np.abs(orthonormality_matrix(sys) - np.eye(nmax + 1)).max()

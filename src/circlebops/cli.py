@@ -39,7 +39,7 @@ from .deform import (
     moment_rebuild,
     state_gap,
 )
-from .errors import CircleBopsError
+from .errors import CircleBopsError, WeightValidationError
 from .lax import rhp_jump_check, verify_matrix_system
 from .moments import heine_oracle, table_from_moments, toeplitz_det, weight_from_table
 from .numerics import circle_samples
@@ -65,6 +65,8 @@ def parse_weight_spec(path):
     one file is ambiguous and rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise WeightValidationError(f"weight spec must be a JSON object, got {payload!r}")
     has_sing = "singularities" in payload
     has_moments = "moments" in payload
     if has_sing and has_moments:
@@ -72,8 +74,14 @@ def parse_weight_spec(path):
             "ambiguous weight spec: both 'singularities' and 'moments' present"
         )
     if has_moments:
-        pairs = [(int(k), complex(re, im)) for k, re, im in payload["moments"]]
-        return None, table_from_moments(pairs)
+        rows = payload["moments"]
+        if not isinstance(rows, list):
+            raise WeightValidationError(f"'moments' must be a list of [k, re, im] rows, got {rows!r}")
+        for i, row in enumerate(rows, start=1):
+            if not (isinstance(row, list) and len(row) == 3
+                    and all(isinstance(v, (int, float)) for v in row)):
+                raise WeightValidationError(f"moments row {i} must be [k, re, im] numbers, got {row!r}")
+        return None, table_from_moments((int(k), complex(re, im)) for k, re, im in rows)
     if has_sing:
         weight = weight_from_json(payload)
         validate_weight(weight, strict=False)
@@ -470,6 +478,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.n < 0:
+        print(f"error: argument --n: a level must be >= 0, got {args.n}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -34,6 +34,8 @@ relation over all its levels at once, one row a level
 each level's phi/eps once over all the non-zero singular points and takes
 each check's residuals at those points in one `rel_residuals` call; its
 entries run point by point across the levels, so it writes them itself.
+The arithmetic is numpy's throughout; the same inputs give the same bytes,
+and `verify-all` writes the bytes of `coeffs` run alone.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 15, where the spectral derivative
@@ -51,7 +53,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.polyutils import trimseq
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
@@ -62,7 +63,6 @@ from .errors import (
     SingularResidueError,
 )
 from .numerics import (
-    column,
     polyadd,
     polyder,
     polymul,
@@ -86,21 +86,16 @@ class CoeffQuad:
     def evaluate(self, z):
         """(Theta_n, Theta*_n, Omega_n, Omega*_n) over an array z of any shape
         (a scalar is a 0-d array) in one Horner pass over the four members.
-        The Theta pair is zero-padded at the top to the length of Omega_n; a
-        leading zero leaves every Horner step unchanged, so each row equals
-        that member's own polyval bit for bit."""
+        The Theta pair is zero-padded at the top to the length of Omega_n;
+        a leading zero leaves every Horner step unchanged."""
         padded = (np.append(self.theta, 0), np.append(self.thetastar, 0))
         return polyval(np.stack([*padded, self.omega, self.omegastar], axis=1), z)
 
 
 def _product(a, b, size: int) -> np.ndarray:
-    """Orders 0..size-1 of a*b, bit for bit numpy.polynomial's polymul padded
-    with zeros: trailing zeros are trimmed first, as polymul does, because
-    np.convolve puts the longer operand first and that order sets the
-    rounding of every sum; += turns -0 into 0, as polyadd does."""
-    prod = np.convolve(trimseq(a), trimseq(b))[:size]
-    out = np.zeros(size, dtype=complex)
-    out[: len(prod)] += prod
+    """Orders 0..size-1 of a*b, zero-padded."""
+    out, prod = np.zeros(size, dtype=complex), np.convolve(a, b)[:size]
+    out[: len(prod)] = prod
     return out
 
 
@@ -437,34 +432,35 @@ def verify_linear_relations(
     """Residuals of all eight coupled recurrences among the coefficient
     functions plus the three additional corollary identities, at sampled
     z != 0.  Each level n requires quads at n-1, n, n+1.  Each relation is
-    checked over all its levels at once, one row a level, with each level's
-    scalars formed in Python complex arithmetic (`numerics.column`)."""
+    checked over all its levels at once, one row a level, with the level
+    scalars read off the store as columns."""
     rep = IdentityReport("coefficient-function linear relations")
     zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
     w_z = polyval(vw.W, zs)
     quad_rows = _quad_rows(quads, zs)
-    k, p0, pb0 = ([getattr(a, key) for a in sys.levels] for key in ("kappa", "phi0", "phibar0"))
+    k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
     anchor_cor = "some additional identities satisfied by the coefficient functions"
 
     ns = [n for n in sorted(quads) if n - 1 in quads and n + 1 in quads and n + 2 <= sys.nmax]
+    n = np.asarray(ns, dtype=int)
     (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = quad_rows(ns, -1), quad_rows(ns)
     th_p, ths_p, _, _ = quad_rows(ns, 1)
-    ratio = column(p0[n + 1] / p0[n] for n in ns) + column(k[n + 1] / k[n] for n in ns) * zs
-    ratio_s = column(k[n + 1] / k[n] for n in ns) + column(pb0[n + 1] / pb0[n] for n in ns) * zs
-    lhs_a = om_n + om_m - ratio * th_n + column(n - 1 for n in ns) * w_z / zs
+    ratio = p0[n + 1] / p0[n] + k[n + 1] / k[n] * zs
+    ratio_s = k[n + 1] / k[n] + pb0[n + 1] / pb0[n] * zs
+    lhs_a = om_n + om_m - ratio * th_n + (n[:, None] - 1) * w_z / zs
     lhs_b = (
         ratio * (om_m - om_n)
-        + column(k[n] * p0[n + 2] / (k[n + 1] * p0[n + 1]) for n in ns) * zs * th_p
-        - column(k[n - 1] * p0[n + 1] / (k[n] * p0[n]) for n in ns) * zs * th_m
-        - column(p0[n + 1] / p0[n] for n in ns) * w_z / zs
+        + k[n] * p0[n + 2] / (k[n + 1] * p0[n + 1]) * zs * th_p
+        - k[n - 1] * p0[n + 1] / (k[n] * p0[n]) * zs * th_m
+        - p0[n + 1] / p0[n] * w_z / zs
     )
-    lhs_c = oms_n + oms_m - ratio_s * ths_n - column(ns) * w_z / zs
+    lhs_c = oms_n + oms_m - ratio_s * ths_n - n[:, None] * w_z / zs
     lhs_d = (
         ratio_s * (oms_m - oms_n)
-        + column(k[n] * pb0[n + 2] / (k[n + 1] * pb0[n + 1]) for n in ns) * zs * ths_p
-        - column(k[n - 1] * pb0[n + 1] / (k[n] * pb0[n]) for n in ns) * zs * ths_m
-        + column(k[n + 1] / k[n] for n in ns) * w_z / zs
+        + k[n] * pb0[n + 2] / (k[n + 1] * pb0[n + 1]) * zs * ths_p
+        - k[n - 1] * pb0[n + 1] / (k[n] * pb0[n]) * zs * ths_m
+        + k[n + 1] / k[n] * w_z / zs
     )
     rep.add_rows([
         ("linear_a", anchor, lhs_a, om_n, ratio * th_n, w_z / zs),
@@ -474,21 +470,18 @@ def verify_linear_relations(
     ], tol, ns)
 
     ns = [n for n in sorted(quads) if n + 1 in quads and n + 2 <= sys.nmax]
+    n = np.asarray(ns, dtype=int)
     (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = quad_rows(ns), quad_rows(ns, 1)
-    ratio_p = (
-        column(p0[n + 2] / p0[n + 1] for n in ns) + column(k[n + 2] / k[n + 1] for n in ns) * zs
-    )
-    ratio_ps = (
-        column(k[n + 2] / k[n + 1] for n in ns) + column(pb0[n + 2] / pb0[n + 1] for n in ns) * zs
-    )
-    step, step_p = column(k[n + 1] / k[n] for n in ns), column(k[n + 2] / k[n + 1] for n in ns)
-    mixed = column(p0[n + 1] * pb0[n + 1] / (k[n + 1] * k[n]) for n in ns)
+    ratio_p = p0[n + 2] / p0[n + 1] + k[n + 2] / k[n + 1] * zs
+    ratio_ps = k[n + 2] / k[n + 1] + pb0[n + 2] / pb0[n + 1] * zs
+    step, step_p = k[n + 1] / k[n], k[n + 2] / k[n + 1]
+    mixed = p0[n + 1] * pb0[n + 1] / (k[n + 1] * k[n])
     cross = step * (zs * th_n - ths_n)
     lhs_e = om_p + oms_n - ratio_p * th_p + cross
     lhs_f = (
         om_n
         - om_p
-        + step_p * (zs + column(pb0[n + 1] / k[n + 1] * p0[n + 2] / k[n + 2] for n in ns)) * th_p
+        + step_p * (zs + pb0[n + 1] / k[n + 1] * p0[n + 2] / k[n + 2]) * th_p
         + mixed * ths_n
         - step * zs * th_n
         - w_z / zs
@@ -497,19 +490,16 @@ def verify_linear_relations(
     lhs_h = (
         oms_n
         - oms_p
-        + step_p
-        * (1.0 + column(p0[n + 1] / k[n + 1] * pb0[n + 2] / k[n + 2] for n in ns) * zs)
-        * ths_p
+        + step_p * (1.0 + p0[n + 1] / k[n + 1] * pb0[n + 2] / k[n + 2] * zs) * ths_p
         + mixed * zs * th_n
         - step * ths_n
     )
     # corollary (j), (k) need only n and n+1
-    lhs_j = oms_n - om_n + cross - column(ns) * w_z / zs
+    lhs_j = oms_n - om_n + cross - n[:, None] * w_z / zs
     lhs_k = (
         oms_n
         + om_n
-        - column(k[n] ** 2 / k[n + 1] ** 2 for n in ns)
-        * (column(p0[n + 2] / p0[n + 1] for n in ns) * th_p + step * ths_n)
+        - k[n] ** 2 / k[n + 1] ** 2 * (p0[n + 2] / p0[n + 1] * th_p + step * ths_n)
         - w_z / zs
     )
     rep.add_rows([
@@ -522,12 +512,13 @@ def verify_linear_relations(
     ], tol, ns)
 
     ns = [n for n in sorted(quads) if n - 1 in quads and n + 1 <= sys.nmax]
+    n = np.asarray(ns, dtype=int)
     (th_m, ths_m, _, _), (th_n, ths_n, _, _) = quad_rows(ns, -1), quad_rows(ns)
     lhs_i = (
-        column(p0[n + 1] / p0[n] for n in ns) * th_n
-        - column(k[n] / k[n - 1] for n in ns) * zs * th_m
-        - column(pb0[n + 1] / pb0[n] for n in ns) * zs * ths_n
-        + column(k[n] / k[n - 1] for n in ns) * ths_m
+        p0[n + 1] / p0[n] * th_n
+        - k[n] / k[n - 1] * zs * th_m
+        - pb0[n + 1] / pb0[n] * zs * ths_n
+        + k[n] / k[n - 1] * ths_m
     )
     rep.add_rows([("linear_i", anchor_cor, lhs_i, th_n, zs * ths_n)], tol, ns)
     return rep
@@ -737,7 +728,7 @@ def spectral_derivative_check(
     phi_p, star_p, eps_p, es_p = (v[levels + 1] for v in values)
     dphi, dstar, deps, des = (d[levels] for d in derivatives)
     # trace consistency: W Tr A_n reduces to n W / z - 2 V
-    step = column(sys.kappa(n + 1) / sys.kappa(n) for n in ns)
+    step = (sys.kappas[levels + 1] / sys.kappas[levels])[:, None]
     trace_w = -(om + v_z) + step * zs * th + oms - v_z - step * ths
     rep.add_rows([
         ("spectral_d_phi", anchor, w_z * dphi - th * phi_p + (om + v_z) * phi_n,
@@ -749,7 +740,7 @@ def spectral_derivative_check(
         ("spectral_d_epsstar", anchor, w_z * des + ths * es_p - (oms + v_z) * es_n,
          w_z * des, ths * es_p),
         ("trace_reduction", "we note that Tr A_n = n/z - w'/w",
-         trace_w - (column(ns) * w_z / zs - 2.0 * v_z), trace_w, w_z / zs),
+         trace_w - (levels[:, None] * w_z / zs - 2.0 * v_z), trace_w, w_z / zs),
     ], tol, ns)
     return rep
 
@@ -776,15 +767,14 @@ def dpainleve_ratio_check(
         raise SingularResidueError("ratio check is defined away from the origin")
     ns = list(ns)
     zs = np.array([z_a, z_b], dtype=complex)
-    ev = {k: quads[k].evaluate(zs) for k in sorted({k for n in ns for k in (n, n + 1)})}
-    v = [vw.v_eval(zj) for zj in (z_a, z_b)]
-    # each level's products in scalar arithmetic, as the level alone forms them
-    num = [[zj * ev[n][0, k] * ev[n + 1][0, k] for k, zj in enumerate((z_a, z_b))] for n in ns]
-    den = [[(ev[n][2, k] - v[k]) * (ev[n][2, k] + v[k]) for k in range(2)] for n in ns]
-    if any(min(abs(nb), abs(db), abs(da)) < 1e-14 for (_, nb), (da, db) in zip(num, den)):
+    rows = _quad_rows({k: quads[k] for n in ns for k in (n, n + 1)}, zs)
+    (th, _, om, _), th_p = rows(ns), rows(ns, 1)[0]
+    v = vw.v_eval(zs)
+    num, den = zs * th * th_p, (om - v) * (om + v)  # one row a level, one column a point
+    if np.any(np.abs(num[:, 1]) < 1e-14) or np.any(np.abs(den) < 1e-14):
         raise SingularResidueError("vanishing denominator in the ratio recurrence")
     rep.add_rows([
         equation("ratio_recurrence", "this constitutes a recurrence relation",
-                 [a / b for a, b in num], [a / b for a, b in den]),
+                 num[:, 0] / num[:, 1], den[:, 0] / den[:, 1]),
     ], tol, ns)
     return rep

@@ -16,13 +16,14 @@ moments at any time provides the cross-validation oracle.  The state
 arithmetic is scalar: on 2x2 blocks numpy's per-call overhead outweighs the
 work.  A flow is one packed array, one row of 4m+7 entries (A_1..A_m,
 A_inf, kappa, r, rbar) per time.  Its time-only coefficients come from one
-table over all its times, with CPython's complex division and product
-written out on real arrays, so each equals its scalar value bit for bit.
-Which state entries meet which columns (the plan) is fixed for a flow, so
-the right-hand side and the whole RK4 loop are generated per plan as
-straight-line Python, the state held in locals, and compiled on first use;
-a flow is one call of that loop.  The loop neither divides nor compares,
-so an entry once inf or nan stays so: finiteness is checked once per flow.
+numpy table over all its times.  Which state entries meet which columns
+(the plan) is fixed for a flow, so the right-hand side and the whole RK4
+loop are generated per plan as straight-line Python, the state held in
+locals, and compiled on first use; a flow is one call of that loop.  The
+loop neither divides nor compares, so an entry once inf or nan stays so:
+finiteness is checked once per flow.
+The same trajectory, level and steps give the same flow, bit for bit, in a
+repeated run or from the console script.
 
 The local monodromy about each singularity is fixed by its residue matrix,
 whose trace and determinant have a closed form: tr A_nj = -rho_j at every
@@ -259,27 +260,11 @@ class SchlesingerRhs:
     b_inf: np.ndarray
 
 
-def _c_quot(ar, ai, br, bi):
-    """CPython's complex division a / b on real arrays, elementwise: Smith's
-    method through the larger of |b.real|, |b.imag| (b.real on a tie), one
-    rounding per real operation, so each quotient equals Python's ``/`` bit
-    for bit.  numpy's complex division rounds apart.  b = 0 is not handled;
-    returns (real, imag)."""
-    by_real = np.abs(br) >= np.abs(bi)
-    big, small = np.where(by_real, br, bi), np.where(by_real, bi, br)
-    p, q = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
-    ratio = small / big
-    denom = big + small * ratio
-    return (p + q * ratio) / denom, np.where(by_real, q - p * ratio, p * ratio - q) / denom
-
-
 def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
     """The factors of the right-hand side that depend on t only, at each of
     ``times``, in one numpy pass from one trajectory call: zdot_j/z_j of
     each moving j, sum_j rho_j zdot_j/z_j, and (zdot_j - zdot_k)/(z_j - z_k)
-    for each pair with zdot_j != zdot_k.  Products, sums and quotients are
-    CPython's complex arithmetic written out on the real and imaginary
-    parts, so every entry equals its scalar Python value bit for bit.
+    for each pair with zdot_j != zdot_k.
 
     Returns a plan and one row per time.  The plan holds (4j, column) per
     moving j, the column of the sum, and per block A_1..A_m, A_inf the
@@ -301,22 +286,11 @@ def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
         )
     js = np.flatnonzero(moving[0])
     pj, pk = np.nonzero(apart[0])  # j ascending, then k
-    zr, zi, vr, vi = locs.real, locs.imag, vel.real, vel.imag
     rho = np.asarray(traj.weight0.exponents, dtype=complex)[js]
-    with np.errstate(all="ignore"):  # overflow gives inf silently, as in Python
-        ratio_re, ratio_im = _c_quot(vr[:, js], vi[:, js], zr[:, js], zi[:, js])
-        prod_re = rho.real * ratio_re - rho.imag * ratio_im
-        prod_im = rho.real * ratio_im + rho.imag * ratio_re
-        sum_re, sum_im = np.zeros(len(locs)), np.zeros(len(locs))
-        for c in range(len(js)):  # left to right from 0j, as Python's sum
-            sum_re, sum_im = sum_re + prod_re[:, c], sum_im + prod_im[:, c]
-        pair_re, pair_im = _c_quot(
-            vr[:, pj] - vr[:, pk], vi[:, pj] - vi[:, pk],
-            zr[:, pj] - zr[:, pk], zi[:, pj] - zi[:, pk],
-        )
-    table = np.empty((len(locs), len(js) + 1 + len(pj)), dtype=complex)
-    table.real = np.column_stack((ratio_re, sum_re, pair_re))
-    table.imag = np.column_stack((ratio_im, sum_im, pair_im))
+    with np.errstate(all="ignore"):  # an overflow is inf; the flow reports it
+        ratio = vel[:, js] / locs[:, js]
+        pair = (vel[:, pj] - vel[:, pk]) / (locs[:, pj] - locs[:, pk])
+        table = np.column_stack((ratio, ratio @ rho, pair))
     blocks = [[] for _ in range(m + 1)]  # A_inf's stays empty: dA_inf/dt = [B_inf, A_inf]
     for col, (j, k) in enumerate(zip(pj.tolist(), pk.tolist()), start=len(js) + 1):
         blocks[j].append((4 * k, col))
@@ -332,20 +306,21 @@ def _rhs_lines(plan: tuple, y: list, col: str, k: str) -> list[str]:
     named ``y`` (4m+7 names), ``{k}_kdot`` to kappa-dot/kappa and ``{k}_b10``
     to B_inf[1, 0], with column c of the table row named ``{col}{c}``.  The
     2x2 products are written out by entry through
-    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j],
-    each sum left to right from its start (0j for a zero start)."""
+    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j]."""
     ratios, total, blocks = plan
     kdot, b10, n = f"{k}_kdot", f"{k}_b10", 4 * len(blocks)
 
     def acc(start: str, terms, e: int) -> str:
-        return " + ".join([start] + [f"{col}{c} * {y[b + e]}" for b, c in terms])
+        """``start`` (if not empty) plus the products of ``terms``; 0j if neither."""
+        products = [f"{col}{c} * {y[b + e]}" for b, c in terms]
+        return " + ".join(filter(None, [start, *products])) or "0j"
 
-    s00, s01, s10, s11 = (acc("0j", ratios, e) for e in range(4))
+    s00, s01, s10, s11 = (acc("", ratios, e) for e in range(4))
     lines = [
         f"{k}_s01, {b10} = {s01}, -({s10})",
         f"{kdot} = 0.5 * (0.5 * (-{col}{total} - ({s00})) + 0.5 * ({s11}))",
     ]
-    starts = (kdot, "0j", b10, f"-{kdot}")  # B_inf's entries
+    starts = (kdot, "", b10, f"-{kdot}")  # B_inf's entries
     for j, blk in enumerate(blocks):
         p00, p01, p10, p11 = (acc(start, blk, e) for e, start in enumerate(starts))
         a00, a01, a10, a11 = y[4 * j : 4 * j + 4]
@@ -370,9 +345,7 @@ def _kernel(plan: tuple) -> tuple:
     and the RK4 loop ``run(y, rows, h, half, sixth, out)`` -> last state of
     one plan, compiled from straight-line source with every state entry,
     stage value and table column a local; ``run`` appends each state to a
-    list ``out``.  Both do the complex operations of the loop over the plan
-    in its order, so they equal it bit for bit.  The source is made from
-    the plan's integers alone."""
+    list ``out``.  The source is made from the plan's integers alone."""
     if plan not in _KERNELS:
         _, total, blocks = plan
         size, width = 4 * len(blocks) + 3, total + 1 + sum(map(len, blocks))
@@ -459,8 +432,8 @@ def integrate_flow(
 
 
 def flow_endpoint(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int) -> np.ndarray:
-    """The packed state integrate_flow reaches at t_span[1], bit for bit,
-    without keeping the states on the way."""
+    """The packed state integrate_flow reaches at t_span[1], from the same
+    table and loop, without keeping the states on the way."""
     times = _rk4_times(t_span, steps)
     plan, table = _flow_table(traj, np.array(times), (len(y0) - 7) // 4)
     y = _rk4(_kernel(plan)[1], np.asarray(y0, dtype=complex).tolist(), table, times, None)
@@ -468,11 +441,8 @@ def flow_endpoint(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int)
 
 
 def state_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise discrepancy between two packed states.  The moduli
-    of the last three (kappa, r, rbar) are taken by hypot, as Python's abs
-    takes them; numpy's complex abs differs from it in the last bit."""
-    d = a - b
-    return float(max(np.max(np.abs(d[:-3])), np.max(np.hypot(d[-3:].real, d[-3:].imag))))
+    """Largest entrywise discrepancy between two packed states."""
+    return float(np.max(np.abs(a - b)))
 
 
 def flow_convergence(times: np.ndarray, flow: np.ndarray, traj) -> dict:
@@ -516,8 +486,7 @@ def flow_invariants(flow: np.ndarray, exponents, n: int) -> dict[str, float]:
     """Trace conservation, rank-one persistence and the local monodromy along
     a packed flow at level n.  ``monodromy_gap`` is the largest departure,
     over every state and block, of (tr A_nj, det A_nj) from (-rho_j, 0),
-    with n - rho_0 in place of -rho_0 for the origin block (the first one);
-    its moduli are taken by hypot, as Python's abs takes them."""
+    with n - rho_0 in place of -rho_0 for the origin block (the first one)."""
     m = len(exponents)
     a = flow[:, : 4 * m].reshape(len(flow), m, 2, 2)
     traces = np.trace(a, axis1=2, axis2=3)
@@ -528,5 +497,5 @@ def flow_invariants(flow: np.ndarray, exponents, n: int) -> dict[str, float]:
     return {
         "trace_drift": float(np.max(np.abs(traces - traces[0]))),
         "det_max": float(np.max(np.abs(dets))),
-        "monodromy_gap": float(np.max(np.hypot(gaps.real, gaps.imag))),
+        "monodromy_gap": float(np.max(np.abs(gaps))),
     }

@@ -332,24 +332,20 @@ def verify_matrix_system(
                 )
             rep.add_rows(checks, identity_tol, at_points, wheres)
 
-        # residues: coefficient-function form vs rank-one bilinear form.  The
-        # determinant and trace rows hold magnitudes taken by Python's abs,
-        # as a lone residue is sized (numpy's array abs rounds differently),
-        # over max|A_nj|^2 and the trace's target
+        # residues: coefficient-function form vs rank-one bilinear form; the
+        # determinant over max|A_nj|^2, the trace against its target
         res = assemble_residues(quads[n], vw, sys, n, weight, tol=residue_tol)
         m = len(res.a)
         rep.add_rows([
             ("residue_bilinear_form", "an alternative expression for the residue matrices",
              res.a[1:] - bil, res.a[1:], bil),
             ("residue_rank_one", "we find that det A_nj = 0",
-             [abs(d) for d in np.linalg.det(res.a[1:])],
-             [float(np.max(np.abs(a_j))) ** 2 for a_j in res.a[1:]]),
+             np.linalg.det(res.a[1:]), np.abs(res.a[1:]).max(axis=(1, 2)) ** 2),
         ], [residue_tol, rank_tol], [n] * (m - 1), [f"z_{j + 1}" for j in range(1, m)])
-        wants = [s.exponent if j > 0 else s.exponent - n
-                 for j, s in enumerate(weight.singularities)]
+        wants = weight.exponents - n * (np.arange(m) == 0)  # n - rho_0 at the origin
         rep.add_rows([
             ("residue_trace", "using the identity we note the traces of the residue matrices",
-             [abs(np.trace(a_j) + want) for a_j, want in zip(res.a, wants)], wants),
+             np.trace(res.a, axis1=1, axis2=2) + wants, wants),
         ], residue_tol, [n] * m, [f"z_{j + 1}" for j in range(m)])
         rep.add(
             "residue_at_infinity",

@@ -4,7 +4,8 @@ deterministic sample-point draws.
 
 Derivatives and expansion coefficients are never sampled here: they come
 from the exact polynomials and moment series of the objects themselves
-(`AssocSystem.evaluate_with_derivative`, `AssocSystem.eps_taylor`)."""
+(`AssocSystem.evaluate_with_derivative`, `AssocSystem.eps_taylor`).  The
+arithmetic is numpy's throughout; the same inputs give the same bytes."""
 
 from __future__ import annotations
 
@@ -97,13 +98,6 @@ def circle_samples(
     return np.asarray(out, dtype=complex)
 
 
-def column(values) -> np.ndarray:
-    """One scalar a level as a column, one level a row.  Callers form each
-    level's scalar in Python complex arithmetic: numpy's complex multiply
-    rounds differently, and the rows must be the levels written out alone."""
-    return np.array(list(values), dtype=complex)[:, None]
-
-
 def rel_residuals(mismatch, *terms) -> np.ndarray:
     """Relative residual of every row: the largest |mismatch| of row k over
     the largest |term| of that row, with a floor of 1.  Identities are
@@ -111,10 +105,7 @@ def rel_residuals(mismatch, *terms) -> np.ndarray:
     being cancelled; the floor keeps 0 = 0 checks meaningful.  Row k of each
     argument holds one level or point, its points along the trailing axes
     (none for one scalar a row).  A term is broadcast against the mismatch,
-    so a term without the row axis is the same in every row.  A scalar row
-    is sized by Python's abs; numpy's complex abs rounds differently.  Each
-    row equals the one-row reference ``rel_residual`` of tests/oracles.py
-    bit for bit."""
+    so a term without the row axis is the same in every row."""
     def size(x):
         return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
 
@@ -123,6 +114,5 @@ def rel_residuals(mismatch, *terms) -> np.ndarray:
         t = np.asarray(t)
         if t.ndim < np.ndim(mismatch):
             t = t[None]  # without the row axis: the same in every row
-        scale = np.fmax(scale, size(t) if t.ndim > 1 else [abs(v) for v in t.tolist()])
+        scale = np.fmax(scale, size(t))
     return size(mismatch) / scale
-

@@ -23,6 +23,8 @@ from circlebops.moments import (
 )
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
+from oracles import exact_moments
+
 
 def lebesgue_weight_relaxed() -> SemiClassicalWeight:
     return SemiClassicalWeight(
@@ -126,6 +128,12 @@ def laurent():
         "wfun": laurent_callable,
         "vw": build_vw(weight),
     }
+
+
+@pytest.fixture(scope="session")
+def flagship_exact(strict):
+    """The flagship's moments w_k, |k| <= 48, at 50 digits (`exact_moments`)."""
+    return exact_moments(strict["weight"], 48)
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,7 @@ array-shaped evaluator can be checked against them.
 
 Deformation oracles: the component forms of the Schlesinger derivatives,
 finite differences of rebuilt states, transfer matrices and weights along a
-trajectory against the closed-form rates, the top-down Richardson rule
-that the upward ladder of ``flow_convergence`` must reproduce, the
-per-time scalar table of a flow's time-only coefficients that the
-vectorised table must equal bit for bit, the loop right-hand side and
-list-comprehension RK4 that the compiled flow kernel must equal bit for
-bit, and the ladder climbed with that RK4, one table per rung, that the
-one-table ladder must equal bit for bit.
+trajectory against the closed-form rates.
 
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
@@ -22,20 +16,15 @@ determinants of shifted or Cauchy-modified weights.  F summed at points
 from its moment series, and eps_n = psi_n + F phi_n, eps*_n = psi*_n -
 F phi*_n formed at points from it: the point route the exact series replace,
 accurate where psi_n and F phi_n do not cancel (small n, |z| away from 0).
-The same route at 50 digits with mpmath, from the engine's own moments, is
-the reference that sees the cancellation.
-
-Row oracles: the one-row relative residual ``rel_residual`` and the
-per-level loops of the associated-function, linear-relation and spectral
-derivative suites, which the row-wise suites must equal bit for bit.  Build
-references: the list-of-levels Szego recursion and the per-level system.json
-payload, which the row-filled recursion and the bulk writer must equal bit
-for bit and byte for byte.  Last, the evaluators only the tests use: the solution matrix Y_n, w'/w summed
-directly and the per-level monomial orthogonality."""
+The reference: exact moments at 50 digits for the flagship family
+z^-1 prod_j (z - z_j)^rho_j (singularities outside the disc), their Gram
+solves at 50 digits, and the point route above at 50 digits from them, which
+sees the cancellation.  Last, the evaluators only the tests use: the
+solution matrix Y_n, w'/w summed directly and the per-level monomial
+orthogonality."""
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -44,26 +33,17 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from circlebops.assoc import AssocSystem
-from circlebops.bops import (
-    EXISTENCE_FLOOR,
-    BopsLevel,
-    BopsSystem,
-    _monomial_residuals,
-    eval_levels,
-    eval_poly,
-)
+from circlebops.bops import BopsSystem, _monomial_residuals, eval_levels, eval_poly
 from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
     RatesRecord,
-    _flow_table,
     deformation_rates,
-    flow_endpoint,
     moment_rebuild,
     schlesinger_rhs,
 )
-from circlebops.config import IDENTITY_TOL, QUAD_POINTS
-from circlebops.errors import ExistenceError, QuadratureError, SingularResidueError
+from circlebops.config import QUAD_POINTS
+from circlebops.errors import QuadratureError, SingularResidueError
 from circlebops.lax import ResidueSet, _mat, k_matrix
 from circlebops.moments import (
     QUAD_MAX_POINTS,
@@ -73,9 +53,14 @@ from circlebops.moments import (
     compute_moments,
     toeplitz_det,
 )
-from circlebops.numerics import polyval, principal_sqrt
-from circlebops.report import SCHEMA, IdentityReport, dump_json
+from circlebops.numerics import principal_sqrt, rel_residuals
+from circlebops.report import IdentityReport
 from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
+
+
+def one_residual(mismatch, *terms) -> float:
+    """`numerics.rel_residuals` of a single row."""
+    return float(rel_residuals([mismatch], *([t] for t in terms))[0])
 
 
 def central_diff(f: Callable, z, step: float = 1e-6):
@@ -205,7 +190,7 @@ def schlesinger_component_check(
         rep.add(
             "schlesinger_component_a",
             anchor,
-            rel_residual(comp_a - (-rhs.da[j][0, 0]), comp_a, rhs.da[j][0, 0]),
+            one_residual(comp_a + rhs.da[j][0, 0], comp_a, rhs.da[j][0, 0]),
             tol,
             n=n,
             where=f"z_{j + 1}",
@@ -217,7 +202,7 @@ def schlesinger_component_check(
         rep.add(
             "schlesinger_component_b",
             anchor,
-            rel_residual(comp_b - rhs.da[j][0, 1], comp_b, rhs.da[j][0, 1]),
+            one_residual(comp_b - rhs.da[j][0, 1], comp_b, rhs.da[j][0, 1]),
             tol,
             n=n,
             where=f"z_{j + 1}",
@@ -238,7 +223,7 @@ def schlesinger_component_check(
         rep.add(
             "schlesinger_component_c",
             anchor,
-            rel_residual(comp_c - (-rhs.da[j][1, 0]), comp_c, rhs.da[j][1, 0]),
+            one_residual(comp_c + rhs.da[j][1, 0], comp_c, rhs.da[j][1, 0]),
             tol,
             n=n,
             where=f"z_{j + 1}",
@@ -301,7 +286,7 @@ def transfer_rate_check(
         rhs = b_matrix(rates_np, state_np, z) @ k_matrix(bundle.sys, n, z) - k_matrix(
             bundle.sys, n, z
         ) @ b_matrix(rates_n, state_n, z)
-        worst = max(worst, rel_residual(kd - rhs, kd, rhs))
+        worst = max(worst, one_residual(kd - rhs, kd, rhs))
     return worst
 
 
@@ -317,150 +302,6 @@ def weight_rate_check(traj, t: float, zs: Sequence[complex], h: float = 1e-5) ->
         want = complex(weight_logderivative_rate(traj, t, z))
         worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
     return worst
-
-
-def flow_table_scalar(traj, times, m: int) -> list:
-    """The factors of the right-hand side that depend on t only, at each of
-    ``times``, in scalar Python complex arithmetic: the moving (4j,
-    zdot_j/z_j), sum_j rho_j zdot_j/z_j and, per block A_1..A_m, A_inf, the
-    nonzero (4k, (zdot_j - zdot_k)/(z_j - z_k))."""
-    locs = np.asarray(traj.locations(times), dtype=complex)
-    vel = np.asarray(traj.velocities(times), dtype=complex)
-    if locs.shape[-1] != m:
-        raise ValueError("state and trajectory disagree on the number of singularities")
-    locs, vel = locs.reshape(-1, m), vel.reshape(-1, m)
-    if np.any((locs == 0) & (vel != 0)):
-        raise SingularResidueError("a moving singularity sits at the origin")
-    if np.any((locs[:, :, None] == locs[:, None, :]) & ~np.eye(m, dtype=bool)):
-        raise SingularResidueError("coincident singularities in the Schlesinger sum")
-    rhos = np.asarray(traj.weight0.exponents, dtype=complex).tolist()
-    table = []
-    for zs, vs in zip(locs.tolist(), vel.tolist()):
-        ratios = [(4 * j, vs[j] / zs[j]) for j in range(m) if vs[j] != 0]
-        pairs = [
-            [(4 * k, (vs[j] - vs[k]) / (zs[j] - zs[k])) for k in range(m) if vs[k] != vs[j]]
-            for j in range(m)
-        ] + [[]]  # dA_inf/dt = [B_inf, A_inf]
-        table.append((ratios, sum((rhos[b // 4] * r for b, r in ratios), 0j), pairs))
-    return table
-
-
-def rhs_loop(y: list, m: int, plan: tuple, row: list) -> tuple[list, complex, complex]:
-    """d(state)/dt on the packed state (a list of 4m+7 Python complex) as a
-    loop over the plan of `_flow_table`, with the 2x2 products written out by
-    entry through [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk
-    A_k, A_j].  Returns the packed derivative, kappa-dot/kappa and B_inf[1, 0]."""
-    ratios, total, blocks = plan
-    sum_rho_zdot = row[total]
-    s00 = s01 = s10 = s11 = 0j
-    for b, c in ratios:
-        ratio = row[c]
-        s00 += ratio * y[b]
-        s01 += ratio * y[b + 1]
-        s10 += ratio * y[b + 2]
-        s11 += ratio * y[b + 3]
-    kdot = 0.5 * (0.5 * (-sum_rho_zdot - s00) + 0.5 * s11)
-    out = []
-    for j, blk in enumerate(blocks):
-        p00, p01, p10, p11 = kdot, 0j, -s10, -kdot
-        for b, c in blk:
-            coeff = row[c]
-            p00 += coeff * y[b]
-            p01 += coeff * y[b + 1]
-            p10 += coeff * y[b + 2]
-            p11 += coeff * y[b + 3]
-        a00, a01, a10, a11 = y[4 * j : 4 * j + 4]
-        dp = p00 - p11
-        da = a00 - a11
-        c00 = p01 * a10 - a01 * p10
-        out += (c00, a01 * dp - p01 * da, p10 * da - a10 * dp, -c00)
-    kappa, r, rbar = y[4 * m + 4 :]
-    out += (kappa * kdot, s01 - r * (2.0 * kdot + sum_rho_zdot), -s10 - 2.0 * rbar * kdot)
-    return out, kdot, -s10
-
-
-def rk4_loop(y0, traj, t_span: tuple[float, float], steps: int) -> list[list]:
-    """Fixed-step RK4 with `rhs_loop`, each stage state a list comprehension
-    over the packed state; returns the state after every step, raising on
-    the first non-finite one as the flow does."""
-    t0, t1 = t_span
-    m = (len(y0) - 7) // 4
-    h = (t1 - t0) / steps
-    half, sixth = 0.5 * h, h / 6.0
-    grid = [t0 + (i + 1) * h for i in range(steps - 1)] + [t1]
-    times = [t0] + [t for s, t_next in enumerate(grid) for t in (t0 + s * h + half, t_next)]
-    plan, table = _flow_table(traj, np.array(times), m)
-    y, states = np.asarray(y0, dtype=complex).tolist(), []
-    for step, t_next in enumerate(grid):
-        row, row_mid, row_next = table[2 * step : 2 * step + 3]
-        k1 = rhs_loop(y, m, plan, row)[0]
-        k2 = rhs_loop([a + half * b for a, b in zip(y, k1)], m, plan, row_mid)[0]
-        k3 = rhs_loop([a + half * b for a, b in zip(y, k2)], m, plan, row_mid)[0]
-        k4 = rhs_loop([a + h * b for a, b in zip(y, k3)], m, plan, row_next)[0]
-        y = [
-            a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-        if not all(map(cmath.isfinite, y)):
-            raise SingularResidueError(f"flow blew up at t = {t_next} (movable singularity?)")
-        states.append(y)
-    return states
-
-
-def richardson_loop(y0, traj, t_span: tuple[float, float], steps: int) -> dict:
-    """The Richardson ladder of ``flow_convergence`` on the ``steps``-step
-    flow from ``y0``, with that flow and each rung by `rk4_loop`: the rungs
-    are climbed one at a time from s = 1, each with its own table, and a
-    rung that blows up raises as `rk4_loop` does."""
-    ends = {steps: np.array(rk4_loop(y0, traj, t_span, steps)[-1])}
-
-    def at(k: int) -> np.ndarray:
-        if k not in ends:
-            ends[k] = np.array(rk4_loop(y0, traj, t_span, k)[-1])
-        return ends[k]
-
-    def fine_at(s: int) -> float:
-        return float(np.max(np.abs(at(s) - at(2 * s))))
-
-    floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
-    top = 1 << max(steps.bit_length() - 2, 0)
-    s, coarse, fine = 1, 0.0, fine_at(1)
-    while fine >= floor and s < top and (finer := fine_at(2 * s)) >= floor:
-        s, coarse, fine = 2 * s, fine, finer
-    ratio = coarse / fine if fine > 0 else float("inf")
-    return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
-
-
-def richardson_top_down(times: np.ndarray, flow: np.ndarray, traj) -> dict:
-    """The Richardson monitor walked down its rungs: s starts at steps // 2
-    (1 for a one-step flow, compared with two steps), y_2s is the flow's
-    own endpoint, and s is halved while fine = |y_s - y_2s| is below 100
-    ulps of the largest endpoint entry and s >= 2.  For power-of-two steps
-    and a fine error falling with s it stops on the rung the upward ladder
-    stops on, so both return the same dict."""
-    if len(flow) == 1:
-        return {"coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False}
-    t_span = (float(times[0]), float(times[-1]))
-    steps = len(flow) - 1
-    ends = {steps: flow[-1]}
-
-    def at(k: int) -> np.ndarray:
-        if k not in ends:
-            ends[k] = flow_endpoint(flow[0], traj, t_span, k)
-        return ends[k]
-
-    def gap(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.max(np.abs(a - b)))
-
-    floor = 100 * 2.0**-52 * float(np.max(np.abs(ends[steps])))
-    s, hi = (steps // 2, steps) if steps > 1 else (1, 2)
-    fine = gap(at(s), at(hi))
-    while fine < floor and s >= 2:
-        s, hi = s // 2, s
-        fine = gap(at(s), at(hi))
-    coarse = gap(at(s // 2), at(s)) if s >= 2 else 0.0
-    ratio = coarse / fine if fine > 0 else float("inf")
-    return {"coarse": coarse, "fine": fine, "ratio": ratio, "steps": s, "resolved": fine >= floor}
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +362,55 @@ def eps_point_route(asys: AssocSystem, z, side: str | None = None, derivative: b
     return tuple(np.array(col) for col in zip(*rows))
 
 
-def eps_reference(
-    tbl: MomentTable, n: int, zs: Sequence[complex], dps: int = 50
-) -> list[tuple[complex, complex]]:
-    """(eps_n, eps*_n) at each point, with every step at ``dps`` digits from
-    the table's moments: the Gram solves for c_n and cbar_n, psi_n and psi*_n
-    by their moment sums, F by its series over the whole window, and
-    psi_n + F phi_n, psi*_n - F phi*_n."""
+def exact_moments(weight: SemiClassicalWeight, window: int, dps: int = 50) -> dict[int, mpmath.mpc]:
+    """w_k for |k| <= window at ``dps`` digits, independent of the engine's
+    quadrature, for a weight z^-1 prod_j (z - z_j)^rho_j whose other
+    singularities all lie outside the disc.  On |z| < min |z_j| such a weight
+    is C z^-1 prod_j (1 - z/z_j)^rho_j, so w_k = C [u^(k+1)] prod_j
+    (1 - u/z_j)^rho_j (a product of binomial series) and w_k = 0 for k < -1.
+    The branch constant C is read off one evaluation of the engine's weight,
+    at z = 1, so every moment shares that value's one double rounding."""
+    origin, *outside = weight.singularities
+    if origin.location != 0 or origin.exponent != -1 or any(abs(s.location) <= 1 for s in outside):
+        raise ValueError("exact moments need z^-1 times factors singular outside the disc")
     with mpmath.workdps(dps):
-        K = tbl.window
-        w = {k: mpmath.mpc(tbl.moment(k)) for k in range(-K, K + 1)}
+        one = mpmath.mpc(1)
+        series, factor = [one] + [mpmath.mpc(0)] * (window + 1), one
+        for s in outside:
+            zj, rho = mpmath.mpc(s.location), mpmath.mpc(s.exponent)
+            binomial = [one]  # orders of (1 - u/z_j)^rho
+            for i in range(1, window + 2):
+                binomial.append(binomial[-1] * (i - 1 - rho) / (i * zj))
+            series = [mpmath.fsum(series[a] * binomial[i - a] for a in range(i + 1))
+                      for i in range(window + 2)]
+            factor *= (1 - 1 / zj) ** rho
+        c = mpmath.mpc(complex(eval_weight(weight, 1.0))) / factor
+        return {k: c * series[k + 1] if k >= -1 else mpmath.mpc(0) for k in range(-window, window + 1)}
+
+
+def gram_reference(moments: Mapping[int, mpmath.mpc], n: int, dps: int = 50):
+    """(kappa_n, c_n, cbar_n) by the Gram solves of the moments at ``dps``
+    digits, kappa_n with the engine's sign (Re > 0, tie towards Im > 0)."""
+    with mpmath.workdps(dps):
         e = mpmath.matrix(n + 1, 1)
         e[n] = 1
-        x = mpmath.lu_solve(mpmath.matrix([[w[a - b] for b in range(n + 1)] for a in range(n + 1)]), e)
-        y = mpmath.lu_solve(mpmath.matrix([[w[b - a] for b in range(n + 1)] for a in range(n + 1)]), e)
+        toeplitz = mpmath.matrix([[moments[a - b] for b in range(n + 1)] for a in range(n + 1)])
+        x, y = mpmath.lu_solve(toeplitz, e), mpmath.lu_solve(toeplitz.T, e)
         kappa = mpmath.sqrt(x[n])
         kappa = -kappa if kappa.real < 0 or (kappa.real == 0 and kappa.imag < 0) else kappa
-        c, cbar = [x[j] / kappa for j in range(n + 1)], [y[j] / kappa for j in range(n + 1)]
+        return kappa, [x[j] / kappa for j in range(n + 1)], [y[j] / kappa for j in range(n + 1)]
+
+
+def eps_reference(
+    moments: Mapping[int, mpmath.mpc], n: int, zs: Sequence[complex], dps: int = 50
+) -> list[tuple[complex, complex]]:
+    """(eps_n, eps*_n) at each point, with every step at ``dps`` digits from
+    the moments w_k, |k| <= K (`exact_moments`): the Gram solves for c_n and
+    cbar_n, psi_n and psi*_n by their moment sums, F by its series over the
+    whole window, and psi_n + F phi_n, psi*_n - F phi*_n."""
+    with mpmath.workdps(dps):
+        w, K = moments, max(moments)
+        _, c, cbar = gram_reference(w, n, dps)
 
         def second_kind(coeffs, sign):
             """Orders of psi_n (psi*_n reversed with sign -1)."""
@@ -671,394 +544,6 @@ def eps_intrep(
     eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0
     epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1) / i0
     return complex(eps), complex(epsstar)
-
-
-# ---------------------------------------------------------------------------
-# One-row residuals and the per-level loops of the row-wise suites
-# ---------------------------------------------------------------------------
-
-def rel_residual(mismatch, *terms) -> float:
-    """|mismatch| scaled by the largest constituent term (floor 1): the
-    one-row reference of numerics.rel_residuals.
-
-    Identities are evaluated as displayed, so the natural scale is the size of
-    the terms being cancelled; the floor keeps 0 = 0 checks meaningful.
-    """
-    scale = 1.0
-    for t in terms:
-        scale = max(scale, float(np.max(np.abs(t))) if np.ndim(t) else abs(t))
-    return float(np.max(np.abs(mismatch)) / scale)
-
-
-def assoc_identities_loop(
-    asys: AssocSystem,
-    ns: Sequence[int],
-    samples: Sequence[complex],
-    tol: float = IDENTITY_TOL,
-) -> tuple[IdentityReport, tuple[np.ndarray, ...]]:
-    """The per-level loop of assoc.verify_assoc_identities, which its rows
-    must equal bit for bit.  Residuals of the eps recurrences, the psi three-term recurrences and
-    all three Casoratian identities (in both the psi and eps forms) at the
-    sampled points (taken off the unit circle).  Returns the report and
-    the values it checked, ``asys.evaluate(samples)``."""
-    rep = IdentityReport("associated-function identity web")
-    sys = asys.sys
-    zs = np.asarray(samples, dtype=complex)
-    values = asys.evaluate(zs)
-    phi, phistar, eps, epsstar = values
-
-    for n in ns:
-        ln, lp = sys.level(n), sys.level(n + 1)
-        phi_n, ps_n, eps_n, star_n = phi[n], phistar[n], eps[n], epsstar[n]
-        phi_p, ps_p, eps_p, star_p = phi[n + 1], phistar[n + 1], eps[n + 1], epsstar[n + 1]
-        lhs = ln.kappa * eps_p
-        rhs = lp.kappa * zs * eps_n - lp.phi0 * star_n
-        rep.add(
-            "eps_recurrence",
-            "satisfy a variant of the coupled recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        lhs = ln.kappa * star_p
-        rhs = lp.kappa * star_n - lp.phibar0 * zs * eps_n
-        rep.add(
-            "eps_recurrence_star",
-            "satisfy a variant of the coupled recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-
-        # Casoratians, eps form and psi form
-        psi_n, psi_p = polyval(asys.psi(n), zs), polyval(asys.psi(n + 1), zs)
-        psis_n, psis_p = polyval(asys.psistar(n), zs), polyval(asys.psistar(n + 1), zs)
-
-        cas_a_rhs = 2.0 * lp.phi0 / ln.kappa * zs**n
-        for label, lhs in (
-            ("casoratian_a_eps", phi_p * eps_n - eps_p * phi_n),
-            ("casoratian_a_psi", phi_p * psi_n - psi_p * phi_n),
-        ):
-            rep.add(
-                label,
-                "the Casoratians of the polynomial solutions",
-                rel_residual(lhs - cas_a_rhs, lhs, cas_a_rhs, phi_p * eps_n),
-                tol,
-                n=n,
-            )
-        cas_b_rhs = 2.0 * lp.phibar0 / ln.kappa * zs ** (n + 1)
-        for label, lhs in (
-            ("casoratian_b_eps", ps_p * star_n - star_p * ps_n),
-            ("casoratian_b_psi", ps_p * psis_n - psis_p * ps_n),
-        ):
-            rep.add(
-                label,
-                "the Casoratians of the polynomial solutions",
-                rel_residual(lhs - cas_b_rhs, lhs, cas_b_rhs, ps_p * star_n),
-                tol,
-                n=n,
-            )
-        cas_c_rhs = 2.0 * zs**n
-        for label, lhs in (
-            ("casoratian_c_eps", phi_n * star_n + eps_n * ps_n),
-            ("casoratian_c_psi", phi_n * psis_n + psi_n * ps_n),
-        ):
-            rep.add(
-                label,
-                "the Casoratians of the polynomial solutions",
-                rel_residual(lhs - cas_c_rhs, lhs, cas_c_rhs, phi_n * star_n),
-                tol,
-                n=n,
-            )
-
-    # psi three-term recurrences need three consecutive levels
-    for n in ns:
-        if n < 1 or n + 1 > sys.nmax:
-            continue
-        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
-        psi_m, psi_n, psi_p = (
-            polyval(asys.psi(n - 1), zs),
-            polyval(asys.psi(n), zs),
-            polyval(asys.psi(n + 1), zs),
-        )
-        lhs = ln.kappa * ln.phi0 * psi_p + lm.kappa * lp.phi0 * zs * psi_m
-        rhs = (ln.kappa * lp.phi0 + lp.kappa * ln.phi0 * zs) * psi_n
-        rep.add(
-            "psi_three_term",
-            "polynomials of the second kind satisfy the three-term recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-        psis_m, psis_n, psis_p = (
-            polyval(asys.psistar(n - 1), zs),
-            polyval(asys.psistar(n), zs),
-            polyval(asys.psistar(n + 1), zs),
-        )
-        lhs = ln.kappa * ln.phibar0 * psis_p + lm.kappa * lp.phibar0 * zs * psis_m
-        rhs = (ln.kappa * lp.phibar0 * zs + lp.kappa * ln.phibar0) * psis_n
-        rep.add(
-            "psistar_three_term",
-            "polynomials of the second kind satisfy the three-term recurrences",
-            rel_residual(lhs - rhs, lhs, rhs),
-            tol,
-            n=n,
-        )
-    return rep, values
-
-
-def linear_relations_loop(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    samples: Sequence[complex],
-    tol: float = 1e-7,
-) -> IdentityReport:
-    """The per-level loops of coeffs.verify_linear_relations, which its rows
-    must equal bit for bit.  Residuals of all eight coupled recurrences among the coefficient
-    functions plus the three additional corollary identities, at sampled
-    z != 0.  Each level n requires quads at n-1, n, n+1."""
-    rep = IdentityReport("coefficient-function linear relations")
-    zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
-    w_z = polyval(vw.W, zs)
-    ev = {n: q.evaluate(zs) for n, q in quads.items()}  # each quadruple once
-    anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
-    anchor_cor = "some additional identities satisfied by the coefficient functions"
-
-    levels_needed = lambda n: n + 2 <= sys.nmax
-    for n in sorted(quads):
-        if not (n - 1 in quads and n + 1 in quads and levels_needed(n)):
-            continue
-        (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = ev[n - 1], ev[n]
-        th_p, ths_p, _, _ = ev[n + 1]
-        lm, ln, lp, lpp = (
-            sys.level(n - 1),
-            sys.level(n),
-            sys.level(n + 1),
-            sys.level(n + 2),
-        )
-        ratio = lp.phi0 / ln.phi0 + lp.kappa / ln.kappa * zs
-        ratio_s = lp.kappa / ln.kappa + lp.phibar0 / ln.phibar0 * zs
-
-        lhs = om_n + om_m - ratio * th_n + (n - 1) * w_z / zs
-        rep.add("linear_a", anchor, rel_residual(lhs, om_n, ratio * th_n, w_z / zs), tol, n=n)
-
-        lhs = (
-            ratio * (om_m - om_n)
-            + ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p
-            - lm.kappa * lp.phi0 / (ln.kappa * ln.phi0) * zs * th_m
-            - lp.phi0 / ln.phi0 * w_z / zs
-        )
-        rep.add("linear_b", anchor, rel_residual(lhs, ratio * om_m, zs * th_p), tol, n=n)
-
-        lhs = oms_n + oms_m - ratio_s * ths_n - n * w_z / zs
-        rep.add("linear_c", anchor, rel_residual(lhs, oms_n, ratio_s * ths_n, w_z / zs), tol, n=n)
-
-        lhs = (
-            ratio_s * (oms_m - oms_n)
-            + ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p
-            - lm.kappa * lp.phibar0 / (ln.kappa * ln.phibar0) * zs * ths_m
-            + lp.kappa / ln.kappa * w_z / zs
-        )
-        rep.add("linear_d", anchor, rel_residual(lhs, ratio_s * oms_m, zs * ths_p), tol, n=n)
-
-    for n in sorted(quads):
-        if not (n + 1 in quads and levels_needed(n)):
-            continue
-        (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = ev[n], ev[n + 1]
-        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-        ratio_p = lpp.phi0 / lp.phi0 + lpp.kappa / lp.kappa * zs
-        ratio_ps = lpp.kappa / lp.kappa + lpp.phibar0 / lp.phibar0 * zs
-        cross = lp.kappa / ln.kappa * (zs * th_n - ths_n)
-
-        lhs = om_p + oms_n - ratio_p * th_p + cross
-        rep.add("linear_e", anchor, rel_residual(lhs, om_p, ratio_p * th_p, cross), tol, n=n)
-
-        lhs = (
-            om_n
-            - om_p
-            + lpp.kappa / lp.kappa * (zs + lp.phibar0 / lp.kappa * lpp.phi0 / lpp.kappa) * th_p
-            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * ths_n
-            - lp.kappa / ln.kappa * zs * th_n
-            - w_z / zs
-        )
-        rep.add("linear_f", anchor, rel_residual(lhs, om_n, zs * th_p, w_z / zs), tol, n=n)
-
-        lhs = (
-            oms_p
-            + om_n
-            - ratio_ps * ths_p
-            - cross
-            - w_z / zs
-        )
-        rep.add("linear_g", anchor, rel_residual(lhs, oms_p, ratio_ps * ths_p, w_z / zs), tol, n=n)
-
-        lhs = (
-            oms_n
-            - oms_p
-            + lpp.kappa / lp.kappa * (1.0 + lp.phi0 / lp.kappa * lpp.phibar0 / lpp.kappa * zs) * ths_p
-            + lp.phi0 * lp.phibar0 / (lp.kappa * ln.kappa) * zs * th_n
-            - lp.kappa / ln.kappa * ths_n
-        )
-        rep.add("linear_h", anchor, rel_residual(lhs, oms_n, ths_p, zs * th_n), tol, n=n)
-
-        # corollary (j), (k) need only n and n+1
-        lhs = oms_n - om_n + lp.kappa / ln.kappa * (zs * th_n - ths_n) - n * w_z / zs
-        rep.add("linear_j", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
-
-        lhs = (
-            oms_n
-            + om_n
-            - ln.kappa**2
-            / lp.kappa**2
-            * (lpp.phi0 / lp.phi0 * th_p + lp.kappa / ln.kappa * ths_n)
-            - w_z / zs
-        )
-        rep.add("linear_k", anchor_cor, rel_residual(lhs, om_n, oms_n, w_z / zs), tol, n=n)
-
-    for n in sorted(quads):
-        if not (n - 1 in quads and n + 1 <= sys.nmax):
-            continue
-        (th_m, ths_m, _, _), (th_n, ths_n, _, _) = ev[n - 1], ev[n]
-        lm, ln, lp = sys.level(n - 1), sys.level(n), sys.level(n + 1)
-        lhs = (
-            lp.phi0 / ln.phi0 * th_n
-            - ln.kappa / lm.kappa * zs * th_m
-            - lp.phibar0 / ln.phibar0 * zs * ths_n
-            + ln.kappa / lm.kappa * ths_m
-        )
-        rep.add("linear_i", anchor_cor, rel_residual(lhs, th_n, zs * ths_n), tol, n=n)
-    return rep
-
-
-def spectral_derivative_loop(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    asys: AssocSystem,
-    samples: Sequence[complex],
-    weight: SemiClassicalWeight | None = None,
-    tol: float = IDENTITY_TOL,
-) -> IdentityReport:
-    """The per-level loop of coeffs.spectral_derivative_check, which its rows
-    must equal bit for bit.  Residuals of the four derivative relations, with the exact
-    derivatives of `AssocSystem.evaluate_with_derivative` (polyder of phi,
-    phi*, psi, psi* and the series of F'), so every relation holds to the
-    identity tolerance."""
-    rep = IdentityReport("spectral derivative relations")
-    anchor = "the derivatives of the bi-orthogonal polynomials and associated functions are expressible"
-    avoid = list(weight.locations) if weight is not None else []
-    zs = np.asarray(
-        [z for z in samples if abs(z) > 1e-8 and all(abs(z - a) > 0.05 for a in avoid)],
-        dtype=complex,
-    )
-    w_z = polyval(vw.W, zs)
-    v_z = polyval(vw.V, zs)
-
-    (phi, star, eps, es), derivatives = asys.evaluate_with_derivative(zs)
-
-    for n in sorted(quads):
-        if n + 1 > sys.nmax:
-            continue
-        th, ths, om, oms = quads[n].evaluate(zs)
-        phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
-        phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
-        dphi, dstar, deps, des = (d[n] for d in derivatives)
-
-        lhs = w_z * dphi - th * phi_p + (om + v_z) * phi_n
-        rep.add("spectral_d_phi", anchor, rel_residual(lhs, w_z * dphi, th * phi_p), tol, n=n)
-
-        lhs = w_z * dstar + ths * star_p - (oms - v_z) * star_n
-        rep.add("spectral_d_phistar", anchor, rel_residual(lhs, w_z * dstar, ths * star_p), tol, n=n)
-
-        lhs = w_z * deps - th * eps_p + (om - v_z) * eps_n
-        rep.add("spectral_d_eps", anchor, rel_residual(lhs, w_z * deps, th * eps_p), tol, n=n)
-
-        lhs = w_z * des + ths * es_p - (oms + v_z) * es_n
-        rep.add("spectral_d_epsstar", anchor, rel_residual(lhs, w_z * des, ths * es_p), tol, n=n)
-
-        # trace consistency: W Tr A_n reduces to n W / z - 2 V
-        ln, lp = sys.level(n), sys.level(n + 1)
-        trace_w = (
-            -(om + v_z)
-            + lp.kappa / ln.kappa * zs * th
-            + oms
-            - v_z
-            - lp.kappa / ln.kappa * ths
-        )
-        lhs = trace_w - (n * w_z / zs - 2.0 * v_z)
-        rep.add(
-            "trace_reduction",
-            "we note that Tr A_n = n/z - w'/w",
-            rel_residual(lhs, trace_w, w_z / zs),
-            tol,
-            n=n,
-        )
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# Build references: the per-level recursion and system.json payload
-# ---------------------------------------------------------------------------
-
-def recursion_levels_loop(tbl: MomentTable, nmax: int) -> tuple[list[BopsLevel], list[int]]:
-    """Levels 0..nmax by the monic Szego recursion, one BopsLevel a level,
-    each monic pair concatenated from the last; the row-filled recursion of
-    build_system must give these rows, log and errors bit for bit."""
-    w, k = tbl.values, tbl.window
-    e = w[k]
-    if e == 0:
-        raise ExistenceError(1, 0.0, EXISTENCE_FLOOR)
-
-    def scaled(n, a, b, e):
-        kappa = principal_sqrt(1.0 / e)
-        return BopsLevel(n=n, kappa=kappa, c=kappa * a, cbar=kappa * b)
-
-    a = b = np.ones(1, dtype=complex)
-    levels = [scaled(0, a, b, e)]
-    log: list[int] = []
-    for n in range(1, nmax + 1):
-        j = np.arange(n)
-        r = -(a @ w[k - 1 - j]) / e
-        rbar = -(b @ w[k + 1 + j]) / e
-        ratio = 1.0 - r * rbar
-        if abs(ratio) < EXISTENCE_FLOOR:
-            raise ExistenceError(n + 1, abs(ratio), EXISTENCE_FLOOR)
-        if abs(ratio) < 1e6 * EXISTENCE_FLOOR:
-            log.append(n + 1)
-        a, b = (
-            np.concatenate(([0.0], a)) + r * np.concatenate((b[::-1], [0.0])),
-            np.concatenate(([0.0], b)) + rbar * np.concatenate((a[::-1], [0.0])),
-        )
-        e = e * ratio
-        levels.append(scaled(n, a, b, e))
-    return levels, log
-
-
-def system_json_payload(system: BopsSystem, path) -> None:
-    """system.json by the per-level payload route: one dict a level, written
-    by dump_json; the byte reference of the bulk writer."""
-    def pairs(coeffs):
-        return np.column_stack((coeffs.real, coeffs.imag)).tolist()
-
-    payload = {
-        "schema": SCHEMA,
-        "method": "both",
-        "cross_check_deviation": system.cross_check_deviation,
-        "existence_log": system.existence_log,
-        "levels": [
-            {
-                "n": lev.n,
-                "kappa": [lev.kappa.real, lev.kappa.imag],
-                "r": [lev.r.real, lev.r.imag],
-                "rbar": [lev.rbar.real, lev.rbar.imag],
-                "c": pairs(lev.c),
-                "cbar": pairs(lev.cbar),
-            }
-            for lev in system.levels
-        ],
-    }
-    dump_json(payload, path)
 
 
 # ---------------------------------------------------------------------------

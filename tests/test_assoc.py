@@ -360,15 +360,28 @@ class TestExactDerivatives:
 
 
 class TestAccuracy:
-    """eps_n and eps*_n against a 50-digit solve from the engine's own
-    moments, at inside points where psi_n and F phi_n cancel: |psi_n|
-    reaches 5e6 there while |eps*_n| is near 1e-15."""
+    """eps_n and eps*_n against the 50-digit route from the exact moments
+    (`exact_moments`, `eps_reference`), at inside points where psi_n and
+    F phi_n cancel: |psi_n| reaches 5e6 there while |eps*_n| is near 1e-15."""
 
-    def test_flagship_eps_against_50_digits(self, strict):
-        asys = AssocSystem(build_system(strict["table"], 22))
-        zs = [0.5 + 0.21j, 0.3 - 0.2j]
-        _, _, eps, epsstar = asys.evaluate(np.array(zs))
-        for n in (20, 22):
-            for k, (want, want_star) in enumerate(eps_reference(strict["table"], n, zs)):
-                assert abs(eps[n, k] - want) <= 1e-12 * abs(want), (n, zs[k])
-                assert abs(epsstar[n, k] - want_star) <= 1e-12 * abs(want_star), (n, zs[k])
+    ZS = [0.5 + 0.21j, 0.3 - 0.2j]
+
+    def worst(self, table, moments) -> float:
+        """Largest relative error of eps_n, eps*_n at n = 20 and 22."""
+        _, _, eps, epsstar = AssocSystem(build_system(table, 22)).evaluate(np.array(self.ZS))
+        return max(
+            abs(got[n, k] - want) / abs(want)
+            for n in (20, 22)
+            for k, pair in enumerate(eps_reference(moments, n, self.ZS))
+            for got, want in zip((eps, epsstar), pair)
+        )
+
+    def test_flagship_eps_against_50_digits(self, flagship_exact):
+        # on the exact moments rounded to double, each accurate to its own size
+        rounded = table_from_moments([(k, complex(w)) for k, w in flagship_exact.items()], window=48)
+        assert self.worst(rounded, flagship_exact) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="the quadrature moments are accurate to about 1e-16 "
+                       "absolute, not to their own size; eps*_22 reads 1.3e-6 off")
+    def test_flagship_eps_from_quadrature_moments(self, strict, flagship_exact):
+        assert self.worst(strict["table"], flagship_exact) <= 1e-12

@@ -16,7 +16,6 @@ from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import compute_moments, table_from_moments
 
 from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
-from oracles import system_json_payload
 
 
 LAURENT_SPEC = {
@@ -172,10 +171,16 @@ class TestExitCodes:
             (STRICT_SPEC, {"j": [2], "to": [2, -0.05]}, "trajectory 'j' must be a number"),
             ({**STRICT_SPEC, "branch": ["radial"]}, None, "'branch' must be an object"),
             ({**STRICT_SPEC, "annulus": ["a", 2]}, None, "'annulus' must be a pair of numbers"),
+            (5, None, "weight spec must be a JSON object"),
+            ({"moments": 5}, None, "'moments' must be a list of [k, re, im] rows"),
+            ({"moments": [[0, "1", 0]]}, None, "moments row 1 must be [k, re, im] numbers"),
+            ({"moments": [[-1, 1.0, 0.0], [0, 2.0]]}, None, "moments row 2 must be [k, re, im] numbers"),
         ],
         ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho",
              "trajectory-to-not-a-pair", "trajectory-not-an-object", "weight-z-not-a-pair",
-             "trajectory-j-not-a-number", "weight-branch-not-an-object", "weight-annulus-not-numbers"],
+             "trajectory-j-not-a-number", "weight-branch-not-an-object", "weight-annulus-not-numbers",
+             "weight-not-an-object", "moments-not-a-list", "moments-row-not-numbers",
+             "moments-row-of-two"],
     )
     def test_malformed_spec_exits_two(self, tmp_path, capsys, weight_spec, trajectory, message):
         # a missing member, a member of the wrong type or shape, or an index
@@ -187,7 +192,16 @@ class TestExitCodes:
             path = write(tmp_path, "t.json", trajectory)
             argv = ["deform", "--weight", weight, "--trajectory", path, "--n", "2", "--steps", "4"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["build", "verify-all"])
+    def test_negative_level_exits_two(self, tmp_path, capsys, command):
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        assert main([command, "--weight", weight, "--n", "-1", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_coeffs_on_relaxed_weight_exits_two(self, tmp_path):
         weight = write(tmp_path, "w.json", LAURENT_SPEC)
@@ -457,15 +471,26 @@ class TestIdentityFailureExit:
 
 
 class TestSystemWriter:
-    """system.json is written from the store in bulk, byte for byte the
-    per-level payload route of tests/oracles.py."""
+    """system.json is written from the store in bulk, one level a line, and
+    reads back as the store: every number bit for bit, -0.0 and NaN kept."""
 
     @staticmethod
     def same_bytes(system, tmp_path) -> bytes:
-        cli._dump_system(system, tmp_path / "bulk.json")
-        system_json_payload(system, tmp_path / "levels.json")
-        text = (tmp_path / "bulk.json").read_bytes()
-        assert text == (tmp_path / "levels.json").read_bytes()
+        cli._dump_system(system, tmp_path / "system.json")
+        text = (tmp_path / "system.json").read_bytes()
+        payload = json.loads(text)
+        levels = payload["levels"]
+        assert (payload["schema"], payload["method"]) == ("v1", "both")
+        assert payload["existence_log"] == system.existence_log
+        assert float.hex(payload["cross_check_deviation"]) == float.hex(system.cross_check_deviation)
+        assert sum(b'"cbar"' in line for line in text.splitlines()) == len(levels) == system.nmax + 1
+        r, rbar = system.reflections
+        for n, level in enumerate(levels):
+            assert level["n"] == n
+            for key, want in (("c", system.phi[n, : n + 1]), ("cbar", system.phibar[n, : n + 1]),
+                              ("kappa", system.kappas[n]), ("r", r[n]), ("rbar", rbar[n])):
+                got = np.array(level[key], dtype=float)
+                assert got.tobytes() == np.column_stack((want.real, want.imag)).reshape(got.shape).tobytes()
         return text
 
     @pytest.mark.parametrize("nmax", [0, 1, 8, 32])

@@ -4,7 +4,6 @@ import pytest
 from circlebops.bops import build_system
 from circlebops.assoc import AssocSystem
 from circlebops.coeffs import (
-    _product,
     compute_coeff_quad,
     dpainleve_ratio_check,
     expansion_closed_forms,
@@ -21,7 +20,7 @@ from circlebops.errors import (
     WindowError,
 )
 from circlebops.moments import compute_moments
-from circlebops.numerics import circle_samples, polyadd, polyder, polymul, polyval
+from circlebops.numerics import circle_samples, polyder, polyval
 from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
@@ -146,8 +145,8 @@ def m4_quads():
 
 
 class TestBitExactKernels:
-    """The one-pass kernels of the suites equal the per-member routes bit for
-    bit, so the reports do not move by an ulp."""
+    """The one-pass quadruple equals each member's own Horner pass bit for
+    bit: a value does not depend on how its points are batched."""
 
     @pytest.mark.parametrize("which", ["flagship", "complex_m4"])
     def test_one_pass_quadruple_equals_each_member(self, which, strict, m4_quads):
@@ -168,23 +167,6 @@ class TestBitExactKernels:
                     assert np.array_equal(row, want)
                     assert np.array_equal(np.signbit(row.real), np.signbit(want.real))
                     assert np.array_equal(np.signbit(row.imag), np.signbit(want.imag))
-
-    def test_series_product_equals_polymul(self):
-        # trailing zeros flip which operand np.convolve takes first; the
-        # product trims them as polymul does, and without the trim the sums
-        # round differently on these inputs
-        rng = np.random.default_rng(22)
-        untrimmed_differs = False
-        for _ in range(50):
-            a = np.concatenate([rng.normal(size=5) + 1j * rng.normal(size=5), np.zeros(10)])
-            b = rng.normal(size=8) + 1j * rng.normal(size=8)
-            for x, y, size in ((a, b, 9), (b, a, 9), (a, b, 30), (a, np.zeros(4), 6)):
-                want = polyadd(np.zeros(size), polymul(x, y)[:size])
-                got = _product(x, y, size)
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-            untrimmed_differs |= not np.array_equal(np.convolve(a, b)[:9], _product(a, b, 9))
-        assert untrimmed_differs
 
 
 class TestClosedForms:

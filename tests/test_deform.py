@@ -27,7 +27,6 @@ from circlebops.weight import SemiClassicalWeight, Singularity, weight_from_json
 from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC, LineTraj, close, complex_m4_weight
 from oracles import (
     rates_fd_check,
-    richardson_top_down,
     schlesinger_component_check,
     transfer_rate_check,
     weight_rate_check,
@@ -255,14 +254,24 @@ class TestFlow:
         assert conv["coarse"] == 0.0
 
     @pytest.mark.parametrize("target", [2.0 + 0.05j, 2.0 - 0.05j])
-    def test_ladder_matches_top_down_rule(self, strict_weight_module, target):
-        # climbing the rungs from one step stops on the rung the top-down
-        # walk stops on, and reads the same flows, so the dicts are equal
+    def test_ladder_stops_at_the_round_off_floor(self, strict_weight_module, target):
+        # the rung s the ladder returns is the first whose next rung's change
+        # |y_2s - y_4s| falls under 100 ulps of the largest endpoint entry
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
         initial, _ = moment_rebuild(traj, 0.0, 2)
-        for steps in (1, 2, 16, 64, 256):
-            times, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), steps)
-            assert flow_convergence(times, flow, traj) == richardson_top_down(times, flow, traj)
+        y0, span = initial.pack(), (0.0, 0.1)
+        for steps in (16, 64, 256):
+            conv = flow_convergence(*integrate_flow(y0, traj, span, steps), traj)
+            s = conv["steps"]
+            ends = {k: flow_endpoint(y0, traj, span, k) for k in (s // 2, s, 2 * s, 4 * s, steps) if k}
+
+            def change(k):
+                return np.max(np.abs(ends[k] - ends[2 * k]))
+
+            floor = 100 * 2.0**-52 * np.max(np.abs(ends[steps]))
+            assert conv["resolved"] and conv["fine"] == change(s) >= floor
+            assert conv["coarse"] == change(s // 2) and s > 1
+            assert 4 * s > steps or change(2 * s) < floor
 
     @pytest.mark.parametrize("target", [2.1, 2.0 - 0.05j])
     @pytest.mark.parametrize("steps", [96, 100, 120, 200])
@@ -467,7 +476,7 @@ class TestFlowKernel:
             ),
             "det_max": max(float(np.max(np.abs(np.linalg.det(a)))) for a in states),
             "monodromy_gap": max(
-                max(abs(np.trace(blk) - want), abs(np.linalg.det(blk)))
+                float(np.max(np.abs([np.trace(blk) - want, np.linalg.det(blk)])))
                 for a in states
                 for blk, want in zip(a, closed)
             ),
