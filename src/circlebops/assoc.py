@@ -170,12 +170,13 @@ class AssocSystem:
         return values[:4], values[4:]
 
     def eps_taylor(
-        self, n: int, count: int, star: bool = False, at_infinity: bool = False
+        self, n, count: int, star: bool = False, at_infinity: bool = False
     ) -> np.ndarray:
         """Orders 0..count-1 of the expansion of eps_n (eps*_n with ``star``),
         exact up to the moment window: its Taylor series at 0, or with
         ``at_infinity`` the Taylor series of z^-n eps_n in u = 1/z, whose
-        order k is the coefficient of z^(n-k)."""
+        order k is the coefficient of z^(n-k).  With an array n, one row a
+        level."""
         self.sys.table.require(count - 1, f"F series to order {count - 1}")
         return self._series[int(at_infinity), :count, int(star), n]
 

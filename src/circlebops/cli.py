@@ -192,9 +192,9 @@ def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
     return [report]
 
 
-def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
+def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
     ns = range(min(args.n, bundle.sys.nmax - 1))
-    samples = _sample_points(args, weight)
+    samples = _sample_points(args, weight) if samples is None else samples
     report, (_, _, eps, epsstar) = verify_assoc_identities(
         bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol
     )
@@ -220,9 +220,9 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
     return [report, exp]
 
 
-def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path):
+def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
     tol = args.tol
-    samples = _sample_points(args, weight)
+    samples = _sample_points(args, weight) if samples is None else samples
     ns = range(args.n + 1)
     reports = [
         verify_expansion_forms(
@@ -391,10 +391,11 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     their files can differ from these in the last digits."""
     strict = weight is not None and is_strict_semiclassical(weight)
     bundle = _bundle(args, weight, table, strict)
+    samples = _sample_points(args, weight)  # drawn once for assoc and coeffs
     reports = cmd_build(args, weight, bundle.sys.prefix(args.n), out)
-    reports += cmd_assoc(args, weight, bundle, out)
+    reports += cmd_assoc(args, weight, bundle, out, samples)
     if strict:
-        reports += cmd_coeffs(args, weight, bundle, out)
+        reports += cmd_coeffs(args, weight, bundle, out, samples)
         matrix = verify_matrix_system(
             bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, range(1, args.n + 1),
             [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j], tol_scale=args.tol,

@@ -25,15 +25,16 @@ above.  Those take phi', phi*', eps' and eps*' exact from
 they stay independent of the quadruples' band reads because they test each
 relation pointwise, at sample points inside and outside the circle, on both
 sides' eps series.
-Each suite evaluates a quadruple once per point set, in one Horner pass over
-its four members (`CoeffQuad.evaluate`, the only reader of its values), and
-indexes those values.  Every suite checks in rows: the linear relations,
-the spectral derivative relations and the ratio recurrence check each
-relation over all its levels at once, one row a level
-(`IdentityReport.add_rows`).  The bilinear suite evaluates each quadruple and
-each level's phi/eps once over all the non-zero singular points and takes
-each check's residuals at those points in one `rel_residuals` call; its
-entries run point by point across the levels, so it writes them itself.
+Each suite evaluates the quadruples it reads once per point set, in one
+Horner pass over the members of all of them (`quad_values`, row n
+`CoeffQuad.evaluate` of level n), and indexes those values.  Every suite
+forms each relation once over all its levels, the level scalars read off
+the store as columns, and takes its residuals in one `rel_residuals` call
+(`IdentityReport.add_groups`): the linear relations, the spectral
+derivative relations, the ratio recurrence and the expansion closed forms
+one row a level, written level by level; the bilinear suite one row a
+(point, level), its values evaluated once over all the non-zero singular
+points, written point by point across the levels.
 The arithmetic is numpy's throughout; the same inputs give the same bytes,
 and `verify-all` writes the bytes of `coeffs` run alone.
 
@@ -50,6 +51,7 @@ through --n 7; at --n 8 it is stopped by the matrix system in lax
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,7 +69,6 @@ from .numerics import (
     polyder,
     polymul,
     polyval,
-    rel_residuals,
     series_band,
 )
 from .report import IdentityReport, equation
@@ -83,13 +84,29 @@ class CoeffQuad:
     omegastar: np.ndarray
     fit_residuals: dict = field(default_factory=dict)
 
+    @cached_property
+    def members(self) -> np.ndarray:
+        """Theta_n, Theta*_n, Omega_n, Omega*_n as the columns of one (m, 4)
+        matrix, the Theta pair zero-padded at the top to the length of
+        Omega_n; a leading zero leaves every Horner step unchanged."""
+        padded = (np.append(self.theta, 0), np.append(self.thetastar, 0))
+        return np.stack([*padded, self.omega, self.omegastar], axis=1)
+
     def evaluate(self, z):
         """(Theta_n, Theta*_n, Omega_n, Omega*_n) over an array z of any shape
-        (a scalar is a 0-d array) in one Horner pass over the four members.
-        The Theta pair is zero-padded at the top to the length of Omega_n;
-        a leading zero leaves every Horner step unchanged."""
-        padded = (np.append(self.theta, 0), np.append(self.thetastar, 0))
-        return polyval(np.stack([*padded, self.omega, self.omegastar], axis=1), z)
+        (a scalar is a 0-d array) in one Horner pass over the four members."""
+        return polyval(self.members, z)
+
+
+def quad_values(quads: Mapping[int, CoeffQuad], ns, z) -> np.ndarray:
+    """(Theta_n, Theta*_n, Omega_n, Omega*_n) of each level n of ``ns`` over an
+    array z of any shape: shape (len(ns), 4, *z.shape), row n
+    quads[n].evaluate(z) bit for bit, from one Horner pass over the members
+    of all their quadruples."""
+    if not len(ns):
+        return np.zeros((0, 4) + np.shape(z), dtype=complex)
+    members = np.concatenate([quads[n].members for n in ns], axis=1)
+    return polyval(members, z).reshape((len(ns), 4) + np.shape(z))
 
 
 def _product(a, b, size: int) -> np.ndarray:
@@ -198,7 +215,7 @@ def expansion_closed_forms(
     the weight's singularity data.  Returned as (poly, order, value, block)
     tuples: at small m the leading and trailing windows overlap and a
     coefficient is pinned by two independent forms, both of which are
-    reported.
+    reported.  Two forms read level n-1 and are left out at n = 0.
 
     Three sub-leading terms are derived from the series expansions directly:
     the lbar_{n-1} term of the trailing Theta_n block and the l_{n-1} term of
@@ -210,6 +227,14 @@ def expansion_closed_forms(
     compute_coeff_quad to 1e-9 through n = 12, on the flagship weight and on
     an m = 4 weight with complex locations and exponents.
     """
+    return [form[:4] for form in _closed_forms(sys, vw, weight, n) if n >= form[4]]
+
+
+def _closed_forms(sys: BopsSystem, vw: PolyPair, weight: SemiClassicalWeight, n) -> list[tuple]:
+    """`expansion_closed_forms` at the level n or at every level of an array
+    n, each value of n's shape from the level scalars read off the store as
+    columns, each form with the lowest level it holds at: (poly, order,
+    value, block, lowest).  Below that level a value is not a form."""
     m = weight.m
     locs = weight.locations
     rhos = weight.exponents
@@ -217,140 +242,66 @@ def expansion_closed_forms(
     sum_z = complex(locs.sum())
     sum_rho_z = complex((rhos * locs).sum())
 
-    lm1 = sys.level(n - 1) if n >= 1 else None
-    ln = sys.level(n)
-    lp = sys.level(n + 1)
-    lpp = sys.level(n + 2)
+    n = np.asarray(n)
+    k, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
+    l, lbar = (np.concatenate(([0j], np.diagonal(c, -1))) for c in (sys.phi, sys.phibar))
+    prev = np.maximum(n - 1, 0)  # level n-1; at n = 0 its forms are dropped
+    kn, kp, kpp, km = k[n], k[n + 1], k[n + 2], k[prev]
+    pn, pp, ppp, pm = p0[n], p0[n + 1], p0[n + 2], p0[prev]
+    pbn, pbp, pbpp, pbm = pb0[n], pb0[n + 1], pb0[n + 2], pb0[prev]
 
     w1 = vw.w_deriv(0.0)  # W'(0)
     wpp = polyval(polyder(polyder(vw.W)), 0.0)  # W''(0)
     v0 = vw.v_eval(0.0)
     v1 = polyval(polyder(vw.V), 0.0)  # V'(0)
 
-    out: list[tuple[str, int, complex, str]] = []
-
-    out.append(("theta", m - 2, (n + 1 + sum_rho) * ln.kappa / lp.kappa, "leading"))
-    out.append(
-        (
-            "theta",
-            m - 3,
-            -((n + 1 + sum_rho) * sum_z - sum_rho_z) * ln.kappa / lp.kappa
-            + (n + 2 + sum_rho)
-            * ln.kappa**3
-            / (lp.kappa**2 * lpp.kappa)
-            * lpp.phi0
-            / lp.phi0
-            - (n + sum_rho) * lp.phi0 * ln.phibar0 / lp.kappa**2
-            - 2.0 * ln.kappa * lp.l / lp.kappa**2,
-            "leading",
-        )
-    )
-    out.append(("theta", 0, (2.0 * v0 - n * w1) * ln.phi0 / lp.phi0, "trailing"))
-    if lm1 is not None:
-        out.append(
-            (
-                "theta",
-                1,
-                (2.0 * v1 - 0.5 * n * wpp) * ln.phi0 / lp.phi0
-                + (2.0 * v0 - (n - 1) * w1) * ln.kappa * lm1.phi0 / (lm1.kappa * lp.phi0)
-                + (
-                    ((n + 1) * w1 - 2.0 * v0) * lp.lbar / lp.kappa
-                    - ((n - 1) * w1 - 2.0 * v0) * lm1.lbar / lm1.kappa
-                )
-                * ln.phi0
-                / lp.phi0,
-                "trailing",
-            )
-        )
-
-    out.append(("thetastar", m - 2, -(n + sum_rho) * ln.phibar0 / lp.phibar0, "leading"))
-    if lm1 is not None:
-        out.append(
-            (
-                "thetastar",
-                m - 3,
-                ((n + sum_rho) * sum_z - sum_rho_z) * ln.phibar0 / lp.phibar0
-                + (n + 1 + sum_rho) * ln.phibar0 / lp.phibar0 * lp.l / lp.kappa
-                - (n - 1 + sum_rho)
-                * (ln.kappa * lm1.phibar0 + ln.phibar0 * lm1.l)
-                / (lm1.kappa * lp.phibar0),
-                "leading",
-            )
-        )
-    out.append(("thetastar", 0, -(2.0 * v0 - (n + 1) * w1) * ln.kappa / lp.kappa, "trailing"))
-    out.append(
-        (
-            "thetastar",
-            1,
-            -(2.0 * v1 - 0.5 * (n + 1) * wpp) * ln.kappa / lp.kappa
-            - (2.0 * v0 - n * w1) * ln.lbar / lp.kappa
-            + ((n + 2) * w1 - 2.0 * v0)
-            * (
-                ln.kappa**3 / (lpp.kappa * lp.kappa**2) * lpp.phibar0 / lp.phibar0
-                - ln.kappa / lp.kappa * lp.lbar / lp.kappa
-            ),
-            "trailing",
-        )
-    )
-
-    out.append(("omega", m - 1, 1.0 + 0.5 * sum_rho, "leading"))
-    out.append(
-        (
-            "omega",
-            m - 2,
-            -0.5 * sum_rho * sum_z
-            + 0.5 * sum_rho_z
-            - sum_z
-            + (n + 2 + sum_rho) * ln.kappa**2 / (lpp.kappa * lp.kappa) * lpp.phi0 / lp.phi0
-            - lp.l / lp.kappa,
-            "leading",
-        )
-    )
-    out.append(("omega", 0, v0 - n * w1, "trailing"))
-    out.append(
-        (
-            "omega",
-            1,
-            v1
-            - 0.5 * n * wpp
-            + (v0 * ln.kappa / lp.kappa + (v0 - n * w1) * lp.kappa / ln.kappa)
-            * ln.phi0
-            / lp.phi0
-            + (v0 - n * w1) * ln.lbar / ln.kappa
-            - (v0 - (n + 1) * w1) * lp.lbar / lp.kappa,
-            "trailing",
-        )
-    )
-
-    out.append(("omegastar", m - 1, -0.5 * sum_rho, "leading"))
-    out.append(
-        (
-            "omegastar",
-            m - 2,
-            0.5 * sum_rho * sum_z
-            - 0.5 * sum_rho_z
-            - (n + sum_rho) * ln.kappa / lp.kappa * ln.phibar0 / lp.phibar0
-            + lp.l / lp.kappa,
-            "leading",
-        )
-    )
-    out.append(("omegastar", 0, (n + 1) * w1 - v0, "trailing"))
-    out.append(
-        (
-            "omegastar",
-            1,
-            0.5 * (n + 1) * wpp
-            - v1
-            + ((n + 2) * w1 - 2.0 * v0)
-            * ln.kappa**2
-            / (lpp.kappa * lp.kappa)
-            * lpp.phibar0
-            / lp.phibar0
-            - w1 * lp.lbar / lp.kappa,
-            "trailing",
-        )
-    )
-    return [(name, order, val, block) for name, order, val, block in out if order >= 0]
+    out = [
+        ("theta", m - 2, (n + 1 + sum_rho) * kn / kp, "leading", 0),
+        ("theta", m - 3,
+         -((n + 1 + sum_rho) * sum_z - sum_rho_z) * kn / kp
+         + (n + 2 + sum_rho) * kn**3 / (kp**2 * kpp) * ppp / pp
+         - (n + sum_rho) * pp * pbn / kp**2
+         - 2.0 * kn * l[n + 1] / kp**2, "leading", 0),
+        ("theta", 0, (2.0 * v0 - n * w1) * pn / pp, "trailing", 0),
+        ("theta", 1,
+         (2.0 * v1 - 0.5 * n * wpp) * pn / pp
+         + (2.0 * v0 - (n - 1) * w1) * kn * pm / (km * pp)
+         + (((n + 1) * w1 - 2.0 * v0) * lbar[n + 1] / kp - ((n - 1) * w1 - 2.0 * v0) * lbar[prev] / km)
+         * pn / pp, "trailing", 1),
+        ("thetastar", m - 2, -(n + sum_rho) * pbn / pbp, "leading", 0),
+        ("thetastar", m - 3,
+         ((n + sum_rho) * sum_z - sum_rho_z) * pbn / pbp
+         + (n + 1 + sum_rho) * pbn / pbp * l[n + 1] / kp
+         - (n - 1 + sum_rho) * (kn * pbm + pbn * l[prev]) / (km * pbp), "leading", 1),
+        ("thetastar", 0, -(2.0 * v0 - (n + 1) * w1) * kn / kp, "trailing", 0),
+        ("thetastar", 1,
+         -(2.0 * v1 - 0.5 * (n + 1) * wpp) * kn / kp
+         - (2.0 * v0 - n * w1) * lbar[n] / kp
+         + ((n + 2) * w1 - 2.0 * v0)
+         * (kn**3 / (kpp * kp**2) * pbpp / pbp - kn / kp * lbar[n + 1] / kp), "trailing", 0),
+        ("omega", m - 1, 1.0 + 0.5 * sum_rho, "leading", 0),
+        ("omega", m - 2,
+         -0.5 * sum_rho * sum_z + 0.5 * sum_rho_z - sum_z
+         + (n + 2 + sum_rho) * kn**2 / (kpp * kp) * ppp / pp
+         - l[n + 1] / kp, "leading", 0),
+        ("omega", 0, v0 - n * w1, "trailing", 0),
+        ("omega", 1,
+         v1 - 0.5 * n * wpp
+         + (v0 * kn / kp + (v0 - n * w1) * kp / kn) * pn / pp
+         + (v0 - n * w1) * lbar[n] / kn
+         - (v0 - (n + 1) * w1) * lbar[n + 1] / kp, "trailing", 0),
+        ("omegastar", m - 1, -0.5 * sum_rho, "leading", 0),
+        ("omegastar", m - 2,
+         0.5 * sum_rho * sum_z - 0.5 * sum_rho_z
+         - (n + sum_rho) * kn / kp * pbn / pbp
+         + l[n + 1] / kp, "leading", 0),
+        ("omegastar", 0, (n + 1) * w1 - v0, "trailing", 0),
+        ("omegastar", 1,
+         0.5 * (n + 1) * wpp - v1
+         + ((n + 2) * w1 - 2.0 * v0) * kn**2 / (kpp * kp) * pbpp / pbp
+         - w1 * lbar[n + 1] / kp, "trailing", 0),
+    ]
+    return [form for form in out if form[1] >= 0]
 
 
 def verify_expansion_forms(
@@ -363,44 +314,29 @@ def verify_expansion_forms(
 ) -> IdentityReport:
     """Coefficients against every closed leading/trailing form, plus the
     largest out-of-band ratio of each quadruple as its degree certificate,
-    gated at a tenth of ``tol``."""
+    gated at a tenth of ``tol``.  Each form is one row family over the
+    levels it holds at, formed once for all of them; entries level by level."""
     rep = IdentityReport("coefficient-function expansion closed forms")
-    for n in ns:
-        quad = quads[n]
-        polys = {
-            "theta": quad.theta,
-            "thetastar": quad.thetastar,
-            "omega": quad.omega,
-            "omegastar": quad.omegastar,
-        }
-        for name, order, want, block in expansion_closed_forms(sys, vw, weight, n):
-            coeffs = polys[name]
-            if order >= len(coeffs):
-                continue
-            scale = max(1.0, float(np.max(np.abs(coeffs))))
-            rep.add(
-                f"{name}_{block}_z{order}",
-                "specifically these have leading and trailing expansions",
-                abs(coeffs[order] - want) / scale,
-                tol,
-                n=n,
-                where=f"z^{order}",
-            )
-        om0 = quad.evaluate(0.0)[2]
-        rep.add(
-            "omega_at_origin",
-            "does not lead to any new independent relation",
-            abs(om0 - (vw.v_eval(0.0) - n * vw.w_deriv(0.0))) / max(1.0, abs(om0)),
-            tol,
-            n=n,
-        )
-        rep.add(
-            "degree_certification",
-            "are polynomials in z of bounded degree",
-            max(quad.fit_residuals.values()),
-            1e-7 * (tol / 1e-6),
-            n=n,
-        )
+    levels = np.asarray(ns, dtype=int)
+    members = np.reshape([quads[n].members for n in levels.tolist()], (len(levels), weight.m, 4))
+    anchor = "specifically these have leading and trailing expansions"
+    groups = []
+    for name, order, want, block, lowest in _closed_forms(sys, vw, weight, levels):
+        j = ("theta", "thetastar", "omega", "omegastar").index(name)
+        if order < weight.m - (j < 2):  # the Theta pair is one shorter
+            at = np.flatnonzero(levels >= lowest)
+            coeffs = members[at, :, j]
+            mismatch = coeffs[:, order] - np.broadcast_to(want, levels.shape)[at]
+            groups.append(([(f"{name}_{block}_z{order}", anchor, mismatch, coeffs)], tol, levels[at],
+                           f"z^{order}", at))
+    om0 = quad_values(quads, levels, 0.0)[:, 2]
+    fit = np.array([max(quads[n].fit_residuals.values()) for n in levels.tolist()], dtype=float)
+    groups.append(([
+        ("omega_at_origin", "does not lead to any new independent relation",
+         om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0),
+        ("degree_certification", "are polynomials in z of bounded degree", fit),
+    ], [tol, 1e-7 * (tol / 1e-6)], levels, None))
+    rep.add_groups(groups)
     return rep
 
 
@@ -410,10 +346,10 @@ def verify_expansion_forms(
 # ---------------------------------------------------------------------------
 
 def _quad_rows(quads: Mapping[int, CoeffQuad], zs: np.ndarray):
-    """Each quadruple evaluated once at zs (`CoeffQuad.evaluate`); the
-    returned rows(ns, shift) stacks (Theta, Theta*, Omega, Omega*) of level
-    n + shift, one n of ns a row."""
-    values = {n: q.evaluate(zs) for n, q in quads.items()}
+    """Every quadruple evaluated once at zs, in one Horner pass
+    (`quad_values`); the returned rows(ns, shift) stacks (Theta, Theta*,
+    Omega, Omega*) of level n + shift, one n of ns a row."""
+    values = dict(zip(quads, quad_values(quads, list(quads), zs)))
 
     def rows(ns: Sequence[int], shift: int = 0) -> tuple[np.ndarray, ...]:
         stack = np.array([values[n + shift] for n in ns]).reshape(len(ns), 4, zs.size)
@@ -543,85 +479,84 @@ def verify_bilinear(
     phi/eps products, the telescoped summation constant V^2(z_j), and (when
     quads 0 and 1 and U are available) the six initial-member formulas as
     polynomial identities.  ``ns`` selects the levels asserted (default:
-    every level whose successor quad is available)."""
+    every level whose successor quad is available); each check is one row
+    family over (point, level), written point by point."""
     rep = IdentityReport("bilinear identities at the singular points")
     anchor_bil = "the coefficient functions satisfy the bilinear identities"
     anchor_res = "bilinear residues are related to the coefficient function residues"
-    if ns is None:
-        ns = [n for n in sorted(quads) if n + 1 in quads]
-    # every value once at all the non-zero singular points z_2..z_m: each
-    # quadruple, then phi/eps of every level in one call
+    keys = np.array(sorted(quads), dtype=int)
+    levels = np.sort(np.asarray(keys[np.isin(keys + 1, keys)] if ns is None else ns, dtype=int))
+    # every value once at all the non-zero singular points z_2..z_m, one
+    # row a point and one column a level: the quadruples of all levels in
+    # one Horner pass, phi/eps of every level in one call
     zj = weight.locations[1:]
     v_j = vw.v_eval(zj)
     if np.any(abs(v_j) < 1e-12):
         k = int(np.argmax(abs(v_j) < 1e-12))
         raise SingularResidueError(f"V(z_{k + 2}) = 0 at z = {zj[k]}")
-    v2 = v_j**2
-    ev = {n: q.evaluate(zj) for n, q in quads.items()}
-    res_ns = [n for n in sorted(ns) if n in quads and n + 1 <= sys.nmax]
-    phi, star, eps, es = asys.evaluate(zj)
-    chain = [n for n in sorted(ns) if n + 1 in quads and n + 2 <= sys.nmax]
-    rows = []  # (name, anchor, n, residual at each point) per check
+    z, v, v2 = zj[:, None], v_j[:, None], v_j[:, None] ** 2
+    phi, star, eps, es = (x.T for x in asys.evaluate(zj))
+    kap, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
 
-    for n in chain:
-        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-        th_n, ths_n, om_n, oms_n = ev[n]
-        th_p, ths_p = ev[n + 1][:2]
-        lhs_ef = lp.phi0 * lp.phibar0 / ln.kappa**2 * zj * th_n * ths_n + v2
-        checks = [
-            ("bilinear_a", om_n**2,
-             ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * th_n * th_p + v2),
-            ("bilinear_b", oms_n**2,
-             ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zj * ths_n * ths_p + v2),
-            # mirror of (d) under the bar swap: the scale factor carries
-            # kappa_n / kappa_{n+1}^3 (verified numerically at every level)
-            ("bilinear_c", (om_n - ln.kappa**2 / lp.kappa**2 * lpp.phi0 / lp.phi0 * th_p) ** 2,
-             ln.kappa * lpp.phi0 * lp.phibar0 / lp.kappa**3 * th_p * ths_n + v2),
-            ("bilinear_d",
-             (oms_n - ln.kappa**2 / lp.kappa**2 * lpp.phibar0 / lp.phibar0 * zj * ths_p) ** 2,
-             ln.kappa * lpp.phibar0 * lp.phi0 / lp.kappa**3 * zj**2 * ths_p * th_n + v2),
-            ("bilinear_e", lhs_ef, (om_n - lp.kappa / ln.kappa * zj * th_n) ** 2),
-            ("bilinear_f", lhs_ef, (oms_n - lp.kappa / ln.kappa * ths_n) ** 2),
-        ]
-        rows += [(name, anchor_bil, n, rel_residuals(lhs - rhs, lhs, rhs)) for name, lhs, rhs in checks]
+    chain = levels[np.isin(levels + 1, keys) & (levels + 2 <= sys.nmax)]
+    res_ns = levels[np.isin(levels, keys) & (levels + 1 <= sys.nmax)]
+    # (member, point, level) of the levels chain, chain + 1 and res_ns
+    quad = quad_values(quads, np.concatenate([chain, chain + 1, res_ns]), zj).transpose(1, 2, 0)
+    bounds = np.cumsum([0, len(chain), len(chain), len(res_ns)])
+    at_chain, at_next, at_res = (quad[..., a:b] for a, b in zip(bounds, bounds[1:]))
 
-    # bilinear residue formulas (phi/eps products against the quadruple)
-    for n in res_ns:
-        ln, lp = sys.level(n), sys.level(n + 1)
-        phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
-        phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
-        th_n, ths_n, om_n, oms_n = ev[n]
-        base = 2.0 * lp.phi0 / ln.kappa * zj**n
-        base_s = 2.0 * lp.phibar0 / ln.kappa * zj ** (n + 1)
-        ratio = lp.kappa / ln.kappa
-        checks = [
-            ("bilres_a", phi_n * eps_n, base * th_n / (2.0 * v_j)),
-            ("bilres_b", star_n * es_n, -base_s * ths_n / (2.0 * v_j)),
-            ("bilres_c", phi_p * eps_n, base * (om_n + v_j) / (2.0 * v_j)),
-            ("bilres_d", phi_n * eps_p, base * (om_n - v_j) / (2.0 * v_j)),
-            ("bilres_e", star_n * es_p, -base_s * (oms_n + v_j) / (2.0 * v_j)),
-            ("bilres_f", star_p * es_n, -base_s * (oms_n - v_j) / (2.0 * v_j)),
-            ("bilres_g", phi_n * es_n, -(zj**n) / v_j * (om_n - v_j - ratio * zj * th_n)),
-            ("bilres_h", phi_n * es_n, -(zj**n) / v_j * (oms_n - v_j - ratio * ths_n)),
-            ("bilres_i", star_n * eps_n, zj**n / v_j * (om_n + v_j - ratio * zj * th_n)),
-            ("bilres_j", star_n * eps_n, zj**n / v_j * (oms_n + v_j - ratio * ths_n)),
-        ]
-        rows += [(name, anchor_res, n, rel_residuals(lhs - rhs, lhs, rhs)) for name, lhs, rhs in checks]
-
+    n = chain
+    th_n, ths_n, om_n, oms_n = at_chain
+    th_p, ths_p, _, _ = at_next
+    kn, kp, p1, p2, pb1, pb2 = kap[n], kap[n + 1], p0[n + 1], p0[n + 2], pb0[n + 1], pb0[n + 2]
+    lhs_ef = p1 * pb1 / kn**2 * z * th_n * ths_n + v2
+    d_n = kn * p2 / (kp * p1) * z * th_n * th_p
+    bilinear = [
+        ("bilinear_a", om_n**2, d_n + v2),
+        ("bilinear_b", oms_n**2, kn * pb2 / (kp * pb1) * z * ths_n * ths_p + v2),
+        # mirror of (d) under the bar swap: the scale factor carries
+        # kappa_n / kappa_{n+1}^3 (verified numerically at every level)
+        ("bilinear_c", (om_n - kn**2 / kp**2 * p2 / p1 * th_p) ** 2,
+         kn * p2 * pb1 / kp**3 * th_p * ths_n + v2),
+        ("bilinear_d", (oms_n - kn**2 / kp**2 * pb2 / pb1 * z * ths_p) ** 2,
+         kn * pb2 * p1 / kp**3 * z**2 * ths_p * th_n + v2),
+        ("bilinear_e", lhs_ef, (om_n - kp / kn * z * th_n) ** 2),
+        ("bilinear_f", lhs_ef, (oms_n - kp / kn * ths_n) ** 2),
+    ]
     # telescoped summation: Omega_n^2 - D_n is the constant V^2(z_j); the
     # exact difference cancels the large terms, so it is scaled by them
-    for n in chain:
-        ln, lp, lpp = sys.level(n), sys.level(n + 1), sys.level(n + 2)
-        om_n = ev[n][2]
-        d_n = ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zj * ev[n][0] * ev[n + 1][0]
-        rows.append(
-            ("telescoped_constant", "upon summing this relation the summation constant is",
-             n, rel_residuals(om_n**2 - d_n - v2, om_n**2, d_n, v2))
-        )
+    telescoped = ("telescoped_constant", "upon summing this relation the summation constant is",
+                  om_n**2 - d_n - v2, om_n**2, d_n, v2)
 
-    for k in range(len(zj)):
-        for name, anchor, n, residuals in rows:
-            rep.add(name, anchor, residuals[k], tol, n=n, where=f"z_{k + 2}")
+    # bilinear residue formulas (phi/eps products against the quadruple)
+    n = res_ns
+    phi_n, star_n, eps_n, es_n = phi[:, n], star[:, n], eps[:, n], es[:, n]
+    phi_p, star_p, eps_p, es_p = phi[:, n + 1], star[:, n + 1], eps[:, n + 1], es[:, n + 1]
+    th_n, ths_n, om_n, oms_n = at_res
+    zn = z**n
+    base = 2.0 * p0[n + 1] / kap[n] * zn
+    base_s = 2.0 * pb0[n + 1] / kap[n] * z ** (n + 1)
+    ratio = kap[n + 1] / kap[n]
+    bilres = [
+        ("bilres_a", phi_n * eps_n, base * th_n / (2.0 * v)),
+        ("bilres_b", star_n * es_n, -base_s * ths_n / (2.0 * v)),
+        ("bilres_c", phi_p * eps_n, base * (om_n + v) / (2.0 * v)),
+        ("bilres_d", phi_n * eps_p, base * (om_n - v) / (2.0 * v)),
+        ("bilres_e", star_n * es_p, -base_s * (oms_n + v) / (2.0 * v)),
+        ("bilres_f", star_p * es_n, -base_s * (oms_n - v) / (2.0 * v)),
+        ("bilres_g", phi_n * es_n, -zn / v * (om_n - v - ratio * z * th_n)),
+        ("bilres_h", phi_n * es_n, -zn / v * (oms_n - v - ratio * ths_n)),
+        ("bilres_i", star_n * eps_n, zn / v * (om_n + v - ratio * z * th_n)),
+        ("bilres_j", star_n * eps_n, zn / v * (oms_n + v - ratio * ths_n)),
+    ]
+
+    # point by point, each point's rows level by level
+    wheres = np.array([f"z_{k + 2}" for k in range(len(zj))], dtype=object)[:, None]
+    rep.add_groups([
+        ([equation(name, anchor_bil, lhs, rhs) for name, lhs, rhs in bilinear], tol, chain, wheres),
+        ([equation(name, anchor_res, lhs, rhs) for name, lhs, rhs in bilres], tol, res_ns, wheres),
+        ([telescoped], tol, chain, wheres),
+    ])
 
     if u_poly is not None and 0 in quads and 1 in quads:
         rep.extend(verify_initial_members(quads, vw, sys, u_poly, tol=tol))

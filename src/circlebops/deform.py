@@ -290,7 +290,8 @@ def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
     with np.errstate(all="ignore"):  # an overflow is inf; the flow reports it
         ratio = vel[:, js] / locs[:, js]
         pair = (vel[:, pj] - vel[:, pk]) / (locs[:, pj] - locs[:, pk])
-        table = np.column_stack((ratio, ratio @ rho, pair))
+        # an elementwise sum over the movers: no row's bits depend on the row count
+        table = np.column_stack((ratio, (ratio * rho).sum(axis=1), pair))
     blocks = [[] for _ in range(m + 1)]  # A_inf's stays empty: dA_inf/dt = [B_inf, A_inf]
     for col, (j, k) in enumerate(zip(pj.tolist(), pk.tolist()), start=len(js) + 1):
         blocks[j].append((4 * k, col))

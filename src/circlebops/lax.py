@@ -15,33 +15,35 @@ Matrix conventions (ascending row-major):
 
 Every matrix builder takes an array z of any shape (a scalar is a 0-d
 array) and returns the stack of matrices, of shape z.shape + (2, 2);
-`normalized_solution` also takes an array of levels and stacks them first.
-`verify_matrix_system` and `rhp_jump_check` take a range of levels, write
-their entries level by level, and evaluate each point set once for all
-levels.  The derivative checks in `verify_matrix_system` differentiate the
-assembled matrices exactly: phi_n, phi*_n and eps_n, eps*_n through
-`evaluate_with_derivative` (polynomials and the bands of the exact eps
-series), eps/w through W w' = 2 V w, and K'_n as the constant z-coefficient
-of K_n.  They stay independent of the coefficient-function construction,
-which reads each quadruple as a band of the Taylor series at 0 or at
-infinity: these checks test the whole matrix identity pointwise at the
-given sample points, each with the eps series of its own side of the
-circle.  Each quadruple is evaluated once per point set (`CoeffQuad.evaluate`).  Every check is a row family of
-`IdentityReport.add_rows`: a per-point check has one row a sample point,
-the residue checks one row a singular point, and the transfer determinant
-and the summation identities one row at their level, since each level's
-entries keep their order.  The rank-one bilinear form of the
-residues comes from one evaluation at all the non-origin singular points
-for all levels, and the four summation identities are read off its stack
-and the origin's residue matrix.  The Riemann-Hilbert orders of Y at 0 and
-at infinity are read off exact coefficients, never off points.
+`k_matrix`, `a_matrix`, `normalized_solution` and `assemble_residues` also
+take an array of levels and stack them first.  In `verify_matrix_system`
+and `rhp_jump_check` the level is an array axis: the level scalars
+(kappa_n, phi_{n+1}(0), ...) are columns of the coefficient store, the
+quadruple values are stacked as (levels, 4, points), each identity family
+is formed once over (levels, points) with its residuals from one
+`rel_residuals` call, the residues of every level come from one
+`assemble_residues`, and the Riemann-Hilbert orders are row families, a
+row a level, read off exact coefficients, never off points.  Both suites
+write their entries level by level (`IdentityReport.add_groups`), as one
+level run alone does.  The derivative checks in `verify_matrix_system`
+differentiate the assembled matrices exactly: phi_n, phi*_n and eps_n,
+eps*_n through `evaluate_with_derivative` (polynomials and the bands of
+the exact eps series), eps/w through W w' = 2 V w, and K'_n as the
+constant z-coefficient of K_n.  They stay independent of the
+coefficient-function construction, which reads each quadruple as a band of
+the Taylor series at 0 or at infinity: these checks test the whole matrix
+identity pointwise at the given sample points, each with the eps series of
+its own side of the circle.  The rank-one bilinear form of the residues
+comes from one evaluation at all the non-origin singular points for all
+levels, and the four summation identities are read off its stack and the
+origin's residue matrix.
 
 Level ceiling: the matrix system sets `verify-all`'s.  On the flagship
 weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
 passes at the identity tolerance 1e-9 through n = 7.
 transfer_compatibility is scaled by its O(1) result, while A_{n+1} K_n and
 K_n A_n cancel from about 5.7e4 at n = 10; on the flagship it reads
-9.0e-12 at n = 5, 5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail (5.9e-9 on
+8.1e-12 at n = 5, 5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail (5.9e-9 on
 the m = 4 weight).  xstar_derivative_system grows the same way (3.5e-11 at
 n = 5, 7.9e-9 at n = 10).  The Riemann-Hilbert suite passes the flagship
 through n = 22 (19 on the complex m = 4 weight): at n = 23
@@ -59,7 +61,7 @@ import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
-from .coeffs import CoeffQuad
+from .coeffs import CoeffQuad, quad_values
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
 from .report import IdentityReport, equation
@@ -73,23 +75,33 @@ def _mat(a, b, c, d) -> np.ndarray:
     return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2))
 
 
-def k_matrix(sys: BopsSystem, n: int, z) -> np.ndarray:
-    ln, lp = sys.level(n), sys.level(n + 1)
+def _level_columns(sys: BopsSystem, n, ndim: int):
+    """kappa_n, kappa_{n+1}, phi_{n+1}(0) and phibar_{n+1}(0) of the level n
+    or of each level of an array n, read off the store, shaped to broadcast
+    against ``ndim`` point axes."""
+    at = np.asarray(n)[(...,) + (None,) * ndim]
+    return sys.kappas[at], sys.kappas[at + 1], sys.phi[at + 1, 0], sys.phibar[at + 1, 0]
+
+
+def k_matrix(sys: BopsSystem, n, z) -> np.ndarray:
+    """K_n over the array z, at the level n or at every level of an array n."""
     zs = np.asarray(z, dtype=complex)
-    return _mat(lp.kappa * zs, lp.phi0, lp.phibar0 * zs, lp.kappa) / ln.kappa
+    kn, kp, p1, pb1 = _level_columns(sys, n, zs.ndim)
+    return _mat(kp * zs, p1, pb1 * zs, kp) / np.asarray(kn)[..., None, None]
 
 
-def a_matrix(values, v, w, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarray:
+def a_matrix(values, v, w, sys: BopsSystem, n, zs: np.ndarray) -> np.ndarray:
     """A_n(z) = (W A)/W with the coefficient-function parameterisation, from
     the quadruple's values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs
-    (`CoeffQuad.evaluate`) and those of V and W."""
-    ln, lp = sys.level(n), sys.level(n + 1)
+    (`CoeffQuad.evaluate`) and those of V and W, at the level n or at each
+    level of an array n (values stacked first)."""
+    kn, kp, p1, pb1 = _level_columns(sys, n, np.ndim(zs))
     th, ths, om, oms = values
-    ratio = lp.kappa / ln.kappa
+    ratio = kp / kn
     mat = _mat(
         -(om + v) + ratio * zs * th,
-        lp.phi0 / ln.kappa * th,
-        -lp.phibar0 / ln.kappa * zs * ths,
+        p1 / kn * th,
+        -pb1 / kn * zs * ths,
         oms - v - ratio * ths,
     )
     return mat / w[..., None, None]
@@ -97,9 +109,10 @@ def a_matrix(values, v, w, sys: BopsSystem, n: int, zs: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """Residue matrices of A_n(z) at the finite singularities and infinity."""
+    """Residue matrices of A_n(z) at the finite singularities and infinity,
+    at one level or with the levels of an array n first."""
 
-    n: int
+    n: int | np.ndarray
     a: np.ndarray  # shape (m, 2, 2), ordered like the weight's singularities
     a_inf: np.ndarray
     a_inf_closed: np.ndarray
@@ -107,62 +120,59 @@ class ResidueSet:
 
 
 def assemble_residues(
-    quad: CoeffQuad,
+    quad: CoeffQuad | Mapping[int, CoeffQuad],
     vw: PolyPair,
     sys: BopsSystem,
-    n: int,
+    n,
     weight: SemiClassicalWeight,
     tol: float = 1e-7,
 ) -> ResidueSet:
     """A_{nj} = rho_j / (2 V(z_j)) * [W A_n](z_j) for j >= 2, the special
     upper-triangular form at the origin, and the residue at infinity both as
     -sum_j A_{nj} and in its closed form [[-n, 0], [-(n+sum rho) rbar_n,
-    sum rho]]; the two must agree entrywise."""
-    ln, lp = sys.level(n), sys.level(n + 1)
-    ratio = lp.kappa / ln.kappa
-    th, ths, om, oms = quad.evaluate(weight.locations)  # once at every z_j
-    mats = []
-    for j, s in enumerate(weight.singularities):
-        zj, rho = s.location, s.exponent
-        vj = vw.v_eval(zj)
-        if abs(vj) < 1e-12:
-            raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {zj}")
-        if j == 0:
-            if zj != 0:
-                raise SingularResidueError("first singularity must be the origin")
-            w1 = vw.w_deriv(0.0)
-            v0 = vw.v_eval(0.0)
-            top = n * w1 - 2.0 * v0
-            mats.append(
-                rho
-                / (2.0 * v0)
-                * np.array([[top, -top * ln.r], [0.0, 0.0]], dtype=complex)
-            )
-        else:
-            mats.append(
-                rho
-                / (2.0 * vj)
-                * np.array(
-                    [
-                        [-(om[j] + vj) + ratio * zj * th[j], lp.phi0 / ln.kappa * th[j]],
-                        [-lp.phibar0 / ln.kappa * zj * ths[j], oms[j] - vj - ratio * ths[j]],
-                    ],
-                    dtype=complex,
-                )
-            )
-    a = np.array(mats)
-    a_inf = -a.sum(axis=0)
-    sum_rho = weight.exponent_sum
-    a_inf_closed = np.array(
-        [[-n, 0.0], [-(n + sum_rho) * ln.rbar, sum_rho]], dtype=complex
+    sum rho]]; the two must agree entrywise.  ``quad`` is the quadruple of
+    the level n, or with an array n the quadruples by level: every field
+    then carries n's axes first, all levels and singular points formed at
+    once from the level scalars read off the store."""
+    levels = np.asarray(n)
+    flat = levels.reshape(-1)
+    locs, rho = weight.locations, weight.exponents
+    v = vw.v_eval(locs)
+    small = np.abs(v) < 1e-12
+    if locs[0] != 0 and not small[0]:
+        raise SingularResidueError("first singularity must be the origin")
+    if small.any():
+        j = int(np.argmax(small))
+        raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {weight.singularities[j].location}")
+    # once at every level and every z_j: (level, z_j) each
+    th, ths, om, oms = quad_values(quad if levels.ndim else {n: quad}, flat, locs).transpose(1, 0, 2)
+    r, rbar = (c[flat] for c in sys.reflections)
+    w1 = vw.w_deriv(0.0)
+    v0 = vw.v_eval(0.0)
+    top = flat * w1 - 2.0 * v0
+    origin = rho[0] / (2.0 * v0) * _mat(top, -top * r, 0.0, 0.0)
+    kn, kp, p1, pb1 = _level_columns(sys, flat, 1)
+    ratio, zj, vj = kp / kn, locs[1:], v[1:]
+    others = (rho[1:] / (2.0 * vj))[:, None, None] * _mat(
+        -(om[:, 1:] + vj) + ratio * zj * th[:, 1:],
+        p1 / kn * th[:, 1:],
+        -pb1 / kn * zj * ths[:, 1:],
+        oms[:, 1:] - vj - ratio * ths[:, 1:],
     )
-    consistency = float(np.max(np.abs(a_inf - a_inf_closed))) / max(1.0, n)
-    if consistency > tol:
+    a = np.concatenate([origin[:, None], others], axis=1)
+    a_inf = -a.sum(axis=1)
+    sum_rho = weight.exponent_sum
+    a_inf_closed = _mat(-flat, 0.0, -(flat + sum_rho) * rbar, sum_rho)
+    consistency = np.abs(a_inf - a_inf_closed).max(axis=(1, 2)) / np.maximum(1.0, flat)
+    if np.any(consistency > tol):
         raise SingularResidueError(
             f"residue sum -sum A_j deviates from the closed form at infinity "
-            f"by {consistency:.3e}"
+            f"by {consistency[np.argmax(consistency > tol)]:.3e}"
         )
-    return ResidueSet(n=n, a=a, a_inf=a_inf, a_inf_closed=a_inf_closed, consistency=consistency)
+    shape = levels.shape
+    return ResidueSet(n=n, a=a.reshape(shape + a.shape[1:]), a_inf=a_inf.reshape(shape + (2, 2)),
+                      a_inf_closed=a_inf_closed.reshape(shape + (2, 2)),
+                      consistency=consistency.reshape(shape)[()])
 
 
 def residues_bilinear_form(
@@ -189,7 +199,8 @@ def verify_matrix_system(
     samples: Sequence[complex],
     tol_scale: float = 1.0,
 ) -> IdentityReport:
-    """Matrix-level identity web at each level n of ``ns``, level by level:
+    """Matrix-level identity web at the levels of ``ns``, written level by
+    level:
 
     * Y'_n = A_n Y_n, with Y'_n exact from `evaluate_with_derivative`;
     * K'_n = A_{n+1} K_n - K_n A_n and det K_n = z via the kappa identity;
@@ -199,10 +210,15 @@ def verify_matrix_system(
       coefficient-function form;
     * the four summation identities over the singular points.
 
-    The sample points and the singular points are each evaluated once for
-    every level.  Each gate is its stated tolerance times ``tol_scale``:
-    the identity tolerance 1e-9, 1e-7 for the residue and summation checks
-    and 1e-8 for the rank-one determinant.
+    The level is an array axis: each identity family is formed once over
+    (levels, points) from the level scalars read off the store as columns
+    and the quadruple values stacked per level, the residues of every level
+    come from one `assemble_residues`, and the sample points and the
+    singular points are each evaluated once.  The checks that need the
+    quadruple of level n+1 run at the levels that have it.  Each gate is its
+    stated tolerance times ``tol_scale``: the identity tolerance 1e-9, 1e-7
+    for the residue and summation checks and 1e-8 for the rank-one
+    determinant.
     """
     rep = IdentityReport("matrix systems")
     identity_tol = IDENTITY_TOL * tol_scale
@@ -217,22 +233,29 @@ def verify_matrix_system(
         dtype=complex,
     )
     wheres = [f"z={z:.3g}" for z in zs]
+    singular = [f"z_{j + 1}" for j in range(weight.m)]
     w = weight(zs)
     w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
     log_w = 2.0 * v_z / w_z  # w'/w, as W w' = 2 V w
     values_at, derivatives_at = asys.evaluate_with_derivative(zs)
-    quad_values = {
-        k: quads[k].evaluate(zs)  # Theta_k, Theta*_k, Omega_k, Omega*_k
-        for k in sorted({k for n in ns for k in (n, n + 1)} & quads.keys())
-    }
-    bilinear = residues_bilinear_form(asys, weight, ns)
+    levels = np.asarray(ns, dtype=int)
+    n = levels[:, None]
+    # the positions and levels that have the quadruple of the next level
+    nxt = np.flatnonzero(np.isin(levels + 1, list(quads)))
+    up = levels[nxt]
+    u = up[:, None]
+    values = quad_values(quads, np.concatenate([levels, up + 1]), zs).transpose(1, 0, 2)
+    th, ths, om, oms = values[:, : len(levels)]
+    th_p, ths_p, _, _ = values[:, len(levels) :]
+    bilinear = residues_bilinear_form(asys, weight, levels)
 
     def over_w(e, de):
         """e/w and its derivative (e' - (w'/w) e)/w."""
         return e / w, (de - log_w * e) / w
 
     def level(k):
-        """(value, exact derivative) of phi_k, phi*_k, eps_k/w, -eps*_k/w."""
+        """(value, exact derivative) of phi_k, phi*_k, eps_k/w, -eps*_k/w at
+        each level of the array k, one row a level."""
         phi, star, eps, es = (v[k] for v in values_at)
         dphi, dstar, deps, des = (d[k] for d in derivatives_at)
         return (phi, dphi), (star, dstar), over_w(eps, deps), over_w(-es, -des)
@@ -241,135 +264,88 @@ def verify_matrix_system(
         """The matrix of (value, derivative) entries and its derivative."""
         return _mat(*(value for value, _ in entries)), _mat(*(d for _, d in entries))
 
-    for n, bil in zip(ns, bilinear):
-        phi, star, eps, es = level(n)
-        y, yd = with_derivative(phi, eps, star, es)
-        values = quad_values[n]
-        a_n = a_matrix(values, v_z, w_z, sys, n, zs)
-        at_points = [n] * len(zs)
-        rep.add_rows([
+    phi, star, eps, es = level(levels)
+    y, yd = with_derivative(phi, eps, star, es)
+    a_n = a_matrix((th, ths, om, oms), v_z, w_z, sys, levels, zs)
+
+    # at the levels with a successor quadruple
+    kn, kp, p1, pb1 = _level_columns(sys, up, 1)
+    p2, pb2 = sys.phi[u + 2, 0], sys.phibar[u + 2, 0]
+    k_n = k_matrix(sys, up, zs)
+    # K_n is linear in z: K'_n is the constant z-coefficient
+    kd = np.broadcast_to(_mat(kp, 0.0, pb1, 0.0) / kn[..., None, None], k_n.shape)
+    k_rhs = a_matrix(values[:, len(levels) :], v_z, w_z, sys, up + 1, zs) @ k_n - k_n @ a_n[nxt]
+    phi, star, eps, es = level(up)
+    phi_p, star_p, eps_p, es_p = level(up + 1)
+    th, ths, om, oms = values[:, nxt]
+    neg = lambda entry: (-entry[0], -entry[1])
+    # X / X* / Z / Z* variants: W M' = C M with the coefficient matrices C;
+    # the Z* (1,1) entry carries n W / z, as the trace must equal
+    # W (log det Z*)' = n W / z - 2 V (det Z* = 2 kappa_{n+1} z^n /
+    # (kappa_n w), from the mixed Casoratian)
+    variants = (
+        ("x_derivative_system", (phi_p, eps_p, phi, eps),
+         (om - v_z + u * w_z / zs, -kn * p2 / (kp * p1) * zs * th_p, th, -om - v_z)),
+        ("xstar_derivative_system", (star_p, neg(es_p), star, neg(es)),
+         (-oms - v_z + (u + 1) * w_z / zs, kn * pb2 / (kp * pb1) * zs * ths_p, -ths, oms - v_z)),
+        ("z_derivative_system", (phi_p, eps_p, star, es),
+         (-oms - v_z + kn / kp * ths + (u + 1) * w_z / zs, kn * p2 / kp**2 * th_p,
+          -pb1 / kp * ths, oms - v_z - kn / kp * ths)),
+        ("zstar_derivative_system", (star_p, es_p, phi, eps),
+         (om - v_z - kn / kp * zs * th + u * w_z / zs, -kn * pb2 / kp**2 * zs**2 * ths_p,
+          p1 / kp * th, -om - v_z + kn / kp * zs * th)),
+    )
+    checks = []
+    for name, entries, coeff in variants:
+        mat, der = with_derivative(*entries)
+        checks.append(equation(name, "other forms of the matrix variables",
+                               w_z[:, None, None] * der, _mat(*coeff) @ mat))
+
+    # residues: coefficient-function form vs rank-one bilinear form; the
+    # determinant over max|A_nj|^2, the trace against its target (n - rho_0
+    # at the origin)
+    res = assemble_residues(quads, vw, sys, levels, weight, tol=residue_tol)
+    a_j = res.a[:, 1:]
+    wants = weight.exponents - n * (np.arange(weight.m) == 0)
+    # four summation identities, read off the residue matrices: the sums
+    # run over the bilinear residues of the non-zero singularities, and
+    # the origin enters through its (upper-triangular) residue matrix
+    total = bilinear.sum(axis=1) + res.a[:, 0]
+    sum_rho = weight.exponent_sum
+    targets = [
+        ("summation_phi_eps", total[:, 0, 1], 0.0),
+        ("summation_phistar_eps", -total[:, 0, 0], -levels),
+        ("summation_phi_epsstar", -total[:, 1, 1], sum_rho),
+        ("summation_phistar_epsstar", total[:, 1, 0], (levels + sum_rho) * sys.reflections[1][levels]),
+    ]
+    rep.add_groups([
+        ([
             equation("y_derivative_system", "equivalent to the matrix differential equation",
                      yd, a_n @ y),
             equation("y_determinant", "note that det Y_n = -2 z^n / w(z)",
                      np.linalg.det(y), -2.0 * zs**n / w),
             equation("trace_of_a", "we note that Tr A_n = n/z - w'/w",
                      np.trace(a_n, axis1=-2, axis2=-1), n / zs - log_w),
-        ], identity_tol, at_points, wheres)
-
-        if n + 1 in quads:
-            values_p = quad_values[n + 1]
-            ln, lp = sys.level(n), sys.level(n + 1)
-            k_n = k_matrix(sys, n, zs)
-            # K_n is linear in z: K'_n is the constant z-coefficient
-            kd = np.broadcast_to(_mat(lp.kappa, 0.0, lp.phibar0, 0.0) / ln.kappa, k_n.shape)
-            k_rhs = a_matrix(values_p, v_z, w_z, sys, n + 1, zs) @ k_n - k_n @ a_n
-            rep.add_rows([
-                equation("transfer_compatibility", "compatibility of the relations", kd, k_rhs),
-            ], identity_tol, at_points, wheres)
-            # one row: the level's entries keep their order around it
-            rep.add_rows([
-                ("transfer_determinant", "the matrix K_n has the property det K_n = z",
-                 [lp.kappa**2 - lp.phi0 * lp.phibar0 - ln.kappa**2], [lp.kappa**2], [ln.kappa**2]),
-            ], identity_tol, [n])
-
-            # X / X* / Z / Z* variants: W M' = C M with the coefficient matrices C
-            lpp = sys.level(n + 2)
-            phi_p, star_p, eps_p, es_p = level(n + 1)
-            neg = lambda entry: (-entry[0], -entry[1])
-            th, ths, om, oms = values
-            th_p, ths_p, _, _ = values_p
-            # the Z* (1,1) entry carries n W / z, as the trace must equal
-            # W (log det Z*)' = n W / z - 2 V (det Z* = 2 kappa_{n+1} z^n /
-            # (kappa_n w), from the mixed Casoratian)
-            variants = (
-                (
-                    "x_derivative_system",
-                    (phi_p, eps_p, phi, eps),
-                    (
-                        om - v_z + n * w_z / zs,
-                        -ln.kappa * lpp.phi0 / (lp.kappa * lp.phi0) * zs * th_p,
-                        th,
-                        -om - v_z,
-                    ),
-                ),
-                (
-                    "xstar_derivative_system",
-                    (star_p, neg(es_p), star, neg(es)),
-                    (
-                        -oms - v_z + (n + 1) * w_z / zs,
-                        ln.kappa * lpp.phibar0 / (lp.kappa * lp.phibar0) * zs * ths_p,
-                        -ths,
-                        oms - v_z,
-                    ),
-                ),
-                (
-                    "z_derivative_system",
-                    (phi_p, eps_p, star, es),
-                    (
-                        -oms - v_z + ln.kappa / lp.kappa * ths + (n + 1) * w_z / zs,
-                        ln.kappa * lpp.phi0 / lp.kappa**2 * th_p,
-                        -lp.phibar0 / lp.kappa * ths,
-                        oms - v_z - ln.kappa / lp.kappa * ths,
-                    ),
-                ),
-                (
-                    "zstar_derivative_system",
-                    (star_p, es_p, phi, eps),
-                    (
-                        om - v_z - ln.kappa / lp.kappa * zs * th + n * w_z / zs,
-                        -ln.kappa * lpp.phibar0 / lp.kappa**2 * zs**2 * ths_p,
-                        lp.phi0 / lp.kappa * th,
-                        -om - v_z + ln.kappa / lp.kappa * zs * th,
-                    ),
-                ),
-            )
-            checks = []
-            for name, entries, coeff in variants:
-                mat, der = with_derivative(*entries)
-                checks.append(
-                    equation(name, "other forms of the matrix variables",
-                             w_z[:, None, None] * der, _mat(*coeff) @ mat)
-                )
-            rep.add_rows(checks, identity_tol, at_points, wheres)
-
-        # residues: coefficient-function form vs rank-one bilinear form; the
-        # determinant over max|A_nj|^2, the trace against its target
-        res = assemble_residues(quads[n], vw, sys, n, weight, tol=residue_tol)
-        m = len(res.a)
-        rep.add_rows([
+        ], identity_tol, n, wheres),
+        ([equation("transfer_compatibility", "compatibility of the relations", kd, k_rhs)],
+         identity_tol, u, wheres, nxt),
+        # one row a level: the level's entries keep their order around it
+        ([("transfer_determinant", "the matrix K_n has the property det K_n = z",
+           kp**2 - p1 * pb1 - kn**2, kp**2, kn**2)], identity_tol, u, None, nxt),
+        (checks, identity_tol, u, wheres, nxt),
+        ([
             ("residue_bilinear_form", "an alternative expression for the residue matrices",
-             res.a[1:] - bil, res.a[1:], bil),
+             a_j - bilinear, a_j, bilinear),
             ("residue_rank_one", "we find that det A_nj = 0",
-             np.linalg.det(res.a[1:]), np.abs(res.a[1:]).max(axis=(1, 2)) ** 2),
-        ], [residue_tol, rank_tol], [n] * (m - 1), [f"z_{j + 1}" for j in range(1, m)])
-        wants = weight.exponents - n * (np.arange(m) == 0)  # n - rho_0 at the origin
-        rep.add_rows([
-            ("residue_trace", "using the identity we note the traces of the residue matrices",
-             np.trace(res.a, axis1=1, axis2=2) + wants, wants),
-        ], residue_tol, [n] * m, [f"z_{j + 1}" for j in range(m)])
-        rep.add(
-            "residue_at_infinity",
-            "the regular singularity at infinity",
-            res.consistency,
-            residue_tol,
-            n=n,
-        )
-
-        # four summation identities, read off the residue matrices: the sums
-        # run over the bilinear residues of the non-zero singularities, and
-        # the origin enters through its (upper-triangular) residue matrix
-        sum_rho = weight.exponent_sum
-        total = bil.sum(axis=0) + res.a[0]
-        targets = [
-            ("summation_phi_eps", total[0, 1], 0.0),
-            ("summation_phistar_eps", -total[0, 0], -float(n)),
-            ("summation_phi_epsstar", -total[1, 1], sum_rho),
-            ("summation_phistar_epsstar", total[1, 0], (n + sum_rho) * sys.level(n).rbar),
-        ]
-        rep.add_rows([
-            (name, "imply the summation identities", [got - want], [got], [want], [n])
-            for name, got, want in targets
-        ], residue_tol, [n])
+             np.linalg.det(a_j), np.abs(a_j).max(axis=(2, 3)) ** 2),
+        ], [residue_tol, rank_tol], n, singular[1:]),
+        ([("residue_trace", "using the identity we note the traces of the residue matrices",
+           np.trace(res.a, axis1=2, axis2=3) + wants, wants)], residue_tol, n, singular),
+        ([("residue_at_infinity", "the regular singularity at infinity", res.consistency)],
+         residue_tol, levels, None),
+        ([(name, "imply the summation identities", got - want, got, want, levels)
+          for name, got, want in targets], residue_tol, levels, None),
+    ])
     return rep
 
 
@@ -386,7 +362,7 @@ def normalized_solution(
     n.shape + z.shape + (2, 2)."""
     zs = np.asarray(z, dtype=complex)
     levels = np.asarray(n, dtype=int)
-    kappa = np.array([sys.kappa(k) for k in levels.flat]).reshape(levels.shape + (1,) * zs.ndim)
+    kappa = sys.kappas[levels.reshape(levels.shape + (1,) * zs.ndim)]
     phi, phistar, eps, epsstar = (v[levels] for v in asys.evaluate(zs, side))
     return _mat(
         phi / kappa, eps / (2.0 * kappa * zs), kappa * phistar, -kappa * epsstar / (2.0 * zs)
@@ -404,22 +380,25 @@ def rhp_jump_check(
     tol: float = 1e-5,
 ) -> IdentityReport:
     """Jump, determinant and asymptotic order conditions of the normalized
-    problem at each level n of ``ns``, level by level.  The inside and
-    outside analytic elements are evaluated at the same points just off the
-    circle (both extend into the weight's annulus), so the jump
+    problem at the levels of ``ns``, written level by level, each check
+    formed once over all of them.  The inside and outside analytic elements
+    are evaluated at the same points just off the circle (both extend into
+    the weight's annulus), so the jump
     Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series truncation; its (1,2)
     entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.  The points of both
-    circles are evaluated together, once per side for every level, and the
-    entries are written circle by circle.  The orders of Y at 0 and at
-    infinity are read off exact coefficients, with no points: those of
-    phi_n and phi*_n, and the series of eps_n and eps*_n from
-    `AssocSystem.eps_taylor`.  Each order entry's residual is its largest
-    forbidden coefficient over max(1, its largest allowed one).  The jump is
+    circles are evaluated together, once per side for every level, and a
+    level's jump entries are written circle by circle.  The orders of Y at
+    0 and at infinity are read off exact coefficients, with no points: the
+    store's rows of phi_n and phi*_n, and the series of eps_n and eps*_n
+    from `AssocSystem.eps_taylor`.  Each order check is one row family, a
+    row a level: its residual is the largest forbidden coefficient over
+    max(1, the largest allowed one).  The jump is
     gated at ``tol``, the determinant and the orders at the identity
     tolerance 1e-9, both scaled by tol / 1e-5."""
     rep = IdentityReport("Riemann-Hilbert suite")
     identity_tol = IDENTITY_TOL * (tol / 1e-5)
-    if any(n < 1 for n in ns):
+    levels = np.asarray(ns, dtype=int)
+    if np.any(levels < 1):
         raise ValueError("the normalized problem is stated for n >= 1")
 
     def near_cut(theta: float) -> bool:
@@ -438,56 +417,52 @@ def rhp_jump_check(
     radii = (1.0 - offset, 1.0 + offset)
     zs = np.multiply.outer(radii, np.exp(1j * kept))  # one circle a row
     w = np.asarray(wfun(zs), dtype=complex)
-    lhs = normalized_solution(sys, asys, ns, zs, side="inside")
-    rhs = normalized_solution(sys, asys, ns, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
-    circles = [[f"theta={theta:.3f}, r={radius}" for theta in kept] for radius in radii]
+    # both circles as one row of points a level, circle by circle
+    lhs = normalized_solution(sys, asys, levels, zs, side="inside").reshape(len(levels), zs.size, 2, 2)
+    rhs = normalized_solution(sys, asys, levels, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
+    circles = [f"theta={theta:.3f}, r={radius}" for radius in radii for theta in kept]
     zdet = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])
-    dets = np.linalg.det(normalized_solution(sys, asys, ns, zdet))
+    dets = np.linalg.det(normalized_solution(sys, asys, levels, zdet))
     # an array of exponents raises each point as the scalar z ** (n - 1) does
-    wants = -(zdet ** (np.asarray(ns) - 1)[:, None])
-    zwheres = [f"z={z:.3g}" for z in zdet]
+    wants = -(zdet ** (levels - 1)[:, None])
+    n = levels[:, None]
 
-    for i, n in enumerate(ns):
-        for c, wheres in enumerate(circles):
-            rep.add_rows([
-                equation("rhp_jump", "consider the following Riemann-Hilbert problem",
-                         lhs[i, c], rhs[i, c]),
-            ], tol, [n] * len(wheres), wheres)
-        rep.add_rows([
-            equation("rhp_determinant", "we also point out det Y(z) = -z^{n-1}", dets[i], wants[i]),
-        ], identity_tol, [n] * len(zdet), zwheres)
+    # asymptotic orders, read off exact coefficients: each entry's expansion
+    # runs in powers of z up from `edge` at 0, or down from `edge` at
+    # infinity, and the stated order forbids the |order - edge| coefficients
+    # before it.  phi_n and phi*_n are polynomials of degree n, their rows of
+    # the store; eps_n and eps*_n come from their exact series, orders
+    # 0..n+3 a level, where the 1/z of their entries moves each power down
+    # by one.
+    kappa = sys.kappas[n]
+    fam = {name: rows[levels] for name, rows in sys.families.items()}
+    count = int(levels.max(initial=0)) + 4
 
-        # asymptotic orders, read off exact coefficients: each entry's
-        # expansion runs in powers of z up from `edge` at 0, or down from
-        # `edge` at infinity, and the stated order forbids the |order - edge|
-        # coefficients before it.  phi_n and phi*_n are polynomials of degree
-        # n; eps_n and eps*_n come from their exact series, where the 1/z of
-        # their entries moves each power down by one.
-        lev = sys.level(n)
-        kappa = lev.kappa
+    def eps_entry(star: bool, at_infinity: bool) -> np.ndarray:
+        factor = -kappa / 2.0 if star else 0.5 / kappa
+        return factor * asys.eps_taylor(levels, count, star, at_infinity)
 
-        def eps_entry(star: bool, at_infinity: bool) -> np.ndarray:
-            factor = -kappa / 2.0 if star else 0.5 / kappa
-            return factor * asys.eps_taylor(n, n + 4, star, at_infinity)
-
-        orders = (
-            ("as z tends to infinity", (
-                ("rhp_order_11_at_infinity", lev.c[::-1] / kappa, n, n),
-                ("rhp_order_22_at_infinity", eps_entry(True, True), n - 1, -1),
-                ("rhp_order_12_at_infinity", eps_entry(False, True), n - 1, -2),
-                ("rhp_order_21_at_infinity", kappa * lev.cbar, n, n),
-            )),
-            ("as z tends to zero", (
-                ("rhp_order_11_at_zero", lev.c / kappa, 0, 0),
-                ("rhp_order_12_at_zero", eps_entry(False, False), -1, n - 1),
-                ("rhp_order_21_at_zero", kappa * lev.cbar[::-1], 0, 0),
-                ("rhp_order_22_at_zero", eps_entry(True, False), -1, n),
-            )),
-        )
-        for anchor, checks in orders:
-            for name, series, edge, order in checks:
-                size = np.abs(series)
-                cut = abs(order - edge)
-                residual = size[:cut].max(initial=0.0) / max(1.0, size[cut:].max())
-                rep.add(name, anchor, residual, identity_tol, n=n, where=f"z^{order}")
+    infinity, zero = "as z tends to infinity", "as z tends to zero"
+    orders = (
+        ("rhp_order_11_at_infinity", infinity, fam["phibarstar"] / kappa, n, n),
+        ("rhp_order_22_at_infinity", infinity, eps_entry(True, True), n - 1, -1),
+        ("rhp_order_12_at_infinity", infinity, eps_entry(False, True), n - 1, -2),
+        ("rhp_order_21_at_infinity", infinity, kappa * fam["phibar"], n, n),
+        ("rhp_order_11_at_zero", zero, fam["phi"] / kappa, 0, 0),
+        ("rhp_order_12_at_zero", zero, eps_entry(False, False), -1, n - 1),
+        ("rhp_order_21_at_zero", zero, kappa * fam["phistar"], 0, 0),
+        ("rhp_order_22_at_zero", zero, eps_entry(True, False), -1, n),
+    )
+    groups = [
+        ([equation("rhp_jump", "consider the following Riemann-Hilbert problem", lhs,
+                   rhs.reshape(lhs.shape))], tol, n, circles),
+        ([equation("rhp_determinant", "we also point out det Y(z) = -z^{n-1}", dets, wants)],
+         identity_tol, n, [f"z={z:.3g}" for z in zdet]),
+    ]
+    for name, anchor, series, edge, order in orders:
+        k, cut = np.arange(series.shape[1]), np.abs(np.subtract(order, edge))
+        forbidden, allowed = k < cut, (k >= cut) & (k < n + 4)
+        groups.append(([(name, anchor, np.where(forbidden, series, 0.0), np.where(allowed, series, 0.0))],
+                       identity_tol, levels, "z^" + np.broadcast_to(order, n.shape)[:, 0].astype(str).astype(object)))
+    rep.add_groups(groups)
     return rep

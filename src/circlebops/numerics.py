@@ -107,9 +107,10 @@ def rel_residuals(mismatch, *terms) -> np.ndarray:
     (none for one scalar a row).  A term is broadcast against the mismatch,
     so a term without the row axis is the same in every row."""
     def size(x):
-        return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
+        x = np.abs(x)
+        return x.max(axis=tuple(range(1, x.ndim))) if x.ndim > 1 else x
 
-    scale = np.ones(len(mismatch))
+    scale = 1.0
     for t in terms:
         t = np.asarray(t)
         if t.ndim < np.ndim(mismatch):

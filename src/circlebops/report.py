@@ -68,21 +68,41 @@ class IdentityReport:
             col.append(value)
 
     def add_rows(self, families, tol, ns, wheres=None) -> None:
-        """Entries of row families, row by row and in each row family by
-        family.  A family is (name, anchor, mismatch, *scale terms), one row
-        per level or per point along the first axis, and gives its residuals
-        in one rel_residuals call.  Row k is labelled n = ns[k] and
-        where = wheres[k] (no where without ``wheres``); ``tol`` is the gate
-        of every family or a sequence of one gate per family."""
-        res = np.stack([rel_residuals(mismatch, *terms) for _, _, mismatch, *terms in families], 1)
-        rows, width = res.shape
-        row = [k for k in range(rows) for _ in range(width)]  # the row of each entry
-        wheres = [None] * rows if wheres is None else wheres
-        names, anchors, *_ = zip(*families)
-        block = (names * rows, anchors * rows, res.ravel().tolist(),
-                 np.full(width, tol, dtype=float).tolist() * rows,
-                 [ns[k] for k in row], [wheres[k] for k in row])
-        for col, more in zip(self._cols, block):
+        """One group of `add_groups`: row k of every family is labelled
+        n = ns[k] and where = wheres[k] (no where without ``wheres``)."""
+        self.add_groups([(families, tol, ns, wheres)])
+
+    def add_groups(self, groups) -> None:
+        """Entries of groups of row families along one leading axis (a level
+        or a point a position), position by position: at each position the
+        rows of every group there, group by group, each row family by
+        family.  A group is (families, tol, ns, wheres[, at]).  ns and wheres
+        label its rows (None for no where) and broadcast together to its row
+        shape: the leading axis, or the leading axis by the rows at one
+        position.  A family is (name, anchor, mismatch, *scale terms) with
+        that shape on its first axes, and gives its residuals in one
+        rel_residuals call; with two axes its terms broadcast against the
+        mismatch.  ``at`` holds the positions of the group's leading axis
+        (0, 1, ... by default); ``tol`` is the gate of every family or a
+        sequence of one gate per family."""
+        parts, spans = [], []
+        for families, tol, ns, wheres, *at in groups:
+            labels = np.broadcast(np.asarray(ns, dtype=object), np.asarray(wheres, dtype=object))
+            names, anchors, *_ = zip(*families)
+            width, rows = len(names), labels.size
+            res = zip(*(_residuals(family, labels.shape).tolist() for family in families))
+            row_ns, row_wheres = zip(*labels) if rows else ((), ())
+            parts.append((names * rows, anchors * rows, [r for row in res for r in row],
+                          np.full(width, tol, dtype=float).tolist() * rows,
+                          [n for n in row_ns for _ in names], [w for w in row_wheres for _ in names]))
+            positions = np.asarray(at[0]).tolist() if at else range(labels.shape[0])
+            spans.append((positions, range(width * rows // max(len(positions), 1))))
+        columns = [[x for part in column for x in part] for column in zip(*parts)]
+        if len(parts) > 1:  # each entry at its row's position, groups in order at each
+            keys = [p for positions, per in spans for p in positions for _ in per]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            columns = [list(map(column.__getitem__, order)) for column in columns]
+        for col, more in zip(self._cols, columns):
             col.extend(more)
 
     def extend(self, other: "IdentityReport") -> None:
@@ -127,6 +147,20 @@ class IdentityReport:
 
     def to_dict(self) -> dict[str, Any]:
         return self._members([e.to_dict() for e in self.entries], self._ok())
+
+
+def _residuals(family, rows: tuple) -> np.ndarray:
+    """rel_residuals of a row family, one a row of its leading shape
+    ``rows``: with two axes, the arrays broadcast against the mismatch and
+    both axes are read as one."""
+    name, _, mismatch, *terms = family
+    shape = np.shape(mismatch)
+    if shape[: len(rows)] != rows:
+        raise ValueError(f"{name}: leading shape {shape} does not match the rows {rows}")
+    if len(rows) > 1:
+        mismatch, *terms = (np.reshape(a if np.shape(a) == shape else np.broadcast_to(a, shape),
+                                       (-1,) + shape[2:]) for a in (mismatch, *terms))
+    return rel_residuals(mismatch, *terms)
 
 
 def equation(name: str, anchor: str, lhs, rhs) -> tuple:

@@ -46,6 +46,7 @@ class TestCorpus:
         "spec, command, n",
         [
             (INSIDE_COMPLEX_SPEC, "verify-all", 3),
+            (STRICT_SPEC, "verify-all", 0),
             (STRICT_SPEC, "coeffs", 10),
             (STRICT_SPEC, "coeffs", 15),
             (STRICT_SPEC, "verify-all", 5),
@@ -56,6 +57,7 @@ class TestCorpus:
         ],
         ids=[
             "inside-complex-verify-all-3",
+            "flagship-verify-all-0",
             "flagship-coeffs-10",
             "flagship-coeffs-15",
             "flagship-verify-all-5",

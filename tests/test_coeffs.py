@@ -274,6 +274,62 @@ class TestBilinear:
             )
 
 
+class TestLevelAxis:
+    """The bilinear and expansion-form suites form each family once over all
+    their levels; a range of levels reads as its one-level runs."""
+
+    @staticmethod
+    def suites(strict):
+        return (
+            lambda ns: verify_bilinear(
+                strict["quads"], strict["vw"], strict["sys"], strict["asys"], strict["weight"], ns=ns
+            ),
+            lambda ns: verify_expansion_forms(
+                strict["quads"], strict["sys"], strict["vw"], strict["weight"], ns
+            ),
+        )
+
+    def test_level_range_residuals_are_single_level_residuals(self, strict):
+        # every (name, n, where) of a run over range(6) carries the residual
+        # of its one-level run, to the bit; at n = 5 the bilinear suite has
+        # no quadruple 6, so only its residue formulas run there
+        for suite in self.suites(strict):
+            whole = {(e.name, e.n, e.where): e.residual.hex() for e in suite(range(6)).entries}
+            parts = {(e.name, e.n, e.where): e.residual.hex()
+                     for n in range(6) for e in suite(range(n, n + 1)).entries}
+            assert len(whole) == len(suite(range(6)).entries) > 0
+            assert whole == parts
+
+    def test_bilinear_entries_point_by_point(self, strict):
+        rep = self.suites(strict)[0](range(5))
+        levels = range(5)
+        want = (
+            [(f"bilinear_{c}", n) for n in levels for c in "abcdef"]
+            + [(f"bilres_{c}", n) for n in levels for c in "abcdefghij"]
+            + [("telescoped_constant", n) for n in levels]
+        )
+        assert [(e.name, e.n) for e in rep.entries] == want * 2
+        assert [e.where for e in rep.entries] == ["z_2"] * len(want) + ["z_3"] * len(want)
+
+    def test_expansion_entries_level_by_level(self, strict):
+        rep = self.suites(strict)[1](range(5))
+        forms = [
+            ("theta_leading_z1", 0), ("theta_leading_z0", 0), ("theta_trailing_z0", 0),
+            ("theta_trailing_z1", 1), ("thetastar_leading_z1", 0), ("thetastar_leading_z0", 1),
+            ("thetastar_trailing_z0", 0), ("thetastar_trailing_z1", 0), ("omega_leading_z2", 0),
+            ("omega_leading_z1", 0), ("omega_trailing_z0", 0), ("omega_trailing_z1", 0),
+            ("omegastar_leading_z2", 0), ("omegastar_leading_z1", 0), ("omegastar_trailing_z0", 0),
+            ("omegastar_trailing_z1", 0),
+        ]
+        want = [
+            row
+            for n in range(5)
+            for row in [(name, n, f"z^{name[-1]}") for name, lowest in forms if n >= lowest]
+            + [("omega_at_origin", n, None), ("degree_certification", n, None)]
+        ]
+        assert [(e.name, e.n, e.where) for e in rep.entries] == want
+
+
 class TestSpectralDerivatives:
     def test_relations(self, strict):
         rep = spectral_derivative_check(

@@ -426,6 +426,18 @@ class TestFlowKernel:
                 schlesinger_rhs(state, traj, 0.05)
             assert len(deform._KERNELS) == len(compiled) == kernels
 
+    def test_rung_table_is_its_rows_of_the_joined_table(self, strict_weight_module):
+        # with z_2 and z_3 both moving the rho sum has two terms: each row of
+        # the table is summed alone, so a rung's own table is its rows of a
+        # ladder's joined table, bit for bit
+        traj = LineTraj(strict_weight_module, [0, 0.5 + 1.0j, -1.0])
+        grids = [deform._rk4_times((0.0, 0.1), 2**i) for i in range(9)]
+        _, joined = deform._flow_table(traj, np.concatenate(grids), 3)
+        bounds = np.cumsum([0] + list(map(len, grids))).tolist()
+        for grid, a, b in zip(grids, bounds, bounds[1:]):
+            _, rows = deform._flow_table(traj, np.array(grid), 3)
+            assert np.array(rows).tobytes() == np.array(joined[a:b]).tobytes()
+
     @pytest.mark.parametrize("steps", [1, 3, 96, 256])
     def test_one_loop_call_per_flow_and_one_table_per_ladder(self, traj, start, monkeypatch, steps):
         # the flow and each rung its ladder climbs are one call each of the

@@ -330,6 +330,17 @@ class TestBatched:
             parts = [e.to_dict() for n in range(1, 6) for e in suite(range(n, n + 1)).entries]
             assert whole and whole == parts
 
+    def test_levels_without_a_successor_keep_their_place(self, strict):
+        # with quadruple 3 missing, level 2 has no transfer or X/Z checks
+        # while level 4 has them: each level's entries stay in its place
+        quads = {n: q for n, q in strict["quads"].items() if n != 3}
+        args = (strict["sys"], strict["asys"], quads, strict["vw"], strict["weight"])
+        whole = [e.to_dict() for e in verify_matrix_system(*args, [1, 2, 4], SAMPLES).entries]
+        parts = [e.to_dict() for n in (1, 2, 4) for e in verify_matrix_system(*args, [n], SAMPLES).entries]
+        assert whole == parts
+        names = {n: {e["name"] for e in whole if e["n"] == n} for n in (2, 4)}
+        assert "transfer_compatibility" in names[4] - names[2]
+
     def test_normalized_solution_level_stack(self, strict):
         sys, asys = strict["sys"], strict["asys"]
         zs = np.array([0.5 + 0.21j, -1.7 + 1.1j, 2.0 - 0.6j])

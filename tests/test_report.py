@@ -213,6 +213,30 @@ class TestColumns:
         rep = IdentityReport("empty")
         assert rep.passed and rep.entries == () and rep.failures() == []
 
+    def test_groups_interleave_position_by_position(self):
+        # a two-axis group (levels by points), a group at the second level
+        # only and a one-row-a-level group: at each level their rows in turn
+        rep = IdentityReport("groups")
+        pts = OTHER.reshape(2, 3)  # two levels by three points
+        rep.add_groups([
+            ([("p", "points", pts, 2.0 * np.ones((2, 3)))], 1e-6, [[4], [5]], ["a", "b", "c"]),
+            ([("s", "second level", FIRST[2:, 0])], 1e-9, [5], None, [1]),
+            ([("r", "one row", FIRST[:2, 0]), ("q", "one row", OTHER[:2, 1])], [1e-9, 1e-6], [4, 5], None),
+        ])
+        ref = IdentityReport("groups")
+        for k, n in enumerate((4, 5)):
+            for where, residual in zip("abc", rel_residuals(pts[k], 2.0 * np.ones(3))):
+                ref.add("p", "points", residual, 1e-6, n=n, where=where)
+            if n == 5:
+                ref.add("s", "second level", rel_residuals(FIRST[2:, 0])[0], 1e-9, n=5)
+            ref.add("r", "one row", rel_residuals(FIRST[:2, 0])[k], 1e-9, n=n)
+            ref.add("q", "one row", rel_residuals(OTHER[:2, 1])[k], 1e-6, n=n)
+        assert records(rep.entries) == records(ref.entries)
+
+    def test_rows_must_match_their_labels(self):
+        with pytest.raises(ValueError, match="leading shape"):
+            IdentityReport("t").add_rows([("x", "three rows", FIRST[:, 0])], 1e-9, [0, 1])
+
 
 class TestBulkWriter:
     def test_synthetic_reports(self, tmp_path):
