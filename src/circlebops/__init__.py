@@ -6,7 +6,7 @@ Schlesinger deformation flows, each backed by independent verification
 oracles."""
 
 from .assoc import AssocSystem
-from .bops import BopsLevel, BopsSystem, build_system, eval_poly
+from .bops import BopsSystem, build_system, eval_poly
 from .coeffs import CoeffQuad, compute_coeff_quad
 from .deform import (
     DeformState,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssocSystem",
-    "BopsLevel",
     "BopsSystem",
     "Bundle",
     "CaratheodoryEvaluator",

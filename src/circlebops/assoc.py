@@ -27,8 +27,10 @@ Both series extend into the weight's annulus (the jump check in `lax` forces
 a side there); unforced, a point within NEAR_CIRCLE of |z| = 1 is refused.
 Every level comes at once, from one Horner pass per side over the
 zero-padded bands.  The same inputs give the same bytes, and a point's
-values are the same alone or inside an array.  The identity web checks in
-rows, one row a level (`IdentityReport.add_rows`), with numpy arithmetic.
+values are the same alone or inside an array.  The identity web and the
+two-sided expansions use the level axis: each family is formed once over
+all its levels, one row a level (`IdentityReport.add_rows`, `add_groups`),
+the level scalars read off the store as columns, with numpy arithmetic.
 
 Level ceiling: none of its own.  Against a 50-digit solve from the same
 moments the values are within 1e-13 relative at n = 8, 14, 20 and 22 on the
@@ -81,7 +83,7 @@ class AssocSystem:
         mask = (j > i) * 1 + (i >= 1) * (j >= i)  # an int: True + True is True
         psi = fam["phi"] @ (block * mask)
         psistar = fam["phibar"] @ (block.T * mask)
-        psi[0, 0] = psistar[0, 0] = 1.0 / self.sys.kappa(0)
+        psi[0, 0] = psistar[0, 0] = 1.0 / self.sys.kappas[0]
         stack = np.stack([fam["phi"], fam["phistar"], psi, psistar], axis=1).T
         stack[:, 3:] = _reversed(stack[:, 3:])
         return stack
@@ -226,8 +228,8 @@ def verify_assoc_identities(
     psi, psistar = polyval(asys._stack[:, 2:], zs)
 
     ns = [int(n) for n in ns]
-    for n in ns:  # IndexError for a level that is not built
-        sys.level(n), sys.level(n + 1)
+    if ns:
+        sys.require(min(ns), max(ns) + 1)
     n0 = np.asarray(ns, dtype=int)
     n1 = n0 + 1
     k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
@@ -287,54 +289,54 @@ def verify_expansions(
     (kappa_n/2) eps*_n at 0 and at infinity for each level n of ``ns``,
     read off their exact truncated series (`AssocSystem.eps_taylor`),
     against their closed forms in the kappa / l / m / phi(0) data (levels
-    n+1, n+2 must be built)."""
+    n+1, n+2 must be built).  The level is an array axis: one series read
+    per (star, side) over all the levels, each expansion one row family,
+    its residual |got - want| / max(1, |want|); entries level by level."""
     rep = IdentityReport("associated-function expansions")
+    sys = asys.sys
+    levels = np.asarray(ns, dtype=int)
+    if not levels.size:
+        return rep
+    sys.require(int(levels.min()), int(levels.max()) + 2)
+    half = sys.kappas[levels, None] / 2.0
+    # orders 0..n+3 of each level, zero past them: at 0 order k is z^k, at
+    # infinity order j is z^(n-j)
+    inner, outer, inner_s, outer_s = (
+        half * asys.eps_taylor(levels, levels.max() + 4, star, at_infinity)
+        for star in (False, True) for at_infinity in (False, True)
+    )
+    rows = np.arange(len(levels))
 
-    def gap(got: complex, want: complex) -> float:
-        return abs(got - want) / max(1.0, abs(want))
+    def order(series: np.ndarray, shift: int) -> np.ndarray:
+        return series[rows, levels + shift]
 
-    for n in ns:
-        if n + 2 > asys.sys.nmax:
-            raise IndexError(f"expansion check at n={n} needs levels up to {n + 2}")
-        ln, lp, lpp = asys.sys.level(n), asys.sys.level(n + 1), asys.sys.level(n + 2)
-        half_kappa = ln.kappa / 2.0
+    k, (r, rbar), (l, lbar, m) = sys.kappas, sys.reflections, sys.subleading
+    p, q = levels + 1, levels + 2
+    scale = k[levels] ** 2 / k[p] ** 2
+    depth = np.arange(inner.shape[1]) - levels[:, None]  # order k at 0 less n
 
-        def coefficients(star: bool, at_infinity: bool) -> dict[int, complex]:
-            """Coefficients of z^k, k = 0..n+3 at 0 and k = -3..0 at infinity."""
-            series = half_kappa * asys.eps_taylor(n, n + 4, star, at_infinity)
-            if at_infinity:
-                return {n - j: complex(c) for j, c in enumerate(series) if j >= n}
-            return {k: complex(c) for k, c in enumerate(series)}
+    def inside(shift: int) -> np.ndarray:
+        return np.array([f"z^{n + shift} inside" for n in levels.tolist()], dtype=object)
 
-        inner, outer = coefficients(False, False), coefficients(False, True)
-        inner_s, outer_s = coefficients(True, False), coefficients(True, True)
-        scale = ln.kappa**2 / lp.kappa**2
-        entries = [
-            ("eps_inside_order_0", gap(inner[n], 1.0), f"z^{n} inside"),
-            ("eps_inside_order_1", gap(inner[n + 1], -lp.lbar / lp.kappa), f"z^{n + 1} inside"),
-            ("eps_inside_low_orders_vanish", max((abs(inner[k]) for k in range(n)), default=0.0), None),
-            ("eps_outside_order_-1", gap(outer[-1], lp.phi0 / lp.kappa), "z^-1 outside"),
-            (
-                "eps_outside_order_-2",
-                gap(outer[-2], scale * lpp.phi0 / lpp.kappa - lp.phi0 / lp.kappa * lp.l / lp.kappa),
-                "z^-2 outside",
-            ),
-            ("eps_outside_order_0_vanishes", abs(outer[0]), None),
-            ("epsstar_inside_order_1", gap(inner_s[n + 1], lp.phibar0 / lp.kappa), f"z^{n + 1} inside"),
-            (
-                "epsstar_inside_order_2",
-                gap(inner_s[n + 2], scale * lpp.phibar0 / lpp.kappa - lp.phibar0 / lp.kappa * lp.lbar / lp.kappa),
-                f"z^{n + 2} inside",
-            ),
-            ("epsstar_inside_low_orders_vanish", max(abs(inner_s[k]) for k in range(n + 1)), None),
-            ("epsstar_outside_order_0", gap(outer_s[0], 1.0), "z^0 outside"),
-            ("epsstar_outside_order_-1", gap(outer_s[-1], -lp.l / lp.kappa), "z^-1 outside"),
-            (
-                "epsstar_outside_order_-2",
-                gap(outer_s[-2], lpp.l * lp.l / (lpp.kappa * lp.kappa) - (lpp.m2 or 0.0) / lpp.kappa),
-                "z^-2 outside",
-            ),
-        ]
-        for name, residual, where in entries:
-            rep.add(name, "have the following expansions", residual, tol, n=n, where=where)
+    anchor = "have the following expansions"
+    expansions = [  # (name, got, want or None for a vanishing order, where)
+        ("eps_inside_order_0", order(inner, 0), 1.0, inside(0)),
+        ("eps_inside_order_1", order(inner, 1), -lbar[p] / k[p], inside(1)),
+        ("eps_inside_low_orders_vanish", np.where(depth < 0, inner, 0.0), None, None),
+        ("eps_outside_order_-1", order(outer, 1), r[p], "z^-1 outside"),
+        ("eps_outside_order_-2", order(outer, 2), scale * r[q] - r[p] * l[p] / k[p], "z^-2 outside"),
+        ("eps_outside_order_0_vanishes", order(outer, 0), None, None),
+        ("epsstar_inside_order_1", order(inner_s, 1), rbar[p], inside(1)),
+        ("epsstar_inside_order_2", order(inner_s, 2), scale * rbar[q] - rbar[p] * lbar[p] / k[p],
+         inside(2)),
+        ("epsstar_inside_low_orders_vanish", np.where(depth <= 0, inner_s, 0.0), None, None),
+        ("epsstar_outside_order_0", order(outer_s, 0), 1.0, "z^0 outside"),
+        ("epsstar_outside_order_-1", order(outer_s, 1), -l[p] / k[p], "z^-1 outside"),
+        ("epsstar_outside_order_-2", order(outer_s, 2), l[q] * l[p] / (k[q] * k[p]) - m[q] / k[q],
+         "z^-2 outside"),
+    ]
+    rep.add_groups([
+        ([(name, anchor, got) if want is None else (name, anchor, got - want, want)], tol, levels, where)
+        for name, got, want, where in expansions
+    ])
     return rep

@@ -21,11 +21,13 @@ weight from N = 19 (1.9e-9 against 1.9e-10 from the Gram solves).
 One coefficient store per system: ``kappas`` and the zero-padded (N+1, N+1)
 matrices ``phi`` and ``phibar``, row n the ascending coefficients of level
 n.  The Gram solves fill its rows, the recursion fills rows of its own for
-the cross-check, and every reader reads the store: the level records (views
-of its rows), the family matrices (phi*, phibar* its rows reversed in their
-degree, formed once), r_n and rbar_n, the identity web, system.json, and
-``prefix(n)``, a slice.  The same inputs give the same bytes: a run
-repeated, and ``prefix(n)`` against a build to n, bit for bit.
+the cross-check, and every reader reads the store, a level's scalars as
+columns and its coefficients as a row: the family matrices (phi*, phibar*
+its rows reversed in their degree, formed once), r_n and rbar_n (the first
+column over kappa), l_n, lbar_n and m_n (its sub-diagonals), the identity
+web, system.json, and ``prefix(n)``, a slice.  The same inputs give the
+same bytes: a run repeated, and ``prefix(n)`` against a build to n, bit for
+bit.
 
 Level ceiling: on the flagship weight the Gram levels pass the identity web
 through N = 21.  Above that, orthonormality and monomial orthogonality fail
@@ -52,47 +54,6 @@ from .report import IdentityReport, equation
 EXISTENCE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class BopsLevel:
-    """Degree-n record: kappa_n, coefficients of phi_n and of the reversed
-    reciprocal polynomial (phi*_n(z) = sum_j cbar[j] z^{n-j})."""
-
-    n: int
-    kappa: complex
-    c: np.ndarray  # ascending coefficients of phi_n, c[j] = c_{n,j}
-    cbar: np.ndarray  # cbar[j] = cbar_{n,j}; phi*_n has ascending coeffs cbar[::-1]
-
-    @property
-    def phi0(self) -> complex:
-        return complex(self.c[0])
-
-    @property
-    def phibar0(self) -> complex:
-        return complex(self.cbar[0])
-
-    @property
-    def r(self) -> complex:
-        return complex(self.phi0 / self.kappa)
-
-    @property
-    def rbar(self) -> complex:
-        return complex(self.phibar0 / self.kappa)
-
-    @property
-    def l(self) -> complex:
-        """Sub-leading coefficient l_n (0 at n = 0 where the symbol is empty)."""
-        return complex(self.c[self.n - 1]) if self.n >= 1 else 0.0 + 0j
-
-    @property
-    def lbar(self) -> complex:
-        return complex(self.cbar[self.n - 1]) if self.n >= 1 else 0.0 + 0j
-
-    @property
-    def m2(self) -> complex | None:
-        """Second sub-leading coefficient m_n; undefined below n = 2."""
-        return complex(self.c[self.n - 2]) if self.n >= 2 else None
-
-
 @dataclass(eq=False)
 class BopsSystem:
     """Levels 0..N as one store (see the module docstring): kappa_n, and
@@ -116,12 +77,6 @@ class BopsSystem:
         return float(np.max(self.deviations, initial=0.0))
 
     @cached_property
-    def levels(self) -> list[BopsLevel]:
-        """One record a level, its coefficients views of the store's rows."""
-        return [BopsLevel(n, kappa, self.phi[n, : n + 1], self.phibar[n, : n + 1])
-                for n, kappa in enumerate(self.kappas.tolist())]
-
-    @cached_property
     def families(self) -> dict[str, np.ndarray]:
         """Each family's zero-padded coefficient matrix, row n its level n:
         phi and phibar are the store, phi*_n(z) = z^n phibar_n(1/z) and
@@ -136,22 +91,29 @@ class BopsSystem:
         level, read off the store's first column."""
         return self.phi[:, 0] / self.kappas, self.phibar[:, 0] / self.kappas
 
+    @cached_property
+    def subleading(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """l_n = c_{n,n-1} and lbar_n = cbar_{n,n-1} (0 at n = 0) and
+        m_n = c_{n,n-2} (0 below n = 2) of every level, the store's
+        sub-diagonals."""
+        n = np.arange(self.nmax + 1)
+        return tuple(np.where(n >= k, c[n, np.maximum(n - k, 0)], 0j)
+                     for c, k in ((self.phi, 1), (self.phibar, 1), (self.phi, 2)))
+
+    def require(self, *levels: int) -> None:
+        """IndexError for the first of ``levels`` that is not built."""
+        for n in levels:
+            if not 0 <= n <= self.nmax:
+                raise IndexError(f"level {n} not built (nmax = {self.nmax})")
+
     def prefix(self, n: int) -> "BopsSystem":
         """Levels 0..n, bit for bit build_system(table, n): each Gram level is
         its own solve, and the recursion's levels 0..n are a prefix."""
-        self.level(n)
+        self.require(n)
         log = [k for k in self.existence_log if k <= n + 1]
         size = slice(n + 1)
         return BopsSystem(self.table, self.kappas[size], self.phi[size, size],
                           self.phibar[size, size], log, self.deviations[size])
-
-    def level(self, n: int) -> BopsLevel:
-        if n < 0 or n > self.nmax:
-            raise IndexError(f"level {n} not built (nmax = {self.nmax})")
-        return self.levels[n]
-
-    def kappa(self, n: int) -> complex:
-        return self.level(n).kappa
 
 
 Family = Literal["phi", "phistar", "phibar", "phibarstar"]
@@ -168,7 +130,7 @@ def _reversed(stack: np.ndarray) -> np.ndarray:
 def eval_poly(sys: BopsSystem, n: int, z, which: Family = "phi"):
     """Horner evaluation of phi_n, phi*_n, phibar_n or the reversed-bar
     polynomial phibar*_n(z) = z^n phi_n(1/z)."""
-    sys.level(n)  # IndexError for a level that is not built
+    sys.require(n)
     return polyval(sys.families[which][n, : n + 1], z)
 
 
@@ -303,8 +265,7 @@ def verify_scalar_identities(
     # l_n = c_{n,n-1} (0 at n = 0) and m_n = c_{n,n-2} (0 below 2)
     k, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
     r, rbar = sys.reflections
-    l = np.concatenate(([0j], np.diagonal(sys.phi, -1)))
-    m = np.concatenate(([0j, 0j], np.diagonal(sys.phi, -2)))
+    l, _, m = sys.subleading
 
     kap, low = k[:, None], range(nmax)
     coupled = "coupled linear recurrence relations"

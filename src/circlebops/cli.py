@@ -112,18 +112,19 @@ def _sample_points(args: argparse.Namespace, weight, count: int = 12):
     return np.concatenate([inner, outer])
 
 
-def _bundle(args: argparse.Namespace, weight, table, strict: bool = False):
+def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
     """The one bundle of a run, built with the run's --quad-points and --tol:
-    levels 0..n+2, or for a strict weight levels 0..n+3 with the quadruples
-    0..n+1 and U (what coeffs and the matrix suite read)."""
-    if not strict:
-        source = weight if weight is not None else table
-        return build_bundle(source, args.n + 2, quad_points=args.quad_points, tol_scale=args.tol)
-    if weight is None or not is_strict_semiclassical(weight):
+    levels 0..n+3 on a strict weight and 0..n+2 otherwise, so that a command
+    run alone builds the levels verify-all builds; with ``quads`` also the
+    quadruples 0..n+1 and U (what coeffs and the matrix suite read), which
+    need a strict weight."""
+    strict = weight is not None and is_strict_semiclassical(weight)
+    if quads and not strict:
         raise CircleBopsError("this pipeline needs a strict regular semi-classical weight")
     return build_bundle(
-        weight, args.n + 3, quad_ns=range(args.n + 2), quad_points=args.quad_points,
-        tol_scale=args.tol, recover_u_poly=True,
+        weight if weight is not None else table, args.n + 2 + strict,
+        quad_ns=range(args.n + 2) if quads else (), quad_points=args.quad_points,
+        tol_scale=args.tol, recover_u_poly=quads,
     )
 
 
@@ -385,10 +386,7 @@ def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
 
 def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     """Every suite on one bundle.  The build suite reads the bundle's levels
-    0..n, bit for bit those `build` makes on the same moment table.  On a
-    strict weight `assoc` and `rhp-check` alone build one level fewer, and
-    psi_n near the top can round differently in the shorter product, so
-    their files can differ from these in the last digits."""
+    0..n, bit for bit those `build` makes on the same moment table."""
     strict = weight is not None and is_strict_semiclassical(weight)
     bundle = _bundle(args, weight, table, strict)
     samples = _sample_points(args, weight)  # drawn once for assoc and coeffs
@@ -425,7 +423,7 @@ HANDLERS = {
     "moments": cmd_moments,
     "build": lambda args, w, tbl, out: cmd_build(args, w, _levels(args, w, tbl), out),
     "assoc": lambda args, w, tbl, out: cmd_assoc(args, w, _bundle(args, w, tbl), out),
-    "coeffs": lambda args, w, tbl, out: cmd_coeffs(args, w, _bundle(args, w, tbl, strict=True), out),
+    "coeffs": lambda args, w, tbl, out: cmd_coeffs(args, w, _bundle(args, w, tbl, quads=True), out),
     "verify-all": cmd_verify_all,
     "rhp-check": lambda args, w, tbl, out: cmd_rhp(args, w, _bundle(args, w, tbl), out),
     "deform": cmd_deform,

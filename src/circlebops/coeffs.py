@@ -146,11 +146,14 @@ def compute_coeff_quad(
             "semi-classical weights only"
         )
     m = vw.degree
-    lev_n, lev_p = sys.level(n), sys.level(n + 1)
-    if abs(lev_p.phi0) < 1e-13 * max(1.0, abs(lev_p.kappa)):
+    sys.require(n, n + 1)
+    kappa, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
+    if abs(p0[n + 1]) < 1e-13 * max(1.0, abs(kappa[n + 1])):
         raise DegenerateLevelError(f"phi_{n + 1}(0) ~ 0: Theta_{n}/Omega_{n} prefactor vanishes")
-    if abs(lev_p.phibar0) < 1e-13 * max(1.0, abs(lev_p.kappa)):
+    if abs(pb0[n + 1]) < 1e-13 * max(1.0, abs(kappa[n + 1])):
         raise DegenerateLevelError(f"phibar_{n + 1}(0) ~ 0: starred prefactor vanishes")
+    c_n, c_p = sys.phi[n, : n + 1], sys.phi[n + 1, : n + 2]
+    cbar_n, cbar_p = sys.phibar[n, : n + 1], sys.phibar[n + 1, : n + 2]
 
     size = n + m + 3  # orders 0..n+m+2: every band and the two orders above it
 
@@ -167,7 +170,7 @@ def compute_coeff_quad(
         )
 
     eps_n, eps_p = asys.eps_taylor(n, size + 1), asys.eps_taylor(n + 1, size + 1)
-    theta, omega = combinations(vw, lev_n.c, lev_p.c, eps_n, eps_p)
+    theta, omega = combinations(vw, c_n, c_p, eps_n, eps_p)
     # at infinity, in u = 1/z: phi*_k = z^k phibar_k(u) and eps*_k = z^k e_k(u)
     # with e_k the eps_k of the reflected weight, so the starred combinations
     # are z^(2n+m) and z^(2n+m+1) times the plain ones of the reflected weight,
@@ -176,12 +179,12 @@ def compute_coeff_quad(
     # in z about the band
     ref = vw.reflected()
     e_n, e_p = (asys.eps_taylor(k, size + 1, star=True, at_infinity=True) for k in (n, n + 1))
-    thetastar, omegastar = combinations(ref, lev_n.cbar, lev_p.cbar, e_n, e_p)
-    omegastar += n * mul(ref.W[1:], mul(lev_p.cbar, e_n) - mul(e_p, lev_n.cbar))
+    thetastar, omegastar = combinations(ref, cbar_n, cbar_p, e_n, e_p)
+    omegastar += n * mul(ref.W[1:], mul(cbar_p, e_n) - mul(e_p, cbar_n))
 
     # bands in z for the plain pair, in u (reversed) for the starred pair
-    pref = 2.0 * lev_p.phi0 / lev_n.kappa
-    pref_star = 2.0 * lev_p.phibar0 / lev_n.kappa
+    pref = 2.0 * p0[n + 1] / kappa[n]
+    pref_star = 2.0 * pb0[n + 1] / kappa[n]
     plan = (
         ("theta", theta, n, n + m - 2, pref, 1),
         ("thetastar", thetastar, n + 1, n + m - 1, pref_star, -1),
@@ -208,14 +211,18 @@ def compute_coeff_quad(
 # ---------------------------------------------------------------------------
 
 def expansion_closed_forms(
-    sys: BopsSystem, vw: PolyPair, weight: SemiClassicalWeight, n: int
-) -> list[tuple[str, int, complex, str]]:
+    sys: BopsSystem, vw: PolyPair, weight: SemiClassicalWeight, n
+) -> list[tuple]:
     """Closed forms for the top two and bottom two coefficients of each
     member of the quadruple, expressed through kappa / l / phi(0) data and
-    the weight's singularity data.  Returned as (poly, order, value, block)
-    tuples: at small m the leading and trailing windows overlap and a
+    the weight's singularity data, at the level n or at every level of an
+    array n.  Returned as (poly, order, value, block, lowest) tuples, each
+    value of n's shape from the level scalars read off the store as
+    columns, and each form with the lowest level it holds at: two forms read
+    level n-1 and hold from n = 1; below its lowest level a value is not a
+    form.  At small m the leading and trailing windows overlap and a
     coefficient is pinned by two independent forms, both of which are
-    reported.  Two forms read level n-1 and are left out at n = 0.
+    returned.
 
     Three sub-leading terms are derived from the series expansions directly:
     the lbar_{n-1} term of the trailing Theta_n block and the l_{n-1} term of
@@ -227,14 +234,6 @@ def expansion_closed_forms(
     compute_coeff_quad to 1e-9 through n = 12, on the flagship weight and on
     an m = 4 weight with complex locations and exponents.
     """
-    return [form[:4] for form in _closed_forms(sys, vw, weight, n) if n >= form[4]]
-
-
-def _closed_forms(sys: BopsSystem, vw: PolyPair, weight: SemiClassicalWeight, n) -> list[tuple]:
-    """`expansion_closed_forms` at the level n or at every level of an array
-    n, each value of n's shape from the level scalars read off the store as
-    columns, each form with the lowest level it holds at: (poly, order,
-    value, block, lowest).  Below that level a value is not a form."""
     m = weight.m
     locs = weight.locations
     rhos = weight.exponents
@@ -244,8 +243,8 @@ def _closed_forms(sys: BopsSystem, vw: PolyPair, weight: SemiClassicalWeight, n)
 
     n = np.asarray(n)
     k, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
-    l, lbar = (np.concatenate(([0j], np.diagonal(c, -1))) for c in (sys.phi, sys.phibar))
-    prev = np.maximum(n - 1, 0)  # level n-1; at n = 0 its forms are dropped
+    l, lbar, _ = sys.subleading
+    prev = np.maximum(n - 1, 0)  # level n-1; the forms that read it do not hold at n = 0
     kn, kp, kpp, km = k[n], k[n + 1], k[n + 2], k[prev]
     pn, pp, ppp, pm = p0[n], p0[n + 1], p0[n + 2], p0[prev]
     pbn, pbp, pbpp, pbm = pb0[n], pb0[n + 1], pb0[n + 2], pb0[prev]
@@ -321,7 +320,7 @@ def verify_expansion_forms(
     members = np.reshape([quads[n].members for n in levels.tolist()], (len(levels), weight.m, 4))
     anchor = "specifically these have leading and trailing expansions"
     groups = []
-    for name, order, want, block, lowest in _closed_forms(sys, vw, weight, levels):
+    for name, order, want, block, lowest in expansion_closed_forms(sys, vw, weight, levels):
         j = ("theta", "thetastar", "omega", "omegastar").index(name)
         if order < weight.m - (j < 2):  # the Theta pair is one shorter
             at = np.flatnonzero(levels >= lowest)
@@ -575,56 +574,61 @@ def verify_initial_members(
     rep = IdentityReport("initial members of the coefficient-function sequences")
     anchor = "the initial members of the sequences"
     q0, q1 = quads[0], quads[1]
-    l0, l1, l2 = sys.level(0), sys.level(1), sys.level(2)
+    sys.require(2)
+    k0, k1 = sys.kappas[:2]
+    (p1, p2), (pb1, pb2) = sys.phi[1:3, 0], sys.phibar[1:3, 0]
     two_v = polyadd(2.0 * vw.V)
-    k0sq = l0.kappa**2
+    k0sq = k0**2
     u = np.asarray(u_poly, dtype=complex)
     z = np.array([0.0, 1.0], dtype=complex)  # multiply-by-z polynomial
 
-    def check(name: str, lhs: np.ndarray, rhs: np.ndarray):
-        diff = polyadd(lhs, -rhs)
-        scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        rep.add(name, anchor, float(np.max(np.abs(diff))) / scale, tol)
+    def poly_equation(name: str, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
+        # both sides zero-padded to one length, one row
+        sides = np.zeros((2, 1, max(len(lhs), len(rhs))), dtype=complex)
+        sides[0, 0, : len(lhs)], sides[1, 0, : len(rhs)] = lhs, rhs
+        return equation(name, anchor, *sides)
 
     plus = polyadd(two_v, k0sq * u)  # 2V + kappa_0^2 U
     minus = polyadd(two_v, -k0sq * u)  # 2V - kappa_0^2 U
 
-    check("initial_theta_0", 2.0 * l1.phi0 / l0.kappa * q0.theta, minus)
-    check(
-        "initial_theta_1",
-        polymul(z, 2.0 * l2.phi0 / l1.kappa * q1.theta),
-        polyadd(
-            l1.kappa**2 / k0sq * polymul(polymul(z, z), minus),
-            -2.0 * l1.kappa * l1.phi0 * polymul(z, u),
-            -2.0 * l1.kappa * l1.phi0 / k0sq * vw.W,
-            -(l1.phi0**2) / k0sq * plus,
+    rep.add_rows([
+        poly_equation("initial_theta_0", 2.0 * p1 / k0 * q0.theta, minus),
+        poly_equation(
+            "initial_theta_1",
+            polymul(z, 2.0 * p2 / k1 * q1.theta),
+            polyadd(
+                k1**2 / k0sq * polymul(polymul(z, z), minus),
+                -2.0 * k1 * p1 * polymul(z, u),
+                -2.0 * k1 * p1 / k0sq * vw.W,
+                -(p1**2) / k0sq * plus,
+            ),
         ),
-    )
-    check(
-        "initial_thetastar_0",
-        polymul(z, 2.0 * l1.phibar0 / l0.kappa * q0.thetastar),
-        polyadd(-two_v, -k0sq * u),
-    )
-    check(
-        "initial_thetastar_1",
-        polymul(polymul(z, z), 2.0 * l2.phibar0 / l1.kappa * q1.thetastar),
-        polyadd(
-            l1.phibar0**2 / k0sq * polymul(polymul(z, z), minus),
-            -2.0 * l1.kappa * l1.phibar0 * polymul(z, u),
-            -2.0 * l1.kappa * l1.phibar0 / k0sq * vw.W,
-            -(l1.kappa**2) / k0sq * plus,
+        poly_equation(
+            "initial_thetastar_0",
+            polymul(z, 2.0 * pb1 / k0 * q0.thetastar),
+            polyadd(-two_v, -k0sq * u),
         ),
-    )
-    check(
-        "initial_omega_0",
-        2.0 * l1.phi0 * q0.omega,
-        polyadd(l1.kappa * polymul(z, minus), -k0sq * l1.phi0 * u),
-    )
-    check(
-        "initial_omegastar_0",
-        polymul(z, 2.0 * l1.phibar0 * q0.omegastar),
-        polyadd(-l1.kappa * plus, -k0sq * l1.phibar0 * polymul(z, u)),
-    )
+        poly_equation(
+            "initial_thetastar_1",
+            polymul(polymul(z, z), 2.0 * pb2 / k1 * q1.thetastar),
+            polyadd(
+                pb1**2 / k0sq * polymul(polymul(z, z), minus),
+                -2.0 * k1 * pb1 * polymul(z, u),
+                -2.0 * k1 * pb1 / k0sq * vw.W,
+                -(k1**2) / k0sq * plus,
+            ),
+        ),
+        poly_equation(
+            "initial_omega_0",
+            2.0 * p1 * q0.omega,
+            polyadd(k1 * polymul(z, minus), -k0sq * p1 * u),
+        ),
+        poly_equation(
+            "initial_omegastar_0",
+            polymul(z, 2.0 * pb1 * q0.omegastar),
+            polyadd(-k1 * plus, -k0sq * pb1 * polymul(z, u)),
+        ),
+    ], tol, [None])
     return rep
 
 

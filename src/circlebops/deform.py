@@ -142,15 +142,15 @@ def moment_rebuild(
     res = assemble_residues(
         bundle.quads[n], bundle.vw, bundle.sys, n, weight, tol=1e-7 * tol_scale
     )
-    lev = bundle.sys.level(n)
+    r, rbar = bundle.sys.reflections
     state = DeformState(
         t=t,
         n=n,
         a=res.a,
         a_inf=res.a_inf,
-        kappa=lev.kappa,
-        r=lev.r,
-        rbar=lev.rbar,
+        kappa=complex(bundle.sys.kappas[n]),
+        r=complex(r[n]),
+        rbar=complex(rbar[n]),
     )
     return state, bundle
 
@@ -196,7 +196,9 @@ def deformation_rates(
     computed; their gap is an internal consistency diagnostic.  r-dot /
     rbar-dot use the level n-1 coefficient functions, so quads must hold
     levels n-1 and n."""
-    lev = sys.level(n)
+    sys.require(n, n + 1)
+    kappa, p0, pb0 = sys.kappas[n], sys.phi[n : n + 2, 0], sys.phibar[n : n + 2, 0]
+    r, rbar = (col[n] for col in sys.reflections)
     vel = np.asarray(traj.velocities(t), dtype=complex)
     moving = vel != 0
     zj, zdot = np.asarray(traj.locations(t), dtype=complex)[moving], vel[moving]
@@ -218,20 +220,19 @@ def deformation_rates(
     kdot_a = 0.5 * (-sum_rho_zdot + route_a)
     kdot_b = 0.5 * route_b
     kdot = 0.5 * (kdot_a + kdot_b)
-    lp = sys.level(n + 1)
-    dlog_phi0 = lp.phi0 / lev.phi0 * dphi_sum - kdot - sum_rho_zdot
-    dlog_phibar0 = lp.phibar0 / lev.phibar0 * dphibar_sum - kdot
-    d_kappa_phibar0 = lev.kappa * lev.phibar0 * (kdot + dlog_phibar0)
+    dlog_phi0 = p0[1] / p0[0] * dphi_sum - kdot - sum_rho_zdot
+    dlog_phibar0 = pb0[1] / pb0[0] * dphibar_sum - kdot
+    d_kappa_phibar0 = kappa * pb0[0] * (kdot + dlog_phibar0)
     b_inf = np.array(
-        [[kdot, 0.0], [d_kappa_phibar0 / lev.kappa**2, -kdot]], dtype=complex
+        [[kdot, 0.0], [d_kappa_phibar0 / kappa**2, -kdot]], dtype=complex
     )
     if n >= 1:
         _, _, om_m, oms_m = quads[n - 1].evaluate(zj)
-        rdot = lev.r * np.sum(0.5 * rho * ratio * (om_m - vj) / vj)
-        rbardot = lev.rbar * np.sum(0.5 * rho * ratio * (oms_m + vj) / vj)
+        rdot = r * np.sum(0.5 * rho * ratio * (om_m - vj) / vj)
+        rbardot = rbar * np.sum(0.5 * rho * ratio * (oms_m + vj) / vj)
     else:
-        rdot = lev.r * (dlog_phi0 - kdot)
-        rbardot = lev.rbar * (dlog_phibar0 - kdot)
+        rdot = r * (dlog_phi0 - kdot)
+        rbardot = rbar * (dlog_phibar0 - kdot)
     return RatesRecord(
         n=n,
         t=t,

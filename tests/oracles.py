@@ -128,13 +128,14 @@ def schlesinger_component_check(
     locs = traj.locations(t)
     vel = traj.velocities(t)
     rhos = traj.weight0.exponents
-    lev, lp = sys.level(n), sys.level(n + 1)
+    kappa, kappa_p = sys.kappas[n : n + 2].tolist()
+    phi0_p, phibar0_p = complex(sys.phi[n + 1, 0]), complex(sys.phibar[n + 1, 0])
+    r, rbar = (complex(col[n]) for col in sys.reflections)
     th, ths, om, oms = quads[n].evaluate(locs)  # the quadruple at every z_j
     kdot = rates.kdot_over_k
     dkb = rates.d_kappa_phibar0
     state = DeformState(
-        t=t, n=n, a=residues.a, a_inf=residues.a_inf,
-        kappa=lev.kappa, r=lev.r, rbar=lev.rbar,
+        t=t, n=n, a=residues.a, a_inf=residues.a_inf, kappa=kappa, r=r, rbar=rbar,
     )
     rhs = schlesinger_rhs(state, traj, t)
     anchor = "we find the following independent derivatives in component form"
@@ -171,20 +172,20 @@ def schlesinger_component_check(
                 zk * ths[k] * th[j] - zj * th[k] * ths[j]
             )
             cross_b += pk * coeff * (
-                th[k] * (om[j] - lp.kappa / lev.kappa * zj * th[j])
-                - th[j] * (om[k] - lp.kappa / lev.kappa * zk * th[k])
+                th[k] * (om[j] - kappa_p / kappa * zj * th[j])
+                - th[j] * (om[k] - kappa_p / kappa * zk * th[k])
             )
             cross_c += pk * coeff * (
-                zk * ths[k] * (oms[j] - lp.kappa / lev.kappa * ths[j])
-                - zj * ths[j] * (oms[k] - lp.kappa / lev.kappa * ths[k])
+                zk * ths[k] * (oms[j] - kappa_p / kappa * ths[j])
+                - zj * ths[j] * (oms[k] - kappa_p / kappa * ths[k])
             )
 
         # the B_inf term of the first component enters with + (it is
         # -A_j[0,1] B_inf[1,0] of the commutator, and the displayed bracket
         # is -A_j[0,0])
         comp_a = (
-            pref * lp.phi0 / lev.kappa**3 * dkb * th[j]
-            - pref * lp.phi0 * lp.phibar0 / lev.kappa**2 * cross_a
+            pref * phi0_p / kappa**3 * dkb * th[j]
+            - pref * phi0_p * phibar0_p / kappa**2 * cross_a
             - origin[0, 0]
         )
         rep.add(
@@ -196,7 +197,7 @@ def schlesinger_component_check(
             where=f"z_{j + 1}",
         )
         comp_b = (
-            rhos[j] / vj * lp.phi0 / lev.kappa * (kdot * th[j] + cross_b)
+            rhos[j] / vj * phi0_p / kappa * (kdot * th[j] + cross_b)
             + origin[0, 1]
         )
         rep.add(
@@ -210,12 +211,12 @@ def schlesinger_component_check(
         comp_c = (
             rhos[j]
             / vj
-            * lp.phibar0
-            / lev.kappa
+            * phibar0_p
+            / kappa
             * (
                 -kdot * zj * ths[j]
-                + dkb / (lev.kappa * lp.phibar0)
-                * (oms[j] - lp.kappa / lev.kappa * ths[j])
+                + dkb / (kappa * phibar0_p)
+                * (oms[j] - kappa_p / kappa * ths[j])
                 - cross_c
             )
             - origin[1, 0]
@@ -351,8 +352,9 @@ def eps_point_route(asys: AssocSystem, z, side: str | None = None, derivative: b
     f = caratheodory(asys.F, zs, side)
     df = caratheodory(asys.F, zs, side, derivative=True)
     rows = []
-    for n, lev in enumerate(asys.sys.levels):
-        coeffs = (lev.c, lev.cbar[::-1], asys.psi(n), asys.psistar(n))
+    for n in range(asys.sys.nmax + 1):
+        c, cbar = asys.sys.phi[n, : n + 1], asys.sys.phibar[n, : n + 1]
+        coeffs = (c, cbar[::-1], asys.psi(n), asys.psistar(n))
         phi, star, psi, psistar = (npoly.polyval(zs, c) for c in coeffs)
         if not derivative:
             rows.append((phi, star, psi + f * phi, psistar - f * star))
@@ -519,7 +521,7 @@ def eps_quadrature(wfun, sys: BopsSystem, n: int, z: complex, points: int = 4096
     kernel = (zeta + z) / (zeta - z)
     eps = np.mean(kernel * wv * eval_poly(sys, n, zeta, "phi"))
     star_a = -(z**n) * np.mean(kernel * wv * eval_poly(sys, n, 1.0 / zeta, "phibar"))
-    star_b = 1.0 / sys.kappa(n) - np.mean(
+    star_b = 1.0 / sys.kappas[n] - np.mean(
         kernel * wv * eval_poly(sys, n, zeta, "phistar")
     )
     return complex(eps), complex(star_a), complex(star_b)
@@ -540,7 +542,7 @@ def eps_intrep(
     """
     mod = compute_moments(lambda zeta: wfun(zeta) / (zeta - z), n + 2)
     i0 = toeplitz_det(tbl, 0, n + 1)
-    kappa = sys.kappa(n)
+    kappa = complex(sys.kappas[n])
     eps = 2.0 / kappa * z**n * toeplitz_det(mod, 1, n + 1) / i0
     epsstar = 2.0 / kappa * (-z) ** (n + 1) * toeplitz_det(mod, 0, n + 1) / i0
     return complex(eps), complex(epsstar)
@@ -576,6 +578,6 @@ def weight_log_derivative(spec, z):
 def monomial_orthogonality(sys: BopsSystem, n: int) -> tuple[float, float]:
     """Max residuals of <phi_n, zetabar^j> = 0 (0 <= j < n) and
     <phi*_n, zetabar^j> = 0 (1 <= j <= n)."""
-    sys.level(n)  # IndexError for a level that is not built
+    sys.require(n)
     res_phi, res_star = _monomial_residuals(sys)[n]
     return float(res_phi), float(res_star)

@@ -67,14 +67,9 @@ def test_criterion_1_lebesgue_suite():
     sys = build_system(table, 8)
     asys = AssocSystem(sys)
 
-    worst = 0.0
-    for n in range(9):
-        lev = sys.level(n)
-        expect = np.zeros(n + 1, dtype=complex)
-        expect[n] = 1.0
-        worst = max(worst, float(np.max(np.abs(lev.c - expect))), abs(lev.kappa - 1.0))
-        if n >= 1:
-            worst = max(worst, abs(lev.r), abs(lev.rbar))
+    r, rbar = sys.reflections
+    worst = max(float(np.max(np.abs(sys.phi - np.eye(9)))), float(np.max(np.abs(sys.kappas - 1.0))),
+                float(np.max(np.abs(r[1:]))), float(np.max(np.abs(rbar[1:]))))
     z_in, z_out = 0.37 + 0.19j, 2.4 - 1.1j
     _, _, eps_in, star_in = asys.evaluate(z_in)
     _, _, eps_out, star_out = asys.evaluate(z_out)
@@ -102,15 +97,15 @@ def test_criterion_2_laurent_oracle_suite():
     start = time.perf_counter()
     table = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys = build_system(table, 8)
+    r, rbar = sys.reflections
     worst = 0.0
     for n in range(9):
         worst = max(worst, abs(toeplitz_det(table, 0, n) - (n + 1)))
         worst = max(worst, abs(toeplitz_det(table, 1, n) - 1.0))
         worst = max(worst, abs(toeplitz_det(table, -1, n) - 1.0))
-        lev = sys.level(n)
-        worst = max(worst, abs(lev.r - (-1.0) ** n / (n + 1)))
-        worst = max(worst, abs(lev.rbar - (-1.0) ** n / (n + 1)))
-        worst = max(worst, abs(lev.kappa**2 - (n + 1.0) / (n + 2.0)))
+        worst = max(worst, abs(r[n] - (-1.0) ** n / (n + 1)))
+        worst = max(worst, abs(rbar[n] - (-1.0) ** n / (n + 1)))
+        worst = max(worst, abs(sys.kappas[n] ** 2 - (n + 1.0) / (n + 2.0)))
     elapsed = time.perf_counter() - start
     announce(
         "criterion 2: Laurent oracle suite (I^eps_n, r_n, kappa_n^2 <= 1e-10)",

@@ -52,7 +52,7 @@ class TestLebesgueValues:
     def test_psi0_normalization(self, lebesgue, laurent, strict):
         for fix in (lebesgue, laurent, strict):
             asys = fix["asys"]
-            assert abs(fix["sys"].kappa(0) * asys.psi(0)[0] - 1.0) < 1e-13
+            assert abs(fix["sys"].kappas[0] * asys.psi(0)[0] - 1.0) < 1e-13
 
     def test_jump_is_plemelj(self, lebesgue):
         wfun = lambda z: np.ones_like(np.asarray(z, dtype=complex))
@@ -145,6 +145,34 @@ class TestExpansions:
         assert rep.passed, [(e.name, e.residual) for e in rep.failures()]
         assert [e.n for e in rep.entries] == [n for n in (1, 2, 3) for _ in range(12)]
 
+    def test_level_range_is_its_one_level_runs(self, strict):
+        # one series read per (star, side) over all the levels: a run over
+        # range(5) carries its one-level runs' entries to the bit, level by
+        # level, each level's expansions in their order
+        whole = verify_expansions(strict["asys"], range(5)).entries
+        parts = [e for n in range(5) for e in verify_expansions(strict["asys"], [n]).entries]
+        key = lambda e: (e.name, e.n, e.where, e.residual.hex(), e.tol)
+        assert list(map(key, whole)) == list(map(key, parts))
+        want = [
+            row
+            for n in range(5)
+            for row in [
+                ("eps_inside_order_0", n, f"z^{n} inside"),
+                ("eps_inside_order_1", n, f"z^{n + 1} inside"),
+                ("eps_inside_low_orders_vanish", n, None),
+                ("eps_outside_order_-1", n, "z^-1 outside"),
+                ("eps_outside_order_-2", n, "z^-2 outside"),
+                ("eps_outside_order_0_vanishes", n, None),
+                ("epsstar_inside_order_1", n, f"z^{n + 1} inside"),
+                ("epsstar_inside_order_2", n, f"z^{n + 2} inside"),
+                ("epsstar_inside_low_orders_vanish", n, None),
+                ("epsstar_outside_order_0", n, "z^0 outside"),
+                ("epsstar_outside_order_-1", n, "z^-1 outside"),
+                ("epsstar_outside_order_-2", n, "z^-2 outside"),
+            ]
+        ]
+        assert [(e.name, e.n, e.where) for e in whole] == want
+
 
 class TestConstruction:
     def test_series_match_fft_coefficients(self, strict):
@@ -162,7 +190,7 @@ class TestConstruction:
                 assert abs(at_inf[k] - fft_inf[-k]) < 1e-12 * 2.5**k
             assert np.max(np.abs(taylor[:n]), initial=0.0) < 1e-13
             assert np.max(np.abs(at_inf[:n]), initial=0.0) < 1e-13
-            assert abs(at_inf[n] - 2.0 / strict["sys"].kappa(n)) < 1e-13
+            assert abs(at_inf[n] - 2.0 / strict["sys"].kappas[n]) < 1e-13
 
     def test_window_error(self):
         tbl = table_from_moments([(0, 1.0)], window=4)
@@ -184,8 +212,8 @@ def band_levels(asys, z, side=None, derivative=False):
     count = asys.sys.table.window + 1
     der = npoly.polyder if derivative else (lambda c: c)
     rows = []
-    for n, lev in enumerate(asys.sys.levels):
-        row = [npoly.polyval(flat, der(c)) for c in (lev.c, lev.cbar[::-1])]
+    for n in range(asys.sys.nmax + 1):
+        row = [npoly.polyval(flat, der(c)) for c in (asys.sys.phi[n, : n + 1], asys.sys.phibar[n, n::-1])]
         for star in (False, True):
             # inside z^n B(z) (z^(n+1) for eps*); outside u B(u) (B(u) for eps*)
             low = n + 1 if star else n

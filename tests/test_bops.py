@@ -27,15 +27,11 @@ def sample_pairs(seed=3, count=20):
 class TestLebesgue:
     def test_monomials(self, lebesgue):
         sys = lebesgue["sys"]
-        for n in range(9):
-            lev = sys.level(n)
-            expect = np.zeros(n + 1, dtype=complex)
-            expect[n] = 1.0
-            assert np.max(np.abs(lev.c - expect)) < 1e-13
-            assert abs(lev.kappa - 1.0) < 1e-13
-            if n >= 1:
-                assert abs(lev.r) < 1e-13
-                assert abs(lev.rbar) < 1e-13
+        r, rbar = sys.reflections
+        assert np.max(np.abs(sys.phi - np.eye(9))) < 1e-13
+        assert np.max(np.abs(sys.kappas - 1.0)) < 1e-13
+        assert np.max(np.abs(r[1:])) < 1e-13
+        assert np.max(np.abs(rbar[1:])) < 1e-13
 
     def test_eval(self, lebesgue):
         assert abs(eval_poly(lebesgue["sys"], 3, 0.5) - 0.125) < 1e-14
@@ -48,32 +44,31 @@ class TestLebesgue:
 class TestLaurent:
     def test_reflection_data(self, laurent):
         sys = laurent["sys"]
-        for n in range(9):
-            lev = sys.level(n)
-            assert abs(lev.r - (-1.0) ** n / (n + 1)) < 1e-12
-            assert abs(lev.rbar - (-1.0) ** n / (n + 1)) < 1e-12
-            assert abs(lev.kappa**2 - (n + 1) / (n + 2)) < 1e-12
+        n = np.arange(9)
+        for col in sys.reflections:
+            assert np.max(np.abs(col - (-1.0) ** n / (n + 1))) < 1e-12
+        assert np.max(np.abs(sys.kappas**2 - (n + 1) / (n + 2))) < 1e-12
 
     def test_level_one_polynomial(self, laurent):
-        lev = laurent["sys"].level(1)
-        assert abs(lev.kappa - np.sqrt(2.0 / 3.0)) < 1e-13
-        assert abs(lev.r + 0.5) < 1e-13
+        kappa, r = laurent["sys"].kappas[1], laurent["sys"].reflections[0][1]
+        assert abs(kappa - np.sqrt(2.0 / 3.0)) < 1e-13
+        assert abs(r + 0.5) < 1e-13
         # phi_1(z) = kappa_1 (z + r_1)
         z = 0.37 - 0.6j
-        assert abs(eval_poly(laurent["sys"], 1, z) - lev.kappa * (z - 0.5)) < 1e-13
+        assert abs(eval_poly(laurent["sys"], 1, z) - kappa * (z - 0.5)) < 1e-13
 
     def test_kappa_identity_numbers(self, laurent):
         # kappa_2^2 - kappa_1^2 = 3/4 - 2/3 = 1/12 = kappa_2^2 r_2 rbar_2
         sys = laurent["sys"]
-        l1, l2 = sys.level(1), sys.level(2)
-        assert abs(l2.kappa**2 - l1.kappa**2 - 1.0 / 12.0) < 1e-12
-        assert abs(l2.phi0 * l2.phibar0 - 1.0 / 12.0) < 1e-12
-        assert abs(1 - l2.r * l2.rbar - 8.0 / 9.0) < 1e-12
+        (r, rbar), k = sys.reflections, sys.kappas
+        assert abs(k[2] ** 2 - k[1] ** 2 - 1.0 / 12.0) < 1e-12
+        assert abs(sys.phi[2, 0] * sys.phibar[2, 0] - 1.0 / 12.0) < 1e-12
+        assert abs(1 - r[2] * rbar[2] - 8.0 / 9.0) < 1e-12
 
     def test_phistar_at_origin_is_kappa(self, laurent):
         sys = laurent["sys"]
         for n in range(9):
-            assert abs(eval_poly(sys, n, 0.0, "phistar") - sys.kappa(n)) < 1e-13
+            assert abs(eval_poly(sys, n, 0.0, "phistar") - sys.kappas[n]) < 1e-13
 
     def test_construction_routes_agree(self, laurent):
         assert laurent["sys"].cross_check_deviation < 1e-8
@@ -107,7 +102,7 @@ class TestStrictWeight:
         sys = strict["sys"]
         i0 = [toeplitz_det(sys.table, 0, n) for n in range(9)]
         for n in range(8):
-            assert abs(sys.kappa(n) ** 2 - i0[n] / i0[n + 1]) < 1e-12
+            assert abs(sys.kappas[n] ** 2 - i0[n] / i0[n + 1]) < 1e-12
 
 
 class TestDetRepOracle:
@@ -217,8 +212,8 @@ class TestLevelStack:
     def test_monomial_orthogonality_matches_moment_sums(self, level32):
         mom = level32.table.moment
         for n in range(33):
-            c = level32.level(n).c
-            star = level32.level(n).cbar[::-1]
+            c = level32.phi[n, : n + 1]
+            star = level32.phibar[n, n::-1]
             for res, coeffs, js in zip(
                 monomial_orthogonality(level32, n), (c, star), (range(n), range(1, n + 1))
             ):
@@ -234,7 +229,7 @@ class TestPrefix:
 
     @staticmethod
     def record(system: BopsSystem) -> tuple:
-        levels = [(lev.n, lev.kappa, lev.c.tobytes(), lev.cbar.tobytes()) for lev in system.levels]
+        levels = [col.tobytes() for col in (system.kappas, system.phi, system.phibar)]
         return (id(system.table), levels, system.existence_log, system.deviations,
                 system.cross_check_deviation.hex())
 
@@ -250,6 +245,14 @@ class TestPrefix:
                 assert self.record(full.prefix(n)) == self.record(build_system(table, n)), n
         with pytest.raises(IndexError):
             full.prefix(12)
+
+    def test_levels_that_are_not_built_raise(self, laurent):
+        sys = laurent["sys"]
+        for level in (-1, sys.nmax + 1):
+            with pytest.raises(IndexError):
+                eval_poly(sys, level, 0.5)
+            with pytest.raises(IndexError):
+                sys.prefix(level)
 
     def test_prefix_keeps_the_log_of_its_levels(self, laurent):
         # level n's reflection ratio logs n + 1, so levels 0..n log up to n + 1

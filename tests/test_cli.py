@@ -89,9 +89,8 @@ class TestParseWeightSpec:
         _, table = parse_weight_spec(write(tmp_path, "m.json", RAW_MOMENTS_SPEC))
         via_raw = build_system(table, 6)
         via_closed = build_system(table_from_moments([(-1, 1), (0, 2), (1, 1)], 10), 6)
-        for a, b in zip(via_raw.levels, via_closed.levels):
-            assert np.max(np.abs(a.c - b.c)) < 1e-12
-            assert abs(a.kappa - b.kappa) < 1e-12
+        assert np.max(np.abs(via_raw.phi - via_closed.phi)) < 1e-12
+        assert np.max(np.abs(via_raw.kappas - via_closed.kappas)) < 1e-12
 
     def test_ambiguous_spec_rejected(self, tmp_path):
         payload = dict(STRICT_SPEC)
@@ -367,16 +366,20 @@ class TestOneBundle:
     ARGS = ["--n", "3", "--seed", "5", "--quad-points", "512", "--tol", "2"]
 
     @pytest.mark.parametrize(
-        "spec, commands",
+        "spec, commands, args",
         [
-            (STRICT_SPEC, ("build", "assoc", "coeffs", "rhp-check")),
-            (LAURENT_SPEC, ("build", "assoc", "rhp-check")),
+            (STRICT_SPEC, ("build", "assoc", "coeffs", "rhp-check"), ARGS),
+            (LAURENT_SPEC, ("build", "assoc", "rhp-check"), ARGS),
+            # at the default level psi_n's product rounds by its size, so a
+            # command run alone must build the levels verify-all builds
+            (STRICT_SPEC, ("assoc", "rhp-check"), []),
+            (COMPLEX_M4_SPEC, ("assoc", "rhp-check"), []),
         ],
-        ids=["flagship", "laurent"],
+        ids=["flagship", "laurent", "flagship-default", "complex-m4-default"],
     )
-    def test_verify_all_files_match_subcommands(self, tmp_path, spec, commands):
+    def test_verify_all_files_match_subcommands(self, tmp_path, spec, commands, args):
         weight = write(tmp_path, "w.json", spec)
-        argv = ["--weight", weight] + self.ARGS
+        argv = ["--weight", weight] + args
         assert main(["verify-all"] + argv + ["--out", str(tmp_path / "all")]) == 0
         for command in commands:
             solo = tmp_path / command

@@ -94,14 +94,13 @@ class TestConstruction:
         deps = central_diff(lambda x: asys.evaluate(x)[2], zs)
         des = central_diff(lambda x: asys.evaluate(x)[3], zs)
         for n in (0, 1, 3):
-            lev_n, lev_p = sys.level(n), sys.level(n + 1)
             phi_n, star_n, eps_n, es_n = phi[n], star[n], eps[n], es[n]
             phi_p, star_p, eps_p, es_p = phi[n + 1], star[n + 1], eps[n + 1], es[n + 1]
-            dphi_n = polyval(polyder(lev_n.c), zs)
-            dstar_n = polyval(polyder(lev_n.cbar[::-1]), zs)
+            dphi_n = polyval(polyder(sys.phi[n, : n + 1]), zs)
+            dstar_n = polyval(polyder(sys.phibar[n, n::-1]), zs)
             deps_n, des_n = deps[n], des[n]
-            pref = 2.0 * lev_p.phi0 / lev_n.kappa * zs**n
-            pref_star = 2.0 * lev_p.phibar0 / lev_n.kappa * zs ** (n + 1)
+            pref = 2.0 * sys.phi[n + 1, 0] / sys.kappas[n] * zs**n
+            pref_star = 2.0 * sys.phibar[n + 1, 0] / sys.kappas[n] * zs ** (n + 1)
             want = {
                 "th": (w_z * (-phi_n * deps_n + eps_n * dphi_n) + 2.0 * v_z * phi_n * eps_n) / pref,
                 "ths": (w_z * (star_n * des_n - es_n * dstar_n) - 2.0 * v_z * star_n * es_n)
@@ -180,16 +179,15 @@ class TestClosedForms:
         # leading coefficient of Theta_n is (n+1+sum rho) kappa_n/kappa_{n+1}
         sum_rho = complex(strict["weight"].exponents.sum())
         for n in (1, 2, 3):
-            want = (n + 1 + sum_rho) * strict["sys"].kappa(n) / strict["sys"].kappa(n + 1)
+            want = (n + 1 + sum_rho) * strict["sys"].kappas[n] / strict["sys"].kappas[n + 1]
             got = strict["quads"][n].theta[-1]
             assert abs(got - want) < 1e-7
 
     def test_theta_trailing_coefficient(self, strict):
         # Theta_n(0) = [2V(0) - n W'(0)] phi_n(0)/phi_{n+1}(0)
-        vw = strict["vw"]
+        vw, p0 = strict["vw"], strict["sys"].phi[:, 0]
         for n in (1, 2, 3):
-            ln, lp = strict["sys"].level(n), strict["sys"].level(n + 1)
-            want = (2 * vw.v_eval(0.0) - n * vw.w_deriv(0.0)) * ln.phi0 / lp.phi0
+            want = (2 * vw.v_eval(0.0) - n * vw.w_deriv(0.0)) * p0[n] / p0[n + 1]
             assert abs(strict["quads"][n].evaluate(0.0)[0] - want) < 1e-7
 
     def test_omega_at_origin(self, strict):
@@ -205,7 +203,9 @@ class TestClosedForms:
         for n, quad in bundle.quads.items():
             degrees = [len(getattr(quad, k)) - 1 for k in ("theta", "thetastar", "omega", "omegastar")]
             assert degrees == [2, 2, 3, 3]
-            for name, order, want, block in expansion_closed_forms(bundle.sys, bundle.vw, weight, n):
+            for name, order, want, block, lowest in expansion_closed_forms(bundle.sys, bundle.vw, weight, n):
+                if n < lowest:
+                    continue
                 coeffs = getattr(quad, name)
                 gap = abs(coeffs[order] - want) / max(1.0, float(np.max(np.abs(coeffs))))
                 assert gap < 1e-9, (n, name, order, block, gap)
@@ -215,7 +215,7 @@ class TestClosedForms:
         # forms must pin the same coefficient
         forms = expansion_closed_forms(strict["sys"], strict["vw"], strict["weight"], 2)
         by_key = {}
-        for name, order, val, block in forms:
+        for name, order, val, block, _ in forms:
             by_key.setdefault((name, order), []).append(val)
         for (name, order), vals in by_key.items():
             if len(vals) == 2:

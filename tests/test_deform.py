@@ -216,6 +216,15 @@ class TestFlow:
         assert times.tolist() == [0.0]
         assert np.array_equal(flow, state.pack()[None])
 
+    def test_rebuild_state_reads_the_store(self, strict_weight_module):
+        # kappa_3, r_3 and rbar_3 of the flow's start are the store's, bit
+        # for bit, on the downward z_2 move
+        traj = LinearTrajectory(strict_weight_module, moving=1, target=2 - 0.05j, t0=0.0, t1=0.1)
+        state, bundle = moment_rebuild(traj, 0.0, 3)
+        r, rbar = bundle.sys.reflections
+        got = np.array([state.kappa, state.r, state.rbar])
+        assert got.tobytes() == np.array([bundle.sys.kappas[3], r[3], rbar[3]]).tobytes()
+
     def test_endpoint_matches_rebuild(self, traj, start):
         state, _ = start
         _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 64)

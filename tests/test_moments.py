@@ -106,10 +106,10 @@ class TestToeplitz:
         # I0_{n+1} I0_{n-1} / I0_n^2 = 1 - r_n rbar_n
         sys = strict["sys"]
         i0 = [toeplitz_det(sys.table, 0, n) for n in range(8)]
+        r, rbar = sys.reflections
         for n in range(1, 7):
-            lev = sys.level(n)
             lhs = i0[n + 1] * i0[n - 1] / i0[n] ** 2
-            assert abs(lhs - (1 - lev.r * lev.rbar)) < 1e-9
+            assert abs(lhs - (1 - r[n] * rbar[n])) < 1e-9
 
 
 class TestCaratheodory:
