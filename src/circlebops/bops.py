@@ -134,14 +134,6 @@ def eval_poly(sys: BopsSystem, n: int, z, which: Family = "phi"):
     return polyval(sys.families[which][n, : n + 1], z)
 
 
-def eval_levels(sys: BopsSystem, z, which: Family = "phi") -> np.ndarray:
-    """Every level n = 0..N of one family at every point of z, shape
-    (N+1, *z.shape), in one Horner pass over the family's zero-padded
-    coefficient matrix.  Leading zeros leave Horner's steps unchanged: row n
-    is eval_poly(sys, n, z, which)."""
-    return polyval(sys.families[which].T, z)
-
-
 def _gram_levels(tbl: MomentTable, nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """kappa and the zero-padded phi, phibar rows of levels 0..nmax: level n
     solves the leading (n+1)-block of one Toeplitz matrix and its transpose."""

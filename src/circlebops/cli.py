@@ -4,7 +4,8 @@ Subcommands: moments, build, assoc, coeffs, verify-all, rhp-check, deform,
 heine-check.  The flag form ``--cmd NAME`` is accepted as an alias for the
 subcommand.  Exit codes: 0 = all identity suites pass, 1 = an identity
 failed (the report names it), 2 = structural error (validation, existence,
-quadrature, malformed input).
+quadrature, malformed input, a negative --n or --seed, a --tol that is not
+positive and finite).
 
 All randomness is drawn from --seed, and reports carry no timestamps, so a
 fixed configuration produces byte-identical report files.
@@ -317,9 +318,9 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
     n = args.n
     report = IdentityReport(f"Schlesinger flow at n={n}")
 
-    initial, bundle0 = moment_rebuild(traj, traj.t0, n, args.quad_points, args.tol)
+    initial, bundle0 = moment_rebuild(traj, traj.t0, n, args.quad_points)
     times, flow = integrate_flow(initial.pack(), traj, (traj.t0, traj.t1), args.steps)
-    final_rebuild, _ = moment_rebuild(traj, traj.t1, n, args.quad_points, args.tol)
+    final_rebuild, bundle1 = moment_rebuild(traj, traj.t1, n, args.quad_points)
     gap = state_gap(flow[-1], final_rebuild.pack())
     report.add(
         "flow_vs_moment_rebuild",
@@ -352,6 +353,13 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
         1e-7 * args.tol,
         n=n,
     )
+    # the gates of both rebuilds: their quadruples' out-of-band ratios and
+    # their residue sums against the closed form at infinity (NaN fails)
+    fit = [r for b in (bundle0, bundle1) for q in b.quads.values() for r in q.fit_residuals.values()]
+    report.add("degree_certification", "are polynomials in z of bounded degree",
+               np.max(fit), 1e-7 * args.tol, n=n)
+    report.add("residue_at_infinity", "the regular singularity at infinity",
+               np.max([initial.consistency, final_rebuild.consistency]), 1e-7 * args.tol, n=n)
 
     # t, then kappa, r, rbar and the entries of A_1..A_m, each as (re, im)
     m = weight.m
@@ -477,9 +485,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.n < 0:
-        print(f"error: argument --n: a level must be >= 0, got {args.n}", file=sys.stderr)
-        return 2
+    for flag, ok, rule in (
+        ("n", args.n >= 0, "a level must be >= 0"),
+        ("seed", args.seed >= 0, "a seed must be >= 0"),
+        ("tol", 0 < args.tol < float("inf"), "a tolerance scale must be positive and finite"),
+    ):
+        if not ok:
+            print(f"error: argument --{flag}: {rule}, got {getattr(args, flag)}", file=sys.stderr)
+            return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

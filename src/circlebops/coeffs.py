@@ -58,7 +58,7 @@ import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
-from .config import FIT_TOL, IDENTITY_TOL
+from .config import IDENTITY_TOL
 from .errors import (
     DegenerateLevelError,
     NotSemiClassicalError,
@@ -122,7 +122,6 @@ def compute_coeff_quad(
     vw: PolyPair,
     n: int,
     weight: SemiClassicalWeight,
-    tol_scale: float = 1.0,
 ) -> CoeffQuad:
     """Read the quadruple at level n off exact truncated series of its
     defining combinations: Theta_n / Omega_n are the orders n..n+m-2 /
@@ -134,12 +133,11 @@ def compute_coeff_quad(
     bilinear residue bilres_j at z_3 = 3 reads 3e-11 from it and 4e-7 from a
     Taylor read at 0.  Every order of each series below its band and the two
     above it must vanish; their size against the band is the out-of-band
-    ratio kept in ``fit_residuals``.  Raises NotSemiClassicalError for a
-    weight outside the strict regular semi-classical class,
-    DegenerateLevelError when a reflection-coefficient prefactor vanishes,
-    NotSemiClassicalError when an out-of-band ratio exceeds
-    FIT_TOL * tol_scale, and WindowError when the series needs moments beyond
-    the table."""
+    ratio kept in ``fit_residuals``, which `verify_expansion_forms` gates as
+    degree_certification.  Raises NotSemiClassicalError for a weight outside
+    the strict regular semi-classical class, DegenerateLevelError when
+    phi_{n+1}(0) or phibar_{n+1}(0), a prefactor divided by, is exactly 0,
+    and WindowError when the series needs moments beyond the table."""
     if not is_strict_semiclassical(weight):
         raise NotSemiClassicalError(
             "coefficient functions are defined for strict regular "
@@ -148,10 +146,10 @@ def compute_coeff_quad(
     m = vw.degree
     sys.require(n, n + 1)
     kappa, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
-    if abs(p0[n + 1]) < 1e-13 * max(1.0, abs(kappa[n + 1])):
-        raise DegenerateLevelError(f"phi_{n + 1}(0) ~ 0: Theta_{n}/Omega_{n} prefactor vanishes")
-    if abs(pb0[n + 1]) < 1e-13 * max(1.0, abs(kappa[n + 1])):
-        raise DegenerateLevelError(f"phibar_{n + 1}(0) ~ 0: starred prefactor vanishes")
+    if p0[n + 1] == 0:
+        raise DegenerateLevelError(f"phi_{n + 1}(0) = 0: Theta_{n}/Omega_{n} prefactor vanishes")
+    if pb0[n + 1] == 0:
+        raise DegenerateLevelError(f"phibar_{n + 1}(0) = 0: starred prefactor vanishes")
     c_n, c_p = sys.phi[n, : n + 1], sys.phi[n + 1, : n + 2]
     cbar_n, cbar_p = sys.phibar[n, : n + 1], sys.phibar[n + 1, : n + 2]
 
@@ -191,18 +189,11 @@ def compute_coeff_quad(
         ("omega", omega, n, n + m - 1, pref, 1),
         ("omegastar", omegastar, n + 1, n + m, pref_star, -1),
     )
-    fit_tol = FIT_TOL * tol_scale
     members = {}
     ratios = {}
     for name, series, lo, hi, scale, direction in plan:
-        band, ratio = series_band(series, lo, hi)
-        if ratio > fit_tol:
-            raise NotSemiClassicalError(
-                f"{name}_{n} out-of-band ratio {ratio:.3e} exceeds {fit_tol:.1e}; "
-                "defining combination is not a polynomial of the stated degree"
-            )
+        band, ratios[name] = series_band(series, lo, hi)
         members[name] = band[::direction] / scale
-        ratios[name] = ratio
     return CoeffQuad(n=n, fit_residuals=ratios, **members)
 
 
@@ -311,10 +302,11 @@ def verify_expansion_forms(
     ns: Sequence[int],
     tol: float = 1e-6,
 ) -> IdentityReport:
-    """Coefficients against every closed leading/trailing form, plus the
-    largest out-of-band ratio of each quadruple as its degree certificate,
-    gated at a tenth of ``tol``.  Each form is one row family over the
-    levels it holds at, formed once for all of them; entries level by level."""
+    """Coefficients against every closed leading/trailing form at the levels
+    of ``ns``, plus the largest out-of-band ratio of every quadruple in
+    ``quads`` as its degree certificate, gated at a tenth of ``tol``.  Each
+    form is one row family over the levels it holds at, formed once for all
+    of them; entries level by level."""
     rep = IdentityReport("coefficient-function expansion closed forms")
     levels = np.asarray(ns, dtype=int)
     members = np.reshape([quads[n].members for n in levels.tolist()], (len(levels), weight.m, 4))
@@ -327,15 +319,15 @@ def verify_expansion_forms(
             coeffs = members[at, :, j]
             mismatch = coeffs[:, order] - np.broadcast_to(want, levels.shape)[at]
             groups.append(([(f"{name}_{block}_z{order}", anchor, mismatch, coeffs)], tol, levels[at],
-                           f"z^{order}", at))
+                           f"z^{order}", levels[at]))
     om0 = quad_values(quads, levels, 0.0)[:, 2]
-    fit = np.array([max(quads[n].fit_residuals.values()) for n in levels.tolist()], dtype=float)
-    groups.append(([
-        ("omega_at_origin", "does not lead to any new independent relation",
-         om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0),
-        ("degree_certification", "are polynomials in z of bounded degree", fit),
-    ], [tol, 1e-7 * (tol / 1e-6)], levels, None))
-    rep.add_groups(groups)
+    groups.append(([("omega_at_origin", "does not lead to any new independent relation",
+                     om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0)], tol, levels, None, levels))
+    built = sorted(quads)
+    fit = np.max([list(quads[n].fit_residuals.values()) for n in built], axis=1)  # NaN fails
+    groups.append(([("degree_certification", "are polynomials in z of bounded degree", fit)],
+                   1e-7 * (tol / 1e-6), built, None, built))
+    rep.add_groups(groups)  # each group's positions are its levels
     return rep
 
 

@@ -117,6 +117,7 @@ class DeformState:
     kappa: complex
     r: complex
     rbar: complex
+    consistency: float = 0.0  # of a rebuilt state: `ResidueSet.consistency`
 
     def pack(self) -> np.ndarray:
         return np.concatenate(
@@ -129,19 +130,16 @@ def moment_rebuild(
     t: float,
     n: int,
     quad_points: int = QUAD_POINTS,
-    tol_scale: float = 1.0,
 ) -> tuple[DeformState, Bundle]:
     """Full from-scratch construction of the deformation state at time t
-    (the independent oracle for flowed states).  ``tol_scale`` scales the
-    construction's gates: the quadruple and U reads and the residue sum."""
+    (the independent oracle for flowed states).  Nothing here is gated: the
+    state carries its residue sum's ``consistency`` and the bundle its
+    quadruples' out-of-band ratios, and `deform` reports both."""
     weight = traj.weight_at(t)
     bundle = build_bundle(
-        weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,),
-        quad_points=quad_points, tol_scale=tol_scale,
+        weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,), quad_points=quad_points
     )
-    res = assemble_residues(
-        bundle.quads[n], bundle.vw, bundle.sys, n, weight, tol=1e-7 * tol_scale
-    )
+    res = assemble_residues(bundle.quads[n], bundle.vw, bundle.sys, n, weight)
     r, rbar = bundle.sys.reflections
     state = DeformState(
         t=t,
@@ -151,6 +149,7 @@ def moment_rebuild(
         kappa=complex(bundle.sys.kappas[n]),
         r=complex(r[n]),
         rbar=complex(rbar[n]),
+        consistency=float(res.consistency),
     )
     return state, bundle
 
@@ -431,15 +430,6 @@ def integrate_flow(
     plan, table = _flow_table(traj, np.array(times), (len(y0) - 7) // 4)
     _rk4(_kernel(plan)[1], states[0], table, times, states)
     return np.array(times[::2]), np.array(states)
-
-
-def flow_endpoint(y0: np.ndarray, traj, t_span: tuple[float, float], steps: int) -> np.ndarray:
-    """The packed state integrate_flow reaches at t_span[1], from the same
-    table and loop, without keeping the states on the way."""
-    times = _rk4_times(t_span, steps)
-    plan, table = _flow_table(traj, np.array(times), (len(y0) - 7) // 4)
-    y = _rk4(_kernel(plan)[1], np.asarray(y0, dtype=complex).tolist(), table, times, None)
-    return np.array(y)
 
 
 def state_gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -90,21 +90,26 @@ def k_matrix(sys: BopsSystem, n, z) -> np.ndarray:
     return _mat(kp * zs, p1, pb1 * zs, kp) / np.asarray(kn)[..., None, None]
 
 
-def a_matrix(values, v, w, sys: BopsSystem, n, zs: np.ndarray) -> np.ndarray:
-    """A_n(z) = (W A)/W with the coefficient-function parameterisation, from
-    the quadruple's values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs
-    (`CoeffQuad.evaluate`) and those of V and W, at the level n or at each
-    level of an array n (values stacked first)."""
+def _wa_matrix(values, v, sys: BopsSystem, n, zs: np.ndarray) -> np.ndarray:
+    """W A_n over zs in the coefficient-function parameterisation, from the
+    quadruple's values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs
+    (`CoeffQuad.evaluate`) and V's, at the level n or at each level of an
+    array n (values stacked first)."""
     kn, kp, p1, pb1 = _level_columns(sys, n, np.ndim(zs))
     th, ths, om, oms = values
     ratio = kp / kn
-    mat = _mat(
+    return _mat(
         -(om + v) + ratio * zs * th,
         p1 / kn * th,
         -pb1 / kn * zs * ths,
         oms - v - ratio * ths,
     )
-    return mat / w[..., None, None]
+
+
+def a_matrix(values, v, w, sys: BopsSystem, n, zs: np.ndarray) -> np.ndarray:
+    """A_n(z) = (W A)/W (`_wa_matrix`) from the quadruple's values at zs and
+    those of V and W, at the level n or at each level of an array n."""
+    return _wa_matrix(values, v, sys, n, zs) / w[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -125,15 +130,15 @@ def assemble_residues(
     sys: BopsSystem,
     n,
     weight: SemiClassicalWeight,
-    tol: float = 1e-7,
 ) -> ResidueSet:
     """A_{nj} = rho_j / (2 V(z_j)) * [W A_n](z_j) for j >= 2, the special
     upper-triangular form at the origin, and the residue at infinity both as
     -sum_j A_{nj} and in its closed form [[-n, 0], [-(n+sum rho) rbar_n,
-    sum rho]]; the two must agree entrywise.  ``quad`` is the quadruple of
-    the level n, or with an array n the quadruples by level: every field
-    then carries n's axes first, all levels and singular points formed at
-    once from the level scalars read off the store."""
+    sum rho]]; their entrywise gap over max(1, n) is ``consistency``, which
+    the matrix suite and `deform` gate as residue_at_infinity.  ``quad`` is
+    the quadruple of the level n, or with an array n the quadruples by
+    level: every field then carries n's axes first, all levels and singular
+    points formed at once from the level scalars read off the store."""
     levels = np.asarray(n)
     flat = levels.reshape(-1)
     locs, rho = weight.locations, weight.exponents
@@ -144,31 +149,21 @@ def assemble_residues(
     if small.any():
         j = int(np.argmax(small))
         raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {weight.singularities[j].location}")
-    # once at every level and every z_j: (level, z_j) each
-    th, ths, om, oms = quad_values(quad if levels.ndim else {n: quad}, flat, locs).transpose(1, 0, 2)
+    # once at every level and every z_j: (member, level, z_j)
+    values = quad_values(quad if levels.ndim else {n: quad}, flat, locs).transpose(1, 0, 2)
     r, rbar = (c[flat] for c in sys.reflections)
     w1 = vw.w_deriv(0.0)
     v0 = vw.v_eval(0.0)
     top = flat * w1 - 2.0 * v0
     origin = rho[0] / (2.0 * v0) * _mat(top, -top * r, 0.0, 0.0)
-    kn, kp, p1, pb1 = _level_columns(sys, flat, 1)
-    ratio, zj, vj = kp / kn, locs[1:], v[1:]
-    others = (rho[1:] / (2.0 * vj))[:, None, None] * _mat(
-        -(om[:, 1:] + vj) + ratio * zj * th[:, 1:],
-        p1 / kn * th[:, 1:],
-        -pb1 / kn * zj * ths[:, 1:],
-        oms[:, 1:] - vj - ratio * ths[:, 1:],
+    others = (rho[1:] / (2.0 * v[1:]))[:, None, None] * _wa_matrix(
+        values[..., 1:], v[1:], sys, flat, locs[1:]
     )
     a = np.concatenate([origin[:, None], others], axis=1)
     a_inf = -a.sum(axis=1)
     sum_rho = weight.exponent_sum
     a_inf_closed = _mat(-flat, 0.0, -(flat + sum_rho) * rbar, sum_rho)
     consistency = np.abs(a_inf - a_inf_closed).max(axis=(1, 2)) / np.maximum(1.0, flat)
-    if np.any(consistency > tol):
-        raise SingularResidueError(
-            f"residue sum -sum A_j deviates from the closed form at infinity "
-            f"by {consistency[np.argmax(consistency > tol)]:.3e}"
-        )
     shape = levels.shape
     return ResidueSet(n=n, a=a.reshape(shape + a.shape[1:]), a_inf=a_inf.reshape(shape + (2, 2)),
                       a_inf_closed=a_inf_closed.reshape(shape + (2, 2)),
@@ -304,7 +299,7 @@ def verify_matrix_system(
     # residues: coefficient-function form vs rank-one bilinear form; the
     # determinant over max|A_nj|^2, the trace against its target (n - rho_0
     # at the origin)
-    res = assemble_residues(quads, vw, sys, levels, weight, tol=residue_tol)
+    res = assemble_residues(quads, vw, sys, levels, weight)
     a_j = res.a[:, 1:]
     wants = weight.exponents - n * (np.arange(weight.m) == 0)
     # four summation identities, read off the residue matrices: the sums

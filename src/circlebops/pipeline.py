@@ -56,8 +56,9 @@ def build_bundle(
     recover_u_poly: bool = False,
 ) -> Bundle:
     """Build levels 0..nmax (plus the moment table when given a weight) and,
-    for strict weights, the requested coefficient-function quadruples;
-    ``tol_scale`` scales the fit gates of the quadruples and of U."""
+    for strict weights, the requested coefficient-function quadruples, whose
+    out-of-band ratios the reports gate; ``tol_scale`` scales the fit gate
+    of U, the one gate a bundle checks itself."""
     table = moment_table(source, nmax, quad_points)
     weight = None if isinstance(source, MomentTable) else source
     sys = build_system(table, nmax)
@@ -68,9 +69,7 @@ def build_bundle(
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
             for n in sorted(set(int(n) for n in quad_ns)):
-                bundle.quads[n] = compute_coeff_quad(
-                    sys, asys, bundle.vw, n, weight=weight, tol_scale=tol_scale
-                )
+                bundle.quads[n] = compute_coeff_quad(sys, asys, bundle.vw, n, weight=weight)
             if recover_u_poly:
                 bundle.u_poly = recover_u(weight, asys.F, bundle.vw, tol_scale)[0]
     return bundle

@@ -33,7 +33,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from circlebops.assoc import AssocSystem
-from circlebops.bops import BopsSystem, _monomial_residuals, eval_levels, eval_poly
+from circlebops.bops import BopsSystem, _monomial_residuals, eval_poly
 from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
@@ -53,7 +53,7 @@ from circlebops.moments import (
     compute_moments,
     toeplitz_det,
 )
-from circlebops.numerics import principal_sqrt, rel_residuals
+from circlebops.numerics import polyval, principal_sqrt, rel_residuals
 from circlebops.report import IdentityReport
 from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
 
@@ -444,8 +444,8 @@ def orthonormality_quadrature(sys: BopsSystem, wfun, points: int = 4096) -> np.n
     theta = 2.0 * np.pi * np.arange(points) / points
     zeta = np.exp(1j * theta)
     wv = np.asarray(wfun(zeta), dtype=complex)
-    phis = eval_levels(sys, zeta)
-    phibars = eval_levels(sys, 1.0 / zeta, "phibar")
+    phis = polyval(sys.families["phi"].T, zeta)
+    phibars = polyval(sys.families["phibar"].T, 1.0 / zeta)
     return (phis * wv[None, :]) @ phibars.T / points
 
 

@@ -6,7 +6,6 @@ import pytest
 from circlebops.bops import (
     BopsSystem,
     build_system,
-    eval_levels,
     eval_poly,
     orthonormality_matrix,
     verify_scalar_identities,
@@ -182,12 +181,6 @@ def level32(request, strict):
 
 
 class TestLevelStack:
-    def test_eval_levels_is_eval_poly_per_level(self, level32):
-        z = np.array([[0.45j, -0.3 + 0.2j, 1.0], [2.3, -1.7 - 1.1j, 0.9 + 0.5j]])
-        for which in FAMILIES:
-            rows = np.array([eval_poly(level32, n, z, which) for n in range(33)])
-            assert np.array_equal(eval_levels(level32, z, which), rows), which
-
     def test_identity_web_entries_by_level(self, level32):
         # the last pair has z * zetabar = 1 and leaves the Christoffel-Darboux sums
         samples = sample_pairs() + [(0.5, 2.0)]

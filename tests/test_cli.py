@@ -204,6 +204,18 @@ class TestExitCodes:
         assert "--n" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1"),
+    ])
+    @pytest.mark.parametrize("command", ["build", "verify-all"])
+    def test_bad_tolerance_or_seed_exits_two(self, tmp_path, capsys, command, flag, value):
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        argv = [command, "--weight", weight, "--n", "2", flag, value, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_coeffs_on_relaxed_weight_exits_two(self, tmp_path):
         weight = write(tmp_path, "w.json", LAURENT_SPEC)
         assert main(["coeffs", "--weight", weight, "--out", str(tmp_path)]) == 2
@@ -409,13 +421,13 @@ class TestOneBundle:
             return real(w, window, quad_points)
 
         monkeypatch.setattr(pipeline, "compute_moments", moments)
-        real_quad = pipeline.compute_coeff_quad
+        real_u = pipeline.recover_u
 
-        def coeff_quad(*args, tol_scale, **kwargs):
+        def recover_u(weight, f, vw, tol_scale):
             scales.append(tol_scale)
-            return real_quad(*args, tol_scale=tol_scale, **kwargs)
+            return real_u(weight, f, vw, tol_scale)
 
-        monkeypatch.setattr(pipeline, "compute_coeff_quad", coeff_quad)
+        monkeypatch.setattr(pipeline, "recover_u", recover_u)
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         traj = write(tmp_path, "t.json", TRAJ_SPEC)
         argv = ["--weight", weight, "--n", "2", "--quad-points", "512", "--tol", "2"]

@@ -115,14 +115,18 @@ class TestConstruction:
 
     def test_inconsistent_vw_refused_out_of_band(self, strict):
         # (V, W) of another weight than the moments: the defining
-        # combinations are not polynomials, so orders outside the band survive
+        # combinations are not polynomials, so orders outside the band
+        # survive, and the degree certificate fails far above its gate
         other = SemiClassicalWeight(
             (Singularity(0, -1), Singularity(2.5, 0.5), Singularity(3, 1.0 / 3.0))
         )
-        with pytest.raises(NotSemiClassicalError, match="out-of-band ratio"):
-            compute_coeff_quad(
-                strict["sys"], strict["asys"], build_vw(other), 2, weight=strict["weight"]
-            )
+        vw = build_vw(other)
+        quad = compute_coeff_quad(strict["sys"], strict["asys"], vw, 2, weight=strict["weight"])
+        assert max(quad.fit_residuals.values()) > 1e6 * 1e-7
+        rep = verify_expansion_forms({2: quad}, strict["sys"], vw, strict["weight"], [2])
+        (entry,) = [e for e in rep.entries if e.name == "degree_certification"]
+        assert entry.n == 2 and entry.tol == 1e-7 and not entry.passed
+        assert entry.residual == max(quad.fit_residuals.values())
 
     def test_window_error(self, strict):
         # orders up to n + m + 3 of F are needed: 5 + 3 + 3 > 8
@@ -327,7 +331,8 @@ class TestLevelAxis:
             for row in [(name, n, f"z^{name[-1]}") for name, lowest in forms if n >= lowest]
             + [("omega_at_origin", n, None), ("degree_certification", n, None)]
         ]
-        assert [(e.name, e.n, e.where) for e in rep.entries] == want
+        # every quadruple built is certified: level 5 has no forms here
+        assert [(e.name, e.n, e.where) for e in rep.entries] == want + [("degree_certification", 5, None)]
 
 
 class TestSpectralDerivatives:

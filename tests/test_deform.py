@@ -13,7 +13,6 @@ from circlebops.deform import (
     LinearTrajectory,
     deformation_rates,
     flow_convergence,
-    flow_endpoint,
     flow_invariants,
     integrate_flow,
     moment_rebuild,
@@ -272,7 +271,7 @@ class TestFlow:
         for steps in (16, 64, 256):
             conv = flow_convergence(*integrate_flow(y0, traj, span, steps), traj)
             s = conv["steps"]
-            ends = {k: flow_endpoint(y0, traj, span, k) for k in (s // 2, s, 2 * s, 4 * s, steps) if k}
+            ends = {k: integrate_flow(y0, traj, span, k)[1][-1] for k in (s // 2, s, 2 * s, 4 * s, steps) if k}
 
             def change(k):
                 return np.max(np.abs(ends[k] - ends[2 * k]))
@@ -415,9 +414,8 @@ class TestFlowKernel:
             traj = StartingTraj(strict_weight_module, [0, 1.0, 0])
         else:
             y0 = 1e200 * y0
-        for flow in (integrate_flow, flow_endpoint):
-            with pytest.raises(error, match=message):
-                flow(y0, traj, (0.0, 0.1), 16)
+        with pytest.raises(error, match=message):
+            integrate_flow(y0, traj, (0.0, 0.1), 16)
 
     def test_each_plan_compiles_once(self, strict_weight_module, start, monkeypatch):
         # the flow, every rung of its Richardson ladder and the right-hand
@@ -478,12 +476,6 @@ class TestFlowKernel:
         )
         env = {**os.environ, "PYTHONPATH": str(Path(deform.__file__).parents[1])}
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
-
-    @pytest.mark.parametrize("steps", [1, 2, 16, 64])
-    def test_endpoint_is_flow_endpoint(self, five, steps):
-        traj, state = five
-        end = flow_endpoint(state.pack(), traj, (0.0, 0.1), steps)
-        assert np.array_equal(end, integrate_flow(state.pack(), traj, (0.0, 0.1), steps)[1][-1])
 
     def test_invariants_match_per_state_loop(self, traj, start):
         state, _ = start

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from circlebops import pipeline
 from circlebops.assoc import AssocSystem
+from circlebops.cli import main
 from circlebops.deform import LinearTrajectory, moment_rebuild
 from circlebops.errors import SingularResidueError
 from circlebops.lax import (
@@ -16,7 +18,7 @@ from circlebops.lax import (
     verify_matrix_system,
 )
 
-from conftest import close, laurent_callable
+from conftest import STRICT_SPEC, close, laurent_callable
 from oracles import laurent_coefficients, y_matrix
 
 SAMPLES = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
@@ -107,26 +109,26 @@ def omega_nudge(strict, n, gap=1.5e-7):
     def nudged(delta):
         return dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)
 
-    delta = gap * 1e-6 / assemble_residues(nudged(1e-6), *args, tol=1.0).consistency
-    assert 1e-7 < assemble_residues(nudged(delta), *args, tol=1.0).consistency < 2e-7
+    delta = gap * 1e-6 / assemble_residues(nudged(1e-6), *args).consistency
+    assert 1e-7 < assemble_residues(nudged(delta), *args).consistency < 2e-7
     return delta, nudged(delta)
 
 
 class TestResidueGateScale:
-    """The residue-sum gate of the construction is 1e-7 times --tol."""
+    """residue_at_infinity, the residue-sum gate, is 1e-7 times --tol."""
 
     def test_matrix_suite(self, strict):
         n = 2
         _, quad = omega_nudge(strict, n)
         args = (strict["sys"], strict["asys"], {**strict["quads"], n: quad}, strict["vw"],
                 strict["weight"], [n], SAMPLES)
-        with pytest.raises(SingularResidueError, match="residue sum"):
-            verify_matrix_system(*args)
-        rep = verify_matrix_system(*args, tol_scale=2.0)
-        entry = next(e for e in rep.entries if e.name == "residue_at_infinity")
-        assert 1e-7 < entry.residual < 2e-7 and entry.passed
+        for scale, passed in ((1.0, False), (2.0, True)):
+            rep = verify_matrix_system(*args, tol_scale=scale)
+            (entry,) = [e for e in rep.entries if e.name == "residue_at_infinity"]
+            assert 1e-7 < entry.residual < 2e-7 and entry.passed == passed
 
-    def test_moment_rebuild(self, strict, monkeypatch):
+    def test_moment_rebuild(self, strict, monkeypatch, tmp_path):
+        # deform reports the worst residue sum of its two rebuilds
         n = 2
         delta, _ = omega_nudge(strict, n)
         build = pipeline.compute_coeff_quad
@@ -138,11 +140,18 @@ class TestResidueGateScale:
             return dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)
 
         monkeypatch.setattr(pipeline, "compute_coeff_quad", nudged_quad)
-        traj = LinearTrajectory(strict["weight"], moving=1, target=2.1, t0=0.0, t1=0.1)
-        with pytest.raises(SingularResidueError, match="residue sum"):
-            moment_rebuild(traj, 0.0, n)
-        state, _ = moment_rebuild(traj, 0.0, n, tol_scale=2.0)
-        assert state.n == n
+        traj = LinearTrajectory(strict["weight"], moving=1, target=2.001, t0=0.0, t1=0.1)
+        state, _ = moment_rebuild(traj, 0.0, n)
+        assert 1e-7 < state.consistency < 2e-7
+        (tmp_path / "w.json").write_text(json.dumps(STRICT_SPEC))
+        (tmp_path / "t.json").write_text(json.dumps({"j": 2, "to": [2.001, 0], "t1": 0.1}))
+        for scale, passed in (("1", False), ("2", True)):
+            out = tmp_path / scale
+            main(["deform", "--weight", str(tmp_path / "w.json"), "--trajectory", str(tmp_path / "t.json"),
+                  "--n", str(n), "--steps", "16", "--tol", scale, "--out", str(out)])
+            entries = json.loads((out / "deform_report.json").read_text())["entries"]
+            (entry,) = [e for e in entries if e["name"] == "residue_at_infinity"]
+            assert 1e-7 < entry["residual"] < 2e-7 and entry["passed"] == passed and entry["n"] == n
 
 
 class TestMatrixSystems:

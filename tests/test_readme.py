@@ -60,17 +60,20 @@ def ceiling_rows():
     return ROW.findall(table)
 
 
+CELLS = pytest.mark.parametrize(
+    "weight, command, level, entry",
+    ceiling_rows(),
+    ids=[f"{weight.replace(' = ', '')}-{command}" for weight, command, _, _ in ceiling_rows()],
+)
+
+
 def test_ceiling_table_covers_every_weight_and_command():
     cells = {(weight, command) for weight, command, _, _ in ceiling_rows()}
     commands = ("build", "coeffs", "rhp-check", "verify-all")
     assert cells == {(weight, command) for weight in SPECS for command in commands}
 
 
-@pytest.mark.parametrize(
-    "weight, command, level, entry",
-    ceiling_rows(),
-    ids=[f"{weight.replace(' = ', '')}-{command}" for weight, command, _, _ in ceiling_rows()],
-)
+@CELLS
 def test_ceiling_table_row(weight, command, level, entry, tmp_path):
     # the command exits 0 at its ceiling, and 1 one level up with the named
     # entry among the failures
@@ -86,3 +89,18 @@ def test_ceiling_table_row(weight, command, level, entry, tmp_path):
         if not e["passed"]
     }
     assert entry in failed, failed
+
+
+@CELLS
+def test_above_the_ceiling_exits_one(weight, command, level, entry, tmp_path):
+    # an accuracy wall is a failed identity, never a structural error: every
+    # fourth level from one above the ceiling through 40 exits 1, with a
+    # failing entry in the files it writes
+    spec = tmp_path / "weight.json"
+    spec.write_text(json.dumps(SPECS[weight]), encoding="utf-8")
+    for n in sorted({*range(int(level) + 1, 41, 4), 40}):
+        out = tmp_path / str(n)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--weight", str(spec), "--n", str(n), "--out", str(out)]) == 1, n
+        assert any(not e["passed"] for path in out.glob("*.json")
+                   for e in json.loads(path.read_text()).get("entries", [])), n
