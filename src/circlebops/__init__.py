@@ -6,7 +6,7 @@ Schlesinger deformation flows, each backed by independent verification
 oracles."""
 
 from .assoc import AssocSystem
-from .bops import BopsSystem, build_system, eval_poly
+from .bops import BopsSystem, build_system
 from .coeffs import CoeffQuad, compute_coeff_quad
 from .deform import (
     DeformState,
@@ -14,7 +14,6 @@ from .deform import (
     deformation_rates,
     integrate_flow,
     moment_rebuild,
-    schlesinger_rhs,
 )
 from .errors import (
     CircleBopsError,
@@ -72,14 +71,12 @@ __all__ = [
     "compute_moments",
     "compute_coeff_quad",
     "deformation_rates",
-    "eval_poly",
     "eval_weight",
     "heine_oracle",
     "integrate_flow",
     "moment_rebuild",
     "recover_u",
     "rhp_jump_check",
-    "schlesinger_rhs",
     "table_from_moments",
     "toeplitz_det",
     "validate_weight",

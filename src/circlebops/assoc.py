@@ -34,8 +34,12 @@ the level scalars read off the store as columns, with numpy arithmetic.
 
 Level ceiling: none of its own.  Against a 50-digit solve from the same
 moments the values are within 1e-13 relative at n = 8, 14, 20 and 22 on the
-flagship weight.  The orders that vanish carry the round-off of psi_n's
-coefficients, which sets the Riemann-Hilbert ceiling in `lax`.
+flagship weight, and on its factorised moments eps_n and eps*_n at n = 20
+and 22 are within 3.2e-14 of the exact weight's at inside points where
+psi_n and F phi_n cancel (the trapezoid's moments, accurate to about 5e-16
+absolute, put eps*_22 1.3e-6 off there).  The orders that vanish carry the
+round-off of psi_n's coefficients, which sets the Riemann-Hilbert ceiling
+in `lax`.
 """
 
 from __future__ import annotations

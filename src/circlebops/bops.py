@@ -16,7 +16,7 @@ so that e_n = I0_{n+1} / I0_n = 1 / kappa_n^2.  The recursion decides
 existence without a scale (1 - r_n rbar_n = I0_{n+1} I0_{n-1} / I0_n^2) and
 is the coefficientwise oracle of the Gram levels.  It is not the production
 route: levels built from it fail the orthonormality gate on the flagship
-weight from N = 19 (1.9e-9 against 1.9e-10 from the Gram solves).
+weight from N = 20 (1.8e-9 against 3.7e-10 from the Gram solves).
 
 One coefficient store per system: ``kappas`` and the zero-padded (N+1, N+1)
 matrices ``phi`` and ``phibar``, row n the ascending coefficients of level
@@ -30,16 +30,17 @@ same bytes: a run repeated, and ``prefix(n)`` against a build to n, bit for
 bit.
 
 Level ceiling: on the flagship weight the Gram levels pass the identity web
-through N = 21.  Above that, orthonormality and monomial orthogonality fail
-the 1e-9 gate because the double-precision coefficients grow (about 2.5e10
-at N = 32), whatever route computes them.
+through N = 21 (19 on the complex m = 4 and the inside-complex weights).
+Above that, orthonormality and monomial orthogonality fail the 1e-9 gate
+because the double-precision coefficients grow (about 2.5e10 at N = 32),
+whatever route computes them from moments accurate to their own size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,22 +117,12 @@ class BopsSystem:
                           self.phibar[size, size], log, self.deviations[size])
 
 
-Family = Literal["phi", "phistar", "phibar", "phibarstar"]
-
-
 def _reversed(stack: np.ndarray) -> np.ndarray:
     """Each level's polynomials reversed in its degree n, z^n p(1/z): order
     k of level n takes order n - k, for a stack (orders, columns, levels)."""
     k, n = np.indices((len(stack), stack.shape[-1]))
     flipped = np.take_along_axis(stack, np.abs(n - k)[:, None], axis=0)
     return np.where((k <= n)[:, None], flipped, 0.0)
-
-
-def eval_poly(sys: BopsSystem, n: int, z, which: Family = "phi"):
-    """Horner evaluation of phi_n, phi*_n, phibar_n or the reversed-bar
-    polynomial phibar*_n(z) = z^n phi_n(1/z)."""
-    sys.require(n)
-    return polyval(sys.families[which][n, : n + 1], z)
 
 
 def _gram_levels(tbl: MomentTable, nmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

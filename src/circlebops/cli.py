@@ -42,7 +42,14 @@ from .deform import (
 )
 from .errors import CircleBopsError, WeightValidationError
 from .lax import rhp_jump_check, verify_matrix_system
-from .moments import heine_oracle, table_from_moments, toeplitz_det, weight_from_table
+from .moments import (
+    QUAD_TOL,
+    compute_moments,
+    heine_oracle,
+    table_from_moments,
+    toeplitz_det,
+    weight_from_table,
+)
 from .numerics import circle_samples
 from .pipeline import build_bundle, moment_table
 from .report import SCHEMA, IdentityReport, _Text, dump_json
@@ -114,18 +121,16 @@ def _sample_points(args: argparse.Namespace, weight, count: int = 12):
 
 
 def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
-    """The one bundle of a run, built with the run's --quad-points and --tol:
-    levels 0..n+3 on a strict weight and 0..n+2 otherwise, so that a command
-    run alone builds the levels verify-all builds; with ``quads`` also the
-    quadruples 0..n+1 and U (what coeffs and the matrix suite read), which
-    need a strict weight."""
+    """The one bundle of a run: levels 0..n+3 on a strict weight and 0..n+2
+    otherwise, so that a command run alone builds the levels verify-all
+    builds; with ``quads`` also the quadruples 0..n+1 and U (what coeffs and
+    the matrix suite read), which need a strict weight."""
     strict = weight is not None and is_strict_semiclassical(weight)
     if quads and not strict:
         raise CircleBopsError("this pipeline needs a strict regular semi-classical weight")
     return build_bundle(
         weight if weight is not None else table, args.n + 2 + strict,
-        quad_ns=range(args.n + 2) if quads else (), quad_points=args.quad_points,
-        tol_scale=args.tol, recover_u_poly=quads,
+        quad_ns=range(args.n + 2) if quads else (),
     )
 
 
@@ -134,7 +139,7 @@ def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
 # ---------------------------------------------------------------------------
 
 def cmd_moments(args: argparse.Namespace, weight, table, out: Path):
-    tbl = moment_table(weight if weight is not None else table, args.n + 1, args.quad_points)
+    tbl = moment_table(weight if weight is not None else table, args.n + 1)
     _write_csv(
         out / "moments.csv",
         ["k", "re", "im"],
@@ -160,7 +165,7 @@ def _pairs(coeffs: np.ndarray) -> list:
 def _levels(args: argparse.Namespace, weight, table) -> BopsSystem:
     """Levels 0..n of a run: on the raw table, or on the weight's moments."""
     source = weight if table is None else table
-    return build_system(moment_table(source, args.n, args.quad_points), args.n)
+    return build_system(moment_table(source, args.n), args.n)
 
 
 def _dump_system(system: BopsSystem, path: Path) -> None:
@@ -185,10 +190,16 @@ def _dump_system(system: BopsSystem, path: Path) -> None:
 
 
 def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
-    """The build suite's files and report on the levels of ``system``."""
+    """The build suite's files and report on the levels of ``system``; on a
+    weight also the largest gap of its moments from the trapezoid's, the
+    rule started at --quad-points."""
+    report = verify_scalar_identities(system, _sample_pairs(args), tol=IDENTITY_TOL * args.tol)
     if weight is not None:
         dump_json(validate_weight(weight, strict=False).to_dict(), out / "validation_report.json")
-    report = verify_scalar_identities(system, _sample_pairs(args), tol=IDENTITY_TOL * args.tol)
+        table = system.table
+        oracle = compute_moments(weight, table.window, args.quad_points)
+        report.add("moments_vs_quadrature", "the trigonometric moments of the weight",
+                   np.max(np.abs(table.values - oracle.values)), QUAD_TOL * args.tol)
     _dump_system(system, out / "system.json")
     dump_json(report, out / "identity_report.json")
     return [report]
@@ -232,8 +243,7 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None
         ),
         verify_linear_relations(bundle.quads, bundle.vw, bundle.sys, samples, tol=1e-7 * tol),
         # the bilinear rows keep the 1e-6 budget the acceptance suite gives
-        # exact identities; they set the level ceiling of `coeffs` (see the
-        # coeffs module docstring)
+        # exact identities
         verify_bilinear(
             bundle.quads, bundle.vw, bundle.sys, bundle.asys, weight,
             u_poly=bundle.u_poly, ns=ns, tol=1e-6 * tol,
@@ -318,9 +328,9 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
     n = args.n
     report = IdentityReport(f"Schlesinger flow at n={n}")
 
-    initial, bundle0 = moment_rebuild(traj, traj.t0, n, args.quad_points)
+    initial, bundle0 = moment_rebuild(traj, traj.t0, n)
     times, flow = integrate_flow(initial.pack(), traj, (traj.t0, traj.t1), args.steps)
-    final_rebuild, bundle1 = moment_rebuild(traj, traj.t1, n, args.quad_points)
+    final_rebuild, bundle1 = moment_rebuild(traj, traj.t1, n)
     gap = state_gap(flow[-1], final_rebuild.pack())
     report.add(
         "flow_vs_moment_rebuild",
@@ -375,7 +385,7 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
 
 
 def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
-    tbl = moment_table(weight if weight is not None else table, 4, args.quad_points)
+    tbl = moment_table(weight if weight is not None else table, 4)
     wfun = weight if weight is not None else weight_from_table(tbl)
     report = IdentityReport("Heine-identity oracle")
     for n in (1, 2, 3):
@@ -459,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--steps", type=int, default=64, help="flow integration steps")
         p.add_argument(
-            "--quad-points", type=int, default=QUAD_POINTS, help="starting quadrature points"
+            "--quad-points", type=int, default=QUAD_POINTS,
+            help="starting points of the build suite's moment quadrature check"
         )
         p.add_argument("--trajectory", "--traj", dest="trajectory", default=None)
     return parser

@@ -39,13 +39,14 @@ The arithmetic is numpy's throughout; the same inputs give the same bytes,
 and `verify-all` writes the bytes of `coeffs` run alone.
 
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
-`coeffs` suite passes through --n 15, where the spectral derivative
-relations read at most 1.0e-10 against 1e-9; at --n 16 bilinear_d at z_2
-and z_3 reads 1.8e-6 and 1.3e-6 against 1e-6.  The inside-complex weight
-stops at the same entry (passes 15, 1.9e-6 at 16), the complex m = 4 weight
-at trace_reduction (passes 18, 1.3e-9 at 19).  `verify-all` passes
-through --n 7; at --n 8 it is stopped by the matrix system in lax
-(transfer_compatibility 3.3e-9 against 1e-9), not by this module.
+`coeffs` suite passes through --n 30, where the quadruples' out-of-band
+ratio (degree_certification) reads 4.0e-8 against 1e-7 and the next
+entry, bilres_j at z_3, 7.0e-10 against 1e-6; at --n 31 the ratio of the
+level-32 quadruple reads 1.1e-7.  The complex m = 4 weight stops at the
+same entry (passes 29, 1.6e-7 at 30), and so does the inside-complex
+weight (passes 30, 1.4e-7 at 31).  `verify-all` passes through --n 11; at
+--n 12 it is stopped by the matrix system in lax (transfer_compatibility
+1.1e-9 against 1e-9), not by this module.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ import numpy as np
 from .assoc import AssocSystem
 from .bops import BopsSystem
 from .coeffs import CoeffQuad
-from .config import QUAD_POINTS
 from .errors import FlowPatternError, SingularResidueError, WeightValidationError
 from .lax import assemble_residues
 from .pipeline import Bundle, build_bundle
@@ -125,20 +124,13 @@ class DeformState:
         )
 
 
-def moment_rebuild(
-    traj,
-    t: float,
-    n: int,
-    quad_points: int = QUAD_POINTS,
-) -> tuple[DeformState, Bundle]:
+def moment_rebuild(traj, t: float, n: int) -> tuple[DeformState, Bundle]:
     """Full from-scratch construction of the deformation state at time t
     (the independent oracle for flowed states).  Nothing here is gated: the
     state carries its residue sum's ``consistency`` and the bundle its
     quadruples' out-of-band ratios, and `deform` reports both."""
     weight = traj.weight_at(t)
-    bundle = build_bundle(
-        weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,), quad_points=quad_points
-    )
+    bundle = build_bundle(weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,))
     res = assemble_residues(bundle.quads[n], bundle.vw, bundle.sys, n, weight)
     r, rbar = bundle.sys.reflections
     state = DeformState(
@@ -247,18 +239,8 @@ def deformation_rates(
 
 
 # ---------------------------------------------------------------------------
-# Schlesinger right-hand side, closed over the state
+# Schlesinger right-hand side, closed over the state, compiled per plan
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SchlesingerRhs:
-    da: np.ndarray
-    da_inf: np.ndarray
-    kappadot: complex
-    rdot: complex
-    rbardot: complex
-    b_inf: np.ndarray
-
 
 def _flow_table(traj, times, m: int) -> tuple[tuple, list]:
     """The factors of the right-hand side that depend on t only, at each of
@@ -377,20 +359,6 @@ def _kernel(plan: tuple) -> tuple:
         exec(compile(source, "<schlesinger kernel>", "exec"), namespace)
         _KERNELS[plan] = namespace["rhs"], namespace["run"]
     return _KERNELS[plan]
-
-
-def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
-    """d(state)/dt.  B_inf and the scalar rates are read off the residue
-    matrices themselves: every bilinear residue sum entering them is, up to
-    zdot_j/z_j weights, a sum of A_j entries."""
-    m = len(state.a)
-    plan, (row,) = _flow_table(traj, t, m)
-    dy, kdot, b10 = _kernel(plan)[0](state.pack().tolist(), row)
-    b_inf = np.array([[kdot, 0.0], [b10, -kdot]], dtype=complex)
-    blocks = np.array(dy[: 4 * m + 4])
-    return SchlesingerRhs(
-        blocks[: 4 * m].reshape(m, 2, 2), blocks[4 * m :].reshape(2, 2), *dy[-3:], b_inf
-    )
 
 
 # ---------------------------------------------------------------------------

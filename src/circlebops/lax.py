@@ -40,16 +40,18 @@ origin's residue matrix.
 
 Level ceiling: the matrix system sets `verify-all`'s.  On the flagship
 weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
-passes at the identity tolerance 1e-9 through n = 7.
-transfer_compatibility is scaled by its O(1) result, while A_{n+1} K_n and
-K_n A_n cancel from about 5.7e4 at n = 10; on the flagship it reads
-8.1e-12 at n = 5, 5.1e-10 at n = 7 and 3.3e-9 at n = 8, a fail (5.9e-9 on
-the m = 4 weight).  xstar_derivative_system grows the same way (3.5e-11 at
-n = 5, 7.9e-9 at n = 10).  The Riemann-Hilbert suite passes the flagship
-through n = 22 (19 on the complex m = 4 weight): at n = 23
-rhp_order_12_at_zero reads 1.9e-9, since the orders of eps_n below
-z^(n-1) vanish only to the round-off of psi_n's coefficients, which double
-with each level (3.6e7 at n = 23).
+passes at the identity tolerance 1e-9 through n = 11 (7 on the
+inside-complex weight).  transfer_compatibility is scaled by its O(1)
+result, while A_{n+1} K_n and K_n A_n cancel from about 5.7e4 at n = 10;
+on the flagship it reads 8.0e-13 at n = 5, 7.1e-10 at n = 11 and 1.1e-9
+at n = 12, a fail (1.5e-9 on the m = 4 weight).  xstar_derivative_system
+reads 2.6e-12 at n = 10.  The Riemann-Hilbert suite passes the flagship
+through n = 21 (19 on the complex m = 4 weight, 20 on the inside-complex
+one): at n = 22 rhp_order_12_at_zero reads 1.2e-9, since the orders of
+eps_n below z^(n-1) vanish only to the round-off of psi_n's coefficients,
+which double with each level (3.6e7 at n = 23).  That entry is of the
+order of 2^-52 |r_n|, so whether a level near the wall passes is chance:
+level 22 read 9.3e-10 on the trapezoid's moments.
 """
 
 from __future__ import annotations

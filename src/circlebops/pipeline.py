@@ -16,8 +16,7 @@ import numpy as np
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
 from .coeffs import CoeffQuad, compute_coeff_quad
-from .config import QUAD_POINTS
-from .moments import MomentTable, compute_moments, recover_u, weight_from_table
+from .moments import MomentTable, factorised_moments, recover_u, weight_from_table
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
 
 
@@ -37,29 +36,23 @@ class Bundle:
         return weight_from_table(self.table)
 
 
-def moment_table(
-    source: SemiClassicalWeight | MomentTable, nmax: int, quad_points: int = QUAD_POINTS
-) -> MomentTable:
+def moment_table(source: SemiClassicalWeight | MomentTable, nmax: int) -> MomentTable:
     """The moment table a bundle of levels 0..nmax is built on: a raw table
-    as given, or a weight's moments on the window max(nmax + 2, 48)."""
+    as given, or a weight's factorised moments on the window
+    max(nmax + 2, 48)."""
     if isinstance(source, MomentTable):
         return source
-    return compute_moments(source, max(nmax + 2, 48), quad_points)
+    return factorised_moments(source, max(nmax + 2, 48))
 
 
 def build_bundle(
-    source: SemiClassicalWeight | MomentTable,
-    nmax: int,
-    quad_ns: Sequence[int] = (),
-    quad_points: int = QUAD_POINTS,
-    tol_scale: float = 1.0,
-    recover_u_poly: bool = False,
+    source: SemiClassicalWeight | MomentTable, nmax: int, quad_ns: Sequence[int] = ()
 ) -> Bundle:
     """Build levels 0..nmax (plus the moment table when given a weight) and,
-    for strict weights, the requested coefficient-function quadruples, whose
-    out-of-band ratios the reports gate; ``tol_scale`` scales the fit gate
-    of U, the one gate a bundle checks itself."""
-    table = moment_table(source, nmax, quad_points)
+    for strict weights, the requested coefficient-function quadruples, with
+    U when there are any.  Nothing is gated here: the reports gate the
+    quadruples' out-of-band ratios."""
+    table = moment_table(source, nmax)
     weight = None if isinstance(source, MomentTable) else source
     sys = build_system(table, nmax)
     asys = AssocSystem(sys)
@@ -70,6 +63,6 @@ def build_bundle(
         if is_strict_semiclassical(weight):
             for n in sorted(set(int(n) for n in quad_ns)):
                 bundle.quads[n] = compute_coeff_quad(sys, asys, bundle.vw, n, weight=weight)
-            if recover_u_poly:
-                bundle.u_poly = recover_u(weight, asys.F, bundle.vw, tol_scale)[0]
+            if bundle.quads:
+                bundle.u_poly = recover_u(weight, asys.F, bundle.vw)
     return bundle

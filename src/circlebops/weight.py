@@ -19,7 +19,10 @@ inside the disc sum to an integer:
 * outside factors (|z_j| >= 1):     (z - z_j)^rho = (-z_j)^rho (1 - z/z_j)^rho
   with principal powers, whose cut is the ray from z_j radially outward.
 
-Integer exponents are evaluated as exact powers with no cut.
+Integer exponents are evaluated as exact powers with no cut.  So w factors
+as w(z) = C z^S A(1/z) B(z), with A(u) = prod_inside (1 - z_j u)^rho_j,
+B(z) = prod_outside (1 - z/z_j)^rho_j and C = prod_outside (-z_j)^rho_j,
+the form `moments.factorised_moments` expands into the moments.
 """
 
 from __future__ import annotations
@@ -249,6 +252,19 @@ def _principal_power(base: complex, rho: complex) -> complex:
     return complex(np.power(base, rho))
 
 
+def origin_power(spec: SemiClassicalWeight) -> int:
+    """S, the integer sum of the inside exponents (the origin's included):
+    the power of z the inside factors contribute; BranchCutError when the
+    sum is not an integer, so the weight is not single-valued on the circle."""
+    s_in = spec.inside_exponent_sum
+    if not _is_int(s_in):
+        raise BranchCutError(
+            "weight is not single-valued on the circle: inside exponents sum "
+            f"to {s_in}, not an integer"
+        )
+    return int(round(s_in.real))
+
+
 def eval_weight(spec: SemiClassicalWeight, z):
     """Evaluate w(z) under the branch convention described in the module
     docstring.  Accepts scalars or arrays; raises PoleError at a singular
@@ -264,14 +280,7 @@ def eval_weight(spec: SemiClassicalWeight, z):
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
     out = np.ones(zs.shape, dtype=complex)
-
-    s_in = spec.inside_exponent_sum
-    if not _is_int(s_in):
-        raise BranchCutError(
-            "weight is not single-valued on the circle: inside exponents sum "
-            f"to {s_in}, not an integer"
-        )
-    k_in = int(round(s_in.real))
+    k_in = origin_power(spec)
 
     # exact hits on singular locations: pole or zero of the weight
     zero_mask = np.zeros(zs.shape, dtype=bool)

@@ -15,15 +15,11 @@ import pytest
 from circlebops.assoc import AssocSystem
 from circlebops.bops import build_system
 from circlebops.coeffs import compute_coeff_quad
-from circlebops.moments import (
-    CaratheodoryEvaluator,
-    compute_moments,
-    recover_u,
-    table_from_moments,
-)
+from circlebops.moments import CaratheodoryEvaluator, recover_u, table_from_moments
+from circlebops.pipeline import moment_table
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
-from oracles import exact_moments
+from oracles import exact_moments, u_reads
 
 
 def lebesgue_weight_relaxed() -> SemiClassicalWeight:
@@ -142,12 +138,12 @@ def strict():
         (Singularity(0, -1), Singularity(2, 0.5), Singularity(3, 1.0 / 3.0))
     )
     vw = build_vw(weight)
-    table = compute_moments(weight, 48)
+    table = moment_table(weight, 46)  # the production route, window 48
     sys = build_system(table, 7)
     asys = AssocSystem(sys)
     quads = {n: compute_coeff_quad(sys, asys, vw, n, weight=weight) for n in range(6)}
     f_eval = CaratheodoryEvaluator(table)
-    u_poly, u_info = recover_u(weight, f_eval, vw)
+    u_poly, u_info = recover_u(weight, f_eval, vw), u_reads(weight, f_eval, vw)
     return {
         "weight": weight,
         "vw": vw,

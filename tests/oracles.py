@@ -33,14 +33,15 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from circlebops.assoc import AssocSystem
-from circlebops.bops import BopsSystem, _monomial_residuals, eval_poly
+from circlebops.bops import BopsSystem, _monomial_residuals
 from circlebops.coeffs import CoeffQuad
 from circlebops.deform import (
     DeformState,
     RatesRecord,
+    _flow_table,
+    _kernel,
     deformation_rates,
     moment_rebuild,
-    schlesinger_rhs,
 )
 from circlebops.config import QUAD_POINTS
 from circlebops.errors import QuadratureError, SingularResidueError
@@ -53,7 +54,15 @@ from circlebops.moments import (
     compute_moments,
     toeplitz_det,
 )
-from circlebops.numerics import polyval, principal_sqrt, rel_residuals
+from circlebops.numerics import (
+    polyadd,
+    polyder,
+    polymul,
+    polyval,
+    principal_sqrt,
+    rel_residuals,
+    series_band,
+)
 from circlebops.report import IdentityReport
 from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
 
@@ -108,6 +117,31 @@ def weight_logderivative_rate(traj, t: float, z) -> np.ndarray:
         if zdot != 0:
             out = out - rho * zdot / (zs - zj)
     return out
+
+
+@dataclass(frozen=True)
+class SchlesingerRhs:
+    da: np.ndarray
+    da_inf: np.ndarray
+    kappadot: complex
+    rdot: complex
+    rbardot: complex
+    b_inf: np.ndarray
+
+
+def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
+    """d(state)/dt at one time from the flow kernel's compiled right-hand
+    side, unpacked into blocks.  B_inf and the scalar rates are read off the
+    residue matrices themselves: every bilinear residue sum entering them
+    is, up to zdot_j/z_j weights, a sum of A_j entries."""
+    m = len(state.a)
+    plan, (row,) = _flow_table(traj, t, m)
+    dy, kdot, b10 = _kernel(plan)[0](state.pack().tolist(), row)
+    b_inf = np.array([[kdot, 0.0], [b10, -kdot]], dtype=complex)
+    blocks = np.array(dy[: 4 * m + 4])
+    return SchlesingerRhs(
+        blocks[: 4 * m].reshape(m, 2, 2), blocks[4 * m :].reshape(2, 2), *dy[-3:], b_inf
+    )
 
 
 def schlesinger_component_check(
@@ -326,6 +360,31 @@ def caratheodory_quadrature(w, z: complex) -> complex:
     raise QuadratureError(abs(total - prev), points // 2)
 
 
+def u_reads(weight: SemiClassicalWeight, f: CaratheodoryEvaluator, vw: PolyPair) -> dict:
+    """U = W F' - 2 V F read off F's exact series on both sides: at z = 0
+    (orders 0..m-1, `moments.recover_u`'s read) and at infinity, from the
+    negative moments alone, as the same read for the reflected weight
+    w(1/u), whose F is -F outside and whose W F' - 2 V F is u^-m times U's
+    series, so that read comes reversed.  Each read's out-of-band ratio, and
+    the gap between the reads relative to the largest inside coefficient."""
+    m = weight.m
+
+    def read(pair, series, lo, hi):
+        product = polyadd(polymul(pair.W, polyder(series)), -2.0 * polymul(pair.V, series))
+        return series_band(product, lo, hi)
+
+    inside, res_in = read(vw, f.series(m + 3), 0, m - 1)
+    outside, res_out = read(vw.reflected(), -f.series(m + 3, side="outside"), 1, m)
+    scale = max(float(np.max(np.abs(inside))), 1e-30)
+    return {
+        "inside": inside,
+        "outside": outside[::-1],
+        "residual_inside": res_in,
+        "residual_outside": res_out,
+        "coefficient_agreement": float(np.max(np.abs(inside - outside[::-1]))) / scale,
+    }
+
+
 def caratheodory(f: CaratheodoryEvaluator, z, side: str | None = None, derivative: bool = False):
     """F (F' with ``derivative``) summed from its moment series over an array
     z (a scalar gives a complex): the inside series on |z| < 1, the outside
@@ -366,28 +425,47 @@ def eps_point_route(asys: AssocSystem, z, side: str | None = None, derivative: b
 
 def exact_moments(weight: SemiClassicalWeight, window: int, dps: int = 50) -> dict[int, mpmath.mpc]:
     """w_k for |k| <= window at ``dps`` digits, independent of the engine's
-    quadrature, for a weight z^-1 prod_j (z - z_j)^rho_j whose other
-    singularities all lie outside the disc.  On |z| < min |z_j| such a weight
-    is C z^-1 prod_j (1 - z/z_j)^rho_j, so w_k = C [u^(k+1)] prod_j
-    (1 - u/z_j)^rho_j (a product of binomial series) and w_k = 0 for k < -1.
-    The branch constant C is read off one evaluation of the engine's weight,
-    at z = 1, so every moment shares that value's one double rounding."""
-    origin, *outside = weight.singularities
-    if origin.location != 0 or origin.exponent != -1 or any(abs(s.location) <= 1 for s in outside):
-        raise ValueError("exact moments need z^-1 times factors singular outside the disc")
+    moment routes, from the factorisation of the `weight` docstring's
+    branch convention, w(z) = C z^S A(1/z) B(z) with A(u) = prod_inside
+    (1 - z_j u)^rho_j and B(z) = prod_outside (1 - z/z_j)^rho_j: w_k =
+    C sum_b A_b B_{k-S+b}, a correlation of two products of binomial series.
+    The sum runs until A's orders, which shrink like r^b for r the largest
+    inside |z_j|, have fallen by 10^-dps.  The branch constant C is read off
+    one evaluation of the engine's weight, at z = 1, over A(1) B(1), so
+    every moment shares that value's one double rounding.  ValueError when
+    the inside exponents do not sum to an integer."""
+    total = weight.inside_exponent_sum
+    if abs(total - round(total.real)) > 1e-9:
+        raise ValueError("exact moments need inside exponents that sum to an integer")
+    s = int(round(total.real))
     with mpmath.workdps(dps):
-        one = mpmath.mpc(1)
-        series, factor = [one] + [mpmath.mpc(0)] * (window + 1), one
-        for s in outside:
-            zj, rho = mpmath.mpc(s.location), mpmath.mpc(s.exponent)
-            binomial = [one]  # orders of (1 - u/z_j)^rho
-            for i in range(1, window + 2):
-                binomial.append(binomial[-1] * (i - 1 - rho) / (i * zj))
-            series = [mpmath.fsum(series[a] * binomial[i - a] for a in range(i + 1))
-                      for i in range(window + 2)]
-            factor *= (1 - 1 / zj) ** rho
+        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+        sings = [(mpmath.mpc(x.location), mpmath.mpc(x.exponent)) for x in weight.singularities
+                 if x.location != 0 and x.exponent != 0]
+        inside = [(z, rho) for z, rho in sings if abs(z) < 1]
+        outside = [(z, rho) for z, rho in sings if abs(z) >= 1]
+        radius = max((abs(z) for z, _ in inside), default=0)
+        tail = int(mpmath.ceil(dps * mpmath.log(10) / -mpmath.log(radius))) if radius else 0
+        count = window + abs(s) + tail + 1
+
+        def series(factors, length):
+            """Orders 0..length-1 of prod (1 - x u)^rho over (x, rho)."""
+            out = [one] + [zero] * (length - 1)
+            for x, rho in factors:
+                binomial = [one]
+                for i in range(1, length):
+                    binomial.append(binomial[-1] * (i - 1 - rho) * x / i)
+                out = [mpmath.fsum(out[a] * binomial[i - a] for a in range(i + 1))
+                       for i in range(length)]
+            return out
+
+        a = series(inside, count)
+        b = series([(1 / z, rho) for z, rho in outside], count + window - s)
+        factor = mpmath.fprod([(1 - z) ** rho for z, rho in inside]
+                              + [(1 - 1 / z) ** rho for z, rho in outside])
         c = mpmath.mpc(complex(eval_weight(weight, 1.0))) / factor
-        return {k: c * series[k + 1] if k >= -1 else mpmath.mpc(0) for k in range(-window, window + 1)}
+        return {k: c * mpmath.fsum(a[j] * b[k - s + j] for j in range(max(0, s - k), count))
+                for k in range(-window, window + 1)}
 
 
 def gram_reference(moments: Mapping[int, mpmath.mpc], n: int, dps: int = 50):
@@ -519,11 +597,10 @@ def eps_quadrature(wfun, sys: BopsSystem, n: int, z: complex, points: int = 4096
     zeta = np.exp(1j * theta)
     wv = np.asarray(wfun(zeta), dtype=complex)
     kernel = (zeta + z) / (zeta - z)
-    eps = np.mean(kernel * wv * eval_poly(sys, n, zeta, "phi"))
-    star_a = -(z**n) * np.mean(kernel * wv * eval_poly(sys, n, 1.0 / zeta, "phibar"))
-    star_b = 1.0 / sys.kappas[n] - np.mean(
-        kernel * wv * eval_poly(sys, n, zeta, "phistar")
-    )
+    fam = sys.families
+    eps = np.mean(kernel * wv * polyval(fam["phi"][n, : n + 1], zeta))
+    star_a = -(z**n) * np.mean(kernel * wv * polyval(fam["phibar"][n, : n + 1], 1.0 / zeta))
+    star_b = 1.0 / sys.kappas[n] - np.mean(kernel * wv * polyval(fam["phistar"][n, : n + 1], zeta))
     return complex(eps), complex(star_a), complex(star_b)
 
 

@@ -6,7 +6,7 @@ from circlebops.assoc import AssocSystem, verify_assoc_identities, verify_expans
 from circlebops.errors import NearCircleError, WindowError
 from circlebops.lax import rhp_jump_check
 from circlebops.moments import table_from_moments
-from circlebops.bops import build_system, eval_poly
+from circlebops.bops import build_system
 from circlebops.numerics import circle_samples, polyval
 from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity
@@ -63,10 +63,9 @@ class TestLebesgueValues:
         asys = lebesgue["asys"]
         z = 0.3 + 0.2j
         _, _, eps, epsstar = asys.evaluate(z)
+        phi, phistar = (lebesgue["sys"].families[which] for which in ("phi", "phistar"))
         for n in range(4):
-            lhs = eval_poly(lebesgue["sys"], n, z) * epsstar[n] + eps[n] * eval_poly(
-                lebesgue["sys"], n, z, "phistar"
-            )
+            lhs = polyval(phi[n, : n + 1], z) * epsstar[n] + eps[n] * polyval(phistar[n, : n + 1], z)
             assert abs(lhs - 2.0 * z**n) < 1e-13
 
 
@@ -409,7 +408,7 @@ class TestAccuracy:
         rounded = table_from_moments([(k, complex(w)) for k, w in flagship_exact.items()], window=48)
         assert self.worst(rounded, flagship_exact) <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="the quadrature moments are accurate to about 1e-16 "
-                       "absolute, not to their own size; eps*_22 reads 1.3e-6 off")
-    def test_flagship_eps_from_quadrature_moments(self, strict, flagship_exact):
+    def test_flagship_eps_from_production_moments(self, strict, flagship_exact):
+        # the factorised moments are accurate to their own size; from the
+        # trapezoid's, accurate to about 5e-16 absolute, eps*_22 read 1.3e-6 off
         assert self.worst(strict["table"], flagship_exact) <= 1e-12

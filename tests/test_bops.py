@@ -6,13 +6,12 @@ import pytest
 from circlebops.bops import (
     BopsSystem,
     build_system,
-    eval_poly,
     orthonormality_matrix,
     verify_scalar_identities,
 )
 from circlebops.errors import ExistenceError, WindowError
 from circlebops.moments import compute_moments, table_from_moments, toeplitz_det
-from circlebops.numerics import circle_samples
+from circlebops.numerics import circle_samples, polyval
 
 from conftest import laurent_callable
 from oracles import det_rep_oracle, monomial_orthogonality, orthonormality_quadrature
@@ -33,7 +32,7 @@ class TestLebesgue:
         assert np.max(np.abs(rbar[1:])) < 1e-13
 
     def test_eval(self, lebesgue):
-        assert abs(eval_poly(lebesgue["sys"], 3, 0.5) - 0.125) < 1e-14
+        assert abs(polyval(lebesgue["sys"].families["phi"][3, :4], 0.5) - 0.125) < 1e-14
 
     def test_identity_web_exact(self, lebesgue):
         rep = verify_scalar_identities(lebesgue["sys"], sample_pairs(), tol=1e-12)
@@ -54,7 +53,7 @@ class TestLaurent:
         assert abs(r + 0.5) < 1e-13
         # phi_1(z) = kappa_1 (z + r_1)
         z = 0.37 - 0.6j
-        assert abs(eval_poly(laurent["sys"], 1, z) - kappa * (z - 0.5)) < 1e-13
+        assert abs(polyval(laurent["sys"].families["phi"][1, :2], z) - kappa * (z - 0.5)) < 1e-13
 
     def test_kappa_identity_numbers(self, laurent):
         # kappa_2^2 - kappa_1^2 = 3/4 - 2/3 = 1/12 = kappa_2^2 r_2 rbar_2
@@ -67,7 +66,7 @@ class TestLaurent:
     def test_phistar_at_origin_is_kappa(self, laurent):
         sys = laurent["sys"]
         for n in range(9):
-            assert abs(eval_poly(sys, n, 0.0, "phistar") - sys.kappas[n]) < 1e-13
+            assert abs(polyval(sys.families["phistar"][n, : n + 1], 0.0) - sys.kappas[n]) < 1e-13
 
     def test_construction_routes_agree(self, laurent):
         assert laurent["sys"].cross_check_deviation < 1e-8
@@ -115,13 +114,13 @@ class TestDetRepOracle:
         for n, z in ((2, 1.0), (3, 2.0), (4, 0.3 + 0.4j)):
             vals = det_rep_oracle(laurent["table"], n, z)
             assert vals.max_mismatch < 1e-10
-            assert abs(vals.phi - eval_poly(laurent["sys"], n, z)) < 1e-10
-            assert abs(vals.phistar - eval_poly(laurent["sys"], n, z, "phistar")) < 1e-10
+            assert abs(vals.phi - polyval(laurent["sys"].families["phi"][n, : n + 1], z)) < 1e-10
+            assert abs(vals.phistar - polyval(laurent["sys"].families["phistar"][n, : n + 1], z)) < 1e-10
 
     def test_strict_weight_routes(self, strict):
         vals = det_rep_oracle(strict["table"], 3, 0.8 + 0.3j)
         assert vals.max_mismatch < 1e-9
-        assert abs(vals.phi - eval_poly(strict["sys"], 3, 0.8 + 0.3j)) < 1e-9
+        assert abs(vals.phi - polyval(strict["sys"].families["phi"][3, :4], 0.8 + 0.3j)) < 1e-9
 
 
 class TestExistence:
@@ -243,7 +242,7 @@ class TestPrefix:
         sys = laurent["sys"]
         for level in (-1, sys.nmax + 1):
             with pytest.raises(IndexError):
-                eval_poly(sys, level, 0.5)
+                sys.require(level)
             with pytest.raises(IndexError):
                 sys.prefix(level)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import circlebops
-from circlebops import cli, deform, pipeline
+from circlebops import cli, deform, moments, pipeline
 from circlebops.bops import BopsSystem, build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import compute_moments, table_from_moments
@@ -239,7 +239,7 @@ class TestRepeatedRuns:
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         traj = write(tmp_path, "t.json", TRAJ_SPEC)
         runs = [
-            ["moments", "--weight", weight, "--n", "2", "--quad-points", "128"],
+            ["build", "--weight", weight, "--n", "2", "--quad-points", "512"],
             ["deform", "--weight", weight, "--trajectory", traj, "--n", "1", "--steps", "8"],
             ["--cmd", "build", "--weight", weight, "--n", "3", "--seed", "5"],
             ["moments", "--weight", weight, "--n", "3"],  # defaults after the options above
@@ -402,42 +402,39 @@ class TestOneBundle:
                 )
 
     def test_verify_all_builds_one_bundle(self, tmp_path, monkeypatch):
+        # one moment table, and one trapezoid check of it in the build suite
         calls = []
-        real = pipeline.compute_moments
-        monkeypatch.setattr(
-            pipeline, "compute_moments", lambda *a, **k: calls.append(a) or real(*a, **k)
-        )
+        for module, name in ((pipeline, "factorised_moments"), (cli, "compute_moments")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         assert main(["verify-all", "--weight", weight, "--n", "2", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 1
+        assert calls == ["factorised_moments", "compute_moments"]
 
-    def test_quadrature_and_tolerances_reach_every_suite(self, tmp_path, monkeypatch):
-        # every moment table, deform's rebuilds included, comes from pipeline
-        points, scales = [], []
-        real = pipeline.compute_moments
+    def test_quadrature_reaches_only_the_build_suite(self, tmp_path, monkeypatch):
+        # --quad-points starts the trapezoid that checks the moments in the
+        # build suite; no other command runs it, deform's rebuilds included
+        points = []
+        real = moments.compute_moments
 
-        def moments(w, window, quad_points):
+        def trapezoid(w, window, quad_points):
             points.append(quad_points)
             return real(w, window, quad_points)
 
-        monkeypatch.setattr(pipeline, "compute_moments", moments)
-        real_u = pipeline.recover_u
-
-        def recover_u(weight, f, vw, tol_scale):
-            scales.append(tol_scale)
-            return real_u(weight, f, vw, tol_scale)
-
-        monkeypatch.setattr(pipeline, "recover_u", recover_u)
+        for module in [m for name, m in sys.modules.items() if name.startswith("circlebops")]:
+            if hasattr(module, "compute_moments"):
+                monkeypatch.setattr(module, "compute_moments", trapezoid)
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         traj = write(tmp_path, "t.json", TRAJ_SPEC)
-        argv = ["--weight", weight, "--n", "2", "--quad-points", "512", "--tol", "2"]
+        argv = ["--weight", weight, "--n", "2", "--quad-points", "512"]
         for command in ("moments", "build", "assoc", "coeffs", "verify-all",
                         "rhp-check", "deform", "heine-check"):
             points.clear()
             extra = ["--trajectory", traj, "--steps", "16"] if command == "deform" else []
             assert main([command] + argv + extra + ["--out", str(tmp_path / command)]) in (0, 1)
-            assert points and all(p == 512 for p in points), command
-        assert scales and all(s == 2.0 for s in scales)
+            assert points == ([512] if command in ("build", "verify-all") else []), command
 
     def test_tol_scales_every_gate(self, tmp_path):
         # doubling is exact in binary floating point, so every entry's tol
@@ -475,6 +472,14 @@ class TestIdentityFailureExit:
             ]
         )
         assert code == 1  # residuals cannot beat a 1e-18 ceiling
+
+    def test_tight_tolerance_exits_one(self, tmp_path):
+        # U and the quadruples are read ungated: at --tol 1e-10 their
+        # out-of-band ratios fail report entries, and nothing exits 2
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        for command in ("coeffs", "verify-all"):
+            argv = [command, "--weight", weight, "--n", "2", "--tol", "1e-10"]
+            assert main(argv + ["--out", str(tmp_path / command)]) == 1, command
 
     def test_validation_report_emitted(self, tmp_path):
         weight_path = tmp_path / "w.json"

@@ -16,7 +16,6 @@ from circlebops.deform import (
     flow_invariants,
     integrate_flow,
     moment_rebuild,
-    schlesinger_rhs,
     state_gap,
 )
 from circlebops.errors import FlowPatternError, SingularResidueError, WeightValidationError
@@ -27,6 +26,7 @@ from conftest import INSIDE_COMPLEX_SPEC, STRICT_SPEC, LineTraj, close, complex_
 from oracles import (
     rates_fd_check,
     schlesinger_component_check,
+    schlesinger_rhs,
     transfer_rate_check,
     weight_rate_check,
 )

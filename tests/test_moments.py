@@ -2,7 +2,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from circlebops.errors import NearCircleError, NotSemiClassicalError, WindowError
+from circlebops.errors import NearCircleError, WindowError
 from circlebops.moments import (
     CaratheodoryEvaluator,
     compute_moments,
@@ -12,10 +12,11 @@ from circlebops.moments import (
     toeplitz_det,
 )
 from circlebops.numerics import polyval, series_band
-from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
+from circlebops.pipeline import moment_table
+from circlebops.weight import build_vw
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
-from oracles import caratheodory, caratheodory_quadrature, central_diff
+from oracles import caratheodory, caratheodory_quadrature, central_diff, u_reads
 
 
 def binomial_series_moments(window):
@@ -64,8 +65,9 @@ class TestComputeMoments:
         assert err < 1e-10
 
     def test_doubling_convergence_recorded(self, strict):
-        assert strict["table"].source["kind"] == "quadrature"
-        assert strict["table"].source["residual"] < 1e-12
+        table = compute_moments(strict["weight"], 48)
+        assert table.source["kind"] == "quadrature"
+        assert table.source["residual"] < 1e-12
 
     def test_weight_of_the_wrong_shape_names_the_grid_shape(self):
         # the weight is called once on the whole grid, never point by point
@@ -208,20 +210,23 @@ def test_series_band_reads_and_certifies():
 class TestRecoverU:
     def test_constant_weight_gives_zero(self):
         w = lebesgue_weight_relaxed()
-        tbl = table_from_moments([(0, 1.0)], window=12)
-        u, info = recover_u(w, CaratheodoryEvaluator(tbl), build_vw(w))
+        f = CaratheodoryEvaluator(table_from_moments([(0, 1.0)], window=12))
+        u = recover_u(w, f, build_vw(w))
         assert np.max(np.abs(u)) < 1e-8
-        assert info["residual_inside"] < 1e-8
+        assert u_reads(w, f, build_vw(w))["residual_inside"] < 1e-8
 
     def test_laurent_degree_bound(self, laurent):
-        u, info = recover_u(
-            laurent["weight"], CaratheodoryEvaluator(laurent["table"]), laurent["vw"]
-        )
+        f = CaratheodoryEvaluator(laurent["table"])
+        u = recover_u(laurent["weight"], f, laurent["vw"])
+        info = u_reads(laurent["weight"], f, laurent["vw"])
         assert len(u) <= 2  # deg U <= m - 1 = 1
         assert max(info["residual_inside"], info["residual_outside"]) < 1e-8
 
     def test_strict_two_sided_agreement(self, strict):
+        # the inside read is recover_u's; the outside one uses only the
+        # negative moments
         assert len(strict["u_poly"]) <= 3
+        assert np.array_equal(strict["u_poly"], strict["u_info"]["inside"])
         assert strict["u_info"]["coefficient_agreement"] < 1e-6
 
     def test_u_satisfies_ode_pointwise(self, strict):
@@ -242,8 +247,8 @@ class TestRecoverU:
         # moments; U must satisfy the ODE pointwise on both sides
         weight = complex_m4_weight()
         vw = build_vw(weight)
-        f = CaratheodoryEvaluator(compute_moments(weight, 48))
-        u, info = recover_u(weight, f, vw)
+        f = CaratheodoryEvaluator(moment_table(weight, 46))
+        u, info = recover_u(weight, f, vw), u_reads(weight, f, vw)
         assert len(u) == 4
         assert max(info["residual_inside"], info["residual_outside"]) < 1e-12
         assert info["coefficient_agreement"] < 1e-10
@@ -251,17 +256,6 @@ class TestRecoverU:
         values = lambda z: caratheodory(f, z)
         res = vw.w_eval(zs) * central_diff(values, zs) - 2.0 * vw.v_eval(zs) * values(zs) - polyval(u, zs)
         assert np.max(np.abs(res) / np.maximum(1.0, np.abs(polyval(u, zs)))) < 1e-6
-
-    def test_non_semiclassical_rejection(self):
-        # a weight evaluator inconsistent with the declared (V, W) leaves
-        # orders outside the band of W F' - 2 V F
-        w = lebesgue_weight_relaxed()
-        strict_like = SemiClassicalWeight(
-            (Singularity(0, -1), Singularity(2, 0.5), Singularity(3, 1 / 3))
-        )
-        tbl = compute_moments(strict_like, 24)
-        with pytest.raises(NotSemiClassicalError):
-            recover_u(strict_like, CaratheodoryEvaluator(tbl), build_vw(w))
 
 
 class TestHeineOracle:

@@ -1,20 +1,27 @@
 """The engine against the 50-digit reference of tests/oracles.py: exact
-moments of the flagship family z^-1 prod_j (z - z_j)^rho_j (singularities
-outside the disc) and their Gram solves.  Each bound is a running round-off
-bound, a constant times the unit round-off 2^-52 times the size that
-carries the error (Higham 2002, Accuracy and Stability of Numerical
+moments of single-valued weights prod_j (z - z_j)^rho_j, singular inside
+and outside the disc, and their Gram solves.  Each bound is a running
+round-off bound, a constant times the unit round-off 2^-52 times the size
+that carries the error (Higham 2002, Accuracy and Stability of Numerical
 Algorithms, section 3); the constants are about three times the largest
 ratio measured on these weights."""
+
+import contextlib
+import io
+import json
 
 import mpmath
 import numpy as np
 import pytest
 
+from circlebops import pipeline
 from circlebops.bops import build_system
-from circlebops.moments import compute_moments
-from circlebops.weight import SemiClassicalWeight, Singularity
+from circlebops.cli import main
+from circlebops.moments import MomentTable
+from circlebops.pipeline import moment_table
+from circlebops.weight import SemiClassicalWeight, Singularity, weight_from_json
 
-from conftest import complex_m4_weight
+from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC, complex_m4_weight
 from oracles import exact_moments, gram_reference
 
 U = 2.0**-52
@@ -23,6 +30,10 @@ WINDOW = 48
 MOMENT_C = 4.0
 # level error <= LEVEL_C u max_{k <= n} |r_k|, |rbar_k|: 0.48 (flagship) and 1.23 (m = 4) measured
 LEVEL_C = 4.0
+# |w_k - exact w_k| <= OWN_SIZE |exact w_k| for |k| <= 90: 8.2e-16 (flagship),
+# 5.1e-15 (m = 4) and 1.8e-15 (inside-complex) measured
+OWN_SIZE = 1e-14
+SPECS = {"flagship": STRICT_SPEC, "m4": COMPLEX_M4_SPEC, "inside-complex": INSIDE_COMPLEX_SPEC}
 
 
 def doubles(moments) -> np.ndarray:
@@ -42,7 +53,7 @@ def case(request, strict, flagship_exact):
     if request.param == "flagship":
         return strict["weight"], strict["table"], flagship_exact, 21
     weight = complex_m4_weight()
-    return weight, compute_moments(weight, WINDOW), exact_moments(weight, WINDOW), 18
+    return weight, moment_table(weight, WINDOW - 2), exact_moments(weight, WINDOW), 18
 
 
 def test_moments_within_round_off(case):
@@ -70,7 +81,7 @@ def test_levels_within_round_off(case):
 def test_reference_catches_mutants(strict, flagship_exact):
     # each mutant of the reference leaves the flagship's double moments by
     # far more than the round-off bound, so the reference does not lean on
-    # compute_moments: a branch constant off by e^{2 pi i rho_2}, the Taylor
+    # the production moments: a branch constant off by e^{2 pi i rho_2}, the Taylor
     # order k in place of k + 1, and rho_2 perturbed by 1e-8
     table, rho = strict["table"], strict["weight"].singularities[1].exponent
     assert moment_gap(table, flagship_exact) <= MOMENT_C
@@ -86,9 +97,48 @@ def test_reference_catches_mutants(strict, flagship_exact):
         assert moment_gap(table, mutant) > 1e3 * MOMENT_C
 
 
+@pytest.mark.parametrize("name", SPECS)
+def test_production_moments_to_their_own_size(name):
+    # every moment of the production route over |k| <= 90, each relative to
+    # its own size (the zeros of an origin-only inside part included)
+    weight = weight_from_json(SPECS[name])
+    table, exact = moment_table(weight, 88), exact_moments(weight, 90)
+    assert table.window == 90
+    want = np.array([complex(exact[k]) for k in range(-90, 91)])
+    assert np.all(np.abs(table.values - want) <= OWN_SIZE * np.abs(want))
+
+
+def test_quadrature_entry_catches_a_branch_constant_mutant(tmp_path, monkeypatch):
+    # the build suite's trapezoid entry passes on the production moments
+    # and fails when their branch constant is off by e^{2 pi i rho_2}
+    spec = tmp_path / "w.json"
+    spec.write_text(json.dumps(STRICT_SPEC), encoding="utf-8")
+
+    def entry(out):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["build", "--weight", str(spec), "--n", "4", "--out", str(tmp_path / out)])
+        report = json.loads((tmp_path / out / "identity_report.json").read_text())
+        (found,) = [e for e in report["entries"] if e["name"] == "moments_vs_quadrature"]
+        return code, found
+
+    code, found = entry("production")
+    assert code == 0 and found["passed"] and found["residual"] <= 1e-14
+    rho = weight_from_json(STRICT_SPEC).singularities[1].exponent
+    real, turn = pipeline.factorised_moments, np.exp(2j * np.pi * rho)
+
+    def mutant(weight, window):
+        table = real(weight, window)
+        return MomentTable(window, turn * table.values, table.source)
+
+    monkeypatch.setattr(pipeline, "factorised_moments", mutant)
+    code, found = entry("mutant")
+    assert code == 1 and not found["passed"]
+
+
 def test_refuses_weights_outside_the_family():
+    # inside exponents summing to -1/2: the weight is not single-valued
     inside = SemiClassicalWeight(
-        (Singularity(0, -1.5), Singularity(0.4, 0.5), Singularity(2, 0.5)), strict=False
+        (Singularity(0, -1), Singularity(0.4, 0.5), Singularity(2, 0.5)), strict=False
     )
-    with pytest.raises(ValueError, match="outside the disc"):
+    with pytest.raises(ValueError, match="sum to an integer"):
         exact_moments(inside, 8)
