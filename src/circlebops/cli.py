@@ -30,7 +30,7 @@ from .coeffs import (
     verify_expansion_forms,
     verify_linear_relations,
 )
-from .config import IDENTITY_TOL, QUAD_POINTS
+from .config import IDENTITY_TOL
 from .deform import (
     LinearTrajectory,
     deformation_rates,
@@ -191,13 +191,12 @@ def _dump_system(system: BopsSystem, path: Path) -> None:
 
 def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
     """The build suite's files and report on the levels of ``system``; on a
-    weight also the largest gap of its moments from the trapezoid's, the
-    rule started at --quad-points."""
+    weight also the largest gap of its moments from the trapezoid's."""
     report = verify_scalar_identities(system, _sample_pairs(args), tol=IDENTITY_TOL * args.tol)
     if weight is not None:
         dump_json(validate_weight(weight, strict=False).to_dict(), out / "validation_report.json")
         table = system.table
-        oracle = compute_moments(weight, table.window, args.quad_points)
+        oracle = compute_moments(weight, table.window)
         report.add("moments_vs_quadrature", "the trigonometric moments of the weight",
                    np.max(np.abs(table.values - oracle.values)), QUAD_TOL * args.tol)
     _dump_system(system, out / "system.json")
@@ -468,10 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--steps", type=int, default=64, help="flow integration steps")
-        p.add_argument(
-            "--quad-points", type=int, default=QUAD_POINTS,
-            help="starting points of the build suite's moment quadrature check"
-        )
         p.add_argument("--trajectory", "--traj", dest="trajectory", default=None)
     return parser
 

@@ -1,20 +1,8 @@
-"""The numbers several modules share: the starting quadrature resolution
-and the shared identity gate.
-
-A run has two settable numbers.  ``--quad-points`` is the starting point
-count of the build suite's trapezoid check of the moments (QUAD_POINTS by
-default); the moments themselves are exact series and take no resolution.
-``--tol`` is one scale factor on every identity gate: each report entry's
-gate is its stated tolerance times ``--tol`` (IDENTITY_TOL and the
-constants each suite states).  The one check inside the construction, the
-Gram levels against the recursion, keeps a fixed bound.
-Every identity is checked on exact data (polynomials, moment series and
-their derivatives), so there is one identity tier.  Defaults are sized for
-double precision; the level at which each suite meets them on the three
-reference weights is stated in the README.  The controls that take a
-single value live next to their only reader.
+"""The identity gate the suites share.  ``--tol``, the one settable number
+of a run, scales every report entry's gate: its stated tolerance
+(IDENTITY_TOL or a suite's own constant) times ``--tol``.  Every identity
+is checked on exact data, so there is one tier; the level at which each
+suite meets its gates on the reference weights is stated in the README.
 """
 
-QUAD_POINTS = 256
-# Identity residuals computed from exact data.
 IDENTITY_TOL = 1e-9

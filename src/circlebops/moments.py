@@ -8,7 +8,8 @@ The moments are Fourier coefficients
 A weight's moments have one construction, the factorisation
 w(z) = C z^S A(1/z) B(z) of its branch convention (`weight`):
 w_k = C sum_b A_b B_{k-S+b}, one correlation of two products of binomial
-series, so each moment is accurate to its own size (`factorised_moments`).
+series, so each moment is accurate to the size of the terms it sums: to
+its own size where they do not cancel (`factorised_moments`).
 The trapezoidal rule with adaptive point doubling (`compute_moments`) is
 its oracle: the build suite reports the largest gap between the two, and
 the tests apply it to weights given as callables.  Toeplitz determinants
@@ -27,17 +28,18 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .config import QUAD_POINTS
-from .errors import QuadratureError, WindowError
+from .errors import CircleBopsError, QuadratureError, WindowError
 from .numerics import polyadd, polyder, polymul, series_band
 from .weight import SemiClassicalWeight, _principal_power, build_vw, origin_power
 
-# The factorised moments cut each sum over the inside series where its
-# terms, which shrink like r^b for r the largest inside |z_j|, have fallen
-# by this factor: below the round-off of the sum.
+# The factorised moments cut each inside sum where its terms have fallen by
+# TAIL_FLOOR, below its round-off, and refuse series past SERIES_MAX terms
+# (an inside singularity near the circle): a product costs their square.
 TAIL_FLOOR = 2.0**-60
-# Moment quadrature: the point count doubles until every retained moment
-# moves by less than QUAD_TOL, and never beyond QUAD_MAX_POINTS.
+SERIES_MAX = 2**15
+# Moment quadrature: the point count doubles from QUAD_POINTS until every
+# retained moment moves by less than QUAD_TOL, never beyond QUAD_MAX_POINTS.
+QUAD_POINTS = 256
 QUAD_MAX_POINTS = 2**20
 QUAD_TOL = 1e-12
 # The Heine oracle's tensor-product rule doubles from HEINE_START points to
@@ -97,11 +99,11 @@ def table_from_moments(pairs, window: int | None = None) -> MomentTable:
     return MomentTable(window, values, {"kind": "user_supplied"})
 
 
-def compute_moments(w, window: int, quad_points: int = QUAD_POINTS) -> MomentTable:
+def compute_moments(w, window: int) -> MomentTable:
     """Moments by adaptive FFT trapezoid: the point count doubles until every
-    retained w_k moves by less than QUAD_TOL, starting from ``quad_points``
+    retained w_k moves by less than QUAD_TOL, starting from QUAD_POINTS
     (never below 4*(window+1) to keep aliasing out of the retained band)."""
-    points = max(quad_points, 4 * (window + 1))
+    points = max(QUAD_POINTS, 4 * (window + 1))
     # round up to a power of two for the FFT
     p = 1
     while p < points:
@@ -140,28 +142,46 @@ def _product(factors, count: int) -> np.ndarray:
     """Orders 0..count-1 of prod (1 - x u)^rho over the (x, rho) factors."""
     out = np.zeros(count, dtype=complex)
     out[0] = 1.0
-    for x, rho in factors:
-        out = np.convolve(out, _binomial(x, rho, count))[:count]
+    for i, (x, rho) in enumerate(factors):
+        series = _binomial(x, rho, count)
+        out = np.convolve(out, series)[:count] if i else series
     return out
+
+
+def _tail(inside, start: int) -> int:
+    """Least L with r^L ((start + L) / start)^p <= TAIL_FLOOR, r the largest
+    inside |z_j| and p the largest -Re rho_j - 1 (at least 0): the orders of
+    (1 - z u)^rho grow like b^p as they shrink like |z|^b.  Fixed-point
+    iteration from below, stopped once past SERIES_MAX."""
+    if not inside:
+        return 0
+    rate = -np.log(max(abs(z) for z, _ in inside))
+    p = max(0.0, *(-rho.real - 1.0 for _, rho in inside))
+    tail, nxt = -1, 0
+    while tail < nxt <= SERIES_MAX:
+        tail, nxt = nxt, int(np.ceil((-np.log(TAIL_FLOOR) + p * np.log1p(nxt / start)) / rate))
+    return nxt
 
 
 def factorised_moments(weight: SemiClassicalWeight, window: int) -> MomentTable:
     """w_k for |k| <= window from the factorisation w = C z^S A(1/z) B(z)
     (module docstring): w_k = C sum_b A_b B_{k-S+b}.  A's series runs
-    window + |S| + L terms, L the tail after which the inside terms fall
-    below TAIL_FLOOR, so that w_{-window} keeps L terms of its sum too;
-    B's runs as far as the sums reach.  BranchCutError when the inside
-    exponents do not sum to an integer."""
+    window + |S| + L terms, L the tail (`_tail`), so that w_{-window} keeps
+    L terms of its sum too; B's runs as far as the sums reach.
+    BranchCutError when the inside exponents do not sum to an integer,
+    CircleBopsError when the series would pass SERIES_MAX terms."""
     s = origin_power(weight)
     sings = [(x.location, x.exponent) for x in weight.singularities
              if x.location != 0 and x.exponent != 0]
     inside = [(z, rho) for z, rho in sings if abs(z) < 1.0]
     outside = [(z, rho) for z, rho in sings if abs(z) >= 1.0]
-    radius = max((abs(z) for z, _ in inside), default=0.0)
-    tail = int(np.ceil(np.log(TAIL_FLOOR) / np.log(radius))) if radius > 0 else 0
+    tail = _tail(inside, window + abs(s) + 1)
     count = window + abs(s) + tail + 1
+    if (reach := count + window - s) > SERIES_MAX:
+        raise CircleBopsError(f"the factorised moments need series of {reach} terms, more than "
+                              f"{SERIES_MAX}: an inside singularity too close to the circle")
     a = _product(inside, count)
-    b = _product([(1.0 / z, rho) for z, rho in outside], count + window - s)
+    b = _product([(1.0 / z, rho) for z, rho in outside], reach)
     constant = np.prod([_principal_power(-z, rho) for z, rho in outside])
     # np.correlate conjugates its second argument: full[d + count - 1] = sum_b A_b B_{d+b}
     full = np.correlate(b, a.conj(), "full")

@@ -25,6 +25,7 @@ orthogonality."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -43,11 +44,11 @@ from circlebops.deform import (
     deformation_rates,
     moment_rebuild,
 )
-from circlebops.config import QUAD_POINTS
 from circlebops.errors import QuadratureError, SingularResidueError
 from circlebops.lax import ResidueSet, _mat, k_matrix
 from circlebops.moments import (
     QUAD_MAX_POINTS,
+    QUAD_POINTS,
     QUAD_TOL,
     CaratheodoryEvaluator,
     MomentTable,
@@ -429,8 +430,10 @@ def exact_moments(weight: SemiClassicalWeight, window: int, dps: int = 50) -> di
     branch convention, w(z) = C z^S A(1/z) B(z) with A(u) = prod_inside
     (1 - z_j u)^rho_j and B(z) = prod_outside (1 - z/z_j)^rho_j: w_k =
     C sum_b A_b B_{k-S+b}, a correlation of two products of binomial series.
-    The sum runs until A's orders, which shrink like r^b for r the largest
-    inside |z_j|, have fallen by 10^-dps.  The branch constant C is read off
+    The sum runs until the orders of A's majorant prod (1 - r u)^-|rho_j|,
+    r the largest inside |z_j|, have fallen by 10^-dps past the window:
+    L with r^L (1 + L/K0)^P <= 10^-dps, P the sum of the inside |rho_j|
+    and K0 = window + |S| + 1.  The branch constant C is read off
     one evaluation of the engine's weight, at z = 1, over A(1) B(1), so
     every moment shares that value's one double rounding.  ValueError when
     the inside exponents do not sum to an integer."""
@@ -439,24 +442,28 @@ def exact_moments(weight: SemiClassicalWeight, window: int, dps: int = 50) -> di
         raise ValueError("exact moments need inside exponents that sum to an integer")
     s = int(round(total.real))
     with mpmath.workdps(dps):
-        one, zero = mpmath.mpc(1), mpmath.mpc(0)
+        one = mpmath.mpc(1)
         sings = [(mpmath.mpc(x.location), mpmath.mpc(x.exponent)) for x in weight.singularities
                  if x.location != 0 and x.exponent != 0]
         inside = [(z, rho) for z, rho in sings if abs(z) < 1]
         outside = [(z, rho) for z, rho in sings if abs(z) >= 1]
-        radius = max((abs(z) for z, _ in inside), default=0)
-        tail = int(mpmath.ceil(dps * mpmath.log(10) / -mpmath.log(radius))) if radius else 0
-        count = window + abs(s) + tail + 1
+        start, tail = window + abs(s) + 1, 0
+        if inside:
+            rate = -math.log(max(abs(complex(z)) for z, _ in inside))
+            power = sum(abs(complex(rho)) for _, rho in inside)
+            while rate * tail - power * math.log1p(tail / start) < dps * math.log(10):
+                tail += 1
+        count = start + tail
 
         def series(factors, length):
             """Orders 0..length-1 of prod (1 - x u)^rho over (x, rho)."""
-            out = [one] + [zero] * (length - 1)
-            for x, rho in factors:
+            out = [one] + [mpmath.mpc(0)] * (length - 1)
+            for i, (x, rho) in enumerate(factors):
                 binomial = [one]
-                for i in range(1, length):
-                    binomial.append(binomial[-1] * (i - 1 - rho) * x / i)
-                out = [mpmath.fsum(out[a] * binomial[i - a] for a in range(i + 1))
-                       for i in range(length)]
+                for j in range(1, length):
+                    binomial.append(binomial[-1] * (j - 1 - rho) * x / j)
+                out = [mpmath.fsum(out[a] * binomial[j - a] for a in range(j + 1))
+                       for j in range(length)] if i else binomial
             return out
 
         a = series(inside, count)

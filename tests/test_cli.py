@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,18 @@ class TestExitCodes:
         weight = write(tmp_path, "small.json", payload)
         assert main(["build", "--weight", weight, "--n", "4", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["moments", "build", "verify-all"])
+    def test_inside_singularity_at_the_circle_exits_two(self, tmp_path, capsys, command):
+        # at |z_2| = 1 - 1e-9 the moment series would need about 4e10 orders:
+        # refused at once, not computed until memory or time runs out
+        spec = {"singularities": [{"z": [0, 0], "rho": [-1.5, 0]}, {"z": [1 - 1e-9, 0], "rho": [0.5, 0]},
+                                  {"z": [2, 0], "rho": [0.5, 0]}], "strict": True}
+        weight = write(tmp_path, "w.json", spec)
+        start = time.perf_counter()
+        assert main([command, "--weight", weight, "--n", "4", "--out", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert "too close to the circle" in capsys.readouterr().err
+
     def test_unknown_branch_convention_exits_two(self, tmp_path):
         spec = {**STRICT_SPEC, "branch": {"convention": "principal"}}
         weight = write(tmp_path, "w.json", spec)
@@ -239,7 +252,7 @@ class TestRepeatedRuns:
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         traj = write(tmp_path, "t.json", TRAJ_SPEC)
         runs = [
-            ["build", "--weight", weight, "--n", "2", "--quad-points", "512"],
+            ["build", "--weight", weight, "--n", "2", "--tol", "2"],
             ["deform", "--weight", weight, "--trajectory", traj, "--n", "1", "--steps", "8"],
             ["--cmd", "build", "--weight", weight, "--n", "3", "--seed", "5"],
             ["moments", "--weight", weight, "--n", "3"],  # defaults after the options above
@@ -375,7 +388,7 @@ class TestDeterminism:
 
 
 class TestOneBundle:
-    ARGS = ["--n", "3", "--seed", "5", "--quad-points", "512", "--tol", "2"]
+    ARGS = ["--n", "3", "--seed", "5", "--tol", "2"]
 
     @pytest.mark.parametrize(
         "spec, commands, args",
@@ -414,27 +427,27 @@ class TestOneBundle:
         assert calls == ["factorised_moments", "compute_moments"]
 
     def test_quadrature_reaches_only_the_build_suite(self, tmp_path, monkeypatch):
-        # --quad-points starts the trapezoid that checks the moments in the
-        # build suite; no other command runs it, deform's rebuilds included
-        points = []
+        # the trapezoid checks the moments in the build suite only; no other
+        # command runs it, deform's rebuilds included
+        windows = []
         real = moments.compute_moments
 
-        def trapezoid(w, window, quad_points):
-            points.append(quad_points)
-            return real(w, window, quad_points)
+        def trapezoid(w, window):
+            windows.append(window)
+            return real(w, window)
 
         for module in [m for name, m in sys.modules.items() if name.startswith("circlebops")]:
             if hasattr(module, "compute_moments"):
                 monkeypatch.setattr(module, "compute_moments", trapezoid)
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         traj = write(tmp_path, "t.json", TRAJ_SPEC)
-        argv = ["--weight", weight, "--n", "2", "--quad-points", "512"]
+        argv = ["--weight", weight, "--n", "2"]
         for command in ("moments", "build", "assoc", "coeffs", "verify-all",
                         "rhp-check", "deform", "heine-check"):
-            points.clear()
+            windows.clear()
             extra = ["--trajectory", traj, "--steps", "16"] if command == "deform" else []
             assert main([command] + argv + extra + ["--out", str(tmp_path / command)]) in (0, 1)
-            assert points == ([512] if command in ("build", "verify-all") else []), command
+            assert windows == ([48] if command in ("build", "verify-all") else []), command
 
     def test_tol_scales_every_gate(self, tmp_path):
         # doubling is exact in binary floating point, so every entry's tol

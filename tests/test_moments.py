@@ -2,10 +2,12 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from circlebops.errors import NearCircleError, WindowError
+from circlebops.errors import CircleBopsError, NearCircleError, WindowError
 from circlebops.moments import (
+    SERIES_MAX,
     CaratheodoryEvaluator,
     compute_moments,
+    factorised_moments,
     heine_oracle,
     recover_u,
     table_from_moments,
@@ -13,7 +15,7 @@ from circlebops.moments import (
 )
 from circlebops.numerics import polyval, series_band
 from circlebops.pipeline import moment_table
-from circlebops.weight import build_vw
+from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
 from oracles import caratheodory, caratheodory_quadrature, central_diff, u_reads
@@ -82,6 +84,29 @@ class TestComputeMoments:
         with pytest.raises(WindowError) as err:
             tbl.moment(5)
         assert err.value.required == 5
+
+
+def near_circle_weight(radius: float) -> SemiClassicalWeight:
+    """z^-1.5 (z - radius)^0.5 (z - 2)^0.5: one inside singularity at radius."""
+    return SemiClassicalWeight(
+        (Singularity(0, -1.5), Singularity(radius, 0.5), Singularity(2, 0.5))
+    )
+
+
+class TestFactorisedMoments:
+    def test_long_series_near_the_circle(self):
+        # at |z_2| = 0.99 the inside series runs about 4,100 orders; the
+        # moments still match the trapezoid to its tolerance
+        weight = near_circle_weight(0.99)
+        table = factorised_moments(weight, 48)
+        assert 4000 < table.source["tail"] < SERIES_MAX
+        assert np.max(np.abs(table.values - compute_moments(weight, 48).values)) < 1e-12
+
+    def test_series_past_the_cap_refused(self):
+        # at |z_2| = 1 - 1e-9 the series would need about 4e10 orders:
+        # refused before one is computed
+        with pytest.raises(CircleBopsError, match="too close to the circle"):
+            factorised_moments(near_circle_weight(1 - 1e-9), 48)
 
 
 class TestToeplitz:

@@ -31,9 +31,17 @@ MOMENT_C = 4.0
 # level error <= LEVEL_C u max_{k <= n} |r_k|, |rbar_k|: 0.48 (flagship) and 1.23 (m = 4) measured
 LEVEL_C = 4.0
 # |w_k - exact w_k| <= OWN_SIZE |exact w_k| for |k| <= 90: 8.2e-16 (flagship),
-# 5.1e-15 (m = 4) and 1.8e-15 (inside-complex) measured
+# 5.1e-15 (m = 4), 1.8e-15 (inside-complex) and 1.8e-15 (inside-negative)
+# measured
 OWN_SIZE = 1e-14
-SPECS = {"flagship": STRICT_SPEC, "m4": COMPLEX_M4_SPEC, "inside-complex": INSIDE_COMPLEX_SPEC}
+# an inside exponent of real part -20.5 and a singularity on the circle:
+# the inside orders grow like b^19.5 before they shrink like 0.9^b, and B's
+# orders shrink only like b^-1.5, so a tail sized by 0.9^b alone reads 5e-8
+INSIDE_NEGATIVE_SPEC = {"singularities": [
+    {"z": [0, 0], "rho": [19.5, 0]}, {"z": [-0.9, 0], "rho": [-20.5, 0]}, {"z": [-1, 0], "rho": [0.5, 0]},
+]}
+SPECS = {"flagship": STRICT_SPEC, "m4": COMPLEX_M4_SPEC, "inside-complex": INSIDE_COMPLEX_SPEC,
+         "inside-negative": INSIDE_NEGATIVE_SPEC}
 
 
 def doubles(moments) -> np.ndarray:
