@@ -38,7 +38,8 @@ from .weight import SemiClassicalWeight, _principal_power, build_vw, origin_powe
 TAIL_FLOOR = 2.0**-60
 SERIES_MAX = 2**15
 # Moment quadrature: the point count doubles from QUAD_POINTS until every
-# retained moment moves by less than QUAD_TOL, never beyond QUAD_MAX_POINTS.
+# retained moment moves by less than QUAD_TOL times max(1, max_k |w_k|),
+# never beyond QUAD_MAX_POINTS.
 QUAD_POINTS = 256
 QUAD_MAX_POINTS = 2**20
 QUAD_TOL = 1e-12
@@ -101,8 +102,10 @@ def table_from_moments(pairs, window: int | None = None) -> MomentTable:
 
 def compute_moments(w, window: int) -> MomentTable:
     """Moments by adaptive FFT trapezoid: the point count doubles until every
-    retained w_k moves by less than QUAD_TOL, starting from QUAD_POINTS
-    (never below 4*(window+1) to keep aliasing out of the retained band)."""
+    retained w_k moves by less than QUAD_TOL * max(1, max_k |w_k|), starting
+    from QUAD_POINTS (never below 4*(window+1) to keep aliasing out of the
+    retained band).  QuadratureError, carrying the last change on that
+    scale (inf before a second grid), when QUAD_MAX_POINTS is reached."""
     points = max(QUAD_POINTS, 4 * (window + 1))
     # round up to a power of two for the FFT
     p = 1
@@ -115,21 +118,17 @@ def compute_moments(w, window: int) -> MomentTable:
         ks = np.arange(-window, window + 1)
         return hat[ks % len(vals)]
 
-    vals = _grid_values(w, points)
-    current = retained(vals)
-    while True:
-        if points * 2 > QUAD_MAX_POINTS:
-            raise QuadratureError(float("nan"), points)
+    current = retained(_grid_values(w, points))
+    change = float("inf")
+    while points * 2 <= QUAD_MAX_POINTS:
         points *= 2
-        vals = _grid_values(w, points)
-        nxt = retained(vals)
-        change = float(np.max(np.abs(nxt - current)))
+        nxt = retained(_grid_values(w, points))
+        change = float(np.max(np.abs(nxt - current))) / max(1.0, float(np.max(np.abs(nxt))))
         current = nxt
         if change < QUAD_TOL:
-            break
-
-    source = {"kind": "quadrature", "points": points, "residual": change}
-    return MomentTable(window, current, source)
+            source = {"kind": "quadrature", "points": points, "residual": change}
+            return MomentTable(window, current, source)
+    raise QuadratureError(change, points)
 
 
 def _binomial(x: complex, rho: complex, count: int) -> np.ndarray:

@@ -9,6 +9,7 @@ arithmetic is numpy's throughout; the same inputs give the same bytes."""
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,7 +76,7 @@ def series_band(series: ArrayLike, lo: int, hi: int):
 
 
 def circle_samples(
-    rng: np.random.Generator,
+    rng: random.Random,
     count: int,
     radius: float,
     avoid: Sequence[complex] = (),
@@ -83,7 +84,10 @@ def circle_samples(
     max_tries: int = 200,
 ) -> np.ndarray:
     """Draw ``count`` points on |z| = radius keeping min_distance from the
-    points in ``avoid``.  Deterministic for a fixed generator state."""
+    points in ``avoid``, the angle of each a ``rng.random()`` draw.  Any
+    generator with ``random()`` works (``random.Random``, which the CLI
+    seeds, or a numpy Generator); deterministic for a fixed generator
+    state."""
     out: list[complex] = []
     tries = 0
     while len(out) < count:

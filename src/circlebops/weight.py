@@ -28,6 +28,7 @@ the form `moments.factorised_moments` expands into the moments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -140,6 +141,12 @@ class SemiClassicalWeight:
         )
         return (inner, outer)
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The relaxed `validate_weight` report, computed once per weight
+        object; WeightValidationError on the hard errors, on every read."""
+        return validate_weight(self, strict=False)
+
     def __call__(self, z):
         return eval_weight(self, z)
 
@@ -239,7 +246,7 @@ def validate_weight(spec: SemiClassicalWeight, strict: bool | None = None) -> Va
 
 def is_strict_semiclassical(spec: SemiClassicalWeight) -> bool:
     try:
-        return validate_weight(spec, strict=False).passed
+        return spec.validation.passed
     except WeightValidationError:
         return False
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import circlebops
 from circlebops import cli, deform, moments, pipeline
+from circlebops import weight as weight_module
 from circlebops.bops import BopsSystem, build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import compute_moments, table_from_moments
@@ -34,6 +36,16 @@ RAW_MOMENTS_SPEC = {
 }
 
 TRAJ_SPEC = {"j": 2, "path": "linear", "from": [2, 0], "to": [2.1, 0], "t0": 0.0, "t1": 0.1}
+
+# z^9.5 (z - 0.9)^-10.5 (z - 2)^0.5: max |w_k| is about 1.2e8
+LARGE_MOMENTS_SPEC = {
+    "singularities": [
+        {"z": [0, 0], "rho": [9.5, 0]},
+        {"z": [0.9, 0], "rho": [-10.5, 0]},
+        {"z": [2, 0], "rho": [0.5, 0]},
+    ],
+    "strict": True,
+}
 
 
 def write(tmp_path: Path, name: str, payload) -> str:
@@ -158,6 +170,28 @@ class TestExitCodes:
         assert main([command, "--weight", weight, "--n", "4", "--out", str(tmp_path / "out")]) == 2
         assert time.perf_counter() - start < 5.0
         assert "too close to the circle" in capsys.readouterr().err
+
+    def test_large_moments_meet_the_trapezoid_on_their_scale(self, tmp_path):
+        # the trapezoid converges by 2,048 points to about 3e-14 of max |w_k|;
+        # an absolute stop rule would double to QUAD_MAX_POINTS and exit 2
+        weight = write(tmp_path, "w.json", LARGE_MOMENTS_SPEC)
+        start = time.perf_counter()
+        assert main(["build", "--weight", weight, "--n", "4", "--out", str(tmp_path / "b")]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads((tmp_path / "b" / "identity_report.json").read_text())
+        (entry,) = [e for e in report["entries"] if e["name"] == "moments_vs_quadrature"]
+        assert entry["passed"] and "where" not in entry
+        assert main(["verify-all", "--weight", weight, "--n", "4", "--out", str(tmp_path / "v")]) in (0, 1)
+
+    def test_unconverged_trapezoid_fails_its_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(moments, "QUAD_MAX_POINTS", 512)
+        weight = write(tmp_path, "w.json", LARGE_MOMENTS_SPEC)
+        assert main(["build", "--weight", weight, "--n", "4", "--out", str(tmp_path / "b")]) == 1
+        report = json.loads((tmp_path / "b" / "identity_report.json").read_text())
+        (entry,) = [e for e in report["entries"] if not e["passed"]]
+        assert entry["name"] == "moments_vs_quadrature"
+        assert entry["residual"] == float("inf")
+        assert entry["where"].startswith("unconverged at 512 points, last change ")
 
     def test_unknown_branch_convention_exits_two(self, tmp_path):
         spec = {**STRICT_SPEC, "branch": {"convention": "principal"}}
@@ -426,6 +460,17 @@ class TestOneBundle:
         assert main(["verify-all", "--weight", weight, "--n", "2", "--out", str(tmp_path)]) == 0
         assert calls == ["factorised_moments", "compute_moments"]
 
+    def test_verify_all_validates_the_weight_once(self, tmp_path, monkeypatch):
+        # the parse, the validation report and every strictness test read one
+        # relaxed report per weight object
+        seen = []
+        real = weight_module.validate_weight
+        monkeypatch.setattr(weight_module, "validate_weight",
+                            lambda spec, strict=None: seen.append(spec) or real(spec, strict))
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        assert main(["verify-all", "--weight", weight, "--n", "4", "--out", str(tmp_path)]) == 0
+        assert len(seen) == 1
+
     def test_quadrature_reaches_only_the_build_suite(self, tmp_path, monkeypatch):
         # the trapezoid checks the moments in the build suite only; no other
         # command runs it, deform's rebuilds included
@@ -472,6 +517,30 @@ class TestOneBundle:
             assert once and once.keys() == twice.keys(), command
             wrong = [k for k in once if twice[k] != [2.0 * t for t in once[k]]]
             assert not wrong, (command, wrong[:5])
+
+
+class TestFootprint:
+    def test_no_command_loads_numpy_random_or_openssl(self, tmp_path):
+        # the sample points come from random.Random: no command loads
+        # numpy.random, nor through it secrets, hashlib and OpenSSL
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        traj = write(tmp_path, "t.json", TRAJ_SPEC)
+        script = textwrap.dedent("""\
+            import sys
+            from circlebops.cli import COMMANDS, main
+            weight, traj, out = sys.argv[1:]
+            for command in COMMANDS:
+                extra = ["--trajectory", traj, "--steps", "8"] if command == "deform" else []
+                code = main([command, "--weight", weight, "--n", "2", *extra, "--out", f"{out}/{command}"])
+                assert code == 0, command
+            banned = ("numpy.random", "secrets", "hashlib", "_hashlib")
+            print(sorted(name for name in banned if name in sys.modules))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(circlebops.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script, weight, traj, str(tmp_path)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestIdentityFailureExit:

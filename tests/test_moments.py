@@ -2,8 +2,10 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from circlebops.errors import CircleBopsError, NearCircleError, WindowError
+from circlebops import moments
+from circlebops.errors import CircleBopsError, NearCircleError, QuadratureError, WindowError
 from circlebops.moments import (
+    QUAD_TOL,
     SERIES_MAX,
     CaratheodoryEvaluator,
     compute_moments,
@@ -70,6 +72,21 @@ class TestComputeMoments:
         table = compute_moments(strict["weight"], 48)
         assert table.source["kind"] == "quadrature"
         assert table.source["residual"] < 1e-12
+
+    def test_stop_rule_is_relative_to_the_largest_moment(self, monkeypatch):
+        # max |w_k| is about 1.2e8: converged by 2,048 points on its scale,
+        # and past QUAD_MAX_POINTS the error names the last change
+        weight = SemiClassicalWeight((Singularity(0, 9.5), Singularity(0.9, -10.5), Singularity(2, 0.5)))
+        table = compute_moments(weight, 48)
+        assert table.source["points"] <= 2048 and table.source["residual"] < QUAD_TOL
+        assert np.max(np.abs(table.values - factorised_moments(weight, 48).values)) < QUAD_TOL * 1.3e8
+        monkeypatch.setattr(moments, "QUAD_MAX_POINTS", 512)
+        with pytest.raises(QuadratureError) as err:
+            compute_moments(weight, 48)
+        assert err.value.points == 512 and QUAD_TOL < err.value.residual < np.inf
+        monkeypatch.setattr(moments, "QUAD_MAX_POINTS", 256)
+        with pytest.raises(QuadratureError, match="residual inf at 256 points"):
+            compute_moments(weight, 48)
 
     def test_weight_of_the_wrong_shape_names_the_grid_shape(self):
         # the weight is called once on the whole grid, never point by point
