@@ -56,7 +56,7 @@ from .moments import (
 from .numerics import circle_samples
 from .pipeline import build_bundle, moment_table
 from .report import SCHEMA, IdentityReport, _Text, dump_json
-from .weight import is_strict_semiclassical, json_pair, weight_from_json
+from .weight import SemiClassicalWeight, Singularity, is_strict_semiclassical, json_pair, weight_from_json
 
 COMMANDS = (
     "moments",
@@ -319,11 +319,12 @@ def parse_trajectory(path, weight) -> LinearTrajectory:
     t0 = float(payload.get("t0", 0.0))
     t1 = float(payload.get("t1", 1.0))
     if "from" in payload:
+        # the principal weight at 'from', not the spec's continued there
         start = complex(*json_pair(payload["from"], "trajectory 'from'"))
         if start != weight.singularities[j].location:
-            locs = list(weight.locations)
-            locs[j] = start
-            weight = weight.with_locations(locs)
+            sings = list(weight.singularities)
+            sings[j] = Singularity(start, sings[j].exponent)
+            weight = SemiClassicalWeight(tuple(sings))
     return LinearTrajectory(weight, moving=j, target=target, t0=t0, t1=t1)
 
 

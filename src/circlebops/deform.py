@@ -12,7 +12,9 @@ singularities, and since every bilinear product appearing in them is an
 entry of a residue matrix, the right-hand side closes over the state
 (A_1..A_m, kappa_n, r_n, rbar_n).  A flow can therefore be integrated
 without ever rebuilding moments; independently rebuilding the state from
-moments at any time provides the cross-validation oracle.  The state
+moments at any time provides the cross-validation oracle; it rebuilds the
+weight continued along the trajectory (`weight_at`), on the branch the
+flow follows.  The state
 arithmetic is scalar: on 2x2 blocks numpy's per-call overhead outweighs the
 work.  A flow is one packed array, one row of 4m+7 entries (A_1..A_m,
 A_inf, kappa, r, rbar) per time.  Its time-only coefficients come from one
@@ -93,6 +95,7 @@ class LinearTrajectory:
         return out
 
     def weight_at(self, t: float) -> SemiClassicalWeight:
+        """The weight at time t, continued along the segment from t0."""
         locs = self.locations(t)
         for i in range(len(locs)):
             for k in range(i + 1, len(locs)):

@@ -12,7 +12,7 @@ class CircleBopsError(Exception):
 
 class WeightValidationError(CircleBopsError):
     """Weight specification violates a hard invariant (duplicate locations,
-    missing origin singularity, strict-mode condition failure)."""
+    missing origin singularity) or is malformed."""
 
 
 class BranchCutError(CircleBopsError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CircleBopsError, QuadratureError, WindowError
 from .numerics import polyadd, polyder, polymul, series_band
-from .weight import SemiClassicalWeight, _principal_power, build_vw, origin_power
+from .weight import SemiClassicalWeight, build_vw, origin_power
 
 # The factorised moments cut each inside sum where its terms have fallen by
 # TAIL_FLOOR, below its round-off, and refuse series past SERIES_MAX terms
@@ -164,16 +164,15 @@ def _tail(inside, start: int) -> int:
 
 def factorised_moments(weight: SemiClassicalWeight, window: int) -> MomentTable:
     """w_k for |k| <= window from the factorisation w = C z^S A(1/z) B(z)
-    (module docstring): w_k = C sum_b A_b B_{k-S+b}.  A's series runs
+    (`SemiClassicalWeight.factorisation`): w_k = C sum_b A_b B_{k-S+b}.  A's series runs
     window + |S| + L terms, L the tail (`_tail`), so that w_{-window} keeps
     L terms of its sum too; B's runs as far as the sums reach.
     BranchCutError when the inside exponents do not sum to an integer,
     CircleBopsError when the series would pass SERIES_MAX terms."""
     s = origin_power(weight)
-    sings = [(x.location, x.exponent) for x in weight.singularities
-             if x.location != 0 and x.exponent != 0]
-    inside = [(z, rho) for z, rho in sings if abs(z) < 1.0]
-    outside = [(z, rho) for z, rho in sings if abs(z) >= 1.0]
+    factors = weight.factorisation[1]
+    inside = [(z, rho) for z, rho, c in factors if c is None]
+    outside = [(z, rho) for z, rho, c in factors if c is not None]
     tail = _tail(inside, window + abs(s) + 1)
     count = window + abs(s) + tail + 1
     if (reach := count + window - s) > SERIES_MAX:
@@ -181,7 +180,7 @@ def factorised_moments(weight: SemiClassicalWeight, window: int) -> MomentTable:
                               f"{SERIES_MAX}: an inside singularity too close to the circle")
     a = _product(inside, count)
     b = _product([(1.0 / z, rho) for z, rho in outside], reach)
-    constant = np.prod([_principal_power(-z, rho) for z, rho in outside])
+    constant = np.prod([c for *_, c in factors if c is not None])
     # np.correlate conjugates its second argument: full[d + count - 1] = sum_b A_b B_{d+b}
     full = np.correlate(b, a.conj(), "full")
     values = constant * full[np.arange(-window, window + 1) - s + count - 1]

@@ -21,12 +21,18 @@ inside the disc sum to an integer:
 
 Integer exponents are evaluated as exact powers with no cut.  So w factors
 as w(z) = C z^S A(1/z) B(z), with A(u) = prod_inside (1 - z_j u)^rho_j,
-B(z) = prod_outside (1 - z/z_j)^rho_j and C = prod_outside (-z_j)^rho_j,
-the form `moments.factorised_moments` expands into the moments.
+B(z) = prod_outside (1 - z/z_j)^rho_j and C = prod_outside C_j, the form
+`moments.factorised_moments` expands into the moments; every reader takes
+S, the sides and the C_j from `SemiClassicalWeight.factorisation`.
+C_j is (-z_j)^rho_j on the factor's sheet k_j: the principal value times
+e^{2 pi i k_j rho_j}, with k_j = 0 in every weight a spec or the library
+builds.  `with_locations` continues each factor along the straight segment
+to its new location, so a moved weight keeps its branch.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Sequence
@@ -41,11 +47,7 @@ _INT_TOL = 1e-9
 
 
 def _is_nonneg_int(rho: complex) -> bool:
-    return (
-        abs(rho.imag) < _INT_TOL
-        and rho.real > -_INT_TOL
-        and abs(rho.real - round(rho.real)) < _INT_TOL
-    )
+    return _is_int(rho) and rho.real > -_INT_TOL
 
 
 def _is_int(value: complex) -> bool:
@@ -56,6 +58,7 @@ def _is_int(value: complex) -> bool:
 class Singularity:
     location: complex
     exponent: complex
+    sheet: int = 0  # the branch of (-z_j)^rho_j (module docstring)
 
     def __post_init__(self):
         object.__setattr__(self, "location", complex(self.location))
@@ -94,8 +97,6 @@ class SemiClassicalWeight:
     """Singularity data (z_j, rho_j) with the origin singularity first."""
 
     singularities: tuple[Singularity, ...]
-    annulus: tuple[float, float] = (0.0, float("inf"))
-    strict: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "singularities", tuple(self.singularities))
@@ -116,36 +117,43 @@ class SemiClassicalWeight:
     def exponent_sum(self) -> complex:
         return complex(self.exponents.sum())
 
-    @property
-    def inside_exponent_sum(self) -> complex:
-        return complex(
-            sum(s.exponent for s in self.singularities if abs(s.location) < 1.0)
-        )
+    @cached_property
+    def factorisation(self) -> tuple[complex, tuple[tuple[complex, complex, complex | None], ...]]:
+        """(S, factors): S sums the exponents inside the disc, the origin's
+        included (an integer when w is single-valued on the circle), and
+        factors holds (z_j, rho_j, C_j) for each other z_j with rho_j != 0,
+        in order: C_j is None inside the disc, (-z_j)^rho_j on its sheet outside."""
+        total, factors = 0, []
+        for s in self.singularities:
+            zj, rho, inside = s.location, s.exponent, abs(s.location) < 1.0
+            if inside:
+                total += rho
+            if rho == 0 or zj == 0:
+                continue
+            constant = None if inside else _principal_power(-zj, rho)
+            if not inside and s.sheet:
+                constant *= cmath.exp(2j * cmath.pi * s.sheet * rho)
+            factors.append((zj, rho, constant))
+        return complex(total), tuple(factors)
 
     def with_locations(self, locations: Sequence[complex]) -> "SemiClassicalWeight":
-        """Same exponents at new locations (deformation snapshots)."""
-        sings = tuple(
-            Singularity(loc, s.exponent)
-            for loc, s in zip(locations, self.singularities)
-        )
-        return SemiClassicalWeight(sings, self.annulus, self.strict)
-
-    def default_annulus(self) -> tuple[float, float]:
-        inner = max(
-            (abs(s.location) for s in self.singularities if 0 < abs(s.location) < 1),
-            default=0.0,
-        )
-        outer = min(
-            (abs(s.location) for s in self.singularities if abs(s.location) > 1),
-            default=float("inf"),
-        )
-        return (inner, outer)
+        """Same exponents at new locations, each factor continued along the
+        straight segment from its location here: its sheet gains the turns
+        arg(-z_j) makes past (-pi, pi].  An integer exponent stays on 0."""
+        sings = []
+        for loc, s in zip(locations, self.singularities):
+            loc, sheet = complex(loc), s.sheet
+            if s.location != 0 and loc != 0 and not _is_int(s.exponent):
+                swept = cmath.phase(_on_principal_range(-s.location)) + cmath.phase(loc / s.location)
+                sheet += round((swept - cmath.phase(_on_principal_range(-loc))) / (2 * cmath.pi))
+            sings.append(Singularity(loc, s.exponent, sheet))
+        return SemiClassicalWeight(tuple(sings))
 
     @cached_property
     def validation(self) -> ValidationReport:
-        """The relaxed `validate_weight` report, computed once per weight
-        object; WeightValidationError on the hard errors, on every read."""
-        return validate_weight(self, strict=False)
+        """The `validate_weight` report, computed once per weight object;
+        WeightValidationError on the hard errors, on every read."""
+        return validate_weight(self)
 
     def __call__(self, z):
         return eval_weight(self, z)
@@ -155,7 +163,6 @@ class SemiClassicalWeight:
 class ValidationReport:
     conditions: list[dict[str, Any]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    strict_mode: bool = True
 
     def record(self, name: str, ok: bool, detail: str = "") -> None:
         self.conditions.append({"name": name, "passed": bool(ok), "detail": detail})
@@ -167,24 +174,22 @@ class ValidationReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema": "v1",
-            "strict_mode": self.strict_mode,
+            "strict_mode": False,
             "passed": self.passed,
             "conditions": self.conditions,
             "warnings": self.warnings,
         }
 
 
-def validate_weight(spec: SemiClassicalWeight, strict: bool | None = None) -> ValidationReport:
+def validate_weight(spec: SemiClassicalWeight) -> ValidationReport:
     """Check the defining conditions of a regular semi-classical weight.
 
-    Duplicate locations and a missing origin singularity are hard errors in
-    every mode.  In strict mode any failed condition raises; in relaxed mode
-    failures are recorded as warnings (needed for closed-form test weights
-    such as z^{-1}(1+z)^2 whose exponent 2 is a non-negative integer).
+    Duplicate locations and a missing origin singularity are hard errors.
+    Any other failed condition is recorded, with a warning, and the report
+    does not pass (closed-form test weights such as z^{-1}(1+z)^2, whose
+    exponent 2 is a non-negative integer, are built all the same).
     """
-    if strict is None:
-        strict = spec.strict
-    report = ValidationReport(strict_mode=strict)
+    report = ValidationReport()
 
     locs = spec.locations
     for i in range(len(locs)):
@@ -211,17 +216,17 @@ def validate_weight(spec: SemiClassicalWeight, strict: bool | None = None) -> Va
         "; ".join(f"rho_{i + 1} = {rho}" for i, rho in bad) if bad else "",
     )
 
-    s_in = spec.inside_exponent_sum
-    single_valued = _is_int(s_in)
+    s_in = spec.factorisation[0]
     report.record(
         "single_valued_on_circle",
-        single_valued,
+        _is_int(s_in),
         f"sum of exponents inside the disc = {s_in}",
     )
 
-    d1, d2 = spec.annulus
-    annulus_ok = 0.0 <= d1 < 1.0 < d2
-    report.record("annulus_brackets_circle", annulus_ok, f"({d1}, {d2})")
+    radii = [abs(s.location) for s in spec.singularities]
+    d1 = max((r for r in radii if 0 < r < 1), default=0.0)
+    d2 = min((r for r in radii if r > 1), default=float("inf"))
+    report.record("annulus_brackets_circle", 0.0 <= d1 < 1.0 < d2, f"({d1}, {d2})")
 
     on_circle = [i for i, s in enumerate(spec.singularities) if abs(abs(s.location) - 1) < 1e-12]
     for i in on_circle:
@@ -232,9 +237,6 @@ def validate_weight(spec: SemiClassicalWeight, strict: bool | None = None) -> Va
                 "moments may not exist"
             )
 
-    if strict and not report.passed:
-        failed = [c["name"] for c in report.conditions if not c["passed"]]
-        raise WeightValidationError(f"strict validation failed: {', '.join(failed)}")
     if not report.passed:
         report.warnings.extend(
             f"relaxed mode: condition {c['name']} failed"
@@ -251,19 +253,21 @@ def is_strict_semiclassical(spec: SemiClassicalWeight) -> bool:
         return False
 
 
-def _principal_power(base: complex, rho: complex) -> complex:
-    # normalize -0.0 imaginary parts so negative reals use arg = +pi
+def _on_principal_range(base: complex) -> complex:
+    # a -0.0 imaginary part made +0.0, so a negative real has arg +pi
     base = complex(base)
-    if base.imag == 0.0:
-        base = complex(base.real, 0.0)
-    return complex(np.power(base, rho))
+    return complex(base.real, 0.0) if base.imag == 0.0 else base
+
+
+def _principal_power(base: complex, rho: complex) -> complex:
+    return complex(np.power(_on_principal_range(base), rho))
 
 
 def origin_power(spec: SemiClassicalWeight) -> int:
     """S, the integer sum of the inside exponents (the origin's included):
     the power of z the inside factors contribute; BranchCutError when the
     sum is not an integer, so the weight is not single-valued on the circle."""
-    s_in = spec.inside_exponent_sum
+    s_in = spec.factorisation[0]
     if not _is_int(s_in):
         raise BranchCutError(
             "weight is not single-valued on the circle: inside exponents sum "
@@ -306,16 +310,12 @@ def eval_weight(spec: SemiClassicalWeight, z):
 
     out = out * safe**k_in
 
-    for s in spec.singularities:
-        zj, rho = s.location, s.exponent
-        if rho == 0 or zj == 0:
-            continue
-        if abs(zj) < 1.0:
+    for zj, rho, constant in spec.factorisation[1]:
+        if constant is None:
             u = 1.0 - zj / safe  # cut: radial segment from z_j to the origin
             constant = 1.0 + 0j
         else:
             u = 1.0 - zs / zj  # cut: ray from z_j radially outward
-            constant = _principal_power(-zj, rho)
         if _is_int(rho):
             factor = u ** int(round(rho.real))
         else:
@@ -352,7 +352,7 @@ def build_vw(spec: SemiClassicalWeight) -> PolyPair:
 
 # ---------------------------------------------------------------------------
 # JSON schema:  {"singularities": [{"z": [re, im], "rho": [re, im]}, ...],
-#                "strict": bool, "annulus": [d1, d2], "branch": {...}}
+#                "branch": {...}}; other members are ignored
 # ---------------------------------------------------------------------------
 
 def json_pair(value, member: str) -> tuple[float, float]:
@@ -372,18 +372,10 @@ def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:
                 raise WeightValidationError(f"singularity {i} needs the member {key!r}")
         z, rho = (complex(*json_pair(item[key], f"singularity {i} {key!r}")) for key in ("z", "rho"))
         sings.append(Singularity(z, rho))
-    annulus = payload.get("annulus")
     branch = payload.get("branch", {}) or {}
     if not isinstance(branch, dict):
         raise WeightValidationError(f"'branch' must be an object, got {branch!r}")
     convention = branch.get("convention", "radial")
     if convention != "radial":
         raise WeightValidationError(f"unknown branch convention: {convention!r}")
-    spec = SemiClassicalWeight(
-        tuple(sings),
-        annulus=json_pair(annulus, "'annulus'") if annulus else (0.0, float("inf")),
-        strict=bool(payload.get("strict", True)),
-    )
-    if annulus is None:
-        spec = SemiClassicalWeight(spec.singularities, spec.default_annulus(), spec.strict)
-    return spec
+    return SemiClassicalWeight(tuple(sings))

@@ -23,9 +23,7 @@ from oracles import exact_moments, u_reads
 
 
 def lebesgue_weight_relaxed() -> SemiClassicalWeight:
-    return SemiClassicalWeight(
-        (Singularity(0, 0), Singularity(-1, 0)), strict=False
-    )
+    return SemiClassicalWeight((Singularity(0, 0), Singularity(-1, 0)))
 
 
 def close(batch, loop, rel=1e-13):
@@ -111,9 +109,7 @@ def lebesgue():
 
 @pytest.fixture(scope="session")
 def laurent():
-    weight = SemiClassicalWeight(
-        (Singularity(0, -1), Singularity(-1, 2)), strict=False
-    )
+    weight = SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2)))
     table = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys = build_system(table, 8)
     return {

@@ -437,7 +437,7 @@ def exact_moments(weight: SemiClassicalWeight, window: int, dps: int = 50) -> di
     one evaluation of the engine's weight, at z = 1, over A(1) B(1), so
     every moment shares that value's one double rounding.  ValueError when
     the inside exponents do not sum to an integer."""
-    total = weight.inside_exponent_sum
+    total = weight.factorisation[0]
     if abs(total - round(total.real)) > 1e-9:
         raise ValueError("exact moments need inside exponents that sum to an integer")
     s = int(round(total.real))

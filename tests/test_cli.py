@@ -17,6 +17,7 @@ from circlebops import weight as weight_module
 from circlebops.bops import BopsSystem, build_system
 from circlebops.cli import main, parse_trajectory, parse_weight_spec
 from circlebops.moments import compute_moments, table_from_moments
+from circlebops.weight import weight_from_json
 
 from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
@@ -104,6 +105,30 @@ class TestParseWeightSpec:
         via_closed = build_system(table_from_moments([(-1, 1), (0, 2), (1, 1)], 10), 6)
         assert np.max(np.abs(via_raw.phi - via_closed.phi)) < 1e-12
         assert np.max(np.abs(via_raw.kappas - via_closed.kappas)) < 1e-12
+
+    def test_strict_and_annulus_members_are_not_read(self, tmp_path):
+        # members of earlier spec versions: the weight and its validation
+        # report are those of the spec without them
+        plain = {"singularities": STRICT_SPEC["singularities"]}
+        legacy = {**plain, "strict": False, "annulus": ["a", 2]}
+        for name, spec in (("plain", plain), ("legacy", legacy)):
+            assert main(["build", "--weight", write(tmp_path, f"{name}.json", spec), "--n", "2",
+                         "--out", str(tmp_path / name)]) == 0
+        assert parse_weight_spec(write(tmp_path, "l.json", legacy))[0] == weight_from_json(plain)
+        assert ((tmp_path / "legacy" / "validation_report.json").read_bytes()
+                == (tmp_path / "plain" / "validation_report.json").read_bytes())
+
+    def test_trajectory_from_is_the_principal_weight_there(self, tmp_path):
+        # 'from' starts the flow from a fresh weight on sheet 0, not from the
+        # spec's weight continued to 'from' (one sheet up for 2 -> 2+0.05i)
+        weight = weight_from_json(STRICT_SPEC)
+        traj = parse_trajectory(write(tmp_path, "t.json", {"j": 2, "from": [2, 0.05], "to": [2, 0.1]}), weight)
+        fresh = weight_from_json({"singularities": [
+            STRICT_SPEC["singularities"][0], {"z": [2, 0.05], "rho": [0.5, 0]}, STRICT_SPEC["singularities"][2],
+        ]})
+        assert traj.weight0 == fresh
+        assert [s.sheet for s in traj.weight0.singularities] == [0, 0, 0]
+        assert weight.with_locations(fresh.locations).singularities[1].sheet == 1
 
     def test_ambiguous_spec_rejected(self, tmp_path):
         payload = dict(STRICT_SPEC)
@@ -218,7 +243,6 @@ class TestExitCodes:
             ),
             (STRICT_SPEC, {"j": [2], "to": [2, -0.05]}, "trajectory 'j' must be a number"),
             ({**STRICT_SPEC, "branch": ["radial"]}, None, "'branch' must be an object"),
-            ({**STRICT_SPEC, "annulus": ["a", 2]}, None, "'annulus' must be a pair of numbers"),
             (5, None, "weight spec must be a JSON object"),
             ({"moments": 5}, None, "'moments' must be a list of [k, re, im] rows"),
             ({"moments": [[0, "1", 0]]}, None, "moments row 1 must be [k, re, im] numbers"),
@@ -226,7 +250,7 @@ class TestExitCodes:
         ],
         ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho",
              "trajectory-to-not-a-pair", "trajectory-not-an-object", "weight-z-not-a-pair",
-             "trajectory-j-not-a-number", "weight-branch-not-an-object", "weight-annulus-not-numbers",
+             "trajectory-j-not-a-number", "weight-branch-not-an-object",
              "weight-not-an-object", "moments-not-a-list", "moments-row-not-numbers",
              "moments-row-of-two"],
     )
@@ -466,7 +490,7 @@ class TestOneBundle:
         seen = []
         real = weight_module.validate_weight
         monkeypatch.setattr(weight_module, "validate_weight",
-                            lambda spec, strict=None: seen.append(spec) or real(spec, strict))
+                            lambda spec: seen.append(spec) or real(spec))
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         assert main(["verify-all", "--weight", weight, "--n", "4", "--out", str(tmp_path)]) == 0
         assert len(seen) == 1

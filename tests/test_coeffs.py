@@ -268,7 +268,7 @@ class TestBilinear:
         # V(z_j) = rho_j W'(z_j)/2 vanishes exactly when the exponent does,
         # which is the degenerate case the residue formulas divide by
         weight = SemiClassicalWeight(
-            (Singularity(0, -0.5), Singularity(2, 0.0)), strict=False
+            (Singularity(0, -0.5), Singularity(2, 0.0))
         )
         vw = build_vw(weight)
         assert abs(vw.v_eval(2.0)) < 1e-13

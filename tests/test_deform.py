@@ -301,29 +301,24 @@ class TestFlow:
             "coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False
         }
 
-    @pytest.mark.parametrize(
-        "target",
-        [
-            2.0 - 0.05j,
-            pytest.param(
-                2.0 + 0.05j,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="the rebuilt weight takes the principal value of (-z_2)^rho_2: "
-                    "-z_2 = -2 sits on the cut with arg pi, a move into the upper "
-                    "half-plane sends the arg to -pi, and the rebuilt weight's "
-                    "constant jumps by e^{-2 pi i rho_2}, which the flow does not see",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("target", [2.0 - 0.05j, 2.0 + 0.05j])
     def test_off_axis_move_matches_rebuild(self, strict_weight_module, target):
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
         initial, _ = moment_rebuild(traj, 0.0, 2)
         _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 16)
         rebuilt, _ = moment_rebuild(traj, 0.1, 2)
         assert state_gap(flow[-1], rebuilt.pack()) < 1e-5
+
+    def test_principal_rebuild_jumps_on_an_upward_move(self, strict_weight_module, monkeypatch):
+        # the mutant moves a weight by building it afresh, on sheet 0: the
+        # rebuilt constant (-z_2)^rho_2 jumps by e^{-2 pi i rho_2}
+        monkeypatch.setattr(SemiClassicalWeight, "with_locations", lambda self, locs: SemiClassicalWeight(
+            tuple(Singularity(z, s.exponent) for z, s in zip(locs, self.singularities))))
+        traj = LinearTrajectory(strict_weight_module, moving=1, target=2.0 + 0.05j, t0=0.0, t1=0.1)
+        initial, _ = moment_rebuild(traj, 0.0, 2)
+        _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 16)
+        rebuilt, _ = moment_rebuild(traj, 0.1, 2)
+        assert 1.4 < state_gap(flow[-1], rebuilt.pack()) < 1.6
 
     def test_transfer_compatibility(self, traj):
         res = transfer_rate_check(traj, 2, 0.05, [0.4 + 0.2j, 2.6 + 1.0j])
@@ -346,7 +341,6 @@ class TestFlowKernel:
                 Singularity(-2.5 + 0.5j, 0.25),
                 Singularity(0.3 - 0.4j, 0.75 + 0.1j),
             ),
-            strict=False,
         )
         # two singularities moving at different velocities, so every pair
         # coefficient (zdot_j - zdot_k)/(z_j - z_k) with j or k moving is

@@ -146,7 +146,7 @@ def test_quadrature_entry_catches_a_branch_constant_mutant(tmp_path, monkeypatch
 def test_refuses_weights_outside_the_family():
     # inside exponents summing to -1/2: the weight is not single-valued
     inside = SemiClassicalWeight(
-        (Singularity(0, -1), Singularity(0.4, 0.5), Singularity(2, 0.5)), strict=False
+        (Singularity(0, -1), Singularity(0.4, 0.5), Singularity(2, 0.5))
     )
     with pytest.raises(ValueError, match="sum to an integer"):
         exact_moments(inside, 8)

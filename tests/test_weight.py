@@ -15,40 +15,36 @@ from conftest import lebesgue_weight_relaxed
 from oracles import weight_log_derivative
 
 
-def make(*pairs, strict=True):
-    return SemiClassicalWeight(
-        tuple(Singularity(z, rho) for z, rho in pairs), strict=strict
-    )
+def make(*pairs):
+    return SemiClassicalWeight(tuple(Singularity(z, rho) for z, rho in pairs))
 
 
 class TestValidation:
     def test_strict_weight_passes(self):
-        report = validate_weight(make((0, -1), (2, 0.5), (3, 1 / 3)), strict=True)
+        report = validate_weight(make((0, -1), (2, 0.5), (3, 1 / 3)))
         assert report.passed
         assert all(c["passed"] for c in report.conditions)
 
     def test_nonnegative_integer_exponent_fails_strict(self):
-        with pytest.raises(WeightValidationError):
-            validate_weight(make((0, -1), (-1, 2)), strict=True)
-        report = validate_weight(make((0, -1), (-1, 2)), strict=False)
+        report = validate_weight(make((0, -1), (-1, 2)))
         assert not report.passed
         failed = [c["name"] for c in report.conditions if not c["passed"]]
         assert "exponents_not_nonnegative_integers" in failed
 
     def test_duplicate_locations_hard_error(self):
         with pytest.raises(WeightValidationError):
-            validate_weight(make((0, -1), (0, 0.5)), strict=False)
+            validate_weight(make((0, -1), (0, 0.5)))
 
     def test_missing_origin_hard_error(self):
         with pytest.raises(WeightValidationError):
-            validate_weight(make((1.5, -1), (2, 0.5)), strict=False)
+            validate_weight(make((1.5, -1), (2, 0.5)))
 
     def test_single_level_weight_fails_condition_one(self):
-        report = validate_weight(make((0, 0.5), strict=False), strict=False)
+        report = validate_weight(make((0, 0.5)))
         assert not report.passed
 
     def test_non_integer_inside_sum_flagged(self):
-        report = validate_weight(make((0, -0.5), (2, 0.5)), strict=False)
+        report = validate_weight(make((0, -0.5), (2, 0.5)))
         failed = [c["name"] for c in report.conditions if not c["passed"]]
         assert "single_valued_on_circle" in failed
 
@@ -60,7 +56,7 @@ class TestEval:
             assert eval_weight(w, z) == 1.0
 
     def test_laurent_weight_at_one(self):
-        w = make((0, -1), (-1, 2), strict=False)
+        w = make((0, -1), (-1, 2))
         assert abs(eval_weight(w, 1.0) - 4.0) < 1e-14
 
     def test_principal_branch_value(self):
@@ -68,7 +64,7 @@ class TestEval:
         assert abs(eval_weight(w, 1.0) - 1j) < 1e-14
 
     def test_matches_laurent_expansion_on_circle(self):
-        w = make((0, -1), (-1, 2), strict=False)
+        w = make((0, -1), (-1, 2))
         for theta in np.linspace(-3, 3, 11):
             z = np.exp(1j * theta)
             assert abs(eval_weight(w, z) - (z**-1 * (1 + z) ** 2)) < 1e-13
@@ -120,10 +116,53 @@ class TestEval:
         ) < 1e-13
 
 
+class TestMovedWeights:
+    @pytest.mark.parametrize(
+        "start, target, sheet",
+        [
+            (2, 2 + 0.1j, 1),  # arg(-z) passes +pi upward
+            (2 + 0.05j, 2 - 0.05j, -1),  # and -pi downward
+            (2, 2 - 0.1j, 0),
+            (complex(2, -0.0), 2 + 0.1j, 1),  # -z = -2+0j, arg +pi
+            (2 + 0.1j, 2.1 + 0.2j, 0),
+        ],
+    )
+    def test_sheet_counts_turns_past_the_principal_range(self, start, target, sheet):
+        moved = make((0, -1), (start, 0.5), (3, 1 / 3)).with_locations([0, target, 3])
+        assert [s.sheet for s in moved.singularities] == [0, sheet, 0]
+
+    def test_integer_exponent_stays_on_sheet_zero(self):
+        moved = make((0, -1), (2, 2), (3, 1 / 3)).with_locations([0, 2 + 0.1j, 3])
+        assert [s.sheet for s in moved.singularities] == [0, 0, 0]
+
+    def test_sheet_scales_the_principal_constant(self):
+        rho = 0.5 + 0.2j
+        moved = make((0, -1), (2, rho)).with_locations([0, 2 + 0.1j])
+        (z, _, constant), = moved.factorisation[1]
+        assert abs(constant - complex(np.power(-z, rho)) * np.exp(2j * np.pi * rho)) < 1e-15 * abs(constant)
+
+    def test_a_move_and_back_returns_to_the_start(self):
+        w = make((0, -1), (2, 0.5), (3, 1 / 3))
+        back = w.with_locations([0, 2 + 0.1j, 3]).with_locations([0, 2 - 0.1j, 3]).with_locations(w.locations)
+        assert back == w
+
+    def test_downward_move_is_the_fresh_weight(self):
+        moved = make((0, -1), (2, 0.5), (3, 1 / 3)).with_locations([0, 2 - 0.1j, 3])
+        assert moved.factorisation == make((0, -1), (2 - 0.1j, 0.5), (3, 1 / 3)).factorisation
+
+    @pytest.mark.parametrize("step", [1e-3j, -1e-3j, 1e-3 + 1e-3j])
+    def test_moved_weight_is_continuous_on_the_circle(self, step):
+        # principal constants would jump by |1 - e^{-2 pi i rho_2}| = 2 upward
+        w = make((0, -1), (2, 0.5), (3, 1 / 3))
+        zs = np.exp(1j * np.linspace(0.1, 2 * np.pi, 64))
+        moved = w.with_locations([0, 2 + step, 3])
+        assert np.max(np.abs(moved(zs) - w(zs))) < 2e-3
+
+
 class TestPolyPair:
     def test_laurent_vw_by_hand(self):
         # W = z^2 + z, 2V = -(z+1) + 2z = z - 1
-        vw = build_vw(make((0, -1), (-1, 2), strict=False))
+        vw = build_vw(make((0, -1), (-1, 2)))
         assert np.allclose(vw.W, [0, 1, 1])
         assert np.allclose(vw.V, [-0.5, 0.5])
 
@@ -152,5 +191,5 @@ def test_strictness_probe():
         SemiClassicalWeight((Singularity(0, -1), Singularity(2, 0.5)))
     )
     assert not is_strict_semiclassical(
-        SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2)), strict=False)
+        SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2)))
     )
