@@ -7,7 +7,7 @@ oracles."""
 
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
-from .coeffs import CoeffQuad, compute_coeff_quad
+from .coeffs import CoeffQuad, compute_coeff_quad, compute_coeff_quads
 from .deform import (
     DeformState,
     LinearTrajectory,
@@ -70,6 +70,7 @@ __all__ = [
     "build_vw",
     "compute_moments",
     "compute_coeff_quad",
+    "compute_coeff_quads",
     "deformation_rates",
     "eval_weight",
     "heine_oracle",

@@ -26,11 +26,12 @@ with exact derivatives from polyder of the same bands, summed beside them.
 Both series extend into the weight's annulus (the jump check in `lax` forces
 a side there); unforced, a point within NEAR_CIRCLE of |z| = 1 is refused.
 Every level comes at once, from one Horner pass per side over the
-zero-padded bands.  The same inputs give the same bytes, and a point's
-values are the same alone or inside an array.  The identity web and the
-two-sided expansions use the level axis: each family is formed once over
-all its levels, one row a level (`IdentityReport.add_rows`, `add_groups`),
-the level scalars read off the store as columns, with numpy arithmetic.
+zero-padded bands (`numerics.polyval`, in blocks of 8 orders: a 49-order
+band takes 13 array steps).  The same inputs give the same bytes, and a
+point's values are the same alone or inside an array.  The identity web
+and the two-sided expansions use the level axis: each family is formed
+once over all its levels, one row a level (`IdentityReport.add_rows`), the
+level scalars read off the store as columns, with numpy arithmetic.
 
 Level ceiling: none of its own.  Against a 50-digit solve from the same
 moments the values are within 1e-13 relative at n = 8, 14, 20 and 22 on the
@@ -54,7 +55,7 @@ from .config import IDENTITY_TOL
 from .errors import NearCircleError
 from .moments import CaratheodoryEvaluator
 from .numerics import polyder, polyval
-from .report import IdentityReport, equation
+from .report import IdentityReport, PerFamily, equation
 
 # A point within NEAR_CIRCLE of |z| = 1 is refused unless a side is forced.
 NEAR_CIRCLE = 1e-3
@@ -295,7 +296,8 @@ def verify_expansions(
     against their closed forms in the kappa / l / m / phi(0) data (levels
     n+1, n+2 must be built).  The level is an array axis: one series read
     per (star, side) over all the levels, each expansion one row family,
-    its residual |got - want| / max(1, |want|); entries level by level."""
+    its residual |got - want| / max(1, |want|), each its own where labels;
+    entries level by level."""
     rep = IdentityReport("associated-function expansions")
     sys = asys.sys
     levels = np.asarray(ns, dtype=int)
@@ -339,8 +341,9 @@ def verify_expansions(
         ("epsstar_outside_order_-2", order(outer_s, 2), l[q] * l[p] / (k[q] * k[p]) - m[q] / k[q],
          "z^-2 outside"),
     ]
-    rep.add_groups([
-        ([(name, anchor, got) if want is None else (name, anchor, got - want, want)], tol, levels, where)
-        for name, got, want, where in expansions
-    ])
+    rep.add_rows(
+        [(name, anchor, got) if want is None else (name, anchor, got - want, want)
+         for name, got, want, _ in expansions],
+        tol, levels, PerFamily(where for *_, where in expansions),
+    )
     return rep

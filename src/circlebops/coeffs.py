@@ -25,6 +25,9 @@ above.  Those take phi', phi*', eps' and eps*' exact from
 they stay independent of the quadruples' band reads because they test each
 relation pointwise, at sample points inside and outside the circle, on both
 sides' eps series.
+The quadruples of all the levels a bundle asks for are read in one pass
+(`compute_coeff_quads`): every truncated product is a stack of Toeplitz
+matrices, one a level, applied by one matmul, with no per-level loop.
 Each suite evaluates the quadruples it reads once per point set, in one
 Horner pass over the members of all of them (`quad_values`, row n
 `CoeffQuad.evaluate` of level n), and indexes those values.  Every suite
@@ -41,12 +44,12 @@ and `verify-all` writes the bytes of `coeffs` run alone.
 Level ceiling: on the flagship weight z^-1 (z-2)^(1/2) (z-3)^(1/3) the
 `coeffs` suite passes through --n 30, where the quadruples' out-of-band
 ratio (degree_certification) reads 4.0e-8 against 1e-7 and the next
-entry, bilres_j at z_3, 7.0e-10 against 1e-6; at --n 31 the ratio of the
+entry, bilres_j at z_3, 7.1e-10 against 1e-6; at --n 31 the ratio of the
 level-32 quadruple reads 1.1e-7.  The complex m = 4 weight stops at the
 same entry (passes 29, 1.6e-7 at 30), and so does the inside-complex
 weight (passes 30, 1.4e-7 at 31).  `verify-all` passes through --n 11; at
 --n 12 it is stopped by the matrix system in lax (transfer_compatibility
-1.1e-9 against 1e-9), not by this module.
+1.5e-9 against 1e-9), not by this module.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
@@ -65,13 +69,7 @@ from .errors import (
     NotSemiClassicalError,
     SingularResidueError,
 )
-from .numerics import (
-    polyadd,
-    polyder,
-    polymul,
-    polyval,
-    series_band,
-)
+from .numerics import polyadd, polyder, polymul, polyval
 from .report import IdentityReport, equation
 from .weight import PolyPair, SemiClassicalWeight, is_strict_semiclassical
 
@@ -110,11 +108,124 @@ def quad_values(quads: Mapping[int, CoeffQuad], ns, z) -> np.ndarray:
     return polyval(members, z).reshape((len(ns), 4) + np.shape(z))
 
 
-def _product(a, b, size: int) -> np.ndarray:
-    """Orders 0..size-1 of a*b, zero-padded."""
-    out, prod = np.zeros(size, dtype=complex), np.convolve(a, b)[:size]
-    out[: len(prod)] = prod
-    return out
+def _toeplitz(poly: np.ndarray, size: int) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices of the polynomials along the last
+    axis of ``poly``, as a read-only view: entry [..., k, j] is the
+    coefficient of order k - j, so a matrix times a series gives orders
+    0..size-1 of their product."""
+    padded = np.zeros(np.shape(poly)[:-1] + (2 * size - 1,), dtype=complex)
+    width = min(np.shape(poly)[-1], size)
+    padded[..., size - 1 : size - 1 + width] = poly[..., :width]
+    return sliding_window_view(padded, size, axis=-1)[..., ::-1]
+
+
+MEMBERS = ("theta", "thetastar", "omega", "omegastar")
+
+
+def compute_coeff_quads(
+    sys: BopsSystem,
+    asys: AssocSystem,
+    vw: PolyPair,
+    ns: Sequence[int],
+    weight: SemiClassicalWeight,
+) -> dict[int, CoeffQuad]:
+    """The quadruple of every level of ``ns``, read off exact truncated series
+    of its defining combinations: Theta_n / Omega_n are the orders
+    n..n+m-2 / n..n+m-1 of the Taylor series at z = 0, Theta*_n / Omega*_n
+    the orders n+1..n+m-1 / n+1..n+m of the expansion at infinity, which is
+    the Taylor series of the reflected weight w(1/u).  Both are exact up to
+    the moment window.  The starred pair is read at infinity because that
+    read holds up at the outer singular points: on the flagship weight at
+    n = 10 the bilinear residue bilres_j at z_3 = 3 reads 3e-11 from it and
+    4e-7 from a Taylor read at 0.  Every order of each series below its band
+    and the two above it must vanish; their size against the band is the
+    out-of-band ratio kept in ``fit_residuals``, which
+    `verify_expansion_forms` gates as degree_certification.
+
+    One pass over the levels: each truncated product is a stack of the
+    Toeplitz matrices of its polynomial factor, one a level, applied by one
+    matmul (phi_n, phi_n' and phi_{n+1} on the stacked eps_n, eps_n' and
+    eps_{n+1} series, per side), then the Toeplitz matrices of W and V act
+    on the results, all on the orders 0..N+m+2 of the top level N; the
+    bands are read by index.  Raises NotSemiClassicalError for a weight
+    outside the strict regular semi-classical class, DegenerateLevelError
+    at the lowest level whose phi_{n+1}(0) or phibar_{n+1}(0), a prefactor
+    divided by, is exactly 0, and WindowError when the series need moments
+    beyond the table."""
+    if not is_strict_semiclassical(weight):
+        raise NotSemiClassicalError(
+            "coefficient functions are defined for strict regular "
+            "semi-classical weights only"
+        )
+    levels = np.unique(np.asarray(ns, dtype=int))
+    if not levels.size:
+        return {}
+    sys.require(*(k for n in levels.tolist() for k in (n, n + 1)))
+    kappa, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
+    zero, zero_bar = p0[levels + 1] == 0, pb0[levels + 1] == 0
+    if (zero | zero_bar).any():
+        k = int(np.argmax(zero | zero_bar))
+        n = int(levels[k])
+        if zero[k]:
+            raise DegenerateLevelError(f"phi_{n + 1}(0) = 0: Theta_{n}/Omega_{n} prefactor vanishes")
+        raise DegenerateLevelError(f"phibar_{n + 1}(0) = 0: starred prefactor vanishes")
+    m = vw.degree
+    size = int(levels[-1]) + m + 3  # orders 0..N+m+2: every band and the two orders above it
+
+    def combinations(pair, rows, star):
+        # 2 (phi_{n+1}(0)/kappa_n) z^n (Theta_n, Omega_n) of every level from
+        # the weight's (W, V) and phi_n, phi_{n+1}, eps_n, eps_{n+1}, and
+        # phi_{n+1} eps_n - eps_{n+1} phi_n
+        e, e1 = (asys.eps_taylor(k, size + 1, star, at_infinity=star) for k in (levels, levels + 1))
+        series = np.stack([e[:, :size], polyder(e.T).T, e1[:, :size]], axis=-1)
+        p = rows[levels]
+        dp = np.zeros_like(p)
+        dp[:, :-1] = polyder(p.T).T
+        products = _toeplitz(np.stack([p, dp, rows[levels + 1]]), size) @ series
+        (pe, pde, pe1), (dpe, _, dpe1), (p1e, p1de, _) = np.moveaxis(products, -1, 1)
+        # W and V act on the series of every level at once, one matmul each
+        w_parts = np.concatenate([dpe - pde, dpe1 - p1de]).T
+        v_parts = np.concatenate([2.0 * pe, pe1 + p1e]).T
+        both = _toeplitz(pair.W, size) @ w_parts + _toeplitz(pair.V, size) @ v_parts
+        theta, omega = both.T.reshape(2, len(levels), size)
+        return theta, omega, p1e - pe1
+
+    theta, omega, _ = combinations(vw, sys.phi, False)
+    # at infinity, in u = 1/z: phi*_k = z^k phibar_k(u) and eps*_k = z^k e_k(u)
+    # with e_k the eps_k of the reflected weight, so the starred combinations
+    # are z^(2n+m) and z^(2n+m+1) times the plain ones of the reflected weight,
+    # Omega*'s plus n u W^ (phibar_{n+1} e_n - e_{n+1} phibar_n) from d/dz
+    # acting on z^n (W^ as in PolyPair.reflected); orders in u mirror orders
+    # in z about the band
+    ref = vw.reflected()
+    thetastar, omegastar, cross = combinations(ref, sys.phibar, True)
+    omegastar = omegastar + levels[:, None] * (_toeplitz(ref.W[1:], size) @ cross.T).T
+
+    # bands in z for the plain pair, in u (reversed) for the starred pair:
+    # member j of level n is orders lo..hi, lo = n (+1 starred), m - 1 or m wide
+    series = np.stack([theta, thetastar, omega, omegastar], axis=1)  # (level, member, order)
+    lo = levels[:, None] + np.array([0, 1, 0, 1])
+    hi = lo + np.array([m - 2, m - 2, m - 1, m - 1])
+    order = np.arange(size)[None, None]
+    magnitude = np.abs(series)
+    band = (order >= lo[..., None]) & (order <= hi[..., None])
+    stray = (order < lo[..., None]) | (order > hi[..., None]) & (order <= hi[..., None] + 2)
+    top = np.where(band, magnitude, 0.0).max(axis=-1)
+    ratios = np.where(stray, magnitude, 0.0).max(axis=-1)  # NaN propagates
+    ratios = np.divide(ratios, top, out=ratios.copy(), where=top > 0)
+    scale = 2.0 * np.stack([p0[levels + 1], pb0[levels + 1]] * 2, axis=1) / kappa[levels, None]
+    values = np.take_along_axis(series, lo[..., None] + np.arange(m), axis=-1) / scale[..., None]
+    return {
+        n: CoeffQuad(
+            n=n,
+            theta=values[k, 0, : m - 1],
+            thetastar=values[k, 1, : m - 1][::-1],
+            omega=values[k, 2],
+            omegastar=values[k, 3, ::-1],
+            fit_residuals=dict(zip(MEMBERS, ratios[k].tolist())),
+        )
+        for k, n in enumerate(levels.tolist())
+    }
 
 
 def compute_coeff_quad(
@@ -124,78 +235,8 @@ def compute_coeff_quad(
     n: int,
     weight: SemiClassicalWeight,
 ) -> CoeffQuad:
-    """Read the quadruple at level n off exact truncated series of its
-    defining combinations: Theta_n / Omega_n are the orders n..n+m-2 /
-    n..n+m-1 of the Taylor series at z = 0, Theta*_n / Omega*_n the orders
-    n+1..n+m-1 / n+1..n+m of the expansion at infinity, which is the Taylor
-    series of the reflected weight w(1/u).  Both are exact up to the moment
-    window.  The starred pair is read at infinity because that read holds up
-    at the outer singular points: on the flagship weight at n = 10 the
-    bilinear residue bilres_j at z_3 = 3 reads 3e-11 from it and 4e-7 from a
-    Taylor read at 0.  Every order of each series below its band and the two
-    above it must vanish; their size against the band is the out-of-band
-    ratio kept in ``fit_residuals``, which `verify_expansion_forms` gates as
-    degree_certification.  Raises NotSemiClassicalError for a weight outside
-    the strict regular semi-classical class, DegenerateLevelError when
-    phi_{n+1}(0) or phibar_{n+1}(0), a prefactor divided by, is exactly 0,
-    and WindowError when the series needs moments beyond the table."""
-    if not is_strict_semiclassical(weight):
-        raise NotSemiClassicalError(
-            "coefficient functions are defined for strict regular "
-            "semi-classical weights only"
-        )
-    m = vw.degree
-    sys.require(n, n + 1)
-    kappa, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
-    if p0[n + 1] == 0:
-        raise DegenerateLevelError(f"phi_{n + 1}(0) = 0: Theta_{n}/Omega_{n} prefactor vanishes")
-    if pb0[n + 1] == 0:
-        raise DegenerateLevelError(f"phibar_{n + 1}(0) = 0: starred prefactor vanishes")
-    c_n, c_p = sys.phi[n, : n + 1], sys.phi[n + 1, : n + 2]
-    cbar_n, cbar_p = sys.phibar[n, : n + 1], sys.phibar[n + 1, : n + 2]
-
-    size = n + m + 3  # orders 0..n+m+2: every band and the two orders above it
-
-    def mul(a, b):
-        return _product(a, b, size)
-
-    def combinations(pair, p, p1, e, e1):
-        # 2 (phi_{n+1}(0)/kappa_n) z^n (Theta_n, Omega_n) from the weight's
-        # (W, V) and phi_n, phi_{n+1}, eps_n, eps_{n+1}
-        dp, de = polyder(p), polyder(e)
-        return (
-            mul(pair.W, mul(e, dp) - mul(p, de)) + 2.0 * mul(pair.V, mul(p, e)),
-            mul(pair.W, mul(e1, dp) - mul(p1, de)) + mul(pair.V, mul(p, e1) + mul(e, p1)),
-        )
-
-    eps_n, eps_p = asys.eps_taylor(n, size + 1), asys.eps_taylor(n + 1, size + 1)
-    theta, omega = combinations(vw, c_n, c_p, eps_n, eps_p)
-    # at infinity, in u = 1/z: phi*_k = z^k phibar_k(u) and eps*_k = z^k e_k(u)
-    # with e_k the eps_k of the reflected weight, so the starred combinations
-    # are z^(2n+m) and z^(2n+m+1) times the plain ones of the reflected weight,
-    # Omega*'s plus n u W^ (phibar_{n+1} e_n - e_{n+1} phibar_n) from d/dz
-    # acting on z^n (W^ as in PolyPair.reflected); orders in u mirror orders
-    # in z about the band
-    ref = vw.reflected()
-    e_n, e_p = (asys.eps_taylor(k, size + 1, star=True, at_infinity=True) for k in (n, n + 1))
-    thetastar, omegastar = combinations(ref, cbar_n, cbar_p, e_n, e_p)
-    omegastar += n * mul(ref.W[1:], mul(cbar_p, e_n) - mul(e_p, cbar_n))
-
-    # bands in z for the plain pair, in u (reversed) for the starred pair
-    pref = 2.0 * p0[n + 1] / kappa[n]
-    pref_star = 2.0 * pb0[n + 1] / kappa[n]
-    plan = (
-        ("theta", theta, n, n + m - 2, pref, 1),
-        ("thetastar", thetastar, n + 1, n + m - 1, pref_star, -1),
-        ("omega", omega, n, n + m - 1, pref, 1),
-        ("omegastar", omegastar, n + 1, n + m, pref_star, -1),
-    )
-    members = {}
-    ratios = {}
-    for name, series, lo, hi, scale, direction in plan:
-        band, ratios[name] = series_band(series, lo, hi)
-        members[name] = band[::direction] / scale
-    return CoeffQuad(n=n, fit_residuals=ratios, **members)
+    """The quadruple of level n alone: `compute_coeff_quads` over [n]."""
+    return compute_coeff_quads(sys, asys, vw, [n], weight)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +355,7 @@ def verify_expansion_forms(
     anchor = "specifically these have leading and trailing expansions"
     groups = []
     for name, order, want, block, lowest in expansion_closed_forms(sys, vw, weight, levels):
-        j = ("theta", "thetastar", "omega", "omegastar").index(name)
+        j = MEMBERS.index(name)
         if order < weight.m - (j < 2):  # the Theta pair is one shorter
             at = np.flatnonzero(levels >= lowest)
             coeffs = members[at, :, j]

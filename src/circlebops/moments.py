@@ -102,10 +102,13 @@ def table_from_moments(pairs, window: int | None = None) -> MomentTable:
 
 def compute_moments(w, window: int) -> MomentTable:
     """Moments by adaptive FFT trapezoid: the point count doubles until every
-    retained w_k moves by less than QUAD_TOL * max(1, max_k |w_k|), starting
-    from QUAD_POINTS (never below 4*(window+1) to keep aliasing out of the
-    retained band).  QuadratureError, carrying the last change on that
-    scale (inf before a second grid), when QUAD_MAX_POINTS is reached."""
+    retained w_k moves by less than QUAD_TOL * max(1, mean |w| on the grid,
+    max_k |w_k|), starting from QUAD_POINTS (never below 4*(window+1) to
+    keep aliasing out of the retained band).  The grid's mean |w| is the
+    scale of the sum's round-off, which retained moments far smaller than
+    the weight on the circle would not track.  QuadratureError, carrying
+    the last change on that scale (inf before a second grid), when
+    QUAD_MAX_POINTS is reached."""
     points = max(QUAD_POINTS, 4 * (window + 1))
     # round up to a power of two for the FFT
     p = 1
@@ -113,17 +116,17 @@ def compute_moments(w, window: int) -> MomentTable:
         p *= 2
     points = p
 
-    def retained(vals: np.ndarray) -> np.ndarray:
+    def retained(vals: np.ndarray) -> tuple[np.ndarray, float]:
         hat = np.fft.fft(vals) / len(vals)
         ks = np.arange(-window, window + 1)
-        return hat[ks % len(vals)]
+        return hat[ks % len(vals)], float(np.mean(np.abs(vals)))
 
-    current = retained(_grid_values(w, points))
+    current, _ = retained(_grid_values(w, points))
     change = float("inf")
     while points * 2 <= QUAD_MAX_POINTS:
         points *= 2
-        nxt = retained(_grid_values(w, points))
-        change = float(np.max(np.abs(nxt - current))) / max(1.0, float(np.max(np.abs(nxt))))
+        nxt, size = retained(_grid_values(w, points))
+        change = float(np.max(np.abs(nxt - current))) / max(1.0, size, float(np.max(np.abs(nxt))))
         current = nxt
         if change < QUAD_TOL:
             source = {"kind": "quadrature", "points": points, "residual": change}

@@ -5,7 +5,19 @@ deterministic sample-point draws.
 Derivatives and expansion coefficients are never sampled here: they come
 from the exact polynomials and moment series of the objects themselves
 (`AssocSystem.evaluate_with_derivative`, `AssocSystem.eps_taylor`).  The
-arithmetic is numpy's throughout; the same inputs give the same bytes."""
+arithmetic is numpy's throughout; the same inputs give the same bytes.
+
+`polyval` is Horner's rule in blocks of BLOCK orders counted from the
+constant term (Estrin 1960; Knuth, TAOCP 2, 4.6.4): one Horner pass over
+the orders inside every block at once, then one over the blocks in z^BLOCK,
+so a 49-order band takes 7 + 6 array steps, not 48.  Up to BLOCK
+coefficients it is numpy's `polynomial.polyval`, step for step.  The blocks
+are aligned at order 0, so the zeros above a row of a zero-padded stack
+only add exact zeros to its steps, and every step is elementwise: as with
+numpy's Horner, a row's or a point's bits then depend only on how numpy's
+loops round each element (the suites' shapes are checked in the tests).
+`polyder`, `polymul` and `polyfromroots` give the bits of numpy's
+`polynomial` functions without importing that package."""
 
 from __future__ import annotations
 
@@ -13,7 +25,6 @@ import random
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import GeometryError
 
@@ -25,19 +36,60 @@ def as_poly(coeffs: ArrayLike) -> np.ndarray:
     return c if c.size else np.zeros(1, dtype=complex)
 
 
+BLOCK = 8  # orders per Horner block; z^BLOCK is three squarings
+
+
 def polyval(coeffs: ArrayLike, z):
-    """Evaluate an ascending-coefficient polynomial by Horner's scheme.  A 2-D
-    coeffs of shape (degree+1, k) holds k polynomials in its columns and gives
-    values of shape (k, *z.shape)."""
-    return npoly.polyval(np.asarray(z, dtype=complex), as_poly(coeffs))
+    """Evaluate an ascending-coefficient polynomial by Horner's rule in
+    blocks of BLOCK orders (see the module docstring).  A 2-D or deeper
+    coeffs of shape (degree+1, *k) holds polynomials along its first axis
+    and gives values of shape (*k, *z.shape)."""
+    x = np.asarray(z, dtype=complex)
+    c = as_poly(coeffs)
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    blocks = -(-len(c) // BLOCK)
+    if blocks > 1:  # [j, b]: order BLOCK b + j, zero-padded at the top
+        padded = np.zeros((BLOCK * blocks,) + c.shape[1:], dtype=complex)
+        padded[: len(c)] = c
+        c = padded.reshape((blocks, BLOCK) + c.shape[1:]).swapaxes(0, 1).copy()
+    value = c[-1] + x * 0
+    if blocks == 1:  # numpy's Horner, step for step
+        for j in range(len(c) - 2, -1, -1):
+            value = c[j] + value * x
+        return value
+    for j in range(BLOCK - 2, -1, -1):
+        value *= x
+        value += c[j]
+    step = x * x
+    step = step * step
+    step = step * step
+    out = value[-1]
+    for b in range(blocks - 2, -1, -1):
+        out = out * step
+        out += value[b]
+    return out
 
 
 def polyder(coeffs: ArrayLike) -> np.ndarray:
-    return as_poly(npoly.polyder(as_poly(coeffs)))
+    """Derivative along the first axis: order k - 1 is k times order k,
+    after numpy's ``c *= 1``, which fixes the signs of zero as its polyder
+    does."""
+    c = as_poly(coeffs)
+    if len(c) == 1:
+        return c * 0
+    c = c * 1
+    orders = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return orders * c[1:]
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without its trailing zeros, at least its constant term."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
 
 
 def polymul(a: ArrayLike, b: ArrayLike) -> np.ndarray:
-    return as_poly(npoly.polymul(as_poly(a), as_poly(b)))
+    return _trim(np.convolve(_trim(as_poly(a)), _trim(as_poly(b))))
 
 
 def polyadd(*terms: ArrayLike) -> np.ndarray:
@@ -49,10 +101,18 @@ def polyadd(*terms: ArrayLike) -> np.ndarray:
 
 
 def polyfromroots(roots: Iterable[complex]) -> np.ndarray:
-    roots = list(roots)
-    if not roots:
+    """prod_j (z - roots_j), multiplied as numpy's polyfromroots does: the
+    roots sorted, the factors paired in a product tree."""
+    factors = [np.array([-r, 1]) for r in np.sort(np.asarray(list(roots), dtype=complex))]
+    if not factors:
         return np.ones(1, dtype=complex)
-    return as_poly(npoly.polyfromroots(np.asarray(roots, dtype=complex)))
+    while len(factors) > 1:
+        half, odd = divmod(len(factors), 2)
+        paired = [polymul(factors[i], factors[i + half]) for i in range(half)]
+        if odd:
+            paired[0] = polymul(paired[0], factors[-1])
+        factors = paired
+    return factors[0]
 
 
 def principal_sqrt(value: complex) -> complex:

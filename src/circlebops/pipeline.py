@@ -15,7 +15,7 @@ import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
-from .coeffs import CoeffQuad, compute_coeff_quad
+from .coeffs import CoeffQuad, compute_coeff_quads
 from .moments import MomentTable, factorised_moments, recover_u, weight_from_table
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
 
@@ -49,8 +49,8 @@ def build_bundle(
     source: SemiClassicalWeight | MomentTable, nmax: int, quad_ns: Sequence[int] = ()
 ) -> Bundle:
     """Build levels 0..nmax (plus the moment table when given a weight) and,
-    for strict weights, the requested coefficient-function quadruples, with
-    U when there are any.  Nothing is gated here: the reports gate the
+    for strict weights, the requested coefficient-function quadruples, all
+    in one `compute_coeff_quads` pass, with U when there are any.  Nothing is gated here: the reports gate the
     quadruples' out-of-band ratios."""
     table = moment_table(source, nmax)
     weight = None if isinstance(source, MomentTable) else source
@@ -61,8 +61,7 @@ def build_bundle(
     if weight is not None:
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
-            for n in sorted(set(int(n) for n in quad_ns)):
-                bundle.quads[n] = compute_coeff_quad(sys, asys, bundle.vw, n, weight=weight)
+            bundle.quads = compute_coeff_quads(sys, asys, bundle.vw, quad_ns, weight)
             if bundle.quads:
                 bundle.u_poly = recover_u(weight, asys.F, bundle.vw)
     return bundle

@@ -44,6 +44,11 @@ class IdentityEntry:
         return out
 
 
+class PerFamily(tuple):
+    """Where labels of an `IdentityReport.add_groups` group, one label set
+    per family, each broadcast against the group's ns."""
+
+
 @dataclass
 class IdentityReport:
     """Entries stored as six columns, one per IdentityEntry field in its
@@ -69,7 +74,8 @@ class IdentityReport:
 
     def add_rows(self, families, tol, ns, wheres=None) -> None:
         """One group of `add_groups`: row k of every family is labelled
-        n = ns[k] and where = wheres[k] (no where without ``wheres``)."""
+        n = ns[k] and where = wheres[k] (no where without ``wheres``; with
+        `PerFamily` wheres, family j's are wheres[j])."""
         self.add_groups([(families, tol, ns, wheres)])
 
     def add_groups(self, groups) -> None:
@@ -79,22 +85,28 @@ class IdentityReport:
         family.  A group is (families, tol, ns, wheres[, at]).  ns and wheres
         label its rows (None for no where) and broadcast together to its row
         shape: the leading axis, or the leading axis by the rows at one
-        position.  A family is (name, anchor, mismatch, *scale terms) with
-        that shape on its first axes, and gives its residuals in one
-        rel_residuals call; with two axes its terms broadcast against the
-        mismatch.  ``at`` holds the positions of the group's leading axis
-        (0, 1, ... by default); ``tol`` is the gate of every family or a
-        sequence of one gate per family."""
+        position; `PerFamily` wheres hold one label set per family.  A family
+        is (name, anchor, mismatch, *scale terms) with that shape on its
+        first axes, and gives its residuals in one rel_residuals call; with
+        two axes its terms broadcast against the mismatch.  ``at`` holds the
+        positions of the group's leading axis (0, 1, ... by default); ``tol``
+        is the gate of every family or a sequence of one gate per family."""
         parts, spans = [], []
         for families, tol, ns, wheres, *at in groups:
-            labels = np.broadcast(np.asarray(ns, dtype=object), np.asarray(wheres, dtype=object))
+            label_sets = wheres if isinstance(wheres, PerFamily) else (wheres,)
+            labels = np.broadcast(np.asarray(ns, dtype=object),
+                                  *(np.asarray(w, dtype=object) for w in label_sets))
             names, anchors, *_ = zip(*families)
             width, rows = len(names), labels.size
             res = zip(*(_residuals(family, labels.shape).tolist() for family in families))
-            row_ns, row_wheres = zip(*labels) if rows else ((), ())
+            row_ns, *row_wheres = zip(*labels) if rows else ((),) * (1 + len(label_sets))
+            if len(row_wheres) == 1:  # one where for every family of a row
+                row_wheres = [w for w in row_wheres[0] for _ in names]
+            else:
+                row_wheres = [w for row in zip(*row_wheres) for w in row]
             parts.append((names * rows, anchors * rows, [r for row in res for r in row],
                           np.full(width, tol, dtype=float).tolist() * rows,
-                          [n for n in row_ns for _ in names], [w for w in row_wheres for _ in names]))
+                          [n for n in row_ns for _ in names], row_wheres))
             positions = np.asarray(at[0]).tolist() if at else range(labels.shape[0])
             spans.append((positions, range(width * rows // max(len(positions), 1))))
         columns = [[x for part in column for x in part] for column in zip(*parts)]

@@ -14,7 +14,7 @@ import pytest
 
 from circlebops.assoc import AssocSystem
 from circlebops.bops import build_system
-from circlebops.coeffs import compute_coeff_quad
+from circlebops.coeffs import compute_coeff_quads
 from circlebops.moments import CaratheodoryEvaluator, recover_u, table_from_moments
 from circlebops.pipeline import moment_table
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
@@ -137,7 +137,7 @@ def strict():
     table = moment_table(weight, 46)  # the production route, window 48
     sys = build_system(table, 7)
     asys = AssocSystem(sys)
-    quads = {n: compute_coeff_quad(sys, asys, vw, n, weight=weight) for n in range(6)}
+    quads = compute_coeff_quads(sys, asys, vw, range(6), weight)
     f_eval = CaratheodoryEvaluator(table)
     u_poly, u_info = recover_u(weight, f_eval, vw), u_reads(weight, f_eval, vw)
     return {

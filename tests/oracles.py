@@ -361,6 +361,51 @@ def caratheodory_quadrature(w, z: complex) -> complex:
     raise QuadratureError(abs(total - prev), points // 2)
 
 
+def coeff_quad_by_convolution(
+    sys: BopsSystem, asys: AssocSystem, vw: PolyPair, n: int
+) -> CoeffQuad:
+    """The quadruple of level n by the per-level route: each truncated
+    product of the defining combinations one `np.convolve`, on the orders
+    0..n+m+2 of level n alone, each band read by `series_band`; oracle for
+    the one-pass `compute_coeff_quads` (same reads, same bands, the sums
+    in another order)."""
+    m = vw.degree
+    size = n + m + 3
+
+    def mul(a, b):
+        out, prod = np.zeros(size, dtype=complex), np.convolve(a, b)[:size]
+        out[: len(prod)] = prod
+        return out
+
+    def combinations(pair, p, p1, e, e1):
+        dp, de = polyder(p), polyder(e)
+        return (
+            mul(pair.W, mul(e, dp) - mul(p, de)) + 2.0 * mul(pair.V, mul(p, e)),
+            mul(pair.W, mul(e1, dp) - mul(p1, de)) + mul(pair.V, mul(p, e1) + mul(e, p1)),
+        )
+
+    c_n, c_p = sys.phi[n, : n + 1], sys.phi[n + 1, : n + 2]
+    cbar_n, cbar_p = sys.phibar[n, : n + 1], sys.phibar[n + 1, : n + 2]
+    theta, omega = combinations(vw, c_n, c_p, asys.eps_taylor(n, size + 1), asys.eps_taylor(n + 1, size + 1))
+    ref = vw.reflected()
+    e_n, e_p = (asys.eps_taylor(k, size + 1, star=True, at_infinity=True) for k in (n, n + 1))
+    thetastar, omegastar = combinations(ref, cbar_n, cbar_p, e_n, e_p)
+    omegastar += n * mul(ref.W[1:], mul(cbar_p, e_n) - mul(e_p, cbar_n))
+    pref = 2.0 * sys.phi[n + 1, 0] / sys.kappas[n]
+    pref_star = 2.0 * sys.phibar[n + 1, 0] / sys.kappas[n]
+    plan = (
+        ("theta", theta, n, n + m - 2, pref, 1),
+        ("thetastar", thetastar, n + 1, n + m - 1, pref_star, -1),
+        ("omega", omega, n, n + m - 1, pref, 1),
+        ("omegastar", omegastar, n + 1, n + m, pref_star, -1),
+    )
+    members, ratios = {}, {}
+    for name, series, lo, hi, scale, direction in plan:
+        band, ratios[name] = series_band(series, lo, hi)
+        members[name] = band[::direction] / scale
+    return CoeffQuad(n=n, fit_residuals=ratios, **members)
+
+
 def u_reads(weight: SemiClassicalWeight, f: CaratheodoryEvaluator, vw: PolyPair) -> dict:
     """U = W F' - 2 V F read off F's exact series on both sides: at z = 0
     (orders 0..m-1, `moments.recover_u`'s read) and at infinity, from the

@@ -1,5 +1,4 @@
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 import pytest
 
 from circlebops.assoc import AssocSystem, verify_assoc_identities, verify_expansions
@@ -7,7 +6,7 @@ from circlebops.errors import NearCircleError, WindowError
 from circlebops.lax import rhp_jump_check
 from circlebops.moments import table_from_moments
 from circlebops.bops import build_system
-from circlebops.numerics import circle_samples, polyval
+from circlebops.numerics import circle_samples, polyder, polyval
 from circlebops.pipeline import build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity
 
@@ -202,17 +201,18 @@ class TestConstruction:
 
 def band_levels(asys, z, side=None, derivative=False):
     """(phi, phi*, eps, eps*) of every level, or their derivatives, written
-    out level by level: each polynomial by its own Horner pass over the
-    flattened points, eps_n and eps*_n by one over each side's points of the
-    level's band of its exact series (`eps_taylor`), stacked by level."""
+    out level by level: each polynomial by its own `numerics.polyval` pass
+    over the flattened points, eps_n and eps*_n by one over each side's
+    points of the level's band of its exact series (`eps_taylor`), stacked
+    by level."""
     zs = np.asarray(z, dtype=complex)
     flat = zs.reshape(-1)
     inside = np.abs(flat) < 1.0 if side is None else np.full(flat.shape, side == "inside")
     count = asys.sys.table.window + 1
-    der = npoly.polyder if derivative else (lambda c: c)
+    der = polyder if derivative else (lambda c: c)
     rows = []
     for n in range(asys.sys.nmax + 1):
-        row = [npoly.polyval(flat, der(c)) for c in (asys.sys.phi[n, : n + 1], asys.sys.phibar[n, n::-1])]
+        row = [polyval(der(c), flat) for c in (asys.sys.phi[n, : n + 1], asys.sys.phibar[n, n::-1])]
         for star in (False, True):
             # inside z^n B(z) (z^(n+1) for eps*); outside u B(u) (B(u) for eps*)
             low = n + 1 if star else n
@@ -221,9 +221,9 @@ def band_levels(asys, z, side=None, derivative=False):
             if not star:
                 outer[0] = 0.0
             values = np.empty(flat.shape, dtype=complex)
-            values[inside] = npoly.polyval(flat[inside], der(inner))
+            values[inside] = polyval(der(inner), flat[inside])
             far = flat[~inside]
-            read = npoly.polyval(1.0 / far, der(outer))
+            read = polyval(der(outer), 1.0 / far)
             values[~inside] = -read / far**2 if derivative else read
             row.append(values)
         rows.append(row)

@@ -546,7 +546,9 @@ class TestOneBundle:
 class TestFootprint:
     def test_no_command_loads_numpy_random_or_openssl(self, tmp_path):
         # the sample points come from random.Random: no command loads
-        # numpy.random, nor through it secrets, hashlib and OpenSSL
+        # numpy.random, nor through it secrets, hashlib and OpenSSL; and
+        # numerics does its own polynomial arithmetic, so none loads
+        # numpy.polynomial
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         traj = write(tmp_path, "t.json", TRAJ_SPEC)
         script = textwrap.dedent("""\
@@ -557,7 +559,7 @@ class TestFootprint:
                 extra = ["--trajectory", traj, "--steps", "8"] if command == "deform" else []
                 code = main([command, "--weight", weight, "--n", "2", *extra, "--out", f"{out}/{command}"])
                 assert code == 0, command
-            banned = ("numpy.random", "secrets", "hashlib", "_hashlib")
+            banned = ("numpy.random", "secrets", "hashlib", "_hashlib", "numpy.polynomial")
             print(sorted(name for name in banned if name in sys.modules))
         """)
         env = {**os.environ, "PYTHONPATH": str(Path(circlebops.__file__).parents[1])}

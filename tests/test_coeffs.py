@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from circlebops.bops import build_system
 from circlebops.assoc import AssocSystem
+from circlebops.bops import BopsSystem
 from circlebops.coeffs import (
     compute_coeff_quad,
+    compute_coeff_quads,
     dpainleve_ratio_check,
     expansion_closed_forms,
     spectral_derivative_check,
@@ -22,10 +26,10 @@ from circlebops.errors import (
 from circlebops.moments import compute_moments
 from circlebops.numerics import circle_samples, polyder, polyval
 from circlebops.pipeline import build_bundle
-from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
+from circlebops.weight import SemiClassicalWeight, Singularity, build_vw, weight_from_json
 
-from conftest import complex_m4_weight
-from oracles import central_diff
+from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC, complex_m4_weight
+from oracles import central_diff, coeff_quad_by_convolution
 
 
 def samples(seed=9, count=10):
@@ -140,6 +144,54 @@ class TestConstruction:
             strict["sys"], strict["asys"], strict["vw"], 2, weight=strict["weight"]
         )
         assert np.array_equal(q_again.theta, strict["quads"][2].theta)
+
+
+class TestOnePass:
+    """`compute_coeff_quads` reads every level in one pass; the per-level
+    np.convolve route (`coeff_quad_by_convolution`) is its oracle."""
+
+    @pytest.mark.parametrize("spec", [STRICT_SPEC, COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC],
+                             ids=["flagship", "m4", "inside-complex"])
+    def test_matches_the_per_level_route_through_level_30(self, spec):
+        # the two routes sum the same products in different orders; each
+        # member agrees within 1e-14 of its largest coefficient (5.8e-15
+        # measured, at level 1 of the inside-complex weight, where each
+        # route is about 5e-15 from a long-double evaluation of the same
+        # combinations); the largest out-of-band ratios, round-off of the
+        # series' vanishing orders, agree within 1% and 1e-12 (3.9e-8 at
+        # level 30 on the flagship on both routes)
+        bundle = build_bundle(weight_from_json(spec), 32, quad_ns=range(31))
+        assert sorted(bundle.quads) == list(range(31))
+        for n, quad in bundle.quads.items():
+            oracle = coeff_quad_by_convolution(bundle.sys, bundle.asys, bundle.vw, n)
+            for got, want in zip(quad.members.T, oracle.members.T):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
+            assert list(quad.fit_residuals) == list(oracle.fit_residuals)
+            worst, want_worst = (max(q.fit_residuals.values()) for q in (quad, oracle))
+            assert abs(worst - want_worst) <= 1e-2 * want_worst + 1e-12, n
+
+    def test_one_level_is_the_bulk_call(self, strict):
+        quad = compute_coeff_quad(strict["sys"], strict["asys"], strict["vw"], 3, weight=strict["weight"])
+        (alone,) = compute_coeff_quads(strict["sys"], strict["asys"], strict["vw"], [3], strict["weight"]).values()
+        assert quad.fit_residuals == alone.fit_residuals
+        assert np.array_equal(quad.members, alone.members)
+
+    def test_levels_are_a_set(self, strict):
+        quads = compute_coeff_quads(strict["sys"], strict["asys"], strict["vw"], (4, 1, 4), strict["weight"])
+        assert list(quads) == [1, 4] and all(quads[n].n == n for n in quads)
+        assert compute_coeff_quads(strict["sys"], strict["asys"], strict["vw"], (), strict["weight"]) == {}
+
+    @pytest.mark.parametrize("family, message", [("phi", "phi_3(0) = 0"), ("phibar", "phibar_3(0) = 0")])
+    def test_lowest_degenerate_level_raises(self, strict, family, message):
+        # phi_{n+1}(0) (or phibar_{n+1}(0)) exactly 0 at levels 2 and 4: the
+        # error names the lowest, whatever the order of the levels asked for
+        sys = strict["sys"]
+        store = {"phi": sys.phi.copy(), "phibar": sys.phibar.copy()}
+        store[family][[3, 5], 0] = 0.0
+        broken = BopsSystem(sys.table, sys.kappas, store["phi"], store["phibar"], [], sys.deviations)
+        with pytest.raises(DegenerateLevelError, match=re.escape(message)):
+            compute_coeff_quads(broken, AssocSystem(broken), strict["vw"], [5, 4, 2, 0], strict["weight"])
+        compute_coeff_quads(broken, AssocSystem(broken), strict["vw"], [0, 1], strict["weight"])
 
 
 @pytest.fixture(scope="module")

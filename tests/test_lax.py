@@ -131,15 +131,14 @@ class TestResidueGateScale:
         # deform reports the worst residue sum of its two rebuilds
         n = 2
         delta, _ = omega_nudge(strict, n)
-        build = pipeline.compute_coeff_quad
+        build = pipeline.compute_coeff_quads
 
-        def nudged_quad(*args, **kwargs):
-            quad = build(*args, **kwargs)
-            if quad.n != n:
-                return quad
-            return dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)
+        def nudged_quads(*args, **kwargs):
+            quads = build(*args, **kwargs)
+            quad = quads[n]
+            return {**quads, n: dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)}
 
-        monkeypatch.setattr(pipeline, "compute_coeff_quad", nudged_quad)
+        monkeypatch.setattr(pipeline, "compute_coeff_quads", nudged_quads)
         traj = LinearTrajectory(strict["weight"], moving=1, target=2.001, t0=0.0, t1=0.1)
         state, _ = moment_rebuild(traj, 0.0, n)
         assert 1e-7 < state.consistency < 2e-7

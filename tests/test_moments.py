@@ -88,6 +88,15 @@ class TestComputeMoments:
         with pytest.raises(QuadratureError, match="residual inf at 256 points"):
             compute_moments(weight, 48)
 
+    def test_stop_rule_follows_the_grid_scale(self):
+        # at window 8 max |w_k| is about 2.9e3 while |w| on the circle
+        # reaches 3.2e10 (mean 4.4e8): the trapezoid's round-off follows the
+        # grid, so on the retained moments' scale alone it never converged
+        weight = SemiClassicalWeight((Singularity(0, 9.5), Singularity(0.9, -10.5), Singularity(2, 0.5)))
+        table = compute_moments(weight, 8)
+        assert table.source["residual"] < QUAD_TOL
+        assert np.max(np.abs(table.values - factorised_moments(weight, 8).values)) < QUAD_TOL * 4.4e8
+
     def test_weight_of_the_wrong_shape_names_the_grid_shape(self):
         # the weight is called once on the whole grid, never point by point
         for wrong in (lambda z: 1.0, lambda z: np.ones((len(z), 2))):

@@ -1,9 +1,18 @@
 """rel_residuals, the row-wise relative residual: row k is the largest
-|mismatch| of the row over the largest |term| of the row, floored at 1."""
+|mismatch| of the row over the largest |term| of the row, floored at 1; and
+the polynomial arithmetic against numpy's polynomial package: blocked
+Horner's invariants and bound, polyder, polymul and polyfromroots bit for
+bit."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
+import pytest
 
-from circlebops.numerics import rel_residuals
+from circlebops.numerics import BLOCK, polyder, polyfromroots, polymul, polyval, rel_residuals
+from circlebops.pipeline import build_bundle
+from circlebops.weight import weight_from_json
+
+from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
 
 def complex_rows(rng, shape, spread=6.0):
@@ -67,3 +76,93 @@ class TestRelResiduals:
     def test_no_rows(self):
         assert rel_residuals(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
         assert rel_residuals(np.zeros(0), []).shape == (0,)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def with_zeros(rng, shape):
+    """Complex entries with some +0, -0 and mixed-sign zero parts."""
+    c = complex_rows(rng, shape, spread=1.0)
+    pick = rng.random(shape)
+    c[pick < 0.15] = 0.0
+    c[(pick >= 0.15) & (pick < 0.25)] = complex(-0.0, 0.0)
+    c[(pick >= 0.25) & (pick < 0.3)] = complex(-0.0, -0.0)
+    return c
+
+
+class TestBlockedHorner:
+    def test_one_block_is_numpys_horner(self):
+        # up to BLOCK coefficients, every step is numpy's, sign bits included
+        rng = np.random.default_rng(21)
+        for size in range(1, BLOCK + 1):
+            for columns in ((), (3,), (2, 4)):
+                c = with_zeros(rng, (size, *columns))
+                for z in (complex_rows(rng, (7,), 0.5), complex_rows(rng, (2, 3), 0.5), np.asarray(0.3 - 0.8j)):
+                    assert same_bits(polyval(c, z), npoly.polyval(z, c)), (size, columns, np.shape(z))
+
+    def test_padded_row_is_its_own_value(self):
+        # blocks are aligned at order 0, so the zeros above a row of a stack
+        # leave its value unchanged, at any length on either side of BLOCK
+        rng = np.random.default_rng(22)
+        z = complex_rows(rng, (11,), 0.4)
+        for size in range(1, 60):
+            stack = np.zeros((64, 3), dtype=complex)
+            stack[:size, 1] = complex_rows(rng, (size,), 1.0)
+            assert same_bits(polyval(stack, z)[1], polyval(stack[:size, 1], z)), size
+
+    def test_point_alone_equals_point_in_array(self):
+        rng = np.random.default_rng(23)
+        z = complex_rows(rng, (13,), 0.4)
+        for size in (2, 5, 8, 9, 17, 49):
+            for columns in ((), (2,)):
+                c = complex_rows(rng, (size, *columns), 1.0)
+                together = polyval(c, z)
+                alone = np.stack([polyval(c, z[k : k + 1])[..., 0] for k in range(len(z))], axis=-1)
+                assert same_bits(alone, together), (size, columns)
+
+    @pytest.mark.parametrize("spec", [STRICT_SPEC, COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC],
+                             ids=["flagship", "m4", "inside-complex"])
+    def test_eps_bands_against_numpys_horner(self, spec):
+        # the 49-order eps bands of every level: within 4e-15 of Horner's
+        # error scale sum |c_k| |x|^k (1.7e-15 measured), at |z| = 0.45 and
+        # 1 - 1e-4 on the inside bands and |z| = 2.2 and 1 + 1e-4 on the
+        # outside ones (in x = 1/z)
+        asys = build_bundle(weight_from_json(spec), 22).asys
+        angles = np.exp(1j * np.linspace(0.1, 6.2, 9))
+        for radius, side in ((0.45, 0), (1 - 1e-4, 0), (2.2, 1), (1 + 1e-4, 1)):
+            x = radius * angles if side == 0 else 1.0 / (radius * angles)
+            bands = asys._bands[side]
+            assert bands.shape[0] == 49
+            scale = npoly.polyval(np.abs(x), np.abs(bands))
+            assert np.max(np.abs(polyval(bands, x) - npoly.polyval(x, bands)) / scale) < 4e-15
+
+
+class TestPolynomialArithmetic:
+    def test_polyder_is_numpys(self):
+        # numpy's c *= 1 before the orders' multiply: the signs of zero match
+        rng = np.random.default_rng(24)
+        for size in range(1, 40):
+            for columns in ((), (3,), (2, 5)):
+                c = with_zeros(rng, (size, *columns))
+                assert same_bits(polyder(c), npoly.polyder(c)), (size, columns)
+
+    def test_polymul_is_numpys(self):
+        # numpy's trailing-zero trim of the factors and of the product
+        rng = np.random.default_rng(25)
+        for la in range(1, 10):
+            for lb in range(1, 10):
+                a, b = with_zeros(rng, (la,)), with_zeros(rng, (lb,))
+                b[-1] = 0.0
+                assert same_bits(polymul(a, b), npoly.polymul(a, b)), (la, lb)
+        assert same_bits(polymul([0.0, 0.0], [1.0, 2.0]), npoly.polymul([0j, 0j], [1.0, 2.0]))
+
+    def test_polyfromroots_is_numpys(self):
+        # numpy's sorted roots and product tree
+        rng = np.random.default_rng(26)
+        for count in range(1, 10):
+            roots = complex_rows(rng, (count,), 1.0)
+            assert same_bits(polyfromroots(roots), npoly.polyfromroots(roots)), count
+        assert same_bits(polyfromroots([]), np.ones(1, dtype=complex))
