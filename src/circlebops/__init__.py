@@ -7,7 +7,7 @@ oracles."""
 
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
-from .coeffs import CoeffQuad, compute_coeff_quad, compute_coeff_quads
+from .coeffs import CoeffQuad, compute_coeff_quads
 from .deform import (
     DeformState,
     LinearTrajectory,
@@ -69,7 +69,6 @@ __all__ = [
     "build_system",
     "build_vw",
     "compute_moments",
-    "compute_coeff_quad",
     "compute_coeff_quads",
     "deformation_rates",
     "eval_weight",

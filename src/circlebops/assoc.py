@@ -27,8 +27,13 @@ Both series extend into the weight's annulus (the jump check in `lax` forces
 a side there); unforced, a point within NEAR_CIRCLE of |z| = 1 is refused.
 Every level comes at once, from one Horner pass per side over the
 zero-padded bands (`numerics.polyval`, in blocks of 8 orders: a 49-order
-band takes 13 array steps).  The same inputs give the same bytes, and a
-point's values are the same alone or inside an array.  The identity web
+band takes 13 array steps).  The same inputs give the same bytes.  A
+point's values are the same alone as inside an array only for the shapes
+the tests pin (the singular points of the flagship and m = 4 weights, and
+the 0-d, 1-D and 2-D points of the per-level Horner test): an element's
+rounding can depend on the array's shape, which picks numpy's
+complex-multiply loop, and a sweep of shapes finds points whose bits
+differ, as they do under numpy's own Horner.  The identity web
 and the two-sided expansions use the level axis: each family is formed
 once over all its levels, one row a level (`IdentityReport.add_rows`), the
 level scalars read off the store as columns, with numpy arithmetic.
@@ -59,6 +64,9 @@ from .report import IdentityReport, PerFamily, equation
 
 # A point within NEAR_CIRCLE of |z| = 1 is refused unless a side is forced.
 NEAR_CIRCLE = 1e-3
+# The two-sided expansions' gate, times --tol; the identity web's is
+# IDENTITY_TOL
+EXPANSION_TOL = 1e-8
 
 
 class AssocSystem:
@@ -164,8 +172,9 @@ class AssocSystem:
         """(phi, phi*, eps, eps*) of every level n = 0..N over an array z of
         any shape (a scalar is a 0-d array), each of shape (N+1, *z.shape)
         with row n the level n: one Horner pass over the zero-padded phi
-        columns and one per side over the bands.  Each value at a point is
-        the same whether the point comes alone or inside an array."""
+        columns and one per side over the bands.  A value at a point is the
+        same alone as inside an array for the shapes the tests pin (see the
+        module docstring)."""
         return self._values(z, side, self._stack[:, :2], self._bands)
 
     def evaluate_with_derivative(self, z, side: str | None = None):
@@ -214,7 +223,7 @@ def verify_assoc_identities(
     asys: AssocSystem,
     ns: Sequence[int],
     samples: Sequence[complex],
-    tol: float = IDENTITY_TOL,
+    tol_scale: float = 1.0,
 ) -> tuple[IdentityReport, tuple[np.ndarray, ...]]:
     """Residuals of the eps recurrences, the psi three-term recurrences and
     all three Casoratian identities (in both the psi and eps forms) at the
@@ -226,7 +235,7 @@ def verify_assoc_identities(
     come from one `evaluate`, psi and psi* from one Horner pass over the
     stack's psi columns, and the level scalars are read off the store."""
     rep = IdentityReport("associated-function identity web")
-    sys = asys.sys
+    sys, tol = asys.sys, IDENTITY_TOL * tol_scale
     zs = np.asarray(samples, dtype=complex)
     values = asys.evaluate(zs)
     phi, phistar, eps, epsstar = values
@@ -285,19 +294,15 @@ def verify_assoc_identities(
 # Two-sided expansions (exact series coefficients vs closed forms)
 # ---------------------------------------------------------------------------
 
-def verify_expansions(
-    asys: AssocSystem,
-    ns: Sequence[int],
-    tol: float = 1e-8,
-) -> IdentityReport:
+def verify_expansions(asys: AssocSystem, ns: Sequence[int], tol_scale: float = 1.0) -> IdentityReport:
     """Leading Laurent coefficients of (kappa_n/2) eps_n and
     (kappa_n/2) eps*_n at 0 and at infinity for each level n of ``ns``,
     read off their exact truncated series (`AssocSystem.eps_taylor`),
     against their closed forms in the kappa / l / m / phi(0) data (levels
     n+1, n+2 must be built).  The level is an array axis: one series read
     per (star, side) over all the levels, each expansion one row family,
-    its residual |got - want| / max(1, |want|), each its own where labels;
-    entries level by level."""
+    its residual |got - want| / max(1, |want|) against EXPANSION_TOL, each
+    its own where labels; entries level by level."""
     rep = IdentityReport("associated-function expansions")
     sys = asys.sys
     levels = np.asarray(ns, dtype=int)
@@ -344,6 +349,6 @@ def verify_expansions(
     rep.add_rows(
         [(name, anchor, got) if want is None else (name, anchor, got - want, want)
          for name, got, want, _ in expansions],
-        tol, levels, PerFamily(where for *_, where in expansions),
+        EXPANSION_TOL * tol_scale, levels, PerFamily(where for *_, where in expansions),
     )
     return rep

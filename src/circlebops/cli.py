@@ -33,19 +33,11 @@ from .coeffs import (
     verify_expansion_forms,
     verify_linear_relations,
 )
-from .config import IDENTITY_TOL
-from .deform import (
-    LinearTrajectory,
-    deformation_rates,
-    flow_convergence,
-    flow_invariants,
-    integrate_flow,
-    moment_rebuild,
-    state_gap,
-)
+from .deform import LinearTrajectory, verify_flow
 from .errors import CircleBopsError, QuadratureError, WeightValidationError
 from .lax import rhp_jump_check, verify_matrix_system
 from .moments import (
+    HEINE_CHECK_TOL,
     QUAD_TOL,
     compute_moments,
     heine_oracle,
@@ -197,7 +189,7 @@ def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
     weight also the largest gap of its moments from the trapezoid's, over
     max(1, max_k |w_k|): infinite, so failing, when the trapezoid does not
     converge, its entry then naming the points and the last change."""
-    report = verify_scalar_identities(system, _sample_pairs(args), tol=IDENTITY_TOL * args.tol)
+    report = verify_scalar_identities(system, _sample_pairs(args), args.tol)
     if weight is not None:
         dump_json(weight.validation.to_dict(), out / "validation_report.json")
         values = system.table.values
@@ -216,12 +208,8 @@ def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
 def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
     ns = range(min(args.n, bundle.sys.nmax - 1))
     samples = _sample_points(args, weight) if samples is None else samples
-    report, (_, _, eps, epsstar) = verify_assoc_identities(
-        bundle.asys, ns, samples, tol=IDENTITY_TOL * args.tol
-    )
-    exp = verify_expansions(
-        bundle.asys, range(min(args.n, bundle.sys.nmax - 2) + 1), tol=1e-8 * args.tol
-    )
+    report, (_, _, eps, epsstar) = verify_assoc_identities(bundle.asys, ns, samples, args.tol)
+    exp = verify_expansions(bundle.asys, range(min(args.n, bundle.sys.nmax - 2) + 1), args.tol)
     rows = []
     for n in range(args.n + 1):
         for k, c in enumerate(bundle.asys.psi(n).tolist()):
@@ -242,32 +230,15 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None)
 
 
 def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
-    tol = args.tol
     samples = _sample_points(args, weight) if samples is None else samples
     ns = range(args.n + 1)
     reports = [
-        verify_expansion_forms(
-            bundle.quads, bundle.sys, bundle.vw, weight, [n for n in ns if n >= 1], tol=1e-6 * tol
-        ),
-        verify_linear_relations(bundle.quads, bundle.vw, bundle.sys, samples, tol=1e-7 * tol),
-        # the bilinear rows keep the 1e-6 budget the acceptance suite gives
-        # exact identities
-        verify_bilinear(
-            bundle.quads, bundle.vw, bundle.sys, bundle.asys, weight,
-            u_poly=bundle.u_poly, ns=ns, tol=1e-6 * tol,
-        ),
-        spectral_derivative_check(
-            {n: bundle.quads[n] for n in ns}, bundle.vw, bundle.sys, bundle.asys,
-            samples, weight=weight, tol=IDENTITY_TOL * tol,
-        ),
+        verify_expansion_forms(bundle, ns[1:], args.tol),
+        verify_linear_relations(bundle, samples, args.tol),
+        verify_bilinear(bundle, ns, args.tol),
+        spectral_derivative_check(bundle, ns, samples, args.tol),
+        dpainleve_ratio_check(bundle, range(args.n), args.tol),
     ]
-    nonzero = [s.location for s in weight.singularities if s.location != 0]
-    if len(nonzero) >= 2:
-        reports.append(
-            dpainleve_ratio_check(
-                bundle.quads, bundle.vw, range(args.n), nonzero[0], nonzero[1], tol=1e-7 * tol
-            )
-        )
     coeff_payload = {
         "schema": SCHEMA,
         "quads": {
@@ -291,10 +262,7 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None
 
 
 def cmd_rhp(args: argparse.Namespace, weight, bundle, out: Path):
-    report = rhp_jump_check(
-        bundle.sys, bundle.asys, bundle.wfun(), range(1, min(args.n, bundle.sys.nmax - 2) + 1),
-        np.linspace(0.05, 2.0 * np.pi, 24), weight=weight, tol=1e-5 * args.tol,
-    )
+    report = rhp_jump_check(bundle, range(1, min(args.n, bundle.sys.nmax - 2) + 1), args.tol)
     dump_json(report, out / "rhp_report.json")
     return [report]
 
@@ -334,52 +302,7 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
     if args.trajectory is None:
         raise CircleBopsError("deform needs --trajectory PATH")
     traj = parse_trajectory(args.trajectory, weight)
-    n = args.n
-    report = IdentityReport(f"Schlesinger flow at n={n}")
-
-    initial, bundle0 = moment_rebuild(traj, traj.t0, n)
-    times, flow = integrate_flow(initial.pack(), traj, (traj.t0, traj.t1), args.steps)
-    final_rebuild, bundle1 = moment_rebuild(traj, traj.t1, n)
-    gap = state_gap(flow[-1], final_rebuild.pack())
-    report.add(
-        "flow_vs_moment_rebuild",
-        "the deformation derivatives are equivalent to the matrix equation",
-        gap,
-        1e-5 * args.tol,
-        n=n,
-    )
-    inv = flow_invariants(flow, traj.weight0.exponents, n)
-    report.add("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"], 1e-8 * args.tol, n=n)
-    report.add("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"], 1e-7 * args.tol, n=n)
-    report.add("monodromy_constancy", "is constant with respect to the deformation variable", inv["monodromy_gap"], 1e-8 * args.tol, n=n)
-    conv = flow_convergence(times, flow, traj)
-    report.add(
-        "richardson_halving",
-        "fixed-step integration with step-halving error estimate",
-        conv["fine"],
-        1e-7 * args.tol,
-        n=n,
-    )
-    report.notes["richardson"] = conv
-
-    rates0 = deformation_rates(
-        bundle0.sys, bundle0.asys, bundle0.quads, bundle0.vw, traj, n, traj.t0
-    )
-    report.add(
-        "kappa_rate_route_agreement",
-        "sums of the bilinear residues over the finite singular points",
-        rates0.route_gap,
-        1e-7 * args.tol,
-        n=n,
-    )
-    # the gates of both rebuilds: their quadruples' out-of-band ratios and
-    # their residue sums against the closed form at infinity (NaN fails)
-    fit = [r for b in (bundle0, bundle1) for q in b.quads.values() for r in q.fit_residuals.values()]
-    report.add("degree_certification", "are polynomials in z of bounded degree",
-               np.max(fit), 1e-7 * args.tol, n=n)
-    report.add("residue_at_infinity", "the regular singularity at infinity",
-               np.max([initial.consistency, final_rebuild.consistency]), 1e-7 * args.tol, n=n)
-
+    report, times, flow = verify_flow(traj, args.n, args.steps, args.tol)
     # t, then kappa, r, rbar and the entries of A_1..A_m, each as (re, im)
     m = weight.m
     values = np.concatenate((flow[:, 4 * m + 4 :], flow[:, : 4 * m]), axis=1)
@@ -404,7 +327,7 @@ def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
             "heine_vs_toeplitz",
             "due to the well known identity",
             abs(oracle - det) / max(1.0, abs(det)),
-            1e-6 * args.tol,
+            HEINE_CHECK_TOL * args.tol,
             n=n,
         )
     dump_json(report, out / "heine_report.json")
@@ -421,10 +344,7 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     reports += cmd_assoc(args, weight, bundle, out, samples)
     if strict:
         reports += cmd_coeffs(args, weight, bundle, out, samples)
-        matrix = verify_matrix_system(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, range(1, args.n + 1),
-            [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j], tol_scale=args.tol,
-        )
+        matrix = verify_matrix_system(bundle, range(1, args.n + 1), args.tol)
         dump_json(matrix, out / "matrix_report.json")
         reports.append(matrix)
     reports += cmd_rhp(args, weight, bundle, out)

@@ -38,6 +38,10 @@ derivative relations, the ratio recurrence and the expansion closed forms
 one row a level, written level by level; the bilinear suite one row a
 (point, level), its values evaluated once over all the non-zero singular
 points, written point by point across the levels.
+Every function here that reads more than the level store reads one
+`pipeline.Bundle` (levels, associated functions, (V, W), quadruples and
+U); each suite also takes the levels it checks and ``tol_scale``, the
+run's --tol, and gates each entry at one of the constants below times it.
 The arithmetic is numpy's throughout; the same inputs give the same bytes,
 and `verify-all` writes the bytes of `coeffs` run alone.
 
@@ -56,13 +60,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .assoc import AssocSystem
-from .bops import BopsSystem
 from .config import IDENTITY_TOL
 from .errors import (
     DegenerateLevelError,
@@ -71,7 +73,19 @@ from .errors import (
 )
 from .numerics import polyadd, polyder, polymul, polyval
 from .report import IdentityReport, equation
-from .weight import PolyPair, SemiClassicalWeight, is_strict_semiclassical
+from .weight import is_strict_semiclassical
+
+if TYPE_CHECKING:  # pipeline builds its bundles with compute_coeff_quads
+    from .pipeline import Bundle
+
+# The gates of the suites here, each times the run's --tol (``tol_scale``);
+# the spectral derivative relations are gated at IDENTITY_TOL.
+FORM_TOL = 1e-6  # the expansion closed forms and omega_at_origin
+DEGREE_TOL = 1e-7  # degree_certification, the quadruples' out-of-band ratio
+LINEAR_TOL = 1e-7  # the linear relations (a)-(k)
+BILINEAR_TOL = 1e-6  # bilinear identities, residues and initial members: the
+# budget the acceptance suite gives exact identities
+RATIO_TOL = 1e-7  # the discrete-Painleve ratio recurrence
 
 
 @dataclass(frozen=True)
@@ -122,15 +136,10 @@ def _toeplitz(poly: np.ndarray, size: int) -> np.ndarray:
 MEMBERS = ("theta", "thetastar", "omega", "omegastar")
 
 
-def compute_coeff_quads(
-    sys: BopsSystem,
-    asys: AssocSystem,
-    vw: PolyPair,
-    ns: Sequence[int],
-    weight: SemiClassicalWeight,
-) -> dict[int, CoeffQuad]:
-    """The quadruple of every level of ``ns``, read off exact truncated series
-    of its defining combinations: Theta_n / Omega_n are the orders
+def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQuad]:
+    """The quadruple of every level of ``ns`` on the bundle's levels and
+    (V, W), read off exact truncated series of its defining combinations:
+    Theta_n / Omega_n are the orders
     n..n+m-2 / n..n+m-1 of the Taylor series at z = 0, Theta*_n / Omega*_n
     the orders n+1..n+m-1 / n+1..n+m of the expansion at infinity, which is
     the Taylor series of the reflected weight w(1/u).  Both are exact up to
@@ -140,7 +149,7 @@ def compute_coeff_quads(
     4e-7 from a Taylor read at 0.  Every order of each series below its band
     and the two above it must vanish; their size against the band is the
     out-of-band ratio kept in ``fit_residuals``, which
-    `verify_expansion_forms` gates as degree_certification.
+    `verify_expansion_forms` gates as degree_certification (DEGREE_TOL).
 
     One pass over the levels: each truncated product is a stack of the
     Toeplitz matrices of its polynomial factor, one a level, applied by one
@@ -152,7 +161,8 @@ def compute_coeff_quads(
     at the lowest level whose phi_{n+1}(0) or phibar_{n+1}(0), a prefactor
     divided by, is exactly 0, and WindowError when the series need moments
     beyond the table."""
-    if not is_strict_semiclassical(weight):
+    sys, asys, vw, weight = bundle.sys, bundle.asys, bundle.vw, bundle.weight
+    if weight is None or not is_strict_semiclassical(weight):
         raise NotSemiClassicalError(
             "coefficient functions are defined for strict regular "
             "semi-classical weights only"
@@ -228,24 +238,11 @@ def compute_coeff_quads(
     }
 
 
-def compute_coeff_quad(
-    sys: BopsSystem,
-    asys: AssocSystem,
-    vw: PolyPair,
-    n: int,
-    weight: SemiClassicalWeight,
-) -> CoeffQuad:
-    """The quadruple of level n alone: `compute_coeff_quads` over [n]."""
-    return compute_coeff_quads(sys, asys, vw, [n], weight)[n]
-
-
 # ---------------------------------------------------------------------------
 # Expansion closed forms (leading and trailing coefficients)
 # ---------------------------------------------------------------------------
 
-def expansion_closed_forms(
-    sys: BopsSystem, vw: PolyPair, weight: SemiClassicalWeight, n
-) -> list[tuple]:
+def expansion_closed_forms(bundle: Bundle, n) -> list[tuple]:
     """Closed forms for the top two and bottom two coefficients of each
     member of the quadruple, expressed through kappa / l / phi(0) data and
     the weight's singularity data, at the level n or at every level of an
@@ -264,9 +261,10 @@ def expansion_closed_forms(
     that factor), and the reflection-product term of the leading Theta_n
     block carries 1/kappa_{n+1}^2 (it arises from trading l_n for l_{n+1}
     through the l-recursion).  All three hold for the coefficients read by
-    compute_coeff_quad to 1e-9 through n = 12, on the flagship weight and on
+    compute_coeff_quads to 1e-9 through n = 12, on the flagship weight and on
     an m = 4 weight with complex locations and exponents.
     """
+    sys, vw, weight = bundle.sys, bundle.vw, bundle.weight
     m = weight.m
     locs = weight.locations
     rhos = weight.exponents
@@ -336,25 +334,19 @@ def expansion_closed_forms(
     return [form for form in out if form[1] >= 0]
 
 
-def verify_expansion_forms(
-    quads: Mapping[int, CoeffQuad],
-    sys: BopsSystem,
-    vw: PolyPair,
-    weight: SemiClassicalWeight,
-    ns: Sequence[int],
-    tol: float = 1e-6,
-) -> IdentityReport:
+def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) -> IdentityReport:
     """Coefficients against every closed leading/trailing form at the levels
-    of ``ns``, plus the largest out-of-band ratio of every quadruple in
-    ``quads`` as its degree certificate, gated at a tenth of ``tol``.  Each
+    of ``ns`` (gate FORM_TOL), plus the largest out-of-band ratio of every
+    quadruple of the bundle as its degree certificate (DEGREE_TOL).  Each
     form is one row family over the levels it holds at, formed once for all
     of them; entries level by level."""
     rep = IdentityReport("coefficient-function expansion closed forms")
+    quads, vw, weight, tol = bundle.quads, bundle.vw, bundle.weight, FORM_TOL * tol_scale
     levels = np.asarray(ns, dtype=int)
     members = np.reshape([quads[n].members for n in levels.tolist()], (len(levels), weight.m, 4))
     anchor = "specifically these have leading and trailing expansions"
     groups = []
-    for name, order, want, block, lowest in expansion_closed_forms(sys, vw, weight, levels):
+    for name, order, want, block, lowest in expansion_closed_forms(bundle, levels):
         j = MEMBERS.index(name)
         if order < weight.m - (j < 2):  # the Theta pair is one shorter
             at = np.flatnonzero(levels >= lowest)
@@ -368,7 +360,7 @@ def verify_expansion_forms(
     built = sorted(quads)
     fit = np.max([list(quads[n].fit_residuals.values()) for n in built], axis=1)  # NaN fails
     groups.append(([("degree_certification", "are polynomials in z of bounded degree", fit)],
-                   1e-7 * (tol / 1e-6), built, None, built))
+                   DEGREE_TOL * tol_scale, built, None, built))
     rep.add_groups(groups)  # each group's positions are its levels
     return rep
 
@@ -378,11 +370,11 @@ def verify_expansion_forms(
 # identities (i)-(k)
 # ---------------------------------------------------------------------------
 
-def _quad_rows(quads: Mapping[int, CoeffQuad], zs: np.ndarray):
-    """Every quadruple evaluated once at zs, in one Horner pass
+def _quad_rows(quads: Mapping[int, CoeffQuad], levels: Sequence[int], zs: np.ndarray):
+    """The quadruples of ``levels`` evaluated once at zs, in one Horner pass
     (`quad_values`); the returned rows(ns, shift) stacks (Theta, Theta*,
     Omega, Omega*) of level n + shift, one n of ns a row."""
-    values = dict(zip(quads, quad_values(quads, list(quads), zs)))
+    values = dict(zip(levels, quad_values(quads, levels, zs)))
 
     def rows(ns: Sequence[int], shift: int = 0) -> tuple[np.ndarray, ...]:
         stack = np.array([values[n + shift] for n in ns]).reshape(len(ns), 4, zs.size)
@@ -392,21 +384,19 @@ def _quad_rows(quads: Mapping[int, CoeffQuad], zs: np.ndarray):
 
 
 def verify_linear_relations(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    samples: Sequence[complex],
-    tol: float = 1e-7,
+    bundle: Bundle, samples: Sequence[complex], tol_scale: float = 1.0
 ) -> IdentityReport:
     """Residuals of all eight coupled recurrences among the coefficient
     functions plus the three additional corollary identities, at sampled
-    z != 0.  Each level n requires quads at n-1, n, n+1.  Each relation is
-    checked over all its levels at once, one row a level, with the level
-    scalars read off the store as columns."""
+    z != 0, gated at LINEAR_TOL.  Each level n requires the bundle's
+    quadruples at n-1, n, n+1.  Each relation is checked over all its levels
+    at once, one row a level, with the level scalars read off the store as
+    columns."""
     rep = IdentityReport("coefficient-function linear relations")
+    quads, sys, tol = bundle.quads, bundle.sys, LINEAR_TOL * tol_scale
     zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
-    w_z = polyval(vw.W, zs)
-    quad_rows = _quad_rows(quads, zs)
+    w_z = polyval(bundle.vw.W, zs)
+    quad_rows = _quad_rows(quads, list(quads), zs)
     k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
     anchor_cor = "some additional identities satisfied by the coefficient functions"
@@ -498,23 +488,19 @@ def verify_linear_relations(
 # ---------------------------------------------------------------------------
 
 def verify_bilinear(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    asys: AssocSystem,
-    weight: SemiClassicalWeight,
-    u_poly: np.ndarray | None = None,
-    ns: Sequence[int] | None = None,
-    tol: float = 1e-7,
+    bundle: Bundle, ns: Sequence[int] | None = None, tol_scale: float = 1.0
 ) -> IdentityReport:
     """At every non-zero singular point: the six bilinear identities among
     quadruple evaluations, the ten bilinear residue formulas tying them to
     phi/eps products, the telescoped summation constant V^2(z_j), and (when
-    quads 0 and 1 and U are available) the six initial-member formulas as
-    polynomial identities.  ``ns`` selects the levels asserted (default:
-    every level whose successor quad is available); each check is one row
-    family over (point, level), written point by point."""
+    quadruples 0 and 1 and U are in the bundle) the six initial-member
+    formulas as polynomial identities, all gated at BILINEAR_TOL.  ``ns``
+    selects the levels asserted (default: every level whose successor
+    quadruple is built); each check is one row family over (point, level),
+    written point by point."""
     rep = IdentityReport("bilinear identities at the singular points")
+    quads, sys, vw, weight = bundle.quads, bundle.sys, bundle.vw, bundle.weight
+    tol = BILINEAR_TOL * tol_scale
     anchor_bil = "the coefficient functions satisfy the bilinear identities"
     anchor_res = "bilinear residues are related to the coefficient function residues"
     keys = np.array(sorted(quads), dtype=int)
@@ -528,7 +514,7 @@ def verify_bilinear(
         k = int(np.argmax(abs(v_j) < 1e-12))
         raise SingularResidueError(f"V(z_{k + 2}) = 0 at z = {zj[k]}")
     z, v, v2 = zj[:, None], v_j[:, None], v_j[:, None] ** 2
-    phi, star, eps, es = (x.T for x in asys.evaluate(zj))
+    phi, star, eps, es = (x.T for x in bundle.asys.evaluate(zj))
     kap, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
 
     chain = levels[np.isin(levels + 1, keys) & (levels + 2 <= sys.nmax)]
@@ -591,29 +577,25 @@ def verify_bilinear(
         ([telescoped], tol, chain, wheres),
     ])
 
-    if u_poly is not None and 0 in quads and 1 in quads:
-        rep.extend(verify_initial_members(quads, vw, sys, u_poly, tol=tol))
+    if bundle.u_poly is not None and 0 in quads and 1 in quads:
+        rep.extend(verify_initial_members(bundle, tol_scale))
     return rep
 
 
-def verify_initial_members(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    u_poly: np.ndarray,
-    tol: float = 1e-7,
-) -> IdentityReport:
+def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityReport:
     """The six lowest coefficient functions against V, W and the recovered
-    inhomogeneity polynomial U, as coefficientwise polynomial identities."""
+    inhomogeneity polynomial U, as coefficientwise polynomial identities
+    gated at BILINEAR_TOL."""
     rep = IdentityReport("initial members of the coefficient-function sequences")
     anchor = "the initial members of the sequences"
-    q0, q1 = quads[0], quads[1]
+    sys, vw, tol = bundle.sys, bundle.vw, BILINEAR_TOL * tol_scale
+    q0, q1 = bundle.quads[0], bundle.quads[1]
     sys.require(2)
     k0, k1 = sys.kappas[:2]
     (p1, p2), (pb1, pb2) = sys.phi[1:3, 0], sys.phibar[1:3, 0]
     two_v = polyadd(2.0 * vw.V)
     k0sq = k0**2
-    u = np.asarray(u_poly, dtype=complex)
+    u = np.asarray(bundle.u_poly, dtype=complex)
     z = np.array([0.0, 1.0], dtype=complex)  # multiply-by-z polynomial
 
     def poly_equation(name: str, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -671,31 +653,25 @@ def verify_initial_members(
 # ---------------------------------------------------------------------------
 
 def spectral_derivative_check(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    asys: AssocSystem,
-    samples: Sequence[complex],
-    weight: SemiClassicalWeight | None = None,
-    tol: float = IDENTITY_TOL,
+    bundle: Bundle, ns: Sequence[int], samples: Sequence[complex], tol_scale: float = 1.0
 ) -> IdentityReport:
-    """Residuals of the four derivative relations, with the exact
-    derivatives of `AssocSystem.evaluate_with_derivative` (polyder of phi,
-    phi*, psi, psi* and the series of F'), so every relation holds to the
-    identity tolerance."""
+    """Residuals of the four derivative relations at the levels of ``ns``,
+    with the exact derivatives of `AssocSystem.evaluate_with_derivative`
+    (polyder of phi, phi*, psi, psi* and the series of F'), so every
+    relation holds to the identity tolerance."""
     rep = IdentityReport("spectral derivative relations")
     anchor = "the derivatives of the bi-orthogonal polynomials and associated functions are expressible"
-    avoid = list(weight.locations) if weight is not None else []
+    sys, vw = bundle.sys, bundle.vw
     zs = np.asarray(
-        [z for z in samples if abs(z) > 1e-8 and all(abs(z - a) > 0.05 for a in avoid)],
+        [z for z in samples if abs(z) > 1e-8 and all(abs(z - a) > 0.05 for a in bundle.weight.locations)],
         dtype=complex,
     )
     w_z = polyval(vw.W, zs)
     v_z = polyval(vw.V, zs)
 
-    values, derivatives = asys.evaluate_with_derivative(zs)
-    ns = [n for n in sorted(quads) if n + 1 <= sys.nmax]
-    th, ths, om, oms = _quad_rows(quads, zs)(ns)
+    values, derivatives = bundle.asys.evaluate_with_derivative(zs)
+    ns = [n for n in ns if n + 1 <= sys.nmax]
+    th, ths, om, oms = _quad_rows(bundle.quads, ns, zs)(ns)
     levels = np.asarray(ns, dtype=int)
     phi_n, star_n, eps_n, es_n = (v[levels] for v in values)
     phi_p, star_p, eps_p, es_p = (v[levels + 1] for v in values)
@@ -714,40 +690,32 @@ def spectral_derivative_check(
          w_z * des, ths * es_p),
         ("trace_reduction", "we note that Tr A_n = n/z - w'/w",
          trace_w - (levels[:, None] * w_z / zs - 2.0 * v_z), trace_w, w_z / zs),
-    ], tol, ns)
+    ], IDENTITY_TOL * tol_scale, ns)
     return rep
 
 
-def dpainleve_ratio_check(
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    ns: Sequence[int],
-    z_a: complex,
-    z_b: complex,
-    tol: float = 1e-7,
-) -> IdentityReport:
-    """Ratio recurrence between two distinct non-zero singularities, at each
-    level n of ``ns``:
+def dpainleve_ratio_check(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) -> IdentityReport:
+    """Ratio recurrence between the first two non-zero singularities z_a,
+    z_b of the weight, at each level n of ``ns``, gated at RATIO_TOL:
 
         z_a Theta_n Theta_{n+1}|_{z_a} / z_b Theta_n Theta_{n+1}|_{z_b}
             = (Omega_n - V)(Omega_n + V)|_{z_a} / (same at z_b).
 
-    Each quadruple is evaluated once at the two points."""
+    Each quadruple is evaluated once at the two points.  A weight with one
+    non-zero singularity has no entries."""
     rep = IdentityReport("discrete-Painleve ratio recurrence")
-    if z_a == z_b:
-        raise SingularResidueError("ratio check needs two distinct singularities")
-    if z_a == 0 or z_b == 0:
-        raise SingularResidueError("ratio check is defined away from the origin")
+    if bundle.weight.m < 3:
+        return rep
     ns = list(ns)
-    zs = np.array([z_a, z_b], dtype=complex)
-    rows = _quad_rows({k: quads[k] for n in ns for k in (n, n + 1)}, zs)
+    zs = np.array(bundle.weight.locations[1:3], dtype=complex)  # the origin is z_1
+    rows = _quad_rows(bundle.quads, list(dict.fromkeys(k for n in ns for k in (n, n + 1))), zs)
     (th, _, om, _), th_p = rows(ns), rows(ns, 1)[0]
-    v = vw.v_eval(zs)
+    v = bundle.vw.v_eval(zs)
     num, den = zs * th * th_p, (om - v) * (om + v)  # one row a level, one column a point
     if np.any(np.abs(num[:, 1]) < 1e-14) or np.any(np.abs(den) < 1e-14):
         raise SingularResidueError("vanishing denominator in the ratio recurrence")
     rep.add_rows([
         equation("ratio_recurrence", "this constitutes a recurrence relation",
                  num[:, 0] / num[:, 1], den[:, 0] / den[:, 1]),
-    ], tol, ns)
+    ], RATIO_TOL * tol_scale, ns)
     return rep

@@ -39,6 +39,11 @@ power-of-two step counts, each compared with twice its steps.  The ladder is
 climbed from one step until the endpoint change sinks into round-off, so the
 ratio reads as the order (16 for RK4) and the rungs that only show round-off
 are never integrated.  Each rung is one flow; the rungs share one table.
+
+`verify_flow` is the `deform` command's report: the flow against the
+rebuild at its end, its invariants, the Richardson check, the two
+kappa-rate routes and the rebuilds' own gates, each gated at its value in
+FLOW_GATES times the run's --tol.
 """
 
 from __future__ import annotations
@@ -48,13 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assoc import AssocSystem
-from .bops import BopsSystem
-from .coeffs import CoeffQuad
+from .coeffs import DEGREE_TOL
 from .errors import FlowPatternError, SingularResidueError, WeightValidationError
-from .lax import assemble_residues
+from .lax import RESIDUE_TOL, assemble_residues
 from .pipeline import Bundle, build_bundle
-from .weight import PolyPair, SemiClassicalWeight
+from .report import IdentityReport
+from .weight import SemiClassicalWeight
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +138,7 @@ def moment_rebuild(traj, t: float, n: int) -> tuple[DeformState, Bundle]:
     quadruples' out-of-band ratios, and `deform` reports both."""
     weight = traj.weight_at(t)
     bundle = build_bundle(weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,))
-    res = assemble_residues(bundle.quads[n], bundle.vw, bundle.sys, n, weight)
+    res = assemble_residues(bundle, n)
     r, rbar = bundle.sys.reflections
     state = DeformState(
         t=t,
@@ -175,21 +179,14 @@ class RatesRecord:
         return abs(self.kdot_over_k_a - self.kdot_over_k_b)
 
 
-def deformation_rates(
-    sys: BopsSystem,
-    asys: AssocSystem,
-    quads: dict[int, CoeffQuad],
-    vw: PolyPair,
-    traj,
-    n: int,
-    t: float,
-) -> RatesRecord:
+def deformation_rates(bundle: Bundle, traj, n: int, t: float) -> RatesRecord:
     """Logarithmic t-rates of kappa_n, r_n, rbar_n, phi_n(0), phibar_n(0)
     from the bilinear-residue sums over the moving singularities, each
-    evaluated once at all of them.  Both displayed routes to kappa-dot are
-    computed; their gap is an internal consistency diagnostic.  r-dot /
-    rbar-dot use the level n-1 coefficient functions, so quads must hold
-    levels n-1 and n."""
+    evaluated once at all of them, on the bundle of the weight at time t.
+    Both displayed routes to kappa-dot are computed; their gap is an
+    internal consistency diagnostic.  r-dot / rbar-dot use the level n-1
+    coefficient functions, so the bundle must hold quadruples n-1 and n."""
+    sys, quads = bundle.sys, bundle.quads
     sys.require(n, n + 1)
     kappa, p0, pb0 = sys.kappas[n], sys.phi[n : n + 2, 0], sys.phibar[n : n + 2, 0]
     r, rbar = (col[n] for col in sys.reflections)
@@ -199,11 +196,11 @@ def deformation_rates(
     rho = np.asarray(traj.weight0.exponents, dtype=complex)[moving]
     if np.any(zj == 0):
         raise SingularResidueError("a moving singularity sits at the origin")
-    vj = vw.v_eval(zj)
+    vj = bundle.vw.v_eval(zj)
     if np.any(abs(vj) < 1e-12):
         raise SingularResidueError(f"V({zj[abs(vj) < 1e-12][0]}) = 0 in a deformation-rate sum")
     ratio = zdot / zj
-    phi, star, eps, eps_s = (v[n] for v in asys.evaluate(zj))
+    phi, star, eps, eps_s = (v[n] for v in bundle.asys.evaluate(zj))
     th, ths, _, _ = quads[n].evaluate(zj)
     sum_rho_zdot = np.sum(rho * ratio)
     route_a = np.sum(0.5 * rho * ratio * zj ** (-n) * eps * star)
@@ -462,3 +459,58 @@ def flow_invariants(flow: np.ndarray, exponents, n: int) -> dict[str, float]:
         "det_max": float(np.max(np.abs(dets))),
         "monodromy_gap": float(np.max(np.abs(gaps))),
     }
+
+
+# ---------------------------------------------------------------------------
+# The flow report
+# ---------------------------------------------------------------------------
+
+# Each entry's gate, times the run's --tol (``tol_scale``); the rebuilds'
+# degree_certification and residue_at_infinity keep the gates of the
+# modules that compute them, DEGREE_TOL and RESIDUE_TOL
+FLOW_GATES = {
+    "flow_vs_moment_rebuild": 1e-5,
+    "trace_conservation": 1e-8,
+    "rank_one_persistence": 1e-7,
+    "monodromy_constancy": 1e-8,
+    "richardson_halving": 1e-7,
+    "kappa_rate_route_agreement": 1e-7,
+    "degree_certification": DEGREE_TOL,
+    "residue_at_infinity": RESIDUE_TOL,
+}
+
+
+def verify_flow(
+    traj, n: int, steps: int, tol_scale: float = 1.0
+) -> tuple[IdentityReport, np.ndarray, np.ndarray]:
+    """The flow of level n along ``traj`` in ``steps`` RK4 steps, checked:
+    its endpoint against the moment rebuild there, its invariants
+    (`flow_invariants`), Richardson step halving (`flow_convergence`, kept
+    in the notes), the two kappa-rate routes at t0, and both rebuilds'
+    quadruples' out-of-band ratios and residue sums (NaN fails).  Returns
+    the report, the grid times and the packed flow."""
+    initial, bundle0 = moment_rebuild(traj, traj.t0, n)
+    times, flow = integrate_flow(initial.pack(), traj, (traj.t0, traj.t1), steps)
+    final, bundle1 = moment_rebuild(traj, traj.t1, n)
+    inv = flow_invariants(flow, traj.weight0.exponents, n)
+    conv = flow_convergence(times, flow, traj)
+    fit = [r for b in (bundle0, bundle1) for q in b.quads.values() for r in q.fit_residuals.values()]
+    report = IdentityReport(f"Schlesinger flow at n={n}")
+    for name, anchor, residual in (
+        ("flow_vs_moment_rebuild", "the deformation derivatives are equivalent to the matrix equation",
+         state_gap(flow[-1], final.pack())),
+        ("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"]),
+        ("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"]),
+        ("monodromy_constancy", "is constant with respect to the deformation variable",
+         inv["monodromy_gap"]),
+        ("richardson_halving", "fixed-step integration with step-halving error estimate",
+         conv["fine"]),
+        ("kappa_rate_route_agreement", "sums of the bilinear residues over the finite singular points",
+         deformation_rates(bundle0, traj, n, traj.t0).route_gap),
+        ("degree_certification", "are polynomials in z of bounded degree", np.max(fit)),
+        ("residue_at_infinity", "the regular singularity at infinity",
+         np.max([initial.consistency, final.consistency])),
+    ):
+        report.add(name, anchor, residual, FLOW_GATES[name] * tol_scale, n=n)
+    report.notes["richardson"] = conv
+    return report, times, flow

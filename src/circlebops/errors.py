@@ -67,14 +67,6 @@ class ExistenceError(CircleBopsError):
         )
 
 
-class ConsistencyError(CircleBopsError):
-    """A construction and its independent oracle disagree beyond tolerance."""
-
-    def __init__(self, what: str, deviation: float, tol: float):
-        self.deviation = deviation
-        super().__init__(f"{what}: max deviation {deviation:.3e} exceeds {tol:.3e}")
-
-
 class NotSemiClassicalError(CircleBopsError):
     """Operation requires a strict (regular semi-classical) weight."""
 

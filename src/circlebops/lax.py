@@ -36,7 +36,10 @@ identity pointwise at the given sample points, each with the eps series of
 its own side of the circle.  The rank-one bilinear form of the residues
 comes from one evaluation at all the non-origin singular points for all
 levels, and the four summation identities are read off its stack and the
-origin's residue matrix.
+origin's residue matrix.  `assemble_residues`, `residues_bilinear_form`
+and both suites read one `pipeline.Bundle`; the suites take the levels
+they check and ``tol_scale``, the run's --tol, which scales the gates
+stated below (RESIDUE_TOL, RANK_TOL, JUMP_TOL) and IDENTITY_TOL.
 
 Level ceiling: the matrix system sets `verify-all`'s.  On the flagship
 weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
@@ -58,17 +61,30 @@ level 22 read 9.3e-10 on the trapezoid's moments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
-from .coeffs import CoeffQuad, quad_values
+from .coeffs import quad_values
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
 from .report import IdentityReport, equation
-from .weight import PolyPair, SemiClassicalWeight
+
+if TYPE_CHECKING:  # pipeline imports coeffs, which lax imports
+    from .pipeline import Bundle
+
+# The gates of the suites here besides IDENTITY_TOL, each times the run's
+# --tol (``tol_scale``)
+RESIDUE_TOL = 1e-7  # the residue checks, residue_at_infinity and the summations
+RANK_TOL = 1e-8  # residue_rank_one, det A_nj over max|A_nj|^2
+JUMP_TOL = 1e-5  # rhp_jump
+# the matrix suite's sample points, and the Riemann-Hilbert jump's circles:
+# radii 1 -+ RHP_OFFSET at the angles RHP_THETAS
+MATRIX_SAMPLES = (0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j)
+RHP_OFFSET = 1e-4
+RHP_THETAS = np.linspace(0.05, 2.0 * np.pi, 24)
 
 
 def _mat(a, b, c, d) -> np.ndarray:
@@ -127,21 +143,17 @@ class ResidueSet:
     consistency: float  # entrywise gap between -sum A_j and the closed form
 
 
-def assemble_residues(
-    quad: CoeffQuad | Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    sys: BopsSystem,
-    n,
-    weight: SemiClassicalWeight,
-) -> ResidueSet:
+def assemble_residues(bundle: Bundle, n) -> ResidueSet:
     """A_{nj} = rho_j / (2 V(z_j)) * [W A_n](z_j) for j >= 2, the special
     upper-triangular form at the origin, and the residue at infinity both as
     -sum_j A_{nj} and in its closed form [[-n, 0], [-(n+sum rho) rbar_n,
     sum rho]]; their entrywise gap over max(1, n) is ``consistency``, which
-    the matrix suite and `deform` gate as residue_at_infinity.  ``quad`` is
-    the quadruple of the level n, or with an array n the quadruples by
-    level: every field then carries n's axes first, all levels and singular
-    points formed at once from the level scalars read off the store."""
+    the matrix suite and `deform` gate as residue_at_infinity (RESIDUE_TOL).
+    At the level n from the bundle's quadruple of it, or at every level of
+    an array n: every field then carries n's axes first, all levels and
+    singular points formed at once from the level scalars read off the
+    store."""
+    sys, vw, weight = bundle.sys, bundle.vw, bundle.weight
     levels = np.asarray(n)
     flat = levels.reshape(-1)
     locs, rho = weight.locations, weight.exponents
@@ -153,7 +165,7 @@ def assemble_residues(
         j = int(np.argmax(small))
         raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {weight.singularities[j].location}")
     # once at every level and every z_j: (member, level, z_j)
-    values = quad_values(quad if levels.ndim else {n: quad}, flat, locs).transpose(1, 0, 2)
+    values = quad_values(bundle.quads, flat, locs).transpose(1, 0, 2)
     r, rbar = (c[flat] for c in sys.reflections)
     w1 = vw.w_deriv(0.0)
     v0 = vw.v_eval(0.0)
@@ -173,32 +185,21 @@ def assemble_residues(
                       consistency=consistency.reshape(shape)[()])
 
 
-def residues_bilinear_form(
-    asys: AssocSystem, weight: SemiClassicalWeight, ns: Sequence[int]
-) -> np.ndarray:
+def residues_bilinear_form(bundle: Bundle, ns: Sequence[int]) -> np.ndarray:
     """Alternative rank-one expression for the residues at the non-origin
     singularities z_2..z_m, built from phi/eps products at each level of
     ``ns``: the stack of shape (len(ns), m-1, 2, 2), from one evaluation at
     all of them."""
-    zj = weight.locations[1:]
+    zj = bundle.weight.locations[1:]
     levels = np.asarray(ns, dtype=int)
-    phi, star, eps, eps_s = (v[levels] for v in asys.evaluate(zj))
-    scale = -0.5 * weight.exponents[1:] * zj ** -levels[:, None]
+    phi, star, eps, eps_s = (v[levels] for v in bundle.asys.evaluate(zj))
+    scale = -0.5 * bundle.weight.exponents[1:] * zj ** -levels[:, None]
     return scale[..., None, None] * _mat(star * eps, -phi * eps, -star * eps_s, phi * eps_s)
 
 
-def verify_matrix_system(
-    sys: BopsSystem,
-    asys: AssocSystem,
-    quads: Mapping[int, CoeffQuad],
-    vw: PolyPair,
-    weight: SemiClassicalWeight,
-    ns: Sequence[int],
-    samples: Sequence[complex],
-    tol_scale: float = 1.0,
-) -> IdentityReport:
-    """Matrix-level identity web at the levels of ``ns``, written level by
-    level:
+def verify_matrix_system(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) -> IdentityReport:
+    """Matrix-level identity web at the levels of ``ns``, at the points
+    MATRIX_SAMPLES, written level by level:
 
     * Y'_n = A_n Y_n, with Y'_n exact from `evaluate_with_derivative`;
     * K'_n = A_{n+1} K_n - K_n A_n and det K_n = z via the kappa identity;
@@ -214,21 +215,15 @@ def verify_matrix_system(
     come from one `assemble_residues`, and the sample points and the
     singular points are each evaluated once.  The checks that need the
     quadruple of level n+1 run at the levels that have it.  Each gate is its
-    stated tolerance times ``tol_scale``: the identity tolerance 1e-9, 1e-7
-    for the residue and summation checks and 1e-8 for the rank-one
-    determinant.
+    stated tolerance times ``tol_scale``: IDENTITY_TOL, RESIDUE_TOL for the
+    residue and summation checks and RANK_TOL for the rank-one determinant.
     """
     rep = IdentityReport("matrix systems")
+    sys, asys, quads, vw, weight = bundle.sys, bundle.asys, bundle.quads, bundle.vw, bundle.weight
     identity_tol = IDENTITY_TOL * tol_scale
-    residue_tol = 1e-7 * tol_scale
-    rank_tol = 1e-8 * tol_scale
+    residue_tol = RESIDUE_TOL * tol_scale
     zs = np.asarray(
-        [
-            z
-            for z in samples
-            if abs(z) > 1e-6 and all(abs(z - s.location) > 0.05 for s in weight.singularities)
-        ],
-        dtype=complex,
+        [z for z in MATRIX_SAMPLES if all(abs(z - a) > 0.05 for a in weight.locations)], dtype=complex
     )
     wheres = [f"z={z:.3g}" for z in zs]
     singular = [f"z_{j + 1}" for j in range(weight.m)]
@@ -245,7 +240,7 @@ def verify_matrix_system(
     values = quad_values(quads, np.concatenate([levels, up + 1]), zs).transpose(1, 0, 2)
     th, ths, om, oms = values[:, : len(levels)]
     th_p, ths_p, _, _ = values[:, len(levels) :]
-    bilinear = residues_bilinear_form(asys, weight, levels)
+    bilinear = residues_bilinear_form(bundle, levels)
 
     def over_w(e, de):
         """e/w and its derivative (e' - (w'/w) e)/w."""
@@ -302,7 +297,7 @@ def verify_matrix_system(
     # residues: coefficient-function form vs rank-one bilinear form; the
     # determinant over max|A_nj|^2, the trace against its target (n - rho_0
     # at the origin)
-    res = assemble_residues(quads, vw, sys, levels, weight)
+    res = assemble_residues(bundle, levels)
     a_j = res.a[:, 1:]
     wants = weight.exponents - n * (np.arange(weight.m) == 0)
     # four summation identities, read off the residue matrices: the sums
@@ -336,7 +331,7 @@ def verify_matrix_system(
              a_j - bilinear, a_j, bilinear),
             ("residue_rank_one", "we find that det A_nj = 0",
              np.linalg.det(a_j), np.abs(a_j).max(axis=(2, 3)) ** 2),
-        ], [residue_tol, rank_tol], n, singular[1:]),
+        ], [residue_tol, RANK_TOL * tol_scale], n, singular[1:]),
         ([("residue_trace", "using the identity we note the traces of the residue matrices",
            np.trace(res.a, axis1=2, axis2=3) + wants, wants)], residue_tol, n, singular),
         ([("residue_at_infinity", "the regular singularity at infinity", res.consistency)],
@@ -367,21 +362,14 @@ def normalized_solution(
     )
 
 
-def rhp_jump_check(
-    sys: BopsSystem,
-    asys: AssocSystem,
-    wfun: Callable,
-    ns: Sequence[int],
-    thetas: Sequence[float],
-    weight: SemiClassicalWeight | None = None,
-    offset: float = 1e-4,
-    tol: float = 1e-5,
-) -> IdentityReport:
+def rhp_jump_check(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) -> IdentityReport:
     """Jump, determinant and asymptotic order conditions of the normalized
     problem at the levels of ``ns``, written level by level, each check
     formed once over all of them.  The inside and outside analytic elements
-    are evaluated at the same points just off the circle (both extend into
-    the weight's annulus), so the jump
+    are evaluated at the same points just off the circle, at radii
+    1 -+ RHP_OFFSET and the angles RHP_THETAS less those within 0.05 of a
+    singularity that close to the circle (both extend into the weight's
+    annulus), so the jump
     Y_+ = Y_- [[1, w/z], [0, 1]] is exact up to series truncation; its (1,2)
     entry is the Plemelj jump eps_+ - eps_- = 2 w phi_n.  The points of both
     circles are evaluated together, once per side for every level, and a
@@ -391,30 +379,22 @@ def rhp_jump_check(
     from `AssocSystem.eps_taylor`.  Each order check is one row family, a
     row a level: its residual is the largest forbidden coefficient over
     max(1, the largest allowed one).  The jump is
-    gated at ``tol``, the determinant and the orders at the identity
-    tolerance 1e-9, both scaled by tol / 1e-5."""
+    gated at JUMP_TOL, the determinant and the orders at IDENTITY_TOL, both
+    times ``tol_scale``.  On a raw table the weight is its moment series."""
     rep = IdentityReport("Riemann-Hilbert suite")
-    identity_tol = IDENTITY_TOL * (tol / 1e-5)
+    sys, asys = bundle.sys, bundle.asys
+    identity_tol = IDENTITY_TOL * tol_scale
     levels = np.asarray(ns, dtype=int)
     if np.any(levels < 1):
         raise ValueError("the normalized problem is stated for n >= 1")
-
-    def near_cut(theta: float) -> bool:
-        if weight is None:
-            return False
-        for s in weight.singularities:
-            zj = s.location
-            if zj == 0:
-                continue
-            if abs(abs(zj) - 1.0) < 4 * offset:
-                if abs(np.exp(1j * theta) - zj / abs(zj)) < 0.05:
-                    return True
-        return False
-
-    kept = np.asarray([float(t) for t in thetas if not near_cut(float(t))])
-    radii = (1.0 - offset, 1.0 + offset)
+    sings = () if bundle.weight is None else bundle.weight.singularities
+    near = [s.location / abs(s.location) for s in sings
+            if s.location != 0 and abs(abs(s.location) - 1.0) < 4 * RHP_OFFSET]
+    kept = np.asarray([float(t) for t in RHP_THETAS
+                       if all(abs(np.exp(1j * float(t)) - u) >= 0.05 for u in near)])
+    radii = (1.0 - RHP_OFFSET, 1.0 + RHP_OFFSET)
     zs = np.multiply.outer(radii, np.exp(1j * kept))  # one circle a row
-    w = np.asarray(wfun(zs), dtype=complex)
+    w = np.asarray(bundle.wfun()(zs), dtype=complex)
     # both circles as one row of points a level, circle by circle
     lhs = normalized_solution(sys, asys, levels, zs, side="inside").reshape(len(levels), zs.size, 2, 2)
     rhs = normalized_solution(sys, asys, levels, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)
@@ -453,7 +433,7 @@ def rhp_jump_check(
     )
     groups = [
         ([equation("rhp_jump", "consider the following Riemann-Hilbert problem", lhs,
-                   rhs.reshape(lhs.shape))], tol, n, circles),
+                   rhs.reshape(lhs.shape))], JUMP_TOL * tol_scale, n, circles),
         ([equation("rhp_determinant", "we also point out det Y(z) = -z^{n-1}", dets, wants)],
          identity_tol, n, [f"z={z:.3g}" for z in zdet]),
     ]

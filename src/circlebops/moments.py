@@ -48,6 +48,8 @@ QUAD_TOL = 1e-12
 HEINE_START = 32
 HEINE_MAX = 512
 HEINE_TOL = 1e-8
+# heine-check's gate on |oracle - I0_n| / max(1, |I0_n|), times --tol
+HEINE_CHECK_TOL = 1e-6
 
 
 def _grid_values(w: Callable, points: int) -> np.ndarray:

@@ -13,9 +13,14 @@ the orders inside every block at once, then one over the blocks in z^BLOCK,
 so a 49-order band takes 7 + 6 array steps, not 48.  Up to BLOCK
 coefficients it is numpy's `polynomial.polyval`, step for step.  The blocks
 are aligned at order 0, so the zeros above a row of a zero-padded stack
-only add exact zeros to its steps, and every step is elementwise: as with
-numpy's Horner, a row's or a point's bits then depend only on how numpy's
-loops round each element (the suites' shapes are checked in the tests).
+only add exact zeros to its steps, and every step is elementwise.  Bit for
+bit, that is claimed only for the shapes the tests pin: numpy's Horner up
+to BLOCK coefficients; a zero-padded row as its own value (1 to 59
+coefficients at 11 points); a point alone as inside an array (2 to 49
+coefficients at 13 points).  In general an element's rounding can depend
+on the array's shape, which picks numpy's complex-multiply loop (vector
+body, scalar tail, broadcast operand): a sweep of coefficient stacks and
+point counts finds shapes whose bits differ, with numpy's Horner too.
 `polyder`, `polymul` and `polyfromroots` give the bits of numpy's
 `polynomial` functions without importing that package."""
 

@@ -22,6 +22,10 @@ from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclass
 
 @dataclass
 class Bundle:
+    """The levels of a weight or a raw table with their associated functions
+    and, for a weight, (V, W), the quadruples and U: the one object the
+    suites of `coeffs`, `lax` and `deform` read."""
+
     table: MomentTable
     sys: BopsSystem
     asys: AssocSystem
@@ -50,18 +54,18 @@ def build_bundle(
 ) -> Bundle:
     """Build levels 0..nmax (plus the moment table when given a weight) and,
     for strict weights, the requested coefficient-function quadruples, all
-    in one `compute_coeff_quads` pass, with U when there are any.  Nothing is gated here: the reports gate the
-    quadruples' out-of-band ratios."""
+    in one `compute_coeff_quads` pass, with U when there are any.  Nothing
+    is gated here: the reports gate the quadruples' out-of-band ratios and
+    the levels' cross-check against the recursion."""
     table = moment_table(source, nmax)
     weight = None if isinstance(source, MomentTable) else source
     sys = build_system(table, nmax)
-    asys = AssocSystem(sys)
-    bundle = Bundle(table=table, sys=sys, asys=asys, weight=weight)
+    bundle = Bundle(table=table, sys=sys, asys=AssocSystem(sys), weight=weight)
 
     if weight is not None:
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
-            bundle.quads = compute_coeff_quads(sys, asys, bundle.vw, quad_ns, weight)
+            bundle.quads = compute_coeff_quads(bundle, quad_ns)
             if bundle.quads:
-                bundle.u_poly = recover_u(weight, asys.F, bundle.vw)
+                bundle.u_poly = recover_u(weight, bundle.asys.F, bundle.vw)
     return bundle

@@ -14,9 +14,8 @@ import pytest
 
 from circlebops.assoc import AssocSystem
 from circlebops.bops import build_system
-from circlebops.coeffs import compute_coeff_quads
-from circlebops.moments import CaratheodoryEvaluator, recover_u, table_from_moments
-from circlebops.pipeline import moment_table
+from circlebops.moments import CaratheodoryEvaluator, table_from_moments
+from circlebops.pipeline import Bundle, build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from oracles import exact_moments, u_reads
@@ -104,7 +103,8 @@ def laurent_callable(z):
 def lebesgue():
     table = table_from_moments([(0, 1.0)], window=12)
     sys = build_system(table, 8)
-    return {"table": table, "sys": sys, "asys": AssocSystem(sys)}
+    asys = AssocSystem(sys)
+    return {"table": table, "sys": sys, "asys": asys, "bundle": Bundle(table, sys, asys)}
 
 
 @pytest.fixture(scope="session")
@@ -112,13 +112,15 @@ def laurent():
     weight = SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2)))
     table = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys = build_system(table, 8)
+    asys, vw = AssocSystem(sys), build_vw(weight)
     return {
         "weight": weight,
         "table": table,
         "sys": sys,
-        "asys": AssocSystem(sys),
+        "asys": asys,
         "wfun": laurent_callable,
-        "vw": build_vw(weight),
+        "vw": vw,
+        "bundle": Bundle(table, sys, asys, weight, vw),
     }
 
 
@@ -133,23 +135,19 @@ def strict():
     weight = SemiClassicalWeight(
         (Singularity(0, -1), Singularity(2, 0.5), Singularity(3, 1.0 / 3.0))
     )
-    vw = build_vw(weight)
-    table = moment_table(weight, 46)  # the production route, window 48
-    sys = build_system(table, 7)
-    asys = AssocSystem(sys)
-    quads = compute_coeff_quads(sys, asys, vw, range(6), weight)
-    f_eval = CaratheodoryEvaluator(table)
-    u_poly, u_info = recover_u(weight, f_eval, vw), u_reads(weight, f_eval, vw)
+    # the production route: window 48, levels 0..7, quadruples 0..5 and U
+    bundle = build_bundle(weight, 7, quad_ns=range(6))
     return {
         "weight": weight,
-        "vw": vw,
-        "table": table,
-        "sys": sys,
-        "asys": asys,
-        "quads": quads,
-        "u_poly": u_poly,
-        "u_info": u_info,
+        "vw": bundle.vw,
+        "table": bundle.table,
+        "sys": bundle.sys,
+        "asys": bundle.asys,
+        "quads": bundle.quads,
+        "u_poly": bundle.u_poly,
+        "u_info": u_reads(weight, CaratheodoryEvaluator(bundle.table), bundle.vw),
         "wfun": lambda z: weight(z),
+        "bundle": bundle,
     }
 
 

@@ -274,9 +274,7 @@ def rates_fd_check(traj, n: int, t: float, h: float = 1e-4) -> dict[str, float]:
     state_m, _ = moment_rebuild(traj, t - h, n)
     state_p, _ = moment_rebuild(traj, t + h, n)
     state_0, bundle = moment_rebuild(traj, t, n)
-    rates = deformation_rates(
-        bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t
-    )
+    rates = deformation_rates(bundle, traj, n, t)
     fd = {
         "kappa": (state_p.kappa - state_m.kappa) / (2.0 * h),
         "r": (state_p.r - state_m.r) / (2.0 * h),
@@ -302,10 +300,8 @@ def transfer_rate_check(
     _, bundle_p = moment_rebuild(traj, t + h, n + 1)
     state_n, bundle = moment_rebuild(traj, t, n)
     state_np, bundle_hi = moment_rebuild(traj, t, n + 1)
-    rates_n = deformation_rates(bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, n, t)
-    rates_np = deformation_rates(
-        bundle_hi.sys, bundle_hi.asys, bundle_hi.quads, bundle_hi.vw, traj, n + 1, t
-    )
+    rates_n = deformation_rates(bundle, traj, n, t)
+    rates_np = deformation_rates(bundle_hi, traj, n + 1, t)
     locs = traj.locations(t)
     vel = traj.velocities(t)
 

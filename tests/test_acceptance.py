@@ -41,7 +41,7 @@ from circlebops.moments import (
     toeplitz_det,
 )
 from circlebops.numerics import circle_samples
-from circlebops.pipeline import build_bundle
+from circlebops.pipeline import Bundle, build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity
 
 def announce(name: str, ok: bool, detail: str = ""):
@@ -81,8 +81,8 @@ def test_criterion_1_lebesgue_suite():
 
     rng = np.random.default_rng(17)
     pairs = list(zip(circle_samples(rng, 20, 0.4), circle_samples(rng, 20, 2.5)))
-    scalar = verify_scalar_identities(sys, pairs, tol=1e-12)
-    assoc, _ = verify_assoc_identities(asys, range(0, 7), [z for z, _ in pairs], tol=1e-12)
+    scalar = verify_scalar_identities(sys, pairs)
+    assoc, _ = verify_assoc_identities(asys, range(0, 7), [z for z, _ in pairs])
     worst = max(worst, scalar.max_residual, assoc.max_residual)
 
     elapsed = time.perf_counter() - start
@@ -141,24 +141,13 @@ def test_criterion_4_strict_semiclassical_suite():
     samples = list(circle_samples(rng, 10, 0.45, avoid=list(weight.locations), min_distance=0.1))
 
     reports = [
-        verify_linear_relations(bundle.quads, bundle.vw, bundle.sys, samples),
-        verify_bilinear(
-            bundle.quads, bundle.vw, bundle.sys, bundle.asys, weight,
-            u_poly=bundle.u_poly, ns=range(5),
-        ),
-        verify_expansion_forms(bundle.quads, bundle.sys, bundle.vw, weight, [1, 2, 3]),
-        spectral_derivative_check(
-            {n: bundle.quads[n] for n in range(5)}, bundle.vw, bundle.sys,
-            bundle.asys, samples, weight=weight,
-        ),
+        verify_linear_relations(bundle, samples),
+        verify_bilinear(bundle, range(5)),
+        verify_expansion_forms(bundle, [1, 2, 3]),
+        spectral_derivative_check(bundle, range(5), samples),
+        verify_matrix_system(bundle, range(1, 5)),
+        dpainleve_ratio_check(bundle, range(4)),
     ]
-    reports.append(
-        verify_matrix_system(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, weight, range(1, 5),
-            [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j],
-        )
-    )
-    reports.append(dpainleve_ratio_check(bundle.quads, bundle.vw, range(4), 2.0, 3.0))
 
     worst_exact = 0.0
     count = 0
@@ -176,21 +165,13 @@ def test_criterion_4_strict_semiclassical_suite():
 
 def test_criterion_5_riemann_hilbert_suite():
     start = time.perf_counter()
-    weight = strict_weight()
-    thetas = np.linspace(0.05, 2.0 * np.pi, 24)
-
+    # the Laurent weight as a raw table, whose weight is its moment series
     table_l = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys_l = build_system(table_l, 6)
-    asys_l = AssocSystem(sys_l)
-    bundle_s = build_bundle(weight, 6)
-
     worst_value = 0.0
     worst_order = 0.0
-    for sys, asys, wfun, wt in (
-        (sys_l, asys_l, laurent_callable, None),
-        (bundle_s.sys, bundle_s.asys, lambda z: weight(z), weight),
-    ):
-        rep = rhp_jump_check(sys, asys, wfun, (1, 2, 3), thetas, weight=wt)
+    for bundle in (Bundle(table_l, sys_l, AssocSystem(sys_l)), build_bundle(strict_weight(), 6)):
+        rep = rhp_jump_check(bundle, (1, 2, 3))
         for entry in rep.entries:
             if entry.name.startswith("rhp_order"):
                 worst_order = max(worst_order, entry.residual)

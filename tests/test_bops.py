@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from circlebops import bops
 from circlebops.bops import (
     BopsSystem,
     build_system,
@@ -35,8 +36,8 @@ class TestLebesgue:
         assert abs(polyval(lebesgue["sys"].families["phi"][3, :4], 0.5) - 0.125) < 1e-14
 
     def test_identity_web_exact(self, lebesgue):
-        rep = verify_scalar_identities(lebesgue["sys"], sample_pairs(), tol=1e-12)
-        assert rep.passed
+        rep = verify_scalar_identities(lebesgue["sys"], sample_pairs())
+        assert rep.max_residual <= 1e-12
 
 
 class TestLaurent:
@@ -72,8 +73,8 @@ class TestLaurent:
         assert laurent["sys"].cross_check_deviation < 1e-8
 
     def test_identity_web(self, laurent):
-        rep = verify_scalar_identities(laurent["sys"], sample_pairs(), tol=1e-10)
-        assert rep.passed, rep.failures()
+        rep = verify_scalar_identities(laurent["sys"], sample_pairs())
+        assert rep.max_residual <= 1e-10, rep.failures()
 
     def test_orthonormality_exact_and_by_quadrature(self, laurent):
         gram = orthonormality_matrix(laurent["sys"])
@@ -88,9 +89,32 @@ class TestLaurent:
             assert res_star < 1e-9
 
 
+class TestCrossCheck:
+    def test_a_gap_fails_its_entry_not_the_build(self, laurent, monkeypatch):
+        # the build gates nothing: recursion levels moved off the Gram levels
+        # build all the same, and the identity web's cross_check_deviation
+        # entry fails at 1e-8 times the scale
+        recursion = bops._recursion_levels
+
+        def moved(tbl, nmax):
+            phi, phibar, log = recursion(tbl, nmax)
+            phi = phi.copy()
+            phi[2, 0] += 1e-6
+            return phi, phibar, log
+
+        monkeypatch.setattr(bops, "_recursion_levels", moved)
+        system = build_system(laurent["table"], 8)
+        assert system.cross_check_deviation > 1e-7
+        for scale in (1.0, 4.0):
+            rep = verify_scalar_identities(system, sample_pairs(), scale)
+            (entry,) = [e for e in rep.entries if e.name == "cross_check_deviation"]
+            assert entry.residual == system.cross_check_deviation and entry.tol == 1e-8 * scale
+            assert not entry.passed and [e.name for e in rep.failures()] == ["cross_check_deviation"]
+
+
 class TestStrictWeight:
     def test_identity_web(self, strict):
-        rep = verify_scalar_identities(strict["sys"], sample_pairs(), tol=1e-9)
+        rep = verify_scalar_identities(strict["sys"], sample_pairs())
         assert rep.passed, [(e.name, e.residual) for e in rep.failures()]
 
     def test_routes_agree(self, strict):
@@ -198,6 +222,7 @@ class TestLevelStack:
             + pairs(("toeplitz_ratio_recursion",), range(1, n + 1))
             + [("orthonormality", None)]
             + pairs(("monomial_orthogonality",), range(n + 1))
+            + [("cross_check_deviation", None)]
         )
         assert [(e.name, e.n) for e in rep.entries] == expect
 

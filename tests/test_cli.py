@@ -542,6 +542,39 @@ class TestOneBundle:
             wrong = [k for k in once if twice[k] != [2.0 * t for t in once[k]]]
             assert not wrong, (command, wrong[:5])
 
+    def test_tol_four_moves_only_the_gates(self, tmp_path):
+        # the gate of every report entry is its stated value times --tol: at
+        # --tol 4 every entry keeps its name, anchor, n, where and residual,
+        # entry by entry, and its gate reads exactly 4 times its gate at
+        # --tol 1 (a power of two scales a float exactly); every other file
+        # keeps its bytes
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        down = {"j": 2, "path": "linear", "from": [2, 0], "to": [2, -0.05], "t0": 0.0, "t1": 0.1}
+        traj = write(tmp_path, "down.json", down)
+        keep = lambda e: (e["name"], e["anchor"], e.get("n"), e.get("where"), e["residual"])
+        for command in ("build", "assoc", "coeffs", "rhp-check", "heine-check", "deform", "verify-all"):
+            extra = ["--n", "4"]
+            if command == "deform":
+                extra = ["--n", "3", "--trajectory", traj, "--steps", "256"]
+            runs = []
+            for scale in ("1", "4"):
+                out = tmp_path / command / scale
+                assert main([command, "--weight", weight, "--tol", scale, *extra, "--out", str(out)]) == 0
+                runs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+            once, four = runs
+            assert once.keys() == four.keys(), command
+            reports = 0
+            for name, text in once.items():
+                entries = json.loads(text).get("entries") if name.endswith(".json") else None
+                if entries is None:
+                    assert four[name] == text, (command, name)
+                    continue
+                reports += 1
+                scaled = json.loads(four[name])["entries"]
+                assert entries and list(map(keep, scaled)) == list(map(keep, entries)), (command, name)
+                assert [e["tol"] for e in scaled] == [4.0 * e["tol"] for e in entries], (command, name)
+            assert reports == (6 if command == "verify-all" else 2 if command == "assoc" else 1), command
+
 
 class TestFootprint:
     def test_no_command_loads_numpy_random_or_openssl(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -7,7 +8,6 @@ from circlebops.bops import build_system
 from circlebops.assoc import AssocSystem
 from circlebops.bops import BopsSystem
 from circlebops.coeffs import (
-    compute_coeff_quad,
     compute_coeff_quads,
     dpainleve_ratio_check,
     expansion_closed_forms,
@@ -25,7 +25,7 @@ from circlebops.errors import (
 )
 from circlebops.moments import compute_moments
 from circlebops.numerics import circle_samples, polyder, polyval
-from circlebops.pipeline import build_bundle
+from circlebops.pipeline import Bundle, build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw, weight_from_json
 
 from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC, complex_m4_weight
@@ -35,6 +35,11 @@ from oracles import central_diff, coeff_quad_by_convolution
 def samples(seed=9, count=10):
     rng = np.random.default_rng(seed)
     return list(circle_samples(rng, count, 0.45))
+
+
+def quad_at(bundle, n):
+    """The quadruple of level n alone: `compute_coeff_quads` over [n]."""
+    return compute_coeff_quads(bundle, [n])[n]
 
 
 class TestConstruction:
@@ -51,9 +56,7 @@ class TestConstruction:
             assert max(q.fit_residuals.values()) < 1e-8
 
     def test_degree_certification(self, strict):
-        rep = verify_expansion_forms(
-            strict["quads"], strict["sys"], strict["vw"], strict["weight"], [1, 2, 3]
-        )
+        rep = verify_expansion_forms(strict["bundle"], [1, 2, 3])
         for e in rep.entries:
             if e.name == "degree_certification":
                 assert e.residual == max(strict["quads"][e.n].fit_residuals.values()) < 1e-7
@@ -65,28 +68,20 @@ class TestConstruction:
 
         table = compute_moments(weight, 24)
         sys = build_system(table, 4)
-        asys = AssocSystem(sys)
-        quad = compute_coeff_quad(sys, asys, build_vw(weight), 1, weight=weight)
+        quad = quad_at(Bundle(table, sys, AssocSystem(sys), weight, build_vw(weight)), 1)
         assert len(quad.theta) == 1
         assert len(quad.omega) == 2
 
     def test_not_semiclassical_refused(self, laurent):
         with pytest.raises(NotSemiClassicalError):
-            compute_coeff_quad(
-                laurent["sys"],
-                laurent["asys"],
-                laurent["vw"],
-                1,
-                weight=laurent["weight"],
-            )
+            quad_at(laurent["bundle"], 1)
 
     def test_degenerate_prefactor_rejected(self, lebesgue, strict):
         # Lebesgue levels have phi_{n+1}(0) = 0; pairing them with a
         # semi-classical (V, W) exercises the prefactor guard
+        mixed = dataclasses.replace(lebesgue["bundle"], weight=strict["weight"], vw=strict["vw"])
         with pytest.raises(DegenerateLevelError):
-            compute_coeff_quad(
-                lebesgue["sys"], lebesgue["asys"], strict["vw"], 2, weight=strict["weight"]
-            )
+            quad_at(mixed, 2)
 
     def test_matches_sampled_defining_combination(self, strict):
         # the defining combinations evaluated pointwise, eps' by central
@@ -124,10 +119,10 @@ class TestConstruction:
         other = SemiClassicalWeight(
             (Singularity(0, -1), Singularity(2.5, 0.5), Singularity(3, 1.0 / 3.0))
         )
-        vw = build_vw(other)
-        quad = compute_coeff_quad(strict["sys"], strict["asys"], vw, 2, weight=strict["weight"])
+        bundle = dataclasses.replace(strict["bundle"], vw=build_vw(other))
+        quad = quad_at(bundle, 2)
         assert max(quad.fit_residuals.values()) > 1e6 * 1e-7
-        rep = verify_expansion_forms({2: quad}, strict["sys"], vw, strict["weight"], [2])
+        rep = verify_expansion_forms(dataclasses.replace(bundle, quads={2: quad}), [2])
         (entry,) = [e for e in rep.entries if e.name == "degree_certification"]
         assert entry.n == 2 and entry.tol == 1e-7 and not entry.passed
         assert entry.residual == max(quad.fit_residuals.values())
@@ -137,12 +132,10 @@ class TestConstruction:
         table = compute_moments(strict["weight"], 8)
         sys = build_system(table, 6)
         with pytest.raises(WindowError):
-            compute_coeff_quad(sys, AssocSystem(sys), strict["vw"], 5, weight=strict["weight"])
+            quad_at(Bundle(table, sys, AssocSystem(sys), strict["weight"], strict["vw"]), 5)
 
     def test_seed_recorded_and_deterministic(self, strict):
-        q_again = compute_coeff_quad(
-            strict["sys"], strict["asys"], strict["vw"], 2, weight=strict["weight"]
-        )
+        q_again = quad_at(strict["bundle"], 2)
         assert np.array_equal(q_again.theta, strict["quads"][2].theta)
 
 
@@ -171,15 +164,20 @@ class TestOnePass:
             assert abs(worst - want_worst) <= 1e-2 * want_worst + 1e-12, n
 
     def test_one_level_is_the_bulk_call(self, strict):
-        quad = compute_coeff_quad(strict["sys"], strict["asys"], strict["vw"], 3, weight=strict["weight"])
-        (alone,) = compute_coeff_quads(strict["sys"], strict["asys"], strict["vw"], [3], strict["weight"]).values()
-        assert quad.fit_residuals == alone.fit_residuals
-        assert np.array_equal(quad.members, alone.members)
+        # a level asked for alone reads, off the shorter series of its own
+        # top level, the quadruple it has among the fixture's levels 0..5,
+        # to round-off
+        for n, quad in strict["quads"].items():
+            (alone,) = compute_coeff_quads(strict["bundle"], [n]).values()
+            assert alone.n == n and list(alone.fit_residuals) == list(quad.fit_residuals)
+            assert np.max(np.abs(alone.members - quad.members)) <= 1e-14 * np.max(np.abs(quad.members))
+            for got, want in zip(alone.fit_residuals.values(), quad.fit_residuals.values()):
+                assert abs(got - want) <= 1e-2 * want + 1e-12, n
 
     def test_levels_are_a_set(self, strict):
-        quads = compute_coeff_quads(strict["sys"], strict["asys"], strict["vw"], (4, 1, 4), strict["weight"])
+        quads = compute_coeff_quads(strict["bundle"], (4, 1, 4))
         assert list(quads) == [1, 4] and all(quads[n].n == n for n in quads)
-        assert compute_coeff_quads(strict["sys"], strict["asys"], strict["vw"], (), strict["weight"]) == {}
+        assert compute_coeff_quads(strict["bundle"], ()) == {}
 
     @pytest.mark.parametrize("family, message", [("phi", "phi_3(0) = 0"), ("phibar", "phibar_3(0) = 0")])
     def test_lowest_degenerate_level_raises(self, strict, family, message):
@@ -189,9 +187,10 @@ class TestOnePass:
         store = {"phi": sys.phi.copy(), "phibar": sys.phibar.copy()}
         store[family][[3, 5], 0] = 0.0
         broken = BopsSystem(sys.table, sys.kappas, store["phi"], store["phibar"], [], sys.deviations)
+        bundle = dataclasses.replace(strict["bundle"], sys=broken, asys=AssocSystem(broken))
         with pytest.raises(DegenerateLevelError, match=re.escape(message)):
-            compute_coeff_quads(broken, AssocSystem(broken), strict["vw"], [5, 4, 2, 0], strict["weight"])
-        compute_coeff_quads(broken, AssocSystem(broken), strict["vw"], [0, 1], strict["weight"])
+            compute_coeff_quads(bundle, [5, 4, 2, 0])
+        compute_coeff_quads(bundle, [0, 1])
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +225,7 @@ class TestBitExactKernels:
 
 class TestClosedForms:
     def test_all_blocks_all_levels(self, strict):
-        rep = verify_expansion_forms(
-            strict["quads"], strict["sys"], strict["vw"], strict["weight"], [1, 2, 3]
-        )
+        rep = verify_expansion_forms(strict["bundle"], [1, 2, 3])
         assert rep.passed, [(e.name, e.n, e.residual) for e in rep.failures()]
 
     def test_theta_leading_coefficient(self, strict):
@@ -259,7 +256,7 @@ class TestClosedForms:
         for n, quad in bundle.quads.items():
             degrees = [len(getattr(quad, k)) - 1 for k in ("theta", "thetastar", "omega", "omegastar")]
             assert degrees == [2, 2, 3, 3]
-            for name, order, want, block, lowest in expansion_closed_forms(bundle.sys, bundle.vw, weight, n):
+            for name, order, want, block, lowest in expansion_closed_forms(bundle, n):
                 if n < lowest:
                     continue
                 coeffs = getattr(quad, name)
@@ -269,7 +266,7 @@ class TestClosedForms:
     def test_overlapping_forms_consistent(self, strict):
         # at m = 3 the leading and trailing windows overlap; both closed
         # forms must pin the same coefficient
-        forms = expansion_closed_forms(strict["sys"], strict["vw"], strict["weight"], 2)
+        forms = expansion_closed_forms(strict["bundle"], 2)
         by_key = {}
         for name, order, val, block, _ in forms:
             by_key.setdefault((name, order), []).append(val)
@@ -280,9 +277,7 @@ class TestClosedForms:
 
 class TestLinearRelations:
     def test_all_relations(self, strict):
-        rep = verify_linear_relations(
-            strict["quads"], strict["vw"], strict["sys"], samples()
-        )
+        rep = verify_linear_relations(strict["bundle"], samples())
         assert rep.passed, [(e.name, e.n, e.residual) for e in rep.failures()]
         names = {e.name for e in rep.entries}
         for tag in "abcdefghijk":
@@ -291,15 +286,7 @@ class TestLinearRelations:
 
 class TestBilinear:
     def test_full_web(self, strict):
-        rep = verify_bilinear(
-            strict["quads"],
-            strict["vw"],
-            strict["sys"],
-            strict["asys"],
-            strict["weight"],
-            u_poly=strict["u_poly"],
-            ns=range(5),
-        )
+        rep = verify_bilinear(strict["bundle"], range(5), tol_scale=0.1)  # gate 1e-7
         assert rep.passed, [(e.name, e.n, e.where, e.residual) for e in rep.failures()]
         names = {e.name for e in rep.entries}
         for tag in "abcdef":
@@ -310,9 +297,7 @@ class TestBilinear:
         assert "initial_theta_0" in names
 
     def test_initial_members_alone(self, strict):
-        rep = verify_initial_members(
-            strict["quads"], strict["vw"], strict["sys"], strict["u_poly"]
-        )
+        rep = verify_initial_members(strict["bundle"], tol_scale=0.1)  # gate 1e-7
         assert rep.passed
         assert len(rep.entries) == 6
 
@@ -325,9 +310,7 @@ class TestBilinear:
         vw = build_vw(weight)
         assert abs(vw.v_eval(2.0)) < 1e-13
         with pytest.raises(SingularResidueError):
-            verify_bilinear(
-                strict["quads"], vw, strict["sys"], strict["asys"], weight
-            )
+            verify_bilinear(dataclasses.replace(strict["bundle"], weight=weight, vw=vw))
 
 
 class TestLevelAxis:
@@ -337,12 +320,8 @@ class TestLevelAxis:
     @staticmethod
     def suites(strict):
         return (
-            lambda ns: verify_bilinear(
-                strict["quads"], strict["vw"], strict["sys"], strict["asys"], strict["weight"], ns=ns
-            ),
-            lambda ns: verify_expansion_forms(
-                strict["quads"], strict["sys"], strict["vw"], strict["weight"], ns
-            ),
+            lambda ns: verify_bilinear(strict["bundle"], ns, tol_scale=0.1),
+            lambda ns: verify_expansion_forms(strict["bundle"], ns),
         )
 
     def test_level_range_residuals_are_single_level_residuals(self, strict):
@@ -364,8 +343,11 @@ class TestLevelAxis:
             + [(f"bilres_{c}", n) for n in levels for c in "abcdefghij"]
             + [("telescoped_constant", n) for n in levels]
         )
-        assert [(e.name, e.n) for e in rep.entries] == want * 2
-        assert [e.where for e in rep.entries] == ["z_2"] * len(want) + ["z_3"] * len(want)
+        # then the initial members, from the bundle's U
+        initial = [(f"initial_{name}", None) for name in
+                   ("theta_0", "theta_1", "thetastar_0", "thetastar_1", "omega_0", "omegastar_0")]
+        assert [(e.name, e.n) for e in rep.entries] == want * 2 + initial
+        assert [e.where for e in rep.entries] == ["z_2"] * len(want) + ["z_3"] * len(want) + [None] * 6
 
     def test_expansion_entries_level_by_level(self, strict):
         rep = self.suites(strict)[1](range(5))
@@ -389,44 +371,25 @@ class TestLevelAxis:
 
 class TestSpectralDerivatives:
     def test_relations(self, strict):
-        rep = spectral_derivative_check(
-            {n: strict["quads"][n] for n in range(5)},
-            strict["vw"],
-            strict["sys"],
-            strict["asys"],
-            samples(),
-            weight=strict["weight"],
-        )
+        rep = spectral_derivative_check(strict["bundle"], range(5), samples())
         assert rep.passed, [(e.name, e.n, e.residual) for e in rep.failures()]
 
     def test_trace_reduction_present(self, strict):
-        rep = spectral_derivative_check(
-            {2: strict["quads"][2]},
-            strict["vw"],
-            strict["sys"],
-            strict["asys"],
-            samples(),
-            weight=strict["weight"],
-        )
+        rep = spectral_derivative_check(strict["bundle"], [2], samples())
         assert any(e.name == "trace_reduction" for e in rep.entries)
 
 
 class TestDPainleveRatio:
     def test_holds_across_levels(self, strict):
-        rep = dpainleve_ratio_check(strict["quads"], strict["vw"], range(5), 2.0, 3.0)
+        # between z_2 = 2 and z_3 = 3
+        rep = dpainleve_ratio_check(strict["bundle"], range(5))
         assert rep.passed
         assert [e.n for e in rep.entries] == list(range(5))
-
-    def test_rejects_equal_points(self, strict):
-        with pytest.raises(SingularResidueError):
-            dpainleve_ratio_check(strict["quads"], strict["vw"], [1], 2.0, 2.0)
-
-    def test_rejects_origin(self, strict):
-        with pytest.raises(SingularResidueError):
-            dpainleve_ratio_check(strict["quads"], strict["vw"], [1], 0.0, 2.0)
 
     def test_m2_weight_not_applicable(self):
         # only one non-zero singularity: no second point to compare
         weight = SemiClassicalWeight((Singularity(0, -1), Singularity(2, 0.5)))
         nonzero = [s.location for s in weight.singularities if s.location != 0]
         assert len(nonzero) == 1
+        rep = dpainleve_ratio_check(build_bundle(weight, 4, quad_ns=range(3)), range(2))
+        assert rep.entries == ()

@@ -138,18 +138,14 @@ class TestRates:
         frozen = LinearTrajectory(
             strict_weight_module, moving=1, target=2.0 + 0j, t0=0.0, t1=1.0
         )
-        rates = deformation_rates(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, frozen, 2, 0.0
-        )
+        rates = deformation_rates(bundle, frozen, 2, 0.0)
         assert rates.kdot_over_k == 0
         assert rates.rdot == 0
         assert rates.rbardot == 0
 
     def test_two_kappa_routes_agree(self, traj, start):
         state, bundle = start
-        rates = deformation_rates(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, 2, 0.0
-        )
+        rates = deformation_rates(bundle, traj, 2, 0.0)
         assert rates.route_gap < 1e-7
 
     def test_fd_oracle(self, traj):
@@ -158,9 +154,7 @@ class TestRates:
 
     def test_reflection_rate_routes_consistent(self, traj, start):
         state, bundle = start
-        rates = deformation_rates(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, 2, 0.0
-        )
+        rates = deformation_rates(bundle, traj, 2, 0.0)
         alt = state.r * (rates.dlog_phi0 - rates.kdot_over_k)
         assert abs(rates.rdot - alt) < 1e-8
 
@@ -168,9 +162,7 @@ class TestRates:
 class TestSchlesingerRhs:
     def test_matches_moment_route(self, traj, start):
         state, bundle = start
-        rates = deformation_rates(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, 2, 0.0
-        )
+        rates = deformation_rates(bundle, traj, 2, 0.0)
         rhs = schlesinger_rhs(state, traj, 0.0)
         assert abs(rhs.kappadot - rates.kdot_over_k * state.kappa) < 1e-8
         assert abs(rhs.rdot - rates.rdot) < 1e-7
@@ -196,12 +188,8 @@ class TestSchlesingerRhs:
 
     def test_component_forms(self, traj, start):
         state, bundle = start
-        rates = deformation_rates(
-            bundle.sys, bundle.asys, bundle.quads, bundle.vw, traj, 2, 0.0
-        )
-        res = assemble_residues(
-            bundle.quads[2], bundle.vw, bundle.sys, 2, traj.weight_at(0.0)
-        )
+        rates = deformation_rates(bundle, traj, 2, 0.0)
+        res = assemble_residues(bundle, 2)
         rep = schlesinger_component_check(
             bundle.sys, bundle.quads, bundle.vw, traj, 2, 0.0, rates, res
         )
@@ -530,7 +518,7 @@ class TestMonodromy:
             flow[len(flow) // 2, 4 * j + 2 * row + col] += 1e-6
             return times, flow
 
-        monkeypatch.setattr(cli, "integrate_flow", perturbed)
+        monkeypatch.setattr(deform, "integrate_flow", perturbed)
         weight, path = tmp_path / "w.json", tmp_path / "t.json"
         weight.write_text(json.dumps(STRICT_SPEC))
         path.write_text(json.dumps({"j": 2, "to": [2, -0.05], "t0": 0.0, "t1": 0.1}))

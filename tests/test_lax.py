@@ -10,6 +10,7 @@ from circlebops.cli import main
 from circlebops.deform import LinearTrajectory, moment_rebuild
 from circlebops.errors import SingularResidueError
 from circlebops.lax import (
+    RHP_THETAS,
     assemble_residues,
     k_matrix,
     normalized_solution,
@@ -18,10 +19,8 @@ from circlebops.lax import (
     verify_matrix_system,
 )
 
-from conftest import STRICT_SPEC, close, laurent_callable
+from conftest import STRICT_SPEC, close
 from oracles import laurent_coefficients, y_matrix
-
-SAMPLES = [0.4 + 0.2j, -0.3 + 0.35j, 0.5 - 0.1j]
 
 
 def lebesgue_wfun(z):
@@ -59,9 +58,7 @@ class TestYMatrix:
 class TestResidues:
     def test_traces(self, strict):
         for n in range(4):
-            res = assemble_residues(
-                strict["quads"][n], strict["vw"], strict["sys"], n, strict["weight"]
-            )
+            res = assemble_residues(strict["bundle"], n)
             # Tr A_1 = n - rho_1 = n + 1, Tr A_j = -rho_j otherwise
             assert abs(np.trace(res.a[0]) - (n + 1)) < 1e-8
             assert abs(np.trace(res.a[1]) + 0.5) < 1e-8
@@ -69,18 +66,14 @@ class TestResidues:
 
     def test_rank_one(self, strict):
         for n in range(5):
-            res = assemble_residues(
-                strict["quads"][n], strict["vw"], strict["sys"], n, strict["weight"]
-            )
+            res = assemble_residues(strict["bundle"], n)
             for mat in res.a:
                 assert abs(np.linalg.det(mat)) < 1e-8
 
     def test_infinity_closed_form(self, strict):
         sum_rho = complex(strict["weight"].exponents.sum())
         for n in range(4):
-            res = assemble_residues(
-                strict["quads"][n], strict["vw"], strict["sys"], n, strict["weight"]
-            )
+            res = assemble_residues(strict["bundle"], n)
             rbar = strict["sys"].reflections[1][n]
             want = np.array(
                 [[-n, 0.0], [-(n + sum_rho) * rbar, sum_rho]], dtype=complex
@@ -92,25 +85,25 @@ class TestResidues:
 
     def test_bilinear_form_agrees(self, strict):
         n = 2
-        res = assemble_residues(
-            strict["quads"][n], strict["vw"], strict["sys"], n, strict["weight"]
-        )
-        bil = residues_bilinear_form(strict["asys"], strict["weight"], [n])
+        res = assemble_residues(strict["bundle"], n)
+        bil = residues_bilinear_form(strict["bundle"], [n])
         assert bil.shape == (1, 2, 2, 2)
         assert np.max(np.abs(res.a[1:] - bil[0])) < 1e-8
 
 
 def omega_nudge(strict, n, gap=1.5e-7):
     """The constant added to Omega_n that moves the level-n residue sum off
-    its closed form at infinity by ``gap``, and the nudged quadruple."""
-    quad = strict["quads"][n]
-    args = (strict["vw"], strict["sys"], n, strict["weight"])
+    its closed form at infinity by ``gap``, and the bundle with the nudged
+    quadruple."""
+    bundle, quad = strict["bundle"], strict["quads"][n]
 
     def nudged(delta):
-        return dataclasses.replace(quad, omega=quad.omega + np.eye(len(quad.omega))[0] * delta)
+        omega = quad.omega + np.eye(len(quad.omega))[0] * delta
+        quads = {**bundle.quads, n: dataclasses.replace(quad, omega=omega)}
+        return dataclasses.replace(bundle, quads=quads)
 
-    delta = gap * 1e-6 / assemble_residues(nudged(1e-6), *args).consistency
-    assert 1e-7 < assemble_residues(nudged(delta), *args).consistency < 2e-7
+    delta = gap * 1e-6 / assemble_residues(nudged(1e-6), n).consistency
+    assert 1e-7 < assemble_residues(nudged(delta), n).consistency < 2e-7
     return delta, nudged(delta)
 
 
@@ -119,11 +112,9 @@ class TestResidueGateScale:
 
     def test_matrix_suite(self, strict):
         n = 2
-        _, quad = omega_nudge(strict, n)
-        args = (strict["sys"], strict["asys"], {**strict["quads"], n: quad}, strict["vw"],
-                strict["weight"], [n], SAMPLES)
+        _, bundle = omega_nudge(strict, n)
         for scale, passed in ((1.0, False), (2.0, True)):
-            rep = verify_matrix_system(*args, tol_scale=scale)
+            rep = verify_matrix_system(bundle, [n], tol_scale=scale)
             (entry,) = [e for e in rep.entries if e.name == "residue_at_infinity"]
             assert 1e-7 < entry.residual < 2e-7 and entry.passed == passed
 
@@ -156,27 +147,11 @@ class TestResidueGateScale:
 class TestMatrixSystems:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_web(self, strict, n):
-        rep = verify_matrix_system(
-            strict["sys"],
-            strict["asys"],
-            strict["quads"],
-            strict["vw"],
-            strict["weight"],
-            [n],
-            SAMPLES,
-        )
+        rep = verify_matrix_system(strict["bundle"], [n])
         assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
 
     def test_summation_identity_values(self, strict):
-        rep = verify_matrix_system(
-            strict["sys"],
-            strict["asys"],
-            strict["quads"],
-            strict["vw"],
-            strict["weight"],
-            [2],
-            SAMPLES[:1],
-        )
+        rep = verify_matrix_system(strict["bundle"], [2])
         by_name = {e.name: e for e in rep.entries}
         assert by_name["summation_phistar_eps"].residual < 1e-7  # equals -n
         assert by_name["summation_phi_epsstar"].residual < 1e-7  # equals sum rho
@@ -184,19 +159,16 @@ class TestMatrixSystems:
 
 class TestRHP:
     def test_lebesgue_jump_exact(self, lebesgue):
-        thetas = np.linspace(0.05, 2 * np.pi, 24)
-        rep = rhp_jump_check(lebesgue["sys"], lebesgue["asys"], lebesgue_wfun, (1, 2, 3), thetas)
+        # the raw table's weight is its moment series, here w = 1
+        assert np.array_equal(lebesgue["bundle"].wfun()(np.exp(1j * RHP_THETAS)), np.ones(24))
+        rep = rhp_jump_check(lebesgue["bundle"], (1, 2, 3))
         assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
         jump = [e for e in rep.entries if e.name == "rhp_jump"]
         assert max(e.residual for e in jump) < 1e-12
 
     def test_laurent_and_strict(self, laurent, strict):
-        thetas = np.linspace(0.05, 2 * np.pi, 24)
-        for fix, wf in ((laurent, laurent_callable), (strict, strict["wfun"])):
-            rep = rhp_jump_check(
-                fix["sys"], fix["asys"], wf, (1, 2, 3), thetas,
-                weight=fix.get("weight"),
-            )
+        for fix in (laurent, strict):
+            rep = rhp_jump_check(fix["bundle"], (1, 2, 3))
             assert rep.passed, [
                 (e.name, e.where, e.residual) for e in rep.failures()
             ]
@@ -212,9 +184,8 @@ class TestRHP:
         # the Laurent coefficients of the normalized solution sampled on
         # circles inside and outside the unit circle
         sys, asys = strict["sys"], strict["asys"]
-        thetas = np.linspace(0.05, 2 * np.pi, 8)
         for n in (1, 2, 3):
-            rep = rhp_jump_check(sys, asys, strict["wfun"], [n], thetas, weight=strict["weight"])
+            rep = rhp_jump_check(strict["bundle"], [n])
             by_name = {e.name: e for e in rep.entries}
             for ij in ("11", "21"):  # polynomials of degree n
                 assert by_name[f"rhp_order_{ij}_at_zero"].residual == 0.0
@@ -241,10 +212,7 @@ class TestRHP:
         n = 3
         asys = AssocSystem(strict["sys"])
         asys.psistar(n)[0] += 1e-6
-        rep = rhp_jump_check(
-            strict["sys"], asys, strict["wfun"], [n], np.linspace(0.05, 2 * np.pi, 8),
-            weight=strict["weight"],
-        )
+        rep = rhp_jump_check(dataclasses.replace(strict["bundle"], asys=asys), [n])
         failing = {e.name for e in rep.failures() if e.name.startswith("rhp_order")}
         assert failing == {"rhp_order_22_at_zero"}
         by_name = {e.name: e for e in rep.entries}
@@ -253,11 +221,11 @@ class TestRHP:
 
     def test_rejects_n_zero(self, strict):
         with pytest.raises(ValueError):
-            rhp_jump_check(strict["sys"], strict["asys"], strict["wfun"], [1, 0], [0.3])
+            rhp_jump_check(strict["bundle"], [1, 0])
 
     def test_zero_weight_point_rejected(self, laurent):
         with pytest.raises(SingularResidueError):
-            y_matrix(laurent["sys"], laurent["asys"], laurent_callable, 1, -1.0 + 0j)
+            y_matrix(laurent["sys"], laurent["asys"], laurent["wfun"], 1, -1.0 + 0j)
 
 
 def one_point(f, z):
@@ -304,11 +272,7 @@ class TestBatched:
             assert abs(got[k] - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_rhp_entries_per_level(self, strict):
-        thetas = np.linspace(0.05, 2.0 * np.pi, 24)
-        rep = rhp_jump_check(
-            strict["sys"], strict["asys"], strict["wfun"], (1, 2, 3), thetas,
-            weight=strict["weight"],
-        )
+        rep = rhp_jump_check(strict["bundle"], (1, 2, 3))
         want = ["rhp_jump"] * 48 + ["rhp_determinant"] * 3 + [
             f"rhp_order_{ij}_at_{where}"
             for where in ("infinity", "zero")
@@ -325,26 +289,19 @@ class TestBatched:
     def test_level_range_is_concatenation_of_single_levels(self, strict):
         # a suite over range(1, 6) equals its one-level runs back to back,
         # entry for entry, residuals to the bit
-        sys, asys, weight = strict["sys"], strict["asys"], strict["weight"]
-        thetas = np.linspace(0.05, 2.0 * np.pi, 24)
-        suites = (
-            lambda ns: verify_matrix_system(
-                sys, asys, strict["quads"], strict["vw"], weight, ns, SAMPLES
-            ),
-            lambda ns: rhp_jump_check(sys, asys, strict["wfun"], ns, thetas, weight=weight),
-        )
-        for suite in suites:
-            whole = [e.to_dict() for e in suite(range(1, 6)).entries]
-            parts = [e.to_dict() for n in range(1, 6) for e in suite(range(n, n + 1)).entries]
+        for suite in (verify_matrix_system, rhp_jump_check):
+            bundle = strict["bundle"]
+            whole = [e.to_dict() for e in suite(bundle, range(1, 6)).entries]
+            parts = [e.to_dict() for n in range(1, 6) for e in suite(bundle, range(n, n + 1)).entries]
             assert whole and whole == parts
 
     def test_levels_without_a_successor_keep_their_place(self, strict):
         # with quadruple 3 missing, level 2 has no transfer or X/Z checks
         # while level 4 has them: each level's entries stay in its place
         quads = {n: q for n, q in strict["quads"].items() if n != 3}
-        args = (strict["sys"], strict["asys"], quads, strict["vw"], strict["weight"])
-        whole = [e.to_dict() for e in verify_matrix_system(*args, [1, 2, 4], SAMPLES).entries]
-        parts = [e.to_dict() for n in (1, 2, 4) for e in verify_matrix_system(*args, [n], SAMPLES).entries]
+        bundle = dataclasses.replace(strict["bundle"], quads=quads)
+        whole = [e.to_dict() for e in verify_matrix_system(bundle, [1, 2, 4]).entries]
+        parts = [e.to_dict() for n in (1, 2, 4) for e in verify_matrix_system(bundle, [n]).entries]
         assert whole == parts
         names = {n: {e["name"] for e in whole if e["n"] == n} for n in (2, 4)}
         assert "transfer_compatibility" in names[4] - names[2]

@@ -48,6 +48,17 @@ class TestValidation:
         failed = [c["name"] for c in report.conditions if not c["passed"]]
         assert "single_valued_on_circle" in failed
 
+    def test_only_conditions_that_can_fail_are_recorded(self):
+        # distinct locations are a hard error and V has degree below m by
+        # construction, so neither is a condition; a failed condition is
+        # named in the conditions alone, with no warning repeating it
+        report = validate_weight(make((0, -1), (-1, 2)))
+        assert [c["name"] for c in report.conditions] == [
+            "deg_w_at_least_two", "exponents_not_nonnegative_integers", "single_valued_on_circle"
+        ]
+        assert not report.passed and report.warnings == []
+        assert sorted(report.to_dict()) == ["conditions", "passed", "schema", "warnings"]
+
 
 class TestEval:
     def test_all_zero_exponents_give_one(self):
