@@ -7,9 +7,8 @@ oracles."""
 
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
-from .coeffs import CoeffQuad, compute_coeff_quads
+from .coeffs import QuadStore, compute_coeff_quads
 from .deform import (
-    DeformState,
     LinearTrajectory,
     deformation_rates,
     integrate_flow,
@@ -51,14 +50,13 @@ __all__ = [
     "Bundle",
     "CaratheodoryEvaluator",
     "CircleBopsError",
-    "CoeffQuad",
-    "DeformState",
     "ExistenceError",
     "LinearTrajectory",
     "MomentTable",
     "NearCircleError",
     "NotSemiClassicalError",
     "PolyPair",
+    "QuadStore",
     "ResidueSet",
     "SemiClassicalWeight",
     "Singularity",

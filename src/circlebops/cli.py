@@ -27,6 +27,7 @@ import numpy as np
 from .assoc import verify_assoc_identities, verify_expansions
 from .bops import BopsSystem, build_system, verify_scalar_identities
 from .coeffs import (
+    MEMBERS,
     dpainleve_ratio_check,
     spectral_derivative_check,
     verify_bilinear,
@@ -206,10 +207,10 @@ def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
 
 
 def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
-    ns = range(min(args.n, bundle.sys.nmax - 1))
+    ns = range(args.n)
     samples = _sample_points(args, weight) if samples is None else samples
     report, (_, _, eps, epsstar) = verify_assoc_identities(bundle.asys, ns, samples, args.tol)
-    exp = verify_expansions(bundle.asys, range(min(args.n, bundle.sys.nmax - 2) + 1), args.tol)
+    exp = verify_expansions(bundle.asys, range(args.n + 1), args.tol)
     rows = []
     for n in range(args.n + 1):
         for k, c in enumerate(bundle.asys.psi(n).tolist()):
@@ -239,18 +240,15 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None
         spectral_derivative_check(bundle, ns, samples, args.tol),
         dpainleve_ratio_check(bundle, range(args.n), args.tol),
     ]
+    quads, m = bundle.quads, weight.m
+    levels = quads.levels.tolist()
     coeff_payload = {
         "schema": SCHEMA,
-        "quads": {
-            str(n): {
-                name: _pairs(getattr(q, name))
-                for name in ("theta", "thetastar", "omega", "omegastar")
-            }
-            for n, q in sorted(bundle.quads.items())
+        "quads": {  # the Theta pair one order shorter
+            str(n): {name: _pairs(q[: m - (j < 2), j]) for j, name in enumerate(MEMBERS)}
+            for n, q in zip(levels, quads.members)
         },
-        "fit_residuals": {
-            str(n): q.fit_residuals for n, q in sorted(bundle.quads.items())
-        },
+        "fit_residuals": {str(n): dict(zip(MEMBERS, r)) for n, r in zip(levels, quads.ratios.tolist())},
         "seed": args.seed,
     }
     dump_json(coeff_payload, out / "coeff_functions.json")
@@ -262,7 +260,7 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None
 
 
 def cmd_rhp(args: argparse.Namespace, weight, bundle, out: Path):
-    report = rhp_jump_check(bundle, range(1, min(args.n, bundle.sys.nmax - 2) + 1), args.tol)
+    report = rhp_jump_check(bundle, range(1, args.n + 1), args.tol)
     dump_json(report, out / "rhp_report.json")
     return [report]
 

@@ -26,11 +26,11 @@ they stay independent of the quadruples' band reads because they test each
 relation pointwise, at sample points inside and outside the circle, on both
 sides' eps series.
 The quadruples of all the levels a bundle asks for are read in one pass
-(`compute_coeff_quads`): every truncated product is a stack of Toeplitz
-matrices, one a level, applied by one matmul, with no per-level loop.
-Each suite evaluates the quadruples it reads once per point set, in one
-Horner pass over the members of all of them (`quad_values`, row n
-`CoeffQuad.evaluate` of level n), and indexes those values.  Every suite
+into one store (`compute_coeff_quads`, `QuadStore`): every truncated
+product is a stack of Toeplitz matrices, one a level, applied by one
+matmul, with no per-level loop.  Each suite evaluates the quadruples it
+reads once per point set, in one Horner pass over the members of all of
+them (`QuadStore.values`), and indexes those values.  Every suite
 forms each relation once over all its levels, the level scalars read off
 the store as columns, and takes its residuals in one `rel_residuals` call
 (`IdentityReport.add_groups`): the linear relations, the spectral
@@ -58,9 +58,8 @@ weight (passes 30, 1.4e-7 at 31).  `verify-all` passes through --n 11; at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -89,37 +88,34 @@ RATIO_TOL = 1e-7  # the discrete-Painleve ratio recurrence
 
 
 @dataclass(frozen=True)
-class CoeffQuad:
-    n: int
-    theta: np.ndarray
-    thetastar: np.ndarray
-    omega: np.ndarray
-    omegastar: np.ndarray
-    fit_residuals: dict = field(default_factory=dict)
+class QuadStore:
+    """The quadruples of sorted levels, a row a level: members[k, j] holds
+    the z^j coefficients of Theta_n, Theta*_n, Omega_n and Omega*_n of level
+    n = levels[k] (the Theta pair 0 at its top order m-1, which leaves every
+    Horner step unchanged) and ratios[k] their out-of-band ratios."""
 
-    @cached_property
-    def members(self) -> np.ndarray:
-        """Theta_n, Theta*_n, Omega_n, Omega*_n as the columns of one (m, 4)
-        matrix, the Theta pair zero-padded at the top to the length of
-        Omega_n; a leading zero leaves every Horner step unchanged."""
-        padded = (np.append(self.theta, 0), np.append(self.thetastar, 0))
-        return np.stack([*padded, self.omega, self.omegastar], axis=1)
+    levels: np.ndarray
+    members: np.ndarray  # (level, order, member)
+    ratios: np.ndarray  # (level, member)
 
-    def evaluate(self, z):
-        """(Theta_n, Theta*_n, Omega_n, Omega*_n) over an array z of any shape
-        (a scalar is a 0-d array) in one Horner pass over the four members."""
-        return polyval(self.members, z)
+    def index(self, ns) -> np.ndarray:
+        """The rows of the levels ``ns``; KeyError for a level not stored."""
+        ns = np.asarray(ns, dtype=int)
+        missing = ns[~np.isin(ns, self.levels)]
+        if missing.size:
+            raise KeyError(int(missing[0]))
+        return np.searchsorted(self.levels, ns)
 
-
-def quad_values(quads: Mapping[int, CoeffQuad], ns, z) -> np.ndarray:
-    """(Theta_n, Theta*_n, Omega_n, Omega*_n) of each level n of ``ns`` over an
-    array z of any shape: shape (len(ns), 4, *z.shape), row n
-    quads[n].evaluate(z) bit for bit, from one Horner pass over the members
-    of all their quadruples."""
-    if not len(ns):
-        return np.zeros((0, 4) + np.shape(z), dtype=complex)
-    members = np.concatenate([quads[n].members for n in ns], axis=1)
-    return polyval(members, z).reshape((len(ns), 4) + np.shape(z))
+    def values(self, ns, z) -> np.ndarray:
+        """(Theta_n, Theta*_n, Omega_n, Omega*_n) of each level n of ``ns``
+        over an array z of any shape, shape (len(ns), 4, *z.shape): one
+        Horner pass over the (m, 4 len(ns)) stack of their members, level by
+        level.  A row is the level's pass alone bit for bit only where the
+        tests pin it: rounding can depend on the stack's shape (`numerics`)."""
+        if not len(ns):
+            return np.zeros((0, 4) + np.shape(z), dtype=complex)
+        members = self.members[self.index(ns)].transpose(1, 0, 2)
+        return polyval(members.reshape(len(members), -1), z).reshape((len(ns), 4) + np.shape(z))
 
 
 def _toeplitz(poly: np.ndarray, size: int) -> np.ndarray:
@@ -136,10 +132,10 @@ def _toeplitz(poly: np.ndarray, size: int) -> np.ndarray:
 MEMBERS = ("theta", "thetastar", "omega", "omegastar")
 
 
-def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQuad]:
-    """The quadruple of every level of ``ns`` on the bundle's levels and
-    (V, W), read off exact truncated series of its defining combinations:
-    Theta_n / Omega_n are the orders
+def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> QuadStore:
+    """The quadruples of the levels of ``ns``, one `QuadStore`, on the
+    bundle's levels and (V, W), read off exact truncated series of their
+    defining combinations: Theta_n / Omega_n are the orders
     n..n+m-2 / n..n+m-1 of the Taylor series at z = 0, Theta*_n / Omega*_n
     the orders n+1..n+m-1 / n+1..n+m of the expansion at infinity, which is
     the Taylor series of the reflected weight w(1/u).  Both are exact up to
@@ -148,7 +144,7 @@ def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQua
     n = 10 the bilinear residue bilres_j at z_3 = 3 reads 3e-11 from it and
     4e-7 from a Taylor read at 0.  Every order of each series below its band
     and the two above it must vanish; their size against the band is the
-    out-of-band ratio kept in ``fit_residuals``, which
+    out-of-band ratio kept in the store's ``ratios``, which
     `verify_expansion_forms` gates as degree_certification (DEGREE_TOL).
 
     One pass over the levels: each truncated product is a stack of the
@@ -167,9 +163,9 @@ def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQua
             "coefficient functions are defined for strict regular "
             "semi-classical weights only"
         )
-    levels = np.unique(np.asarray(ns, dtype=int))
+    levels, m = np.unique(np.asarray(ns, dtype=int)), vw.degree
     if not levels.size:
-        return {}
+        return QuadStore(levels, np.zeros((0, m, 4), dtype=complex), np.zeros((0, 4)))
     sys.require(*(k for n in levels.tolist() for k in (n, n + 1)))
     kappa, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
     zero, zero_bar = p0[levels + 1] == 0, pb0[levels + 1] == 0
@@ -179,7 +175,6 @@ def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQua
         if zero[k]:
             raise DegenerateLevelError(f"phi_{n + 1}(0) = 0: Theta_{n}/Omega_{n} prefactor vanishes")
         raise DegenerateLevelError(f"phibar_{n + 1}(0) = 0: starred prefactor vanishes")
-    m = vw.degree
     size = int(levels[-1]) + m + 3  # orders 0..N+m+2: every band and the two orders above it
 
     def combinations(pair, rows, star):
@@ -211,8 +206,8 @@ def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQua
     thetastar, omegastar, cross = combinations(ref, sys.phibar, True)
     omegastar = omegastar + levels[:, None] * (_toeplitz(ref.W[1:], size) @ cross.T).T
 
-    # bands in z for the plain pair, in u (reversed) for the starred pair:
-    # member j of level n is orders lo..hi, lo = n (+1 starred), m - 1 or m wide
+    # bands in z for the plain pair, in u for the starred pair (read down from
+    # hi): member j of level n is orders lo..hi, lo = n (+1 starred), m - 1 or m wide
     series = np.stack([theta, thetastar, omega, omegastar], axis=1)  # (level, member, order)
     lo = levels[:, None] + np.array([0, 1, 0, 1])
     hi = lo + np.array([m - 2, m - 2, m - 1, m - 1])
@@ -224,18 +219,11 @@ def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> dict[int, CoeffQua
     ratios = np.where(stray, magnitude, 0.0).max(axis=-1)  # NaN propagates
     ratios = np.divide(ratios, top, out=ratios.copy(), where=top > 0)
     scale = 2.0 * np.stack([p0[levels + 1], pb0[levels + 1]] * 2, axis=1) / kappa[levels, None]
-    values = np.take_along_axis(series, lo[..., None] + np.arange(m), axis=-1) / scale[..., None]
-    return {
-        n: CoeffQuad(
-            n=n,
-            theta=values[k, 0, : m - 1],
-            thetastar=values[k, 1, : m - 1][::-1],
-            omega=values[k, 2],
-            omegastar=values[k, 3, ::-1],
-            fit_residuals=dict(zip(MEMBERS, ratios[k].tolist())),
-        )
-        for k, n in enumerate(levels.tolist())
-    }
+    starred = np.array([False, True, False, True])[:, None]
+    reads = np.where(starred, hi[..., None] - np.arange(m), lo[..., None] + np.arange(m))
+    members = np.take_along_axis(series, reads, axis=-1) / scale[..., None]
+    members[:, :2, m - 1] = 0.0  # the Theta pair is one order shorter
+    return QuadStore(levels, np.ascontiguousarray(members.transpose(0, 2, 1)), ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +331,7 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
     rep = IdentityReport("coefficient-function expansion closed forms")
     quads, vw, weight, tol = bundle.quads, bundle.vw, bundle.weight, FORM_TOL * tol_scale
     levels = np.asarray(ns, dtype=int)
-    members = np.reshape([quads[n].members for n in levels.tolist()], (len(levels), weight.m, 4))
+    members = quads.members[quads.index(levels)]
     anchor = "specifically these have leading and trailing expansions"
     groups = []
     for name, order, want, block, lowest in expansion_closed_forms(bundle, levels):
@@ -354,13 +342,12 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
             mismatch = coeffs[:, order] - np.broadcast_to(want, levels.shape)[at]
             groups.append(([(f"{name}_{block}_z{order}", anchor, mismatch, coeffs)], tol, levels[at],
                            f"z^{order}", levels[at]))
-    om0 = quad_values(quads, levels, 0.0)[:, 2]
+    om0 = quads.values(levels, 0.0)[:, 2]
     groups.append(([("omega_at_origin", "does not lead to any new independent relation",
                      om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0)], tol, levels, None, levels))
-    built = sorted(quads)
-    fit = np.max([list(quads[n].fit_residuals.values()) for n in built], axis=1)  # NaN fails
+    fit = np.max(quads.ratios, axis=1)  # NaN fails
     groups.append(([("degree_certification", "are polynomials in z of bounded degree", fit)],
-                   DEGREE_TOL * tol_scale, built, None, built))
+                   DEGREE_TOL * tol_scale, quads.levels, None, quads.levels))
     rep.add_groups(groups)  # each group's positions are its levels
     return rep
 
@@ -370,11 +357,11 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
 # identities (i)-(k)
 # ---------------------------------------------------------------------------
 
-def _quad_rows(quads: Mapping[int, CoeffQuad], levels: Sequence[int], zs: np.ndarray):
+def _quad_rows(quads: QuadStore, levels: Sequence[int], zs: np.ndarray):
     """The quadruples of ``levels`` evaluated once at zs, in one Horner pass
-    (`quad_values`); the returned rows(ns, shift) stacks (Theta, Theta*,
-    Omega, Omega*) of level n + shift, one n of ns a row."""
-    values = dict(zip(levels, quad_values(quads, levels, zs)))
+    (`QuadStore.values`); the returned rows(ns, shift) stacks (Theta,
+    Theta*, Omega, Omega*) of level n + shift, one n of ns a row."""
+    values = dict(zip(levels, quads.values(levels, zs)))
 
     def rows(ns: Sequence[int], shift: int = 0) -> tuple[np.ndarray, ...]:
         stack = np.array([values[n + shift] for n in ns]).reshape(len(ns), 4, zs.size)
@@ -396,12 +383,13 @@ def verify_linear_relations(
     quads, sys, tol = bundle.quads, bundle.sys, LINEAR_TOL * tol_scale
     zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
     w_z = polyval(bundle.vw.W, zs)
-    quad_rows = _quad_rows(quads, list(quads), zs)
+    keys = quads.levels
+    quad_rows = _quad_rows(quads, keys.tolist(), zs)
     k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
     anchor_cor = "some additional identities satisfied by the coefficient functions"
 
-    ns = [n for n in sorted(quads) if n - 1 in quads and n + 1 in quads and n + 2 <= sys.nmax]
+    ns = keys[np.isin(keys - 1, keys) & np.isin(keys + 1, keys) & (keys + 2 <= sys.nmax)].tolist()
     n = np.asarray(ns, dtype=int)
     (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = quad_rows(ns, -1), quad_rows(ns)
     th_p, ths_p, _, _ = quad_rows(ns, 1)
@@ -428,7 +416,7 @@ def verify_linear_relations(
         ("linear_d", anchor, lhs_d, ratio_s * oms_m, zs * ths_p),
     ], tol, ns)
 
-    ns = [n for n in sorted(quads) if n + 1 in quads and n + 2 <= sys.nmax]
+    ns = keys[np.isin(keys + 1, keys) & (keys + 2 <= sys.nmax)].tolist()
     n = np.asarray(ns, dtype=int)
     (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = quad_rows(ns), quad_rows(ns, 1)
     ratio_p = p0[n + 2] / p0[n + 1] + k[n + 2] / k[n + 1] * zs
@@ -470,7 +458,7 @@ def verify_linear_relations(
         ("linear_k", anchor_cor, lhs_k, om_n, oms_n, w_z / zs),
     ], tol, ns)
 
-    ns = [n for n in sorted(quads) if n - 1 in quads and n + 1 <= sys.nmax]
+    ns = keys[np.isin(keys - 1, keys) & (keys + 1 <= sys.nmax)].tolist()
     n = np.asarray(ns, dtype=int)
     (th_m, ths_m, _, _), (th_n, ths_n, _, _) = quad_rows(ns, -1), quad_rows(ns)
     lhs_i = (
@@ -503,7 +491,7 @@ def verify_bilinear(
     tol = BILINEAR_TOL * tol_scale
     anchor_bil = "the coefficient functions satisfy the bilinear identities"
     anchor_res = "bilinear residues are related to the coefficient function residues"
-    keys = np.array(sorted(quads), dtype=int)
+    keys = quads.levels
     levels = np.sort(np.asarray(keys[np.isin(keys + 1, keys)] if ns is None else ns, dtype=int))
     # every value once at all the non-zero singular points z_2..z_m, one
     # row a point and one column a level: the quadruples of all levels in
@@ -520,7 +508,7 @@ def verify_bilinear(
     chain = levels[np.isin(levels + 1, keys) & (levels + 2 <= sys.nmax)]
     res_ns = levels[np.isin(levels, keys) & (levels + 1 <= sys.nmax)]
     # (member, point, level) of the levels chain, chain + 1 and res_ns
-    quad = quad_values(quads, np.concatenate([chain, chain + 1, res_ns]), zj).transpose(1, 2, 0)
+    quad = quads.values(np.concatenate([chain, chain + 1, res_ns]), zj).transpose(1, 2, 0)
     bounds = np.cumsum([0, len(chain), len(chain), len(res_ns)])
     at_chain, at_next, at_res = (quad[..., a:b] for a, b in zip(bounds, bounds[1:]))
 
@@ -577,7 +565,7 @@ def verify_bilinear(
         ([telescoped], tol, chain, wheres),
     ])
 
-    if bundle.u_poly is not None and 0 in quads and 1 in quads:
+    if bundle.u_poly is not None and np.isin([0, 1], keys).all():
         rep.extend(verify_initial_members(bundle, tol_scale))
     return rep
 
@@ -589,7 +577,8 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
     rep = IdentityReport("initial members of the coefficient-function sequences")
     anchor = "the initial members of the sequences"
     sys, vw, tol = bundle.sys, bundle.vw, BILINEAR_TOL * tol_scale
-    q0, q1 = bundle.quads[0], bundle.quads[1]
+    q0, q1 = bundle.quads.members[bundle.quads.index([0, 1])]
+    (th0, ths0), (th1, ths1) = q0[:-1, :2].T, q1[:-1, :2].T  # the Theta pair is one order shorter
     sys.require(2)
     k0, k1 = sys.kappas[:2]
     (p1, p2), (pb1, pb2) = sys.phi[1:3, 0], sys.phibar[1:3, 0]
@@ -608,10 +597,10 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
     minus = polyadd(two_v, -k0sq * u)  # 2V - kappa_0^2 U
 
     rep.add_rows([
-        poly_equation("initial_theta_0", 2.0 * p1 / k0 * q0.theta, minus),
+        poly_equation("initial_theta_0", 2.0 * p1 / k0 * th0, minus),
         poly_equation(
             "initial_theta_1",
-            polymul(z, 2.0 * p2 / k1 * q1.theta),
+            polymul(z, 2.0 * p2 / k1 * th1),
             polyadd(
                 k1**2 / k0sq * polymul(polymul(z, z), minus),
                 -2.0 * k1 * p1 * polymul(z, u),
@@ -621,12 +610,12 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
         ),
         poly_equation(
             "initial_thetastar_0",
-            polymul(z, 2.0 * pb1 / k0 * q0.thetastar),
+            polymul(z, 2.0 * pb1 / k0 * ths0),
             polyadd(-two_v, -k0sq * u),
         ),
         poly_equation(
             "initial_thetastar_1",
-            polymul(polymul(z, z), 2.0 * pb2 / k1 * q1.thetastar),
+            polymul(polymul(z, z), 2.0 * pb2 / k1 * ths1),
             polyadd(
                 pb1**2 / k0sq * polymul(polymul(z, z), minus),
                 -2.0 * k1 * pb1 * polymul(z, u),
@@ -636,12 +625,12 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
         ),
         poly_equation(
             "initial_omega_0",
-            2.0 * p1 * q0.omega,
+            2.0 * p1 * q0[:, 2],
             polyadd(k1 * polymul(z, minus), -k0sq * p1 * u),
         ),
         poly_equation(
             "initial_omegastar_0",
-            polymul(z, 2.0 * pb1 * q0.omegastar),
+            polymul(z, 2.0 * pb1 * q0[:, 3]),
             polyadd(-k1 * plus, -k0sq * pb1 * polymul(z, u)),
         ),
     ], tol, [None])

@@ -114,43 +114,19 @@ class LinearTrajectory:
 # Deformation state
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeformState:
-    t: float
-    n: int
-    a: np.ndarray  # (m, 2, 2) residue matrices
-    a_inf: np.ndarray
-    kappa: complex
-    r: complex
-    rbar: complex
-    consistency: float = 0.0  # of a rebuilt state: `ResidueSet.consistency`
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate(
-            [self.a.ravel(), self.a_inf.ravel(), [self.kappa, self.r, self.rbar]]
-        )
-
-
-def moment_rebuild(traj, t: float, n: int) -> tuple[DeformState, Bundle]:
+def moment_rebuild(traj, t: float, n: int) -> tuple[np.ndarray, float, Bundle]:
     """Full from-scratch construction of the deformation state at time t
-    (the independent oracle for flowed states).  Nothing here is gated: the
-    state carries its residue sum's ``consistency`` and the bundle its
-    quadruples' out-of-band ratios, and `deform` reports both."""
+    (the independent oracle for flowed states): the packed row (A_1..A_m,
+    A_inf, kappa_n, r_n, rbar_n), its residue sum's consistency
+    (`ResidueSet.consistency`) and the bundle.  Nothing here is gated: the
+    consistency and the bundle's quadruples' out-of-band ratios are
+    reported by `deform`."""
     weight = traj.weight_at(t)
     bundle = build_bundle(weight, n + 2, quad_ns=(n - 1, n) if n >= 1 else (n,))
     res = assemble_residues(bundle, n)
     r, rbar = bundle.sys.reflections
-    state = DeformState(
-        t=t,
-        n=n,
-        a=res.a,
-        a_inf=res.a_inf,
-        kappa=complex(bundle.sys.kappas[n]),
-        r=complex(r[n]),
-        rbar=complex(rbar[n]),
-        consistency=float(res.consistency),
-    )
-    return state, bundle
+    state = np.concatenate([res.a.ravel(), res.a_inf.ravel(), [bundle.sys.kappas[n], r[n], rbar[n]]])
+    return state, float(res.consistency), bundle
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +162,7 @@ def deformation_rates(bundle: Bundle, traj, n: int, t: float) -> RatesRecord:
     Both displayed routes to kappa-dot are computed; their gap is an
     internal consistency diagnostic.  r-dot / rbar-dot use the level n-1
     coefficient functions, so the bundle must hold quadruples n-1 and n."""
-    sys, quads = bundle.sys, bundle.quads
+    sys = bundle.sys
     sys.require(n, n + 1)
     kappa, p0, pb0 = sys.kappas[n], sys.phi[n : n + 2, 0], sys.phibar[n : n + 2, 0]
     r, rbar = (col[n] for col in sys.reflections)
@@ -201,7 +177,7 @@ def deformation_rates(bundle: Bundle, traj, n: int, t: float) -> RatesRecord:
         raise SingularResidueError(f"V({zj[abs(vj) < 1e-12][0]}) = 0 in a deformation-rate sum")
     ratio = zdot / zj
     phi, star, eps, eps_s = (v[n] for v in bundle.asys.evaluate(zj))
-    th, ths, _, _ = quads[n].evaluate(zj)
+    th, ths, _, _ = bundle.quads.values([n], zj)[0]
     sum_rho_zdot = np.sum(rho * ratio)
     route_a = np.sum(0.5 * rho * ratio * zj ** (-n) * eps * star)
     route_b = np.sum(-0.5 * rho * ratio * zj ** (-n) * eps_s * phi)
@@ -218,7 +194,7 @@ def deformation_rates(bundle: Bundle, traj, n: int, t: float) -> RatesRecord:
         [[kdot, 0.0], [d_kappa_phibar0 / kappa**2, -kdot]], dtype=complex
     )
     if n >= 1:
-        _, _, om_m, oms_m = quads[n - 1].evaluate(zj)
+        _, _, om_m, oms_m = bundle.quads.values([n - 1], zj)[0]
         rdot = r * np.sum(0.5 * rho * ratio * (om_m - vj) / vj)
         rbardot = rbar * np.sum(0.5 * rho * ratio * (oms_m + vj) / vj)
     else:
@@ -389,7 +365,7 @@ def _rk4(run, y0: list, rows: list, times: list[float], out: list | None) -> lis
 def integrate_flow(
     y0: np.ndarray, traj, t_span: tuple[float, float], steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 from the packed state ``y0`` (`DeformState.pack`);
+    """Fixed-step RK4 from the packed state ``y0`` (`moment_rebuild`);
     returns the grid times, shape (steps + 1,), and the packed state at
     each, shape (steps + 1, 4m + 7).  A zero span returns t0 and y0."""
     times, states = _rk4_times(t_span, steps), [np.asarray(y0, dtype=complex).tolist()]
@@ -489,16 +465,15 @@ def verify_flow(
     in the notes), the two kappa-rate routes at t0, and both rebuilds'
     quadruples' out-of-band ratios and residue sums (NaN fails).  Returns
     the report, the grid times and the packed flow."""
-    initial, bundle0 = moment_rebuild(traj, traj.t0, n)
-    times, flow = integrate_flow(initial.pack(), traj, (traj.t0, traj.t1), steps)
-    final, bundle1 = moment_rebuild(traj, traj.t1, n)
+    initial, consistency0, bundle0 = moment_rebuild(traj, traj.t0, n)
+    times, flow = integrate_flow(initial, traj, (traj.t0, traj.t1), steps)
+    final, consistency1, bundle1 = moment_rebuild(traj, traj.t1, n)
     inv = flow_invariants(flow, traj.weight0.exponents, n)
     conv = flow_convergence(times, flow, traj)
-    fit = [r for b in (bundle0, bundle1) for q in b.quads.values() for r in q.fit_residuals.values()]
     report = IdentityReport(f"Schlesinger flow at n={n}")
     for name, anchor, residual in (
         ("flow_vs_moment_rebuild", "the deformation derivatives are equivalent to the matrix equation",
-         state_gap(flow[-1], final.pack())),
+         state_gap(flow[-1], final)),
         ("trace_conservation", "leads us to the Schlesinger equations", inv["trace_drift"]),
         ("rank_one_persistence", "we find that det A_nj = 0", inv["det_max"]),
         ("monodromy_constancy", "is constant with respect to the deformation variable",
@@ -507,9 +482,9 @@ def verify_flow(
          conv["fine"]),
         ("kappa_rate_route_agreement", "sums of the bilinear residues over the finite singular points",
          deformation_rates(bundle0, traj, n, traj.t0).route_gap),
-        ("degree_certification", "are polynomials in z of bounded degree", np.max(fit)),
-        ("residue_at_infinity", "the regular singularity at infinity",
-         np.max([initial.consistency, final.consistency])),
+        ("degree_certification", "are polynomials in z of bounded degree",
+         np.max([bundle0.quads.ratios, bundle1.quads.ratios])),
+        ("residue_at_infinity", "the regular singularity at infinity", np.max([consistency0, consistency1])),
     ):
         report.add(name, anchor, residual, FLOW_GATES[name] * tol_scale, n=n)
     report.notes["richardson"] = conv

@@ -67,7 +67,6 @@ import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem
-from .coeffs import quad_values
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
 from .report import IdentityReport, equation
@@ -112,7 +111,7 @@ def k_matrix(sys: BopsSystem, n, z) -> np.ndarray:
 def _wa_matrix(values, v, sys: BopsSystem, n, zs: np.ndarray) -> np.ndarray:
     """W A_n over zs in the coefficient-function parameterisation, from the
     quadruple's values (Theta_n, Theta*_n, Omega_n, Omega*_n) at zs
-    (`CoeffQuad.evaluate`) and V's, at the level n or at each level of an
+    (`QuadStore.values`) and V's, at the level n or at each level of an
     array n (values stacked first)."""
     kn, kp, p1, pb1 = _level_columns(sys, n, np.ndim(zs))
     th, ths, om, oms = values
@@ -165,7 +164,7 @@ def assemble_residues(bundle: Bundle, n) -> ResidueSet:
         j = int(np.argmax(small))
         raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {weight.singularities[j].location}")
     # once at every level and every z_j: (member, level, z_j)
-    values = quad_values(bundle.quads, flat, locs).transpose(1, 0, 2)
+    values = bundle.quads.values(flat, locs).transpose(1, 0, 2)
     r, rbar = (c[flat] for c in sys.reflections)
     w1 = vw.w_deriv(0.0)
     v0 = vw.v_eval(0.0)
@@ -234,10 +233,10 @@ def verify_matrix_system(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1
     levels = np.asarray(ns, dtype=int)
     n = levels[:, None]
     # the positions and levels that have the quadruple of the next level
-    nxt = np.flatnonzero(np.isin(levels + 1, list(quads)))
+    nxt = np.flatnonzero(np.isin(levels + 1, quads.levels))
     up = levels[nxt]
     u = up[:, None]
-    values = quad_values(quads, np.concatenate([levels, up + 1]), zs).transpose(1, 0, 2)
+    values = quads.values(np.concatenate([levels, up + 1]), zs).transpose(1, 0, 2)
     th, ths, om, oms = values[:, : len(levels)]
     th_p, ths_p, _, _ = values[:, len(levels) :]
     bilinear = residues_bilinear_form(bundle, levels)

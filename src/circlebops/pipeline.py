@@ -8,14 +8,14 @@ semi-classical weight."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
-from .coeffs import CoeffQuad, compute_coeff_quads
+from .coeffs import QuadStore, compute_coeff_quads
 from .moments import MomentTable, factorised_moments, recover_u, weight_from_table
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
 
@@ -31,7 +31,7 @@ class Bundle:
     asys: AssocSystem
     weight: SemiClassicalWeight | None = None
     vw: PolyPair | None = None
-    quads: dict[int, CoeffQuad] = field(default_factory=dict)
+    quads: QuadStore | None = None
     u_poly: np.ndarray | None = None
 
     def wfun(self):
@@ -66,6 +66,6 @@ def build_bundle(
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
             bundle.quads = compute_coeff_quads(bundle, quad_ns)
-            if bundle.quads:
+            if bundle.quads.levels.size:
                 bundle.u_poly = recover_u(weight, bundle.asys.F, bundle.vw)
     return bundle

@@ -35,9 +35,8 @@ import numpy.polynomial.polynomial as npoly
 
 from circlebops.assoc import AssocSystem
 from circlebops.bops import BopsSystem, _monomial_residuals
-from circlebops.coeffs import CoeffQuad
+from circlebops.coeffs import QuadStore
 from circlebops.deform import (
-    DeformState,
     RatesRecord,
     _flow_table,
     _kernel,
@@ -130,14 +129,14 @@ class SchlesingerRhs:
     b_inf: np.ndarray
 
 
-def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
-    """d(state)/dt at one time from the flow kernel's compiled right-hand
-    side, unpacked into blocks.  B_inf and the scalar rates are read off the
+def schlesinger_rhs(state: np.ndarray, traj, t: float) -> SchlesingerRhs:
+    """d(state)/dt of a packed state at one time from the flow kernel's
+    compiled right-hand side, unpacked into blocks.  B_inf and the scalar rates are read off the
     residue matrices themselves: every bilinear residue sum entering them
     is, up to zdot_j/z_j weights, a sum of A_j entries."""
-    m = len(state.a)
+    m = (len(state) - 7) // 4
     plan, (row,) = _flow_table(traj, t, m)
-    dy, kdot, b10 = _kernel(plan)[0](state.pack().tolist(), row)
+    dy, kdot, b10 = _kernel(plan)[0](np.asarray(state).tolist(), row)
     b_inf = np.array([[kdot, 0.0], [b10, -kdot]], dtype=complex)
     blocks = np.array(dy[: 4 * m + 4])
     return SchlesingerRhs(
@@ -147,7 +146,7 @@ def schlesinger_rhs(state: DeformState, traj, t: float) -> SchlesingerRhs:
 
 def schlesinger_component_check(
     sys: BopsSystem,
-    quads: dict[int, CoeffQuad],
+    quads: QuadStore,
     vw: PolyPair,
     traj,
     n: int,
@@ -166,12 +165,10 @@ def schlesinger_component_check(
     kappa, kappa_p = sys.kappas[n : n + 2].tolist()
     phi0_p, phibar0_p = complex(sys.phi[n + 1, 0]), complex(sys.phibar[n + 1, 0])
     r, rbar = (complex(col[n]) for col in sys.reflections)
-    th, ths, om, oms = quads[n].evaluate(locs)  # the quadruple at every z_j
+    th, ths, om, oms = quads.values([n], locs)[0]  # the quadruple at every z_j
     kdot = rates.kdot_over_k
     dkb = rates.d_kappa_phibar0
-    state = DeformState(
-        t=t, n=n, a=residues.a, a_inf=residues.a_inf, kappa=kappa, r=r, rbar=rbar,
-    )
+    state = np.concatenate([residues.a.ravel(), residues.a_inf.ravel(), [kappa, r, rbar]])
     rhs = schlesinger_rhs(state, traj, t)
     anchor = "we find the following independent derivatives in component form"
 
@@ -271,17 +268,13 @@ def rates_fd_check(traj, n: int, t: float, h: float = 1e-4) -> dict[str, float]:
     """Finite-difference oracle for the scalar rates: rebuild kappa_n, r_n,
     rbar_n from moments at t -+ h and compare the centered difference with
     the closed-form rates at t."""
-    state_m, _ = moment_rebuild(traj, t - h, n)
-    state_p, _ = moment_rebuild(traj, t + h, n)
-    state_0, bundle = moment_rebuild(traj, t, n)
+    (state_m, _, _), (state_p, _, _) = (moment_rebuild(traj, s, n) for s in (t - h, t + h))
+    state_0, _, bundle = moment_rebuild(traj, t, n)
     rates = deformation_rates(bundle, traj, n, t)
-    fd = {
-        "kappa": (state_p.kappa - state_m.kappa) / (2.0 * h),
-        "r": (state_p.r - state_m.r) / (2.0 * h),
-        "rbar": (state_p.rbar - state_m.rbar) / (2.0 * h),
-    }
+    # the packed states end in kappa_n, r_n, rbar_n
+    fd = dict(zip(("kappa", "r", "rbar"), (state_p[-3:] - state_m[-3:]) / (2.0 * h)))
     closed = {
-        "kappa": rates.kdot_over_k * state_0.kappa,
+        "kappa": rates.kdot_over_k * state_0[-3],
         "r": rates.rdot,
         "rbar": rates.rbardot,
     }
@@ -296,10 +289,10 @@ def transfer_rate_check(
     """Compatibility K-dot_n = B_{n+1} K_n - K_n B_n at sampled z, with
     K-dot by centered differences of rebuilt transfer matrices and B_n(z) =
     B_inf - sum_j zdot_j A_j / (z - z_j)."""
-    _, bundle_m = moment_rebuild(traj, t - h, n + 1)
-    _, bundle_p = moment_rebuild(traj, t + h, n + 1)
-    state_n, bundle = moment_rebuild(traj, t, n)
-    state_np, bundle_hi = moment_rebuild(traj, t, n + 1)
+    *_, bundle_m = moment_rebuild(traj, t - h, n + 1)
+    *_, bundle_p = moment_rebuild(traj, t + h, n + 1)
+    state_n, _, bundle = moment_rebuild(traj, t, n)
+    state_np, _, bundle_hi = moment_rebuild(traj, t, n + 1)
     rates_n = deformation_rates(bundle, traj, n, t)
     rates_np = deformation_rates(bundle_hi, traj, n + 1, t)
     locs = traj.locations(t)
@@ -307,7 +300,7 @@ def transfer_rate_check(
 
     def b_matrix(rates, state, z):
         out = rates.b_inf.copy()
-        for zj, zdot, aj in zip(locs, vel, state.a):
+        for zj, zdot, aj in zip(locs, vel, state[: 4 * len(locs)].reshape(-1, 2, 2)):
             if zdot != 0:
                 out = out - zdot / (z - zj) * aj
         return out
@@ -359,12 +352,14 @@ def caratheodory_quadrature(w, z: complex) -> complex:
 
 def coeff_quad_by_convolution(
     sys: BopsSystem, asys: AssocSystem, vw: PolyPair, n: int
-) -> CoeffQuad:
-    """The quadruple of level n by the per-level route: each truncated
-    product of the defining combinations one `np.convolve`, on the orders
-    0..n+m+2 of level n alone, each band read by `series_band`; oracle for
-    the one-pass `compute_coeff_quads` (same reads, same bands, the sums
-    in another order)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quadruple of level n by the per-level route, as the store holds
+    it: members (order, member), the Theta pair zero at its top order, and
+    out-of-band ratios (member,).  Each truncated product of the defining
+    combinations is one `np.convolve`, on the orders 0..n+m+2 of level n
+    alone, each band read by `series_band`; oracle for the one-pass
+    `compute_coeff_quads` (same reads, same bands, the sums in another
+    order)."""
     m = vw.degree
     size = n + m + 3
 
@@ -390,16 +385,16 @@ def coeff_quad_by_convolution(
     pref = 2.0 * sys.phi[n + 1, 0] / sys.kappas[n]
     pref_star = 2.0 * sys.phibar[n + 1, 0] / sys.kappas[n]
     plan = (
-        ("theta", theta, n, n + m - 2, pref, 1),
-        ("thetastar", thetastar, n + 1, n + m - 1, pref_star, -1),
-        ("omega", omega, n, n + m - 1, pref, 1),
-        ("omegastar", omegastar, n + 1, n + m, pref_star, -1),
+        (theta, n, n + m - 2, pref, 1),
+        (thetastar, n + 1, n + m - 1, pref_star, -1),
+        (omega, n, n + m - 1, pref, 1),
+        (omegastar, n + 1, n + m, pref_star, -1),
     )
-    members, ratios = {}, {}
-    for name, series, lo, hi, scale, direction in plan:
-        band, ratios[name] = series_band(series, lo, hi)
-        members[name] = band[::direction] / scale
-    return CoeffQuad(n=n, fit_residuals=ratios, **members)
+    members, ratios = np.zeros((m, 4), dtype=complex), np.zeros(4)
+    for j, (series, lo, hi, scale, direction) in enumerate(plan):
+        band, ratios[j] = series_band(series, lo, hi)
+        members[: len(band), j] = band[::direction] / scale
+    return members, ratios
 
 
 def u_reads(weight: SemiClassicalWeight, f: CaratheodoryEvaluator, vw: PolyPair) -> dict:

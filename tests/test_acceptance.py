@@ -197,10 +197,10 @@ def test_criterion_6_deformation_suite():
     ratios = []
     above_roundoff = True
     for n in (1, 2, 3):
-        initial, _ = moment_rebuild(traj, 0.0, n)
-        times, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 64)
-        target, _ = moment_rebuild(traj, 0.1, n)
-        worst_gap = max(worst_gap, state_gap(flow[-1], target.pack()))
+        initial, _, _ = moment_rebuild(traj, 0.0, n)
+        times, flow = integrate_flow(initial, traj, (0.0, 0.1), 64)
+        target, _, _ = moment_rebuild(traj, 0.1, n)
+        worst_gap = max(worst_gap, state_gap(flow[-1], target))
         inv = flow_invariants(flow, weight.exponents, n)
         worst_trace = max(worst_trace, inv["trace_drift"])
         worst_det = max(worst_det, inv["det_max"])

@@ -49,6 +49,9 @@ LARGE_MOMENTS_SPEC = {
 }
 
 
+NO_TRAJECTORY = object()  # a deform run without --trajectory
+
+
 def write(tmp_path: Path, name: str, payload) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -247,22 +250,29 @@ class TestExitCodes:
             ({"moments": 5}, None, "'moments' must be a list of [k, re, im] rows"),
             ({"moments": [[0, "1", 0]]}, None, "moments row 1 must be [k, re, im] numbers"),
             ({"moments": [[-1, 1.0, 0.0], [0, 2.0]]}, None, "moments row 2 must be [k, re, im] numbers"),
+            ({"strict": True}, None, "weight spec needs 'singularities' or 'moments'"),
+            (STRICT_SPEC, {"j": 2, "path": "circle", "to": [2, -0.05]}, "unsupported trajectory path 'circle'"),
+            (LAURENT_SPEC, {"j": 2, "to": [-1, -0.05]}, "deformation flows need a strict semi-classical weight"),
+            (STRICT_SPEC, NO_TRAJECTORY, "deform needs --trajectory PATH"),
         ],
         ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho",
              "trajectory-to-not-a-pair", "trajectory-not-an-object", "weight-z-not-a-pair",
              "trajectory-j-not-a-number", "weight-branch-not-an-object",
              "weight-not-an-object", "moments-not-a-list", "moments-row-not-numbers",
-             "moments-row-of-two"],
+             "moments-row-of-two", "weight-without-singularities-or-moments", "trajectory-path-not-linear",
+             "deform-on-relaxed-weight", "deform-without-trajectory"],
     )
     def test_malformed_spec_exits_two(self, tmp_path, capsys, weight_spec, trajectory, message):
-        # a missing member, a member of the wrong type or shape, or an index
-        # past the weight is a malformed input: exit 2 with the member named,
-        # not a KeyError, IndexError, TypeError or AttributeError
+        # a missing member, a member of the wrong type or shape, an index
+        # past the weight, or a deform run the weight or flags cannot make
+        # is a malformed input: exit 2 with the cause named, not a KeyError,
+        # IndexError, TypeError or AttributeError
         weight = write(tmp_path, "w.json", weight_spec)
         argv = ["build", "--weight", weight, "--n", "2"]
         if trajectory is not None:
-            path = write(tmp_path, "t.json", trajectory)
-            argv = ["deform", "--weight", weight, "--trajectory", path, "--n", "2", "--steps", "4"]
+            argv = ["deform", "--weight", weight, "--n", "2", "--steps", "4"]
+            if trajectory is not NO_TRAJECTORY:
+                argv += ["--trajectory", write(tmp_path, "t.json", trajectory)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
@@ -291,7 +301,7 @@ class TestExitCodes:
         weight = write(tmp_path, "w.json", LAURENT_SPEC)
         assert main(["coeffs", "--weight", weight, "--out", str(tmp_path)]) == 2
 
-    def test_cmd_flag_alias(self, tmp_path):
+    def test_cmd_flag_alias(self, tmp_path, capsys):
         weight = write(tmp_path, "w.json", LAURENT_SPEC)
         code = main(
             ["--cmd", "moments", "--weight", weight, "--n", "3", "--out", str(tmp_path / "m")]
@@ -300,6 +310,12 @@ class TestExitCodes:
         with open(tmp_path / "m" / "moments.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "re", "im"]
+        # --cmd with no name after it names no subcommand: exit 2, one error line
+        capsys.readouterr()
+        assert main(["--weight", weight, "--out", str(tmp_path / "none"), "--cmd"]) == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1 and "Traceback" not in err
+        assert not (tmp_path / "none").exists()
 
 
 class TestRepeatedRuns:
@@ -368,8 +384,8 @@ class TestArtifacts:
         # m = 3 residue matrices entry by entry, and nothing else
         assert {len(row) for row in rows} == {7 + 8 * 3}
         path = parse_trajectory(traj, parse_weight_spec(weight)[0])
-        initial, _ = deform.moment_rebuild(path, path.t0, 2)
-        times, flow = deform.integrate_flow(initial.pack(), path, (path.t0, path.t1), 32)
+        initial, _, _ = deform.moment_rebuild(path, path.t0, 2)
+        times, flow = deform.integrate_flow(initial, path, (path.t0, path.t1), 32)
         assert len(rows) == len(flow) + 1
         for row, t, y in zip(rows[1:], times.tolist(), flow.tolist()):
             want = [t]

@@ -8,6 +8,7 @@ from circlebops.bops import build_system
 from circlebops.assoc import AssocSystem
 from circlebops.bops import BopsSystem
 from circlebops.coeffs import (
+    MEMBERS,
     compute_coeff_quads,
     dpainleve_ratio_check,
     expansion_closed_forms,
@@ -39,27 +40,39 @@ def samples(seed=9, count=10):
 
 def quad_at(bundle, n):
     """The quadruple of level n alone: `compute_coeff_quads` over [n]."""
-    return compute_coeff_quads(bundle, [n])[n]
+    return compute_coeff_quads(bundle, [n])
+
+
+def member(quads, n, name):
+    """The coefficients of one member of level n, the Theta pair without its
+    zero top order."""
+    j = MEMBERS.index(name)
+    coeffs = quads.members[quads.index([n])[0], :, j]
+    return coeffs[:-1] if j < 2 else coeffs
+
+
+def degrees(quads):
+    """The degree of each member at every level of the store: the highest
+    order whose coefficient is not 0."""
+    nonzero = quads.members != 0
+    return quads.members.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
 
 
 class TestConstruction:
     def test_degrees_m3(self, strict):
         # m = 3: deg Theta = deg Theta* = 1, deg Omega = deg Omega* = 2
-        for q in strict["quads"].values():
-            assert len(q.theta) == 2
-            assert len(q.thetastar) == 2
-            assert len(q.omega) == 3
-            assert len(q.omegastar) == 3
+        assert strict["quads"].members.shape[1:] == (3, 4)
+        assert (degrees(strict["quads"]) == [1, 1, 2, 2]).all()
 
     def test_fit_residuals_tiny(self, strict):
-        for q in strict["quads"].values():
-            assert max(q.fit_residuals.values()) < 1e-8
+        assert np.max(strict["quads"].ratios) < 1e-8
 
     def test_degree_certification(self, strict):
         rep = verify_expansion_forms(strict["bundle"], [1, 2, 3])
+        quads = strict["quads"]
         for e in rep.entries:
             if e.name == "degree_certification":
-                assert e.residual == max(strict["quads"][e.n].fit_residuals.values()) < 1e-7
+                assert e.residual == np.max(quads.ratios[quads.index([e.n])]) < 1e-7
 
     def test_m2_weight_degrees(self):
         # m = 2: Theta_n constant, Omega_n linear
@@ -69,8 +82,8 @@ class TestConstruction:
         table = compute_moments(weight, 24)
         sys = build_system(table, 4)
         quad = quad_at(Bundle(table, sys, AssocSystem(sys), weight, build_vw(weight)), 1)
-        assert len(quad.theta) == 1
-        assert len(quad.omega) == 2
+        assert quad.members.shape == (1, 2, 4)
+        assert (degrees(quad) == [0, 0, 1, 1]).all()
 
     def test_not_semiclassical_refused(self, laurent):
         with pytest.raises(NotSemiClassicalError):
@@ -109,7 +122,7 @@ class TestConstruction:
                 "oms": (w_z * (-es_p * dstar_n + star_p * des_n) - v_z * (star_n * es_p + es_n * star_p))
                 / pref_star,
             }
-            for got, (name, values) in zip(strict["quads"][n].evaluate(zs), want.items()):
+            for got, (name, values) in zip(strict["quads"].values([n], zs)[0], want.items()):
                 assert np.max(np.abs(got - values) / np.maximum(1.0, np.abs(values))) < 1e-5, (n, name)
 
     def test_inconsistent_vw_refused_out_of_band(self, strict):
@@ -121,11 +134,11 @@ class TestConstruction:
         )
         bundle = dataclasses.replace(strict["bundle"], vw=build_vw(other))
         quad = quad_at(bundle, 2)
-        assert max(quad.fit_residuals.values()) > 1e6 * 1e-7
-        rep = verify_expansion_forms(dataclasses.replace(bundle, quads={2: quad}), [2])
+        assert np.max(quad.ratios) > 1e6 * 1e-7
+        rep = verify_expansion_forms(dataclasses.replace(bundle, quads=quad), [2])
         (entry,) = [e for e in rep.entries if e.name == "degree_certification"]
         assert entry.n == 2 and entry.tol == 1e-7 and not entry.passed
-        assert entry.residual == max(quad.fit_residuals.values())
+        assert entry.residual == np.max(quad.ratios)
 
     def test_window_error(self, strict):
         # orders up to n + m + 3 of F are needed: 5 + 3 + 3 > 8
@@ -136,7 +149,7 @@ class TestConstruction:
 
     def test_seed_recorded_and_deterministic(self, strict):
         q_again = quad_at(strict["bundle"], 2)
-        assert np.array_equal(q_again.theta, strict["quads"][2].theta)
+        assert np.array_equal(member(q_again, 2, "theta"), member(strict["quads"], 2, "theta"))
 
 
 class TestOnePass:
@@ -154,30 +167,48 @@ class TestOnePass:
         # series' vanishing orders, agree within 1% and 1e-12 (3.9e-8 at
         # level 30 on the flagship on both routes)
         bundle = build_bundle(weight_from_json(spec), 32, quad_ns=range(31))
-        assert sorted(bundle.quads) == list(range(31))
-        for n, quad in bundle.quads.items():
-            oracle = coeff_quad_by_convolution(bundle.sys, bundle.asys, bundle.vw, n)
-            for got, want in zip(quad.members.T, oracle.members.T):
+        quads = bundle.quads
+        assert quads.levels.tolist() == list(range(31))
+        for n, members, ratios in zip(quads.levels.tolist(), quads.members, quads.ratios):
+            oracle, oracle_ratios = coeff_quad_by_convolution(bundle.sys, bundle.asys, bundle.vw, n)
+            assert members.shape == oracle.shape
+            for got, want in zip(members.T, oracle.T):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
-            assert list(quad.fit_residuals) == list(oracle.fit_residuals)
-            worst, want_worst = (max(q.fit_residuals.values()) for q in (quad, oracle))
+            worst, want_worst = np.max(ratios), np.max(oracle_ratios)
             assert abs(worst - want_worst) <= 1e-2 * want_worst + 1e-12, n
 
     def test_one_level_is_the_bulk_call(self, strict):
         # a level asked for alone reads, off the shorter series of its own
         # top level, the quadruple it has among the fixture's levels 0..5,
         # to round-off
-        for n, quad in strict["quads"].items():
-            (alone,) = compute_coeff_quads(strict["bundle"], [n]).values()
-            assert alone.n == n and list(alone.fit_residuals) == list(quad.fit_residuals)
-            assert np.max(np.abs(alone.members - quad.members)) <= 1e-14 * np.max(np.abs(quad.members))
-            for got, want in zip(alone.fit_residuals.values(), quad.fit_residuals.values()):
+        quads = strict["quads"]
+        for n, members, ratios in zip(quads.levels.tolist(), quads.members, quads.ratios):
+            alone = compute_coeff_quads(strict["bundle"], [n])
+            assert alone.levels.tolist() == [n] and alone.ratios.shape == (1, 4)
+            assert np.max(np.abs(alone.members[0] - members)) <= 1e-14 * np.max(np.abs(members))
+            for got, want in zip(alone.ratios[0], ratios):
                 assert abs(got - want) <= 1e-2 * want + 1e-12, n
 
     def test_levels_are_a_set(self, strict):
-        quads = compute_coeff_quads(strict["bundle"], (4, 1, 4))
-        assert list(quads) == [1, 4] and all(quads[n].n == n for n in quads)
-        assert compute_coeff_quads(strict["bundle"], ()) == {}
+        # repeats and order do not matter: the store of (4, 1, 4) is that of [1, 4]
+        quads, want = (compute_coeff_quads(strict["bundle"], ns) for ns in ((4, 1, 4), [1, 4]))
+        assert quads.levels.tolist() == [1, 4] and quads.members.shape == (2, 3, 4)
+        assert np.array_equal(quads.members, want.members) and np.array_equal(quads.ratios, want.ratios)
+        empty = compute_coeff_quads(strict["bundle"], ())
+        assert empty.levels.size == 0 and empty.members.shape == (0, 3, 4) and empty.ratios.shape == (0, 4)
+        assert empty.values([], 2.0).shape == (0, 4)
+
+    def test_a_level_not_stored_raises(self, strict):
+        # the store holds levels 0..5: asking for 7 (above them all) or for
+        # level 3 of a store of 1 and 4 (between two) is a KeyError, never
+        # a neighbouring level's quadruple
+        with pytest.raises(KeyError, match="7"):
+            strict["quads"].values([2, 7], 2.0)
+        gapped = compute_coeff_quads(strict["bundle"], (1, 4))
+        with pytest.raises(KeyError, match="3"):
+            gapped.index([3])
+        with pytest.raises(KeyError, match="0"):
+            gapped.values([0], 2.0)
 
     @pytest.mark.parametrize("family, message", [("phi", "phi_3(0) = 0"), ("phibar", "phibar_3(0) = 0")])
     def test_lowest_degenerate_level_raises(self, strict, family, message):
@@ -199,8 +230,9 @@ def m4_quads():
 
 
 class TestBitExactKernels:
-    """The one-pass quadruple equals each member's own Horner pass bit for
-    bit: a value does not depend on how its points are batched."""
+    """At these points, on these stores, each level's row of one Horner pass
+    over the members of all the levels equals that level's pass alone and
+    each member's own pass, bit for bit (signs of zero included)."""
 
     @pytest.mark.parametrize("which", ["flagship", "complex_m4"])
     def test_one_pass_quadruple_equals_each_member(self, which, strict, m4_quads):
@@ -212,15 +244,18 @@ class TestBitExactKernels:
             2.0 * (rng.normal(size=9) + 1j * rng.normal(size=9)),
             2.0 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))),
         ]
-        for quad in quads.values():
-            for z in points:
-                got = quad.evaluate(z)
-                assert got.shape == (4,) + np.shape(z)
-                for row, member in zip(got, (quad.theta, quad.thetastar, quad.omega, quad.omegastar)):
-                    want = np.asarray(polyval(member, z))
-                    assert np.array_equal(row, want)
-                    assert np.array_equal(np.signbit(row.real), np.signbit(want.real))
-                    assert np.array_equal(np.signbit(row.imag), np.signbit(want.imag))
+
+        def same(got, want):
+            return (np.array_equal(got, want) and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+                    and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+        for z in points:
+            every = quads.values(quads.levels, z)
+            assert every.shape == (len(quads.levels), 4) + np.shape(z)
+            for n, row in zip(quads.levels.tolist(), every):
+                assert same(row, quads.values([n], z)[0]), (n, z)
+                for got, name in zip(row, MEMBERS):
+                    assert same(got, np.asarray(polyval(member(quads, n, name), z))), (n, name, z)
 
 
 class TestClosedForms:
@@ -233,7 +268,7 @@ class TestClosedForms:
         sum_rho = complex(strict["weight"].exponents.sum())
         for n in (1, 2, 3):
             want = (n + 1 + sum_rho) * strict["sys"].kappas[n] / strict["sys"].kappas[n + 1]
-            got = strict["quads"][n].theta[-1]
+            got = member(strict["quads"], n, "theta")[-1]
             assert abs(got - want) < 1e-7
 
     def test_theta_trailing_coefficient(self, strict):
@@ -241,25 +276,24 @@ class TestClosedForms:
         vw, p0 = strict["vw"], strict["sys"].phi[:, 0]
         for n in (1, 2, 3):
             want = (2 * vw.v_eval(0.0) - n * vw.w_deriv(0.0)) * p0[n] / p0[n + 1]
-            assert abs(strict["quads"][n].evaluate(0.0)[0] - want) < 1e-7
+            assert abs(strict["quads"].values([n], 0.0)[0, 0] - want) < 1e-7
 
     def test_omega_at_origin(self, strict):
         vw = strict["vw"]
         for n in range(5):
             want = vw.v_eval(0.0) - n * vw.w_deriv(0.0)
-            assert abs(strict["quads"][n].evaluate(0.0)[2] - want) < 1e-8
+            assert abs(strict["quads"].values([n], 0.0)[0, 2] - want) < 1e-8
 
     def test_m4_complex_weight_all_levels(self):
         # complex locations and exponents, m = 4, through n = 12
         weight = complex_m4_weight()
         bundle = build_bundle(weight, 14, quad_ns=range(13))
-        for n, quad in bundle.quads.items():
-            degrees = [len(getattr(quad, k)) - 1 for k in ("theta", "thetastar", "omega", "omegastar")]
-            assert degrees == [2, 2, 3, 3]
+        assert (degrees(bundle.quads) == [2, 2, 3, 3]).all()
+        for n in bundle.quads.levels.tolist():
             for name, order, want, block, lowest in expansion_closed_forms(bundle, n):
                 if n < lowest:
                     continue
-                coeffs = getattr(quad, name)
+                coeffs = member(bundle.quads, n, name)
                 gap = abs(coeffs[order] - want) / max(1.0, float(np.max(np.abs(coeffs))))
                 assert gap < 1e-9, (n, name, order, block, gap)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ import pytest
 
 from circlebops import cli, deform
 from circlebops.deform import (
-    DeformState,
     LinearTrajectory,
     deformation_rates,
     flow_convergence,
@@ -46,7 +46,7 @@ def strict_weight_module():
 
 @pytest.fixture(scope="module")
 def start(traj):
-    state, bundle = moment_rebuild(traj, 0.0, 2)
+    state, _, bundle = moment_rebuild(traj, 0.0, 2)
     return state, bundle
 
 
@@ -64,36 +64,37 @@ class StartingTraj(LineTraj):
         return np.asarray(t, dtype=float)[..., None] * self.vel
 
 
-def unpacked(t, n, m, y) -> DeformState:
-    """The DeformState of a packed state y."""
-    a, a_inf = y[: 4 * m].reshape(m, 2, 2), y[4 * m : 4 * m + 4].reshape(2, 2)
-    return DeformState(t, n, a, a_inf, *y[4 * m + 4 :])
+def blocks(y):
+    """A_1..A_m (shape (m, 2, 2)), A_inf, kappa, r and rbar of a packed state y."""
+    m = (len(y) - 7) // 4
+    return (y[: 4 * m].reshape(m, 2, 2), y[4 * m : 4 * m + 4].reshape(2, 2), *y[4 * m + 4 :])
 
 
 def reference_rhs(state, traj, t):
     """The packed Schlesinger right-hand side and B_inf, as the literal
     per-pair commutator sum on 2x2 numpy matrices."""
     locs, vel, rhos = traj.locations(t), traj.velocities(t), traj.weight0.exponents
+    a, a_inf, kappa, r, rbar = blocks(state)
     m = len(locs)
     moving = [j for j in range(m) if vel[j] != 0]
     ratio = {j: vel[j] / locs[j] for j in moving}
     sum_rho_zdot = sum(rhos[j] * ratio[j] for j in moving)
-    s = sum(ratio[j] * state.a[j] for j in moving)
+    s = sum(ratio[j] * a[j] for j in moving)
     kdot = 0.25 * (-sum_rho_zdot - s[0, 0] + s[1, 1])
     b_inf = np.array([[kdot, 0.0], [-s[1, 0], -kdot]])
     da = []
     for j in range(m):
-        acc = comm(b_inf, state.a[j])
+        acc = comm(b_inf, a[j])
         for k in range(m):
             if k != j:
-                acc = acc + (vel[j] - vel[k]) / (locs[j] - locs[k]) * comm(state.a[k], state.a[j])
+                acc = acc + (vel[j] - vel[k]) / (locs[j] - locs[k]) * comm(a[k], a[j])
         da.append(acc)
     scalars = [
-        state.kappa * kdot,
-        s[0, 1] - state.r * (2.0 * kdot + sum_rho_zdot),
-        -s[1, 0] - 2.0 * state.rbar * kdot,
+        kappa * kdot,
+        s[0, 1] - r * (2.0 * kdot + sum_rho_zdot),
+        -s[1, 0] - 2.0 * rbar * kdot,
     ]
-    return np.concatenate([np.ravel(da), comm(b_inf, state.a_inf).ravel(), scalars]), b_inf
+    return np.concatenate([np.ravel(da), comm(b_inf, a_inf).ravel(), scalars]), b_inf
 
 
 class TestTrajectory:
@@ -148,14 +149,17 @@ class TestRates:
         rates = deformation_rates(bundle, traj, 2, 0.0)
         assert rates.route_gap < 1e-7
 
-    def test_fd_oracle(self, traj):
-        errs = rates_fd_check(traj, 2, 0.02)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fd_oracle(self, traj, n):
+        # n = 0 takes the rates of r and rbar from those of phi_0(0) and
+        # phibar_0(0), n >= 1 from the quadruple of level n - 1
+        errs = rates_fd_check(traj, n, 0.02)
         assert all(v < 1e-4 for v in errs.values()), errs
 
     def test_reflection_rate_routes_consistent(self, traj, start):
         state, bundle = start
         rates = deformation_rates(bundle, traj, 2, 0.0)
-        alt = state.r * (rates.dlog_phi0 - rates.kdot_over_k)
+        alt = blocks(state)[3] * (rates.dlog_phi0 - rates.kdot_over_k)
         assert abs(rates.rdot - alt) < 1e-8
 
 
@@ -164,7 +168,7 @@ class TestSchlesingerRhs:
         state, bundle = start
         rates = deformation_rates(bundle, traj, 2, 0.0)
         rhs = schlesinger_rhs(state, traj, 0.0)
-        assert abs(rhs.kappadot - rates.kdot_over_k * state.kappa) < 1e-8
+        assert abs(rhs.kappadot - rates.kdot_over_k * blocks(state)[2]) < 1e-8
         assert abs(rhs.rdot - rates.rdot) < 1e-7
         assert abs(rhs.rbardot - rates.rbardot) < 1e-8
         assert np.max(np.abs(rhs.b_inf - rates.b_inf)) < 1e-8
@@ -181,9 +185,8 @@ class TestSchlesingerRhs:
         state, _ = start
         rhs = schlesinger_rhs(state, LineTraj(strict_weight_module, [0.0, 1.0, 1.0]), 0.0)
         locs = strict_weight_module.locations
-        manual = comm(rhs.b_inf, state.a[1]) + (1.0 / (locs[1] - locs[0])) * comm(
-            state.a[0], state.a[1]
-        )
+        a = blocks(state)[0]
+        manual = comm(rhs.b_inf, a[1]) + (1.0 / (locs[1] - locs[0])) * comm(a[0], a[1])
         assert np.max(np.abs(rhs.da[1] - manual)) < 1e-12
 
     def test_component_forms(self, traj, start):
@@ -199,28 +202,28 @@ class TestSchlesingerRhs:
 class TestFlow:
     def test_zero_length_span(self, start):
         state, _ = start
-        times, flow = integrate_flow(state.pack(), None, (0.0, 0.0), 16)
+        times, flow = integrate_flow(state, None, (0.0, 0.0), 16)
         assert times.tolist() == [0.0]
-        assert np.array_equal(flow, state.pack()[None])
+        assert np.array_equal(flow, state[None])
 
     def test_rebuild_state_reads_the_store(self, strict_weight_module):
         # kappa_3, r_3 and rbar_3 of the flow's start are the store's, bit
         # for bit, on the downward z_2 move
         traj = LinearTrajectory(strict_weight_module, moving=1, target=2 - 0.05j, t0=0.0, t1=0.1)
-        state, bundle = moment_rebuild(traj, 0.0, 3)
+        state, _, bundle = moment_rebuild(traj, 0.0, 3)
         r, rbar = bundle.sys.reflections
-        got = np.array([state.kappa, state.r, state.rbar])
+        got = state[-3:]
         assert got.tobytes() == np.array([bundle.sys.kappas[3], r[3], rbar[3]]).tobytes()
 
     def test_endpoint_matches_rebuild(self, traj, start):
         state, _ = start
-        _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 64)
-        target, _ = moment_rebuild(traj, 0.1, 2)
-        assert state_gap(flow[-1], target.pack()) < 1e-5
+        _, flow = integrate_flow(state, traj, (0.0, 0.1), 64)
+        target, _, _ = moment_rebuild(traj, 0.1, 2)
+        assert state_gap(flow[-1], target) < 1e-5
 
     def test_invariants_along_flow(self, traj, start):
         state, _ = start
-        _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 64)
+        _, flow = integrate_flow(state, traj, (0.0, 0.1), 64)
         inv = flow_invariants(flow, traj.weight0.exponents, 2)
         assert inv["trace_drift"] < 1e-8
         assert inv["det_max"] < 1e-7
@@ -232,7 +235,7 @@ class TestFlow:
         # (6.6e-14 against 128 steps), so its check resolves on a coarser grid
         state, _ = start
         for steps in (16, 64):
-            times, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), steps)
+            times, flow = integrate_flow(state, traj, (0.0, 0.1), steps)
             conv = flow_convergence(times, flow, traj)
             assert conv["resolved"] is True
             assert conv["steps"] < steps
@@ -244,7 +247,7 @@ class TestFlow:
         # no coarser grid than one step: the one-step flow is compared with
         # a two-step one, never with itself
         state, _ = start
-        conv = flow_convergence(*integrate_flow(state.pack(), traj, (0.0, 0.1), 1), traj)
+        conv = flow_convergence(*integrate_flow(state, traj, (0.0, 0.1), 1), traj)
         assert conv["steps"] == 1
         assert conv["fine"] > 0.0
         assert conv["coarse"] == 0.0
@@ -254,8 +257,8 @@ class TestFlow:
         # the rung s the ladder returns is the first whose next rung's change
         # |y_2s - y_4s| falls under 100 ulps of the largest endpoint entry
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
-        initial, _ = moment_rebuild(traj, 0.0, 2)
-        y0, span = initial.pack(), (0.0, 0.1)
+        y0, _, _ = moment_rebuild(traj, 0.0, 2)
+        span = (0.0, 0.1)
         for steps in (16, 64, 256):
             conv = flow_convergence(*integrate_flow(y0, traj, span, steps), traj)
             s = conv["steps"]
@@ -276,15 +279,15 @@ class TestFlow:
         # or 12 with 25 steps and misread the order (21.4 and 18.8 here);
         # every rung is a power of two, compared with twice its steps
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
-        initial, _ = moment_rebuild(traj, 0.0, 2)
-        conv = flow_convergence(*integrate_flow(initial.pack(), traj, (0.0, 0.1), steps), traj)
+        initial, _, _ = moment_rebuild(traj, 0.0, 2)
+        conv = flow_convergence(*integrate_flow(initial, traj, (0.0, 0.1), steps), traj)
         assert conv["resolved"] is True
         assert conv["steps"] & (conv["steps"] - 1) == 0 and 2 * conv["steps"] <= steps
         assert 12.0 <= conv["ratio"] <= 20.0
 
     def test_richardson_zero_span(self, start):
         state, _ = start
-        conv = flow_convergence(*integrate_flow(state.pack(), None, (0.0, 0.0), 16), None)
+        conv = flow_convergence(*integrate_flow(state, None, (0.0, 0.0), 16), None)
         assert conv == {
             "coarse": 0.0, "fine": 0.0, "ratio": float("inf"), "steps": 0, "resolved": False
         }
@@ -292,10 +295,10 @@ class TestFlow:
     @pytest.mark.parametrize("target", [2.0 - 0.05j, 2.0 + 0.05j])
     def test_off_axis_move_matches_rebuild(self, strict_weight_module, target):
         traj = LinearTrajectory(strict_weight_module, moving=1, target=target, t0=0.0, t1=0.1)
-        initial, _ = moment_rebuild(traj, 0.0, 2)
-        _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 16)
-        rebuilt, _ = moment_rebuild(traj, 0.1, 2)
-        assert state_gap(flow[-1], rebuilt.pack()) < 1e-5
+        initial, _, _ = moment_rebuild(traj, 0.0, 2)
+        _, flow = integrate_flow(initial, traj, (0.0, 0.1), 16)
+        rebuilt, _, _ = moment_rebuild(traj, 0.1, 2)
+        assert state_gap(flow[-1], rebuilt) < 1e-5
 
     def test_principal_rebuild_jumps_on_an_upward_move(self, strict_weight_module, monkeypatch):
         # the mutant moves a weight by building it afresh, on sheet 0: the
@@ -303,10 +306,30 @@ class TestFlow:
         monkeypatch.setattr(SemiClassicalWeight, "with_locations", lambda self, locs: SemiClassicalWeight(
             tuple(Singularity(z, s.exponent) for z, s in zip(locs, self.singularities))))
         traj = LinearTrajectory(strict_weight_module, moving=1, target=2.0 + 0.05j, t0=0.0, t1=0.1)
-        initial, _ = moment_rebuild(traj, 0.0, 2)
-        _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 16)
-        rebuilt, _ = moment_rebuild(traj, 0.1, 2)
-        assert 1.4 < state_gap(flow[-1], rebuilt.pack()) < 1.6
+        initial, _, _ = moment_rebuild(traj, 0.0, 2)
+        _, flow = integrate_flow(initial, traj, (0.0, 0.1), 16)
+        rebuilt, _, _ = moment_rebuild(traj, 0.1, 2)
+        assert 1.4 < state_gap(flow[-1], rebuilt) < 1.6
+
+    @pytest.mark.parametrize("entry", ["degree_certification", "residue_at_infinity"])
+    def test_nan_in_the_end_rebuild_fails(self, traj, monkeypatch, entry):
+        # the report takes the worst of both rebuilds' out-of-band ratios and
+        # residue sums with NaN kept: a NaN at the end alone fails its entry
+        rebuild = deform.moment_rebuild
+
+        def poisoned(traj, t, n):
+            state, consistency, bundle = rebuild(traj, t, n)
+            if t == traj.t1 and entry == "residue_at_infinity":
+                consistency = float("nan")
+            elif t == traj.t1:
+                ratios = np.full_like(bundle.quads.ratios, np.nan)
+                bundle = dataclasses.replace(bundle, quads=dataclasses.replace(bundle.quads, ratios=ratios))
+            return state, consistency, bundle
+
+        monkeypatch.setattr(deform, "moment_rebuild", poisoned)
+        report, _, _ = deform.verify_flow(traj, 2, 8)
+        (got,) = [e for e in report.entries if e.name == entry]
+        assert np.isnan(got.residual) and not got.passed
 
     def test_transfer_compatibility(self, traj):
         res = transfer_rate_check(traj, 2, 0.05, [0.4 + 0.2j, 2.6 + 1.0j])
@@ -336,7 +359,7 @@ class TestFlowKernel:
         traj = LineTraj(weight, [0, 1.0 + 0.5j, 0, -0.3 + 0.2j, 0])
         rng = np.random.default_rng(7)
         draw = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        state = DeformState(0.0, 2, draw(5, 2, 2), draw(2, 2), *draw(3))
+        state = np.concatenate([draw(5, 2, 2).ravel(), draw(2, 2).ravel(), draw(3)])
         return traj, state
 
     def test_rhs_matches_per_pair_sum(self, five):
@@ -355,9 +378,9 @@ class TestFlowKernel:
         steps, h = 16, 0.1 / 16
 
         def f(t, y):
-            return reference_rhs(unpacked(t, 2, 5, y), traj, t)[0]
+            return reference_rhs(y, traj, t)[0]
 
-        y = state.pack()
+        y = state
         want = [y]
         for step in range(steps):
             t = step * h
@@ -367,7 +390,7 @@ class TestFlowKernel:
             k4 = f(t + h, y + h * k3)
             y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             want.append(y)
-        times, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), steps)
+        times, flow = integrate_flow(state, traj, (0.0, 0.1), steps)
         assert times.tolist() == [step * h for step in range(steps)] + [0.1]
         assert close(flow, np.array(want))
 
@@ -382,8 +405,7 @@ class TestFlowKernel:
         ],
     )
     def test_error_paths(self, strict_weight_module, start, five, case, error, message):
-        state, _ = start
-        y0 = state.pack()
+        y0, _ = start
         traj = LineTraj(strict_weight_module, [0, 1.0, 0])
         if case == "moving_origin":
             traj = LineTraj(strict_weight_module, [1.0, 0, 0])
@@ -411,7 +433,7 @@ class TestFlowKernel:
         for j, target, kernels in ((1, 2.0 - 0.05j, 1), (2, 3.0 + 0.05j, 2)):
             traj = LinearTrajectory(strict_weight_module, moving=j, target=target, t0=0.0, t1=0.1)
             for _ in range(2):
-                flow_convergence(*integrate_flow(state.pack(), traj, (0.0, 0.1), 64), traj)
+                flow_convergence(*integrate_flow(state, traj, (0.0, 0.1), 64), traj)
                 schlesinger_rhs(state, traj, 0.05)
             assert len(deform._KERNELS) == len(compiled) == kernels
 
@@ -441,7 +463,7 @@ class TestFlowKernel:
 
         monkeypatch.setattr(deform, "_flow_table", lambda *a: tables.append(len(a[1])) or table(*a))
         monkeypatch.setattr(deform, "_kernel", counted)
-        times, flow = integrate_flow(start[0].pack(), traj, (0.0, 0.1), steps)
+        times, flow = integrate_flow(start[0], traj, (0.0, 0.1), steps)
         assert (tables, runs) == ([2 * steps + 1], [steps])
         conv = flow_convergence(times, flow, traj)
         top = 1 << max(steps.bit_length() - 2, 0)
@@ -461,7 +483,7 @@ class TestFlowKernel:
 
     def test_invariants_match_per_state_loop(self, traj, start):
         state, _ = start
-        _, flow = integrate_flow(state.pack(), traj, (0.0, 0.1), 16)
+        _, flow = integrate_flow(state, traj, (0.0, 0.1), 16)
         states = [y[:12].reshape(3, 2, 2) for y in flow]
         tr0 = np.trace(states[0], axis1=1, axis2=2)
         closed = [2 + 1.0, -0.5, -1.0 / 3.0]  # n - rho_0 at the origin, then -rho_j
@@ -496,8 +518,8 @@ class TestMonodromy:
         make, moving, target = MONODROMY_MOVES[name]
         weight = make()
         traj = LinearTrajectory(weight, moving=moving, target=target, t0=0.0, t1=0.1)
-        initial, _ = moment_rebuild(traj, 0.0, n)
-        _, flow = integrate_flow(initial.pack(), traj, (0.0, 0.1), 32)
+        initial, _, _ = moment_rebuild(traj, 0.0, n)
+        _, flow = integrate_flow(initial, traj, (0.0, 0.1), 32)
         rhos = [complex(s.exponent) for s in weight.singularities]
         for a in flow[:, : 4 * weight.m].reshape(len(flow), weight.m, 2, 2):
             origin, *rest = a
