@@ -51,18 +51,6 @@ from .pipeline import build_bundle, moment_table
 from .report import SCHEMA, IdentityReport, _Text, dump_json
 from .weight import SemiClassicalWeight, Singularity, is_strict_semiclassical, json_pair, weight_from_json
 
-COMMANDS = (
-    "moments",
-    "build",
-    "assoc",
-    "coeffs",
-    "verify-all",
-    "rhp-check",
-    "deform",
-    "heine-check",
-)
-
-
 def parse_weight_spec(path):
     """Accept a singularity-list weight or a raw-moments table.  Returns
     (weight | None, table | None); exactly one is set.  Having both forms in
@@ -124,10 +112,8 @@ def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
     strict = weight is not None and is_strict_semiclassical(weight)
     if quads and not strict:
         raise CircleBopsError("this pipeline needs a strict regular semi-classical weight")
-    return build_bundle(
-        weight if weight is not None else table, args.n + 2 + strict,
-        quad_ns=range(args.n + 2) if quads else (),
-    )
+    return build_bundle(weight if weight is not None else table, args.n + 2 + strict,
+                        quad_ns=range(args.n + 2) if quads else ())
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +122,12 @@ def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
 
 def cmd_moments(args: argparse.Namespace, weight, table, out: Path):
     tbl = moment_table(weight if weight is not None else table, args.n + 1)
-    _write_csv(
-        out / "moments.csv",
-        ["k", "re", "im"],
-        [
-            [k, tbl.moment(k).real, tbl.moment(k).imag]
-            for k in range(-tbl.window, tbl.window + 1)
-        ],
-    )
-    rows = []
-    for eps in (-1, 0, 1):
-        for n in range(args.n + 1):
-            value = toeplitz_det(tbl, eps, n)
-            rows.append([eps, n, value.real, value.imag])
-    _write_csv(out / "determinants.csv", ["epsilon", "n", "re", "im"], rows)
+    _write_csv(out / "moments.csv", ["k", "re", "im"],
+               [[k, tbl.moment(k).real, tbl.moment(k).imag] for k in range(-tbl.window, tbl.window + 1)])
+    dets = [(eps, n, toeplitz_det(tbl, eps, n)) for eps in (-1, 0, 1) for n in range(args.n + 1)]
+    _write_csv(out / "determinants.csv", ["epsilon", "n", "re", "im"],
+               [[eps, n, value.real, value.imag] for eps, n, value in dets])
     return []
-
-
-def _pairs(coeffs: np.ndarray) -> list:
-    """[[re, im], ...] of a complex array, for the JSON payloads."""
-    return np.column_stack((coeffs.real, coeffs.imag)).tolist()
 
 
 def _levels(args: argparse.Namespace, weight, table) -> BopsSystem:
@@ -211,20 +183,11 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None)
     samples = _sample_points(args, weight) if samples is None else samples
     report, (_, _, eps, epsstar) = verify_assoc_identities(bundle.asys, ns, samples, args.tol)
     exp = verify_expansions(bundle.asys, range(args.n + 1), args.tol)
-    rows = []
-    for n in range(args.n + 1):
-        for k, c in enumerate(bundle.asys.psi(n).tolist()):
-            rows.append([n, k, c.real, c.imag])
-    _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"], rows)
-    rows = []
-    for n in range(args.n + 1):
-        for z, e, es in zip(samples.tolist(), eps[n].tolist(), epsstar[n].tolist()):
-            rows.append([n, z.real, z.imag, e.real, e.imag, es.real, es.imag])
-    _write_csv(
-        out / "eps_samples.csv",
-        ["n", "z_re", "z_im", "eps_re", "eps_im", "epsstar_re", "epsstar_im"],
-        rows,
-    )
+    _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"],
+               [[n, k, c.real, c.imag] for n in range(args.n + 1) for k, c in enumerate(bundle.asys.psi(n).tolist())])
+    _write_csv(out / "eps_samples.csv", ["n", "z_re", "z_im", "eps_re", "eps_im", "epsstar_re", "epsstar_im"],
+               [[n, z.real, z.imag, e.real, e.imag, es.real, es.imag] for n in range(args.n + 1)
+                for z, e, es in zip(samples.tolist(), eps[n].tolist(), epsstar[n].tolist())])
     dump_json(report, out / "assoc_report.json")
     dump_json(exp, out / "assoc_expansions.json")
     return [report, exp]
@@ -240,14 +203,12 @@ def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None
         spectral_derivative_check(bundle, ns, samples, args.tol),
         dpainleve_ratio_check(bundle, range(args.n), args.tol),
     ]
-    quads, m = bundle.quads, weight.m
-    levels = quads.levels.tolist()
+    quads, levels = bundle.quads, bundle.quads.levels.tolist()
+    # each member's [[re, im], ...] at every level
+    members = [np.stack((c.real, c.imag), axis=-1).tolist() for c in map(quads.member, range(len(MEMBERS)))]
     coeff_payload = {
         "schema": SCHEMA,
-        "quads": {  # the Theta pair one order shorter
-            str(n): {name: _pairs(q[: m - (j < 2), j]) for j, name in enumerate(MEMBERS)}
-            for n, q in zip(levels, quads.members)
-        },
+        "quads": {str(n): {name: c[k] for name, c in zip(MEMBERS, members)} for k, n in enumerate(levels)},
         "fit_residuals": {str(n): dict(zip(MEMBERS, r)) for n, r in zip(levels, quads.ratios.tolist())},
         "seed": args.seed,
     }
@@ -319,15 +280,9 @@ def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
     wfun = weight if weight is not None else weight_from_table(tbl)
     report = IdentityReport("Heine-identity oracle")
     for n in (1, 2, 3):
-        oracle = heine_oracle(wfun, n)
         det = toeplitz_det(tbl, 0, n)
-        report.add(
-            "heine_vs_toeplitz",
-            "due to the well known identity",
-            abs(oracle - det) / max(1.0, abs(det)),
-            HEINE_CHECK_TOL * args.tol,
-            n=n,
-        )
+        report.add("heine_vs_toeplitz", "due to the well known identity",
+                   abs(heine_oracle(wfun, n) - det) / max(1.0, abs(det)), HEINE_CHECK_TOL * args.tol, n=n)
     dump_json(report, out / "heine_report.json")
     return [report]
 
@@ -346,21 +301,10 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
         dump_json(matrix, out / "matrix_report.json")
         reports.append(matrix)
     reports += cmd_rhp(args, weight, bundle, out)
-    verdicts = [r.passed for r in reports]
-    summary = {
-        "schema": SCHEMA,
-        "passed": all(verdicts),
-        "suites": [
-            {
-                "title": r.title,
-                "passed": passed,
-                "max_residual": r.max_residual,
-                "identities": r.max_by_name(),
-            }
-            for r, passed in zip(reports, verdicts)
-        ],
-    }
-    dump_json(summary, out / "verify_report.json")
+    suites = [{"title": r.title, "passed": r.passed, "max_residual": r.max_residual, "identities": r.max_by_name()}
+              for r in reports]  # each report's verdict is computed once, when its file is written
+    dump_json({"schema": SCHEMA, "passed": all(r["passed"] for r in suites), "suites": suites},
+              out / "verify_report.json")
     return reports
 
 
@@ -374,6 +318,7 @@ HANDLERS = {
     "deform": cmd_deform,
     "heine-check": cmd_heine,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 @cache
@@ -390,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weight", required=True, help="weight spec JSON")
         p.add_argument("--n", type=int, default=4, help="maximum level")
         p.add_argument("--seed", type=int, default=7, help="sample-point seed")
-        p.add_argument(
-            "--tol", type=float, default=1.0, help="tolerance scale factor (1.0 = defaults)"
-        )
+        p.add_argument("--tol", type=float, default=1.0, help="tolerance scale factor (1.0 = defaults)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--steps", type=int, default=64, help="flow integration steps")
         p.add_argument("--trajectory", "--traj", dest="trajectory", default=None)
@@ -439,15 +382,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    verdicts = [rep.passed for rep in reports]
-    for rep, passed in zip(reports, verdicts):
-        print(f"[{'pass' if passed else 'FAIL'}] {rep.title}: max residual {rep.max_residual:.3e}")
-        for entry in [] if passed else rep.failures()[:10]:
-            print(
-                f"    {entry.name} (n={entry.n}, {entry.where}): "
-                f"{entry.residual:.3e} > {entry.tol:.1e}"
-            )
-    return 0 if all(verdicts) else 1
+    for rep in reports:
+        print(f"[{'pass' if rep.passed else 'FAIL'}] {rep.title}: max residual {rep.max_residual:.3e}")
+        for entry in [] if rep.passed else rep.failures()[:10]:
+            print(f"    {entry.name} (n={entry.n}, {entry.where}): {entry.residual:.3e} > {entry.tol:.1e}")
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 if __name__ == "__main__":

@@ -71,7 +71,7 @@ from .errors import (
     SingularResidueError,
 )
 from .numerics import polyadd, polyder, polymul, polyval
-from .report import IdentityReport, equation
+from .report import IdentityReport, PerFamily, equation
 from .weight import is_strict_semiclassical
 
 if TYPE_CHECKING:  # pipeline builds its bundles with compute_coeff_quads
@@ -105,6 +105,11 @@ class QuadStore:
         if missing.size:
             raise KeyError(int(missing[0]))
         return np.searchsorted(self.levels, ns)
+
+    def member(self, j: int, rows=slice(None)) -> np.ndarray:
+        """Member j's z^0.. coefficients (MEMBERS order) at the store rows
+        ``rows``, a level a row; the Theta pair (j < 2) without its top 0."""
+        return self.members[rows, : self.members.shape[1] - (j < 2), j]
 
     def values(self, ns, z) -> np.ndarray:
         """(Theta_n, Theta*_n, Omega_n, Omega*_n) of each level n of ``ns``
@@ -327,28 +332,29 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
     of ``ns`` (gate FORM_TOL), plus the largest out-of-band ratio of every
     quadruple of the bundle as its degree certificate (DEGREE_TOL).  Each
     form is one row family over the levels it holds at, formed once for all
-    of them; entries level by level."""
+    of them, and all are one group; entries level by level."""
     rep = IdentityReport("coefficient-function expansion closed forms")
-    quads, vw, weight, tol = bundle.quads, bundle.vw, bundle.weight, FORM_TOL * tol_scale
-    levels = np.asarray(ns, dtype=int)
-    members = quads.members[quads.index(levels)]
+    quads, vw, tol = bundle.quads, bundle.vw, FORM_TOL * tol_scale
+    levels = quads.levels[np.unique(quads.index(ns))]  # KeyError for a level not stored
+    checked = np.isin(quads.levels, levels)
     anchor = "specifically these have leading and trailing expansions"
-    groups = []
+    families, wheres, held = [], [], []
     for name, order, want, block, lowest in expansion_closed_forms(bundle, levels):
-        j = MEMBERS.index(name)
-        if order < weight.m - (j < 2):  # the Theta pair is one shorter
-            at = np.flatnonzero(levels >= lowest)
-            coeffs = members[at, :, j]
-            mismatch = coeffs[:, order] - np.broadcast_to(want, levels.shape)[at]
-            groups.append(([(f"{name}_{block}_z{order}", anchor, mismatch, coeffs)], tol, levels[at],
-                           f"z^{order}", levels[at]))
+        rows = checked & (quads.levels >= lowest)
+        coeffs = quads.member(MEMBERS.index(name), rows)
+        if order < coeffs.shape[1]:  # the Theta pair is one order shorter
+            want = np.broadcast_to(want, levels.shape)[levels >= lowest]
+            families.append((f"{name}_{block}_z{order}", anchor, coeffs[:, order] - want, coeffs))
+            wheres.append(f"z^{order}")
+            held.append(rows)
     om0 = quads.values(levels, 0.0)[:, 2]
-    groups.append(([("omega_at_origin", "does not lead to any new independent relation",
-                     om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0)], tol, levels, None, levels))
+    families.append(("omega_at_origin", "does not lead to any new independent relation",
+                     om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0))
     fit = np.max(quads.ratios, axis=1)  # NaN fails
-    groups.append(([("degree_certification", "are polynomials in z of bounded degree", fit)],
-                   DEGREE_TOL * tol_scale, quads.levels, None, quads.levels))
-    rep.add_groups(groups)  # each group's positions are its levels
+    families.append(("degree_certification", "are polynomials in z of bounded degree", fit))
+    gates = [tol] * (len(families) - 1) + [DEGREE_TOL * tol_scale]
+    rep.add_groups([(families, gates, quads.levels, PerFamily(wheres + [None, None]), None,
+                     PerFamily(held + [checked, None]))])
     return rep
 
 
@@ -577,8 +583,8 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
     rep = IdentityReport("initial members of the coefficient-function sequences")
     anchor = "the initial members of the sequences"
     sys, vw, tol = bundle.sys, bundle.vw, BILINEAR_TOL * tol_scale
-    q0, q1 = bundle.quads.members[bundle.quads.index([0, 1])]
-    (th0, ths0), (th1, ths1) = q0[:-1, :2].T, q1[:-1, :2].T  # the Theta pair is one order shorter
+    (th0, ths0, om0, oms0), (th1, ths1, _, _) = ([bundle.quads.member(j, row) for j in range(len(MEMBERS))]
+                                                  for row in bundle.quads.index([0, 1]).tolist())
     sys.require(2)
     k0, k1 = sys.kappas[:2]
     (p1, p2), (pb1, pb2) = sys.phi[1:3, 0], sys.phibar[1:3, 0]
@@ -625,12 +631,12 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
         ),
         poly_equation(
             "initial_omega_0",
-            2.0 * p1 * q0[:, 2],
+            2.0 * p1 * om0,
             polyadd(k1 * polymul(z, minus), -k0sq * p1 * u),
         ),
         poly_equation(
             "initial_omegastar_0",
-            polymul(z, 2.0 * pb1 * q0[:, 3]),
+            polymul(z, 2.0 * pb1 * oms0),
             polyadd(-k1 * plus, -k0sq * pb1 * polymul(z, u)),
         ),
     ], tol, [None])

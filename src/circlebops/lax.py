@@ -69,7 +69,7 @@ from .assoc import AssocSystem
 from .bops import BopsSystem
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
-from .report import IdentityReport, equation
+from .report import IdentityReport, PerFamily, equation
 
 if TYPE_CHECKING:  # pipeline imports coeffs, which lax imports
     from .pipeline import Bundle
@@ -430,16 +430,17 @@ def rhp_jump_check(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) ->
         ("rhp_order_21_at_zero", zero, kappa * fam["phistar"], 0, 0),
         ("rhp_order_22_at_zero", zero, eps_entry(True, False), -1, n),
     )
-    groups = [
+    families, wheres = [], []
+    for name, anchor, series, edge, order in orders:
+        k, cut = np.arange(series.shape[1]), np.abs(np.subtract(order, edge))
+        forbidden, allowed = k < cut, (k >= cut) & (k < n + 4)
+        families.append((name, anchor, np.where(forbidden, series, 0.0), np.where(allowed, series, 0.0)))
+        wheres.append(f"z^{order}" if np.ndim(order) == 0 else [f"z^{k}" for k in order[:, 0].tolist()])
+    rep.add_groups([
         ([equation("rhp_jump", "consider the following Riemann-Hilbert problem", lhs,
                    rhs.reshape(lhs.shape))], JUMP_TOL * tol_scale, n, circles),
         ([equation("rhp_determinant", "we also point out det Y(z) = -z^{n-1}", dets, wants)],
          identity_tol, n, [f"z={z:.3g}" for z in zdet]),
-    ]
-    for name, anchor, series, edge, order in orders:
-        k, cut = np.arange(series.shape[1]), np.abs(np.subtract(order, edge))
-        forbidden, allowed = k < cut, (k >= cut) & (k < n + 4)
-        groups.append(([(name, anchor, np.where(forbidden, series, 0.0), np.where(allowed, series, 0.0))],
-                       identity_tol, levels, "z^" + np.broadcast_to(order, n.shape)[:, 0].astype(str).astype(object)))
-    rep.add_groups(groups)
+        (families, identity_tol, levels, PerFamily(wheres)),
+    ])
     return rep

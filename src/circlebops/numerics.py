@@ -22,7 +22,9 @@ on the array's shape, which picks numpy's complex-multiply loop (vector
 body, scalar tail, broadcast operand): a sweep of coefficient stacks and
 point counts finds shapes whose bits differ, with numpy's Horner too.
 `polyder`, `polymul` and `polyfromroots` give the bits of numpy's
-`polynomial` functions without importing that package."""
+`polynomial` functions without importing that package.  `rel_residuals`
+equals its definition on rows flattened to one axis, bit for bit, for the
+shapes the tests pin: rows of points, of matrices and of one scalar."""
 
 from __future__ import annotations
 
@@ -174,15 +176,16 @@ def rel_residuals(mismatch, *terms) -> np.ndarray:
     being cancelled; the floor keeps 0 = 0 checks meaningful.  Row k of each
     argument holds one level or point, its points along the trailing axes
     (none for one scalar a row).  A term is broadcast against the mismatch,
-    so a term without the row axis is the same in every row."""
-    def size(x):
-        x = np.abs(x)
-        return x.max(axis=tuple(range(1, x.ndim))) if x.ndim > 1 else x
-
+    so a term without the row axis is the same in every row.  A NaN in a
+    term drops that term from its row's scale (fmax); a NaN in the mismatch
+    makes its row's residual NaN."""
+    size = np.abs(mismatch)
+    axes = tuple(range(1, size.ndim))
     scale = 1.0
     for t in terms:
-        t = np.asarray(t)
-        if t.ndim < np.ndim(mismatch):
+        t = np.abs(t)
+        if t.ndim < size.ndim:
             t = t[None]  # without the row axis: the same in every row
-        scale = np.fmax(scale, size(t))
-    return size(mismatch) / scale
+        t_axes = axes if t.ndim == size.ndim else tuple(range(1, t.ndim))
+        scale = np.fmax(scale, np.maximum.reduce(t, axis=t_axes) if t_axes else t)
+    return (np.maximum.reduce(size, axis=axes) if axes else size) / scale

@@ -46,9 +46,7 @@ def quad_at(bundle, n):
 def member(quads, n, name):
     """The coefficients of one member of level n, the Theta pair without its
     zero top order."""
-    j = MEMBERS.index(name)
-    coeffs = quads.members[quads.index([n])[0], :, j]
-    return coeffs[:-1] if j < 2 else coeffs
+    return quads.member(MEMBERS.index(name), quads.index([n]))[0]
 
 
 def degrees(quads):

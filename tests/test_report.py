@@ -12,9 +12,9 @@ import pytest
 
 from circlebops import cli
 from circlebops.numerics import rel_residuals
-from circlebops.report import SCHEMA, IdentityReport, dump_json
+from circlebops.report import SCHEMA, IdentityReport, PerFamily, dump_json
 
-from conftest import COMPLEX_M4_SPEC, STRICT_SPEC
+from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC
 
 
 def nan_report() -> IdentityReport:
@@ -233,6 +233,50 @@ class TestColumns:
             ref.add("q", "one row", rel_residuals(OTHER[:2, 1])[k], 1e-6, n=n)
         assert records(rep.entries) == records(ref.entries)
 
+    def test_one_group_with_family_masks_and_wheres(self, tmp_path):
+        # one group over levels 3..6: a family at every level, one held at
+        # the last three (a mask), one at the first and last with no where;
+        # NaN and +-inf residuals, and gates 0.0, -0.0 and 1e-9
+        levels = np.array([3, 4, 5, 6])
+        a = np.array([[1e-12, 2.0], [np.nan, 1.0], [0.0, -0.0], [3e-10, 1.0]])
+        b = np.array([[np.inf, 1.0], [2e-7, 0.5], [0.0, 0.0]])
+        c = np.array([-np.inf, 1e-9])
+        held = np.array([False, True, True, True]), np.array([True, False, False, True])
+        rep = IdentityReport("one group")
+        rep.add_groups([(
+            [("a", "every level", a, 2.0 * np.ones((4, 2))), ("b", "κ held", b, [1.0, 4.0]), ("c", "ends", c)],
+            [0.0, -0.0, 1e-9], levels, PerFamily([["p3", "p4", "p5", "p6"], "z^1", None]), None,
+            PerFamily([None, *held]),
+        )])
+        ref = IdentityReport("one group")
+        residuals = [iter(rel_residuals(a, 2.0 * np.ones((4, 2)))), iter(rel_residuals(b, [1.0, 4.0])),
+                     iter(rel_residuals(c))]
+        for k, n in enumerate(levels.tolist()):
+            ref.add("a", "every level", next(residuals[0]), 0.0, n=n, where=f"p{n}")
+            if held[0][k]:
+                ref.add("b", "κ held", next(residuals[1]), -0.0, n=n, where="z^1")
+            if held[1][k]:
+                ref.add("c", "ends", next(residuals[2]), 1e-9, n=n)
+        assert records(rep.entries) == records(ref.entries)
+        assert {e.name: e.tol.hex() for e in rep.entries} == {"a": "0x0.0p+0", "b": "-0x0.0p+0", "c": "0x1.12e0be826d695p-30"}
+        assert records(rep.failures()) == records(ref.failures())
+        assert same(rep.max_by_name(), ref.max_by_name()) and list(rep.max_by_name()) == ["a", "c", "b"]
+        assert same_bytes(rep, tmp_path)
+        text = (tmp_path / "columns.json").read_text(encoding="utf-8")
+        assert '"residual": NaN, "tol": 0.0' in text and '"residual": Infinity, "tol": -0.0' in text
+
+    def test_rel_residuals_nan_rule(self):
+        # a NaN in a term drops that term for its row only; a NaN in the
+        # mismatch makes the row's residual NaN, and the entry fails
+        mismatch = np.array([[4.0, 0.0], [4.0, 0.0], [np.nan, 0.0]])
+        first = np.array([[np.nan, 8.0], [2.0, 8.0], [1.0, 1.0]])
+        second = np.array([[2.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        got = rel_residuals(mismatch, first, second)
+        assert got[0] == 2.0 and got[1] == 0.5 and math.isnan(got[2])
+        rep = IdentityReport("nan rule")
+        rep.add_rows([("x", "rows", mismatch, first, second)], 3.0, [0, 1, 2])
+        assert [e.passed for e in rep.entries] == [True, True, False] and not rep.passed
+
     def test_rows_must_match_their_labels(self):
         with pytest.raises(ValueError, match="leading shape"):
             IdentityReport("t").add_rows([("x", "three rows", FIRST[:, 0])], 1e-9, [0, 1])
@@ -260,8 +304,14 @@ class TestBulkWriter:
         text = (tmp_path / "columns.json").read_text(encoding="utf-8")
         assert re.findall(r'"tol": ([^,}]+)', text) == [json.dumps(tol) for _, tol in rows]
 
-    @pytest.mark.parametrize("spec", [STRICT_SPEC, COMPLEX_M4_SPEC], ids=["flagship", "complex_m4"])
-    def test_every_verify_all_report(self, tmp_path, monkeypatch, spec):
+    @pytest.mark.parametrize("spec, argv, count", [
+        (STRICT_SPEC, ["verify-all", "--n", "4"], 6),
+        (COMPLEX_M4_SPEC, ["verify-all", "--n", "4"], 6),
+        (INSIDE_COMPLEX_SPEC, ["verify-all", "--n", "4"], 6),
+        (STRICT_SPEC, ["build", "--n", "21"], 1),
+        (STRICT_SPEC, ["deform", "--n", "3", "--steps", "64"], 1),
+    ], ids=["flagship", "complex_m4", "inside_complex", "build-21", "deform"])
+    def test_every_verify_all_report(self, tmp_path, monkeypatch, spec, argv, count):
         reports = []
 
         def keep(payload, path):
@@ -269,21 +319,22 @@ class TestBulkWriter:
                 reports.append(payload)
             dump_json(payload, path)
 
-        weight = tmp_path / "w.json"
+        weight, traj = tmp_path / "w.json", tmp_path / "t.json"
         weight.write_text(json.dumps(spec), encoding="utf-8")
+        traj.write_text(json.dumps({"j": 2, "to": [2, -0.05], "t1": 0.1}), encoding="utf-8")
         monkeypatch.setattr(cli, "dump_json", keep)
-        argv = ["verify-all", "--weight", str(weight), "--n", "4", "--out", str(tmp_path / "o")]
+        argv = argv + ["--weight", str(weight), "--trajectory", str(traj), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 0
-        assert len(reports) == 6
+        assert len(reports) == count
         for rep in reports:
             assert same_bytes(rep, tmp_path), rep.title
 
 
 class TestVerdicts:
-    def test_verify_all_computes_each_verdict_three_times(self, tmp_path, monkeypatch):
-        # a flagship verify-all --n 4 computes each report's verdict once for
-        # its file, once for the summary and once for the status line and
-        # the exit code: 18 calls for six reports
+    def test_verify_all_computes_each_verdict_once(self, tmp_path, monkeypatch):
+        # a flagship verify-all --n 4 computes each report's verdict once,
+        # when its file is written; the summary, the status lines and the
+        # exit code read it: 6 calls for six reports
         calls = []
         ok = IdentityReport._ok
         monkeypatch.setattr(IdentityReport, "_ok", lambda rep: calls.append(rep.title) or ok(rep))
@@ -291,5 +342,5 @@ class TestVerdicts:
         weight.write_text(json.dumps(STRICT_SPEC), encoding="utf-8")
         argv = ["verify-all", "--weight", str(weight), "--n", "4", "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 0
-        assert len(calls) == 18
-        assert set(Counter(calls).values()) == {3} and len(set(calls)) == 6
+        assert len(calls) == 6
+        assert set(Counter(calls).values()) == {1} and len(set(calls)) == 6
