@@ -24,7 +24,6 @@ from .errors import (
 )
 from .lax import ResidueSet, assemble_residues, rhp_jump_check
 from .moments import (
-    CaratheodoryEvaluator,
     MomentTable,
     compute_moments,
     heine_oracle,
@@ -48,7 +47,6 @@ __all__ = [
     "AssocSystem",
     "BopsSystem",
     "Bundle",
-    "CaratheodoryEvaluator",
     "CircleBopsError",
     "ExistenceError",
     "LinearTrajectory",

@@ -14,10 +14,11 @@ quadratured, which keeps psi_n a certified polynomial.
 
 eps_n and eps*_n have one construction, their exact series: orders 0..K
 (K the moment window) at 0, and of z^-n eps_n, z^-n eps*_n in u = 1/z, from
-one product per side of F's series Toeplitz matrix with the phi columns
-(`eps_taylor` slices it).  A point's value is read off the band of its
-side's series that does not vanish identically, so psi_n and F phi_n,
-which cancel inside the circle, are never formed at a point:
+one product per side of the Toeplitz matrix of F's series, which the moment
+table gives (`MomentTable.caratheodory`), with the phi columns (`eps_taylor`
+slices it).  A point's value is read off the band of its side's series that
+does not vanish identically, so psi_n and F phi_n, which cancel inside the
+circle, are never formed at a point:
 
     inside:  eps_n = z^n B(z),  eps*_n = z^(n+1) B*(z),
     outside: eps_n = u B(u),    eps*_n = B*(u),
@@ -58,7 +59,6 @@ import numpy as np
 from .bops import BopsSystem, _moment_block, _reversed
 from .config import IDENTITY_TOL
 from .errors import NearCircleError
-from .moments import CaratheodoryEvaluator
 from .numerics import polyder, polyval
 from .report import IdentityReport, PerFamily, equation
 
@@ -74,7 +74,6 @@ class AssocSystem:
 
     def __init__(self, sys: BopsSystem):
         self.sys = sys
-        self.F = CaratheodoryEvaluator(sys.table)
 
     def psi(self, n: int) -> np.ndarray:
         self.sys.table.require(n + 1, f"psi_{n}")
@@ -113,7 +112,7 @@ class AssocSystem:
         sign = np.array([1.0, -1.0])[:, None]
         sides = []
         for side, stack in (("inside", self._stack), ("outside", _reversed(self._stack))):
-            f = self.F.series(window + 1, side)
+            f = self.sys.table.caratheodory(window + 1, side)
             lower = np.where(k >= j, f[k - j], 0.0)
             series = sign * (lower @ stack[:, :2].reshape(size, -1)).reshape(-1, 2, size)
             series[:size] += stack[:, 2:]

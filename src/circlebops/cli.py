@@ -44,7 +44,6 @@ from .moments import (
     heine_oracle,
     table_from_moments,
     toeplitz_det,
-    weight_from_table,
 )
 from .numerics import circle_samples
 from .pipeline import build_bundle, moment_table
@@ -123,7 +122,7 @@ def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
 def cmd_moments(args: argparse.Namespace, weight, table, out: Path):
     tbl = moment_table(weight if weight is not None else table, args.n + 1)
     _write_csv(out / "moments.csv", ["k", "re", "im"],
-               [[k, tbl.moment(k).real, tbl.moment(k).imag] for k in range(-tbl.window, tbl.window + 1)])
+               [[k, w.real, w.imag] for k, w in enumerate(tbl.values.tolist(), -tbl.window)])
     dets = [(eps, n, toeplitz_det(tbl, eps, n)) for eps in (-1, 0, 1) for n in range(args.n + 1)]
     _write_csv(out / "determinants.csv", ["epsilon", "n", "re", "im"],
                [[eps, n, value.real, value.imag] for eps, n, value in dets])
@@ -276,13 +275,13 @@ def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
 
 
 def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
-    tbl = moment_table(weight if weight is not None else table, 4)
-    wfun = weight if weight is not None else weight_from_table(tbl)
+    source = weight if weight is not None else table
+    tbl = moment_table(source, 4)
     report = IdentityReport("Heine-identity oracle")
     for n in (1, 2, 3):
         det = toeplitz_det(tbl, 0, n)
         report.add("heine_vs_toeplitz", "due to the well known identity",
-                   abs(heine_oracle(wfun, n) - det) / max(1.0, abs(det)), HEINE_CHECK_TOL * args.tol, n=n)
+                   abs(heine_oracle(source, n) - det) / max(1.0, abs(det)), HEINE_CHECK_TOL * args.tol, n=n)
     dump_json(report, out / "heine_report.json")
     return [report]
 

@@ -99,12 +99,14 @@ class QuadStore:
     ratios: np.ndarray  # (level, member)
 
     def index(self, ns) -> np.ndarray:
-        """The rows of the levels ``ns``; KeyError for a level not stored."""
+        """The rows of the levels ``ns`` by one searchsorted; KeyError for the
+        first level whose row is past the end or holds another level."""
         ns = np.asarray(ns, dtype=int)
-        missing = ns[~np.isin(ns, self.levels)]
-        if missing.size:
-            raise KeyError(int(missing[0]))
-        return np.searchsorted(self.levels, ns)
+        rows, top = np.searchsorted(self.levels, ns), len(self.levels) - 1
+        stored = self.levels[np.minimum(rows, top)] == ns if top >= 0 else np.zeros(ns.shape, bool)
+        if not stored.all():
+            raise KeyError(int(ns[np.argmin(stored)]))
+        return rows
 
     def member(self, j: int, rows=slice(None)) -> np.ndarray:
         """Member j's z^0.. coefficients (MEMBERS order) at the store rows

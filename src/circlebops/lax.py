@@ -379,7 +379,7 @@ def rhp_jump_check(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) ->
     row a level: its residual is the largest forbidden coefficient over
     max(1, the largest allowed one).  The jump is
     gated at JUMP_TOL, the determinant and the orders at IDENTITY_TOL, both
-    times ``tol_scale``.  On a raw table the weight is its moment series."""
+    times ``tol_scale``.  On a raw table the weight is the table called."""
     rep = IdentityReport("Riemann-Hilbert suite")
     sys, asys = bundle.sys, bundle.asys
     identity_tol = IDENTITY_TOL * tol_scale
@@ -393,7 +393,8 @@ def rhp_jump_check(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1.0) ->
                        if all(abs(np.exp(1j * float(t)) - u) >= 0.05 for u in near)])
     radii = (1.0 - RHP_OFFSET, 1.0 + RHP_OFFSET)
     zs = np.multiply.outer(radii, np.exp(1j * kept))  # one circle a row
-    w = np.asarray(bundle.wfun()(zs), dtype=complex)
+    weight = bundle.sys.table if bundle.weight is None else bundle.weight
+    w = np.asarray(weight(zs), dtype=complex)
     # both circles as one row of points a level, circle by circle
     lhs = normalized_solution(sys, asys, levels, zs, side="inside").reshape(len(levels), zs.size, 2, 2)
     rhs = normalized_solution(sys, asys, levels, zs, side="outside") @ _mat(1.0, w / zs, 0.0, 1.0)

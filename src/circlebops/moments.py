@@ -18,7 +18,8 @@ They are an oracle only (the toeplitz_ratio_recursion check, the
 determinants CSV, the Heine check and the test suite's determinantal
 representations):
 the bi-orthogonal system is built from Gram solves, and its existence is
-decided by the reflection recursion in `bops`.
+decided by the reflection recursion in `bops`.  The table gives F's series
+and its own Laurent sum: a raw table is called wherever a weight is.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import CircleBopsError, QuadratureError, WindowError
-from .numerics import polyadd, polyder, polymul, series_band
-from .weight import SemiClassicalWeight, build_vw, origin_power
+from .numerics import polyadd, polyder, polymul
+from .weight import PolyPair, SemiClassicalWeight, origin_power
 
 # The factorised moments cut each inside sum where its terms have fallen by
 # TAIL_FLOOR, below its round-off, and refuse series past SERIES_MAX terms
@@ -87,6 +88,22 @@ class MomentTable:
     def require(self, k: int, what: str = "") -> None:
         if k > self.window:
             raise WindowError(k, self.window, what)
+
+    def __call__(self, z):
+        """w(z) = sum_k w_k z^k over an array z, near the unit circle."""
+        ks = np.arange(-self.window, self.window + 1)
+        return (self.values * np.asarray(z, dtype=complex)[..., None] ** ks).sum(axis=-1)
+
+    def caratheodory(self, count: int, side: str = "inside") -> np.ndarray:
+        """The first ``count`` coefficients of F(z) = \\oint (zeta+z)/(zeta-z)
+        w(zeta) dzeta/(2 pi i zeta) at 0, w_0 + 2 sum_{k>=1} w_k z^k, or outside
+        at infinity, -w_0 - 2 sum w_{-k} z^{-k}; F is never summed at points."""
+        if count > self.window + 1:
+            raise WindowError(count - 1, self.window, f"F series to order {count - 1}")
+        k, vals = self.window, self.values
+        if side == "inside":
+            return np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))[:count]
+        return np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))[:count]
 
 
 def table_from_moments(pairs, window: int | None = None) -> MomentTable:
@@ -192,18 +209,6 @@ def factorised_moments(weight: SemiClassicalWeight, window: int) -> MomentTable:
     return MomentTable(window, values, {"kind": "factorised", "tail": tail})
 
 
-def weight_from_table(tbl: MomentTable):
-    """Evaluator of w(z) = sum_k w_k z^k near the unit circle (raw-moment
-    pipelines where no closed-form weight is available)."""
-    ks = np.arange(-tbl.window, tbl.window + 1)
-
-    def wfun(z):
-        zs = np.asarray(z, dtype=complex)
-        return (tbl.values * zs[..., None] ** ks).sum(axis=-1)
-
-    return wfun
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz determinants
 # ---------------------------------------------------------------------------
@@ -224,46 +229,19 @@ def toeplitz_det(tbl: MomentTable, epsilon: int, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Caratheodory function
-# ---------------------------------------------------------------------------
-
-class CaratheodoryEvaluator:
-    """F(z) = \\oint (zeta+z)/(zeta-z) w(zeta) dzeta/(2 pi i zeta) as its moment
-    series: w_0 + 2 sum_{k>=1} w_k z^k inside, -w_0 - 2 sum w_{-k} z^{-k}
-    outside.  F is never summed at points: the associated functions and U
-    are read off products of these series (`assoc`, `recover_u`)."""
-
-    def __init__(self, tbl: MomentTable):
-        self.table = tbl
-        k = tbl.window
-        vals = tbl.values
-        self._inside = np.concatenate(([vals[k]], 2.0 * vals[k + 1 :]))
-        self._outside = np.concatenate(([-vals[k]], -2.0 * vals[k - 1 :: -1]))
-
-    def series(self, count: int, side: str = "inside") -> np.ndarray:
-        """The first ``count`` coefficients of F's expansion at z = 0 (inside,
-        in powers of z) or at infinity (outside, in powers of 1/z); exact up
-        to the moment window."""
-        if count > self.table.window + 1:
-            raise WindowError(count - 1, self.table.window, f"F series to order {count - 1}")
-        return (self._inside if side == "inside" else self._outside)[:count]
-
-
-# ---------------------------------------------------------------------------
 # Inhomogeneity polynomial U:  W F' = 2 V F + U
 # ---------------------------------------------------------------------------
 
-def recover_u(spec: SemiClassicalWeight, F: CaratheodoryEvaluator, vw=None) -> np.ndarray:
-    """U = W F' - 2 V F, read off the exact series of F at z = 0: orders
-    0..m-1 of W F' - 2 V F.  That the orders past the band vanish, the
-    operational content of F's first-order ODE, is not gated here: a pair
-    (V, W) that does not match the weight fails the quadruples'
-    degree_certification entries."""
-    if vw is None:
-        vw = build_vw(spec)
-    series = F.series(spec.m + 3)
+def recover_u(table: MomentTable, vw: PolyPair) -> np.ndarray:
+    """U = W F' - 2 V F, read off the exact series of F at z = 0
+    (`MomentTable.caratheodory`): orders 0..m-1 of W F' - 2 V F, m the
+    degree of W.  That the orders past them vanish, the operational content
+    of F's first-order ODE, is not gated here: a pair (V, W) that does not
+    match the weight fails the quadruples' degree_certification entries."""
+    m = vw.degree
+    series = table.caratheodory(m + 3)
     product = polyadd(polymul(vw.W, polyder(series)), -2.0 * polymul(vw.V, series))
-    return series_band(product, 0, spec.m - 1)[0]
+    return polyadd(np.zeros(m), product)[:m]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared numerical helpers: polynomial arithmetic on ascending complex
-coefficient vectors, band reads of truncated series, relative residuals and
-deterministic sample-point draws.
+coefficient vectors, relative residuals and deterministic sample-point
+draws.
 
 Derivatives and expansion coefficients are never sampled here: they come
 from the exact polynomials and moment series of the objects themselves
@@ -128,18 +128,6 @@ def principal_sqrt(value: complex) -> complex:
     if root.real < 0 or (root.real == 0 and root.imag < 0):
         root = -root
     return root
-
-
-def series_band(series: ArrayLike, lo: int, hi: int):
-    """Orders lo..hi of a truncated power series and its out-of-band ratio:
-    the largest coefficient below lo or at orders hi+1, hi+2 over the largest
-    in the band (absolute when the band is zero), round-off for z^lo times a
-    polynomial of degree hi-lo.  Orders missing at the end are zero."""
-    s = polyadd(np.zeros(hi + 3), series)
-    band = s[lo : hi + 1]
-    stray = float(np.max(np.abs(np.concatenate([s[:lo], s[hi + 1 : hi + 3]]))))
-    top = float(np.max(np.abs(band)))
-    return band, stray / top if top > 0 else stray
 
 
 def circle_samples(

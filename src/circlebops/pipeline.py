@@ -16,28 +16,23 @@ import numpy as np
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
 from .coeffs import QuadStore, compute_coeff_quads
-from .moments import MomentTable, factorised_moments, recover_u, weight_from_table
+from .moments import MomentTable, factorised_moments, recover_u
 from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
 
 
 @dataclass
 class Bundle:
-    """The levels of a weight or a raw table with their associated functions
-    and, for a weight, (V, W), the quadruples and U: the one object the
-    suites of `coeffs`, `lax` and `deform` read."""
+    """What the suites of `coeffs`, `lax` and `deform` read: the levels
+    ``sys`` of a weight or a raw table (its moment table ``sys.table``), their
+    associated functions ``asys`` and, for a weight, the ``weight``, its
+    (V, W) ``vw``, the quadruples ``quads`` and U's coefficients ``u_poly``."""
 
-    table: MomentTable
     sys: BopsSystem
     asys: AssocSystem
     weight: SemiClassicalWeight | None = None
     vw: PolyPair | None = None
     quads: QuadStore | None = None
     u_poly: np.ndarray | None = None
-
-    def wfun(self):
-        if self.weight is not None:
-            return self.weight
-        return weight_from_table(self.table)
 
 
 def moment_table(source: SemiClassicalWeight | MomentTable, nmax: int) -> MomentTable:
@@ -60,12 +55,12 @@ def build_bundle(
     table = moment_table(source, nmax)
     weight = None if isinstance(source, MomentTable) else source
     sys = build_system(table, nmax)
-    bundle = Bundle(table=table, sys=sys, asys=AssocSystem(sys), weight=weight)
+    bundle = Bundle(sys=sys, asys=AssocSystem(sys), weight=weight)
 
     if weight is not None:
         bundle.vw = build_vw(weight)
         if is_strict_semiclassical(weight):
             bundle.quads = compute_coeff_quads(bundle, quad_ns)
             if bundle.quads.levels.size:
-                bundle.u_poly = recover_u(weight, bundle.asys.F, bundle.vw)
+                bundle.u_poly = recover_u(table, bundle.vw)
     return bundle

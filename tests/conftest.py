@@ -14,7 +14,7 @@ import pytest
 
 from circlebops.assoc import AssocSystem
 from circlebops.bops import build_system
-from circlebops.moments import CaratheodoryEvaluator, table_from_moments
+from circlebops.moments import table_from_moments
 from circlebops.pipeline import Bundle, build_bundle
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
@@ -104,7 +104,7 @@ def lebesgue():
     table = table_from_moments([(0, 1.0)], window=12)
     sys = build_system(table, 8)
     asys = AssocSystem(sys)
-    return {"table": table, "sys": sys, "asys": asys, "bundle": Bundle(table, sys, asys)}
+    return {"table": table, "sys": sys, "asys": asys, "bundle": Bundle(sys, asys)}
 
 
 @pytest.fixture(scope="session")
@@ -120,7 +120,7 @@ def laurent():
         "asys": asys,
         "wfun": laurent_callable,
         "vw": vw,
-        "bundle": Bundle(table, sys, asys, weight, vw),
+        "bundle": Bundle(sys, asys, weight, vw),
     }
 
 
@@ -140,12 +140,12 @@ def strict():
     return {
         "weight": weight,
         "vw": bundle.vw,
-        "table": bundle.table,
+        "table": bundle.sys.table,
         "sys": bundle.sys,
         "asys": bundle.asys,
         "quads": bundle.quads,
         "u_poly": bundle.u_poly,
-        "u_info": u_reads(weight, CaratheodoryEvaluator(bundle.table), bundle.vw),
+        "u_info": u_reads(weight, bundle.sys.table, bundle.vw),
         "wfun": lambda z: weight(z),
         "bundle": bundle,
     }

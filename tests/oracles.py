@@ -12,8 +12,9 @@ trajectory against the closed-form rates.
 Evaluation oracles: the defining contour integrals of F, of the Gram matrix
 and of eps_n, eps*_n by trapezoidal quadrature, and the determinantal
 representations of phi_n, phi*_n, eps_n and eps*_n from Toeplitz
-determinants of shifted or Cauchy-modified weights.  F summed at points
-from its moment series, and eps_n = psi_n + F phi_n, eps*_n = psi*_n -
+determinants of shifted or Cauchy-modified weights.  The per-level
+quadruple and the two-sided read of U, each band of a truncated product
+read by `series_band`.  F summed at points from the table's series, and eps_n = psi_n + F phi_n, eps*_n = psi*_n -
 F phi*_n formed at points from it: the point route the exact series replace,
 accurate where psi_n and F phi_n do not cancel (small n, |z| away from 0).
 The reference: exact moments at 50 digits for the flagship family
@@ -49,7 +50,6 @@ from circlebops.moments import (
     QUAD_MAX_POINTS,
     QUAD_POINTS,
     QUAD_TOL,
-    CaratheodoryEvaluator,
     MomentTable,
     compute_moments,
     toeplitz_det,
@@ -61,7 +61,6 @@ from circlebops.numerics import (
     polyval,
     principal_sqrt,
     rel_residuals,
-    series_band,
 )
 from circlebops.report import IdentityReport
 from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
@@ -350,6 +349,18 @@ def caratheodory_quadrature(w, z: complex) -> complex:
     raise QuadratureError(abs(total - prev), points // 2)
 
 
+def series_band(series, lo: int, hi: int):
+    """Orders lo..hi of a truncated power series and its out-of-band ratio:
+    the largest coefficient below lo or at orders hi+1, hi+2 over the largest
+    in the band (absolute when the band is zero), round-off for z^lo times a
+    polynomial of degree hi-lo.  Orders missing at the end are zero."""
+    s = polyadd(np.zeros(hi + 3), series)
+    band = s[lo : hi + 1]
+    stray = float(np.max(np.abs(np.concatenate([s[:lo], s[hi + 1 : hi + 3]]))))
+    top = float(np.max(np.abs(band)))
+    return band, stray / top if top > 0 else stray
+
+
 def coeff_quad_by_convolution(
     sys: BopsSystem, asys: AssocSystem, vw: PolyPair, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +408,7 @@ def coeff_quad_by_convolution(
     return members, ratios
 
 
-def u_reads(weight: SemiClassicalWeight, f: CaratheodoryEvaluator, vw: PolyPair) -> dict:
+def u_reads(weight: SemiClassicalWeight, table: MomentTable, vw: PolyPair) -> dict:
     """U = W F' - 2 V F read off F's exact series on both sides: at z = 0
     (orders 0..m-1, `moments.recover_u`'s read) and at infinity, from the
     negative moments alone, as the same read for the reflected weight
@@ -410,8 +421,8 @@ def u_reads(weight: SemiClassicalWeight, f: CaratheodoryEvaluator, vw: PolyPair)
         product = polyadd(polymul(pair.W, polyder(series)), -2.0 * polymul(pair.V, series))
         return series_band(product, lo, hi)
 
-    inside, res_in = read(vw, f.series(m + 3), 0, m - 1)
-    outside, res_out = read(vw.reflected(), -f.series(m + 3, side="outside"), 1, m)
+    inside, res_in = read(vw, table.caratheodory(m + 3), 0, m - 1)
+    outside, res_out = read(vw.reflected(), -table.caratheodory(m + 3, side="outside"), 1, m)
     scale = max(float(np.max(np.abs(inside))), 1e-30)
     return {
         "inside": inside,
@@ -422,14 +433,14 @@ def u_reads(weight: SemiClassicalWeight, f: CaratheodoryEvaluator, vw: PolyPair)
     }
 
 
-def caratheodory(f: CaratheodoryEvaluator, z, side: str | None = None, derivative: bool = False):
-    """F (F' with ``derivative``) summed from its moment series over an array
-    z (a scalar gives a complex): the inside series on |z| < 1, the outside
-    one in 1/z elsewhere, or one side forced.  F' outside is
-    -z^-2 (d/du series)(1/z)."""
+def caratheodory(table: MomentTable, z, side: str | None = None, derivative: bool = False):
+    """F (F' with ``derivative``) summed from the table's series
+    (`MomentTable.caratheodory`) over an array z (a scalar gives a complex):
+    the inside series on |z| < 1, the outside one in 1/z elsewhere, or one
+    side forced.  F' outside is -z^-2 (d/du series)(1/z)."""
     zs = np.asarray(z, dtype=complex)
-    count = f.table.window + 1
-    inner, outer = f.series(count), f.series(count, side="outside")
+    count = table.window + 1
+    inner, outer = table.caratheodory(count), table.caratheodory(count, side="outside")
     if derivative:
         inner, outer = npoly.polyder(inner), npoly.polyder(outer)
     inside = np.abs(zs) < 1.0 if side is None else np.full(zs.shape, side == "inside")
@@ -445,8 +456,8 @@ def eps_point_route(asys: AssocSystem, z, side: str | None = None, derivative: b
     psi_n + F phi_n and psi*_n - F phi*_n at the points of z, level by level,
     stacked with shape (N+1, *z.shape)."""
     zs = np.asarray(z, dtype=complex)
-    f = caratheodory(asys.F, zs, side)
-    df = caratheodory(asys.F, zs, side, derivative=True)
+    f = caratheodory(asys.sys.table, zs, side)
+    df = caratheodory(asys.sys.table, zs, side, derivative=True)
     rows = []
     for n in range(asys.sys.nmax + 1):
         c, cbar = asys.sys.phi[n, : n + 1], asys.sys.phibar[n, : n + 1]

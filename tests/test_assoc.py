@@ -349,9 +349,9 @@ class TestExactDerivatives:
             for side in ("inside", "outside")
         ]
         for zs, side in cases:
-            f = caratheodory(asys.F, zs, side)
-            want = central_diff(lambda x: caratheodory(asys.F, x, side), zs)
-            got = caratheodory(asys.F, zs, side, derivative=True)
+            f = caratheodory(asys.sys.table, zs, side)
+            want = central_diff(lambda x: caratheodory(asys.sys.table, x, side), zs)
+            got = caratheodory(asys.sys.table, zs, side, derivative=True)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(f))), side
             values, exact = asys.evaluate_with_derivative(zs, side)
             diffs = [central_diff(lambda x: asys.evaluate(x, side)[k], zs) for k in range(4)]

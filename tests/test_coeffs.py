@@ -79,7 +79,7 @@ class TestConstruction:
 
         table = compute_moments(weight, 24)
         sys = build_system(table, 4)
-        quad = quad_at(Bundle(table, sys, AssocSystem(sys), weight, build_vw(weight)), 1)
+        quad = quad_at(Bundle(sys, AssocSystem(sys), weight, build_vw(weight)), 1)
         assert quad.members.shape == (1, 2, 4)
         assert (degrees(quad) == [0, 0, 1, 1]).all()
 
@@ -143,7 +143,7 @@ class TestConstruction:
         table = compute_moments(strict["weight"], 8)
         sys = build_system(table, 6)
         with pytest.raises(WindowError):
-            quad_at(Bundle(table, sys, AssocSystem(sys), strict["weight"], strict["vw"]), 5)
+            quad_at(Bundle(sys, AssocSystem(sys), strict["weight"], strict["vw"]), 5)
 
     def test_seed_recorded_and_deterministic(self, strict):
         q_again = quad_at(strict["bundle"], 2)

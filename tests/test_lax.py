@@ -159,8 +159,8 @@ class TestMatrixSystems:
 
 class TestRHP:
     def test_lebesgue_jump_exact(self, lebesgue):
-        # the raw table's weight is its moment series, here w = 1
-        assert np.array_equal(lebesgue["bundle"].wfun()(np.exp(1j * RHP_THETAS)), np.ones(24))
+        # the raw table is called as its weight, its Laurent sum, here w = 1
+        assert np.array_equal(lebesgue["table"](np.exp(1j * RHP_THETAS)), np.ones(24))
         rep = rhp_jump_check(lebesgue["bundle"], (1, 2, 3))
         assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
         jump = [e for e in rep.entries if e.name == "rhp_jump"]

@@ -7,7 +7,6 @@ from circlebops.errors import CircleBopsError, NearCircleError, QuadratureError,
 from circlebops.moments import (
     QUAD_TOL,
     SERIES_MAX,
-    CaratheodoryEvaluator,
     compute_moments,
     factorised_moments,
     heine_oracle,
@@ -15,12 +14,12 @@ from circlebops.moments import (
     table_from_moments,
     toeplitz_det,
 )
-from circlebops.numerics import polyval, series_band
+from circlebops.numerics import polyval
 from circlebops.pipeline import moment_table
 from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
-from oracles import caratheodory, caratheodory_quadrature, central_diff, u_reads
+from oracles import caratheodory, caratheodory_quadrature, central_diff, series_band, u_reads
 
 
 def binomial_series_moments(window):
@@ -171,13 +170,12 @@ class TestCaratheodory:
     functions' evaluator."""
 
     def test_lebesgue_values(self, lebesgue):
-        f = CaratheodoryEvaluator(lebesgue["table"])
-        assert abs(caratheodory(f, 0.3) - 1.0) < 1e-14
-        assert abs(caratheodory(f, 2.0) + 1.0) < 1e-14
+        table = lebesgue["table"]
+        assert abs(caratheodory(table, 0.3) - 1.0) < 1e-14
+        assert abs(caratheodory(table, 2.0) + 1.0) < 1e-14
 
     def test_laurent_value(self, laurent):
-        f = CaratheodoryEvaluator(laurent["table"])
-        assert abs(caratheodory(f, 0.5) - 3.0) < 1e-13
+        assert abs(caratheodory(laurent["table"], 0.5) - 3.0) < 1e-13
 
     def test_near_circle_refused_without_side(self, laurent):
         asys = laurent["asys"]
@@ -187,35 +185,36 @@ class TestCaratheodory:
         assert all(np.isfinite(v).all() for v in asys.evaluate(1.0005, side="outside"))
 
     def test_series_vs_contour_quadrature(self, strict):
-        f = CaratheodoryEvaluator(strict["table"])
         for z in (0.5 + 0.1j, 2.0 + 0.4j):
             direct = caratheodory_quadrature(strict["weight"], z)
-            assert abs(caratheodory(f, complex(z)) - direct) < 1e-9
+            assert abs(caratheodory(strict["table"], complex(z)) - direct) < 1e-9
 
     def test_series_is_the_moment_expansion(self, strict):
         tbl = strict["table"]
-        f = CaratheodoryEvaluator(tbl)
         w = {k: tbl.moment(k) for k in range(-tbl.window, tbl.window + 1)}
         inside = [w[0]] + [2.0 * w[k] for k in range(1, tbl.window + 1)]
         outside = [-w[0]] + [-2.0 * w[-k] for k in range(1, tbl.window + 1)]
-        assert np.array_equal(f.series(tbl.window + 1), inside)
-        assert np.array_equal(f.series(tbl.window + 1, side="outside"), outside)
-        with pytest.raises(WindowError):
-            f.series(tbl.window + 2)
+        assert np.array_equal(tbl.caratheodory(tbl.window + 1), inside)
+        assert np.array_equal(tbl.caratheodory(tbl.window + 1, side="outside"), outside)
+        assert np.array_equal(tbl.caratheodory(1), [w[0]])
+        assert np.array_equal(tbl.caratheodory(1, side="outside"), [-w[0]])
+        for side in ("inside", "outside"):
+            with pytest.raises(WindowError):
+                tbl.caratheodory(tbl.window + 2, side)
 
     @staticmethod
-    def reference(f, z, side=None):
+    def reference(table, z, side=None):
         """The series route written out: Horner on each side's own points."""
         zs = np.asarray(z, dtype=complex)
-        count = f.table.window + 1
+        count = table.window + 1
         inside = np.abs(zs) < 1.0 if side is None else np.full(zs.shape, side == "inside")
         out = np.empty(zs.shape, dtype=complex)
-        out[inside] = npoly.polyval(zs[inside], f.series(count))
-        out[~inside] = npoly.polyval(1.0 / zs[~inside], f.series(count, side="outside"))
+        out[inside] = npoly.polyval(zs[inside], table.caratheodory(count))
+        out[~inside] = npoly.polyval(1.0 / zs[~inside], table.caratheodory(count, side="outside"))
         return out
 
     def test_repeated_calls_match_reference_bitwise(self, strict):
-        f = CaratheodoryEvaluator(strict["table"])
+        table = strict["table"]
         grid = np.array([[0.3 + 0.2j, 2.0 - 0.5j, -0.6j], [1.5j, -0.1 + 0.0j, 4.0 + 4.0j]])
         cases = [
             (0.4 - 0.3j, None),
@@ -229,13 +228,13 @@ class TestCaratheodory:
             (grid[:, 1:], "outside"),
         ]
         for z, side in cases:
-            want = self.reference(f, z, side)
+            want = self.reference(table, z, side)
             for _ in range(3):
-                got = np.asarray(caratheodory(f, z, side))
+                got = np.asarray(caratheodory(table, z, side))
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-        assert np.ndim(caratheodory(f, 0.4 - 0.3j)) == 0
-        assert isinstance(caratheodory(f, 2.5 + 1.0j), complex)
+        assert np.ndim(caratheodory(table, 0.4 - 0.3j)) == 0
+        assert isinstance(caratheodory(table, 2.5 + 1.0j), complex)
 
     def test_near_circle_raises_on_every_call(self, strict):
         asys = strict["asys"]
@@ -248,8 +247,31 @@ class TestCaratheodory:
                 asys.evaluate(0.9999)
 
 
+def test_raw_table_called_is_its_laurent_sum():
+    # w = 1 exactly, at a 0-d point and over a 2-D array
+    grid = np.exp(1j * np.linspace(0.1, 6.0, 6)).reshape(2, 3) * np.array([[0.99], [1.01]])
+    one = table_from_moments([(0, 1.0)])
+    assert one(0.3 + 0.4j) == 1.0 and np.array_equal(one(grid), np.ones((2, 3)))
+    # the CI raw table: w_k = sum_n p_{n+k} conj(p_n) / |p|^2, plus 1 at k = 0,
+    # in a window of 30; on the circle it is |p(z)|^2 / |p|^2 + 1
+    rng = np.random.default_rng(21)
+    p = rng.normal(size=7) + 1j * rng.normal(size=7)
+    w = np.correlate(p, p, "full") / np.vdot(p, p).real
+    w[6] += 1.0
+    table = table_from_moments(((k, w[k + 6]) for k in range(-6, 7)), window=30)
+    for z in (np.asarray(0.8 - 0.6j), grid):
+        want = sum(w[k + 6] * z**k for k in range(-6, 7))
+        got = table(z)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    on_circle = np.exp(1j * np.linspace(0.0, 6.0, 5))
+    closed = np.abs(npoly.polyval(on_circle, p)) ** 2 / np.vdot(p, p).real + 1.0
+    assert np.max(np.abs(table(on_circle) - closed)) < 1e-13 * np.max(closed)
+
+
 def test_series_band_reads_and_certifies():
-    # z^2 (1 + 2 z): band orders 2..3, orders 0, 1 and 4, 5 vanish
+    # the oracles' band read: z^2 (1 + 2 z), band orders 2..3, orders 0, 1
+    # and 4, 5 vanish
     band, ratio = series_band([0, 0, 1, 2], 2, 3)
     assert np.array_equal(band, [1, 2]) and ratio == 0.0
     _, ratio = series_band([0, 1e-9, 1, 2, 0, 4e-9], 2, 3)
@@ -261,15 +283,14 @@ def test_series_band_reads_and_certifies():
 class TestRecoverU:
     def test_constant_weight_gives_zero(self):
         w = lebesgue_weight_relaxed()
-        f = CaratheodoryEvaluator(table_from_moments([(0, 1.0)], window=12))
-        u = recover_u(w, f, build_vw(w))
+        table = table_from_moments([(0, 1.0)], window=12)
+        u = recover_u(table, build_vw(w))
         assert np.max(np.abs(u)) < 1e-8
-        assert u_reads(w, f, build_vw(w))["residual_inside"] < 1e-8
+        assert u_reads(w, table, build_vw(w))["residual_inside"] < 1e-8
 
     def test_laurent_degree_bound(self, laurent):
-        f = CaratheodoryEvaluator(laurent["table"])
-        u = recover_u(laurent["weight"], f, laurent["vw"])
-        info = u_reads(laurent["weight"], f, laurent["vw"])
+        u = recover_u(laurent["table"], laurent["vw"])
+        info = u_reads(laurent["weight"], laurent["table"], laurent["vw"])
         assert len(u) <= 2  # deg U <= m - 1 = 1
         assert max(info["residual_inside"], info["residual_outside"]) < 1e-8
 
@@ -282,15 +303,11 @@ class TestRecoverU:
 
     def test_u_satisfies_ode_pointwise(self, strict):
         # W F' - 2 V F - U = 0 with an independent series derivative
-        f = CaratheodoryEvaluator(strict["table"])
-        vw = strict["vw"]
-        u = strict["u_poly"]
-        from circlebops.numerics import polyval
-
+        table, vw, u = strict["table"], strict["vw"], strict["u_poly"]
         for z in (0.41 + 0.17j, 0.3 - 0.33j):
             h = 1e-6
-            fp = (caratheodory(f, z + h) - caratheodory(f, z - h)) / (2 * h)
-            res = vw.w_eval(z) * fp - 2 * vw.v_eval(z) * caratheodory(f, complex(z)) - polyval(u, z)
+            fp = (caratheodory(table, z + h) - caratheodory(table, z - h)) / (2 * h)
+            res = vw.w_eval(z) * fp - 2 * vw.v_eval(z) * caratheodory(table, complex(z)) - polyval(u, z)
             assert abs(res) < 1e-6
 
     def test_complex_m4_weight_both_sides(self):
@@ -298,13 +315,13 @@ class TestRecoverU:
         # moments; U must satisfy the ODE pointwise on both sides
         weight = complex_m4_weight()
         vw = build_vw(weight)
-        f = CaratheodoryEvaluator(moment_table(weight, 46))
-        u, info = recover_u(weight, f, vw), u_reads(weight, f, vw)
+        table = moment_table(weight, 46)
+        u, info = recover_u(table, vw), u_reads(weight, table, vw)
         assert len(u) == 4
         assert max(info["residual_inside"], info["residual_outside"]) < 1e-12
         assert info["coefficient_agreement"] < 1e-10
         zs = np.array([0.4 + 0.2j, -0.3j, 4.0 + 1.0j, -5.0j])
-        values = lambda z: caratheodory(f, z)
+        values = lambda z: caratheodory(table, z)
         res = vw.w_eval(zs) * central_diff(values, zs) - 2.0 * vw.v_eval(zs) * values(zs) - polyval(u, zs)
         assert np.max(np.abs(res) / np.maximum(1.0, np.abs(polyval(u, zs)))) < 1e-6
 
