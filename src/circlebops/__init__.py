@@ -32,14 +32,7 @@ from .moments import (
     toeplitz_det,
 )
 from .pipeline import Bundle, build_bundle
-from .weight import (
-    PolyPair,
-    SemiClassicalWeight,
-    Singularity,
-    build_vw,
-    eval_weight,
-    validate_weight,
-)
+from .weight import PolyPair, SemiClassicalWeight, Singularity
 
 __version__ = "0.1.0"
 
@@ -63,11 +56,9 @@ __all__ = [
     "assemble_residues",
     "build_bundle",
     "build_system",
-    "build_vw",
     "compute_moments",
     "compute_coeff_quads",
     "deformation_rates",
-    "eval_weight",
     "heine_oracle",
     "integrate_flow",
     "moment_rebuild",
@@ -75,5 +66,4 @@ __all__ = [
     "rhp_jump_check",
     "table_from_moments",
     "toeplitz_det",
-    "validate_weight",
 ]

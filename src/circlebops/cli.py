@@ -48,7 +48,7 @@ from .moments import (
 from .numerics import circle_samples
 from .pipeline import build_bundle, moment_table
 from .report import SCHEMA, IdentityReport, _Text, dump_json
-from .weight import SemiClassicalWeight, Singularity, is_strict_semiclassical, json_pair, weight_from_json
+from .weight import SemiClassicalWeight, Singularity, json_pair, weight_from_json
 
 def parse_weight_spec(path):
     """Accept a singularity-list weight or a raw-moments table.  Returns
@@ -98,17 +98,17 @@ def _sample_pairs(args: argparse.Namespace, count: int = 20):
 def _sample_points(args: argparse.Namespace, weight, count: int = 12):
     rng = random.Random(args.seed)
     avoid = list(weight.locations) if weight is not None else []
-    inner = circle_samples(rng, count // 2, 0.45, avoid=avoid, min_distance=0.1)
-    outer = circle_samples(rng, count // 2, 2.2, avoid=avoid, min_distance=0.1)
+    inner = circle_samples(rng, count // 2, 0.45, avoid=avoid)
+    outer = circle_samples(rng, count // 2, 2.2, avoid=avoid)
     return np.concatenate([inner, outer])
 
 
 def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
     """The one bundle of a run: levels 0..n+3 on a strict weight and 0..n+2
     otherwise, so that a command run alone builds the levels verify-all
-    builds; with ``quads`` also the quadruples 0..n+1 and U (what coeffs and
-    the matrix suite read), which need a strict weight."""
-    strict = weight is not None and is_strict_semiclassical(weight)
+    builds; with ``quads`` also the quadruples 0..n+1 (what coeffs and the
+    matrix suite read), which need a strict weight."""
+    strict = weight is not None and weight.strict
     if quads and not strict:
         raise CircleBopsError("this pipeline needs a strict regular semi-classical weight")
     return build_bundle(weight if weight is not None else table, args.n + 2 + strict,
@@ -255,7 +255,7 @@ def parse_trajectory(path, weight) -> LinearTrajectory:
 
 
 def cmd_deform(args: argparse.Namespace, weight, table, out: Path):
-    if weight is None or not is_strict_semiclassical(weight):
+    if weight is None or not weight.strict:
         raise CircleBopsError("deformation flows need a strict semi-classical weight")
     if args.trajectory is None:
         raise CircleBopsError("deform needs --trajectory PATH")
@@ -289,7 +289,7 @@ def cmd_heine(args: argparse.Namespace, weight, table, out: Path):
 def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     """Every suite on one bundle.  The build suite reads the bundle's levels
     0..n, bit for bit those `build` makes on the same moment table."""
-    strict = weight is not None and is_strict_semiclassical(weight)
+    strict = weight is not None and weight.strict
     bundle = _bundle(args, weight, table, strict)
     samples = _sample_points(args, weight)  # drawn once for assoc and coeffs
     reports = cmd_build(args, weight, bundle.sys.prefix(args.n), out)

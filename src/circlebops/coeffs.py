@@ -39,9 +39,11 @@ one row a level, written level by level; the bilinear suite one row a
 (point, level), its values evaluated once over all the non-zero singular
 points, written point by point across the levels.
 Every function here that reads more than the level store reads one
-`pipeline.Bundle` (levels, associated functions, (V, W), quadruples and
-U); each suite also takes the levels it checks and ``tol_scale``, the
-run's --tol, and gates each entry at one of the constants below times it.
+`pipeline.Bundle` (levels, associated functions, weight and quadruples):
+(V, W) is the weight's ``vw``, and U, where the initial members read it,
+is recovered from the levels' moment table.  Each suite also takes the
+levels it checks and ``tol_scale``, the run's --tol, and gates each entry
+at one of the constants below times it.
 The arithmetic is numpy's throughout; the same inputs give the same bytes,
 and `verify-all` writes the bytes of `coeffs` run alone.
 
@@ -70,9 +72,9 @@ from .errors import (
     NotSemiClassicalError,
     SingularResidueError,
 )
+from .moments import recover_u
 from .numerics import polyadd, polyder, polymul, polyval
 from .report import IdentityReport, PerFamily, equation
-from .weight import is_strict_semiclassical
 
 if TYPE_CHECKING:  # pipeline builds its bundles with compute_coeff_quads
     from .pipeline import Bundle
@@ -164,13 +166,14 @@ def compute_coeff_quads(bundle: Bundle, ns: Sequence[int]) -> QuadStore:
     at the lowest level whose phi_{n+1}(0) or phibar_{n+1}(0), a prefactor
     divided by, is exactly 0, and WindowError when the series need moments
     beyond the table."""
-    sys, asys, vw, weight = bundle.sys, bundle.asys, bundle.vw, bundle.weight
-    if weight is None or not is_strict_semiclassical(weight):
+    sys, asys, weight = bundle.sys, bundle.asys, bundle.weight
+    if weight is None or not weight.strict:
         raise NotSemiClassicalError(
             "coefficient functions are defined for strict regular "
             "semi-classical weights only"
         )
-    levels, m = np.unique(np.asarray(ns, dtype=int)), vw.degree
+    levels, vw = np.unique(np.asarray(ns, dtype=int)), weight.vw
+    m = vw.degree
     if not levels.size:
         return QuadStore(levels, np.zeros((0, m, 4), dtype=complex), np.zeros((0, 4)))
     sys.require(*(k for n in levels.tolist() for k in (n, n + 1)))
@@ -259,8 +262,8 @@ def expansion_closed_forms(bundle: Bundle, n) -> list[tuple]:
     compute_coeff_quads to 1e-9 through n = 12, on the flagship weight and on
     an m = 4 weight with complex locations and exponents.
     """
-    sys, vw, weight = bundle.sys, bundle.vw, bundle.weight
-    m = weight.m
+    sys, weight = bundle.sys, bundle.weight
+    m, vw = weight.m, weight.vw
     locs = weight.locations
     rhos = weight.exponents
     sum_rho = complex(rhos.sum())
@@ -275,9 +278,9 @@ def expansion_closed_forms(bundle: Bundle, n) -> list[tuple]:
     pn, pp, ppp, pm = p0[n], p0[n + 1], p0[n + 2], p0[prev]
     pbn, pbp, pbpp, pbm = pb0[n], pb0[n + 1], pb0[n + 2], pb0[prev]
 
-    w1 = vw.w_deriv(0.0)  # W'(0)
+    w1 = polyval(polyder(vw.W), 0.0)  # W'(0)
     wpp = polyval(polyder(polyder(vw.W)), 0.0)  # W''(0)
-    v0 = vw.v_eval(0.0)
+    v0 = polyval(vw.V, 0.0)
     v1 = polyval(polyder(vw.V), 0.0)  # V'(0)
 
     out = [
@@ -336,7 +339,7 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
     form is one row family over the levels it holds at, formed once for all
     of them, and all are one group; entries level by level."""
     rep = IdentityReport("coefficient-function expansion closed forms")
-    quads, vw, tol = bundle.quads, bundle.vw, FORM_TOL * tol_scale
+    quads, vw, tol = bundle.quads, bundle.weight.vw, FORM_TOL * tol_scale
     levels = quads.levels[np.unique(quads.index(ns))]  # KeyError for a level not stored
     checked = np.isin(quads.levels, levels)
     anchor = "specifically these have leading and trailing expansions"
@@ -351,7 +354,7 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
             held.append(rows)
     om0 = quads.values(levels, 0.0)[:, 2]
     families.append(("omega_at_origin", "does not lead to any new independent relation",
-                     om0 - (vw.v_eval(0.0) - levels * vw.w_deriv(0.0)), om0))
+                     om0 - (polyval(vw.V, 0.0) - levels * polyval(polyder(vw.W), 0.0)), om0))
     fit = np.max(quads.ratios, axis=1)  # NaN fails
     families.append(("degree_certification", "are polynomials in z of bounded degree", fit))
     gates = [tol] * (len(families) - 1) + [DEGREE_TOL * tol_scale]
@@ -365,19 +368,6 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
 # identities (i)-(k)
 # ---------------------------------------------------------------------------
 
-def _quad_rows(quads: QuadStore, levels: Sequence[int], zs: np.ndarray):
-    """The quadruples of ``levels`` evaluated once at zs, in one Horner pass
-    (`QuadStore.values`); the returned rows(ns, shift) stacks (Theta,
-    Theta*, Omega, Omega*) of level n + shift, one n of ns a row."""
-    values = dict(zip(levels, quads.values(levels, zs)))
-
-    def rows(ns: Sequence[int], shift: int = 0) -> tuple[np.ndarray, ...]:
-        stack = np.array([values[n + shift] for n in ns]).reshape(len(ns), 4, zs.size)
-        return tuple(stack.transpose(1, 0, 2))
-
-    return rows
-
-
 def verify_linear_relations(
     bundle: Bundle, samples: Sequence[complex], tol_scale: float = 1.0
 ) -> IdentityReport:
@@ -386,13 +376,18 @@ def verify_linear_relations(
     z != 0, gated at LINEAR_TOL.  Each level n requires the bundle's
     quadruples at n-1, n, n+1.  Each relation is checked over all its levels
     at once, one row a level, with the level scalars read off the store as
-    columns."""
+    columns and the quadruples of every stored level evaluated once."""
     rep = IdentityReport("coefficient-function linear relations")
     quads, sys, tol = bundle.quads, bundle.sys, LINEAR_TOL * tol_scale
     zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
-    w_z = polyval(bundle.vw.W, zs)
+    w_z = polyval(bundle.weight.vw.W, zs)
     keys = quads.levels
-    quad_rows = _quad_rows(quads, keys.tolist(), zs)
+    values = quads.values(keys, zs)
+
+    def quad_rows(ns, shift: int = 0) -> np.ndarray:
+        # (Theta, Theta*, Omega, Omega*) of level n + shift, one n of ns a row
+        return values[quads.index(np.add(ns, shift))].transpose(1, 0, 2)
+
     k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
     anchor_cor = "some additional identities satisfied by the coefficient functions"
@@ -495,7 +490,7 @@ def verify_bilinear(
     quadruple is built); each check is one row family over (point, level),
     written point by point."""
     rep = IdentityReport("bilinear identities at the singular points")
-    quads, sys, vw, weight = bundle.quads, bundle.sys, bundle.vw, bundle.weight
+    quads, sys, weight = bundle.quads, bundle.sys, bundle.weight
     tol = BILINEAR_TOL * tol_scale
     anchor_bil = "the coefficient functions satisfy the bilinear identities"
     anchor_res = "bilinear residues are related to the coefficient function residues"
@@ -505,7 +500,7 @@ def verify_bilinear(
     # row a point and one column a level: the quadruples of all levels in
     # one Horner pass, phi/eps of every level in one call
     zj = weight.locations[1:]
-    v_j = vw.v_eval(zj)
+    v_j = polyval(weight.vw.V, zj)
     if np.any(abs(v_j) < 1e-12):
         k = int(np.argmax(abs(v_j) < 1e-12))
         raise SingularResidueError(f"V(z_{k + 2}) = 0 at z = {zj[k]}")
@@ -573,18 +568,19 @@ def verify_bilinear(
         ([telescoped], tol, chain, wheres),
     ])
 
-    if bundle.u_poly is not None and np.isin([0, 1], keys).all():
+    if np.isin([0, 1], keys).all():
         rep.extend(verify_initial_members(bundle, tol_scale))
     return rep
 
 
 def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityReport:
-    """The six lowest coefficient functions against V, W and the recovered
-    inhomogeneity polynomial U, as coefficientwise polynomial identities
-    gated at BILINEAR_TOL."""
+    """The six lowest coefficient functions against V, W and the
+    inhomogeneity polynomial U, recovered here from the levels' moment
+    table (`recover_u`), as coefficientwise polynomial identities gated at
+    BILINEAR_TOL."""
     rep = IdentityReport("initial members of the coefficient-function sequences")
     anchor = "the initial members of the sequences"
-    sys, vw, tol = bundle.sys, bundle.vw, BILINEAR_TOL * tol_scale
+    sys, vw, tol = bundle.sys, bundle.weight.vw, BILINEAR_TOL * tol_scale
     (th0, ths0, om0, oms0), (th1, ths1, _, _) = ([bundle.quads.member(j, row) for j in range(len(MEMBERS))]
                                                   for row in bundle.quads.index([0, 1]).tolist())
     sys.require(2)
@@ -592,7 +588,7 @@ def verify_initial_members(bundle: Bundle, tol_scale: float = 1.0) -> IdentityRe
     (p1, p2), (pb1, pb2) = sys.phi[1:3, 0], sys.phibar[1:3, 0]
     two_v = polyadd(2.0 * vw.V)
     k0sq = k0**2
-    u = np.asarray(bundle.u_poly, dtype=complex)
+    u = recover_u(sys.table, vw)
     z = np.array([0.0, 1.0], dtype=complex)  # multiply-by-z polynomial
 
     def poly_equation(name: str, lhs: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -658,7 +654,7 @@ def spectral_derivative_check(
     relation holds to the identity tolerance."""
     rep = IdentityReport("spectral derivative relations")
     anchor = "the derivatives of the bi-orthogonal polynomials and associated functions are expressible"
-    sys, vw = bundle.sys, bundle.vw
+    sys, vw = bundle.sys, bundle.weight.vw
     zs = np.asarray(
         [z for z in samples if abs(z) > 1e-8 and all(abs(z - a) > 0.05 for a in bundle.weight.locations)],
         dtype=complex,
@@ -668,7 +664,7 @@ def spectral_derivative_check(
 
     values, derivatives = bundle.asys.evaluate_with_derivative(zs)
     ns = [n for n in ns if n + 1 <= sys.nmax]
-    th, ths, om, oms = _quad_rows(bundle.quads, ns, zs)(ns)
+    th, ths, om, oms = bundle.quads.values(ns, zs).transpose(1, 0, 2)
     levels = np.asarray(ns, dtype=int)
     phi_n, star_n, eps_n, es_n = (v[levels] for v in values)
     phi_p, star_p, eps_p, es_p = (v[levels + 1] for v in values)
@@ -705,9 +701,11 @@ def dpainleve_ratio_check(bundle: Bundle, ns: Sequence[int], tol_scale: float = 
         return rep
     ns = list(ns)
     zs = np.array(bundle.weight.locations[1:3], dtype=complex)  # the origin is z_1
-    rows = _quad_rows(bundle.quads, list(dict.fromkeys(k for n in ns for k in (n, n + 1))), zs)
-    (th, _, om, _), th_p = rows(ns), rows(ns, 1)[0]
-    v = bundle.vw.v_eval(zs)
+    levels = list(dict.fromkeys(k for n in ns for k in (n, n + 1)))
+    values = bundle.quads.values(levels, zs)
+    th, _, om, _ = values[[levels.index(n) for n in ns]].transpose(1, 0, 2)
+    th_p = values[[levels.index(n + 1) for n in ns]][:, 0]
+    v = polyval(bundle.weight.vw.V, zs)
     num, den = zs * th * th_p, (om - v) * (om + v)  # one row a level, one column a point
     if np.any(np.abs(num[:, 1]) < 1e-14) or np.any(np.abs(den) < 1e-14):
         raise SingularResidueError("vanishing denominator in the ratio recurrence")

@@ -56,6 +56,7 @@ import numpy as np
 from .coeffs import DEGREE_TOL
 from .errors import FlowPatternError, SingularResidueError, WeightValidationError
 from .lax import RESIDUE_TOL, assemble_residues
+from .numerics import polyval
 from .pipeline import Bundle, build_bundle
 from .report import IdentityReport
 from .weight import SemiClassicalWeight
@@ -172,7 +173,7 @@ def deformation_rates(bundle: Bundle, traj, n: int, t: float) -> RatesRecord:
     rho = np.asarray(traj.weight0.exponents, dtype=complex)[moving]
     if np.any(zj == 0):
         raise SingularResidueError("a moving singularity sits at the origin")
-    vj = bundle.vw.v_eval(zj)
+    vj = polyval(bundle.weight.vw.V, zj)
     if np.any(abs(vj) < 1e-12):
         raise SingularResidueError(f"V({zj[abs(vj) < 1e-12][0]}) = 0 in a deformation-rate sum")
     ratio = zdot / zj

@@ -37,9 +37,11 @@ its own side of the circle.  The rank-one bilinear form of the residues
 comes from one evaluation at all the non-origin singular points for all
 levels, and the four summation identities are read off its stack and the
 origin's residue matrix.  `assemble_residues`, `residues_bilinear_form`
-and both suites read one `pipeline.Bundle`; the suites take the levels
-they check and ``tol_scale``, the run's --tol, which scales the gates
-stated below (RESIDUE_TOL, RANK_TOL, JUMP_TOL) and IDENTITY_TOL.
+and both suites read one `pipeline.Bundle`: its levels, their associated
+functions, its quadruples, and its weight with the weight's own (V, W).
+The suites take the levels they check and ``tol_scale``, the run's --tol,
+which scales the gates stated below (RESIDUE_TOL, RANK_TOL, JUMP_TOL) and
+IDENTITY_TOL.
 
 Level ceiling: the matrix system sets `verify-all`'s.  On the flagship
 weight z^-1 (z-2)^(1/2) (z-3)^(1/3) and on the complex m = 4 weight it
@@ -69,6 +71,7 @@ from .assoc import AssocSystem
 from .bops import BopsSystem
 from .config import IDENTITY_TOL
 from .errors import SingularResidueError
+from .numerics import polyder, polyval
 from .report import IdentityReport, PerFamily, equation
 
 if TYPE_CHECKING:  # pipeline imports coeffs, which lax imports
@@ -135,7 +138,6 @@ class ResidueSet:
     """Residue matrices of A_n(z) at the finite singularities and infinity,
     at one level or with the levels of an array n first."""
 
-    n: int | np.ndarray
     a: np.ndarray  # shape (m, 2, 2), ordered like the weight's singularities
     a_inf: np.ndarray
     a_inf_closed: np.ndarray
@@ -152,22 +154,20 @@ def assemble_residues(bundle: Bundle, n) -> ResidueSet:
     an array n: every field then carries n's axes first, all levels and
     singular points formed at once from the level scalars read off the
     store."""
-    sys, vw, weight = bundle.sys, bundle.vw, bundle.weight
-    levels = np.asarray(n)
+    sys, weight = bundle.sys, bundle.weight
+    vw, levels = weight.vw, np.asarray(n)
     flat = levels.reshape(-1)
     locs, rho = weight.locations, weight.exponents
-    v = vw.v_eval(locs)
+    v = polyval(vw.V, locs)
     small = np.abs(v) < 1e-12
-    if locs[0] != 0 and not small[0]:
-        raise SingularResidueError("first singularity must be the origin")
     if small.any():
         j = int(np.argmax(small))
         raise SingularResidueError(f"V(z_{j + 1}) = 0 at z = {weight.singularities[j].location}")
     # once at every level and every z_j: (member, level, z_j)
     values = bundle.quads.values(flat, locs).transpose(1, 0, 2)
     r, rbar = (c[flat] for c in sys.reflections)
-    w1 = vw.w_deriv(0.0)
-    v0 = vw.v_eval(0.0)
+    w1 = polyval(polyder(vw.W), 0.0)
+    v0 = polyval(vw.V, 0.0)
     top = flat * w1 - 2.0 * v0
     origin = rho[0] / (2.0 * v0) * _mat(top, -top * r, 0.0, 0.0)
     others = (rho[1:] / (2.0 * v[1:]))[:, None, None] * _wa_matrix(
@@ -179,7 +179,7 @@ def assemble_residues(bundle: Bundle, n) -> ResidueSet:
     a_inf_closed = _mat(-flat, 0.0, -(flat + sum_rho) * rbar, sum_rho)
     consistency = np.abs(a_inf - a_inf_closed).max(axis=(1, 2)) / np.maximum(1.0, flat)
     shape = levels.shape
-    return ResidueSet(n=n, a=a.reshape(shape + a.shape[1:]), a_inf=a_inf.reshape(shape + (2, 2)),
+    return ResidueSet(a=a.reshape(shape + a.shape[1:]), a_inf=a_inf.reshape(shape + (2, 2)),
                       a_inf_closed=a_inf_closed.reshape(shape + (2, 2)),
                       consistency=consistency.reshape(shape)[()])
 
@@ -218,7 +218,7 @@ def verify_matrix_system(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1
     residue and summation checks and RANK_TOL for the rank-one determinant.
     """
     rep = IdentityReport("matrix systems")
-    sys, asys, quads, vw, weight = bundle.sys, bundle.asys, bundle.quads, bundle.vw, bundle.weight
+    sys, asys, quads, weight = bundle.sys, bundle.asys, bundle.quads, bundle.weight
     identity_tol = IDENTITY_TOL * tol_scale
     residue_tol = RESIDUE_TOL * tol_scale
     zs = np.asarray(
@@ -227,7 +227,7 @@ def verify_matrix_system(bundle: Bundle, ns: Sequence[int], tol_scale: float = 1
     wheres = [f"z={z:.3g}" for z in zs]
     singular = [f"z_{j + 1}" for j in range(weight.m)]
     w = weight(zs)
-    w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
+    w_z, v_z = polyval(weight.vw.W, zs), polyval(weight.vw.V, zs)
     log_w = 2.0 * v_z / w_z  # w'/w, as W w' = 2 V w
     values_at, derivatives_at = asys.evaluate_with_derivative(zs)
     levels = np.asarray(ns, dtype=int)

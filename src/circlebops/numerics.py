@@ -15,12 +15,13 @@ coefficients it is numpy's `polynomial.polyval`, step for step.  The blocks
 are aligned at order 0, so the zeros above a row of a zero-padded stack
 only add exact zeros to its steps, and every step is elementwise.  Bit for
 bit, that is claimed only for the shapes the tests pin: numpy's Horner up
-to BLOCK coefficients; a zero-padded row as its own value (1 to 59
-coefficients at 11 points); a point alone as inside an array (2 to 49
-coefficients at 13 points).  In general an element's rounding can depend
-on the array's shape, which picks numpy's complex-multiply loop (vector
-body, scalar tail, broadcast operand): a sweep of coefficient stacks and
-point counts finds shapes whose bits differ, with numpy's Horner too.
+to BLOCK coefficients; a zero-padded row of a 64-order stack of 3 rows as
+its own value (1 to 59 coefficients at 11 points); a point alone as inside
+an array (2, 5, 8, 9, 17 and 49 coefficients, one row or two, at 13
+points).  In general an element's rounding can depend on the array's
+shape, which picks numpy's complex-multiply loop (vector body, scalar tail,
+broadcast operand): a sweep of coefficient stacks and point counts finds
+shapes whose bits differ, with numpy's Horner too.
 `polyder`, `polymul` and `polyfromroots` give the bits of numpy's
 `polynomial` functions without importing that package.  `rel_residuals`
 equals its definition on rows flattened to one axis, bit for bit, for the
@@ -130,15 +131,14 @@ def principal_sqrt(value: complex) -> complex:
     return root
 
 
+MIN_DISTANCE = 0.1  # a sample's least distance from each point to avoid
+MAX_TRIES = 200  # draws allowed per sample before GeometryError
+
+
 def circle_samples(
-    rng: random.Random,
-    count: int,
-    radius: float,
-    avoid: Sequence[complex] = (),
-    min_distance: float = 0.1,
-    max_tries: int = 200,
+    rng: random.Random, count: int, radius: float, avoid: Sequence[complex] = ()
 ) -> np.ndarray:
-    """Draw ``count`` points on |z| = radius keeping min_distance from the
+    """Draw ``count`` points on |z| = radius keeping MIN_DISTANCE from the
     points in ``avoid``, the angle of each a ``rng.random()`` draw.  Any
     generator with ``random()`` works (``random.Random``, which the CLI
     seeds, or a numpy Generator); deterministic for a fixed generator
@@ -146,13 +146,13 @@ def circle_samples(
     out: list[complex] = []
     tries = 0
     while len(out) < count:
-        if tries > max_tries * count:
+        if tries > MAX_TRIES * count:
             raise GeometryError(
                 f"cannot place {count} samples on |z|={radius} away from {list(avoid)}"
             )
         tries += 1
         z = radius * np.exp(2j * np.pi * rng.random())
-        if all(abs(z - a) >= min_distance for a in avoid):
+        if all(abs(z - a) >= MIN_DISTANCE for a in avoid):
             out.append(complex(z))
     return np.asarray(out, dtype=complex)
 

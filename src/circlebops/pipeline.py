@@ -1,6 +1,8 @@
 """One-stop construction of everything downstream of a weight or a raw
-moment table: moments, bi-orthogonal system, associated functions,
-coefficient-function quadruple and the recovered inhomogeneity polynomial.
+moment table: moments, bi-orthogonal system and, for a strict weight, the
+coefficient-function quadruples.  A bundle holds only what it built; what
+follows from those (the associated functions, the weight's (V, W), U) is
+read off its owner where it is used.
 
 Raw-moment tables drive the general-weight pipelines only; the coefficient
 functions and everything built on them require a strict regular
@@ -9,30 +11,31 @@ semi-classical weight."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .assoc import AssocSystem
 from .bops import BopsSystem, build_system
 from .coeffs import QuadStore, compute_coeff_quads
-from .moments import MomentTable, factorised_moments, recover_u
-from .weight import PolyPair, SemiClassicalWeight, build_vw, is_strict_semiclassical
+from .moments import MomentTable, factorised_moments
+from .weight import SemiClassicalWeight
 
 
 @dataclass
 class Bundle:
     """What the suites of `coeffs`, `lax` and `deform` read: the levels
-    ``sys`` of a weight or a raw table (its moment table ``sys.table``), their
-    associated functions ``asys`` and, for a weight, the ``weight``, its
-    (V, W) ``vw``, the quadruples ``quads`` and U's coefficients ``u_poly``."""
+    ``sys`` of a weight or a raw table (its moment table ``sys.table``) and,
+    for a weight, the ``weight`` (its (V, W) ``weight.vw``) and the
+    quadruples ``quads``.  The associated functions ``asys`` are built once,
+    on first read, over the bundle's own ``sys``."""
 
     sys: BopsSystem
-    asys: AssocSystem
     weight: SemiClassicalWeight | None = None
-    vw: PolyPair | None = None
     quads: QuadStore | None = None
-    u_poly: np.ndarray | None = None
+
+    @cached_property
+    def asys(self) -> AssocSystem:
+        return AssocSystem(self.sys)
 
 
 def moment_table(source: SemiClassicalWeight | MomentTable, nmax: int) -> MomentTable:
@@ -47,20 +50,13 @@ def moment_table(source: SemiClassicalWeight | MomentTable, nmax: int) -> Moment
 def build_bundle(
     source: SemiClassicalWeight | MomentTable, nmax: int, quad_ns: Sequence[int] = ()
 ) -> Bundle:
-    """Build levels 0..nmax (plus the moment table when given a weight) and,
-    for strict weights, the requested coefficient-function quadruples, all
-    in one `compute_coeff_quads` pass, with U when there are any.  Nothing
-    is gated here: the reports gate the quadruples' out-of-band ratios and
-    the levels' cross-check against the recursion."""
-    table = moment_table(source, nmax)
+    """Build levels 0..nmax on the moment table of ``source`` and, for a
+    strict weight, the requested coefficient-function quadruples in one
+    `compute_coeff_quads` pass.  Nothing is gated here: the reports gate the
+    quadruples' out-of-band ratios and the levels' cross-check against the
+    recursion."""
     weight = None if isinstance(source, MomentTable) else source
-    sys = build_system(table, nmax)
-    bundle = Bundle(sys=sys, asys=AssocSystem(sys), weight=weight)
-
-    if weight is not None:
-        bundle.vw = build_vw(weight)
-        if is_strict_semiclassical(weight):
-            bundle.quads = compute_coeff_quads(bundle, quad_ns)
-            if bundle.quads.levels.size:
-                bundle.u_poly = recover_u(table, bundle.vw)
+    bundle = Bundle(build_system(moment_table(source, nmax), nmax), weight)
+    if weight is not None and weight.strict:
+        bundle.quads = compute_coeff_quads(bundle, quad_ns)
     return bundle

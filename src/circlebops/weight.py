@@ -3,8 +3,10 @@
 A weight is a finite product w(z) = prod_j (z - z_j)^{rho_j} with distinct
 singular locations z_j, the first of which is pinned at the origin.  The
 log-derivative is rational, W w' = 2 V w, with W(z) = prod_j (z - z_j) monic
-and 2V/W = sum_j rho_j / (z - z_j); the pair (V, W) is what every downstream
-module consumes.
+and 2V/W = sum_j rho_j / (z - z_j).  Everything a weight is follows from
+its singularity data, and `SemiClassicalWeight` owns each of it: its value
+(calling it), its pair (V, W) (``vw``), its conditions (``validation``) and
+whether it is in the strict class (``strict``).
 
 Branch convention
 -----------------
@@ -40,7 +42,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import BranchCutError, PoleError, WeightValidationError
-from .numerics import as_poly, polyadd, polyder, polyfromroots, polyval
+from .numerics import as_poly, polyadd, polyfromroots
 
 #: exponent closer than this to a non-negative integer counts as one
 _INT_TOL = 1e-9
@@ -75,15 +77,6 @@ class PolyPair:
     @property
     def degree(self) -> int:
         return len(self.W) - 1
-
-    def w_eval(self, z):
-        return polyval(self.W, z)
-
-    def v_eval(self, z):
-        return polyval(self.V, z)
-
-    def w_deriv(self, z):
-        return polyval(polyder(self.W), z)
 
     def reflected(self) -> "PolyPair":
         """The pair of the reflected weight w(1/u): u^2 W^(u) and -V^(u), with
@@ -151,12 +144,141 @@ class SemiClassicalWeight:
 
     @cached_property
     def validation(self) -> ValidationReport:
-        """The `validate_weight` report, computed once per weight object;
-        WeightValidationError on the hard errors, on every read."""
-        return validate_weight(self)
+        """The defining conditions of a regular semi-classical weight, checked
+        once per weight object.
+
+        Duplicate locations and a missing origin singularity are hard errors,
+        WeightValidationError on every read.  Any other failed condition is
+        recorded and the report does not pass (closed-form test weights such
+        as z^{-1}(1+z)^2, whose exponent 2 is a non-negative integer, are
+        built all the same).  Only conditions that can fail are recorded:
+        distinct locations are a hard error, and V, built by partial
+        fractions, has degree below m.
+        """
+        report = ValidationReport()
+
+        locs = self.locations
+        for i in range(len(locs)):
+            for j in range(i + 1, len(locs)):
+                if locs[i] == locs[j]:
+                    raise WeightValidationError(
+                        f"duplicate singularity locations: z_{i + 1} = z_{j + 1} = {locs[i]}"
+                    )
+        if self.m == 0 or self.singularities[0].location != 0:
+            raise WeightValidationError("first singularity must sit exactly at the origin")
+
+        report.record("deg_w_at_least_two", self.m >= 2, f"m = {self.m}")
+
+        bad = [
+            (i, s.exponent)
+            for i, s in enumerate(self.singularities)
+            if _is_nonneg_int(s.exponent)
+        ]
+        report.record(
+            "exponents_not_nonnegative_integers",
+            not bad,
+            "; ".join(f"rho_{i + 1} = {rho}" for i, rho in bad) if bad else "",
+        )
+
+        s_in = self.factorisation[0]
+        report.record(
+            "single_valued_on_circle",
+            _is_int(s_in),
+            f"sum of exponents inside the disc = {s_in}",
+        )
+
+        on_circle = [i for i, s in enumerate(self.singularities) if abs(abs(s.location) - 1) < 1e-12]
+        for i in on_circle:
+            s = self.singularities[i]
+            if not _is_nonneg_int(s.exponent) and s.exponent.real <= 0:
+                report.warnings.append(
+                    f"singularity z_{i + 1} on the unit circle with Re rho <= 0: "
+                    "moments may not exist"
+                )
+        return report
+
+    @property
+    def strict(self) -> bool:
+        """Whether this is a strict regular semi-classical weight: its
+        validation passes (False on a hard error)."""
+        try:
+            return self.validation.passed
+        except WeightValidationError:
+            return False
+
+    @cached_property
+    def vw(self) -> PolyPair:
+        """The pair (V, W), built once per weight object: W(z) = prod (z - z_j)
+        and V from partial fractions 2V/W = sum rho_j / (z - z_j); then
+        2 V(z_j) = rho_j W'(z_j) for every j."""
+        locs = self.locations
+        w_poly = polyfromroots(locs)
+        v_terms = []
+        for j, s in enumerate(self.singularities):
+            others = np.delete(locs, j)
+            v_terms.append(0.5 * s.exponent * polyfromroots(others))
+        v_poly = polyadd(*v_terms)
+        # trim trailing zeros but keep at least the constant term
+        deg = max(
+            (i for i, c in enumerate(v_poly) if abs(c) > 1e-15 * max(1.0, np.abs(v_poly).max())),
+            default=0,
+        )
+        return PolyPair(W=as_poly(w_poly), V=as_poly(v_poly[: deg + 1]))
 
     def __call__(self, z):
-        return eval_weight(self, z)
+        """Evaluate w(z) under the branch convention described in the module
+        docstring.  Accepts scalars or arrays; raises PoleError at a singular
+        location with negative real exponent and BranchCutError for points
+        sitting exactly on a declared cut.
+
+        The grouped form is valid for |z| larger than the inner annulus radius
+        (the largest non-origin inside singularity modulus); the unit circle and
+        both test corridors |z| in [0.1, 100] of singularity-free weights lie in
+        this domain.
+        """
+        zs = np.asarray(z, dtype=complex)
+        scalar = zs.ndim == 0
+        zs = np.atleast_1d(zs)
+        out = np.ones(zs.shape, dtype=complex)
+        k_in = origin_power(self)
+
+        # exact hits on singular locations: pole or zero of the weight
+        zero_mask = np.zeros(zs.shape, dtype=bool)
+        for s in self.singularities:
+            at = zs == s.location
+            if np.any(at):
+                if s.exponent.real < 0:
+                    raise PoleError(f"w(z) has a pole at z = {s.location}")
+                if s.exponent != 0:
+                    zero_mask |= at
+
+        at0 = zs == 0.0
+        if np.any(at0) and k_in < 0:
+            raise PoleError("w(z) has a pole at the origin")
+        safe = np.where(at0, 1.0, zs)
+
+        out = out * safe**k_in
+
+        for zj, rho, constant in self.factorisation[1]:
+            if constant is None:
+                u = 1.0 - zj / safe  # cut: radial segment from z_j to the origin
+                constant = 1.0 + 0j
+            else:
+                u = 1.0 - zs / zj  # cut: ray from z_j radially outward
+            if _is_int(rho):
+                factor = u ** int(round(rho.real))
+            else:
+                on_cut = (u.imag == 0.0) & (u.real < 0.0) & ~zero_mask
+                if np.any(on_cut):
+                    raise BranchCutError(
+                        f"evaluation point on the branch cut of the factor at z_j = {zj}"
+                    )
+                factor = np.power(u, rho)
+            out = out * constant * factor
+
+        if np.any(zero_mask):
+            out = np.where(zero_mask, 0.0, out)
+        return complex(out[0]) if scalar else out
 
 
 @dataclass
@@ -180,66 +302,6 @@ class ValidationReport:
         }
 
 
-def validate_weight(spec: SemiClassicalWeight) -> ValidationReport:
-    """Check the defining conditions of a regular semi-classical weight.
-
-    Duplicate locations and a missing origin singularity are hard errors.
-    Any other failed condition is recorded and the report does not pass
-    (closed-form test weights such as z^{-1}(1+z)^2, whose exponent 2 is a
-    non-negative integer, are built all the same).  Only conditions that
-    can fail are recorded: distinct locations are a hard error, and V,
-    built by partial fractions, has degree below m.
-    """
-    report = ValidationReport()
-
-    locs = spec.locations
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            if locs[i] == locs[j]:
-                raise WeightValidationError(
-                    f"duplicate singularity locations: z_{i + 1} = z_{j + 1} = {locs[i]}"
-                )
-    if spec.m == 0 or spec.singularities[0].location != 0:
-        raise WeightValidationError("first singularity must sit exactly at the origin")
-
-    report.record("deg_w_at_least_two", spec.m >= 2, f"m = {spec.m}")
-
-    bad = [
-        (i, s.exponent)
-        for i, s in enumerate(spec.singularities)
-        if _is_nonneg_int(s.exponent)
-    ]
-    report.record(
-        "exponents_not_nonnegative_integers",
-        not bad,
-        "; ".join(f"rho_{i + 1} = {rho}" for i, rho in bad) if bad else "",
-    )
-
-    s_in = spec.factorisation[0]
-    report.record(
-        "single_valued_on_circle",
-        _is_int(s_in),
-        f"sum of exponents inside the disc = {s_in}",
-    )
-
-    on_circle = [i for i, s in enumerate(spec.singularities) if abs(abs(s.location) - 1) < 1e-12]
-    for i in on_circle:
-        s = spec.singularities[i]
-        if not _is_nonneg_int(s.exponent) and s.exponent.real <= 0:
-            report.warnings.append(
-                f"singularity z_{i + 1} on the unit circle with Re rho <= 0: "
-                "moments may not exist"
-            )
-    return report
-
-
-def is_strict_semiclassical(spec: SemiClassicalWeight) -> bool:
-    try:
-        return spec.validation.passed
-    except WeightValidationError:
-        return False
-
-
 def _on_principal_range(base: complex) -> complex:
     # a -0.0 imaginary part made +0.0, so a negative real has arg +pi
     base = complex(base)
@@ -261,80 +323,6 @@ def origin_power(spec: SemiClassicalWeight) -> int:
             f"to {s_in}, not an integer"
         )
     return int(round(s_in.real))
-
-
-def eval_weight(spec: SemiClassicalWeight, z):
-    """Evaluate w(z) under the branch convention described in the module
-    docstring.  Accepts scalars or arrays; raises PoleError at a singular
-    location with negative real exponent and BranchCutError for points
-    sitting exactly on a declared cut.
-
-    The grouped form is valid for |z| larger than the inner annulus radius
-    (the largest non-origin inside singularity modulus); the unit circle and
-    both test corridors |z| in [0.1, 100] of singularity-free weights lie in
-    this domain.
-    """
-    zs = np.asarray(z, dtype=complex)
-    scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs)
-    out = np.ones(zs.shape, dtype=complex)
-    k_in = origin_power(spec)
-
-    # exact hits on singular locations: pole or zero of the weight
-    zero_mask = np.zeros(zs.shape, dtype=bool)
-    for s in spec.singularities:
-        at = zs == s.location
-        if np.any(at):
-            if s.exponent.real < 0:
-                raise PoleError(f"w(z) has a pole at z = {s.location}")
-            if s.exponent != 0:
-                zero_mask |= at
-
-    at0 = zs == 0.0
-    if np.any(at0) and k_in < 0:
-        raise PoleError("w(z) has a pole at the origin")
-    safe = np.where(at0, 1.0, zs)
-
-    out = out * safe**k_in
-
-    for zj, rho, constant in spec.factorisation[1]:
-        if constant is None:
-            u = 1.0 - zj / safe  # cut: radial segment from z_j to the origin
-            constant = 1.0 + 0j
-        else:
-            u = 1.0 - zs / zj  # cut: ray from z_j radially outward
-        if _is_int(rho):
-            factor = u ** int(round(rho.real))
-        else:
-            on_cut = (u.imag == 0.0) & (u.real < 0.0) & ~zero_mask
-            if np.any(on_cut):
-                raise BranchCutError(
-                    f"evaluation point on the branch cut of the factor at z_j = {zj}"
-                )
-            factor = np.power(u, rho)
-        out = out * constant * factor
-
-    if np.any(zero_mask):
-        out = np.where(zero_mask, 0.0, out)
-    return complex(out[0]) if scalar else out
-
-
-def build_vw(spec: SemiClassicalWeight) -> PolyPair:
-    """Construct W(z) = prod (z - z_j) and V from partial fractions
-    2V/W = sum rho_j / (z - z_j); then 2 V(z_j) = rho_j W'(z_j) for every j."""
-    locs = spec.locations
-    w_poly = polyfromroots(locs)
-    v_terms = []
-    for j, s in enumerate(spec.singularities):
-        others = np.delete(locs, j)
-        v_terms.append(0.5 * s.exponent * polyfromroots(others))
-    v_poly = polyadd(*v_terms)
-    # trim trailing zeros but keep at least the constant term
-    deg = max(
-        (i for i, c in enumerate(v_poly) if abs(c) > 1e-15 * max(1.0, np.abs(v_poly).max())),
-        default=0,
-    )
-    return PolyPair(W=as_poly(w_poly), V=as_poly(v_poly[: deg + 1]))
 
 
 # ---------------------------------------------------------------------------

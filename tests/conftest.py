@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from circlebops.assoc import AssocSystem
 from circlebops.bops import build_system
-from circlebops.moments import table_from_moments
+from circlebops.moments import recover_u, table_from_moments
 from circlebops.pipeline import Bundle, build_bundle
-from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
+from circlebops.weight import SemiClassicalWeight, Singularity
 
 from oracles import exact_moments, u_reads
 
@@ -103,8 +102,8 @@ def laurent_callable(z):
 def lebesgue():
     table = table_from_moments([(0, 1.0)], window=12)
     sys = build_system(table, 8)
-    asys = AssocSystem(sys)
-    return {"table": table, "sys": sys, "asys": asys, "bundle": Bundle(sys, asys)}
+    bundle = Bundle(sys)
+    return {"table": table, "sys": sys, "asys": bundle.asys, "bundle": bundle}
 
 
 @pytest.fixture(scope="session")
@@ -112,15 +111,15 @@ def laurent():
     weight = SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2)))
     table = table_from_moments([(-1, 1.0), (0, 2.0), (1, 1.0)], window=12)
     sys = build_system(table, 8)
-    asys, vw = AssocSystem(sys), build_vw(weight)
+    bundle = Bundle(sys, weight)
     return {
         "weight": weight,
         "table": table,
         "sys": sys,
-        "asys": asys,
+        "asys": bundle.asys,
         "wfun": laurent_callable,
-        "vw": vw,
-        "bundle": Bundle(sys, asys, weight, vw),
+        "vw": weight.vw,
+        "bundle": bundle,
     }
 
 
@@ -135,17 +134,18 @@ def strict():
     weight = SemiClassicalWeight(
         (Singularity(0, -1), Singularity(2, 0.5), Singularity(3, 1.0 / 3.0))
     )
-    # the production route: window 48, levels 0..7, quadruples 0..5 and U
+    # the production route: window 48, levels 0..7 and quadruples 0..5; U
+    # recovered from the table as the initial members read it
     bundle = build_bundle(weight, 7, quad_ns=range(6))
     return {
         "weight": weight,
-        "vw": bundle.vw,
+        "vw": weight.vw,
         "table": bundle.sys.table,
         "sys": bundle.sys,
         "asys": bundle.asys,
         "quads": bundle.quads,
-        "u_poly": bundle.u_poly,
-        "u_info": u_reads(weight, bundle.sys.table, bundle.vw),
+        "u_poly": recover_u(bundle.sys.table, weight.vw),
+        "u_info": u_reads(weight, bundle.sys.table, weight.vw),
         "wfun": lambda z: weight(z),
         "bundle": bundle,
     }

@@ -63,7 +63,7 @@ from circlebops.numerics import (
     rel_residuals,
 )
 from circlebops.report import IdentityReport
-from circlebops.weight import PolyPair, SemiClassicalWeight, eval_weight
+from circlebops.weight import PolyPair, SemiClassicalWeight
 
 
 def one_residual(mismatch, *terms) -> float:
@@ -181,7 +181,7 @@ def schlesinger_component_check(
     # matrix instead.
     for j in range(1, len(locs)):
         zj = complex(locs[j])
-        vj = vw.v_eval(zj)
+        vj = polyval(vw.V, zj)
         pref = rhos[j] / (2.0 * vj)
         cross_a = 0j
         cross_b = 0j
@@ -197,7 +197,7 @@ def schlesinger_component_check(
             if k == 0:
                 origin = origin + coeff * comm(residues.a[0], residues.a[j])
                 continue
-            vk = vw.v_eval(zk)
+            vk = polyval(vw.V, zk)
             pk = rhos[k] / (2.0 * vk)
             cross_a += pk * coeff * (
                 zk * ths[k] * th[j] - zj * th[k] * ths[j]
@@ -322,7 +322,7 @@ def weight_rate_check(traj, t: float, zs: Sequence[complex], h: float = 1e-5) ->
     w_0 = traj.weight_at(t)
     worst = 0.0
     for z in zs:
-        fd = (eval_weight(w_p, z) - eval_weight(w_m, z)) / (2.0 * h * eval_weight(w_0, z))
+        fd = (w_p(z) - w_m(z)) / (2.0 * h * w_0(z))
         want = complex(weight_logderivative_rate(traj, t, z))
         worst = max(worst, abs(fd - want) / max(1.0, abs(want)))
     return worst
@@ -517,7 +517,7 @@ def exact_moments(weight: SemiClassicalWeight, window: int, dps: int = 50) -> di
         b = series([(1 / z, rho) for z, rho in outside], count + window - s)
         factor = mpmath.fprod([(1 - z) ** rho for z, rho in inside]
                               + [(1 - 1 / z) ** rho for z, rho in outside])
-        c = mpmath.mpc(complex(eval_weight(weight, 1.0))) / factor
+        c = mpmath.mpc(complex(weight(1.0))) / factor
         return {k: c * mpmath.fsum(a[j] * b[k - s + j] for j in range(max(0, s - k), count))
                 for k in range(-window, window + 1)}
 

@@ -138,7 +138,7 @@ def test_criterion_4_strict_semiclassical_suite():
     weight = strict_weight()
     bundle = build_bundle(weight, 7, quad_ns=range(6))
     rng = np.random.default_rng(9)
-    samples = list(circle_samples(rng, 10, 0.45, avoid=list(weight.locations), min_distance=0.1))
+    samples = list(circle_samples(rng, 10, 0.45, avoid=list(weight.locations)))
 
     reports = [
         verify_linear_relations(bundle, samples),
@@ -170,7 +170,7 @@ def test_criterion_5_riemann_hilbert_suite():
     sys_l = build_system(table_l, 6)
     worst_value = 0.0
     worst_order = 0.0
-    for bundle in (Bundle(sys_l, AssocSystem(sys_l)), build_bundle(strict_weight(), 6)):
+    for bundle in (Bundle(sys_l), build_bundle(strict_weight(), 6)):
         rep = rhp_jump_check(bundle, (1, 2, 3))
         for entry in rep.entries:
             if entry.name.startswith("rhp_order"):

@@ -502,11 +502,10 @@ class TestOneBundle:
 
     def test_verify_all_validates_the_weight_once(self, tmp_path, monkeypatch):
         # the parse, the validation report and every strictness test read one
-        # relaxed report per weight object
+        # relaxed report per weight object: one report is ever made
         seen = []
-        real = weight_module.validate_weight
-        monkeypatch.setattr(weight_module, "validate_weight",
-                            lambda spec: seen.append(spec) or real(spec))
+        real = weight_module.ValidationReport
+        monkeypatch.setattr(weight_module, "ValidationReport", lambda: seen.append(1) or real())
         weight = write(tmp_path, "w.json", STRICT_SPEC)
         assert main(["verify-all", "--weight", weight, "--n", "4", "--out", str(tmp_path)]) == 0
         assert len(seen) == 1

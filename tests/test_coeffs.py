@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from circlebops.bops import build_system
-from circlebops.assoc import AssocSystem
 from circlebops.bops import BopsSystem
 from circlebops.coeffs import (
     MEMBERS,
@@ -27,7 +26,7 @@ from circlebops.errors import (
 from circlebops.moments import compute_moments
 from circlebops.numerics import circle_samples, polyder, polyval
 from circlebops.pipeline import Bundle, build_bundle
-from circlebops.weight import SemiClassicalWeight, Singularity, build_vw, weight_from_json
+from circlebops.weight import SemiClassicalWeight, Singularity, weight_from_json
 
 from conftest import COMPLEX_M4_SPEC, INSIDE_COMPLEX_SPEC, STRICT_SPEC, complex_m4_weight
 from oracles import central_diff, coeff_quad_by_convolution
@@ -79,7 +78,7 @@ class TestConstruction:
 
         table = compute_moments(weight, 24)
         sys = build_system(table, 4)
-        quad = quad_at(Bundle(sys, AssocSystem(sys), weight, build_vw(weight)), 1)
+        quad = quad_at(Bundle(sys, weight), 1)
         assert quad.members.shape == (1, 2, 4)
         assert (degrees(quad) == [0, 0, 1, 1]).all()
 
@@ -90,7 +89,7 @@ class TestConstruction:
     def test_degenerate_prefactor_rejected(self, lebesgue, strict):
         # Lebesgue levels have phi_{n+1}(0) = 0; pairing them with a
         # semi-classical (V, W) exercises the prefactor guard
-        mixed = dataclasses.replace(lebesgue["bundle"], weight=strict["weight"], vw=strict["vw"])
+        mixed = dataclasses.replace(lebesgue["bundle"], weight=strict["weight"])
         with pytest.raises(DegenerateLevelError):
             quad_at(mixed, 2)
 
@@ -99,7 +98,7 @@ class TestConstruction:
         # differences, at points off the circle on both sides
         sys, asys, vw = strict["sys"], strict["asys"], strict["vw"]
         zs = np.array([0.6j, -0.5 + 0.3j, 2.5j, -2.2 - 1.4j, 4.0 * np.exp(2j)])
-        w_z, v_z = vw.w_eval(zs), vw.v_eval(zs)
+        w_z, v_z = polyval(vw.W, zs), polyval(vw.V, zs)
         phi, star, eps, es = asys.evaluate(zs)
         deps = central_diff(lambda x: asys.evaluate(x)[2], zs)
         des = central_diff(lambda x: asys.evaluate(x)[3], zs)
@@ -124,13 +123,14 @@ class TestConstruction:
                 assert np.max(np.abs(got - values) / np.maximum(1.0, np.abs(values))) < 1e-5, (n, name)
 
     def test_inconsistent_vw_refused_out_of_band(self, strict):
-        # (V, W) of another weight than the moments: the defining
-        # combinations are not polynomials, so orders outside the band
-        # survive, and the degree certificate fails far above its gate
+        # the levels of one weight with another weight, so (V, W) does not
+        # match the moments: the defining combinations are not polynomials,
+        # so orders outside the band survive, and the degree certificate
+        # fails far above its gate
         other = SemiClassicalWeight(
             (Singularity(0, -1), Singularity(2.5, 0.5), Singularity(3, 1.0 / 3.0))
         )
-        bundle = dataclasses.replace(strict["bundle"], vw=build_vw(other))
+        bundle = dataclasses.replace(strict["bundle"], weight=other)
         quad = quad_at(bundle, 2)
         assert np.max(quad.ratios) > 1e6 * 1e-7
         rep = verify_expansion_forms(dataclasses.replace(bundle, quads=quad), [2])
@@ -143,7 +143,7 @@ class TestConstruction:
         table = compute_moments(strict["weight"], 8)
         sys = build_system(table, 6)
         with pytest.raises(WindowError):
-            quad_at(Bundle(sys, AssocSystem(sys), strict["weight"], strict["vw"]), 5)
+            quad_at(Bundle(sys, strict["weight"]), 5)
 
     def test_seed_recorded_and_deterministic(self, strict):
         q_again = quad_at(strict["bundle"], 2)
@@ -168,7 +168,7 @@ class TestOnePass:
         quads = bundle.quads
         assert quads.levels.tolist() == list(range(31))
         for n, members, ratios in zip(quads.levels.tolist(), quads.members, quads.ratios):
-            oracle, oracle_ratios = coeff_quad_by_convolution(bundle.sys, bundle.asys, bundle.vw, n)
+            oracle, oracle_ratios = coeff_quad_by_convolution(bundle.sys, bundle.asys, bundle.weight.vw, n)
             assert members.shape == oracle.shape
             for got, want in zip(members.T, oracle.T):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), n
@@ -216,7 +216,7 @@ class TestOnePass:
         store = {"phi": sys.phi.copy(), "phibar": sys.phibar.copy()}
         store[family][[3, 5], 0] = 0.0
         broken = BopsSystem(sys.table, sys.kappas, store["phi"], store["phibar"], [], sys.deviations)
-        bundle = dataclasses.replace(strict["bundle"], sys=broken, asys=AssocSystem(broken))
+        bundle = dataclasses.replace(strict["bundle"], sys=broken)
         with pytest.raises(DegenerateLevelError, match=re.escape(message)):
             compute_coeff_quads(bundle, [5, 4, 2, 0])
         compute_coeff_quads(bundle, [0, 1])
@@ -273,13 +273,13 @@ class TestClosedForms:
         # Theta_n(0) = [2V(0) - n W'(0)] phi_n(0)/phi_{n+1}(0)
         vw, p0 = strict["vw"], strict["sys"].phi[:, 0]
         for n in (1, 2, 3):
-            want = (2 * vw.v_eval(0.0) - n * vw.w_deriv(0.0)) * p0[n] / p0[n + 1]
+            want = (2 * polyval(vw.V, 0.0) - n * polyval(polyder(vw.W), 0.0)) * p0[n] / p0[n + 1]
             assert abs(strict["quads"].values([n], 0.0)[0, 0] - want) < 1e-7
 
     def test_omega_at_origin(self, strict):
         vw = strict["vw"]
         for n in range(5):
-            want = vw.v_eval(0.0) - n * vw.w_deriv(0.0)
+            want = polyval(vw.V, 0.0) - n * polyval(polyder(vw.W), 0.0)
             assert abs(strict["quads"].values([n], 0.0)[0, 2] - want) < 1e-8
 
     def test_m4_complex_weight_all_levels(self):
@@ -339,10 +339,9 @@ class TestBilinear:
         weight = SemiClassicalWeight(
             (Singularity(0, -0.5), Singularity(2, 0.0))
         )
-        vw = build_vw(weight)
-        assert abs(vw.v_eval(2.0)) < 1e-13
+        assert abs(polyval(weight.vw.V, 2.0)) < 1e-13
         with pytest.raises(SingularResidueError):
-            verify_bilinear(dataclasses.replace(strict["bundle"], weight=weight, vw=vw))
+            verify_bilinear(dataclasses.replace(strict["bundle"], weight=weight))
 
 
 class TestLevelAxis:

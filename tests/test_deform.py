@@ -194,7 +194,7 @@ class TestSchlesingerRhs:
         rates = deformation_rates(bundle, traj, 2, 0.0)
         res = assemble_residues(bundle, 2)
         rep = schlesinger_component_check(
-            bundle.sys, bundle.quads, bundle.vw, traj, 2, 0.0, rates, res
+            bundle.sys, bundle.quads, bundle.weight.vw, traj, 2, 0.0, rates, res
         )
         assert rep.passed, [(e.name, e.where, e.residual) for e in rep.failures()]
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from circlebops import pipeline
-from circlebops.assoc import AssocSystem
 from circlebops.cli import main
 from circlebops.deform import LinearTrajectory, moment_rebuild
 from circlebops.errors import SingularResidueError
@@ -206,18 +205,27 @@ class TestRHP:
                 assert abs(got.residual - stray / top) < 1e-12, (name, n, got.residual)
 
     def test_perturbed_coefficient_fails_its_order(self, strict):
-        # a fresh AssocSystem keeps its own psi* cache; one low-order
-        # coefficient of psi*_n moves the z^0 coefficient of eps*_n, which
-        # Y_22 ~ z^n forbids at 0, and leaves every other entry's read alone
+        # a fresh bundle builds its own AssocSystem, with its own psi*
+        # cache; one low-order coefficient of psi*_n moves the z^0
+        # coefficient of eps*_n, which Y_22 ~ z^n forbids at 0, and leaves
+        # every other entry's read alone
         n = 3
-        asys = AssocSystem(strict["sys"])
-        asys.psistar(n)[0] += 1e-6
-        rep = rhp_jump_check(dataclasses.replace(strict["bundle"], asys=asys), [n])
+        bundle = dataclasses.replace(strict["bundle"])
+        bundle.asys.psistar(n)[0] += 1e-6
+        assert bundle.asys is not strict["bundle"].asys
+        rep = rhp_jump_check(bundle, [n])
         failing = {e.name for e in rep.failures() if e.name.startswith("rhp_order")}
         assert failing == {"rhp_order_22_at_zero"}
         by_name = {e.name: e for e in rep.entries}
         assert by_name["rhp_order_22_at_zero"].residual > 1e-7
         assert by_name["rhp_order_11_at_infinity"].passed
+
+    def test_replaced_levels_bring_their_own_associated_functions(self, strict):
+        # asys is built over the bundle's own levels, once, so a bundle on
+        # other levels never reads the associated functions of the first
+        other = strict["sys"].prefix(5)
+        bundle = dataclasses.replace(strict["bundle"], sys=other)
+        assert bundle.asys.sys is other and bundle.asys is bundle.asys
 
     def test_rejects_n_zero(self, strict):
         with pytest.raises(ValueError):

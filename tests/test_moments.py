@@ -16,7 +16,7 @@ from circlebops.moments import (
 )
 from circlebops.numerics import polyval
 from circlebops.pipeline import moment_table
-from circlebops.weight import SemiClassicalWeight, Singularity, build_vw
+from circlebops.weight import SemiClassicalWeight, Singularity
 
 from conftest import complex_m4_weight, laurent_callable, lebesgue_weight_relaxed
 from oracles import caratheodory, caratheodory_quadrature, central_diff, series_band, u_reads
@@ -284,9 +284,9 @@ class TestRecoverU:
     def test_constant_weight_gives_zero(self):
         w = lebesgue_weight_relaxed()
         table = table_from_moments([(0, 1.0)], window=12)
-        u = recover_u(table, build_vw(w))
+        u = recover_u(table, w.vw)
         assert np.max(np.abs(u)) < 1e-8
-        assert u_reads(w, table, build_vw(w))["residual_inside"] < 1e-8
+        assert u_reads(w, table, w.vw)["residual_inside"] < 1e-8
 
     def test_laurent_degree_bound(self, laurent):
         u = recover_u(laurent["table"], laurent["vw"])
@@ -307,14 +307,14 @@ class TestRecoverU:
         for z in (0.41 + 0.17j, 0.3 - 0.33j):
             h = 1e-6
             fp = (caratheodory(table, z + h) - caratheodory(table, z - h)) / (2 * h)
-            res = vw.w_eval(z) * fp - 2 * vw.v_eval(z) * caratheodory(table, complex(z)) - polyval(u, z)
+            res = polyval(vw.W, z) * fp - 2 * polyval(vw.V, z) * caratheodory(table, complex(z)) - polyval(u, z)
             assert abs(res) < 1e-6
 
     def test_complex_m4_weight_both_sides(self):
         # the Taylor read at 0 and the Laurent read at infinity use disjoint
         # moments; U must satisfy the ODE pointwise on both sides
         weight = complex_m4_weight()
-        vw = build_vw(weight)
+        vw = weight.vw
         table = moment_table(weight, 46)
         u, info = recover_u(table, vw), u_reads(weight, table, vw)
         assert len(u) == 4
@@ -322,7 +322,7 @@ class TestRecoverU:
         assert info["coefficient_agreement"] < 1e-10
         zs = np.array([0.4 + 0.2j, -0.3j, 4.0 + 1.0j, -5.0j])
         values = lambda z: caratheodory(table, z)
-        res = vw.w_eval(zs) * central_diff(values, zs) - 2.0 * vw.v_eval(zs) * values(zs) - polyval(u, zs)
+        res = polyval(vw.W, zs) * central_diff(values, zs) - 2.0 * polyval(vw.V, zs) * values(zs) - polyval(u, zs)
         assert np.max(np.abs(res) / np.maximum(1.0, np.abs(polyval(u, zs)))) < 1e-6
 
 

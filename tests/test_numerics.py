@@ -2,13 +2,18 @@
 |mismatch| of the row over the largest |term| of the row, floored at 1; and
 the polynomial arithmetic against numpy's polynomial package: blocked
 Horner's invariants and bound, polyder, polymul and polyfromroots bit for
-bit."""
+bit; and circle_samples' distance from the points it avoids."""
+
+import random
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
-from circlebops.numerics import BLOCK, polyder, polyfromroots, polymul, polyval, rel_residuals
+from circlebops.errors import GeometryError
+from circlebops.numerics import (
+    BLOCK, MIN_DISTANCE, circle_samples, polyder, polyfromroots, polymul, polyval, rel_residuals,
+)
 from circlebops.pipeline import build_bundle
 from circlebops.weight import weight_from_json
 
@@ -166,3 +171,17 @@ class TestPolynomialArithmetic:
             roots = complex_rows(rng, (count,), 1.0)
             assert same_bits(polyfromroots(roots), npoly.polyfromroots(roots)), count
         assert same_bits(polyfromroots([]), np.ones(1, dtype=complex))
+
+
+class TestCircleSamples:
+    def test_samples_keep_their_distance(self):
+        avoid = [0.45, 0.45j, -0.3 - 0.3j]
+        zs = circle_samples(random.Random(5), 40, 0.45, avoid=avoid)
+        assert np.allclose(np.abs(zs), 0.45)
+        assert np.min(np.abs(zs[:, None] - np.asarray(avoid)[None])) >= MIN_DISTANCE
+
+    def test_a_covered_circle_refuses(self):
+        # points every 0.1 radians on |z| = 1 leave no arc MIN_DISTANCE away
+        avoid = np.exp(0.1j * np.arange(63))
+        with pytest.raises(GeometryError, match="cannot place 1 samples"):
+            circle_samples(random.Random(5), 1, 1.0, avoid=avoid)

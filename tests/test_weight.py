@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from circlebops.errors import BranchCutError, PoleError, WeightValidationError
-from circlebops.weight import (
-    SemiClassicalWeight,
-    Singularity,
-    build_vw,
-    eval_weight,
-    is_strict_semiclassical,
-    validate_weight,
-)
+from circlebops.numerics import polyder, polyval
+from circlebops.weight import SemiClassicalWeight, Singularity
 
 from conftest import lebesgue_weight_relaxed
 from oracles import weight_log_derivative
@@ -21,30 +15,30 @@ def make(*pairs):
 
 class TestValidation:
     def test_strict_weight_passes(self):
-        report = validate_weight(make((0, -1), (2, 0.5), (3, 1 / 3)))
+        report = make((0, -1), (2, 0.5), (3, 1 / 3)).validation
         assert report.passed
         assert all(c["passed"] for c in report.conditions)
 
     def test_nonnegative_integer_exponent_fails_strict(self):
-        report = validate_weight(make((0, -1), (-1, 2)))
+        report = make((0, -1), (-1, 2)).validation
         assert not report.passed
         failed = [c["name"] for c in report.conditions if not c["passed"]]
         assert "exponents_not_nonnegative_integers" in failed
 
     def test_duplicate_locations_hard_error(self):
         with pytest.raises(WeightValidationError):
-            validate_weight(make((0, -1), (0, 0.5)))
+            make((0, -1), (0, 0.5)).validation
 
     def test_missing_origin_hard_error(self):
         with pytest.raises(WeightValidationError):
-            validate_weight(make((1.5, -1), (2, 0.5)))
+            make((1.5, -1), (2, 0.5)).validation
 
     def test_single_level_weight_fails_condition_one(self):
-        report = validate_weight(make((0, 0.5)))
+        report = make((0, 0.5)).validation
         assert not report.passed
 
     def test_non_integer_inside_sum_flagged(self):
-        report = validate_weight(make((0, -0.5), (2, 0.5)))
+        report = make((0, -0.5), (2, 0.5)).validation
         failed = [c["name"] for c in report.conditions if not c["passed"]]
         assert "single_valued_on_circle" in failed
 
@@ -52,7 +46,7 @@ class TestValidation:
         # distinct locations are a hard error and V has degree below m by
         # construction, so neither is a condition; a failed condition is
         # named in the conditions alone, with no warning repeating it
-        report = validate_weight(make((0, -1), (-1, 2)))
+        report = make((0, -1), (-1, 2)).validation
         assert [c["name"] for c in report.conditions] == [
             "deg_w_at_least_two", "exponents_not_nonnegative_integers", "single_valued_on_circle"
         ]
@@ -64,40 +58,40 @@ class TestEval:
     def test_all_zero_exponents_give_one(self):
         w = lebesgue_weight_relaxed()
         for z in (0.3 + 0.1j, 2.0, -1.7j):
-            assert eval_weight(w, z) == 1.0
+            assert w(z) == 1.0
 
     def test_laurent_weight_at_one(self):
         w = make((0, -1), (-1, 2))
-        assert abs(eval_weight(w, 1.0) - 4.0) < 1e-14
+        assert abs(w(1.0) - 4.0) < 1e-14
 
     def test_principal_branch_value(self):
         w = make((0, -1), (2, 0.5))
-        assert abs(eval_weight(w, 1.0) - 1j) < 1e-14
+        assert abs(w(1.0) - 1j) < 1e-14
 
     def test_matches_laurent_expansion_on_circle(self):
         w = make((0, -1), (-1, 2))
         for theta in np.linspace(-3, 3, 11):
             z = np.exp(1j * theta)
-            assert abs(eval_weight(w, z) - (z**-1 * (1 + z) ** 2)) < 1e-13
+            assert abs(w(z) - (z**-1 * (1 + z) ** 2)) < 1e-13
 
     def test_pole_error(self):
         w = make((0, -1), (2, 0.5))
         with pytest.raises(PoleError):
-            eval_weight(w, 0.0)
+            w(0.0)
 
     def test_zero_at_positive_exponent_singularity(self):
         w = make((0, -1), (2, 0.5))
-        assert eval_weight(w, 2.0 + 0j) == 0.0
+        assert w(2.0 + 0j) == 0.0
 
     def test_branch_cut_error_on_outward_ray(self):
         w = make((0, -1), (2, 0.5))
         with pytest.raises(BranchCutError):
-            eval_weight(w, 2.7 + 0j)  # on the ray from 2 radially outward
+            w(2.7 + 0j)  # on the ray from 2 radially outward
 
     def test_non_single_valued_weight_rejected(self):
         w = make((0, -0.5), (2, 0.5))
         with pytest.raises(BranchCutError):
-            eval_weight(w, 0.5)
+            w(0.5)
 
     def test_continuity_across_negative_axis(self):
         # the trace around theta = pi must close when inside exponents sum
@@ -105,25 +99,25 @@ class TestEval:
         w = make((0, -1), (2, 0.5), (3, 1 / 3))
         gaps = []
         for eps in (1e-3, 1e-5, 1e-7):
-            a = eval_weight(w, np.exp(1j * np.pi * (1 - eps)))
-            b = eval_weight(w, np.exp(-1j * np.pi * (1 - eps)))
+            a = w(np.exp(1j * np.pi * (1 - eps)))
+            b = w(np.exp(-1j * np.pi * (1 - eps)))
             gaps.append(abs(a - b))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-5
 
     def test_log_derivative_ode(self, rng):
         w = make((0, -1), (2, 0.5), (3, 1 / 3))
-        vw = build_vw(w)
+        vw = w.vw
         for theta in rng.uniform(-np.pi, np.pi, 8):
             z = np.exp(1j * theta)
             h = 1e-6
-            wd = (eval_weight(w, z + h) - eval_weight(w, z - h)) / (2 * h)
-            lhs = vw.w_eval(z) * wd
-            rhs = 2.0 * vw.v_eval(z) * eval_weight(w, z)
+            wd = (w(z + h) - w(z - h)) / (2 * h)
+            lhs = polyval(vw.W, z) * wd
+            rhs = 2.0 * polyval(vw.V, z) * w(z)
             assert abs(lhs - rhs) / abs(lhs) < 1e-5
         z = 0.7 + 0.2j
         assert abs(
-            weight_log_derivative(w, z) - 2 * vw.v_eval(z) / vw.w_eval(z)
+            weight_log_derivative(w, z) - 2 * polyval(vw.V, z) / polyval(vw.W, z)
         ) < 1e-13
 
 
@@ -173,34 +167,34 @@ class TestMovedWeights:
 class TestPolyPair:
     def test_laurent_vw_by_hand(self):
         # W = z^2 + z, 2V = -(z+1) + 2z = z - 1
-        vw = build_vw(make((0, -1), (-1, 2)))
+        vw = make((0, -1), (-1, 2)).vw
         assert np.allclose(vw.W, [0, 1, 1])
         assert np.allclose(vw.V, [-0.5, 0.5])
 
     def test_residue_identity_every_singularity(self):
         w = make((0, -1), (2, 0.5), (3, 1 / 3))
-        vw = build_vw(w)
+        vw = w.vw
+        assert w.vw is vw  # built once per weight
         assert vw.degree == 3
         assert len(vw.V) <= 3
         for s in w.singularities:
-            lhs = 2.0 * vw.v_eval(s.location)
-            rhs = s.exponent * vw.w_deriv(s.location)
+            lhs = 2.0 * polyval(vw.V, s.location)
+            rhs = s.exponent * polyval(polyder(vw.W), s.location)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_origin_residue_value(self):
         w = make((0, -1), (2, 0.5), (3, 1 / 3))
-        vw = build_vw(w)
-        assert abs(2 * vw.v_eval(0.0) / vw.w_deriv(0.0) - (-1.0)) < 1e-13
+        vw = w.vw
+        assert abs(2 * polyval(vw.V, 0.0) / polyval(polyder(vw.W), 0.0) - (-1.0)) < 1e-13
 
     def test_w_monic(self):
-        vw = build_vw(make((0, -1), (2, 0.5), (3, 1 / 3)))
+        vw = make((0, -1), (2, 0.5), (3, 1 / 3)).vw
         assert vw.W[-1] == 1.0
 
 
 def test_strictness_probe():
-    assert is_strict_semiclassical(
-        SemiClassicalWeight((Singularity(0, -1), Singularity(2, 0.5)))
-    )
-    assert not is_strict_semiclassical(
-        SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2)))
-    )
+    assert SemiClassicalWeight((Singularity(0, -1), Singularity(2, 0.5))).strict
+    assert not SemiClassicalWeight((Singularity(0, -1), Singularity(-1, 2))).strict
+    # a hard validation error reads as not strict, on every read
+    duplicate = make((0, -1), (2, 0.5), (2, 1 / 3))
+    assert duplicate.strict is False and duplicate.strict is False
