@@ -48,7 +48,7 @@ from .moments import (
 from .numerics import circle_samples
 from .pipeline import build_bundle, moment_table
 from .report import SCHEMA, IdentityReport, _Text, dump_json
-from .weight import SemiClassicalWeight, Singularity, json_pair, weight_from_json
+from .weight import SemiClassicalWeight, Singularity, finite_number, json_pair, weight_from_json
 
 def parse_weight_spec(path):
     """Accept a singularity-list weight or a raw-moments table.  Returns
@@ -72,6 +72,8 @@ def parse_weight_spec(path):
             if not (isinstance(row, list) and len(row) == 3
                     and all(isinstance(v, (int, float)) for v in row)):
                 raise WeightValidationError(f"moments row {i} must be [k, re, im] numbers, got {row!r}")
+            if not all(map(finite_number, row)):
+                raise WeightValidationError(f"moments row {i} must be finite, got {row!r}")
         return None, table_from_moments((int(k), complex(re, im)) for k, re, im in rows)
     if has_sing:
         weight = weight_from_json(payload)
@@ -236,8 +238,9 @@ def parse_trajectory(path, weight) -> LinearTrajectory:
         if key not in payload:
             raise CircleBopsError(f"trajectory needs the member {key!r}")
     for key in ("j", "t0", "t1"):
-        if not isinstance(payload.get(key, 0.0), (int, float)):
-            raise CircleBopsError(f"trajectory {key!r} must be a number, got {payload[key]!r}")
+        if not finite_number(payload.get(key, 0.0)):
+            kind = "finite" if isinstance(payload[key], (int, float)) else "a number"
+            raise CircleBopsError(f"trajectory {key!r} must be {kind}, got {payload[key]!r}")
     j = int(payload["j"]) - 1  # singularities are 1-indexed in the JSON
     if not 0 <= j < weight.m:
         raise CircleBopsError(f"trajectory 'j' = {j + 1} names no singularity of 1..{weight.m}")

@@ -21,9 +21,12 @@ A_inf, kappa, r, rbar) per time.  Its time-only coefficients come from one
 numpy table over all its times.  Which state entries meet which columns
 (the plan) is fixed for a flow, so the right-hand side and the whole RK4
 loop are generated per plan as straight-line Python, the state held in
-locals, and compiled on first use; a flow is one call of that loop.  The
-loop neither divides nor compares, so an entry once inf or nan stays so:
-finiteness is checked once per flow.
+locals, and compiled on first use; a flow is one call of that loop.  Block
+j's derivative [P_j, A_j], P_j = B_inf + sum_k c_jk A_k, is formed from P_j's
+off-diagonal entries and P_j00 - P_j11 = 2 kdot + sum_k c_jk (A_k00 - A_k11),
+each diagonal difference once per stage; its (1,1) entry, minus its (0,0)
+one, is never formed.  The loop neither divides nor compares, so an entry
+once inf or nan stays so: finiteness is checked once per flow.
 The same trajectory, level and steps give the same flow, bit for bit, in a
 repeated run or from the console script.
 
@@ -44,6 +47,12 @@ are never integrated.  Each rung is one flow; the rungs share one table.
 rebuild at its end, its invariants, the Richardson check, the two
 kappa-rate routes and the rebuilds' own gates, each gated at its value in
 FLOW_GATES times the run's --tol.
+
+Level ceiling.  Moving the flagship's z_2 from 2 to 2-0.3i in 256 steps,
+`richardson_halving` first fails at n = 8 (2.4e-7) and `flow_vs_moment_rebuild`
+at n = 13 (2.0e-5).  Both are walls of the gates' absolute scale, not of the
+flow: the A_nj entries grow to about 1.3e6 at n = 14, where the flowed
+endpoint still matches the rebuild to about 5e-11 of each entry's own size.
 """
 
 from __future__ import annotations
@@ -263,40 +272,37 @@ _KERNELS: dict[tuple, tuple] = {}  # plan -> (rhs, run), compiled on the plan's 
 
 def _rhs_lines(plan: tuple, y: list, col: str, k: str) -> list[str]:
     """Source lines setting ``{k}_i`` to entry i of d(state)/dt at the state
-    named ``y`` (4m+7 names), ``{k}_kdot`` to kappa-dot/kappa and ``{k}_b10``
-    to B_inf[1, 0], with column c of the table row named ``{col}{c}``.  The
-    2x2 products are written out by entry through
-    [B_inf, A_j] + sum_k c_jk [A_k, A_j] = [B_inf + sum_k c_jk A_k, A_j]."""
+    named ``y`` (4m+7 names) but each block's (1,1) entry, ``{k}_kdot`` to
+    kappa-dot/kappa and ``{k}_b10`` to B_inf[1, 0], with column c of the
+    table row named ``{col}{c}``; block j's is [P_j, A_j] (module
+    docstring), and P_j01 = 0 where block j has no pairs."""
     ratios, total, blocks = plan
-    kdot, b10, n = f"{k}_kdot", f"{k}_b10", 4 * len(blocks)
+    n, kdot2, b10 = 4 * len(blocks), f"{k}_kdot2", f"{k}_b10"
+    a01, a10, da = y[1:n:4], y[2:n:4], [f"{k}_d{j}" for j in range(len(blocks))]
 
-    def acc(start: str, terms, e: int) -> str:
-        """``start`` (if not empty) plus the products of ``terms``; 0j if neither."""
-        products = [f"{col}{c} * {y[b + e]}" for b, c in terms]
-        return " + ".join(filter(None, [start, *products])) or "0j"
+    def acc(start: str, terms, names) -> str:
+        """``start`` (if any) plus column c times names[b // 4] over ``terms``, or 0j."""
+        products = [f"{col}{c} * {names[b // 4]}" for b, c in terms]
+        return " + ".join([start] * bool(start) + products) or "0j"
 
-    s00, s01, s10, s11 = (acc("", ratios, e) for e in range(4))
-    lines = [
-        f"{k}_s01, {b10} = {s01}, -({s10})",
-        f"{kdot} = 0.5 * (0.5 * (-{col}{total} - ({s00})) + 0.5 * ({s11}))",
+    lines = [f"{da[j]} = {y[4 * j]} - {y[4 * j + 3]}" for j in range(len(blocks))] + [
+        f"{k}_s01, {b10} = {acc('', ratios, a01)}, -({acc('', ratios, a10)})",
+        f"{kdot2} = -0.5 * ({acc('', ratios, da)} + {col}{total})",
+        f"{k}_kdot = 0.5 * {kdot2}",
     ]
-    starts = (kdot, "", b10, f"-{kdot}")  # B_inf's entries
     for j, blk in enumerate(blocks):
-        p00, p01, p10, p11 = (acc(start, blk, e) for e, start in enumerate(starts))
-        a00, a01, a10, a11 = y[4 * j : 4 * j + 4]
+        p10, dp = (f"{k}_p10", f"{k}_dp") if blk else (b10, kdot2)
         lines += [
-            f"{k}_p01, {k}_p10 = {p01}, {p10}",
-            f"{k}_dp, {k}_da = {p00} - ({p11}), {a00} - {a11}",
-            f"{k}_{4 * j} = {k}_p01 * {a10} - {a01} * {k}_p10",
-            f"{k}_{4 * j + 1} = {a01} * {k}_dp - {k}_p01 * {k}_da",
-            f"{k}_{4 * j + 2} = {k}_p10 * {k}_da - {a10} * {k}_dp",
-            f"{k}_{4 * j + 3} = -{k}_{4 * j}",
-        ]
+            f"{k}_p01, {p10}, {dp} = {acc('', blk, a01)}, {acc(b10, blk, a10)}, {acc(kdot2, blk, da)}",
+            f"{k}_{4 * j} = {k}_p01 * {a10[j]} - {a01[j]} * {p10}",
+            f"{k}_{4 * j + 1} = {a01[j]} * {dp} - {k}_p01 * {da[j]}",
+        ] if blk else [f"{k}_{4 * j} = -({a01[j]} * {p10})", f"{k}_{4 * j + 1} = {a01[j]} * {dp}"]
+        lines.append(f"{k}_{4 * j + 2} = {p10} * {da[j]} - {a10[j]} * {dp}")
     kappa, r, rbar = y[n:]
     return lines + [
-        f"{k}_{n} = {kappa} * {kdot}",
-        f"{k}_{n + 1} = {k}_s01 - {r} * (2.0 * {kdot} + {col}{total})",
-        f"{k}_{n + 2} = {b10} - 2.0 * {rbar} * {kdot}",
+        f"{k}_{n} = {kappa} * {k}_kdot",
+        f"{k}_{n + 1} = {k}_s01 - {r} * ({kdot2} + {col}{total})",
+        f"{k}_{n + 2} = {b10} - {rbar} * {kdot2}",
     ]
 
 
@@ -304,8 +310,8 @@ def _kernel(plan: tuple) -> tuple:
     """The right-hand side ``rhs(y, row)`` -> (derivative, kdot, B_inf[1, 0])
     and the RK4 loop ``run(y, rows, h, half, sixth, out)`` -> last state of
     one plan, compiled from straight-line source with every state entry,
-    stage value and table column a local; ``run`` appends each state to a
-    list ``out``.  The source is made from the plan's integers alone."""
+    stage value and table column a local; ``run`` extends a flat list ``out``
+    by each state.  The source is made from the plan's integers alone."""
     if plan not in _KERNELS:
         _, total, blocks = plan
         size, width = 4 * len(blocks) + 3, total + 1 + sum(map(len, blocks))
@@ -314,20 +320,25 @@ def _kernel(plan: tuple) -> tuple:
             f"{', '.join(f'{arg[0]}{i}' for i in range(width))}, = {arg}"
             for arg in ("row", "mid", "end")
         ]
+        diag = range(0, size - 3, 4)  # the (0,0) entries; each (1,1) one is 3 past
+
+        def add(into, term):
+            """Lines setting ``into`` to y + term(i) entrywise; a (1,1) entry's
+            increment is minus its (0,0) one's, formed once as t."""
+            return [f"{a}, {into[i + 3]} = {b} + (t := {term(i)}), {y[i + 3]} - t" if i in diag
+                    else f"{a} = {b} + {term(i)}" for i, (a, b) in enumerate(zip(into, y)) if i - 3 not in diag]
 
         def stage(state, col, k, into=(), scale=""):
             """Stage k at ``state``, then the state ``into`` = y + scale * k."""
-            return _rhs_lines(plan, state, col, k) + [
-                f"{a} = {b} + {scale} * {k}_{i}" for i, (a, b) in enumerate(zip(into, y))
-            ]
+            return _rhs_lines(plan, state, col, k) + add(into, lambda i: f"{scale} * {k}_{i}")
 
-        rhs = ["def rhs(y, row):", *unpack[:2], *stage(y, "r", "k")]
-        rhs.append(f"return [{', '.join(f'k_{i}' for i in range(size))}], k_kdot, k_b10")
+        dy = [f"-k_{i - 3}" if i - 3 in diag else f"k_{i}" for i in range(size)]
+        rhs = ["def rhs(y, row):", *unpack[:2], *stage(y, "r", "k"), f"return [{', '.join(dy)}], k_kdot, k_b10"]
         step = unpack[1:] + stage(y, "r", "a", u, "half") + stage(u, "m", "b", v, "half")
-        step += stage(v, "m", "c", w, "h") + stage(w, "e", "d") + [
-            f"{x} = {x} + sixth * (a_{i} + 2.0 * b_{i} + 2.0 * c_{i} + d_{i})"
-            for i, x in enumerate(y)
-        ] + ["if out is not None:", f" out.append([{', '.join(y)}])"]
+        step += stage(v, "m", "c", w, "h") + stage(w, "e", "d")
+        step += add(y, lambda i: f"sixth * (a_{i} + 2.0 * b_{i} + 2.0 * c_{i} + d_{i})") + [
+            "if out is not None:", f" out += {', '.join(y)},"
+        ]
         run = ["def run(y, rows, h, half, sixth, out):", unpack[0]]
         run += ["for row, mid, end in zip(rows[::2], rows[1::2], rows[2::2]):"]
         run += [" " + line for line in step] + [f"return [{', '.join(y)}]"]
@@ -359,7 +370,7 @@ def _rk4(run, y0: list, rows: list, times: list[float], out: list | None) -> lis
     if all(map(cmath.isfinite, y := run(y0, rows, h, 0.5 * h, h / 6.0, out))):
         return y
     run(y0, rows, h, 0.5 * h, h / 6.0, states := [])
-    bad = next(s for s, x in enumerate(states) if not all(map(cmath.isfinite, x)))
+    bad = next(i for i, x in enumerate(states) if not cmath.isfinite(x)) // len(y0)
     raise SingularResidueError(f"flow blew up at t = {times[2 * bad + 2]} (movable singularity?)")
 
 
@@ -369,12 +380,12 @@ def integrate_flow(
     """Fixed-step RK4 from the packed state ``y0`` (`moment_rebuild`);
     returns the grid times, shape (steps + 1,), and the packed state at
     each, shape (steps + 1, 4m + 7).  A zero span returns t0 and y0."""
-    times, states = _rk4_times(t_span, steps), [np.asarray(y0, dtype=complex).tolist()]
+    times, states = _rk4_times(t_span, steps), np.asarray(y0, dtype=complex).tolist()
     if times[-1] == times[0]:
-        return np.array(times[:1]), np.array(states)
+        return np.array(times[:1]), np.array([states])
     plan, table = _flow_table(traj, np.array(times), (len(y0) - 7) // 4)
-    _rk4(_kernel(plan)[1], states[0], table, times, states)
-    return np.array(times[::2]), np.array(states)
+    _rk4(_kernel(plan)[1], states[:], table, times, states)
+    return np.array(times[::2]), np.fromiter(states, complex, len(states)).reshape(-1, len(y0))
 
 
 def state_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -425,9 +436,8 @@ def flow_invariants(flow: np.ndarray, exponents, n: int) -> dict[str, float]:
     over every state and block, of (tr A_nj, det A_nj) from (-rho_j, 0),
     with n - rho_0 in place of -rho_0 for the origin block (the first one)."""
     m = len(exponents)
-    a = flow[:, : 4 * m].reshape(len(flow), m, 2, 2)
-    traces = np.trace(a, axis1=2, axis2=3)
-    dets = np.linalg.det(a)
+    a00, a01, a10, a11 = flow[:, : 4 * m].reshape(len(flow), m, 4).transpose(2, 0, 1)
+    traces, dets = a00 + a11, a00 * a11 - a01 * a10
     closed = -np.asarray(exponents, dtype=complex)
     closed[0] += n
     gaps = np.stack([traces - closed, dets])

@@ -35,6 +35,7 @@ to its new location, so a moved weight keeps its branch.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Sequence
@@ -330,11 +331,17 @@ def origin_power(spec: SemiClassicalWeight) -> int:
 #                "branch": {...}}; other members are ignored
 # ---------------------------------------------------------------------------
 
+def finite_number(value) -> bool:
+    """Whether a parsed JSON value is a number, finite in double precision."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
 def json_pair(value, member: str) -> tuple[float, float]:
-    """A JSON pair of numbers; WeightValidationError naming ``member`` otherwise."""
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
+    """A JSON pair of finite numbers; WeightValidationError naming ``member`` otherwise."""
+    numbers = isinstance(value, list) and len(value) == 2 and all(isinstance(v, (int, float)) for v in value)
+    if numbers and all(map(finite_number, value)):
         return value[0], value[1]
-    raise WeightValidationError(f"{member} must be a pair of numbers, got {value!r}")
+    raise WeightValidationError(f"{member} must be {'finite' if numbers else 'a pair of numbers'}, got {value!r}")
 
 
 def weight_from_json(payload: dict[str, Any]) -> SemiClassicalWeight:

@@ -50,11 +50,19 @@ LARGE_MOMENTS_SPEC = {
 
 
 NO_TRAJECTORY = object()  # a deform run without --trajectory
+NAN, INF = float("nan"), float("inf")  # json.dumps writes them as NaN and Infinity
+
+
+class RawJSON(str):
+    """A spec's text as written, for a literal json.dumps never writes."""
+
+
+HUGE_T1 = RawJSON('{"j": 2, "to": [2, -0.05], "t1": 1e400}')  # 1e400 parses to inf
 
 
 def write(tmp_path: Path, name: str, payload) -> str:
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, RawJSON) else json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -254,19 +262,38 @@ class TestExitCodes:
             (STRICT_SPEC, {"j": 2, "path": "circle", "to": [2, -0.05]}, "unsupported trajectory path 'circle'"),
             (LAURENT_SPEC, {"j": 2, "to": [-1, -0.05]}, "deformation flows need a strict semi-classical weight"),
             (STRICT_SPEC, NO_TRAJECTORY, "deform needs --trajectory PATH"),
+            (
+                {"singularities": [{"z": [0, 0], "rho": [-1, 0]}, {"z": [NAN, 0], "rho": [0.5, 0]}]},
+                None,
+                "singularity 2 'z' must be finite, got [nan, 0]",
+            ),
+            (
+                {"singularities": [{"z": [0, 0], "rho": [-1, 0]}, {"z": [2, 0], "rho": [INF, 0]}]},
+                None,
+                "singularity 2 'rho' must be finite, got [inf, 0]",
+            ),
+            ({"moments": [[0, 1.0, 0.0], [1, 0.5, -INF]]}, None, "moments row 2 must be finite"),
+            (STRICT_SPEC, {"j": 2, "to": [2, NAN]}, "trajectory 'to' must be finite"),
+            (STRICT_SPEC, {"j": 2, "from": [INF, 0], "to": [2, -0.05]}, "trajectory 'from' must be finite"),
+            (STRICT_SPEC, {"j": 2, "to": [2, -0.05], "t0": NAN}, "trajectory 't0' must be finite, got nan"),
+            (STRICT_SPEC, HUGE_T1, "trajectory 't1' must be finite, got inf"),
         ],
         ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho",
              "trajectory-to-not-a-pair", "trajectory-not-an-object", "weight-z-not-a-pair",
              "trajectory-j-not-a-number", "weight-branch-not-an-object",
              "weight-not-an-object", "moments-not-a-list", "moments-row-not-numbers",
              "moments-row-of-two", "weight-without-singularities-or-moments", "trajectory-path-not-linear",
-             "deform-on-relaxed-weight", "deform-without-trajectory"],
+             "deform-on-relaxed-weight", "deform-without-trajectory", "weight-z-nan", "weight-rho-infinity",
+             "moments-row-infinity", "trajectory-to-nan", "trajectory-from-infinity", "trajectory-t0-nan",
+             "trajectory-t1-1e400"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_malformed_spec_exits_two(self, tmp_path, capsys, weight_spec, trajectory, message):
-        # a missing member, a member of the wrong type or shape, an index
-        # past the weight, or a deform run the weight or flags cannot make
-        # is a malformed input: exit 2 with the cause named, not a KeyError,
-        # IndexError, TypeError or AttributeError
+        # a missing member, a member of the wrong type or shape, a number
+        # that is not finite, an index past the weight, or a deform run the
+        # weight or flags cannot make is a malformed input: exit 2 with the
+        # cause named and no warning, not a KeyError, IndexError, TypeError,
+        # AttributeError or OverflowError
         weight = write(tmp_path, "w.json", weight_spec)
         argv = ["build", "--weight", weight, "--n", "2"]
         if trajectory is not None:

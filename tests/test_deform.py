@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -437,6 +438,29 @@ class TestFlowKernel:
                 schlesinger_rhs(state, traj, 0.05)
             assert len(deform._KERNELS) == len(compiled) == kernels
 
+    @pytest.mark.parametrize("plan", ["flagship_z2", "flagship_z3", "five"])
+    def test_kernel_forms_only_what_the_commutator_leaves(self, strict_weight_module, five, plan, monkeypatch):
+        # the generated source multiplies by no structural 0j (A_inf's empty
+        # P_01), negates no negation, and assigns no stage's (1,1) entry:
+        # each is minus its (0,0) one, which the updates subtract instead
+        traj, m = five[0], 5
+        if plan != "five":
+            vel = [0, 1.0, 0] if plan == "flagship_z2" else [0, 0, 1.0]
+            traj, m = LineTraj(strict_weight_module, vel), 3
+        sources = []
+        monkeypatch.setattr(deform, "_KERNELS", {})
+        monkeypatch.setattr(
+            deform, "compile", lambda *a: sources.append(a[0]) or compile(*a), raising=False
+        )
+        deform._kernel(deform._flow_table(traj, 0.0, m)[0])
+        [source] = sources
+        assert "0j" not in re.findall(r"[\w.]+", source)
+        assert "- (-" not in source
+        targets = [t for line in source.splitlines() if " = " in line
+                   for t in line.split(" = ")[0].strip().split(", ")]
+        stage = [int(t[2:]) for t in targets if re.fullmatch(r"[kabcd]_\d+", t)]
+        assert stage and not [i for i in stage if i % 4 == 3 and i < 4 * m + 4]
+
     def test_rung_table_is_its_rows_of_the_joined_table(self, strict_weight_module):
         # with z_2 and z_3 both moving the rho sum has two terms: each row of
         # the table is summed alone, so a rung's own table is its rows of a
@@ -487,13 +511,17 @@ class TestFlowKernel:
         states = [y[:12].reshape(3, 2, 2) for y in flow]
         tr0 = np.trace(states[0], axis1=1, axis2=2)
         closed = [2 + 1.0, -0.5, -1.0 / 3.0]  # n - rho_0 at the origin, then -rho_j
+
+        def det(blk):
+            return blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
+
         assert flow_invariants(flow, traj.weight0.exponents, 2) == {
             "trace_drift": max(
                 float(np.max(np.abs(np.trace(a, axis1=1, axis2=2) - tr0))) for a in states
             ),
-            "det_max": max(float(np.max(np.abs(np.linalg.det(a)))) for a in states),
+            "det_max": max(abs(det(blk)) for a in states for blk in a),
             "monodromy_gap": max(
-                float(np.max(np.abs([np.trace(blk) - want, np.linalg.det(blk)])))
+                float(np.max(np.abs([np.trace(blk) - want, det(blk)])))
                 for a in states
                 for blk, want in zip(a, closed)
             ),
