@@ -37,7 +37,8 @@ complex-multiply loop, and a sweep of shapes finds points whose bits
 differ, as they do under numpy's own Horner.  The identity web
 and the two-sided expansions use the level axis: each family is formed
 once over all its levels, one row a level (`IdentityReport.add_rows`), the
-level scalars read off the store as columns, with numpy arithmetic.
+level scalars read off the store as columns, with numpy arithmetic.  The
+psi three-term recurrences are checked on the psi rows, with no point.
 
 Level ceiling: none of its own.  Against a 50-digit solve from the same
 moments the values are within 1e-13 relative at n = 8, 14, 20 and 22 on the
@@ -59,7 +60,7 @@ import numpy as np
 from .bops import BopsSystem, _moment_block, _reversed
 from .config import IDENTITY_TOL
 from .errors import NearCircleError
-from .numerics import polyder, polyval
+from .numerics import polyder, polyval, times_z
 from .report import IdentityReport, PerFamily, equation
 
 # A point within NEAR_CIRCLE of |z| = 1 is refused unless a side is forced.
@@ -221,13 +222,13 @@ def _inside(zs: np.ndarray, side: str | None) -> np.ndarray:
 def verify_assoc_identities(
     asys: AssocSystem,
     ns: Sequence[int],
-    samples: Sequence[complex],
+    points: Sequence[complex],
     tol_scale: float = 1.0,
 ) -> tuple[IdentityReport, tuple[np.ndarray, ...]]:
-    """Residuals of the eps recurrences, the psi three-term recurrences and
-    all three Casoratian identities (in both the psi and eps forms) at the
-    sampled points (taken off the unit circle).  Returns the report and
-    the values it checked, ``asys.evaluate(samples)``.
+    """Residuals of the eps recurrences and all three Casoratian identities
+    (in both the psi and eps forms) at ``points`` (taken off the unit
+    circle), and of the psi three-term recurrences on the psi coefficients.
+    Returns the report and the values it checked, ``asys.evaluate(points)``.
 
     Each family is checked over the levels of ``ns`` at once, one row a
     level (`IdentityReport.add_rows`): phi, phi*, eps and eps* of every level
@@ -235,7 +236,7 @@ def verify_assoc_identities(
     stack's psi columns, and the level scalars are read off the store."""
     rep = IdentityReport("associated-function identity web")
     sys, tol = asys.sys, IDENTITY_TOL * tol_scale
-    zs = np.asarray(samples, dtype=complex)
+    zs = np.asarray(points, dtype=complex)
     values = asys.evaluate(zs)
     phi, phistar, eps, epsstar = values
     psi, psistar = polyval(asys._stack[:, 2:], zs)
@@ -273,17 +274,19 @@ def verify_assoc_identities(
     # psi three-term recurrences need three consecutive levels
     ns = [n for n in ns if 1 <= n < sys.nmax]
     m = np.asarray(ns, dtype=int)
+    c, cs = asys._stack[:, 2:].transpose(1, 2, 0)  # psi_n, psi*_n: a row a level
+    zc, zcs = times_z(c), times_z(cs)
     three_term = "polynomials of the second kind satisfy the three-term recurrences"
     rep.add_rows([
         equation(
             "psi_three_term", three_term,
-            k[m] * p0[m] * psi[m + 1] + k[m - 1] * p0[m + 1] * zs * psi[m - 1],
-            (k[m] * p0[m + 1] + k[m + 1] * p0[m] * zs) * psi[m],
+            k[m] * p0[m] * c[m + 1] + k[m - 1] * p0[m + 1] * zc[m - 1],
+            k[m] * p0[m + 1] * c[m] + k[m + 1] * p0[m] * zc[m],
         ),
         equation(
             "psistar_three_term", three_term,
-            k[m] * pb0[m] * psistar[m + 1] + k[m - 1] * pb0[m + 1] * zs * psistar[m - 1],
-            (k[m] * pb0[m + 1] * zs + k[m + 1] * pb0[m]) * psistar[m],
+            k[m] * pb0[m] * cs[m + 1] + k[m - 1] * pb0[m + 1] * zcs[m - 1],
+            k[m] * pb0[m + 1] * zcs[m] + k[m + 1] * pb0[m] * cs[m],
         ),
     ], tol, ns)
     return rep, values

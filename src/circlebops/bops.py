@@ -27,7 +27,8 @@ its rows reversed in their degree, formed once), r_n and rbar_n (the first
 column over kappa), l_n, lbar_n and m_n (its sub-diagonals), the identity
 web, system.json, and ``prefix(n)``, a slice.  The same inputs give the
 same bytes: a run repeated, and ``prefix(n)`` against a build to n, bit for
-bit.
+bit.  The identity web checks the recurrences on the store's rows, with
+no point; only the Christoffel-Darboux forms read points.
 
 Level ceiling: on the flagship weight the Gram levels pass the identity web
 through N = 21 (19 on the complex m = 4 and the inside-complex weights).
@@ -40,14 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .config import IDENTITY_TOL
 from .errors import ExistenceError, WindowError
 from .moments import MomentTable, toeplitz_det
-from .numerics import principal_sqrt, polyval
+from .numerics import principal_sqrt, polyval, times_z
 from .report import IdentityReport, equation
 
 # |1 - r_n rbar_n| = |I0_{n+1} I0_{n-1} / I0_n^2| below this is zero: the
@@ -224,9 +224,7 @@ def _monomial_residuals(sys: BopsSystem) -> np.ndarray:
 # Scalar identity web
 # ---------------------------------------------------------------------------
 
-def verify_scalar_identities(
-    sys: BopsSystem, samples: Sequence[tuple[complex, complex]], tol_scale: float = 1.0
-) -> IdentityReport:
+def verify_scalar_identities(sys: BopsSystem, points, tol_scale: float = 1.0) -> IdentityReport:
     """Residuals of the coupled recurrences, both three-term recurrences,
     both Christoffel-Darboux forms, and the kappa / l / m coefficient
     recursions across all built levels, gated at IDENTITY_TOL, and the
@@ -236,13 +234,14 @@ def verify_scalar_identities(
     Each family is checked over all levels at once: lhs and rhs rows stacked
     one level a row, one `IdentityReport.add_rows` family each, with the
     level scalars (kappa_n, phi_n(0), l_n, ...) read off the store as arrays
-    indexed by level."""
+    indexed by level.  The recurrences, linear in the store's rows, are
+    checked on the coefficients, every order weighed alike.  The
+    Christoffel-Darboux forms run over every pair of an inside and an
+    outside point of ``points`` with |1 - z zetabar| > 1e-6."""
     rep = IdentityReport("scalar identity web")
     nmax, tol = sys.nmax, IDENTITY_TOL * tol_scale
-    zs = np.array([z for z, _ in samples], dtype=complex)
-    zetabars = np.array([zb for _, zb in samples], dtype=complex)
-    fam = sys.families
-    phi, star = np.split(polyval(np.concatenate((sys.phi, fam["phistar"])).T, zs), 2)
+    phi, star = sys.phi, sys.families["phistar"]
+    zphi, zstar = times_z(phi), times_z(star)  # exact on every level but the top
     # the level scalars by level: kappa_n, phi_n(0), phibar_n(0), r_n, rbar_n,
     # l_n = c_{n,n-1} (0 at n = 0) and m_n = c_{n,n-2} (0 below 2)
     k, p0, pb0 = sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]
@@ -253,9 +252,9 @@ def verify_scalar_identities(
     coupled = "coupled linear recurrence relations"
     rep.add_rows([
         equation("coupled_recurrence", coupled, kap[:-1] * phi[1:],
-                 kap[1:] * zs * phi[:-1] + sys.phi[1:, :1] * star[:-1]),
+                 kap[1:] * zphi[:-1] + phi[1:, :1] * star[:-1]),
         equation("coupled_recurrence_star", coupled, kap[:-1] * star[1:],
-                 kap[1:] * star[:-1] + sys.phibar[1:, :1] * zs * phi[:-1]),
+                 kap[1:] * star[:-1] + sys.phibar[1:, :1] * zphi[:-1]),
     ], tol, low)
 
     # columns kappa_n c_n, kappa_{n-1} c_{n+1}, kappa_n c_{n+1}, kappa_{n+1} c_n
@@ -264,26 +263,29 @@ def verify_scalar_identities(
     t, tb = ([(k[mid + a] * c[mid + b])[:, None] for a, b in shifts] for c in (p0, pb0))
     three = "three-term recurrence relations"
     rep.add_rows([
-        equation("three_term_recurrence", three, t[0] * phi[2:] + t[1] * zs * phi[:-2],
-                 (t[2] + t[3] * zs) * phi[1:-1]),
-        equation("three_term_recurrence_star", three, tb[0] * star[2:] + tb[1] * zs * star[:-2],
-                 (tb[2] * zs + tb[3]) * star[1:-1]),
+        equation("three_term_recurrence", three, t[0] * phi[2:] + t[1] * zphi[:-2],
+                 t[2] * phi[1:-1] + t[3] * zphi[1:-1]),
+        equation("three_term_recurrence_star", three, tb[0] * star[2:] + tb[1] * zstar[:-2],
+                 tb[2] * zstar[1:-1] + tb[3] * star[1:-1]),
     ], tol, range(1, nmax))
 
     # Christoffel-Darboux: both closed forms against the direct sum, which
     # cumsum accumulates level by level in the order of the displayed sum
-    mask = np.abs(1.0 - zs * zetabars) > 1e-6
-    zcd, zbcd = zs[mask], zetabars[mask]
-    p, pstar = phi[:, mask], star[:, mask]
-    q, qstar = np.split(polyval(np.concatenate((sys.phibar, fam["phibarstar"])).T, zbcd), 2)
+    points = np.asarray(points, dtype=complex)
+    zs, zetabars = points[np.abs(points) < 1.0], points[np.abs(points) > 1.0]
+    p, pstar = np.split(polyval(np.concatenate((phi, star)).T, zs), 2)
+    q, qstar = np.split(polyval(np.concatenate((sys.phibar, sys.families["phibarstar"])).T, zetabars), 2)
+    zz = zs[:, None] * zetabars
+    inner, outer = np.nonzero(np.abs(1.0 - zz) > 1e-6)
+    p, pstar, q, qstar = p[:, inner], pstar[:, inner], q[:, outer], qstar[:, outer]
+    zz = zz[inner, outer]
     sums = np.cumsum(p * q, axis=0)[:-1]
-    denom = 1.0 - zcd * zbcd
     cd = "analogue of the Christoffel-Darboux summation formula"
     rep.add_rows([
         equation("christoffel_darboux_n_form", cd,
-                 (pstar[:-1] * qstar[:-1] - zcd * zbcd * p[:-1] * q[:-1]) / denom, sums),
+                 (pstar[:-1] * qstar[:-1] - zz * p[:-1] * q[:-1]) / (1.0 - zz), sums),
         equation("christoffel_darboux_shifted_form", cd,
-                 (pstar[1:] * qstar[1:] - p[1:] * q[1:]) / denom, sums),
+                 (pstar[1:] * qstar[1:] - p[1:] * q[1:]) / (1.0 - zz), sums),
     ], tol, low)
 
     n, top = np.arange(1, nmax + 1), range(1, nmax + 1)

@@ -7,7 +7,7 @@ failed (the report names it), 2 = structural error (validation, existence,
 malformed input, a negative --n or --seed, a --tol that is not positive and
 finite).
 
-All randomness is drawn from --seed through the standard library's
+A run's one point set is drawn from --seed through the standard library's
 ``random.Random(seed)``, whose ``random()`` stream Python keeps the same
 across versions, and reports carry no timestamps, so a fixed configuration
 produces byte-identical report files.
@@ -74,6 +74,8 @@ def parse_weight_spec(path):
                 raise WeightValidationError(f"moments row {i} must be [k, re, im] numbers, got {row!r}")
             if not all(map(finite_number, row)):
                 raise WeightValidationError(f"moments row {i} must be finite, got {row!r}")
+            if row[0] != int(row[0]):
+                raise WeightValidationError(f"moments row {i} 'k' must be an integer, got {row[0]!r}")
         return None, table_from_moments((int(k), complex(re, im)) for k, re, im in rows)
     if has_sing:
         weight = weight_from_json(payload)
@@ -90,19 +92,12 @@ def _write_csv(path, header, rows):
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
-def _sample_pairs(args: argparse.Namespace, count: int = 20):
-    rng = random.Random(args.seed)
-    pts_in = circle_samples(rng, count, 0.45)
-    pts_out = circle_samples(rng, count, 2.2)
-    return list(zip(pts_in, pts_out))
-
-
-def _sample_points(args: argparse.Namespace, weight, count: int = 12):
+def _sample_points(args: argparse.Namespace, weight):
+    """The run's one point set: 6 points on |z| = 0.45, then 6 on |z| = 2.2,
+    drawn from --seed away from the weight's singularities."""
     rng = random.Random(args.seed)
     avoid = list(weight.locations) if weight is not None else []
-    inner = circle_samples(rng, count // 2, 0.45, avoid=avoid)
-    outer = circle_samples(rng, count // 2, 2.2, avoid=avoid)
-    return np.concatenate([inner, outer])
+    return np.concatenate([circle_samples(rng, 6, radius, avoid=avoid) for radius in (0.45, 2.2)])
 
 
 def _bundle(args: argparse.Namespace, weight, table, quads: bool = False):
@@ -163,7 +158,7 @@ def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
     weight also the largest gap of its moments from the trapezoid's, over
     max(1, max_k |w_k|): infinite, so failing, when the trapezoid does not
     converge, its entry then naming the points and the last change."""
-    report = verify_scalar_identities(system, _sample_pairs(args), args.tol)
+    report = verify_scalar_identities(system, _sample_points(args, weight), args.tol)
     if weight is not None:
         dump_json(weight.validation.to_dict(), out / "validation_report.json")
         values = system.table.values
@@ -179,10 +174,9 @@ def cmd_build(args: argparse.Namespace, weight, system: BopsSystem, out: Path):
     return [report]
 
 
-def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
-    ns = range(args.n)
-    samples = _sample_points(args, weight) if samples is None else samples
-    report, (_, _, eps, epsstar) = verify_assoc_identities(bundle.asys, ns, samples, args.tol)
+def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path):
+    samples = _sample_points(args, weight)
+    report, (_, _, eps, epsstar) = verify_assoc_identities(bundle.asys, range(args.n), samples, args.tol)
     exp = verify_expansions(bundle.asys, range(args.n + 1), args.tol)
     _write_csv(out / "psi_coefficients.csv", ["n", "k", "re", "im"],
                [[n, k, c.real, c.imag] for n in range(args.n + 1) for k, c in enumerate(bundle.asys.psi(n).tolist())])
@@ -194,14 +188,13 @@ def cmd_assoc(args: argparse.Namespace, weight, bundle, out: Path, samples=None)
     return [report, exp]
 
 
-def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path, samples=None):
-    samples = _sample_points(args, weight) if samples is None else samples
+def cmd_coeffs(args: argparse.Namespace, weight, bundle, out: Path):
     ns = range(args.n + 1)
     reports = [
         verify_expansion_forms(bundle, ns[1:], args.tol),
-        verify_linear_relations(bundle, samples, args.tol),
+        verify_linear_relations(bundle, args.tol),
         verify_bilinear(bundle, ns, args.tol),
-        spectral_derivative_check(bundle, ns, samples, args.tol),
+        spectral_derivative_check(bundle, ns, _sample_points(args, weight), args.tol),
         dpainleve_ratio_check(bundle, range(args.n), args.tol),
     ]
     quads, levels = bundle.quads, bundle.quads.levels.tolist()
@@ -241,6 +234,8 @@ def parse_trajectory(path, weight) -> LinearTrajectory:
         if not finite_number(payload.get(key, 0.0)):
             kind = "finite" if isinstance(payload[key], (int, float)) else "a number"
             raise CircleBopsError(f"trajectory {key!r} must be {kind}, got {payload[key]!r}")
+    if payload["j"] != int(payload["j"]):
+        raise CircleBopsError(f"trajectory 'j' must be an integer, got {payload['j']!r}")
     j = int(payload["j"]) - 1  # singularities are 1-indexed in the JSON
     if not 0 <= j < weight.m:
         raise CircleBopsError(f"trajectory 'j' = {j + 1} names no singularity of 1..{weight.m}")
@@ -294,11 +289,10 @@ def cmd_verify_all(args: argparse.Namespace, weight, table, out: Path):
     0..n, bit for bit those `build` makes on the same moment table."""
     strict = weight is not None and weight.strict
     bundle = _bundle(args, weight, table, strict)
-    samples = _sample_points(args, weight)  # drawn once for assoc and coeffs
     reports = cmd_build(args, weight, bundle.sys.prefix(args.n), out)
-    reports += cmd_assoc(args, weight, bundle, out, samples)
+    reports += cmd_assoc(args, weight, bundle, out)
     if strict:
-        reports += cmd_coeffs(args, weight, bundle, out, samples)
+        reports += cmd_coeffs(args, weight, bundle, out)
         matrix = verify_matrix_system(bundle, range(1, args.n + 1), args.tol)
         dump_json(matrix, out / "matrix_report.json")
         reports.append(matrix)

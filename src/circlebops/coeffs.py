@@ -28,9 +28,10 @@ sides' eps series.
 The quadruples of all the levels a bundle asks for are read in one pass
 into one store (`compute_coeff_quads`, `QuadStore`): every truncated
 product is a stack of Toeplitz matrices, one a level, applied by one
-matmul, with no per-level loop.  Each suite evaluates the quadruples it
-reads once per point set, in one Horner pass over the members of all of
-them (`QuadStore.values`), and indexes those values.  Every suite
+matmul, with no per-level loop.  The linear relations are checked on the
+store's coefficients; each other suite evaluates the quadruples it reads
+once per point set, in one Horner pass over the members of all of them
+(`QuadStore.values`), and indexes those values.  Every suite
 forms each relation once over all its levels, the level scalars read off
 the store as columns, and takes its residuals in one `rel_residuals` call
 (`IdentityReport.add_groups`): the linear relations, the spectral
@@ -73,7 +74,7 @@ from .errors import (
     SingularResidueError,
 )
 from .moments import recover_u
-from .numerics import polyadd, polyder, polymul, polyval
+from .numerics import polyadd, polyder, polymul, polyval, times_z
 from .report import IdentityReport, PerFamily, equation
 
 if TYPE_CHECKING:  # pipeline builds its bundles with compute_coeff_quads
@@ -368,25 +369,27 @@ def verify_expansion_forms(bundle: Bundle, ns: Sequence[int], tol_scale: float =
 # identities (i)-(k)
 # ---------------------------------------------------------------------------
 
-def verify_linear_relations(
-    bundle: Bundle, samples: Sequence[complex], tol_scale: float = 1.0
-) -> IdentityReport:
+def verify_linear_relations(bundle: Bundle, tol_scale: float = 1.0) -> IdentityReport:
     """Residuals of all eight coupled recurrences among the coefficient
-    functions plus the three additional corollary identities, at sampled
-    z != 0, gated at LINEAR_TOL.  Each level n requires the bundle's
-    quadruples at n-1, n, n+1.  Each relation is checked over all its levels
-    at once, one row a level, with the level scalars read off the store as
-    columns and the quadruples of every stored level evaluated once."""
+    functions plus the three additional corollary identities, gated at
+    LINEAR_TOL, on the coefficients: the members zero-padded to degree m
+    and W/z, W's orders 1..m (z_1 = 0).  Each level n requires the bundle's
+    quadruples at n-1, n, n+1.  Each relation is checked over all its
+    levels at once, one row a level, with the level scalars read off the
+    store as columns."""
     rep = IdentityReport("coefficient-function linear relations")
     quads, sys, tol = bundle.quads, bundle.sys, LINEAR_TOL * tol_scale
-    zs = np.asarray([z for z in samples if abs(z) > 1e-8], dtype=complex)
-    w_z = polyval(bundle.weight.vw.W, zs)
     keys = quads.levels
-    values = quads.values(keys, zs)
+    coeffs = np.pad(quads.members, ((0, 0), (0, 1), (0, 0))).transpose(0, 2, 1)  # (level, member, order)
+    w_over_z = np.append(bundle.weight.vw.W[1:], 0.0)  # W/z (W(0) = 0), padded to degree m
 
     def quad_rows(ns, shift: int = 0) -> np.ndarray:
         # (Theta, Theta*, Omega, Omega*) of level n + shift, one n of ns a row
-        return values[quads.index(np.add(ns, shift))].transpose(1, 0, 2)
+        return coeffs[quads.index(np.add(ns, shift))].transpose(1, 0, 2)
+
+    def affine(a, b, rows) -> np.ndarray:
+        # (a + b z) times rows, for columns a, b of level scalars
+        return a * rows + b * times_z(rows)
 
     k, p0, pb0 = (col[:, None] for col in (sys.kappas, sys.phi[:, 0], sys.phibar[:, 0]))
     anchor = "the coefficient functions satisfy the coupled linear recurrence relations"
@@ -396,81 +399,53 @@ def verify_linear_relations(
     n = np.asarray(ns, dtype=int)
     (th_m, ths_m, om_m, oms_m), (th_n, ths_n, om_n, oms_n) = quad_rows(ns, -1), quad_rows(ns)
     th_p, ths_p, _, _ = quad_rows(ns, 1)
-    ratio = p0[n + 1] / p0[n] + k[n + 1] / k[n] * zs
-    ratio_s = k[n + 1] / k[n] + pb0[n + 1] / pb0[n] * zs
-    lhs_a = om_n + om_m - ratio * th_n + (n[:, None] - 1) * w_z / zs
-    lhs_b = (
-        ratio * (om_m - om_n)
-        + k[n] * p0[n + 2] / (k[n + 1] * p0[n + 1]) * zs * th_p
-        - k[n - 1] * p0[n + 1] / (k[n] * p0[n]) * zs * th_m
-        - p0[n + 1] / p0[n] * w_z / zs
-    )
-    lhs_c = oms_n + oms_m - ratio_s * ths_n - n[:, None] * w_z / zs
-    lhs_d = (
-        ratio_s * (oms_m - oms_n)
-        + k[n] * pb0[n + 2] / (k[n + 1] * pb0[n + 1]) * zs * ths_p
-        - k[n - 1] * pb0[n + 1] / (k[n] * pb0[n]) * zs * ths_m
-        + k[n + 1] / k[n] * w_z / zs
-    )
+    ratio = (p0[n + 1] / p0[n], k[n + 1] / k[n])  # a + b z
+    ratio_s = (k[n + 1] / k[n], pb0[n + 1] / pb0[n])
+    lhs_a = om_n + om_m - affine(*ratio, th_n) + (n[:, None] - 1) * w_over_z
+    lhs_b = (affine(*ratio, om_m - om_n) + k[n] * p0[n + 2] / (k[n + 1] * p0[n + 1]) * times_z(th_p)
+             - k[n - 1] * p0[n + 1] / (k[n] * p0[n]) * times_z(th_m) - p0[n + 1] / p0[n] * w_over_z)
+    lhs_c = oms_n + oms_m - affine(*ratio_s, ths_n) - n[:, None] * w_over_z
+    lhs_d = (affine(*ratio_s, oms_m - oms_n) + k[n] * pb0[n + 2] / (k[n + 1] * pb0[n + 1]) * times_z(ths_p)
+             - k[n - 1] * pb0[n + 1] / (k[n] * pb0[n]) * times_z(ths_m) + k[n + 1] / k[n] * w_over_z)
     rep.add_rows([
-        ("linear_a", anchor, lhs_a, om_n, ratio * th_n, w_z / zs),
-        ("linear_b", anchor, lhs_b, ratio * om_m, zs * th_p),
-        ("linear_c", anchor, lhs_c, oms_n, ratio_s * ths_n, w_z / zs),
-        ("linear_d", anchor, lhs_d, ratio_s * oms_m, zs * ths_p),
+        ("linear_a", anchor, lhs_a, om_n, affine(*ratio, th_n), w_over_z),
+        ("linear_b", anchor, lhs_b, affine(*ratio, om_m), times_z(th_p)),
+        ("linear_c", anchor, lhs_c, oms_n, affine(*ratio_s, ths_n), w_over_z),
+        ("linear_d", anchor, lhs_d, affine(*ratio_s, oms_m), times_z(ths_p)),
     ], tol, ns)
 
     ns = keys[np.isin(keys + 1, keys) & (keys + 2 <= sys.nmax)].tolist()
     n = np.asarray(ns, dtype=int)
     (th_n, ths_n, om_n, oms_n), (th_p, ths_p, om_p, oms_p) = quad_rows(ns), quad_rows(ns, 1)
-    ratio_p = p0[n + 2] / p0[n + 1] + k[n + 2] / k[n + 1] * zs
-    ratio_ps = k[n + 2] / k[n + 1] + pb0[n + 2] / pb0[n + 1] * zs
+    ratio_p = (p0[n + 2] / p0[n + 1], k[n + 2] / k[n + 1])
+    ratio_ps = (k[n + 2] / k[n + 1], pb0[n + 2] / pb0[n + 1])
     step, step_p = k[n + 1] / k[n], k[n + 2] / k[n + 1]
     mixed = p0[n + 1] * pb0[n + 1] / (k[n + 1] * k[n])
-    cross = step * (zs * th_n - ths_n)
-    lhs_e = om_p + oms_n - ratio_p * th_p + cross
-    lhs_f = (
-        om_n
-        - om_p
-        + step_p * (zs + pb0[n + 1] / k[n + 1] * p0[n + 2] / k[n + 2]) * th_p
-        + mixed * ths_n
-        - step * zs * th_n
-        - w_z / zs
-    )
-    lhs_g = oms_p + om_n - ratio_ps * ths_p - cross - w_z / zs
-    lhs_h = (
-        oms_n
-        - oms_p
-        + step_p * (1.0 + p0[n + 1] / k[n + 1] * pb0[n + 2] / k[n + 2] * zs) * ths_p
-        + mixed * zs * th_n
-        - step * ths_n
-    )
+    cross = step * (times_z(th_n) - ths_n)
+    lhs_e = om_p + oms_n - affine(*ratio_p, th_p) + cross
+    lhs_f = (om_n - om_p + step_p * affine(pb0[n + 1] / k[n + 1] * p0[n + 2] / k[n + 2], 1.0, th_p)
+             + mixed * ths_n - step * times_z(th_n) - w_over_z)
+    lhs_g = oms_p + om_n - affine(*ratio_ps, ths_p) - cross - w_over_z
+    lhs_h = (oms_n - oms_p + step_p * affine(1.0, p0[n + 1] / k[n + 1] * pb0[n + 2] / k[n + 2], ths_p)
+             + mixed * times_z(th_n) - step * ths_n)
     # corollary (j), (k) need only n and n+1
-    lhs_j = oms_n - om_n + cross - n[:, None] * w_z / zs
-    lhs_k = (
-        oms_n
-        + om_n
-        - k[n] ** 2 / k[n + 1] ** 2 * (p0[n + 2] / p0[n + 1] * th_p + step * ths_n)
-        - w_z / zs
-    )
+    lhs_j = oms_n - om_n + cross - n[:, None] * w_over_z
+    lhs_k = oms_n + om_n - k[n] ** 2 / k[n + 1] ** 2 * (p0[n + 2] / p0[n + 1] * th_p + step * ths_n) - w_over_z
     rep.add_rows([
-        ("linear_e", anchor, lhs_e, om_p, ratio_p * th_p, cross),
-        ("linear_f", anchor, lhs_f, om_n, zs * th_p, w_z / zs),
-        ("linear_g", anchor, lhs_g, oms_p, ratio_ps * ths_p, w_z / zs),
-        ("linear_h", anchor, lhs_h, oms_n, ths_p, zs * th_n),
-        ("linear_j", anchor_cor, lhs_j, om_n, oms_n, w_z / zs),
-        ("linear_k", anchor_cor, lhs_k, om_n, oms_n, w_z / zs),
+        ("linear_e", anchor, lhs_e, om_p, affine(*ratio_p, th_p), cross),
+        ("linear_f", anchor, lhs_f, om_n, times_z(th_p), w_over_z),
+        ("linear_g", anchor, lhs_g, oms_p, affine(*ratio_ps, ths_p), w_over_z),
+        ("linear_h", anchor, lhs_h, oms_n, ths_p, times_z(th_n)),
+        ("linear_j", anchor_cor, lhs_j, om_n, oms_n, w_over_z),
+        ("linear_k", anchor_cor, lhs_k, om_n, oms_n, w_over_z),
     ], tol, ns)
 
     ns = keys[np.isin(keys - 1, keys) & (keys + 1 <= sys.nmax)].tolist()
     n = np.asarray(ns, dtype=int)
     (th_m, ths_m, _, _), (th_n, ths_n, _, _) = quad_rows(ns, -1), quad_rows(ns)
-    lhs_i = (
-        p0[n + 1] / p0[n] * th_n
-        - k[n] / k[n - 1] * zs * th_m
-        - pb0[n + 1] / pb0[n] * zs * ths_n
-        + k[n] / k[n - 1] * ths_m
-    )
-    rep.add_rows([("linear_i", anchor_cor, lhs_i, th_n, zs * ths_n)], tol, ns)
+    lhs_i = (p0[n + 1] / p0[n] * th_n - k[n] / k[n - 1] * times_z(th_m)
+             - pb0[n + 1] / pb0[n] * times_z(ths_n) + k[n] / k[n - 1] * ths_m)
+    rep.add_rows([("linear_i", anchor_cor, lhs_i, th_n, times_z(ths_n))], tol, ns)
     return rep
 
 

@@ -93,6 +93,8 @@ class LinearTrajectory:
             raise WeightValidationError(f"no singularity with index {self.moving}")
         if self.t1 == self.t0:
             raise ValueError("degenerate time interval")
+        if not np.isfinite(span := float(self.t1) - float(self.t0)):  # no overflow warning
+            raise ValueError(f"the time span t1 - t0 must be finite, got {span!r}")
 
     def locations(self, t) -> np.ndarray:
         """z_j(t) for a time or an array of times, shape t.shape + (m,)."""

@@ -78,6 +78,14 @@ def polyval(coeffs: ArrayLike, z):
     return out
 
 
+def times_z(rows: np.ndarray) -> np.ndarray:
+    """z times the ascending polynomials along the last axis, exactly where
+    their top order is 0 (a zero-padded row): each order moved up one."""
+    out = np.zeros_like(rows)
+    out[..., 1:] = rows[..., :-1]
+    return out
+
+
 def polyder(coeffs: ArrayLike) -> np.ndarray:
     """Derivative along the first axis: order k - 1 is k times order k,
     after numpy's ``c *= 1``, which fixes the signs of zero as its polyder

@@ -18,9 +18,10 @@ from conftest import laurent_callable
 from oracles import det_rep_oracle, monomial_orthogonality, orthonormality_quadrature
 
 
-def sample_pairs(seed=3, count=20):
+def sample_points(seed=3, count=20):
+    """``count`` points inside the circle, then ``count`` outside."""
     rng = np.random.default_rng(seed)
-    return list(zip(circle_samples(rng, count, 0.45), circle_samples(rng, count, 2.3)))
+    return np.concatenate([circle_samples(rng, count, 0.45), circle_samples(rng, count, 2.3)])
 
 
 class TestLebesgue:
@@ -36,7 +37,7 @@ class TestLebesgue:
         assert abs(polyval(lebesgue["sys"].families["phi"][3, :4], 0.5) - 0.125) < 1e-14
 
     def test_identity_web_exact(self, lebesgue):
-        rep = verify_scalar_identities(lebesgue["sys"], sample_pairs())
+        rep = verify_scalar_identities(lebesgue["sys"], sample_points())
         assert rep.max_residual <= 1e-12
 
 
@@ -73,7 +74,7 @@ class TestLaurent:
         assert laurent["sys"].cross_check_deviation < 1e-8
 
     def test_identity_web(self, laurent):
-        rep = verify_scalar_identities(laurent["sys"], sample_pairs())
+        rep = verify_scalar_identities(laurent["sys"], sample_points())
         assert rep.max_residual <= 1e-10, rep.failures()
 
     def test_orthonormality_exact_and_by_quadrature(self, laurent):
@@ -106,15 +107,30 @@ class TestCrossCheck:
         system = build_system(laurent["table"], 8)
         assert system.cross_check_deviation > 1e-7
         for scale in (1.0, 4.0):
-            rep = verify_scalar_identities(system, sample_pairs(), scale)
+            rep = verify_scalar_identities(system, sample_points(), scale)
             (entry,) = [e for e in rep.entries if e.name == "cross_check_deviation"]
             assert entry.residual == system.cross_check_deviation and entry.tol == 1e-8 * scale
             assert not entry.passed and [e.name for e in rep.failures()] == ["cross_check_deviation"]
 
 
+class TestCoefficientRecurrences:
+    def test_a_leading_coefficient_off_by_1e_3_fails_the_recurrences(self, strict):
+        # the recurrences weigh every order of the coefficient rows alike; a
+        # point at |z| = 0.45 weighs order 12 by 0.45^12, and there the same
+        # error read 3.4e-12, inside the 1e-9 gate
+        system = build_system(compute_moments(strict["weight"], 17), 16)
+        phi = system.phi.copy()
+        phi[12, 12] *= 1 + 1e-3
+        rep = verify_scalar_identities(replace(system, phi=phi), sample_points())
+        failed = {(e.name, e.n) for e in rep.failures()}
+        for name in ("coupled_recurrence", "three_term_recurrence"):
+            assert rep.max_by_name()[name] > 1e-8
+            assert (name, 12) in failed
+
+
 class TestStrictWeight:
     def test_identity_web(self, strict):
-        rep = verify_scalar_identities(strict["sys"], sample_pairs())
+        rep = verify_scalar_identities(strict["sys"], sample_points())
         assert rep.passed, [(e.name, e.residual) for e in rep.failures()]
 
     def test_routes_agree(self, strict):
@@ -205,9 +221,9 @@ def level32(request, strict):
 
 class TestLevelStack:
     def test_identity_web_entries_by_level(self, level32):
-        # the last pair has z * zetabar = 1 and leaves the Christoffel-Darboux sums
-        samples = sample_pairs() + [(0.5, 2.0)]
-        rep = verify_scalar_identities(level32, samples)
+        # the pair (0.5, 2.0) has z * zetabar = 1 and leaves the Christoffel-Darboux sums
+        points = np.concatenate([sample_points(), [0.5, 2.0]])
+        rep = verify_scalar_identities(level32, points)
         n = 32
 
         def pairs(names, ns):

@@ -110,6 +110,15 @@ class TestParseWeightSpec:
         assert weight is None
         assert table.moment(0) == 2.0
 
+    def test_integral_floats_parse_as_integers(self, tmp_path):
+        # a moments row's k and a trajectory's j written as 1.0 and 2.0 read as 1 and 2
+        rows = [[float(k), re, im] for k, re, im in RAW_MOMENTS_SPEC["moments"]]
+        _, table = parse_weight_spec(write(tmp_path, "m.json", {"moments": rows}))
+        assert np.array_equal(table.values, parse_weight_spec(write(tmp_path, "r.json", RAW_MOMENTS_SPEC))[1].values)
+        weight = weight_from_json(STRICT_SPEC)
+        traj = parse_trajectory(write(tmp_path, "t.json", {"j": 2.0, "to": [2, -0.05]}), weight)
+        assert traj.moving == 1
+
     def test_raw_moments_reproduce_closed_form_system(self, tmp_path):
         _, table = parse_weight_spec(write(tmp_path, "m.json", RAW_MOMENTS_SPEC))
         via_raw = build_system(table, 6)
@@ -277,6 +286,13 @@ class TestExitCodes:
             (STRICT_SPEC, {"j": 2, "from": [INF, 0], "to": [2, -0.05]}, "trajectory 'from' must be finite"),
             (STRICT_SPEC, {"j": 2, "to": [2, -0.05], "t0": NAN}, "trajectory 't0' must be finite, got nan"),
             (STRICT_SPEC, HUGE_T1, "trajectory 't1' must be finite, got inf"),
+            (STRICT_SPEC, {"j": 2.7, "to": [2, -0.05]}, "trajectory 'j' must be an integer, got 2.7"),
+            ({"moments": [[0, 1.0, 0.0], [0.5, 0.1, 0.0]]}, None, "moments row 2 'k' must be an integer, got 0.5"),
+            (
+                STRICT_SPEC,
+                {"j": 2, "to": [2, -0.05], "t0": -1e308, "t1": 1e308},
+                "the time span t1 - t0 must be finite, got inf",
+            ),
         ],
         ids=["trajectory-without-j", "trajectory-without-to", "trajectory-j-past-m", "weight-without-rho",
              "trajectory-to-not-a-pair", "trajectory-not-an-object", "weight-z-not-a-pair",
@@ -285,7 +301,8 @@ class TestExitCodes:
              "moments-row-of-two", "weight-without-singularities-or-moments", "trajectory-path-not-linear",
              "deform-on-relaxed-weight", "deform-without-trajectory", "weight-z-nan", "weight-rho-infinity",
              "moments-row-infinity", "trajectory-to-nan", "trajectory-from-infinity", "trajectory-t0-nan",
-             "trajectory-t1-1e400"],
+             "trajectory-t1-1e400", "trajectory-j-not-an-integer", "moments-row-k-not-an-integer",
+             "trajectory-span-overflows"],
     )
     @pytest.mark.filterwarnings("error")
     def test_malformed_spec_exits_two(self, tmp_path, capsys, weight_spec, trajectory, message):
@@ -486,6 +503,29 @@ class TestDeterminism:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, name
+
+
+    def test_recurrences_read_no_seed(self, tmp_path):
+        # the 17 recurrence families are checked on coefficients: each
+        # residual is the same bits at any seed, while the points move
+        weight = write(tmp_path, "w.json", STRICT_SPEC)
+        families = {"coupled_recurrence", "coupled_recurrence_star", "three_term_recurrence",
+                    "three_term_recurrence_star", "psi_three_term", "psistar_three_term",
+                    *(f"linear_{tag}" for tag in "abcdefghijk")}
+        seen = set()
+        for command, n, report in (("build", "8", "identity_report.json"), ("assoc", "4", "assoc_report.json"),
+                                   ("coeffs", "4", "coeffs_report.json")):
+            rows = []
+            for seed in ("3", "11"):
+                out = tmp_path / f"{command}-{seed}"
+                assert main([command, "--weight", weight, "--n", n, "--seed", seed, "--out", str(out)]) == 0
+                entries = json.loads((out / report).read_text())["entries"]
+                rows.append([(e["name"], e["n"], e["residual"].hex()) for e in entries if e["name"] in families])
+            assert rows[0] == rows[1], command
+            seen |= {name for name, _, _ in rows[0]}
+        assert seen == families
+        samples = [(tmp_path / f"assoc-{seed}" / "eps_samples.csv").read_bytes() for seed in ("3", "11")]
+        assert samples[0] != samples[1]
 
 
 class TestOneBundle:

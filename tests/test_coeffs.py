@@ -309,7 +309,7 @@ class TestClosedForms:
 
 class TestLinearRelations:
     def test_all_relations(self, strict):
-        rep = verify_linear_relations(strict["bundle"], samples())
+        rep = verify_linear_relations(strict["bundle"])
         assert rep.passed, [(e.name, e.n, e.residual) for e in rep.failures()]
         names = {e.name for e in rep.entries}
         for tag in "abcdefghijk":

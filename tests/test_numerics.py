@@ -2,7 +2,8 @@
 |mismatch| of the row over the largest |term| of the row, floored at 1; and
 the polynomial arithmetic against numpy's polynomial package: blocked
 Horner's invariants and bound, polyder, polymul and polyfromroots bit for
-bit; and circle_samples' distance from the points it avoids."""
+bit, and times_z as the product by z of zero-padded rows; and
+circle_samples' distance from the points it avoids."""
 
 import random
 
@@ -12,7 +13,7 @@ import pytest
 
 from circlebops.errors import GeometryError
 from circlebops.numerics import (
-    BLOCK, MIN_DISTANCE, circle_samples, polyder, polyfromroots, polymul, polyval, rel_residuals,
+    BLOCK, MIN_DISTANCE, circle_samples, polyder, polyfromroots, polymul, polyval, rel_residuals, times_z,
 )
 from circlebops.pipeline import build_bundle
 from circlebops.weight import weight_from_json
@@ -171,6 +172,18 @@ class TestPolynomialArithmetic:
             roots = complex_rows(rng, (count,), 1.0)
             assert same_bits(polyfromroots(roots), npoly.polyfromroots(roots)), count
         assert same_bits(polyfromroots([]), np.ones(1, dtype=complex))
+
+    def test_times_z_is_the_product_by_z_of_padded_rows(self):
+        # a zero-padded stack, level n of degree n: every row but the last
+        # is its product by z, bit for bit; the last loses its top order
+        rng = np.random.default_rng(27)
+        stack = np.tril(complex_rows(rng, (6, 6), 1.0))
+        shifted = times_z(stack)
+        for n, row in enumerate(stack[:-1]):
+            assert same_bits(shifted[n, : n + 2], npoly.polymul([0j, 1.0], row[: n + 1]))
+            assert not shifted[n, n + 2 :].any()
+        assert same_bits(shifted[-1], np.concatenate([[0j], stack[-1, :-1]]))
+        assert same_bits(times_z(stack[None])[0], shifted)  # along the last axis
 
 
 class TestCircleSamples:
